@@ -181,7 +181,7 @@ fn measure_spmm(a: &Csr) -> Vec<SpmmMeasurement> {
             } else {
                 q.encode(&h, precision).unwrap();
                 median_secs(|| {
-                    kernels::spmm::spmm_sequential_quant_into(a, &q, &mut out).unwrap();
+                    kernels::spmm::spmm_sequential_into(a, &q, &mut out).unwrap();
                 })
             };
             measurements.push(SpmmMeasurement {
@@ -330,7 +330,7 @@ fn bench_spmm(c: &mut Criterion) {
             q.encode(&h, precision).unwrap();
             let id = BenchmarkId::new(format!("sequential_{}", precision.name()), f);
             group.bench_with_input(id, &f, |bch, _| {
-                bch.iter(|| kernels::spmm::spmm_sequential_quant_into(&a, &q, &mut out).unwrap())
+                bch.iter(|| kernels::spmm::spmm_sequential_into(&a, &q, &mut out).unwrap())
             });
         }
     }

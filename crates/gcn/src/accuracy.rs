@@ -123,18 +123,19 @@ pub fn evaluate(
     model.infer_planned_with(a_hat, features, &mut ref_ws)?;
     let f32_secs = t0.elapsed().as_secs_f64();
 
-    let mut prec_ws = InferenceWorkspace::new();
+    let mut narrow_ws = InferenceWorkspace::new();
     let t1 = Instant::now();
-    model.infer_planned_prec_with(a_hat, features, precision, &mut prec_ws)?;
+    narrow_ws.plan_for(a_hat, features.cols(), precision);
+    model.infer_planned_with(a_hat, features, &mut narrow_ws)?;
     let prec_secs = t1.elapsed().as_secs_f64();
-    let used = prec_ws.plan().map_or(precision, |p| p.precision());
+    let used = narrow_ws.plan().map_or(precision, |p| p.precision());
 
     Ok(AccuracyReport {
         dataset: dataset.to_string(),
         requested: precision,
         used,
-        max_abs: prec_ws.output().max_abs_diff(ref_ws.output()),
-        rel_frobenius: rel_frobenius(prec_ws.output(), ref_ws.output()),
+        max_abs: narrow_ws.output().max_abs_diff(ref_ws.output()),
+        rel_frobenius: rel_frobenius(narrow_ws.output(), ref_ws.output()),
         f32_secs,
         prec_secs,
     })

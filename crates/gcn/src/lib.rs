@@ -38,8 +38,6 @@ pub mod resilient;
 pub mod rows;
 /// Neighborhood-sampled mini-batch inference (GraphSAGE-style).
 pub mod sampled;
-/// Training loop: node classification, optimizers, per-step stats.
-pub mod train;
 
 pub use accuracy::{accuracy_bound, AccuracyReport};
 pub use config::GcnConfig;
@@ -48,4 +46,3 @@ pub use model::{GcnLayer, GcnModel, InferenceWorkspace};
 pub use resilient::{InferenceRun, PrecisionRun};
 pub use rows::{RowsBatchStats, RowsWorkspace};
 pub use sampled::{SampledBatch, SamplingScheme};
-pub use train::{NodeClassification, OptimizerKind, StepStats, Trainer};

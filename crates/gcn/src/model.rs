@@ -3,7 +3,7 @@
 use crate::config::GcnConfig;
 use crate::error::GcnError;
 use graph::Graph;
-use kernels::fused::{gcn_layer_fused_into, gcn_layer_planned_into, gcn_layer_planned_prec_into};
+use kernels::fused::{gcn_layer_fused_into, gcn_layer_planned_into};
 use kernels::{SpmmPlan, SpmmStrategy};
 use matrix::{Activation, DenseMatrix, Precision, QuantMatrix, WeightInit};
 use rand::rngs::StdRng;
@@ -33,9 +33,9 @@ pub struct InferenceWorkspace {
     /// Cached execution plan, keyed by the adjacency's structural
     /// fingerprint.
     plan: Option<SpmmPlan>,
-    /// Narrow-storage staging buffer for precision-planned inference: each
-    /// layer encodes its SpMM feature operand here (bf16 / f16 / int8) and
-    /// the buffer is reused across layers and calls.
+    /// Narrow-storage staging buffer: under a narrow plan each layer
+    /// encodes its SpMM feature operand here (bf16 / f16 / int8) and the
+    /// buffer is reused across layers and calls; untouched at `f32`.
     qbuf: QuantMatrix,
 }
 
@@ -73,22 +73,29 @@ impl InferenceWorkspace {
         self.plan.as_ref()
     }
 
-    /// Installs `plan` as the cached execution plan. The planned inference
-    /// entry points keep any installed plan whose fingerprint matches the
-    /// adjacency, so tests and the sharded runner use this to pin a
+    /// Installs `plan` as the cached execution plan. Planned inference
+    /// keeps any installed plan whose fingerprint matches the adjacency,
+    /// so tests, the rows path and the sharded runner use this to pin a
     /// machine-independent plan (e.g. width 1 → always sequential) before
     /// calling [`GcnModel::infer_planned_with`].
     pub fn install_plan(&mut self, plan: SpmmPlan) {
         self.plan = Some(plan);
     }
 
-    /// Returns the cached plan for `a_hat`, building (and caching) a fresh
-    /// one if the workspace holds no plan or a plan for a different graph.
-    pub fn plan_for(&mut self, a_hat: &Csr, k: usize) -> &SpmmPlan {
-        if !self.plan.as_ref().is_some_and(|p| p.matches(a_hat)) {
-            self.plan = Some(SpmmPlan::new(a_hat, k));
-        }
-        self.plan.as_ref().expect("plan populated above")
+    /// The workspace's one plan-cache lookup, keyed on the adjacency's
+    /// structural fingerprint plus the *requested* storage precision: a
+    /// cached plan for `a_hat` is kept and (only if it was asked for a
+    /// different precision) re-targeted in `O(1)` via
+    /// [`SpmmPlan::at_precision`]; a plan for a different graph is
+    /// replaced by a fresh pool-width one. The precision probe may
+    /// downgrade along [`Precision::fallback`] — inspect the returned plan
+    /// for the recorded downgrade.
+    pub fn plan_for(&mut self, a_hat: &Csr, k: usize, precision: Precision) -> &SpmmPlan {
+        let plan = match self.plan.take() {
+            Some(p) if p.matches(a_hat) => p,
+            _ => SpmmPlan::new(a_hat, k),
+        };
+        self.plan.insert(plan.at_precision(precision))
     }
 }
 
@@ -224,18 +231,7 @@ impl GcnModel {
         strategy: SpmmStrategy,
         workspace: &'w mut InferenceWorkspace,
     ) -> Result<&'w DenseMatrix, GcnError> {
-        if features.cols() != self.input_dim() {
-            return Err(GcnError::FeatureDimMismatch {
-                expected: self.input_dim(),
-                actual: features.cols(),
-            });
-        }
-        if features.rows() != a_hat.nrows() {
-            return Err(GcnError::VertexCountMismatch {
-                graph: a_hat.nrows(),
-                features: features.rows(),
-            });
-        }
+        self.check_shapes(a_hat, features)?;
         workspace.h.copy_from(features);
         for layer in &self.layers {
             gcn_layer_fused_into(
@@ -278,6 +274,12 @@ impl GcnModel {
     /// statistics) runs, so layers with different feature widths still pick
     /// the right kernel.
     ///
+    /// Precision is carried by the plan the workspace holds: an empty
+    /// workspace runs `f32`; after [`InferenceWorkspace::plan_for`] (or an
+    /// installed plan) at bf16 / f16 / int8, every layer stores its SpMM
+    /// feature operand and packed GEMM panels at that precision while
+    /// accumulating in `f32`.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`GcnModel::infer`].
@@ -287,103 +289,12 @@ impl GcnModel {
         features: &DenseMatrix,
         workspace: &'w mut InferenceWorkspace,
     ) -> Result<&'w DenseMatrix, GcnError> {
-        if features.cols() != self.input_dim() {
-            return Err(GcnError::FeatureDimMismatch {
-                expected: self.input_dim(),
-                actual: features.cols(),
-            });
-        }
-        if features.rows() != a_hat.nrows() {
-            return Err(GcnError::VertexCountMismatch {
-                graph: a_hat.nrows(),
-                features: features.rows(),
-            });
-        }
-        if !workspace.plan.as_ref().is_some_and(|p| p.matches(a_hat)) {
-            workspace.plan = Some(SpmmPlan::new(a_hat, features.cols()));
-        }
-        let InferenceWorkspace {
-            h, next, mid, plan, ..
-        } = workspace;
-        let plan = plan.as_ref().expect("plan populated above");
-        h.copy_from(features);
-        for layer in &self.layers {
-            gcn_layer_planned_into(
-                a_hat,
-                h,
-                &layer.weight,
-                layer.bias.as_deref(),
-                layer.activation,
-                plan,
-                mid,
-                next,
-            )?;
-            std::mem::swap(h, next);
-        }
-        Ok(&workspace.h)
-    }
-
-    /// Runs planned inference at a narrow storage precision, building (and
-    /// caching) a precision-aware plan on first use.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GcnModel::infer`].
-    pub fn infer_planned_prec(
-        &self,
-        a_hat: &Csr,
-        features: &DenseMatrix,
-        precision: Precision,
-    ) -> Result<DenseMatrix, GcnError> {
-        let mut workspace = InferenceWorkspace::new();
-        self.infer_planned_prec_with(a_hat, features, precision, &mut workspace)?;
-        Ok(workspace.h)
-    }
-
-    /// [`GcnModel::infer_planned_with`] at a chosen storage precision:
-    /// every layer stores its SpMM feature operand and packed GEMM panels
-    /// at `precision` (bf16 / f16 / int8) while accumulating in `f32`.
-    ///
-    /// The workspace caches one precision-aware [`SpmmPlan`]; the plan
-    /// probes the requested precision against the micro-kernel dispatch at
-    /// build time and silently downgrades along [`Precision::fallback`] if
-    /// the ISA probe fails — inspect `workspace.plan()` for the recorded
-    /// downgrade. [`Precision::F32`] makes this identical to
-    /// [`GcnModel::infer_planned_with`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GcnModel::infer`].
-    pub fn infer_planned_prec_with<'w>(
-        &self,
-        a_hat: &Csr,
-        features: &DenseMatrix,
-        precision: Precision,
-        workspace: &'w mut InferenceWorkspace,
-    ) -> Result<&'w DenseMatrix, GcnError> {
-        if features.cols() != self.input_dim() {
-            return Err(GcnError::FeatureDimMismatch {
-                expected: self.input_dim(),
-                actual: features.cols(),
-            });
-        }
-        if features.rows() != a_hat.nrows() {
-            return Err(GcnError::VertexCountMismatch {
-                graph: a_hat.nrows(),
-                features: features.rows(),
-            });
-        }
-        // Cache key is the *requested* precision: a plan whose ISA probe
-        // downgraded (say int8 → bf16) still satisfies later int8 requests
-        // without re-probing on every call.
-        let requested_of = |p: &SpmmPlan| p.precision_fallback().map_or(p.precision(), |(r, _)| r);
-        if !workspace
+        self.check_shapes(a_hat, features)?;
+        let precision = workspace
             .plan
             .as_ref()
-            .is_some_and(|p| p.matches(a_hat) && requested_of(p) == precision)
-        {
-            workspace.plan = Some(SpmmPlan::with_precision(a_hat, features.cols(), precision));
-        }
+            .map_or(Precision::F32, SpmmPlan::requested_precision);
+        workspace.plan_for(a_hat, features.cols(), precision);
         let InferenceWorkspace {
             h,
             next,
@@ -394,7 +305,7 @@ impl GcnModel {
         let plan = plan.as_ref().expect("plan populated above");
         h.copy_from(features);
         for layer in &self.layers {
-            gcn_layer_planned_prec_into(
+            gcn_layer_planned_into(
                 a_hat,
                 h,
                 &layer.weight,
@@ -408,6 +319,24 @@ impl GcnModel {
             std::mem::swap(h, next);
         }
         Ok(&workspace.h)
+    }
+
+    /// The shape contract every inference entry point shares: one feature
+    /// row per vertex, as wide as the first layer expects.
+    pub(crate) fn check_shapes(&self, a_hat: &Csr, features: &DenseMatrix) -> Result<(), GcnError> {
+        if features.cols() != self.input_dim() {
+            return Err(GcnError::FeatureDimMismatch {
+                expected: self.input_dim(),
+                actual: features.cols(),
+            });
+        }
+        if features.rows() != a_hat.nrows() {
+            return Err(GcnError::VertexCountMismatch {
+                graph: a_hat.nrows(),
+                features: features.rows(),
+            });
+        }
+        Ok(())
     }
 
     /// Reference inference: unfused, sequential, aggregation always first.

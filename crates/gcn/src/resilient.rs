@@ -90,18 +90,7 @@ impl GcnModel {
     /// wrapping [`MatrixError::NonFinite`] naming the first offending
     /// entry.
     pub fn validate_inputs(&self, a_hat: &Csr, features: &DenseMatrix) -> Result<(), GcnError> {
-        if features.cols() != self.input_dim() {
-            return Err(GcnError::FeatureDimMismatch {
-                expected: self.input_dim(),
-                actual: features.cols(),
-            });
-        }
-        if features.rows() != a_hat.nrows() {
-            return Err(GcnError::VertexCountMismatch {
-                graph: a_hat.nrows(),
-                features: features.rows(),
-            });
-        }
+        self.check_shapes(a_hat, features)?;
         a_hat.validate()?;
         features.validate_finite("features")?;
         for (t, layer) in self.layers().iter().enumerate() {
@@ -299,7 +288,8 @@ impl GcnModel {
         let mut report = ExecutionReport::new();
         let mut current = precision;
         loop {
-            self.infer_planned_prec_with(a_hat, features, current, workspace)?;
+            workspace.plan_for(a_hat, features.cols(), current);
+            self.infer_planned_with(a_hat, features, workspace)?;
             let used = workspace.plan().map_or(current, |p| p.precision());
             if let Some((from, to)) = workspace.plan().and_then(|p| p.precision_fallback()) {
                 report.degradations.push(Degradation {
@@ -546,7 +536,7 @@ mod tests {
     #[test]
     fn precision_guard_accepts_every_precision_within_bounds() {
         let (a_hat, x, model) = setup();
-        for p in matrix::Precision::all() {
+        for p in Precision::all() {
             let mut ws = InferenceWorkspace::new();
             let run = model
                 .infer_prec_guarded_with(&a_hat, &x, p, &mut ws)

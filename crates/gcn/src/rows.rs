@@ -16,6 +16,13 @@
 //! changes a single bit of any request's result, which is what lets the
 //! serving layer batch aggressively.
 //!
+//! Storage precision is an argument, not a second path: a narrow
+//! (brownout) batch runs the *same* width-1 plans
+//! [`SpmmPlan::at_precision`], and because narrowing is row-local
+//! (element-wise for bf16 / f16, per-row scales for int8, per-column GEMM
+//! scales taken from the weights) the bitwise contract above holds at
+//! every precision against the full-graph run at that precision.
+//!
 //! When the expansion saturates (the neighbourhood reaches every vertex —
 //! common for small-diameter graphs and multi-layer models), the gather is
 //! skipped entirely and the batch runs against the **cached full-graph
@@ -50,8 +57,9 @@ pub struct RowsBatchStats {
 /// the recycled sub-CSR arrays, the gathered feature block, and two
 /// [`InferenceWorkspace`]s — one for sub-problems (plan rebuilt per batch)
 /// and one holding the cached width-1 full-graph plan for saturated
-/// batches. After the first call on a given adjacency, steady-state calls
-/// reuse every buffer at its high-water mark.
+/// batches, re-targeted in `O(1)` when a batch asks for another storage
+/// precision. After the first call on a given adjacency, steady-state
+/// calls reuse every buffer at its high-water mark.
 #[derive(Debug, Default)]
 pub struct RowsWorkspace {
     /// `mark[v] == epoch` ⇔ vertex `v` is in the current neighbourhood.
@@ -71,10 +79,6 @@ pub struct RowsWorkspace {
     /// Workspace for saturated batches: caches one width-1 full-graph
     /// plan per adjacency across calls.
     full_ws: InferenceWorkspace,
-    /// Workspace for narrow-precision (brownout) batches:
-    /// [`GcnModel::infer_planned_prec_with`] manages its own
-    /// precision-keyed plan cache inside it.
-    prec_ws: InferenceWorkspace,
 }
 
 impl RowsWorkspace {
@@ -132,15 +136,18 @@ impl GcnModel {
         ws: &mut RowsWorkspace,
         out: &mut DenseMatrix,
     ) -> Result<RowsBatchStats, GcnError> {
-        self.rows_impl(a_hat, features, targets, None, ws, out)
+        self.infer_rows_planned_prec_into(a_hat, features, targets, Precision::F32, ws, out)
     }
 
-    /// [`GcnModel::infer_rows_planned_into`] at a narrow storage
-    /// precision — the serving brownout path. The gather/saturation logic
-    /// is identical; the layer stack runs through
-    /// [`GcnModel::infer_planned_prec_with`], so outputs carry the
+    /// [`GcnModel::infer_rows_planned_into`] at a chosen storage precision
+    /// — narrow ones are the serving brownout path. Gather, saturation and
+    /// plans are the same at every precision (the pinned width-1 sub-plan,
+    /// the cached width-1 full-graph plan, both
+    /// [`SpmmPlan::at_precision`]), so narrow batches keep the
+    /// coalescing-invariance of the `f32` path: a target row's bits do not
+    /// depend on which batch it rode in. Narrow outputs carry the
     /// precision's quantization error and are **not** bitwise-comparable
-    /// to the f32 path (callers must annotate responses accordingly).
+    /// to the `f32` path (callers must annotate responses accordingly).
     ///
     /// # Errors
     ///
@@ -154,31 +161,8 @@ impl GcnModel {
         ws: &mut RowsWorkspace,
         out: &mut DenseMatrix,
     ) -> Result<RowsBatchStats, GcnError> {
-        self.rows_impl(a_hat, features, targets, Some(precision), ws, out)
-    }
-
-    fn rows_impl(
-        &self,
-        a_hat: &Csr,
-        features: &DenseMatrix,
-        targets: &[usize],
-        precision: Option<Precision>,
-        ws: &mut RowsWorkspace,
-        out: &mut DenseMatrix,
-    ) -> Result<RowsBatchStats, GcnError> {
-        if features.cols() != self.input_dim() {
-            return Err(GcnError::FeatureDimMismatch {
-                expected: self.input_dim(),
-                actual: features.cols(),
-            });
-        }
+        self.check_shapes(a_hat, features)?;
         let n = a_hat.nrows();
-        if features.rows() != n {
-            return Err(GcnError::VertexCountMismatch {
-                graph: n,
-                features: features.rows(),
-            });
-        }
         let hops = self.layers().len();
         let out_dim = self
             .layers()
@@ -235,16 +219,12 @@ impl GcnModel {
 
         // --- Saturated: run the cached width-1 full-graph plan. ---------
         if ws.verts.len() == n {
-            let h = match precision {
-                None => {
-                    if !ws.full_ws.plan().is_some_and(|p| p.matches(a_hat)) {
-                        ws.full_ws
-                            .install_plan(SpmmPlan::with_width(a_hat, features.cols(), 1));
-                    }
-                    self.infer_planned_with(a_hat, features, &mut ws.full_ws)?
-                }
-                Some(p) => self.infer_planned_prec_with(a_hat, features, p, &mut ws.prec_ws)?,
-            };
+            if !ws.full_ws.plan().is_some_and(|p| p.matches(a_hat)) {
+                ws.full_ws
+                    .install_plan(SpmmPlan::with_width(a_hat, features.cols(), 1));
+            }
+            ws.full_ws.plan_for(a_hat, features.cols(), precision);
+            let h = self.infer_planned_with(a_hat, features, &mut ws.full_ws)?;
             for (i, &t) in targets.iter().enumerate() {
                 out.row_mut(i).copy_from_slice(h.row(t));
             }
@@ -299,13 +279,9 @@ impl GcnModel {
         // Width 1 ⇒ always sequential: batch parallelism comes from the
         // serving lanes, never from inside a batch, which keeps the
         // per-row floating-point order independent of batch composition.
-        let run = match precision {
-            None => {
-                ws.sub_ws.install_plan(SpmmPlan::with_width(&sub, k, 1));
-                self.infer_planned_with(&sub, &ws.feat, &mut ws.sub_ws)
-            }
-            Some(p) => self.infer_planned_prec_with(&sub, &ws.feat, p, &mut ws.prec_ws),
-        };
+        ws.sub_ws
+            .install_plan(SpmmPlan::with_width(&sub, k, 1).at_precision(precision));
+        let run = self.infer_planned_with(&sub, &ws.feat, &mut ws.sub_ws);
         // Recycle the sub-CSR arrays before propagating any error.
         let scatter = match run {
             Ok(h) => {
@@ -372,6 +348,73 @@ mod tests {
         assert_eq!(stats.targets, 5);
         for (i, &t) in targets.iter().enumerate() {
             assert_eq!(out.row(i), full.row(t), "row {t} diverged");
+        }
+    }
+
+    #[test]
+    fn narrow_batched_rows_match_serial_and_full_graph_bitwise() {
+        // The narrow rows path shares the f32 path's plans — pinned
+        // width-1 sub-plan, width-1 full-graph plan — so the same bitwise
+        // contract holds at every precision: per-row encode scales and the
+        // ascending-order gather keep each target row's sequence
+        // independent of the batch it rides in.
+        let (a_hat, model, x) = setup(9);
+        let targets = [3usize, 99, 400, 3, 17];
+        for p in [Precision::Bf16, Precision::F16, Precision::Int8] {
+            let mut full_ws = InferenceWorkspace::new();
+            full_ws.install_plan(SpmmPlan::with_width(&a_hat, x.cols(), 1).at_precision(p));
+            let full = model.infer_planned_with(&a_hat, &x, &mut full_ws).unwrap();
+            let mut ws = RowsWorkspace::new();
+            let (mut all, mut one) = (DenseMatrix::default(), DenseMatrix::default());
+            let stats = model
+                .infer_rows_planned_prec_into(&a_hat, &x, &targets, p, &mut ws, &mut all)
+                .unwrap();
+            assert!(!stats.full_graph, "{p}: expected a gathered sub-problem");
+            assert_eq!(ws.sub_ws.plan().unwrap().precision(), p);
+            for (i, &t) in targets.iter().enumerate() {
+                assert_eq!(all.row(i), full.row(t), "{p}: row {t} vs full graph");
+                model
+                    .infer_rows_planned_prec_into(&a_hat, &x, &[t], p, &mut ws, &mut one)
+                    .unwrap();
+                assert_eq!(
+                    one.row(0),
+                    all.row(i),
+                    "{p}: row {t} changed under coalescing"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_batches_retarget_one_cached_plan_across_precisions() {
+        // Alternating f32 / narrow saturated batches share one width-1
+        // full-graph plan: the precision switch is an O(1) re-target, never
+        // a rebuild at pool width, and each answer matches the full-graph
+        // run at its own precision.
+        let g = Graph::from_undirected_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
+        let model = GcnModel::new(&GcnConfig::paper_model(8, 12, 3), 4);
+        let x = g.random_features(8, 6);
+        let a_hat = g.normalized_adjacency().unwrap();
+        let mut ws = RowsWorkspace::new();
+        let mut out = DenseMatrix::default();
+        for p in [
+            Precision::F32,
+            Precision::Bf16,
+            Precision::F32,
+            Precision::Int8,
+        ] {
+            let stats = model
+                .infer_rows_planned_prec_into(&a_hat, &x, &[2, 0], p, &mut ws, &mut out)
+                .unwrap();
+            assert!(stats.full_graph);
+            let plan = ws.full_ws.plan().unwrap();
+            assert_eq!(plan.precision(), p);
+            assert_eq!(plan.exec(), kernels::plan::PlannedExec::Sequential);
+            let mut full_ws = InferenceWorkspace::new();
+            full_ws.install_plan(SpmmPlan::with_width(&a_hat, x.cols(), 1).at_precision(p));
+            let full = model.infer_planned_with(&a_hat, &x, &mut full_ws).unwrap();
+            assert_eq!(out.row(0), full.row(2), "{p}");
+            assert_eq!(out.row(1), full.row(0), "{p}");
         }
     }
 

@@ -202,44 +202,6 @@ impl SpmmStrategy {
     }
 }
 
-/// Builds an [`SpmmPlan`] for repeated SpMM against `a` with feature
-/// width `k`: degree statistics, the NNZ-balanced row partition, and the
-/// execution path are all computed once, here, instead of per call.
-pub fn plan(a: &Csr, k: usize) -> crate::plan::SpmmPlan {
-    crate::plan::SpmmPlan::new(a, k)
-}
-
-/// [`plan`] at a narrow storage precision: probes the requested precision
-/// against the captured micro-kernel dispatch at plan time, downgrading
-/// along [`matrix::Precision::fallback`] if the ISA probe fails (the plan
-/// records the downgrade). The planned layer then runs its SpMM feature
-/// loops and packed GEMM panels on narrow storage with `f32` accumulation.
-pub fn plan_with_precision(
-    a: &Csr,
-    k: usize,
-    precision: matrix::Precision,
-) -> crate::plan::SpmmPlan {
-    crate::plan::SpmmPlan::with_precision(a, k, precision)
-}
-
-/// Runs `out = a * h` along a precomputed plan — the planned counterpart
-/// of [`SpmmStrategy::run_into`].
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if the operands disagree
-/// with the plan's shapes.
-// lint:allow(L004): pure dispatch — SpmmPlan::run_into opens with
-// check_plan before selecting a kernel.
-pub fn run_planned_into(
-    plan: &crate::plan::SpmmPlan,
-    a: &Csr,
-    h: &DenseMatrix,
-    out: &mut DenseMatrix,
-) -> Result<(), MatrixError> {
-    plan.run_into(a, h, out)
-}
-
 impl Default for SpmmStrategy {
     fn default() -> Self {
         SpmmStrategy::VertexParallel {

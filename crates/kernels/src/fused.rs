@@ -10,7 +10,7 @@
 use crate::engine::SpmmStrategy;
 use crate::plan::SpmmPlan;
 use matrix::microkernel::matmul_packed_prec_with;
-use matrix::{gemm, Activation, DenseMatrix, MatrixError, Precision, QuantMatrix};
+use matrix::{gemm, Activation, DenseMatrix, MatrixError, QuantMatrix};
 use sparse::Csr;
 
 /// Which association order the fused layer used (exposed for tests and for
@@ -116,6 +116,12 @@ pub fn gcn_layer_fused_into(
 /// ([`SpmmPlan::dense_kernel`]), so plan resolution fixes the SIMD path for
 /// both pillars of the layer.
 ///
+/// Precision is carried by the plan ([`SpmmPlan::precision`]): a narrow
+/// plan encodes the layer's SpMM feature operand into `qbuf` (bf16 / f16 /
+/// int8), reads it through the same row loops, and packs narrow GEMM
+/// panels — all accumulation stays `f32`, only storage narrows. An `f32`
+/// plan leaves `qbuf` untouched.
+///
 /// # Errors
 ///
 /// Propagates shape mismatches from the SpMM / GEMM kernels (including a
@@ -130,78 +136,23 @@ pub fn gcn_layer_planned_into(
     bias: Option<&[f32]>,
     activation: Activation,
     plan: &SpmmPlan,
-    mid: &mut DenseMatrix,
-    out: &mut DenseMatrix,
-) -> Result<FusedOrder, MatrixError> {
-    let k_in = w.rows();
-    let k_out = w.cols();
-    let threads = pool::global().width();
-    let kd = plan.dense_kernel();
-
-    let order = if k_in <= k_out {
-        plan.run_into(a, h, mid)?;
-        matrix::microkernel::matmul_packed_with(kd, mid, w, threads, out)?;
-        FusedOrder::AggregateFirst
-    } else {
-        matrix::microkernel::matmul_packed_with(kd, h, w, threads, mid)?;
-        plan.run_into(a, mid, out)?;
-        FusedOrder::UpdateFirst
-    };
-
-    if let Some(b) = bias {
-        out.add_row_bias(b)?;
-    }
-    out.apply_activation(activation);
-    Ok(order)
-}
-
-/// [`gcn_layer_planned_into`] at the plan's storage precision: the layer's
-/// SpMM feature operand is encoded into `qbuf` at
-/// [`SpmmPlan::precision`] (bf16 / f16 / int8) and read through the
-/// quantized row loops, and the dense transform runs the narrow-storage
-/// packed GEMM — all accumulation stays `f32`, only storage narrows.
-/// A plan at [`Precision::F32`] delegates to the full-precision layer and
-/// leaves `qbuf` untouched.
-///
-/// # Errors
-///
-/// Propagates shape mismatches from the SpMM / GEMM kernels (including a
-/// plan built for a different adjacency).
-#[allow(clippy::too_many_arguments)]
-// lint:allow(L004): composite layer driver, not a kernel — the plan's
-// check_plan plus each sub-kernel's own check validate all shapes.
-pub fn gcn_layer_planned_prec_into(
-    a: &Csr,
-    h: &DenseMatrix,
-    w: &DenseMatrix,
-    bias: Option<&[f32]>,
-    activation: Activation,
-    plan: &SpmmPlan,
     qbuf: &mut QuantMatrix,
     mid: &mut DenseMatrix,
     out: &mut DenseMatrix,
 ) -> Result<FusedOrder, MatrixError> {
-    let precision = plan.precision();
-    if precision == Precision::F32 {
-        return gcn_layer_planned_into(a, h, w, bias, activation, plan, mid, out);
-    }
     let k_in = w.rows();
     let k_out = w.cols();
     let threads = pool::global().width();
     let kd = plan.dense_kernel();
+    let precision = plan.precision();
 
     let order = if k_in <= k_out {
-        // Aggregate in the narrow dimension first: quantize the incoming
-        // activations once, aggregate from narrow storage, then run the
-        // narrow-panel packed GEMM on the f32 aggregate.
-        qbuf.encode(h, precision)?;
-        plan.run_quant_into(a, qbuf, mid)?;
+        plan.run_at_precision_into(a, h, qbuf, mid)?;
         matmul_packed_prec_with(kd, precision, mid, w, threads, out)?;
         FusedOrder::AggregateFirst
     } else {
         matmul_packed_prec_with(kd, precision, h, w, threads, mid)?;
-        qbuf.encode(mid, precision)?;
-        plan.run_quant_into(a, qbuf, out)?;
+        plan.run_at_precision_into(a, mid, qbuf, out)?;
         FusedOrder::UpdateFirst
     };
 
@@ -215,6 +166,7 @@ pub fn gcn_layer_planned_prec_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matrix::Precision;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sparse::Coo;
@@ -356,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn planned_prec_layer_tracks_f32_in_both_orders() {
+    fn narrow_planned_layer_tracks_f32_in_both_orders() {
         // (k_in <= k_out) drives AggregateFirst, the reverse UpdateFirst;
         // both must pick the same order as the f32 layer and stay within a
         // per-precision relative-Frobenius band of it. The bands are the
@@ -369,41 +321,32 @@ mod tests {
         ] {
             let (a, h, w) = random_setup(60, k_in, k_out, setup_seed);
             let bias = vec![0.25; k_out];
+            let run = |plan: &SpmmPlan, out: &mut DenseMatrix| {
+                let (mut qbuf, mut mid) = (QuantMatrix::new(), DenseMatrix::default());
+                gcn_layer_planned_into(
+                    &a,
+                    &h,
+                    &w,
+                    Some(&bias),
+                    Activation::Relu,
+                    plan,
+                    &mut qbuf,
+                    &mut mid,
+                    out,
+                )
+                .unwrap()
+            };
+            let f32_plan = SpmmPlan::new(&a, k_in);
+            let mut reference = DenseMatrix::default();
+            assert_eq!(run(&f32_plan, &mut reference), want_order);
             for (precision, band) in [
                 (Precision::Bf16, 2e-2f32),
                 (Precision::F16, 5e-3),
                 (Precision::Int8, 1.5e-1),
             ] {
-                let plan = SpmmPlan::with_precision(&a, k_in, precision);
-                let mut mid = DenseMatrix::default();
-                let mut reference = DenseMatrix::default();
-                let ref_order = gcn_layer_planned_into(
-                    &a,
-                    &h,
-                    &w,
-                    Some(&bias),
-                    Activation::Relu,
-                    &plan,
-                    &mut mid,
-                    &mut reference,
-                )
-                .unwrap();
-                assert_eq!(ref_order, want_order);
-                let mut qbuf = QuantMatrix::new();
+                let plan = f32_plan.clone().at_precision(precision);
                 let mut out = DenseMatrix::filled(3, 3, f32::NAN);
-                let order = gcn_layer_planned_prec_into(
-                    &a,
-                    &h,
-                    &w,
-                    Some(&bias),
-                    Activation::Relu,
-                    &plan,
-                    &mut qbuf,
-                    &mut mid,
-                    &mut out,
-                )
-                .unwrap();
-                assert_eq!(order, want_order);
+                assert_eq!(run(&plan, &mut out), want_order);
                 assert_eq!(out.shape(), reference.shape());
                 let err = rel_frob(&out, &reference);
                 assert!(
@@ -415,25 +358,22 @@ mod tests {
     }
 
     #[test]
-    fn planned_prec_layer_at_f32_is_bitwise_identical() {
+    fn planned_layer_at_f32_is_bitwise_identical_to_the_f32_calls() {
+        // The f32-instantiation pin: a plan at `Precision::F32` must run
+        // exactly `SpmmPlan::run_into` over the f32 rows plus
+        // `matmul_packed_with`, and never touch the staging buffer.
         let (a, h, w) = random_setup(40, 12, 6, 9);
         let plan = SpmmPlan::with_precision(&a, 12, Precision::F32);
         let mut mid = DenseMatrix::default();
         let mut reference = DenseMatrix::default();
-        gcn_layer_planned_into(
-            &a,
-            &h,
-            &w,
-            None,
-            Activation::Relu,
-            &plan,
-            &mut mid,
-            &mut reference,
-        )
-        .unwrap();
+        let kd = plan.dense_kernel();
+        let threads = pool::global().width();
+        matrix::microkernel::matmul_packed_with(kd, &h, &w, threads, &mut mid).unwrap();
+        plan.run_into(&a, &mid, &mut reference).unwrap();
+        reference.apply_activation(Activation::Relu);
         let mut qbuf = QuantMatrix::new();
         let mut out = DenseMatrix::default();
-        gcn_layer_planned_prec_into(
+        let order = gcn_layer_planned_into(
             &a,
             &h,
             &w,
@@ -445,8 +385,8 @@ mod tests {
             &mut out,
         )
         .unwrap();
+        assert_eq!(order, FusedOrder::UpdateFirst);
         assert_eq!(reference.max_abs_diff(&out), 0.0);
-        // The f32 path must not have touched the staging buffer.
         assert_eq!(qbuf.shape(), (0, 0));
     }
 }

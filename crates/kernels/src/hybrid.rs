@@ -21,11 +21,12 @@
 //! start first — with dynamic share claiming this bounds the tail latency
 //! by the last chunk, not the last hub.
 
-use matrix::{DenseMatrix, MatrixError, QuantMatrix};
+use matrix::microkernel::KernelDispatch;
+use matrix::{DenseMatrix, MatrixError};
 use parking_lot::Mutex;
 use sparse::Csr;
 
-use crate::spmm::{check, check_quant, spmm_rows, spmm_rows_quant_with, VERTEX_CHUNK};
+use crate::spmm::{check, spmm_rows_with, FeatureOperand, VERTEX_CHUNK};
 
 // BOUNDS: indexing here reads CSR arrays validated by `Csr::from_coo`
 // (row_ptr monotone, col_idx < ncols), work/slot tables built by the
@@ -67,17 +68,18 @@ pub fn spmm_hybrid(a: &Csr, h: &DenseMatrix, threads: usize) -> Result<DenseMatr
     Ok(out)
 }
 
-/// [`spmm_hybrid`] writing into a caller-owned output matrix (reshaped
-/// with [`DenseMatrix::resize_zeroed`]; allocation-free at capacity apart
-/// from per-call work-list bookkeeping).
+/// [`spmm_hybrid`] over any [`FeatureOperand`], writing into a
+/// caller-owned output matrix (reshaped with
+/// [`DenseMatrix::resize_zeroed`]; allocation-free at capacity apart from
+/// per-call work-list bookkeeping).
 ///
 /// # Errors
 ///
 /// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
 /// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_hybrid_into(
+pub fn spmm_hybrid_into<F: FeatureOperand>(
     a: &Csr,
-    h: &DenseMatrix,
+    h: &F,
     threads: usize,
     out: &mut DenseMatrix,
 ) -> Result<(), MatrixError> {
@@ -85,14 +87,16 @@ pub fn spmm_hybrid_into(
     if threads == 0 {
         return Err(MatrixError::ZeroThreads);
     }
-    let (n, k) = (a.nrows(), h.cols());
+    let (n, k) = (a.nrows(), h.shape().1);
     let nnz = a.nnz();
     out.resize_zeroed(n, k);
     if n == 0 || k == 0 || nnz == 0 {
         return Ok(());
     }
+    // Resolve the micro-kernel backend once, outside the broadcast.
+    let kd = KernelDispatch::get();
     if threads == 1 {
-        spmm_rows(a, h, out.as_mut_slice(), 0, n, k);
+        spmm_rows_with(kd, a, h, out.as_mut_slice(), 0, n, k);
         return Ok(());
     }
 
@@ -149,8 +153,6 @@ pub fn spmm_hybrid_into(
 
     let cols = a.col_idx();
     let vals = a.values();
-    // Resolve the micro-kernel backend once, outside the broadcast.
-    let kd = matrix::microkernel::KernelDispatch::get();
     pool::global().broadcast(
         threads.min(works.len().max(1)),
         works.len(),
@@ -159,11 +161,7 @@ pub fn spmm_hybrid_into(
                 // lint:allow(L005): K-wide per-segment accumulator kept
                 // thread-local; K is the feature width, tens of floats.
                 let mut acc = vec![0.0f32; k];
-                for e in *e0..*e1 {
-                    let v = cols[e] as usize;
-                    let w = vals[e];
-                    kd.axpy(&mut acc, w, h.row(v));
-                }
+                h.accumulate_row(kd, &mut acc, &cols[*e0..*e1], &vals[*e0..*e1]);
                 let mut row_out = hub_slots[*slot].lock();
                 for (o, x) in row_out.iter_mut().zip(&acc) {
                     *o += x;
@@ -175,115 +173,7 @@ pub fn spmm_hybrid_into(
                 slice,
             } => {
                 let mut chunk = slice.lock();
-                spmm_rows(a, h, &mut chunk, *first_row, first_row + rows, k);
-            }
-        },
-    );
-    Ok(())
-}
-
-/// [`spmm_hybrid_into`] over a narrow-precision feature matrix: identical
-/// hub/tail partitioning, with every feature-row read decoding bf16 / f16 /
-/// int8 storage inside the widened AXPY while accumulators stay `f32`.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_hybrid_quant_into(
-    a: &Csr,
-    hq: &QuantMatrix,
-    threads: usize,
-    out: &mut DenseMatrix,
-) -> Result<(), MatrixError> {
-    check_quant("spmm_hybrid_quant", a, hq)?;
-    if threads == 0 {
-        return Err(MatrixError::ZeroThreads);
-    }
-    let (n, k) = (a.nrows(), hq.cols());
-    let nnz = a.nnz();
-    out.resize_zeroed(n, k);
-    if n == 0 || k == 0 || nnz == 0 {
-        return Ok(());
-    }
-    let kd = matrix::microkernel::KernelDispatch::get();
-    if threads == 1 {
-        spmm_rows_quant_with(kd, a, hq, out.as_mut_slice(), 0, n, k);
-        return Ok(());
-    }
-
-    let mean = nnz as f64 / n as f64;
-    let hub_threshold = ((HUB_DEGREE_FACTOR * mean) as usize).max(HUB_DEGREE_MIN);
-
-    // Same disjoint partition walk as the f32 kernel: hub rows get
-    // mutex-guarded slices, tail runs become exclusively-owned chunks.
-    let row_ptr = a.row_ptr();
-    // lint:allow(L005): per-call work-list bookkeeping — O(hubs + n/64)
-    // entries, far below the counting-allocator activation budget.
-    let mut hub_slots: Vec<Mutex<&mut [f32]>> = Vec::new();
-    // lint:allow(L005): same per-call work-list bookkeeping as above.
-    let mut works: Vec<Work<'_>> = Vec::new();
-    // lint:allow(L005): same per-call work-list bookkeeping as above.
-    let mut tail_works: Vec<Work<'_>> = Vec::new();
-    let mut rest = out.as_mut_slice();
-    let mut u = 0;
-    while u < n {
-        if a.row_nnz(u) > hub_threshold {
-            let (row_slice, remaining) = rest.split_at_mut(k);
-            rest = remaining;
-            let slot = hub_slots.len();
-            hub_slots.push(Mutex::new(row_slice));
-            let (e_start, e_end) = (row_ptr[u], row_ptr[u + 1]);
-            let row_edges = e_end - e_start;
-            let segments = row_edges.div_ceil(SEGMENT_EDGES).clamp(1, threads);
-            for s in 0..segments {
-                works.push(Work::HubSegment {
-                    e0: e_start + s * row_edges / segments,
-                    e1: e_start + (s + 1) * row_edges / segments,
-                    slot,
-                });
-            }
-            u += 1;
-        } else {
-            let run_start = u;
-            while u < n && u - run_start < VERTEX_CHUNK && a.row_nnz(u) <= hub_threshold {
-                u += 1;
-            }
-            let rows = u - run_start;
-            let (chunk, remaining) = rest.split_at_mut(rows * k);
-            rest = remaining;
-            tail_works.push(Work::TailChunk {
-                first_row: run_start,
-                rows,
-                slice: Mutex::new(chunk),
-            });
-        }
-    }
-    works.append(&mut tail_works);
-
-    let cols = a.col_idx();
-    let vals = a.values();
-    pool::global().broadcast(
-        threads.min(works.len().max(1)),
-        works.len(),
-        |i| match &works[i] {
-            Work::HubSegment { e0, e1, slot } => {
-                // lint:allow(L005): K-wide per-segment accumulator kept
-                // thread-local; K is the feature width, tens of floats.
-                let mut acc = vec![0.0f32; k];
-                kd.accumulate_row_quant(&mut acc, &cols[*e0..*e1], &vals[*e0..*e1], hq);
-                let mut row_out = hub_slots[*slot].lock();
-                for (o, x) in row_out.iter_mut().zip(&acc) {
-                    *o += x;
-                }
-            }
-            Work::TailChunk {
-                first_row,
-                rows,
-                slice,
-            } => {
-                let mut chunk = slice.lock();
-                spmm_rows_quant_with(kd, a, hq, &mut chunk, *first_row, first_row + rows, k);
+                spmm_rows_with(kd, a, h, &mut chunk, *first_row, first_row + rows, k);
             }
         },
     );
@@ -394,46 +284,5 @@ mod tests {
         assert!(reference.max_abs_diff(&buf) < 1e-4);
         spmm_hybrid_into(&a, &h, 4, &mut buf).unwrap();
         assert!(reference.max_abs_diff(&buf) < 1e-4);
-    }
-
-    #[test]
-    fn hybrid_quant_matches_decoded_sequential_on_star_graph() {
-        // Hub + sparse tail: both the segment-accumulate hub path and the
-        // chunked tail path run, now reading narrow storage.
-        let n = 400;
-        let mut coo = Coo::new(n, n);
-        let mut rng = StdRng::seed_from_u64(27);
-        for v in 1..n {
-            coo.push(0, v, rng.gen_range(-1.0..1.0));
-        }
-        for _ in 0..n {
-            coo.push(
-                rng.gen_range(1..n),
-                rng.gen_range(0..n),
-                rng.gen_range(-1.0..1.0),
-            );
-        }
-        let a = Csr::from_coo(&coo);
-        let h = random_dense(&mut rng, n, 13);
-        let mut q = matrix::QuantMatrix::new();
-        let mut decoded = DenseMatrix::default();
-        for p in [
-            matrix::Precision::Bf16,
-            matrix::Precision::F16,
-            matrix::Precision::Int8,
-        ] {
-            q.encode(&h, p).unwrap();
-            q.decode(&mut decoded);
-            let reference = spmm_sequential(&a, &decoded).unwrap();
-            for threads in [1, 2, 4] {
-                let mut out = DenseMatrix::default();
-                spmm_hybrid_quant_into(&a, &q, threads, &mut out).unwrap();
-                assert!(
-                    reference.max_abs_diff(&out) < 1e-3,
-                    "{p} threads={threads} diverged by {}",
-                    reference.max_abs_diff(&out)
-                );
-            }
-        }
     }
 }

@@ -20,13 +20,24 @@
 //!   call, the building block `gcn` uses,
 //! * [`plan::SpmmPlan`] — a precomputed execution plan (NNZ-balanced row
 //!   partition, cached degree statistics, resolved strategy, column-tile
-//!   schedule) amortizing per-call analysis across layers and epochs.
+//!   schedule, storage precision) amortizing per-call analysis across
+//!   layers and epochs.
 //!
 //! All parallel kernels execute on the process-wide persistent thread pool
 //! re-exported as [`pool`] (spawned once on first use, then reused — see
 //! the pool crate's docs for the spawn-once contract). Every kernel also
 //! has a `*_into` variant writing into a caller-owned [`matrix::DenseMatrix`]
 //! so steady-state inference performs no output-sized allocations.
+//!
+//! Storage precision is an operand, not a function name: the planned arms
+//! (sequential, NNZ-balanced, hybrid, feature-tiled,
+//! [`plan::SpmmPlan::run_into`]) are written once over
+//! [`spmm::FeatureOperand`] and monomorphised for `f32`
+//! [`matrix::DenseMatrix`] rows and narrow-storage [`matrix::QuantMatrix`]
+//! rows (bf16 / f16 / int8, decoded on the fly, accumulated in `f32`). A
+//! plan carries its precision, and
+//! [`plan::SpmmPlan::run_at_precision_into`] is the single place it picks
+//! the operand.
 //!
 //! The per-non-zero feature accumulation of every row-oriented kernel runs
 //! through the SIMD micro-kernel layer

@@ -25,7 +25,7 @@ use parking_lot::Mutex;
 use sparse::{Csr, DegreeStats};
 
 use crate::engine::{SpmmStrategy, AUTO_SEQUENTIAL_WORK, AUTO_SKEW_CV, AUTO_WIDE_K};
-use crate::spmm::{spmm_rows_quant_with, spmm_rows_with};
+use crate::spmm::{spmm_rows_with, FeatureOperand};
 
 // BOUNDS: indexing in this module walks partition boundary vectors whose
 // construction guarantees `0 <= p[i] < p[i+1] <= nrows` (see
@@ -162,11 +162,10 @@ impl std::fmt::Display for PlannedExec {
 
 /// A precomputed execution plan for repeated SpMM against one adjacency.
 ///
-/// Build once with [`SpmmPlan::new`] (or [`crate::engine::plan`]), then
-/// call [`SpmmPlan::run_into`] per multiplication. The plan's `k` hint
-/// fixes the primary execution path; calls with a different feature width
-/// re-resolve from the *cached* statistics (an `O(1)` decision — never a
-/// rescan of the matrix).
+/// Build once with [`SpmmPlan::new`], then call [`SpmmPlan::run_into`] per
+/// multiplication. The plan's `k` hint fixes the primary execution path;
+/// calls with a different feature width re-resolve from the *cached*
+/// statistics (an `O(1)` decision — never a rescan of the matrix).
 ///
 /// # Examples
 ///
@@ -231,6 +230,12 @@ impl SpmmPlan {
     /// [`SpmmPlan::with_precision`] — sharded runners use this to inherit a
     /// precision onto per-shard plans without re-deriving statistics.
     pub fn at_precision(mut self, precision: Precision) -> SpmmPlan {
+        // Keyed on the *requested* precision: a plan whose ISA probe
+        // downgraded (say int8 → bf16) still satisfies later int8 requests
+        // without re-probing on every call.
+        if self.requested_precision() == precision {
+            return self;
+        }
         let (resolved, fell_back) = resolve_precision(self.kernel, precision);
         self.precision = resolved;
         self.precision_fallback = fell_back;
@@ -355,6 +360,12 @@ impl SpmmPlan {
         self.precision_fallback
     }
 
+    /// The storage precision the plan was asked for — [`SpmmPlan::precision`]
+    /// unless the probe downgraded it.
+    pub fn requested_precision(&self) -> Precision {
+        self.precision_fallback.map_or(self.precision, |(r, _)| r)
+    }
+
     /// Runs `out = a * h` along the planned path.
     ///
     /// # Errors
@@ -367,21 +378,23 @@ impl SpmmPlan {
         Ok(out)
     }
 
-    /// [`SpmmPlan::run`] into a caller-owned output matrix (reshaped with
-    /// [`DenseMatrix::resize_zeroed`]; allocation-free at capacity).
+    /// [`SpmmPlan::run`] over any [`FeatureOperand`] into a caller-owned
+    /// output matrix (allocation-free at capacity): the same planned paths
+    /// serve full-precision rows and narrow storage (bf16 / f16 / int8,
+    /// accumulated in `f32`).
     ///
     /// # Errors
     ///
     /// Returns [`MatrixError::DimensionMismatch`] if `a`'s shape disagrees
     /// with the plan or `h`'s rows disagree with `a`'s columns.
-    pub fn run_into(
+    pub fn run_into<F: FeatureOperand>(
         &self,
         a: &Csr,
-        h: &DenseMatrix,
+        h: &F,
         out: &mut DenseMatrix,
     ) -> Result<(), MatrixError> {
         self.check_plan(a)?;
-        let k = h.cols();
+        let k = h.shape().1;
         let exec = if k == self.k {
             self.exec
         } else {
@@ -392,51 +405,44 @@ impl SpmmPlan {
             PlannedExec::NnzBalanced { threads } => {
                 spmm_nnz_balanced_with(self.kernel, a, h, &self.partition, threads, out)
             }
-            PlannedExec::FeatureParallel { threads } => {
-                if k == self.k && !self.tiles.is_empty() {
+            PlannedExec::FeatureParallel { threads } => match h.as_dense() {
+                Some(h) if k == self.k && !self.tiles.is_empty() => {
                     crate::tiled::spmm_feature_planned_into(a, h, &self.tiles, threads, out)
-                } else {
-                    crate::tiled::spmm_feature_parallel_into(a, h, threads, out)
                 }
-            }
+                Some(h) => crate::tiled::spmm_feature_parallel_into(a, h, threads, out),
+                // Column tiling exists to shrink the per-pass feature
+                // working set, which narrow storage already does by 2-4x
+                // at the source: narrow operands run the row partition.
+                None => spmm_nnz_balanced_with(self.kernel, a, h, &self.partition, threads, out),
+            },
             PlannedExec::Hybrid { threads } => crate::hybrid::spmm_hybrid_into(a, h, threads, out),
         }
     }
 
-    /// Runs `out = a * decode(hq)` along the planned path, reading the
-    /// feature operand from narrow storage (bf16 / f16 / int8) and
-    /// accumulating in `f32`.
-    ///
-    /// Row-parallel paths reuse the plan's NNZ-balanced partition. The
-    /// feature-parallel resolution also runs on the row partition here:
-    /// column tiling exists to shrink the per-pass feature working set,
-    /// which narrow storage already does by 2-4x at the source.
+    /// [`SpmmPlan::run_into`] at the plan's storage precision
+    /// ([`SpmmPlan::precision`]): a narrow plan first encodes `h` into
+    /// `qbuf` and aggregates from the narrow copy; an `f32` plan reads `h`
+    /// directly and leaves `qbuf` untouched. The one place precision picks
+    /// the operand type — every caller above passes both buffers and never
+    /// branches on precision itself.
     ///
     /// # Errors
     ///
-    /// Returns [`MatrixError::DimensionMismatch`] if `a`'s shape disagrees
-    /// with the plan or `hq`'s rows disagree with `a`'s columns.
-    pub fn run_quant_into(
+    /// Same conditions as [`SpmmPlan::run_into`].
+    pub fn run_at_precision_into(
         &self,
         a: &Csr,
-        hq: &QuantMatrix,
+        h: &DenseMatrix,
+        qbuf: &mut QuantMatrix,
         out: &mut DenseMatrix,
     ) -> Result<(), MatrixError> {
+        // Reject a foreign adjacency before paying for the encode.
         self.check_plan(a)?;
-        crate::spmm::check_quant("spmm_planned_quant", a, hq)?;
-        let k = hq.cols();
-        let exec = if k == self.k {
-            self.exec
-        } else {
-            self.resolve(k, pool::global().width())
-        };
-        match exec {
-            PlannedExec::Sequential => crate::spmm::spmm_sequential_quant_into(a, hq, out),
-            PlannedExec::NnzBalanced { threads } | PlannedExec::FeatureParallel { threads } => {
-                spmm_nnz_balanced_quant_with(self.kernel, a, hq, &self.partition, threads, out)
-            }
-            PlannedExec::Hybrid { threads } => {
-                crate::hybrid::spmm_hybrid_quant_into(a, hq, threads, out)
+        match self.precision {
+            Precision::F32 => self.run_into(a, h, out),
+            narrow => {
+                qbuf.encode(h, narrow)?;
+                self.run_into(a, &*qbuf, out)
             }
         }
     }
@@ -511,38 +517,21 @@ fn column_tiles(k: usize, threads: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// SpMM over precomputed NNZ-balanced row ranges: each pool share owns one
-/// contiguous range of output rows exclusively (no atomics, no locks held
-/// across rows), and because ranges hold ~equal non-zeros, no share
-/// serializes on a heavy chunk the way count-based chunking does.
+/// SpMM over precomputed NNZ-balanced row ranges on an explicit
+/// [`KernelDispatch`] (the plan's cached backend drives the row loops
+/// instead of re-resolving per call): each pool share owns one contiguous
+/// range of output rows exclusively (no atomics, no locks held across
+/// rows), and because ranges hold ~equal non-zeros, no share serializes on
+/// a heavy chunk the way count-based chunking does.
 ///
 /// # Errors
 ///
 /// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
 /// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_nnz_balanced_into(
-    a: &Csr,
-    h: &DenseMatrix,
-    partition: &[usize],
-    threads: usize,
-    out: &mut DenseMatrix,
-) -> Result<(), MatrixError> {
-    crate::spmm::check("spmm_nnz_balanced", a, h)?;
-    spmm_nnz_balanced_with(KernelDispatch::get(), a, h, partition, threads, out)
-}
-
-/// [`spmm_nnz_balanced_into`] on an explicit [`KernelDispatch`] — the entry
-/// point [`SpmmPlan::run_into`] uses so the plan's cached backend drives
-/// the row loops instead of re-resolving per call.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_nnz_balanced_with(
+pub fn spmm_nnz_balanced_with<F: FeatureOperand>(
     kd: KernelDispatch,
     a: &Csr,
-    h: &DenseMatrix,
+    h: &F,
     partition: &[usize],
     threads: usize,
     out: &mut DenseMatrix,
@@ -551,9 +540,11 @@ pub fn spmm_nnz_balanced_with(
     if threads == 0 {
         return Err(MatrixError::ZeroThreads);
     }
-    let (n, k) = (a.nrows(), h.cols());
+    let (n, k) = (a.nrows(), h.shape().1);
     debug_assert_eq!(partition.last().copied().unwrap_or(0), n);
-    out.resize_zeroed(n, k);
+    // Every row in [0, n) lands in exactly one partition share, so an
+    // operand whose row kernel overwrites may skip the memset here.
+    h.reshape_for_fill(out, n);
     if n == 0 || k == 0 {
         return Ok(());
     }
@@ -578,58 +569,6 @@ pub fn spmm_nnz_balanced_with(
     pool::global().broadcast(threads.min(slots), slots, |s| {
         let mut slice = slices[s].lock();
         spmm_rows_with(kd, a, h, &mut slice, partition[s], partition[s + 1], k);
-    });
-    Ok(())
-}
-
-/// [`spmm_nnz_balanced_with`] over a narrow-precision feature matrix: the
-/// same atomics-free partitioned row loop, with each non-zero decoding its
-/// feature row from bf16/f16/int8 storage inside the widened AXPY.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_nnz_balanced_quant_with(
-    kd: KernelDispatch,
-    a: &Csr,
-    hq: &QuantMatrix,
-    partition: &[usize],
-    threads: usize,
-    out: &mut DenseMatrix,
-) -> Result<(), MatrixError> {
-    crate::spmm::check_quant("spmm_nnz_balanced_quant", a, hq)?;
-    if threads == 0 {
-        return Err(MatrixError::ZeroThreads);
-    }
-    let (n, k) = (a.nrows(), hq.cols());
-    debug_assert_eq!(partition.last().copied().unwrap_or(0), n);
-    // Every row in [0, n) lands in exactly one partition share and the row
-    // kernel overwrites its share, so the cheaper non-zeroing reshape is safe.
-    out.resize_for_overwrite(n, k);
-    if n == 0 || k == 0 {
-        return Ok(());
-    }
-    if threads == 1 || partition.len() < 3 {
-        spmm_rows_quant_with(kd, a, hq, out.as_mut_slice(), 0, n, k);
-        return Ok(());
-    }
-
-    // Same slice hand-off as the f32 path: share index == slot index, each
-    // share locks only its own slice, so the mutexes never contend.
-    // lint:allow(L005): per-call slot table of ~4x-threads pointers —
-    // orders of magnitude below the counting-allocator activation budget.
-    let mut slices: Vec<Mutex<&mut [f32]>> = Vec::with_capacity(partition.len() - 1);
-    let mut rest = out.as_mut_slice();
-    for w in partition.windows(2) {
-        let (slice, remaining) = rest.split_at_mut((w[1] - w[0]) * k);
-        rest = remaining;
-        slices.push(Mutex::new(slice));
-    }
-    let slots = slices.len();
-    pool::global().broadcast(threads.min(slots), slots, |s| {
-        let mut slice = slices[s].lock();
-        spmm_rows_quant_with(kd, a, hq, &mut slice, partition[s], partition[s + 1], k);
     });
     Ok(())
 }
@@ -710,7 +649,8 @@ mod tests {
             let p = nnz_balanced_partition(a.row_ptr(), slots);
             for threads in [1, 2, 4, 9] {
                 let mut out = DenseMatrix::filled(10, 10, f32::NAN);
-                spmm_nnz_balanced_into(&a, &h, &p, threads, &mut out).unwrap();
+                spmm_nnz_balanced_with(KernelDispatch::get(), &a, &h, &p, threads, &mut out)
+                    .unwrap();
                 assert!(
                     reference.max_abs_diff(&out) < 1e-4,
                     "slots={slots} threads={threads}"
@@ -858,46 +798,135 @@ mod tests {
         let p = nnz_balanced_partition(a.row_ptr(), 2);
         let mut out = DenseMatrix::default();
         assert!(matches!(
-            spmm_nnz_balanced_into(&a, &h, &p, 0, &mut out),
+            spmm_nnz_balanced_with(KernelDispatch::get(), &a, &h, &p, 0, &mut out),
             Err(MatrixError::ZeroThreads)
         ));
     }
 
+    /// The arms every storage precision must agree on.
+    #[derive(Debug, Clone, Copy)]
+    enum Arm {
+        Sequential,
+        NnzBalanced,
+        FeatureParallel,
+        Hybrid,
+        FeatureTiled,
+    }
+
+    fn run_arm<F: FeatureOperand>(arm: Arm, a: &Csr, h: &F, out: &mut DenseMatrix) {
+        let kd = KernelDispatch::get();
+        match arm {
+            Arm::Sequential => crate::spmm::spmm_sequential_into(a, h, out),
+            Arm::NnzBalanced => {
+                let partition = nnz_balanced_partition(a.row_ptr(), 16);
+                spmm_nnz_balanced_with(kd, a, h, &partition, 4, out)
+            }
+            Arm::FeatureParallel => {
+                // Pin the resolution the wide-K regime would pick, so the
+                // plan's feature arm (column tiles for f32 rows, the row
+                // partition for narrow ones) runs at a test-sized K.
+                let k = h.shape().1;
+                let mut plan = SpmmPlan::with_width(a, k, 4);
+                plan.exec = PlannedExec::FeatureParallel { threads: 4 };
+                plan.tiles = column_tiles(k, 4);
+                plan.run_into(a, h, out)
+            }
+            Arm::Hybrid => crate::hybrid::spmm_hybrid_into(a, h, 4, out),
+            // A tile width off the 8-lane boundary.
+            Arm::FeatureTiled => crate::tiled::spmm_feature_tiled_into(a, h, 7, out),
+        }
+        .unwrap();
+    }
+
     #[test]
-    fn quant_plan_matches_decoded_sequential_reference() {
+    fn every_arm_agrees_with_sequential_at_every_precision() {
+        // One table instead of per-twin tests: arm x precision x graph.
+        // An f32 operand is checked against `spmm_sequential` — bitwise on
+        // the row-local arms, within accumulation-order noise where rows
+        // are split (hub segments) or tiled. A narrow operand is checked
+        // against the same narrowing applied by hand (decode, then f32):
+        // the kernels may differ only by accumulation order and scale-fold
+        // rounding.
         let mut rng = StdRng::seed_from_u64(31);
-        let a = random_csr(&mut rng, 300, 2400);
-        let h = random_dense(&mut rng, 300, 19);
+        let uniform = random_csr(&mut rng, 300, 2400);
+        // One hub touching every vertex plus a sparse tail: both the
+        // segment-accumulate hub path and the chunked tail path run.
+        let n = 400;
+        let mut coo = Coo::new(n, n);
+        for v in 1..n {
+            coo.push(0, v, rng.gen_range(-1.0..1.0));
+        }
+        for _ in 0..n {
+            coo.push(
+                rng.gen_range(1..n),
+                rng.gen_range(0..n),
+                rng.gen_range(-1.0..1.0),
+            );
+        }
+        let star = Csr::from_coo(&coo);
         let mut q = QuantMatrix::new();
         let mut decoded = DenseMatrix::default();
+        for (graph, a) in [("uniform", &uniform), ("star", &star)] {
+            let h = random_dense(&mut rng, a.nrows(), 19);
+            for arm in [
+                Arm::Sequential,
+                Arm::NnzBalanced,
+                Arm::FeatureParallel,
+                Arm::Hybrid,
+                Arm::FeatureTiled,
+            ] {
+                for p in Precision::all() {
+                    let mut out = DenseMatrix::filled(3, 3, f32::NAN);
+                    let (reference, tol) = if p == Precision::F32 {
+                        run_arm(arm, a, &h, &mut out);
+                        let tol = match arm {
+                            Arm::Sequential | Arm::NnzBalanced => 0.0,
+                            Arm::FeatureParallel | Arm::FeatureTiled => 1e-4,
+                            Arm::Hybrid => 1e-3,
+                        };
+                        (spmm_sequential(a, &h).unwrap(), tol)
+                    } else {
+                        q.encode(&h, p).unwrap();
+                        run_arm(arm, a, &q, &mut out);
+                        q.decode(&mut decoded);
+                        (spmm_sequential(a, &decoded).unwrap(), 1e-3)
+                    };
+                    let diff = reference.max_abs_diff(&out);
+                    assert!(
+                        diff <= tol,
+                        "{graph} {arm:?} {p}: diverged by {diff} (tolerance {tol})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_at_precision_encodes_only_for_narrow_plans() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let a = random_csr(&mut rng, 60, 400);
+        let h = random_dense(&mut rng, 60, 9);
+        let base = SpmmPlan::new(&a, 9);
+        let mut q = QuantMatrix::new();
+        let mut out = DenseMatrix::default();
+        base.run_at_precision_into(&a, &h, &mut q, &mut out)
+            .unwrap();
+        assert_eq!(
+            q.shape(),
+            (0, 0),
+            "f32 plan must not touch the staging buffer"
+        );
+        assert_eq!(out, base.run(&a, &h).unwrap());
         for p in [Precision::Bf16, Precision::F16, Precision::Int8] {
-            q.encode(&h, p).unwrap();
-            q.decode(&mut decoded);
-            // Same narrowing applied by hand: the quant kernels may only
-            // differ by f32 accumulation order / scale-fold rounding.
-            let reference = spmm_sequential(&a, &decoded).unwrap();
-            let plan = SpmmPlan::with_precision(&a, h.cols(), p);
+            let plan = base.clone().at_precision(p);
             assert_eq!(plan.precision(), p);
             assert!(plan.precision_fallback().is_none());
-            let mut out = DenseMatrix::filled(3, 3, f32::NAN);
-            plan.run_quant_into(&a, &q, &mut out).unwrap();
-            assert!(
-                reference.max_abs_diff(&out) < 1e-3,
-                "{p} planned quant diverged by {}",
-                reference.max_abs_diff(&out)
-            );
-            // Multi-threaded NNZ-balanced path, exercised explicitly so
-            // the broadcast split runs even if the plan resolved
-            // sequential here.
-            let partition = nnz_balanced_partition(a.row_ptr(), 16);
-            let mut out2 = DenseMatrix::default();
-            spmm_nnz_balanced_quant_with(plan.dense_kernel(), &a, &q, &partition, 4, &mut out2)
+            plan.run_at_precision_into(&a, &h, &mut q, &mut out)
                 .unwrap();
-            assert!(
-                reference.max_abs_diff(&out2) < 1e-3,
-                "{p} nnz-balanced quant diverged by {}",
-                reference.max_abs_diff(&out2)
-            );
+            assert_eq!((q.shape(), q.precision()), ((60, 9), p));
+            let mut direct = DenseMatrix::default();
+            plan.run_into(&a, &q, &mut direct).unwrap();
+            assert_eq!(out, direct);
         }
     }
 
@@ -973,7 +1002,7 @@ mod tests {
     }
 
     #[test]
-    fn quant_plan_rejects_mismatched_operands() {
+    fn narrow_operand_with_mismatched_rows_is_rejected() {
         let mut rng = StdRng::seed_from_u64(32);
         let a = random_csr(&mut rng, 40, 160);
         let h_bad = random_dense(&mut rng, 41, 5);
@@ -982,7 +1011,7 @@ mod tests {
         let plan = SpmmPlan::with_precision(&a, 5, Precision::Bf16);
         let mut out = DenseMatrix::default();
         assert!(matches!(
-            plan.run_quant_into(&a, &q, &mut out),
+            plan.run_into(&a, &q, &mut out),
             Err(MatrixError::DimensionMismatch { .. })
         ));
     }

@@ -10,6 +10,7 @@
 use matrix::microkernel::KernelDispatch;
 use matrix::{DenseMatrix, MatrixError, QuantMatrix};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use sparse::Csr;
@@ -29,8 +30,109 @@ pub use pool::DynamicCounter;
 /// large enough to amortize the claim.
 pub(crate) const VERTEX_CHUNK: usize = 64;
 
-pub(crate) fn check(op: &'static str, a: &Csr, h: &DenseMatrix) -> Result<(), MatrixError> {
-    if a.ncols() != h.rows() {
+/// The dense right-hand side of an SpMM, abstracted over storage: the
+/// kernels in this crate are written once against this trait and
+/// monomorphised for full-precision [`DenseMatrix`] rows and for
+/// narrow-storage [`QuantMatrix`] rows (bf16 / f16 / int8, decoded on the
+/// fly while the arithmetic stays `f32`). Storage width is an operand of
+/// one memory-bound kernel — exactly how the paper's traffic model treats
+/// it — not a second copy of the kernel.
+pub trait FeatureOperand: Sync {
+    /// Shape as `(rows, cols)`.
+    fn shape(&self) -> (usize, usize);
+
+    /// `y += sum_i weights[i] * self[cols[i], :]`, in non-zero order.
+    fn accumulate_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]);
+
+    /// Reshapes `out` to `n x cols`, ready for one [`Self::fill_row`] per
+    /// row. The default pair zeroes the buffer up front and accumulates
+    /// into it; an operand whose row kernel overwrites skips the memset.
+    fn reshape_for_fill(&self, out: &mut DenseMatrix, n: usize) {
+        out.resize_zeroed(n, self.shape().1);
+    }
+
+    /// Computes one whole output row, `y = sum_i weights[i] *
+    /// self[cols[i], :]`, for callers that own the row's entire non-zero
+    /// loop. `y` is a row of a zeroed matrix or of one prepared by
+    /// [`Self::reshape_for_fill`].
+    fn fill_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]) {
+        self.accumulate_row(kd, y, cols, weights);
+    }
+
+    /// `y += w * self[v, t]` — the column-range form the feature-tiled
+    /// kernel needs.
+    fn axpy_range(&self, kd: KernelDispatch, y: &mut [f32], w: f32, v: usize, t: Range<usize>);
+
+    /// The operand as a plain `f32` matrix, if it is one. Column-tile
+    /// scheduling exists only for full-precision rows (narrow storage
+    /// already shrinks the per-pass working set 2-4x at the source).
+    fn as_dense(&self) -> Option<&DenseMatrix> {
+        None
+    }
+}
+
+impl FeatureOperand for DenseMatrix {
+    fn shape(&self) -> (usize, usize) {
+        DenseMatrix::shape(self)
+    }
+
+    /// One widened AXPY per non-zero, so the SpMM inner loop runs the same
+    /// SIMD backend as the dense GEMM.
+    #[inline]
+    fn accumulate_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]) {
+        for (&v, &w) in cols.iter().zip(weights) {
+            kd.axpy(y, w, self.row(v as usize));
+        }
+    }
+
+    #[inline]
+    fn axpy_range(&self, kd: KernelDispatch, y: &mut [f32], w: f32, v: usize, t: Range<usize>) {
+        kd.axpy(y, w, &self.row(v)[t]);
+    }
+
+    fn as_dense(&self) -> Option<&DenseMatrix> {
+        Some(self)
+    }
+}
+
+impl FeatureOperand for QuantMatrix {
+    fn shape(&self) -> (usize, usize) {
+        QuantMatrix::shape(self)
+    }
+
+    /// Register-tiled accumulation over the row's non-zeros
+    /// ([`KernelDispatch::accumulate_row_quant`]): the traffic saving (2-4x
+    /// fewer feature bytes per non-zero) is exactly the paper's
+    /// memory-bound SpMM lever.
+    #[inline]
+    fn accumulate_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]) {
+        kd.accumulate_row_quant(y, cols, weights, self);
+    }
+
+    /// The register-tiled row kernel overwrites every element
+    /// ([`KernelDispatch::fill_row_quant`] elides the initial tile load),
+    /// so a same-shape reshape writes nothing at all.
+    fn reshape_for_fill(&self, out: &mut DenseMatrix, n: usize) {
+        out.resize_for_overwrite(n, self.cols());
+    }
+
+    #[inline]
+    fn fill_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]) {
+        kd.fill_row_quant(y, cols, weights, self);
+    }
+
+    #[inline]
+    fn axpy_range(&self, kd: KernelDispatch, y: &mut [f32], w: f32, v: usize, t: Range<usize>) {
+        kd.axpy_quant(y, w, self.row_range(v, t.start, t.end));
+    }
+}
+
+pub(crate) fn check<F: FeatureOperand>(
+    op: &'static str,
+    a: &Csr,
+    h: &F,
+) -> Result<(), MatrixError> {
+    if a.ncols() != h.shape().0 {
         return Err(MatrixError::DimensionMismatch {
             op,
             lhs: a.shape(),
@@ -41,27 +143,15 @@ pub(crate) fn check(op: &'static str, a: &Csr, h: &DenseMatrix) -> Result<(), Ma
 }
 
 /// Computes rows `[row_start, row_end)` of `A * H` into `out_rows`
-/// (row-major, `(row_end - row_start) * k` elements). The shared inner
-/// loop of the sequential, vertex-parallel, and hybrid kernels; resolves
-/// the micro-kernel dispatch once and delegates to [`spmm_rows_with`].
-pub(crate) fn spmm_rows(
-    a: &Csr,
-    h: &DenseMatrix,
-    out_rows: &mut [f32],
-    row_start: usize,
-    row_end: usize,
-    k: usize,
-) {
-    spmm_rows_with(KernelDispatch::get(), a, h, out_rows, row_start, row_end, k)
-}
-
-/// [`spmm_rows`] on an explicit [`KernelDispatch`]: each non-zero becomes
-/// one widened AXPY over the `k`-wide feature panel, so the SpMM inner loop
-/// runs the same SIMD backend as the dense GEMM.
-pub(crate) fn spmm_rows_with(
+/// (row-major, `(row_end - row_start) * k` elements, zeroed or prepared by
+/// [`FeatureOperand::reshape_for_fill`]) on an explicit
+/// [`KernelDispatch`]. The shared inner loop of the sequential,
+/// vertex-parallel, NNZ-balanced and hybrid kernels: one
+/// [`FeatureOperand::fill_row`] per output row.
+pub(crate) fn spmm_rows_with<F: FeatureOperand>(
     kd: KernelDispatch,
     a: &Csr,
-    h: &DenseMatrix,
+    h: &F,
     out_rows: &mut [f32],
     row_start: usize,
     row_end: usize,
@@ -70,65 +160,8 @@ pub(crate) fn spmm_rows_with(
     debug_assert_eq!(out_rows.len(), (row_end - row_start) * k);
     for u in row_start..row_end {
         let row_out = &mut out_rows[(u - row_start) * k..(u - row_start + 1) * k];
-        for (&v, &w) in a.row_cols(u).iter().zip(a.row_values(u)) {
-            kd.axpy(row_out, w, h.row(v as usize));
-        }
+        h.fill_row(kd, row_out, a.row_cols(u), a.row_values(u));
     }
-}
-
-pub(crate) fn check_quant(op: &'static str, a: &Csr, hq: &QuantMatrix) -> Result<(), MatrixError> {
-    if a.ncols() != hq.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            op,
-            lhs: a.shape(),
-            rhs: hq.shape(),
-        });
-    }
-    Ok(())
-}
-
-/// [`spmm_rows_with`] over a narrow-precision feature matrix: each output
-/// row is one [`KernelDispatch::fill_row_quant`] call — register-tiled
-/// accumulation over the row's non-zeros, decoding bf16/f16/int8 storage
-/// on the fly while the arithmetic stays `f32`. The traffic saving (2-4x
-/// fewer feature bytes per non-zero) is exactly the paper's memory-bound
-/// SpMM lever. Overwrites `out_rows` (prior contents ignored), which every
-/// caller satisfies by carving disjoint whole rows from a
-/// [`DenseMatrix::resize_zeroed`] output.
-pub(crate) fn spmm_rows_quant_with(
-    kd: KernelDispatch,
-    a: &Csr,
-    hq: &QuantMatrix,
-    out_rows: &mut [f32],
-    row_start: usize,
-    row_end: usize,
-    k: usize,
-) {
-    debug_assert_eq!(out_rows.len(), (row_end - row_start) * k);
-    for u in row_start..row_end {
-        let row_out = &mut out_rows[(u - row_start) * k..(u - row_start + 1) * k];
-        kd.fill_row_quant(row_out, a.row_cols(u), a.row_values(u), hq);
-    }
-}
-
-/// Sequential SpMM over a narrow-precision feature matrix:
-/// `out = A * decode(Hq)`, writing into a caller-owned output.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if `a.ncols() != hq.rows()`.
-pub fn spmm_sequential_quant_into(
-    a: &Csr,
-    hq: &QuantMatrix,
-    out: &mut DenseMatrix,
-) -> Result<(), MatrixError> {
-    check_quant("spmm_sequential_quant", a, hq)?;
-    let (n, k) = (a.nrows(), hq.cols());
-    // The row kernel overwrites every element, so skip `resize_zeroed`'s
-    // full-buffer memset: at steady-state shapes this reshape is a no-op.
-    out.resize_for_overwrite(n, k);
-    spmm_rows_quant_with(KernelDispatch::get(), a, hq, out.as_mut_slice(), 0, n, k);
-    Ok(())
 }
 
 /// Sequential SpMM reference: `out = A * H` (Algorithm 1).
@@ -142,21 +175,21 @@ pub fn spmm_sequential(a: &Csr, h: &DenseMatrix) -> Result<DenseMatrix, MatrixEr
     Ok(out)
 }
 
-/// [`spmm_sequential`] writing into a caller-owned output matrix (reshaped
-/// with [`DenseMatrix::resize_zeroed`]; allocation-free at capacity).
+/// [`spmm_sequential`] over any [`FeatureOperand`], writing into a
+/// caller-owned output matrix (allocation-free at capacity).
 ///
 /// # Errors
 ///
 /// Returns [`MatrixError::DimensionMismatch`] if `a.ncols() != h.rows()`.
-pub fn spmm_sequential_into(
+pub fn spmm_sequential_into<F: FeatureOperand>(
     a: &Csr,
-    h: &DenseMatrix,
+    h: &F,
     out: &mut DenseMatrix,
 ) -> Result<(), MatrixError> {
     check("spmm_sequential", a, h)?;
-    let (n, k) = (a.nrows(), h.cols());
-    out.resize_zeroed(n, k);
-    spmm_rows(a, h, out.as_mut_slice(), 0, n, k);
+    let (n, k) = (a.nrows(), h.shape().1);
+    h.reshape_for_fill(out, n);
+    spmm_rows_with(KernelDispatch::get(), a, h, out.as_mut_slice(), 0, n, k);
     Ok(())
 }
 
@@ -207,8 +240,9 @@ pub fn spmm_vertex_parallel_into(
     if n == 0 || k == 0 {
         return Ok(());
     }
+    let kd = KernelDispatch::get();
     if threads == 1 {
-        spmm_rows(a, h, out.as_mut_slice(), 0, n, k);
+        spmm_rows_with(kd, a, h, out.as_mut_slice(), 0, n, k);
         return Ok(());
     }
 
@@ -226,62 +260,9 @@ pub fn spmm_vertex_parallel_into(
         let mut slice = chunks[ci].lock();
         let row_start = ci * VERTEX_CHUNK;
         let row_end = (row_start + VERTEX_CHUNK).min(n);
-        spmm_rows(a, h, &mut slice, row_start, row_end, k);
+        spmm_rows_with(kd, a, h, &mut slice, row_start, row_end, k);
     });
     Ok(())
-}
-
-/// Spawn-per-call vertex-parallel baseline: same chunking as
-/// [`spmm_vertex_parallel`] but creating fresh scoped threads on every
-/// invocation. Kept public so the `pool_overhead` benchmark can measure
-/// what the persistent pool saves; production call sites all go through
-/// the pooled kernel.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_vertex_parallel_spawn(
-    a: &Csr,
-    h: &DenseMatrix,
-    threads: usize,
-) -> Result<DenseMatrix, MatrixError> {
-    check("spmm_vertex_parallel", a, h)?;
-    if threads == 0 {
-        return Err(MatrixError::ZeroThreads);
-    }
-    let n = a.nrows();
-    let k = h.cols();
-    if threads == 1 || n == 0 || k == 0 {
-        return spmm_sequential(a, h);
-    }
-    let mut out = DenseMatrix::zeros(n, k);
-
-    // lint:allow(L005): spawn-per-call baseline exists to measure exactly
-    // this kind of per-invocation cost; it is not on the steady-state path.
-    let mut work: Vec<(usize, &mut [f32])> = Vec::with_capacity(n.div_ceil(VERTEX_CHUNK));
-    for (i, slice) in out.as_mut_slice().chunks_mut(VERTEX_CHUNK * k).enumerate() {
-        work.push((i * VERTEX_CHUNK, slice));
-    }
-    work.reverse(); // pop() hands chunks out in ascending row order
-    let queue = Mutex::new(work);
-
-    // lint:allow(L002): deliberate spawn-per-call baseline kept so the
-    // pool_overhead benchmark can quantify what the persistent pool saves.
-    crossbeam::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|_| loop {
-                let item = queue.lock().pop();
-                let Some((first_row, slice)) = item else {
-                    break;
-                };
-                let rows_here = slice.len() / k;
-                spmm_rows(a, h, slice, first_row, first_row + rows_here, k);
-            });
-        }
-    })
-    .expect("spmm worker panicked");
-    Ok(out)
 }
 
 /// Edge-parallel SpMM (Algorithm 2 of the paper).
@@ -339,16 +320,16 @@ pub fn spmm_edge_parallel_into(
     if k == 0 || nnz == 0 {
         return Ok(());
     }
+    // Resolve the micro-kernel backend once, outside the broadcast.
+    let kd = KernelDispatch::get();
     if threads == 1 {
-        spmm_rows(a, h, out.as_mut_slice(), 0, n, k);
+        spmm_rows_with(kd, a, h, out.as_mut_slice(), 0, n, k);
         return Ok(());
     }
 
     // Equal-|E| shares, one per executor (Algorithm 2's static partition).
     let shares = threads.min(nnz);
     let pool = pool::global();
-    // Resolve the micro-kernel backend once, outside the broadcast.
-    let kd = KernelDispatch::get();
     let out_slice = out.as_mut_slice();
     pool.scratch().with_zeroed_u32(n * k, |out_atomic| {
         pool.broadcast(shares, shares, |t| {
@@ -466,11 +447,6 @@ mod tests {
                 reference.max_abs_diff(&got) < 1e-4,
                 "threads={threads} diverged"
             );
-            let spawned = spmm_vertex_parallel_spawn(&a, &h, threads).unwrap();
-            assert!(
-                reference.max_abs_diff(&spawned) < 1e-4,
-                "spawn threads={threads} diverged"
-            );
         }
     }
 
@@ -524,7 +500,6 @@ mod tests {
         let h = DenseMatrix::zeros(5, 2);
         assert!(spmm_sequential(&a, &h).is_err());
         assert!(spmm_vertex_parallel(&a, &h, 2).is_err());
-        assert!(spmm_vertex_parallel_spawn(&a, &h, 2).is_err());
         assert!(spmm_edge_parallel(&a, &h, 2).is_err());
     }
 
@@ -555,8 +530,6 @@ mod tests {
             assert_eq!(v.shape(), (100, 0));
             let e = spmm_edge_parallel(&a, &h, threads).unwrap();
             assert_eq!(e.shape(), (100, 0));
-            let s = spmm_vertex_parallel_spawn(&a, &h, threads).unwrap();
-            assert_eq!(s.shape(), (100, 0));
         }
     }
 
@@ -608,16 +581,15 @@ mod tests {
     #[test]
     fn atomic_add_accumulates_under_contention() {
         let cell = AtomicU32::new(0f32.to_bits());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     for _ in 0..1000 {
                         atomic_add_f32(&cell, 1.0);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(f32::from_bits(cell.into_inner()), 8000.0);
     }
 

@@ -9,11 +9,11 @@
 //! when features dominate traffic (K large) and loses when the CSR re-reads
 //! dominate (K small) — a crossover the benches expose.
 
-use matrix::{DenseMatrix, MatrixError, QuantMatrix};
+use matrix::{DenseMatrix, MatrixError};
 use sparse::Csr;
 use std::sync::atomic::Ordering;
 
-use crate::spmm::{check, check_quant};
+use crate::spmm::{check, FeatureOperand};
 
 // BOUNDS: indexing here touches CSR arrays validated by `Csr::from_coo`,
 // tile ranges clamped to `..k` at construction, and a scratch grid sized
@@ -41,57 +41,24 @@ pub fn spmm_feature_tiled(
     Ok(out)
 }
 
-/// [`spmm_feature_tiled`] writing into a caller-owned output matrix
-/// (reshaped with [`DenseMatrix::resize_zeroed`]; allocation-free at
-/// capacity).
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch; a zero
-/// `tile` is promoted to [`DEFAULT_TILE`].
-pub fn spmm_feature_tiled_into(
-    a: &Csr,
-    h: &DenseMatrix,
-    tile: usize,
-    out: &mut DenseMatrix,
-) -> Result<(), MatrixError> {
-    check("spmm_feature_tiled", a, h)?;
-    let k = h.cols();
-    let tile = if tile == 0 { DEFAULT_TILE } else { tile };
-    out.resize_zeroed(a.nrows(), k);
-    let kd = matrix::microkernel::KernelDispatch::get();
-    let mut t0 = 0;
-    while t0 < k {
-        let t1 = (t0 + tile).min(k);
-        for u in 0..a.nrows() {
-            let row_out = &mut out.row_mut(u)[t0..t1];
-            for (&v, &w) in a.row_cols(u).iter().zip(a.row_values(u)) {
-                kd.axpy(row_out, w, &h.row(v as usize)[t0..t1]);
-            }
-        }
-        t0 = t1;
-    }
-    Ok(())
-}
-
-/// [`spmm_feature_tiled_into`] over a narrow-precision feature matrix:
-/// the same K-tile blocking, but each feature-row read decodes a
-/// bf16 / f16 / int8 tile slice ([`QuantMatrix::row_range`]) inside the
-/// widened AXPY. Tiling and narrow storage compound: a tile's working set
+/// [`spmm_feature_tiled`] over any [`FeatureOperand`], writing into a
+/// caller-owned output matrix (reshaped with
+/// [`DenseMatrix::resize_zeroed`]; allocation-free at capacity). Over
+/// narrow storage, tiling and narrowing compound: a tile's working set
 /// shrinks by the tile factor *and* the storage ratio.
 ///
 /// # Errors
 ///
 /// Returns [`MatrixError::DimensionMismatch`] on shape mismatch; a zero
 /// `tile` is promoted to [`DEFAULT_TILE`].
-pub fn spmm_feature_tiled_quant_into(
+pub fn spmm_feature_tiled_into<F: FeatureOperand>(
     a: &Csr,
-    hq: &QuantMatrix,
+    h: &F,
     tile: usize,
     out: &mut DenseMatrix,
 ) -> Result<(), MatrixError> {
-    check_quant("spmm_feature_tiled_quant", a, hq)?;
-    let k = hq.cols();
+    check("spmm_feature_tiled", a, h)?;
+    let k = h.shape().1;
     let tile = if tile == 0 { DEFAULT_TILE } else { tile };
     out.resize_zeroed(a.nrows(), k);
     let kd = matrix::microkernel::KernelDispatch::get();
@@ -101,7 +68,7 @@ pub fn spmm_feature_tiled_quant_into(
         for u in 0..a.nrows() {
             let row_out = &mut out.row_mut(u)[t0..t1];
             for (&v, &w) in a.row_cols(u).iter().zip(a.row_values(u)) {
-                kd.axpy_quant(row_out, w, hq.row_range(v as usize, t0, t1));
+                h.axpy_range(kd, row_out, w, v as usize, t0..t1);
             }
         }
         t0 = t1;
@@ -297,32 +264,5 @@ mod tests {
         let h = DenseMatrix::zeros(4, 0);
         let out = spmm_feature_parallel(&a, &h, 3).unwrap();
         assert_eq!(out.shape(), (4, 0));
-    }
-
-    #[test]
-    fn feature_tiled_quant_matches_decoded_reference() {
-        let (a, h) = random_inputs(60, 700, 21, 5);
-        let mut q = matrix::QuantMatrix::new();
-        let mut decoded = DenseMatrix::default();
-        for p in [
-            matrix::Precision::Bf16,
-            matrix::Precision::F16,
-            matrix::Precision::Int8,
-        ] {
-            q.encode(&h, p).unwrap();
-            q.decode(&mut decoded);
-            let reference = spmm_sequential(&a, &decoded).unwrap();
-            // Tile widths around / off the 8-lane boundary, plus a tile
-            // wider than k (single pass).
-            for tile in [1, 7, 8, 64] {
-                let mut out = DenseMatrix::default();
-                spmm_feature_tiled_quant_into(&a, &q, tile, &mut out).unwrap();
-                assert!(
-                    reference.max_abs_diff(&out) < 1e-3,
-                    "{p} tile={tile} diverged by {}",
-                    reference.max_abs_diff(&out)
-                );
-            }
-        }
     }
 }

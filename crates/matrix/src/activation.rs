@@ -63,36 +63,6 @@ impl Activation {
         }
     }
 
-    /// Derivative of the activation with respect to its input, evaluated at
-    /// pre-activation value `x` (used by backpropagation).
-    pub fn derivative(self, x: f32) -> f32 {
-        match self {
-            Activation::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::LeakyRelu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.01
-                }
-            }
-            Activation::Sigmoid => {
-                let s = self.apply(x);
-                s * (1.0 - s)
-            }
-            Activation::Tanh => {
-                let t = x.tanh();
-                1.0 - t * t
-            }
-            Activation::Identity => 1.0,
-        }
-    }
-
     /// Approximate FLOPs charged per element, used by the platform timing
     /// models to cost the "glue code" phase.
     pub fn flops_per_element(self) -> f64 {
@@ -161,27 +131,6 @@ mod tests {
         let mut v = vec![-1.0, 2.0];
         Activation::Identity.apply_in_place(&mut v);
         assert_eq!(v, vec![-1.0, 2.0]);
-    }
-
-    #[test]
-    fn derivatives_match_finite_differences() {
-        let eps = 1e-3f32;
-        for act in [
-            Activation::Relu,
-            Activation::LeakyRelu,
-            Activation::Sigmoid,
-            Activation::Tanh,
-            Activation::Identity,
-        ] {
-            for x in [-1.5f32, -0.4, 0.3, 2.0] {
-                let numeric = (act.apply(x + eps) - act.apply(x - eps)) / (2.0 * eps);
-                let analytic = act.derivative(x);
-                assert!(
-                    (numeric - analytic).abs() < 1e-2,
-                    "{act} at {x}: numeric {numeric} vs analytic {analytic}"
-                );
-            }
-        }
     }
 
     #[test]

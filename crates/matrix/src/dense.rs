@@ -220,55 +220,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Element-wise (Hadamard) product with `other`, in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if the shapes differ.
-    pub fn hadamard(&mut self, other: &DenseMatrix) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(MatrixError::DimensionMismatch {
-                op: "hadamard",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        for (x, y) in self.data.iter_mut().zip(&other.data) {
-            *x *= y;
-        }
-        Ok(())
-    }
-
-    /// Adds `factor * other` element-wise, in place (the AXPY of SGD).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if the shapes differ.
-    pub fn add_scaled(&mut self, other: &DenseMatrix, factor: f32) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(MatrixError::DimensionMismatch {
-                op: "add_scaled",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        for (x, y) in self.data.iter_mut().zip(&other.data) {
-            *x += factor * y;
-        }
-        Ok(())
-    }
-
-    /// Sum of every column as a vector of length `cols` (bias gradients).
-    pub fn column_sums(&self) -> Vec<f32> {
-        let mut sums = vec![0.0f32; self.cols];
-        for row in self.data.chunks_exact(self.cols.max(1)) {
-            for (s, x) in sums.iter_mut().zip(row) {
-                *s += x;
-            }
-        }
-        sums
-    }
-
     /// Reshapes to `(rows, cols)` and fills with zeros, reusing the
     /// existing backing allocation whenever its capacity suffices.
     ///
@@ -499,33 +450,6 @@ mod tests {
         let mut a = DenseMatrix::filled(2, 2, 2.0);
         a.scale(0.5);
         assert!(a.as_slice().iter().all(|&x| x == 1.0));
-    }
-
-    #[test]
-    fn hadamard_multiplies_elementwise() {
-        let mut a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = DenseMatrix::from_rows(&[&[2.0, 0.5], &[0.0, -1.0]]).unwrap();
-        a.hadamard(&b).unwrap();
-        assert_eq!(
-            a,
-            DenseMatrix::from_rows(&[&[2.0, 1.0], &[0.0, -4.0]]).unwrap()
-        );
-        assert!(a.hadamard(&DenseMatrix::zeros(3, 3)).is_err());
-    }
-
-    #[test]
-    fn add_scaled_is_axpy() {
-        let mut a = DenseMatrix::filled(2, 2, 1.0);
-        let g = DenseMatrix::filled(2, 2, 2.0);
-        a.add_scaled(&g, -0.25).unwrap();
-        assert!(a.as_slice().iter().all(|&x| x == 0.5));
-        assert!(a.add_scaled(&DenseMatrix::zeros(1, 1), 1.0).is_err());
-    }
-
-    #[test]
-    fn column_sums_reduce_rows() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(a.column_sums(), vec![4.0, 6.0]);
     }
 
     #[test]

@@ -10,29 +10,11 @@ use crate::error::MatrixError;
 use crate::Result;
 
 // BOUNDS: all `[]` indexing reads operand rows via `DenseMatrix::row`
-// (length-checked by construction) or output chunks carved by
-// `chunks_mut(rows_per * n)` from a buffer sized `m * n`; `check_shapes`
-// ties the operand dimensions together at every entry point.
-
-/// Cache-block edge (elements) used by [`gemm_into`]. 64 `f32` = 256 B
-/// per row block keeps three blocks of typical GCN operand widths in L1.
-const BLOCK: usize = 64;
+// (length-checked by construction); `check_shapes` ties the operand
+// dimensions together at every entry point.
 
 pub(crate) fn check_shapes(op: &'static str, a: &DenseMatrix, b: &DenseMatrix) -> Result<()> {
     if a.cols() != b.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            op,
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    Ok(())
-}
-
-/// Dimension check for the transpose-GEMM path: `A^T * B` needs the two
-/// operands to agree on their *row* count (the contraction dimension).
-fn check_rows(op: &'static str, a: &DenseMatrix, b: &DenseMatrix) -> Result<()> {
-    if a.rows() != b.rows() {
         return Err(MatrixError::DimensionMismatch {
             op,
             lhs: a.shape(),
@@ -74,9 +56,7 @@ pub fn matmul_naive(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
 /// 512³ that loop measured *slower* than [`matmul_naive`] (block-edge
 /// bookkeeping with no bandwidth win at L2-resident sizes), so it now
 /// routes through [`crate::microkernel::matmul_packed_with`] with one
-/// thread — no shipped kernel is slower than naive. The scalar blocked
-/// loop survives as [`gemm_into`] for [`matmul_parallel_spawn`] and the
-/// pool-overhead benchmark.
+/// thread — no shipped kernel is slower than naive.
 ///
 /// # Errors
 ///
@@ -92,40 +72,6 @@ pub fn matmul_blocked(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
         &mut c,
     )?;
     Ok(c)
-}
-
-/// Writes `A[row_start..row_end] * B` into `c_rows` (row-major,
-/// `(row_end-row_start) * n` elements). Shared by the blocked and parallel
-/// kernels.
-fn gemm_into(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    c_rows: &mut [f32],
-    row_start: usize,
-    row_end: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(c_rows.len(), (row_end - row_start) * n);
-    for pb in (0..k).step_by(BLOCK) {
-        let pe = (pb + BLOCK).min(k);
-        for i in row_start..row_end {
-            // Slice the depth block directly: an `enumerate().take().skip()`
-            // chain here re-walks the iterator from index 0 for every block,
-            // which is what regressed `blocked` below `naive` at 512^3.
-            let ablock = &a.row(i)[pb..pe];
-            let crow = &mut c_rows[(i - row_start) * n..(i - row_start + 1) * n];
-            for (off, &aip) in ablock.iter().enumerate() {
-                if aip == 0.0 {
-                    continue;
-                }
-                let brow = b.row(pb + off);
-                for (cj, &bj) in crow.iter_mut().zip(brow) {
-                    *cj += aip * bj;
-                }
-            }
-        }
-    }
 }
 
 /// Multi-threaded GEMM that partitions rows of `A` across `threads`
@@ -152,9 +98,7 @@ pub fn matmul_parallel(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Resu
 ///
 /// Since the micro-kernel engine landed this routes through
 /// [`crate::microkernel::matmul_packed_with`] — panel-packed, register-tiled
-/// inner loops on the process-wide [`crate::microkernel::KernelDispatch`] —
-/// rather than the scalar cache-blocked loop (which survives as
-/// [`gemm_into`], exercised by [`matmul_parallel_spawn`]).
+/// inner loops on the process-wide [`crate::microkernel::KernelDispatch`].
 ///
 /// # Errors
 ///
@@ -174,99 +118,6 @@ pub fn matmul_parallel_into(
         threads,
         c,
     )
-}
-
-/// Spawn-per-call GEMM baseline: identical partitioning to
-/// [`matmul_parallel`], but creating fresh scoped threads on every
-/// invocation instead of reusing the persistent pool. Kept public so the
-/// `pool_overhead` benchmark can quantify what pooling saves; all
-/// production call sites use [`matmul_parallel`].
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if `a.cols() != b.rows()` and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn matmul_parallel_spawn(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    threads: usize,
-) -> Result<DenseMatrix> {
-    check_shapes("matmul_parallel", a, b)?;
-    if threads == 0 {
-        return Err(MatrixError::ZeroThreads);
-    }
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut c = DenseMatrix::zeros(m, n);
-    let threads = threads.min(m.max(1));
-    if threads <= 1 || m == 0 {
-        gemm_into(a, b, c.as_mut_slice(), 0, m, k, n);
-        return Ok(c);
-    }
-
-    let rows_per = m.div_ceil(threads);
-    // lint:allow(L005): spawn-per-call baseline exists to measure exactly
-    // this kind of per-invocation cost; it is not on the steady-state path.
-    let mut chunks: Vec<&mut [f32]> = c.as_mut_slice().chunks_mut(rows_per * n).collect();
-    // lint:allow(L002): deliberate spawn-per-call baseline kept so the
-    // pool_overhead benchmark can quantify what the persistent pool saves.
-    crossbeam::scope(|s| {
-        for (t, chunk) in chunks.drain(..).enumerate() {
-            let row_start = t * rows_per;
-            let row_end = (row_start + rows_per).min(m);
-            s.spawn(move |_| {
-                gemm_into(a, b, chunk, row_start, row_end, k, n);
-            });
-        }
-    })
-    .expect("gemm worker panicked");
-    Ok(c)
-}
-
-/// Computes `A^T * B` without materializing the transpose: for each row
-/// `p` of `A` and `B`, accumulates the outer-product contribution
-/// `A[p, :]^T * B[p, :]`. This walks both operands row-major — exactly the
-/// weight-gradient computation `dW = (A_hat H)^T dZ` of GCN training,
-/// where an explicit transpose would double the traffic.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if `a.rows() != b.rows()`.
-pub fn matmul_at(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-    let mut c = DenseMatrix::default();
-    matmul_at_into(a, b, &mut c)?;
-    Ok(c)
-}
-
-/// [`matmul_at`] writing into a caller-owned output matrix.
-///
-/// `c` is reshaped to `(a.cols(), b.cols())` with
-/// [`DenseMatrix::resize_zeroed`], so the per-step weight-gradient GEMM of
-/// the training loop reuses one buffer instead of allocating every call.
-/// The outer-product row accumulation runs through the micro-kernel AXPY
-/// ([`crate::microkernel::KernelDispatch::axpy`]), vectorizing over the
-/// output width. On error `c` is left unchanged.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if `a.rows() != b.rows()`.
-pub fn matmul_at_into(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix) -> Result<()> {
-    check_rows("matmul_at", a, b)?;
-    let (rows, m) = a.shape();
-    let n = b.cols();
-    c.resize_zeroed(m, n);
-    let kd = crate::microkernel::KernelDispatch::get();
-    for p in 0..rows {
-        let arow = a.row(p);
-        let brow = b.row(p);
-        for (i, &aip) in arow.iter().enumerate() {
-            if aip == 0.0 {
-                continue;
-            }
-            kd.axpy(c.row_mut(i), aip, brow);
-        }
-    }
-    Ok(())
 }
 
 /// FLOP count of a GEMM with these operand shapes (`2 * m * k * n`),
@@ -356,16 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn spawn_baseline_matches_pooled_kernel() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let a = random_matrix(&mut rng, 61, 29);
-        let b = random_matrix(&mut rng, 29, 13);
-        let pooled = matmul_parallel(&a, &b, 5).unwrap();
-        let spawned = matmul_parallel_spawn(&a, &b, 5).unwrap();
-        assert!(pooled.max_abs_diff(&spawned) < 1e-5);
-    }
-
-    #[test]
     fn zero_width_outputs_are_handled() {
         let a = DenseMatrix::zeros(4, 3);
         let b = DenseMatrix::zeros(3, 0);
@@ -398,57 +239,6 @@ mod tests {
         let b = DenseMatrix::zeros(3, 4);
         let c = matmul_parallel(&a, &b, 4).unwrap();
         assert_eq!(c.shape(), (0, 4));
-    }
-
-    #[test]
-    fn matmul_at_matches_explicit_transpose() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for &(rows, m, n) in &[(1usize, 1usize, 1usize), (13, 7, 5), (64, 32, 48)] {
-            let a = random_matrix(&mut rng, rows, m);
-            let b = random_matrix(&mut rng, rows, n);
-            let direct = matmul_at(&a, &b).unwrap();
-            let explicit = a.transpose().matmul(&b).unwrap();
-            assert!(
-                direct.max_abs_diff(&explicit) < 1e-4,
-                "shape ({rows},{m},{n})"
-            );
-        }
-    }
-
-    #[test]
-    fn matmul_at_rejects_mismatched_row_counts() {
-        let a = DenseMatrix::zeros(3, 2);
-        let b = DenseMatrix::zeros(4, 2);
-        assert!(matmul_at(&a, &b).is_err());
-    }
-
-    #[test]
-    fn matmul_at_into_reuses_buffer_and_clears_stale_values() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let a = random_matrix(&mut rng, 19, 11);
-        let b = random_matrix(&mut rng, 19, 7);
-        let reference = matmul_at(&a, &b).unwrap();
-        let mut c = DenseMatrix::filled(30, 30, f32::NAN);
-        let ptr = c.as_slice().as_ptr();
-        matmul_at_into(&a, &b, &mut c).unwrap();
-        assert!(reference.max_abs_diff(&c) < 1e-4);
-        assert_eq!(
-            c.as_slice().as_ptr(),
-            ptr,
-            "capacity was large enough: no realloc"
-        );
-        matmul_at_into(&a, &b, &mut c).unwrap();
-        assert!(reference.max_abs_diff(&c) < 1e-4);
-    }
-
-    #[test]
-    fn matmul_at_into_rejects_mismatched_rows_and_preserves_output() {
-        let a = DenseMatrix::zeros(3, 2);
-        let b = DenseMatrix::zeros(4, 2);
-        let mut c = DenseMatrix::filled(1, 1, 42.0);
-        assert!(matmul_at_into(&a, &b, &mut c).is_err());
-        assert_eq!(c.shape(), (1, 1));
-        assert_eq!(c.as_slice()[0], 42.0);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! * [`gemm::matmul_parallel`] — row-partitioned multi-threaded GEMM,
 //! * [`microkernel::matmul_packed`] — panel-packed, register-tiled GEMM with
 //!   runtime SIMD dispatch; [`DenseMatrix::matmul`] and the parallel `_into`
-//!   entry points route through it.
+//!   entry points route through it. One blocked driver serves every storage
+//!   precision ([`microkernel::matmul_packed_prec_with`]): the panel format
+//!   (f32 / bf16 / f16 / int8) is a type argument of the driver, not a copy
+//!   of it.
 //!
 //! # Examples
 //!

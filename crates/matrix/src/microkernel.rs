@@ -1494,22 +1494,31 @@ fn pack_b_block(b: &DenseMatrix, pc: usize, pe: usize, jc: usize, je: usize, dst
     }
 }
 
-/// Adds the masked `rows x cols` corner of a full accumulator tile into
-/// the output chunk (`row0` is chunk-local, `col0` global; `n` is the
-/// output row stride).
-fn add_tile(
-    c_chunk: &mut [f32],
-    n: usize,
+/// One accumulator register tile.
+type Tile<T> = [T; MR * NR];
+
+/// A half-open index range `[start, end)` of rows, columns or depth.
+type Span = (usize, usize);
+
+/// Where a register tile lands in the output: chunk-local row `row0`,
+/// global row / column `(i0, j0)`, and the `rows x cols` corner of the tile
+/// that falls inside `C`.
+#[derive(Clone, Copy)]
+struct TileAt {
     row0: usize,
-    col0: usize,
+    i0: usize,
+    j0: usize,
     rows: usize,
     cols: usize,
-    acc: &[f32; MR * NR],
-) {
-    for r in 0..rows {
-        let base = (row0 + r) * n + col0;
-        let dst = &mut c_chunk[base..base + cols];
-        for (d, &v) in dst.iter_mut().zip(&acc[r * NR..r * NR + cols]) {
+}
+
+/// Adds the masked corner of a full `f32` accumulator tile into the output
+/// chunk (`n` is the output row stride).
+fn add_tile(c_chunk: &mut [f32], n: usize, at: TileAt, acc: &Tile<f32>) {
+    for r in 0..at.rows {
+        let base = (at.row0 + r) * n + at.j0;
+        let dst = &mut c_chunk[base..base + at.cols];
+        for (d, &v) in dst.iter_mut().zip(&acc[r * NR..r * NR + at.cols]) {
             *d += v;
         }
     }
@@ -1647,106 +1656,203 @@ fn pack_b_i8(
     }
 }
 
-/// [`add_tile`] for the int8 path: dequantizes the widened `i32`
-/// accumulator on write-back with the per-row (`sa`, local to the tile)
-/// and per-column (`sb`, local to the tile) scales — `c[i][j] +=
-/// acc[i][j] * sa[i] * sb[j]`.
-#[allow(clippy::too_many_arguments)]
-fn add_tile_scaled(
-    c_chunk: &mut [f32],
-    n: usize,
-    row0: usize,
-    col0: usize,
-    rows: usize,
-    cols: usize,
-    acc: &[i32; MR * NR],
-    sa: &[f32],
-    sb: &[f32],
-) {
-    for r in 0..rows {
-        let s_r = sa[r];
-        let base = (row0 + r) * n + col0;
-        let dst = &mut c_chunk[base..base + cols];
-        for ((d, &v), &s_c) in dst.iter_mut().zip(&acc[r * NR..r * NR + cols]).zip(sb) {
-            *d += (v as f32) * s_r * s_c;
+// ---------------------------------------------------------------------------
+// Panel formats
+// ---------------------------------------------------------------------------
+
+/// The int8 scale tables, carved `[sa | inv_sa | sb | inv_sb]` from the
+/// front of the GEMM scratch borrow: per-row scales of `A`, per-column
+/// scales of `B`, and their reciprocals. All four are empty for the float
+/// formats.
+struct Scales<'a> {
+    sa: &'a [f32],
+    inv_sa: &'a [f32],
+    sb: &'a [f32],
+    inv_sb: &'a [f32],
+}
+
+/// How one storage precision lays out and consumes packed GEMM panels. The
+/// blocked driver ([`packed_gemm`]) and [`gemm_block`] are generic over
+/// this, so a precision is a type argument rather than a second copy of
+/// the blocking; packing and micro-kernel always agree on the layout
+/// because both come from the same impl.
+trait PanelFormat: Copy + Sync {
+    /// Encoded elements per `f32` scratch slot (1 / 2 / 4). Panel element
+    /// counts carry a factor of `MR = NR = 8`, so dividing by it is exact.
+    const RATIO: usize;
+    /// Whether the format quantizes against the [`Scales`] tables.
+    const SCALED: bool = false;
+    /// Accumulator lane type of the register tile.
+    type Acc: Copy + Default;
+
+    /// Packs `rows` x `depth` of `a` into A micro-panels.
+    fn pack_a(self, a: &DenseMatrix, rows: Span, depth: Span, s: &Scales<'_>, dst: &mut [f32]);
+    /// Packs `depth` x `cols` of `b` into B micro-panels.
+    fn pack_b(self, b: &DenseMatrix, depth: Span, cols: Span, s: &Scales<'_>, dst: &mut [f32]);
+    /// Overwrites `acc` with the product of one packed A micro-panel and
+    /// one packed B micro-panel.
+    fn mk8x8(
+        self,
+        kd: KernelDispatch,
+        ap: &[f32],
+        bp: &[f32],
+        kc: usize,
+        acc: &mut Tile<Self::Acc>,
+    );
+    /// Adds the masked corner of `acc` into the output chunk.
+    fn add_tile(self, c: &mut [f32], n: usize, at: TileAt, acc: &Tile<Self::Acc>, s: &Scales<'_>);
+}
+
+/// Full-precision panels: one `f32` per slot, no conversion.
+#[derive(Clone, Copy)]
+struct F32Panels;
+
+impl PanelFormat for F32Panels {
+    const RATIO: usize = 1;
+    type Acc = f32;
+
+    #[inline]
+    fn pack_a(self, a: &DenseMatrix, r: Span, d: Span, _: &Scales<'_>, dst: &mut [f32]) {
+        pack_a_block(a, r.0, r.1, d.0, d.1, dst)
+    }
+    #[inline]
+    fn pack_b(self, b: &DenseMatrix, d: Span, c: Span, _: &Scales<'_>, dst: &mut [f32]) {
+        pack_b_block(b, d.0, d.1, c.0, c.1, dst)
+    }
+    #[inline]
+    fn mk8x8(self, kd: KernelDispatch, ap: &[f32], bp: &[f32], kc: usize, acc: &mut Tile<f32>) {
+        kd.mk8x8(ap, bp, kc, acc)
+    }
+    #[inline]
+    fn add_tile(self, c: &mut [f32], n: usize, at: TileAt, acc: &Tile<f32>, _: &Scales<'_>) {
+        add_tile(c, n, at, acc)
+    }
+}
+
+/// 16-bit panels: operands are encoded on the fly during packing (two
+/// elements per slot) and the micro-kernel decodes lanes back to `f32` —
+/// accumulators never narrow.
+impl PanelFormat for W16 {
+    const RATIO: usize = 2;
+    type Acc = f32;
+
+    #[inline]
+    fn pack_a(self, a: &DenseMatrix, r: Span, d: Span, _: &Scales<'_>, dst: &mut [f32]) {
+        pack_a_w16(a, r.0, r.1, d.0, d.1, dst, |v| enc_w16(self, v))
+    }
+    #[inline]
+    fn pack_b(self, b: &DenseMatrix, d: Span, c: Span, _: &Scales<'_>, dst: &mut [f32]) {
+        pack_b_w16(b, d.0, d.1, c.0, c.1, dst, |v| enc_w16(self, v))
+    }
+    #[inline]
+    fn mk8x8(self, kd: KernelDispatch, ap: &[f32], bp: &[f32], kc: usize, acc: &mut Tile<f32>) {
+        kd.mk8x8_w16(self, ap, bp, kc, acc)
+    }
+    #[inline]
+    fn add_tile(self, c: &mut [f32], n: usize, at: TileAt, acc: &Tile<f32>, _: &Scales<'_>) {
+        add_tile(c, n, at, acc)
+    }
+}
+
+/// int8 panels: A rows quantize against per-row scales, B columns against
+/// per-column scales (four elements per slot), the micro-kernel
+/// accumulates in `i32`, and the write-back dequantizes —
+/// `c[i][j] += acc[i][j] * sa[i] * sb[j]`. Per-`KC`-block partial products
+/// sum exactly because the scales are global to the whole reduction, not
+/// per block.
+#[derive(Clone, Copy)]
+struct I8Panels;
+
+impl PanelFormat for I8Panels {
+    const RATIO: usize = 4;
+    const SCALED: bool = true;
+    type Acc = i32;
+
+    #[inline]
+    fn pack_a(self, a: &DenseMatrix, r: Span, d: Span, s: &Scales<'_>, dst: &mut [f32]) {
+        pack_a_i8(a, r.0, r.1, d.0, d.1, s.inv_sa, dst)
+    }
+    #[inline]
+    fn pack_b(self, b: &DenseMatrix, d: Span, c: Span, s: &Scales<'_>, dst: &mut [f32]) {
+        pack_b_i8(b, d.0, d.1, c.0, c.1, s.inv_sb, dst)
+    }
+    #[inline]
+    fn mk8x8(self, kd: KernelDispatch, ap: &[f32], bp: &[f32], kc: usize, acc: &mut Tile<i32>) {
+        kd.mk8x8_i8(ap, bp, kc, acc)
+    }
+    #[inline]
+    fn add_tile(self, c: &mut [f32], n: usize, at: TileAt, acc: &Tile<i32>, s: &Scales<'_>) {
+        let sb = &s.sb[at.j0..at.j0 + at.cols];
+        for r in 0..at.rows {
+            let s_r = s.sa[at.i0 + r];
+            let base = (at.row0 + r) * n + at.j0;
+            let dst = &mut c[base..base + at.cols];
+            for ((d, &v), &s_c) in dst.iter_mut().zip(&acc[r * NR..r * NR + at.cols]).zip(sb) {
+                *d += (v as f32) * s_r * s_c;
+            }
         }
     }
 }
 
-/// One executor's work for one `(jc, pc)` block: packs its own A panels
-/// (`MC` rows at a time) and accumulates every micro-tile of its row range
-/// against the shared packed B panel.
+/// Fills the int8 scale tables: per-row scales of `a`, per-column scales
+/// of `b` (one row-major pass), and both reciprocals.
+fn calibrate_scales(
+    a: &DenseMatrix,
+    b: &DenseMatrix,
+    sa: &mut [f32],
+    inv_sa: &mut [f32],
+    sb: &mut [f32],
+    inv_sb: &mut [f32],
+) {
+    for (i, s) in sa.iter_mut().enumerate() {
+        *s = calibrate_scale(a.row(i));
+    }
+    for (s, inv) in sa.iter().zip(inv_sa.iter_mut()) {
+        *inv = 1.0 / s;
+    }
+    sb.fill(0.0);
+    for p in 0..b.rows() {
+        for (s, &v) in sb.iter_mut().zip(b.row(p)) {
+            if v.is_finite() {
+                *s = s.max(v.abs());
+            }
+        }
+    }
+    for (s, inv) in sb.iter_mut().zip(inv_sb.iter_mut()) {
+        *s = if *s > 0.0 { *s / I8_MAX_Q } else { 1.0 };
+        *inv = 1.0 / *s;
+    }
+}
+
+/// One executor's work for one `(cols, depth)` block: packs its own A
+/// panels (`MC` rows at a time) and accumulates every micro-tile of its row
+/// range against the shared packed B panel.
 #[allow(clippy::too_many_arguments)]
-fn gemm_block(
+fn gemm_block<F: PanelFormat>(
+    fmt: F,
     kd: KernelDispatch,
     a: &DenseMatrix,
     c_chunk: &mut [f32],
-    row_start: usize,
-    row_end: usize,
     n: usize,
-    jc: usize,
-    je: usize,
-    pc: usize,
-    pe: usize,
+    (row_start, row_end): Span,
+    (jc, je): Span,
+    depth: Span,
+    scales: &Scales<'_>,
     apanel: &mut [f32],
     bpanel: &[f32],
 ) {
-    let kc = pe - pc;
+    let kc = depth.1 - depth.0;
     let jpanels = (je - jc).div_ceil(NR);
-    let mut acc = [0.0f32; MR * NR];
+    let (pslot_a, pslot_b) = (kc * MR / F::RATIO, kc * NR / F::RATIO);
+    let mut acc = [F::Acc::default(); MR * NR];
     let mut ic = row_start;
     while ic < row_end {
         let ie = (ic + MC).min(row_end);
-        pack_a_block(a, ic, ie, pc, pe, apanel);
+        fmt.pack_a(a, (ic, ie), depth, scales, apanel);
         let ipanels = (ie - ic).div_ceil(MR);
         // B micro-panel outermost: it stays hot in L1 across every A panel
         // of this MC block.
         for jr in 0..jpanels {
-            let bp = &bpanel[jr * kc * NR..(jr + 1) * kc * NR];
-            let j0 = jc + jr * NR;
-            let cols = (je - j0).min(NR);
-            for ir in 0..ipanels {
-                let ap = &apanel[ir * kc * MR..(ir + 1) * kc * MR];
-                let i0 = ic + ir * MR;
-                let rows = (ie - i0).min(MR);
-                kd.mk8x8(ap, bp, kc, &mut acc);
-                add_tile(c_chunk, n, i0 - row_start, j0, rows, cols, &acc);
-            }
-        }
-        ic = ie;
-    }
-}
-
-/// [`gemm_block`] at 16-bit storage: identical blocking, but the A panels
-/// are encoded on the fly during packing and the micro-kernel decodes
-/// lanes back to `f32` — accumulators never narrow.
-#[allow(clippy::too_many_arguments)]
-fn gemm_block_w16(
-    kd: KernelDispatch,
-    w: W16,
-    a: &DenseMatrix,
-    c_chunk: &mut [f32],
-    row_start: usize,
-    row_end: usize,
-    n: usize,
-    jc: usize,
-    je: usize,
-    pc: usize,
-    pe: usize,
-    apanel: &mut [f32],
-    bpanel: &[f32],
-) {
-    let kc = pe - pc;
-    let jpanels = (je - jc).div_ceil(NR);
-    let pslot_a = kc * (MR / 2);
-    let pslot_b = kc * (NR / 2);
-    let mut acc = [0.0f32; MR * NR];
-    let mut ic = row_start;
-    while ic < row_end {
-        let ie = (ic + MC).min(row_end);
-        pack_a_w16(a, ic, ie, pc, pe, apanel, |v| enc_w16(w, v));
-        let ipanels = (ie - ic).div_ceil(MR);
-        for jr in 0..jpanels {
             let bp = &bpanel[jr * pslot_b..(jr + 1) * pslot_b];
             let j0 = jc + jr * NR;
             let cols = (je - j0).min(NR);
@@ -1754,67 +1860,15 @@ fn gemm_block_w16(
                 let ap = &apanel[ir * pslot_a..(ir + 1) * pslot_a];
                 let i0 = ic + ir * MR;
                 let rows = (ie - i0).min(MR);
-                kd.mk8x8_w16(w, ap, bp, kc, &mut acc);
-                add_tile(c_chunk, n, i0 - row_start, j0, rows, cols, &acc);
-            }
-        }
-        ic = ie;
-    }
-}
-
-/// [`gemm_block`] at int8 storage: A rows quantize against per-row
-/// scales (`inv_sa`), the micro-kernel accumulates in `i32`, and the
-/// write-back dequantizes against `sa[i] * sb[j]`. Per-`KC`-block
-/// partial products sum exactly because the scales are global to the
-/// whole reduction, not per block.
-#[allow(clippy::too_many_arguments)]
-fn gemm_block_i8(
-    kd: KernelDispatch,
-    a: &DenseMatrix,
-    c_chunk: &mut [f32],
-    row_start: usize,
-    row_end: usize,
-    n: usize,
-    jc: usize,
-    je: usize,
-    pc: usize,
-    pe: usize,
-    sa: &[f32],
-    inv_sa: &[f32],
-    sb: &[f32],
-    apanel: &mut [f32],
-    bpanel: &[f32],
-) {
-    let kc = pe - pc;
-    let jpanels = (je - jc).div_ceil(NR);
-    let pslot_a = kc * (MR / 4);
-    let pslot_b = kc * (NR / 4);
-    let mut acc = [0i32; MR * NR];
-    let mut ic = row_start;
-    while ic < row_end {
-        let ie = (ic + MC).min(row_end);
-        pack_a_i8(a, ic, ie, pc, pe, inv_sa, apanel);
-        let ipanels = (ie - ic).div_ceil(MR);
-        for jr in 0..jpanels {
-            let bp = &bpanel[jr * pslot_b..(jr + 1) * pslot_b];
-            let j0 = jc + jr * NR;
-            let cols = (je - j0).min(NR);
-            for ir in 0..ipanels {
-                let ap = &apanel[ir * pslot_a..(ir + 1) * pslot_a];
-                let i0 = ic + ir * MR;
-                let rows = (ie - i0).min(MR);
-                kd.mk8x8_i8(ap, bp, kc, &mut acc);
-                add_tile_scaled(
-                    c_chunk,
-                    n,
-                    i0 - row_start,
+                fmt.mk8x8(kd, ap, bp, kc, &mut acc);
+                let at = TileAt {
+                    row0: i0 - row_start,
+                    i0,
                     j0,
                     rows,
                     cols,
-                    &acc,
-                    &sa[i0..i0 + rows],
-                    &sb[j0..j0 + cols],
-                );
+                };
+                fmt.add_tile(c_chunk, n, at, &acc, scales);
             }
         }
         ic = ie;
@@ -1822,7 +1876,7 @@ fn gemm_block_i8(
 }
 
 // ---------------------------------------------------------------------------
-// Blocked drivers
+// Blocked driver
 // ---------------------------------------------------------------------------
 
 /// Packed register-tiled GEMM through the process-wide cached dispatch;
@@ -1855,7 +1909,8 @@ pub fn matmul_packed_into(
 }
 
 /// Cache-blocked, panel-packed GEMM `C = A * B` running its inner tiles on
-/// an explicit [`KernelDispatch`].
+/// an explicit [`KernelDispatch`] — the `f32` instantiation of the one
+/// blocked driver.
 ///
 /// Rows of `A` are split contiguously across `threads` pool executors;
 /// each executor packs its own A micro-panels into a private slice of one
@@ -1875,71 +1930,7 @@ pub fn matmul_packed_with(
     threads: usize,
     c: &mut DenseMatrix,
 ) -> Result<()> {
-    check_shapes("matmul_packed", a, b)?;
-    if threads == 0 {
-        return Err(MatrixError::ZeroThreads);
-    }
-    let (m, k) = a.shape();
-    let n = b.cols();
-    c.resize_zeroed(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return Ok(());
-    }
-
-    let pool = pool::global();
-    let executors = threads.clamp(1, pool.width()).min(m);
-    let rows_per = m.div_ceil(executors);
-    // Each executor owns a contiguous row range of C exclusively; the
-    // mutexes never contend, they only hand `&mut` slices through `Fn`.
-    let chunks: Vec<Mutex<&mut [f32]>> = c
-        .as_mut_slice()
-        .chunks_mut(rows_per * n)
-        .map(Mutex::new)
-        // lint:allow(L005): per-call chunk table of <= threads pointers —
-        // orders of magnitude below the counting-allocator budget.
-        .collect();
-    let executors = chunks.len();
-
-    let kc_max = KC.min(k);
-    let bp_len = kc_max * (NC.min(n)).div_ceil(NR) * NR;
-    let ap_len = kc_max * MC;
-    pool.scratch()
-        .with_f32(bp_len + executors * ap_len, |scratch| {
-            let (bpanel, ap_all) = scratch.split_at_mut(bp_len);
-            let apanels: Vec<Mutex<&mut [f32]>> = ap_all
-                .chunks_mut(ap_len)
-                .take(executors)
-                .map(Mutex::new)
-                // lint:allow(L005): per-call panel table of <= threads
-                // pointers into the single pool scratch borrow.
-                .collect();
-            let mut jc = 0;
-            while jc < n {
-                let je = (jc + NC).min(n);
-                let mut pc = 0;
-                while pc < k {
-                    let pe = (pc + KC).min(k);
-                    pack_b_block(b, pc, pe, jc, je, bpanel);
-                    let bp: &[f32] = bpanel;
-                    pool.broadcast(executors, executors, |t| {
-                        let row_start = t * rows_per;
-                        let row_end = (row_start + rows_per).min(m);
-                        // Share index t locks only its own chunk and panel, so
-                        // neither lock ever contends; a poisoned lock only means
-                        // another worker panicked and the guarded slice is still
-                        // structurally valid to hand back.
-                        let mut chunk = audit::recover("gemm.chunk", &chunks[t]);
-                        let mut ap = audit::recover("gemm.apanel", &apanels[t]);
-                        gemm_block(
-                            kd, a, &mut chunk, row_start, row_end, n, jc, je, pc, pe, &mut ap, bp,
-                        );
-                    });
-                    pc = pe;
-                }
-                jc = je;
-            }
-        });
-    Ok(())
+    packed_gemm(F32Panels, kd, a, b, threads, c)
 }
 
 /// [`matmul_packed_with`] at a chosen storage [`Precision`]: packing
@@ -1947,7 +1938,7 @@ pub fn matmul_packed_with(
 /// (bf16/f16 at two elements per slot, int8 at four), so only the panel
 /// storage narrows — arithmetic stays `f32` (bf16/f16) or widens to
 /// `i32` with per-row/per-column scales dequantized on write-back
-/// (int8). [`Precision::F32`] delegates to the f32 path unchanged.
+/// (int8). [`Precision::F32`] is [`matmul_packed_with`] exactly.
 ///
 /// # Errors
 ///
@@ -1961,9 +1952,23 @@ pub fn matmul_packed_prec_with(
     threads: usize,
     c: &mut DenseMatrix,
 ) -> Result<()> {
-    if precision == Precision::F32 {
-        return matmul_packed_with(kd, a, b, threads, c);
+    match precision {
+        Precision::F32 => packed_gemm(F32Panels, kd, a, b, threads, c),
+        Precision::Bf16 => packed_gemm(W16::Bf16, kd, a, b, threads, c),
+        Precision::F16 => packed_gemm(W16::F16, kd, a, b, threads, c),
+        Precision::Int8 => packed_gemm(I8Panels, kd, a, b, threads, c),
     }
+}
+
+/// The one blocked GEMM driver, generic over the panel storage format.
+fn packed_gemm<F: PanelFormat>(
+    fmt: F,
+    kd: KernelDispatch,
+    a: &DenseMatrix,
+    b: &DenseMatrix,
+    threads: usize,
+    c: &mut DenseMatrix,
+) -> Result<()> {
     check_shapes("matmul_packed", a, b)?;
     if threads == 0 {
         return Err(MatrixError::ZeroThreads);
@@ -1989,53 +1994,27 @@ pub fn matmul_packed_prec_with(
         .collect();
     let executors = chunks.len();
 
-    // Elements per f32 scratch slot: 2 for the 16-bit formats, 4 for
-    // int8. Panel element counts carry a factor of MR = NR = 8, so the
-    // division is exact.
-    let ratio = 4 / precision.storage_bytes();
     let kc_max = KC.min(k);
-    let bp_len = kc_max * (NC.min(n)).div_ceil(NR) * NR / ratio;
-    let ap_len = kc_max * MC / ratio;
-    // int8 additionally carves `[sa | inv_sa | sb | inv_sb]` scale
-    // tables from the front of the same scratch borrow.
-    let scale_len = if precision == Precision::Int8 {
-        2 * (m + n)
-    } else {
-        0
-    };
-    let w = if precision == Precision::F16 {
-        W16::F16
-    } else {
-        W16::Bf16
-    };
+    let bp_len = kc_max * (NC.min(n)).div_ceil(NR) * NR / F::RATIO;
+    let ap_len = kc_max * MC / F::RATIO;
+    // Scaled formats carve `[sa | inv_sa | sb | inv_sb]` from the front of
+    // the same scratch borrow.
+    let (ms, ns) = if F::SCALED { (m, n) } else { (0, 0) };
     pool.scratch()
-        .with_f32(scale_len + bp_len + executors * ap_len, |scratch| {
-            let (scale_buf, panels) = scratch.split_at_mut(scale_len);
-            if precision == Precision::Int8 {
-                let (sa, rest) = scale_buf.split_at_mut(m);
-                let (inv_sa, rest) = rest.split_at_mut(m);
-                let (sb, inv_sb) = rest.split_at_mut(n);
-                for (i, s) in sa.iter_mut().enumerate() {
-                    *s = calibrate_scale(a.row(i));
-                }
-                for (s, inv) in sa.iter().zip(inv_sa.iter_mut()) {
-                    *inv = 1.0 / s;
-                }
-                // Column scales of B in one row-major pass.
-                sb.fill(0.0);
-                for p in 0..k {
-                    for (s, &v) in sb.iter_mut().zip(b.row(p)) {
-                        if v.is_finite() {
-                            *s = s.max(v.abs());
-                        }
-                    }
-                }
-                for (s, inv) in sb.iter_mut().zip(inv_sb.iter_mut()) {
-                    *s = if *s > 0.0 { *s / I8_MAX_Q } else { 1.0 };
-                    *inv = 1.0 / *s;
-                }
+        .with_f32(2 * (ms + ns) + bp_len + executors * ap_len, |scratch| {
+            let (sa, rest) = scratch.split_at_mut(ms);
+            let (inv_sa, rest) = rest.split_at_mut(ms);
+            let (sb, rest) = rest.split_at_mut(ns);
+            let (inv_sb, panels) = rest.split_at_mut(ns);
+            if F::SCALED {
+                calibrate_scales(a, b, sa, inv_sa, sb, inv_sb);
             }
-            let scales: &[f32] = scale_buf;
+            let scales = Scales {
+                sa,
+                inv_sa,
+                sb,
+                inv_sb,
+            };
             let (bpanel, ap_all) = panels.split_at_mut(bp_len);
             let apanels: Vec<Mutex<&mut [f32]>> = ap_all
                 .chunks_mut(ap_len)
@@ -2050,11 +2029,7 @@ pub fn matmul_packed_prec_with(
                 let mut pc = 0;
                 while pc < k {
                     let pe = (pc + KC).min(k);
-                    if precision == Precision::Int8 {
-                        pack_b_i8(b, pc, pe, jc, je, &scales[2 * m + n..], bpanel);
-                    } else {
-                        pack_b_w16(b, pc, pe, jc, je, bpanel, |v| enc_w16(w, v));
-                    }
+                    fmt.pack_b(b, (pc, pe), (jc, je), &scales, bpanel);
                     let bp: &[f32] = bpanel;
                     pool.broadcast(executors, executors, |t| {
                         let row_start = t * rows_per;
@@ -2065,30 +2040,20 @@ pub fn matmul_packed_prec_with(
                         // structurally valid to hand back.
                         let mut chunk = audit::recover("gemm.chunk", &chunks[t]);
                         let mut ap = audit::recover("gemm.apanel", &apanels[t]);
-                        if precision == Precision::Int8 {
-                            gemm_block_i8(
-                                kd,
-                                a,
-                                &mut chunk,
-                                row_start,
-                                row_end,
-                                n,
-                                jc,
-                                je,
-                                pc,
-                                pe,
-                                &scales[..m],
-                                &scales[m..2 * m],
-                                &scales[2 * m..2 * m + n],
-                                &mut ap,
-                                bp,
-                            );
-                        } else {
-                            gemm_block_w16(
-                                kd, w, a, &mut chunk, row_start, row_end, n, jc, je, pc, pe,
-                                &mut ap, bp,
-                            );
-                        }
+                        let rows = (row_start, row_end);
+                        gemm_block(
+                            fmt,
+                            kd,
+                            a,
+                            &mut chunk,
+                            n,
+                            rows,
+                            (jc, je),
+                            (pc, pe),
+                            &scales,
+                            &mut ap,
+                            bp,
+                        );
                     });
                     pc = pe;
                 }

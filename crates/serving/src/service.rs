@@ -557,18 +557,12 @@ fn run_planned(
     ws: &mut RowsWorkspace,
     out: &mut DenseMatrix,
 ) -> Result<(), String> {
-    match precision {
-        None => engine
-            .model
-            .infer_rows_planned_into(&engine.a_hat, &engine.features, targets, ws, out)
-            .map(|_| ())
-            .map_err(|e| e.to_string()),
-        Some(p) => engine
-            .model
-            .infer_rows_planned_prec_into(&engine.a_hat, &engine.features, targets, p, ws, out)
-            .map(|_| ())
-            .map_err(|e| e.to_string()),
-    }
+    let precision = precision.unwrap_or(Precision::F32);
+    engine
+        .model
+        .infer_rows_planned_prec_into(&engine.a_hat, &engine.features, targets, precision, ws, out)
+        .map(|_| ())
+        .map_err(|e| e.to_string())
 }
 
 /// Publish the breaker's current state into the metrics gauge. The

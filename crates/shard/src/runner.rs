@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use gcn::{GcnLayer, GcnModel};
 use kernels::SpmmPlan;
-use matrix::microkernel::{matmul_packed_prec_with, matmul_packed_with, KernelDispatch};
+use matrix::microkernel::{matmul_packed_prec_with, KernelDispatch};
 use matrix::{DenseMatrix, Precision, QuantMatrix};
 use resilience::retry::{self, RetryPolicy};
 use sparse::Csr;
@@ -39,8 +39,8 @@ use crate::ShardError;
 pub const MAX_REPLAY_ATTEMPTS: usize = 8;
 
 /// Per-worker exchange state: the staged feature rows (the halo landing
-/// buffer), their narrow-precision encoding, and the shard's cached
-/// execution plan.
+/// buffer), their narrow-storage encoding (written only under a narrow
+/// plan), and the shard's cached execution plan.
 #[derive(Debug, Default)]
 struct StageBuf {
     feat: DenseMatrix,
@@ -187,7 +187,8 @@ impl ShardedGcn {
 
     /// [`ShardedGcn::new`] at a narrow storage precision: every shard's
     /// plan and packed GEMM inherit `precision`, exactly like single-node
-    /// [`gcn::GcnModel::infer_planned_prec`].
+    /// [`gcn::GcnModel::infer_planned_with`] under a plan
+    /// [`SpmmPlan::at_precision`].
     ///
     /// # Errors
     ///
@@ -549,8 +550,7 @@ impl ShardedGcn {
     }
 
     /// Stages shard `b`'s referenced rows of `src` into its landing
-    /// buffer, retrying through the fault point, and (narrow precision)
-    /// encodes the staged rows.
+    /// buffer, retrying through the fault point.
     fn exchange_task(&self, b: usize, src: &DenseMatrix, width: usize) {
         let blk = &self.plan.blocks()[b];
         let mut st = lock(&self.stages[b]);
@@ -564,12 +564,6 @@ impl ShardedGcn {
                 c.staged_bytes += rec.value;
                 c.halo_bytes += (blk.halo.len() * width * 4) as u64;
                 c.recovered_exchanges += u64::from(rec.attempts - 1);
-                drop(c);
-                if self.precision != Precision::F32 {
-                    if let Err(e) = st.quant.encode(&st.feat, self.precision) {
-                        self.record(Some(b), None, ShardError::Matrix(e));
-                    }
-                }
             }
             Err(e) => self.record(Some(b), None, ShardError::Exchange(e.to_string())),
         }
@@ -577,7 +571,9 @@ impl ShardedGcn {
 
     /// Aggregates shard `b`'s local block: column block 0 runs the
     /// shard's cached width-1 plan (rebuilt when the aggregation width
-    /// changes), later column blocks accumulate in ascending order.
+    /// changes) at the runner's precision — a narrow plan encodes the
+    /// staged rows first — and later column blocks accumulate in
+    /// ascending order.
     fn aggregate_task(&self, b: usize, k_agg: usize) {
         let (_, c) = self.plan.grid();
         let blk = &self.plan.blocks()[b];
@@ -595,19 +591,11 @@ impl ShardedGcn {
                 // Width 1 => always sequential: parallelism comes from the
                 // task graph, never from inside a shard, which keeps the
                 // per-row floating-point order machine-independent.
-                let built = SpmmPlan::with_width(&blk.local, k_agg, 1);
-                st.plan = Some(if self.precision == Precision::F32 {
-                    built
-                } else {
-                    built.at_precision(self.precision)
-                });
+                st.plan =
+                    Some(SpmmPlan::with_width(&blk.local, k_agg, 1).at_precision(self.precision));
             }
             let plan = st.plan.as_ref().expect("plan installed just above");
-            let res = if self.precision == Precision::F32 {
-                plan.run_into(&blk.local, &st.feat, &mut rb.acc)
-            } else {
-                plan.run_quant_into(&blk.local, &st.quant, &mut rb.acc)
-            };
+            let res = plan.run_at_precision_into(&blk.local, &st.feat, &mut st.quant, &mut rb.acc);
             if let Err(e) = res {
                 self.record(Some(b), Some(i), ShardError::Matrix(e));
             }
@@ -642,11 +630,8 @@ impl ShardedGcn {
             }
         }
         let a = if from_acc { &rb.acc } else { &rb.hblk };
-        let res = if self.precision == Precision::F32 {
-            matmul_packed_with(self.kd, a, &layer.weight, 1, &mut rb.out)
-        } else {
-            matmul_packed_prec_with(self.kd, self.precision, a, &layer.weight, 1, &mut rb.out)
-        };
+        let res =
+            matmul_packed_prec_with(self.kd, self.precision, a, &layer.weight, 1, &mut rb.out);
         if let Err(e) = res {
             self.record(None, Some(i), ShardError::Matrix(e));
             return;

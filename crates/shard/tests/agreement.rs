@@ -157,7 +157,7 @@ fn bitwise_narrow_precision_1d() {
         let mut ws = InferenceWorkspace::new();
         ws.install_plan(SpmmPlan::with_width(&a_hat, 16, 1).at_precision(precision));
         let want = model
-            .infer_planned_prec_with(&a_hat, &x, precision, &mut ws)
+            .infer_planned_with(&a_hat, &x, &mut ws)
             .expect("single-node narrow inference succeeds")
             .clone();
         let mut sharded = ShardedGcn::with_precision(&a_hat, 4, PartitionKind::Rows1D, precision)

@@ -9,7 +9,7 @@
 
 use piuma_gcn::graph::rmat::RmatConfig;
 use piuma_gcn::graph::Graph;
-use piuma_gcn::kernels::spmm::{spmm_sequential_into, spmm_sequential_quant_into};
+use piuma_gcn::kernels::spmm::spmm_sequential_into;
 use piuma_gcn::matrix::{DenseMatrix, Precision, QuantMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,7 +46,7 @@ fn main() {
     println!("f32   {:8.3} ms", f32_s * 1e3);
     for p in [Precision::Bf16, Precision::F16, Precision::Int8] {
         q.encode(&h, p).unwrap();
-        let s = median_secs(|| spmm_sequential_quant_into(&a, &q, &mut out).unwrap());
+        let s = median_secs(|| spmm_sequential_into(&a, &q, &mut out).unwrap());
         println!(
             "{:5} {:8.3} ms  speedup {:.3}x",
             p.name(),

@@ -63,9 +63,7 @@ pub use sparse;
 pub mod prelude {
     pub use analytic::workload::GcnWorkload;
     pub use analytic::{ElementSizes, SpmmTraffic};
-    pub use gcn::{
-        GcnConfig, GcnModel, InferenceWorkspace, NodeClassification, SamplingScheme, Trainer,
-    };
+    pub use gcn::{GcnConfig, GcnModel, InferenceWorkspace, SamplingScheme};
     pub use graph::{Graph, OgbDataset, ReorderKind, ReorderedGraph, RmatConfig};
     pub use kernels::{SpmmPlan, SpmmStrategy};
     pub use matrix::{Activation, DenseMatrix, Precision, WeightInit};

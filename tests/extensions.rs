@@ -1,4 +1,4 @@
-//! Integration tests over the extension features: training, sampling,
+//! Integration tests over the extension features: sampling,
 //! graph I/O, random walks, and the design-space models working together.
 
 use piuma_gcn::gcn::SamplingScheme;
@@ -8,87 +8,10 @@ use piuma_gcn::prelude::*;
 use piuma_gcn::sparse::ops::{pagerank, spmv};
 
 #[test]
-fn trained_model_beats_untrained_on_held_out_vertices() {
-    // Train on a third of a two-community graph, evaluate on the rest.
-    // Labels follow the communities, so the aggregation helps rather than
-    // fights the classifier.
-    let n = 128usize;
-    let half = n / 2;
-    let mut edges = Vec::new();
-    let mut state = 0x5EEDusize;
-    let mut next = |m: usize| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) % m
-    };
-    for _ in 0..n * 3 {
-        let (a, b) = (next(half), next(half));
-        edges.push((a, b));
-        edges.push((a + half, b + half));
-    }
-    edges.push((1, half + 1));
-    let g = Graph::from_undirected_edges(n, &edges);
-    let labels: Vec<usize> = (0..n).map(|v| usize::from(v >= half)).collect();
-    let mut x = DenseMatrix::zeros(n, 6);
-    for v in 0..n {
-        let sign = if labels[v] == 1 { 1.0 } else { -1.0 };
-        for j in 0..6 {
-            x[(v, j)] = sign * 0.15 + ((v * 31 + j * 17) % 13) as f32 / 13.0 - 0.5;
-        }
-    }
-    let mut task = NodeClassification::fully_labelled(labels.clone());
-    for v in 0..n {
-        task.train_mask[v] = v % 3 == 0;
-    }
-
-    let config = GcnConfig::paper_model(6, 12, 2);
-    let untrained = GcnModel::new(&config, 9);
-    let mut trained = untrained.clone();
-    let mut trainer = Trainer::adam(0.02, SpmmStrategy::VertexParallel { threads: 4 });
-    let stats = trainer.fit(&mut trained, &g, &x, &task, 40).unwrap();
-
-    let accuracy = |m: &GcnModel| {
-        let out = m.infer(&g, &x, SpmmStrategy::Sequential).unwrap();
-        (0..n)
-            .filter(|&v| !task.train_mask[v])
-            .filter(|&v| {
-                let row = out.row(v);
-                let pred = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map_or(0, |(i, _)| i);
-                pred == labels[v]
-            })
-            .count() as f64
-            / (0..n).filter(|&v| !task.train_mask[v]).count() as f64
-    };
-    // An untrained model can land on 100% by luck (a random projection of
-    // near-identical community embeddings is consistent per community), so
-    // the meaningful checks are: training reduced the loss, and the trained
-    // model generalizes to the unlabelled vertices.
-    let after = accuracy(&trained);
-    assert!(after > 0.85, "held-out accuracy {after:.2}");
-    assert!(
-        stats.last().unwrap().loss < stats.first().unwrap().loss * 0.8,
-        "loss {:.3} -> {:.3}",
-        stats.first().unwrap().loss,
-        stats.last().unwrap().loss
-    );
-    let _ = accuracy(&untrained);
-}
-
-#[test]
-fn sampled_inference_of_trained_model_matches_full_graph() {
+fn sampled_inference_matches_full_graph() {
     let g = Graph::rmat(&RmatConfig::power_law(8, 6), 5);
-    let mut model = GcnModel::new(&GcnConfig::paper_model(8, 8, 3), 2);
+    let model = GcnModel::new(&GcnConfig::paper_model(8, 8, 3), 2);
     let x = g.random_features(8, 4);
-    let labels: Vec<usize> = (0..g.vertices()).map(|v| v % 3).collect();
-    let task = NodeClassification::fully_labelled(labels);
-    Trainer::new(0.05, SpmmStrategy::Sequential)
-        .fit(&mut model, &g, &x, &task, 3)
-        .unwrap();
 
     let full = model.infer(&g, &x, SpmmStrategy::Sequential).unwrap();
     let batch = [7usize, 99, 181];

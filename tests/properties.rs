@@ -192,25 +192,6 @@ proptest! {
     }
 
     #[test]
-    fn matmul_at_agrees_with_transpose_for_random_shapes(
-        rows in 1usize..40,
-        m in 1usize..20,
-        n in 1usize..20,
-    ) {
-        let fill = |r: usize, c: usize, salt: usize| {
-            let data = (0..r * c)
-                .map(|i| (((i + salt) * 2654435761) % 19) as f32 / 19.0 - 0.5)
-                .collect();
-            DenseMatrix::from_vec(r, c, data).unwrap()
-        };
-        let a = fill(rows, m, 1);
-        let b = fill(rows, n, 2);
-        let direct = matrix::gemm::matmul_at(&a, &b).unwrap();
-        let explicit = a.transpose().matmul(&b).unwrap();
-        prop_assert!(direct.max_abs_diff(&explicit) < 1e-4);
-    }
-
-    #[test]
     fn gcn_inference_is_deterministic(seed in 0u64..1000) {
         let g = Graph::rmat(&RmatConfig::power_law(6, 4), seed);
         let model = GcnModel::new(&GcnConfig::paper_model(8, 8, 4), seed);
