@@ -10,16 +10,17 @@
 //! 2. Skewed degree distributions (coefficient of variation above
 //!    [`AUTO_SKEW_CV`]) → [`SpmmStrategy::Hybrid`] — hub rows are
 //!    edge-split, the tail stays atomics-free.
-//! 3. Wide embeddings (`K` at least [`AUTO_WIDE_K`] and several columns per
-//!    pool slot) → [`SpmmStrategy::FeatureParallel`] — disjoint column
-//!    tiles amortize the shared CSR reads.
-//! 4. Otherwise → [`SpmmStrategy::VertexParallel`], the paper's CPU
-//!    winner (Section V-A).
+//! 3. Otherwise → [`SpmmStrategy::VertexParallel`], the paper's CPU
+//!    winner (Section V-A), at every embedding width: the row kernel keeps
+//!    the output row in registers, so splitting columns across workers
+//!    only re-reads the CSR arrays and adds a scratch grid.
 //!
 //! [`SpmmStrategy::EdgeParallel`] is never auto-selected: its per-element
 //! atomic adds only pay off on hardware with cheap remote atomics (PIUMA),
 //! not on the CPUs this crate targets. It remains available as an explicit
-//! choice for measuring exactly that gap.
+//! choice for measuring exactly that gap, as do
+//! [`SpmmStrategy::FeatureParallel`] and [`SpmmStrategy::FeatureTiled`] for
+//! the paper's design-space examples.
 //!
 //! Whichever strategy is selected, the inner feature accumulation — and,
 //! in a planned layer, the dense `H * W` transform — runs on the SIMD
@@ -38,10 +39,6 @@ pub const AUTO_SEQUENTIAL_WORK: usize = 1 << 14;
 /// Degree coefficient-of-variation above which [`SpmmStrategy::Auto`]
 /// treats the graph as skewed and routes to the hybrid kernel.
 pub const AUTO_SKEW_CV: f64 = 1.5;
-
-/// Minimum embedding width for [`SpmmStrategy::Auto`] to consider the
-/// feature-parallel kernel.
-pub const AUTO_WIDE_K: usize = 256;
 
 /// Which SpMM algorithm to run, and with how many threads.
 ///
@@ -181,9 +178,6 @@ impl SpmmStrategy {
         }
         if stats.cv > AUTO_SKEW_CV {
             return SpmmStrategy::Hybrid { threads: width };
-        }
-        if k >= AUTO_WIDE_K && k >= 4 * width {
-            return SpmmStrategy::FeatureParallel { threads: width };
         }
         SpmmStrategy::VertexParallel { threads: width }
     }

@@ -161,7 +161,7 @@ pub fn spmm_hybrid_into<F: FeatureOperand>(
                 // lint:allow(L005): K-wide per-segment accumulator kept
                 // thread-local; K is the feature width, tens of floats.
                 let mut acc = vec![0.0f32; k];
-                h.accumulate_row(kd, &mut acc, &cols[*e0..*e1], &vals[*e0..*e1]);
+                h.fill_row(kd, &mut acc, &cols[*e0..*e1], &vals[*e0..*e1]);
                 let mut row_out = hub_slots[*slot].lock();
                 for (o, x) in row_out.iter_mut().zip(&acc) {
                     *o += x;

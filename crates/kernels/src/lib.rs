@@ -19,9 +19,8 @@
 //! * [`fused::gcn_layer_fused`] — aggregation + update + activation in one
 //!   call, the building block `gcn` uses,
 //! * [`plan::SpmmPlan`] — a precomputed execution plan (NNZ-balanced row
-//!   partition, cached degree statistics, resolved strategy, column-tile
-//!   schedule, storage precision) amortizing per-call analysis across
-//!   layers and epochs.
+//!   partition, cached degree statistics, resolved strategy, storage
+//!   precision) amortizing per-call analysis across layers and epochs.
 //!
 //! All parallel kernels execute on the process-wide persistent thread pool
 //! re-exported as [`pool`] (spawned once on first use, then reused — see
@@ -39,12 +38,13 @@
 //! [`plan::SpmmPlan::run_at_precision_into`] is the single place it picks
 //! the operand.
 //!
-//! The per-non-zero feature accumulation of every row-oriented kernel runs
-//! through the SIMD micro-kernel layer
-//! ([`matrix::microkernel::KernelDispatch`]) as a widened AXPY over the
-//! feature panel — the same runtime-dispatched backend (AVX2+FMA where
-//! detected, autovectorized portable otherwise) that powers the packed
-//! dense GEMM, so both pillars of a GCN layer share one SIMD path.
+//! Every row-oriented kernel computes an output row with one call into the
+//! SIMD micro-kernel layer ([`matrix::microkernel::KernelDispatch::fill_row`]
+//! / `accumulate_row`): on AVX2+FMA the row stays in registers across its
+//! non-zeros and is written once, bitwise equal to one widened AXPY per
+//! non-zero — which is what the portable backends run. It is the same
+//! runtime-dispatched backend that powers the packed dense GEMM, so both
+//! pillars of a GCN layer share one SIMD path.
 //!
 //! # Examples
 //!

@@ -11,8 +11,13 @@
 //!   (merge-path style, the workload mapping Accel-GCN identifies as the
 //!   biggest SpMM lever),
 //! * **cached [`DegreeStats`]** and the resolved execution path, so `Auto`
-//!   selection is paid once per graph instead of per call,
-//! * an optional **column-tile schedule** for the feature-parallel path.
+//!   selection is paid once per graph instead of per call.
+//!
+//! A plan never splits columns: with the output row held in registers
+//! ([`matrix::microkernel::KernelDispatch::fill_row`]) the row partition
+//! beats column tiles at every width measured (EXPERIMENTS.md), so wide
+//! `K` stays on the NNZ slots. The explicit
+//! [`SpmmStrategy::FeatureParallel`] remains for design-space studies.
 //!
 //! A plan is keyed by a structural fingerprint of the adjacency (shape,
 //! nnz, sampled `row_ptr`/`col_idx` entries), letting callers cache one
@@ -24,7 +29,7 @@ use matrix::{DenseMatrix, MatrixError, Precision, QuantMatrix};
 use parking_lot::Mutex;
 use sparse::{Csr, DegreeStats};
 
-use crate::engine::{SpmmStrategy, AUTO_SEQUENTIAL_WORK, AUTO_SKEW_CV, AUTO_WIDE_K};
+use crate::engine::{SpmmStrategy, AUTO_SEQUENTIAL_WORK, AUTO_SKEW_CV};
 use crate::spmm::{spmm_rows_with, FeatureOperand};
 
 // BOUNDS: indexing in this module walks partition boundary vectors whose
@@ -136,11 +141,6 @@ pub enum PlannedExec {
         /// Number of worker threads.
         threads: usize,
     },
-    /// Worker-owned column tiles (the wide-K regime).
-    FeatureParallel {
-        /// Number of worker threads.
-        threads: usize,
-    },
     /// Hub rows edge-split, tail chunked — for graphs whose largest rows
     /// exceed what any row-granular partition can balance.
     Hybrid {
@@ -154,7 +154,6 @@ impl std::fmt::Display for PlannedExec {
         match self {
             PlannedExec::Sequential => write!(f, "sequential"),
             PlannedExec::NnzBalanced { threads } => write!(f, "nnz-balanced x{threads}"),
-            PlannedExec::FeatureParallel { threads } => write!(f, "feature-parallel x{threads}"),
             PlannedExec::Hybrid { threads } => write!(f, "hybrid x{threads}"),
         }
     }
@@ -194,9 +193,6 @@ pub struct SpmmPlan {
     partition: Vec<usize>,
     plan_stats: PlanStats,
     exec: PlannedExec,
-    /// Column tile schedule `[t0, t1)` for the feature-parallel path;
-    /// empty unless `exec` is `FeatureParallel`.
-    tiles: Vec<(usize, usize)>,
     /// Micro-kernel backend captured at plan time: the sparse row loops and
     /// the layer's dense transform both run this dispatch, so one plan
     /// fixes the whole layer's SIMD path.
@@ -259,16 +255,11 @@ impl SpmmPlan {
             partition,
             plan_stats,
             exec: PlannedExec::Sequential,
-            // lint:allow(L005): plan construction, paid once per adjacency.
-            tiles: Vec::new(),
             kernel: KernelDispatch::get(),
             precision: Precision::F32,
             precision_fallback: None,
         };
         plan.exec = plan.resolve(k, width);
-        if let PlannedExec::FeatureParallel { threads } = plan.exec {
-            plan.tiles = column_tiles(k, threads);
-        }
         plan
     }
 
@@ -287,9 +278,6 @@ impl SpmmPlan {
         // chunked-by-count vertex kernel.
         if self.stats.cv > AUTO_SKEW_CV && self.plan_stats.imbalance > PLAN_MAX_IMBALANCE {
             return PlannedExec::Hybrid { threads: width };
-        }
-        if k >= AUTO_WIDE_K && k >= 4 * width {
-            return PlannedExec::FeatureParallel { threads: width };
         }
         PlannedExec::NnzBalanced { threads: width }
     }
@@ -331,12 +319,6 @@ impl SpmmPlan {
     /// The NNZ-balanced row boundaries (`slots + 1` entries).
     pub fn partition(&self) -> &[usize] {
         &self.partition
-    }
-
-    /// The column-tile schedule (empty unless the feature path was
-    /// resolved).
-    pub fn tiles(&self) -> &[(usize, usize)] {
-        &self.tiles
     }
 
     /// The micro-kernel backend resolved at plan time. The planned GCN
@@ -405,16 +387,6 @@ impl SpmmPlan {
             PlannedExec::NnzBalanced { threads } => {
                 spmm_nnz_balanced_with(self.kernel, a, h, &self.partition, threads, out)
             }
-            PlannedExec::FeatureParallel { threads } => match h.as_dense() {
-                Some(h) if k == self.k && !self.tiles.is_empty() => {
-                    crate::tiled::spmm_feature_planned_into(a, h, &self.tiles, threads, out)
-                }
-                Some(h) => crate::tiled::spmm_feature_parallel_into(a, h, threads, out),
-                // Column tiling exists to shrink the per-pass feature
-                // working set, which narrow storage already does by 2-4x
-                // at the source: narrow operands run the row partition.
-                None => spmm_nnz_balanced_with(self.kernel, a, h, &self.partition, threads, out),
-            },
             PlannedExec::Hybrid { threads } => crate::hybrid::spmm_hybrid_into(a, h, threads, out),
         }
     }
@@ -467,7 +439,6 @@ impl SpmmPlan {
         match self.exec {
             PlannedExec::Sequential => SpmmStrategy::Sequential,
             PlannedExec::NnzBalanced { threads } => SpmmStrategy::VertexParallel { threads },
-            PlannedExec::FeatureParallel { threads } => SpmmStrategy::FeatureParallel { threads },
             PlannedExec::Hybrid { threads } => SpmmStrategy::Hybrid { threads },
         }
     }
@@ -502,21 +473,6 @@ pub fn fingerprint(a: &Csr) -> u64 {
     h
 }
 
-/// Evenly splits `k` columns into one tile per thread (the schedule the
-/// feature-parallel kernel derives per call, precomputed here).
-fn column_tiles(k: usize, threads: usize) -> Vec<(usize, usize)> {
-    if k == 0 {
-        // lint:allow(L005): plan construction, paid once per adjacency.
-        return Vec::new();
-    }
-    let executors = threads.min(k).max(1);
-    let tile = k.div_ceil(executors);
-    (0..k.div_ceil(tile))
-        .map(|t| (t * tile, ((t + 1) * tile).min(k)))
-        // lint:allow(L005): plan construction, paid once per adjacency.
-        .collect()
-}
-
 /// SpMM over precomputed NNZ-balanced row ranges on an explicit
 /// [`KernelDispatch`] (the plan's cached backend drives the row loops
 /// instead of re-resolving per call): each pool share owns one contiguous
@@ -542,9 +498,9 @@ pub fn spmm_nnz_balanced_with<F: FeatureOperand>(
     }
     let (n, k) = (a.nrows(), h.shape().1);
     debug_assert_eq!(partition.last().copied().unwrap_or(0), n);
-    // Every row in [0, n) lands in exactly one partition share, so an
-    // operand whose row kernel overwrites may skip the memset here.
-    h.reshape_for_fill(out, n);
+    // Every row in [0, n) lands in exactly one partition share and the
+    // row kernel overwrites, so no memset here.
+    out.resize_for_overwrite(n, k);
     if n == 0 || k == 0 {
         return Ok(());
     }
@@ -758,24 +714,18 @@ mod tests {
     }
 
     #[test]
-    fn wide_k_resolves_feature_parallel_with_tiles() {
+    fn wide_k_stays_on_the_nnz_partition() {
         let mut rng = StdRng::seed_from_u64(10);
         let a = random_csr(&mut rng, 512, 4000);
         let plan = SpmmPlan::with_width(&a, 1024, 8);
         assert!(
-            matches!(plan.exec(), PlannedExec::FeatureParallel { .. }),
+            matches!(plan.exec(), PlannedExec::NnzBalanced { .. }),
             "got {}",
             plan.exec()
         );
-        // Tiles cover 0..k exactly once, in order.
-        let tiles = plan.tiles();
-        assert!(!tiles.is_empty());
-        assert_eq!(tiles[0].0, 0);
-        assert_eq!(tiles.last().unwrap().1, 1024);
-        assert!(tiles.windows(2).all(|w| w[0].1 == w[1].0));
+        // Row-local at every width: bitwise equal to the sequential walk.
         let h = random_dense(&mut rng, 512, 1024);
-        let reference = spmm_sequential(&a, &h).unwrap();
-        assert!(reference.max_abs_diff(&plan.run(&a, &h).unwrap()) < 1e-3);
+        assert_eq!(plan.run(&a, &h).unwrap(), spmm_sequential(&a, &h).unwrap());
     }
 
     #[test]
@@ -808,7 +758,6 @@ mod tests {
     enum Arm {
         Sequential,
         NnzBalanced,
-        FeatureParallel,
         Hybrid,
         FeatureTiled,
     }
@@ -820,16 +769,6 @@ mod tests {
             Arm::NnzBalanced => {
                 let partition = nnz_balanced_partition(a.row_ptr(), 16);
                 spmm_nnz_balanced_with(kd, a, h, &partition, 4, out)
-            }
-            Arm::FeatureParallel => {
-                // Pin the resolution the wide-K regime would pick, so the
-                // plan's feature arm (column tiles for f32 rows, the row
-                // partition for narrow ones) runs at a test-sized K.
-                let k = h.shape().1;
-                let mut plan = SpmmPlan::with_width(a, k, 4);
-                plan.exec = PlannedExec::FeatureParallel { threads: 4 };
-                plan.tiles = column_tiles(k, 4);
-                plan.run_into(a, h, out)
             }
             Arm::Hybrid => crate::hybrid::spmm_hybrid_into(a, h, 4, out),
             // A tile width off the 8-lane boundary.
@@ -871,7 +810,6 @@ mod tests {
             for arm in [
                 Arm::Sequential,
                 Arm::NnzBalanced,
-                Arm::FeatureParallel,
                 Arm::Hybrid,
                 Arm::FeatureTiled,
             ] {
@@ -881,7 +819,7 @@ mod tests {
                         run_arm(arm, a, &h, &mut out);
                         let tol = match arm {
                             Arm::Sequential | Arm::NnzBalanced => 0.0,
-                            Arm::FeatureParallel | Arm::FeatureTiled => 1e-4,
+                            Arm::FeatureTiled => 1e-4,
                             Arm::Hybrid => 1e-3,
                         };
                         (spmm_sequential(a, &h).unwrap(), tol)
@@ -898,6 +836,12 @@ mod tests {
                     );
                 }
             }
+            // The feature-parallel cell: no plan resolves to column tiles
+            // any more, so it is the explicit strategy, f32 rows only.
+            let mut out = DenseMatrix::filled(3, 3, f32::NAN);
+            crate::tiled::spmm_feature_parallel_into(a, &h, 4, &mut out).unwrap();
+            let diff = spmm_sequential(a, &h).unwrap().max_abs_diff(&out);
+            assert!(diff <= 1e-4, "{graph} feature-parallel: diverged by {diff}");
         }
     }
 

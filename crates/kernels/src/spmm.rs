@@ -17,8 +17,8 @@ use sparse::Csr;
 
 // BOUNDS: all `[]` indexing in this module is over CSR arrays validated at
 // construction (`Csr::from_coo` checks row_ptr monotonicity and col_idx <
-// ncols) plus output slices sized by `resize_zeroed(n, k)` before the
-// kernels run; `check()` ties the two shapes together at every entry point.
+// ncols) plus output slices sized to `n * k` by the `resize_*` call before
+// the kernels run; `check()` ties the two shapes together at every entry point.
 
 /// Dynamic chunk-claiming counter shared with the pool crate; re-exported
 /// here because benchmarks and the paper discussion reference it as part
@@ -44,31 +44,14 @@ pub trait FeatureOperand: Sync {
     /// `y += sum_i weights[i] * self[cols[i], :]`, in non-zero order.
     fn accumulate_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]);
 
-    /// Reshapes `out` to `n x cols`, ready for one [`Self::fill_row`] per
-    /// row. The default pair zeroes the buffer up front and accumulates
-    /// into it; an operand whose row kernel overwrites skips the memset.
-    fn reshape_for_fill(&self, out: &mut DenseMatrix, n: usize) {
-        out.resize_zeroed(n, self.shape().1);
-    }
-
     /// Computes one whole output row, `y = sum_i weights[i] *
     /// self[cols[i], :]`, for callers that own the row's entire non-zero
-    /// loop. `y` is a row of a zeroed matrix or of one prepared by
-    /// [`Self::reshape_for_fill`].
-    fn fill_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]) {
-        self.accumulate_row(kd, y, cols, weights);
-    }
+    /// loop. Overwrites `y` whatever it held — an empty row writes zeros.
+    fn fill_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]);
 
     /// `y += w * self[v, t]` — the column-range form the feature-tiled
     /// kernel needs.
     fn axpy_range(&self, kd: KernelDispatch, y: &mut [f32], w: f32, v: usize, t: Range<usize>);
-
-    /// The operand as a plain `f32` matrix, if it is one. Column-tile
-    /// scheduling exists only for full-precision rows (narrow storage
-    /// already shrinks the per-pass working set 2-4x at the source).
-    fn as_dense(&self) -> Option<&DenseMatrix> {
-        None
-    }
 }
 
 impl FeatureOperand for DenseMatrix {
@@ -76,22 +59,22 @@ impl FeatureOperand for DenseMatrix {
         DenseMatrix::shape(self)
     }
 
-    /// One widened AXPY per non-zero, so the SpMM inner loop runs the same
-    /// SIMD backend as the dense GEMM.
+    /// The register-tiled row kernel ([`KernelDispatch::accumulate_row`]):
+    /// the output row lives in registers across its non-zeros, bitwise
+    /// equal to one widened AXPY per non-zero.
     #[inline]
     fn accumulate_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]) {
-        for (&v, &w) in cols.iter().zip(weights) {
-            kd.axpy(y, w, self.row(v as usize));
-        }
+        kd.accumulate_row(y, cols, weights, self);
+    }
+
+    #[inline]
+    fn fill_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]) {
+        kd.fill_row(y, cols, weights, self);
     }
 
     #[inline]
     fn axpy_range(&self, kd: KernelDispatch, y: &mut [f32], w: f32, v: usize, t: Range<usize>) {
         kd.axpy(y, w, &self.row(v)[t]);
-    }
-
-    fn as_dense(&self) -> Option<&DenseMatrix> {
-        Some(self)
     }
 }
 
@@ -100,20 +83,13 @@ impl FeatureOperand for QuantMatrix {
         QuantMatrix::shape(self)
     }
 
-    /// Register-tiled accumulation over the row's non-zeros
+    /// The same row kernel over narrow loads
     /// ([`KernelDispatch::accumulate_row_quant`]): the traffic saving (2-4x
     /// fewer feature bytes per non-zero) is exactly the paper's
     /// memory-bound SpMM lever.
     #[inline]
     fn accumulate_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]) {
         kd.accumulate_row_quant(y, cols, weights, self);
-    }
-
-    /// The register-tiled row kernel overwrites every element
-    /// ([`KernelDispatch::fill_row_quant`] elides the initial tile load),
-    /// so a same-shape reshape writes nothing at all.
-    fn reshape_for_fill(&self, out: &mut DenseMatrix, n: usize) {
-        out.resize_for_overwrite(n, self.cols());
     }
 
     #[inline]
@@ -143,8 +119,7 @@ pub(crate) fn check<F: FeatureOperand>(
 }
 
 /// Computes rows `[row_start, row_end)` of `A * H` into `out_rows`
-/// (row-major, `(row_end - row_start) * k` elements, zeroed or prepared by
-/// [`FeatureOperand::reshape_for_fill`]) on an explicit
+/// (row-major, `(row_end - row_start) * k` elements, overwritten) on an explicit
 /// [`KernelDispatch`]. The shared inner loop of the sequential,
 /// vertex-parallel, NNZ-balanced and hybrid kernels: one
 /// [`FeatureOperand::fill_row`] per output row.
@@ -188,7 +163,7 @@ pub fn spmm_sequential_into<F: FeatureOperand>(
 ) -> Result<(), MatrixError> {
     check("spmm_sequential", a, h)?;
     let (n, k) = (a.nrows(), h.shape().1);
-    h.reshape_for_fill(out, n);
+    out.resize_for_overwrite(n, k);
     spmm_rows_with(KernelDispatch::get(), a, h, out.as_mut_slice(), 0, n, k);
     Ok(())
 }
@@ -216,8 +191,9 @@ pub fn spmm_vertex_parallel(
 }
 
 /// [`spmm_vertex_parallel`] writing into a caller-owned output matrix
-/// (reshaped with [`DenseMatrix::resize_zeroed`]; allocation of the output
-/// is avoided entirely once the buffer has reached capacity).
+/// (reshaped with [`DenseMatrix::resize_for_overwrite`] — the chunks cover
+/// every row and the row kernel overwrites; allocation of the output is
+/// avoided entirely once the buffer has reached capacity).
 ///
 /// # Errors
 ///
@@ -234,7 +210,7 @@ pub fn spmm_vertex_parallel_into(
         return Err(MatrixError::ZeroThreads);
     }
     let (n, k) = (a.nrows(), h.cols());
-    out.resize_zeroed(n, k);
+    out.resize_for_overwrite(n, k);
     // k == 0 would make the chunk size below zero-sized (a panic in
     // `chunks_mut`), and there is nothing to compute anyway.
     if n == 0 || k == 0 {

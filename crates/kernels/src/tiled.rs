@@ -8,6 +8,15 @@
 //! The trade-off is re-reading the CSR arrays once per tile; tiling wins
 //! when features dominate traffic (K large) and loses when the CSR re-reads
 //! dominate (K small) — a crossover the benches expose.
+//!
+//! These are design-space kernels, selected only by name
+//! ([`crate::SpmmStrategy::FeatureTiled`] / `FeatureParallel`): neither
+//! `Auto` nor an [`crate::SpmmPlan`] resolves to them. Since the row kernel
+//! keeps a whole output row in registers
+//! ([`matrix::microkernel::KernelDispatch::fill_row`]), splitting columns
+//! only adds CSR re-reads and, for the parallel form, an `n x k` scratch
+//! grid; the NNZ-balanced row partition won at every width measured
+//! (EXPERIMENTS.md, "Row kernel").
 
 use matrix::{DenseMatrix, MatrixError};
 use sparse::Csr;
@@ -16,7 +25,7 @@ use std::sync::atomic::Ordering;
 use crate::spmm::{check, FeatureOperand};
 
 // BOUNDS: indexing here touches CSR arrays validated by `Csr::from_coo`,
-// tile ranges clamped to `..k` at construction, and a scratch grid sized
+// tile ranges clamped to `..k` where they are derived, and a scratch grid sized
 // `n * k` by `with_zeroed_u32` immediately before use; `check()` ties the
 // operand shapes together at every entry point.
 
@@ -119,50 +128,20 @@ pub fn spmm_feature_parallel_into(
     if threads == 0 {
         return Err(MatrixError::ZeroThreads);
     }
-    let k = h.cols();
-    let executors = threads.min(k.max(1));
-    let tile = k.div_ceil(executors.max(1)).max(1);
-    let tiles: Vec<(usize, usize)> = (0..k.div_ceil(tile))
-        .map(|t| (t * tile, ((t + 1) * tile).min(k)))
-        // lint:allow(L005): per-call tile table of <= threads pairs; the
-        // planned entry point precomputes it and skips this path entirely.
-        .collect();
-    spmm_feature_planned_into(a, h, &tiles, threads, out)
-}
-
-/// Parallel feature-tiled SpMM over a *precomputed* column-tile schedule —
-/// the execution half of [`spmm_feature_parallel`], split out so an
-/// `SpmmPlan` can derive the schedule once per graph and replay it every
-/// call. Tiles must be disjoint, in-order, and cover `0..h.cols()`.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_feature_planned_into(
-    a: &Csr,
-    h: &DenseMatrix,
-    tiles: &[(usize, usize)],
-    threads: usize,
-    out: &mut DenseMatrix,
-) -> Result<(), MatrixError> {
-    check("spmm_feature_planned", a, h)?;
-    if threads == 0 {
-        return Err(MatrixError::ZeroThreads);
-    }
     let n = a.nrows();
     let k = h.cols();
-    if threads == 1 || k == 0 || n == 0 || tiles.len() < 2 {
+    let tile = k.div_ceil(threads.min(k).max(1)).max(1);
+    let tiles = k.div_ceil(tile);
+    if threads == 1 || k == 0 || n == 0 || tiles < 2 {
         return spmm_feature_tiled_into(a, h, 0, out);
     }
-    out.resize_zeroed(n, k);
-    let executors = threads.min(tiles.len());
+    out.resize_for_overwrite(n, k);
 
     let pool = pool::global();
     let out_slice = out.as_mut_slice();
     pool.scratch().with_zeroed_u32(n * k, |grid| {
-        pool.broadcast(executors, tiles.len(), |t| {
-            let (t0, t1) = tiles[t];
+        pool.broadcast(threads.min(tiles), tiles, |t| {
+            let (t0, t1) = (t * tile, ((t + 1) * tile).min(k));
             for u in 0..n {
                 let base = u * k;
                 for (&v, &w) in a.row_cols(u).iter().zip(a.row_values(u)) {

@@ -61,9 +61,9 @@
 // `r, j < 8`, (d) output chunks carved by `chunks_mut(rows_per * n)` from
 // a buffer sized `m * n`, and (e) int8 scale slices carved as
 // `[..m]`/`[..n]` from a scratch prefix sized `2 * (m + n)` and indexed by
-// row/column ids bounded by the operand shape, and (f) raw quant payload
-// rows carved as `[vi * stride + c0 .. vi * stride + k]` with
-// `vi < payload_len / stride` (checked per non-zero) and `k <= stride`;
+// row/column ids bounded by the operand shape, and (f) raw feature payload
+// rows carved as `[v * stride .. (v + 1) * stride]` and int8 scales indexed
+// by the same `v`, with `v < Rows::rows(stride)` checked per non-zero;
 // `check_shapes` ties the operand dimensions together at every entry
 // point.
 
@@ -76,6 +76,8 @@ use crate::quant::{
 };
 use crate::Result;
 use resilience::audit;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m256, __m256i};
 use std::sync::{Mutex, OnceLock};
 
 /// Register-tile height: rows of `A` (and `C`) per micro-kernel call. Eight
@@ -100,15 +102,15 @@ const MC: usize = 64;
 /// B panel at `KC * NC` floats = 512 KB).
 const NC: usize = 512;
 
-/// Output lanes held in registers per tile of the quantized SpMM row
-/// accumulator ([`KernelDispatch::accumulate_row_quant`]): 64 `f32` =
-/// eight YMM accumulators, the same register budget as the GEMM tile.
+/// Output lanes held in registers per tile of the SpMM row kernel
+/// ([`KernelDispatch::fill_row`]): 64 `f32` = eight YMM accumulators, the
+/// same register budget as the GEMM tile.
 pub const ACC_LANES: usize = 64;
 
-/// How many non-zeros ahead the quantized row accumulators prefetch the
-/// feature-row payload. The rows land at graph-random addresses the
-/// hardware prefetcher cannot predict, and a 64-lane int8 chunk is exactly
-/// one cache line — without the hint every edge eats a demand miss.
+/// How many non-zeros ahead the SpMM row kernel prefetches the feature-row
+/// payload. The rows land at graph-random addresses the hardware
+/// prefetcher cannot predict — without the hint every edge eats a demand
+/// miss per cache line of the tile.
 const PREFETCH_AHEAD: usize = 4;
 
 /// Which micro-kernel implementation a [`KernelDispatch`] routes to.
@@ -227,9 +229,11 @@ fn probe_site(b: Backend) -> Result<()> {
 }
 
 /// `true` when `kd`'s backend survives a tiny correctness probe: a 16-wide
-/// AXPY run under `catch_unwind`, checked elementwise against the analytic
-/// answer. Panics, wrong values, and non-finite output all fail the probe.
-/// Stack arrays only — the probe allocates nothing.
+/// AXPY and a 3-non-zero, 20-lane SpMM row fill (two full register groups
+/// plus a masked tail — the kernel every f32 aggregation runs), both under
+/// `catch_unwind` and checked elementwise against the analytic answer.
+/// Panics, wrong values, and non-finite output all fail the probe. Stack
+/// arrays only — the probe allocates nothing.
 fn probe(kd: KernelDispatch) -> bool {
     if probe_site(kd.backend()).is_err() {
         return false;
@@ -241,10 +245,26 @@ fn probe(kd: KernelDispatch) -> bool {
             *v = j as f32 + 0.5;
         }
         kd.axpy(&mut y, 2.0, &x);
-        y.iter().enumerate().all(|(j, &v)| {
+        let axpy_ok = y.iter().enumerate().all(|(j, &v)| {
             let want = 1.0 + 2.0 * (j as f32 + 0.5);
             v.is_finite() && (v - want).abs() <= 1e-5
-        })
+        });
+
+        // Row r of the 3 x 20 payload holds `r * 32 + j`; the stale NaNs
+        // must be overwritten, never accumulated into.
+        const K: usize = 20;
+        let mut rows = [0.0f32; 3 * K];
+        for (i, v) in rows.iter_mut().enumerate() {
+            *v = ((i / K) * 32 + i % K) as f32;
+        }
+        let (cols, weights) = ([2u32, 0, 1], [0.5f32, -2.0, 1.5]);
+        let mut out = [f32::NAN; K];
+        kd.row::<false>(&mut out, &cols, &weights, Rows::F32(&rows), K);
+        let fill_ok = out.iter().enumerate().all(|(j, &v)| {
+            let j = j as f32;
+            v == 0.5 * (64.0 + j) - 2.0 * j + 1.5 * (32.0 + j)
+        });
+        axpy_ok && fill_ok
     })
     .unwrap_or(false)
 }
@@ -289,8 +309,8 @@ impl KernelDispatch {
     /// sanity probe) and cached for every later call.
     ///
     /// The preferred backend is *probed* before being cached: a tiny AXPY
-    /// is run under `catch_unwind` and its result checked against the
-    /// analytic answer. A backend that panics or produces wrong/non-finite
+    /// and SpMM row fill run under `catch_unwind` and their results are
+    /// checked against the analytic answer. A backend that panics or produces wrong/non-finite
     /// values is degraded along the Avx2Fma → Portable → Scalar chain
     /// ([`probe_fallback`] reports a taken downgrade). In practice only
     /// injected faults (`resilience`) trigger this; it exists so a
@@ -340,82 +360,63 @@ impl KernelDispatch {
         }
     }
 
-    /// Widened AXPY over a bfloat16 feature panel: each stored element is
-    /// decoded to `f32` before the multiply-accumulate, so only storage
-    /// narrows — `y[j] += alpha * decode(x[j])` for the common prefix.
-    #[inline]
-    pub fn axpy_bf16(self, y: &mut [f32], alpha: f32, x: &[u16]) {
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the struct invariant guarantees `Avx2Fma` is only
-            // present when `avx2_available()` held at construction, so the
-            // target features of `axpy_bf16_avx2` are supported here.
-            Backend::Avx2Fma => unsafe { axpy_bf16_avx2(y, alpha, x) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2Fma => axpy_decoded(y, alpha, x, bf16_to_f32),
-            Backend::Portable => axpy_decoded(y, alpha, x, bf16_to_f32),
-            Backend::Scalar => axpy_decoded_scalar(y, alpha, x, bf16_to_f32),
-        }
-    }
-
-    /// Widened AXPY over an IEEE binary16 feature panel. The AVX2 path
-    /// uses hardware F16C conversion when the CPU reports it and falls
-    /// back to the software decode otherwise.
-    #[inline]
-    pub fn axpy_f16(self, y: &mut [f32], alpha: f32, x: &[u16]) {
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the struct invariant guarantees AVX2+FMA, and the
-            // guard verifies F16C — together the target features of
-            // `axpy_f16_avx2` are supported here.
-            Backend::Avx2Fma if f16c_available() => unsafe { axpy_f16_avx2(y, alpha, x) },
-            Backend::Scalar => axpy_decoded_scalar(y, alpha, x, f16_to_f32),
-            _ => axpy_decoded(y, alpha, x, f16_to_f32),
-        }
-    }
-
-    /// Widened AXPY over a symmetric int8 feature panel. `alpha` must
-    /// already carry the row's dequantization scale (the SpMM loops fold
-    /// it in), so accumulation stays in `f32`:
-    /// `y[j] += alpha * (x[j] as f32)`.
-    #[inline]
-    pub fn axpy_i8(self, y: &mut [f32], alpha: f32, x: &[i8]) {
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the struct invariant guarantees `Avx2Fma` is only
-            // present when `avx2_available()` held at construction, so the
-            // target features of `axpy_i8_avx2` are supported here.
-            Backend::Avx2Fma => unsafe { axpy_i8_avx2(y, alpha, x) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2Fma => axpy_decoded(y, alpha, x, |v| v as f32),
-            Backend::Portable => axpy_decoded(y, alpha, x, |v| v as f32),
-            Backend::Scalar => axpy_decoded_scalar(y, alpha, x, |v| v as f32),
-        }
-    }
-
-    /// Dispatches a quantized-row AXPY on the row's own precision tag —
-    /// the single entry point the sparse feature loops use so one code
-    /// path serves every storage precision.
+    /// Widened AXPY over one quantized row, `y[j] += alpha * decode(x[j])`
+    /// for the common prefix: the row kernel ([`KernelDispatch::row`]) on a
+    /// one-row payload with a single non-zero, so one code path serves every
+    /// storage precision. Int8 folds the row's dequantization scale into
+    /// `alpha`; accumulation stays `f32`.
     #[inline]
     pub fn axpy_quant(self, y: &mut [f32], alpha: f32, row: QuantRow<'_>) {
-        match row {
-            QuantRow::Bf16(x) => self.axpy_bf16(y, alpha, x),
-            QuantRow::F16(x) => self.axpy_f16(y, alpha, x),
-            QuantRow::Int8(scale, x) => self.axpy_i8(y, alpha * scale, x),
+        let (src, alpha, len) = match row {
+            QuantRow::Bf16(x) => (Rows::Bf16(x), alpha, x.len()),
+            QuantRow::F16(x) => (Rows::F16(x), alpha, x.len()),
+            QuantRow::Int8(scale, x) => (Rows::Int8(x, &[1.0]), alpha * scale, x.len()),
+        };
+        self.row::<true>(y, &[0], &[alpha], src, len);
+    }
+
+    /// The non-AVX2 narrow AXPY: decode each stored element, then
+    /// multiply-add, autovectorizable unless the backend is the scalar
+    /// reference.
+    #[inline(always)]
+    fn axpy_narrow<T: Copy>(self, y: &mut [f32], alpha: f32, x: &[T], dec: impl Fn(T) -> f32) {
+        match self.backend {
+            Backend::Scalar => axpy_decoded_scalar(y, alpha, x, dec),
+            _ => axpy_decoded(y, alpha, x, dec),
         }
     }
 
-    /// Accumulates one SpMM output row over quantized features:
-    /// `y[j] += sum_i weights[i] * decode(Q[cols[i], j])`.
+    /// Accumulates one SpMM output row over `f32` features:
+    /// `y[j] += sum_i weights[i] * x[cols[i], j]`, in non-zero order.
     ///
     /// On the AVX2+FMA backend the row is processed in [`ACC_LANES`]-wide
     /// register tiles held in YMM accumulators across the *whole* non-zero
-    /// loop, so each output lane round-trips to memory once per tile
-    /// instead of once per non-zero — per-edge cost drops to pure
-    /// decode + FMA, which is what lets narrow storage run
-    /// bandwidth-bound instead of issue-bound. Other backends (and F16
-    /// without F16C) take one [`KernelDispatch::axpy_quant`] per non-zero.
-    /// Column ids at or beyond `q.rows()` are skipped.
+    /// loop, so each output lane round-trips to memory once per row instead
+    /// of once per non-zero — the one write per output row the paper's
+    /// traffic model (Eq. 3) charges. Every lane sees the arithmetic of one
+    /// [`KernelDispatch::axpy`] per non-zero (vector lanes FMA, the
+    /// `len % 8` tail lanes multiply-then-add), so the result is bitwise
+    /// equal to that sequence. Other backends run that sequence itself.
+    /// Column ids at or beyond `x.rows()` are skipped.
+    pub fn accumulate_row(self, y: &mut [f32], cols: &[u32], weights: &[f32], x: &DenseMatrix) {
+        self.row::<true>(y, cols, weights, Rows::F32(x.as_slice()), x.cols());
+    }
+
+    /// [`KernelDispatch::accumulate_row`] with overwrite semantics:
+    /// `y[j] = sum_i weights[i] * x[cols[i], j]`, ignoring `y`'s prior
+    /// contents. When the caller owns a row's entire non-zero loop (the
+    /// whole-row SpMM kernels do), this elides the initial tile load and
+    /// any pre-zeroing of the output.
+    pub fn fill_row(self, y: &mut [f32], cols: &[u32], weights: &[f32], x: &DenseMatrix) {
+        self.row::<false>(y, cols, weights, Rows::F32(x.as_slice()), x.cols());
+    }
+
+    /// [`KernelDispatch::accumulate_row`] over quantized features:
+    /// `y[j] += sum_i weights[i] * decode(Q[cols[i], j])`. Same kernel,
+    /// narrower loads — per-edge cost is pure decode + FMA, which is what
+    /// lets narrow storage run bandwidth-bound instead of issue-bound.
+    /// F16 without F16C takes one [`KernelDispatch::axpy_quant`] per
+    /// non-zero even on the AVX2 backend.
     pub fn accumulate_row_quant(
         self,
         y: &mut [f32],
@@ -423,63 +424,62 @@ impl KernelDispatch {
         weights: &[f32],
         q: &QuantMatrix,
     ) {
-        self.row_quant::<true>(y, cols, weights, q);
+        self.row::<true>(y, cols, weights, Rows::of(q), q.cols());
     }
 
-    /// [`KernelDispatch::accumulate_row_quant`] with overwrite semantics:
-    /// `y[j] = sum_i weights[i] * decode(Q[cols[i], j])`, ignoring `y`'s
-    /// prior contents. When the caller owns a row's entire non-zero loop
-    /// (the whole-row SpMM kernels do), this elides the initial tile load —
-    /// the output row round-trips to memory half as often.
+    /// [`KernelDispatch::fill_row`] over quantized features.
     pub fn fill_row_quant(self, y: &mut [f32], cols: &[u32], weights: &[f32], q: &QuantMatrix) {
-        self.row_quant::<false>(y, cols, weights, q);
+        self.row::<false>(y, cols, weights, Rows::of(q), q.cols());
     }
 
-    fn row_quant<const LOAD_Y: bool>(
+    /// The one SpMM row routine behind the four entry points above: the
+    /// register-tiled kernel where the backend has it, one widened AXPY
+    /// per non-zero (behind a zero fill when overwriting) where it does
+    /// not. `stride` is the payload's row length.
+    fn row<const LOAD_Y: bool>(
         self,
         y: &mut [f32],
         cols: &[u32],
         weights: &[f32],
-        q: &QuantMatrix,
+        src: Rows<'_>,
+        stride: usize,
     ) {
+        let rows = src.rows(stride);
         #[cfg(target_arch = "x86_64")]
-        if self.backend == Backend::Avx2Fma && q.cols() > 0 {
-            match q.precision() {
-                Precision::Bf16 => {
-                    // SAFETY: the struct invariant guarantees `Avx2Fma` is
-                    // only present when `avx2_available()` held at
-                    // construction.
-                    unsafe {
-                        acc_row_bf16_avx2::<LOAD_Y>(y, cols, weights, q.wide_payload(), q.cols())
-                    };
-                    return;
+        if self.backend == Backend::Avx2Fma && (!matches!(src, Rows::F16(_)) || f16c_available()) {
+            // SAFETY: the struct invariant guarantees `Avx2Fma` is only
+            // present when `avx2_available()` held at construction, and the
+            // guard verifies F16C before the one arm whose shell needs it.
+            unsafe {
+                match src {
+                    Rows::F32(x) => {
+                        acc_row_avx2::<_, LOAD_Y>(F32Rows, y, cols, weights, x, stride, rows)
+                    }
+                    Rows::Bf16(x) => {
+                        acc_row_avx2::<_, LOAD_Y>(Bf16Rows, y, cols, weights, x, stride, rows)
+                    }
+                    Rows::F16(x) => acc_row_f16c::<LOAD_Y>(y, cols, weights, x, stride, rows),
+                    Rows::Int8(x, s) => {
+                        acc_row_avx2::<_, LOAD_Y>(I8Rows(s), y, cols, weights, x, stride, rows)
+                    }
                 }
-                Precision::F16 if f16c_available() => {
-                    // SAFETY: struct invariant (AVX2+FMA) plus the explicit
-                    // F16C guard — together the target features of
-                    // `acc_row_f16_avx2` are supported here.
-                    unsafe {
-                        acc_row_f16_avx2::<LOAD_Y>(y, cols, weights, q.wide_payload(), q.cols())
-                    };
-                    return;
-                }
-                Precision::Int8 => {
-                    let (data, scales) = q.int8_payload();
-                    // SAFETY: struct invariant, as for the bf16 arm.
-                    unsafe { acc_row_i8_avx2::<LOAD_Y>(y, cols, weights, data, scales, q.cols()) };
-                    return;
-                }
-                _ => {}
             }
+            return;
         }
         if !LOAD_Y {
-            for yi in y.iter_mut() {
-                *yi = 0.0;
-            }
+            y.fill(0.0);
         }
         for (&v, &w) in cols.iter().zip(weights) {
-            if (v as usize) < q.rows() {
-                self.axpy_quant(y, w, q.row(v as usize));
+            let vi = v as usize;
+            if vi >= rows {
+                continue;
+            }
+            let at = vi * stride..(vi + 1) * stride;
+            match src {
+                Rows::F32(x) => self.axpy(y, w, &x[at]),
+                Rows::Bf16(x) => self.axpy_narrow(y, w, &x[at], bf16_to_f32),
+                Rows::F16(x) => self.axpy_narrow(y, w, &x[at], f16_to_f32),
+                Rows::Int8(x, scales) => self.axpy_narrow(y, w * scales[vi], &x[at], |q| q as f32),
             }
         }
     }
@@ -664,438 +664,368 @@ fn axpy_decoded_scalar<T: Copy>(y: &mut [f32], alpha: f32, x: &[T], decode: impl
     }
 }
 
-/// AVX2 + FMA AXPY over bfloat16 storage: eight `u16` lanes are widened
-/// to `u32` and shifted left 16 bits — bf16 is a bit-prefix of f32, so
-/// that *is* the decode — then FMA'd against `f32` accumulators.
-///
-/// # Safety
-///
-/// The caller must guarantee the CPU supports AVX2 and FMA (the
-/// [`KernelDispatch`] invariant).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-// SAFETY: `unsafe fn` purely for `#[target_feature]`; callers uphold the
-// `# Safety` contract above via the `KernelDispatch` backend invariant.
-unsafe fn axpy_bf16_avx2(y: &mut [f32], alpha: f32, x: &[u16]) {
-    use std::arch::x86_64::*;
-    let n = y.len().min(x.len());
-    let av = _mm256_set1_ps(alpha);
-    let mut i = 0;
-    // Unrolled 4x (32 lanes/iter) with four direct 16-byte loads: each
-    // group is load -> widen -> shift -> FMA with no cross-group shuffle,
-    // keeping four independent decode+FMA chains in flight (one group per
-    // loop carry leaves the FMA ports starved on the decode latency).
-    while i + 32 <= n {
-        // SAFETY: `i + 32 <= n <= min(y.len(), x.len())`, so every 16-byte
-        // u16 load, f32 load, and store stays inside its slice.
-        unsafe {
-            for g in 0..4 {
-                let off = i + g * 8;
-                let raw = _mm_loadu_si128(x.as_ptr().add(off) as *const __m128i);
-                let xv = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
-                let yv = _mm256_loadu_ps(y.as_ptr().add(off));
-                _mm256_storeu_ps(y.as_mut_ptr().add(off), _mm256_fmadd_ps(av, xv, yv));
+// ---------------------------------------------------------------------------
+// Register-tiled SpMM row kernel
+// ---------------------------------------------------------------------------
+
+/// A whole row-major feature payload at its storage width — the operand of
+/// [`KernelDispatch::row`]. Int8 carries its per-row scales.
+#[derive(Clone, Copy)]
+enum Rows<'a> {
+    F32(&'a [f32]),
+    Bf16(&'a [u16]),
+    F16(&'a [u16]),
+    Int8(&'a [i8], &'a [f32]),
+}
+
+impl<'a> Rows<'a> {
+    /// Payload rows of `stride` elements that may be read (none when the
+    /// payload has no columns).
+    fn rows(self, stride: usize) -> usize {
+        let (len, cap) = match self {
+            Rows::F32(x) => (x.len(), usize::MAX),
+            Rows::Bf16(x) | Rows::F16(x) => (x.len(), usize::MAX),
+            Rows::Int8(x, scales) => (x.len(), scales.len()),
+        };
+        len.checked_div(stride).unwrap_or(0).min(cap)
+    }
+
+    fn of(q: &'a QuantMatrix) -> Rows<'a> {
+        match q.precision() {
+            Precision::Int8 => {
+                let (data, scales) = q.int8_payload();
+                Rows::Int8(data, scales)
             }
+            Precision::F16 => Rows::F16(q.wide_payload()),
+            // Bf16 is also the decode of an (unreachable in the kernels)
+            // F32-tagged container, as in `QuantMatrix::row_range`.
+            _ => Rows::Bf16(q.wide_payload()),
         }
-        i += 32;
-    }
-    while i + 8 <= n {
-        // SAFETY: `i + 8 <= n <= min(y.len(), x.len())`, so the 16-byte
-        // u16 load, the f32 load, and the store stay inside their slices.
-        unsafe {
-            let raw = _mm_loadu_si128(x.as_ptr().add(i) as *const __m128i);
-            let xv = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
-            let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_fmadd_ps(av, xv, yv));
-        }
-        i += 8;
-    }
-    for (yi, &xi) in y[i..n].iter_mut().zip(&x[i..n]) {
-        *yi += alpha * bf16_to_f32(xi);
     }
 }
 
-/// AVX2 + FMA + F16C AXPY over IEEE binary16 storage: `vcvtph2ps`
-/// decodes eight halves per step.
-///
-/// # Safety
-///
-/// The caller must guarantee the CPU supports AVX2, FMA, *and* F16C (the
-/// dispatch checks [`f16c_available`] before routing here).
+/// How [`acc_row`] reads one storage width: the only lines of the row
+/// kernel that differ between f32, bf16, f16 and int8.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-// SAFETY: `unsafe fn` purely for `#[target_feature]`; callers uphold the
-// `# Safety` contract above (backend invariant + F16C guard).
-unsafe fn axpy_f16_avx2(y: &mut [f32], alpha: f32, x: &[u16]) {
-    use std::arch::x86_64::*;
-    let n = y.len().min(x.len());
-    let av = _mm256_set1_ps(alpha);
-    let mut i = 0;
-    // Unrolled 4x (32 lanes/iter) so four independent vcvtph2ps+FMA chains
-    // are in flight; a single group per iteration is latency-bound on the
-    // convert, not bandwidth-bound.
-    while i + 32 <= n {
-        // SAFETY: `i + 32 <= n <= min(y.len(), x.len())`, so every 16-byte
-        // u16 load, f32 load, and store stays inside its slice.
+trait RowDecode: Copy {
+    /// Stored element.
+    type Elem: Copy + Default;
+
+    /// Decodes the eight stored lanes at `p` to `f32`.
+    ///
+    /// # Safety
+    ///
+    /// `p` must be readable for eight elements, and the caller must run
+    /// under the target features of the shell it was inlined into.
+    // SAFETY: `unsafe fn` for the raw read and the ISA contract above.
+    unsafe fn load8(self, p: *const Self::Elem) -> __m256;
+
+    /// Decodes the first `rem < 8` lanes at `p`; the other lanes read zero.
+    ///
+    /// # Safety
+    ///
+    /// As [`RowDecode::load8`], with `p` readable for `rem` elements only.
+    #[inline(always)]
+    // SAFETY: `unsafe fn` for the raw read and the ISA contract above.
+    unsafe fn load_tail(self, p: *const Self::Elem, rem: usize) -> __m256 {
+        let mut lanes = [Self::Elem::default(); 8];
+        // SAFETY: `p` is readable for `rem <= 8` elements (caller), `lanes`
+        // holds eight, and a fresh stack array cannot overlap the payload.
         unsafe {
-            for g in 0..4 {
-                let off = i + g * 8;
-                let xv = _mm256_cvtph_ps(_mm_loadu_si128(x.as_ptr().add(off) as *const __m128i));
-                let yv = _mm256_loadu_ps(y.as_ptr().add(off));
-                _mm256_storeu_ps(y.as_mut_ptr().add(off), _mm256_fmadd_ps(av, xv, yv));
-            }
+            std::ptr::copy_nonoverlapping(p, lanes.as_mut_ptr(), rem.min(8));
+            self.load8(lanes.as_ptr())
         }
-        i += 32;
     }
-    while i + 8 <= n {
-        // SAFETY: `i + 8 <= n <= min(y.len(), x.len())`, so the 16-byte
-        // u16 load, the f32 load, and the store stay inside their slices.
-        unsafe {
-            let xv = _mm256_cvtph_ps(_mm_loadu_si128(x.as_ptr().add(i) as *const __m128i));
-            let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_fmadd_ps(av, xv, yv));
-        }
-        i += 8;
-    }
-    for (yi, &xi) in y[i..n].iter_mut().zip(&x[i..n]) {
-        *yi += alpha * f16_to_f32(xi);
+
+    /// FMA coefficient of a non-zero of weight `w` reading payload row
+    /// `vi`; int8 folds the row's dequantization scale in here.
+    #[inline(always)]
+    fn coeff(self, w: f32, _vi: usize) -> f32 {
+        w
     }
 }
 
-/// AVX2 + FMA AXPY over int8 storage: eight bytes sign-extend to `i32`,
-/// convert to `f32`, FMA. `alpha` carries the dequantization scale.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct F32Rows;
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Bf16Rows;
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct F16Rows;
+/// Int8 rows with their per-row dequantization scales.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct I8Rows<'a>(&'a [f32]);
+
+/// Lane mask selecting the first `rem < 8` lanes of a vector.
 ///
 /// # Safety
 ///
-/// The caller must guarantee the CPU supports AVX2 and FMA (the
-/// [`KernelDispatch`] invariant).
+/// The caller must run under AVX (every shell enables AVX2).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-// SAFETY: `unsafe fn` purely for `#[target_feature]`; callers uphold the
-// `# Safety` contract above via the `KernelDispatch` backend invariant.
-unsafe fn axpy_i8_avx2(y: &mut [f32], alpha: f32, x: &[i8]) {
-    use std::arch::x86_64::*;
-    let n = y.len().min(x.len());
-    let av = _mm256_set1_ps(alpha);
-    let mut i = 0;
-    // Unrolled 4x (32 lanes/iter) with four direct 8-byte loads: each group
-    // is load -> sign-extend -> convert -> FMA with no cross-group shuffle,
-    // so only the `cvtepi8` per group touches the shuffle port (a wide load
-    // plus lane extracts nearly doubles shuffle-port pressure here).
-    while i + 32 <= n {
-        // SAFETY: `i + 32 <= n <= min(y.len(), x.len())`, so every 8-byte
-        // i8 load, f32 load, and store stays inside its slice.
-        unsafe {
-            for g in 0..4 {
-                let off = i + g * 8;
-                let raw = _mm_loadl_epi64(x.as_ptr().add(off) as *const __m128i);
-                let xv = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-                let yv = _mm256_loadu_ps(y.as_ptr().add(off));
-                _mm256_storeu_ps(y.as_mut_ptr().add(off), _mm256_fmadd_ps(av, xv, yv));
-            }
-        }
-        i += 32;
+#[inline(always)]
+// SAFETY: `unsafe fn` purely for the ISA contract above.
+unsafe fn tail_mask(rem: usize) -> __m256i {
+    const MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    // SAFETY: `8 - min(rem, 8)` is in `0..=8`, so the eight lanes read
+    // stay inside the sixteen-entry table.
+    unsafe { std::arch::x86_64::_mm256_loadu_si256(MASK.as_ptr().add(8 - rem.min(8)).cast()) }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl RowDecode for F32Rows {
+    type Elem = f32;
+
+    #[inline(always)]
+    // SAFETY: contract inherited from `RowDecode::load8`.
+    unsafe fn load8(self, p: *const f32) -> __m256 {
+        // SAFETY: `p` is readable for eight floats (caller).
+        unsafe { std::arch::x86_64::_mm256_loadu_ps(p) }
     }
-    while i + 8 <= n {
-        // SAFETY: `i + 8 <= n <= min(y.len(), x.len())`, so the 8-byte
-        // load, the f32 load, and the store stay inside their slices.
-        unsafe {
-            let raw = _mm_loadl_epi64(x.as_ptr().add(i) as *const __m128i);
-            let xv = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-            let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_fmadd_ps(av, xv, yv));
-        }
-        i += 8;
-    }
-    for (yi, &xi) in y[i..n].iter_mut().zip(&x[i..n]) {
-        *yi += alpha * xi as f32;
+
+    #[inline(always)]
+    // SAFETY: contract inherited from `RowDecode::load_tail`.
+    unsafe fn load_tail(self, p: *const f32, rem: usize) -> __m256 {
+        // SAFETY: a masked load touches only the `rem` selected lanes,
+        // which the caller guarantees readable.
+        unsafe { std::arch::x86_64::_mm256_maskload_ps(p, tail_mask(rem)) }
     }
 }
 
-/// Register-tiled row accumulation over bf16 storage: eight YMM
-/// accumulators hold [`ACC_LANES`] output lanes across the whole non-zero
-/// loop, so each non-zero costs one widen+shift+FMA per 8-lane group and
-/// the output never round-trips to memory inside the loop.
+#[cfg(target_arch = "x86_64")]
+impl RowDecode for Bf16Rows {
+    type Elem = u16;
+
+    /// bf16 is a bit-prefix of f32: widen to `u32`, shift left 16.
+    #[inline(always)]
+    // SAFETY: contract inherited from `RowDecode::load8`.
+    unsafe fn load8(self, p: *const u16) -> __m256 {
+        use std::arch::x86_64::*;
+        // SAFETY: `p` is readable for eight `u16` = 16 bytes (caller).
+        unsafe {
+            let raw = _mm_loadu_si128(p as *const __m128i);
+            _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16))
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl RowDecode for F16Rows {
+    type Elem = u16;
+
+    /// `vcvtph2ps`: only ever inlined into the F16C shell.
+    #[inline(always)]
+    // SAFETY: contract inherited from `RowDecode::load8`.
+    unsafe fn load8(self, p: *const u16) -> __m256 {
+        use std::arch::x86_64::*;
+        // SAFETY: `p` is readable for eight `u16` = 16 bytes (caller).
+        unsafe { _mm256_cvtph_ps(_mm_loadu_si128(p as *const __m128i)) }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl RowDecode for I8Rows<'_> {
+    type Elem = i8;
+
+    /// Sign-extend to `i32`, convert; the scale rides on the coefficient.
+    #[inline(always)]
+    // SAFETY: contract inherited from `RowDecode::load8`.
+    unsafe fn load8(self, p: *const i8) -> __m256 {
+        use std::arch::x86_64::*;
+        // SAFETY: `p` is readable for eight bytes (caller).
+        unsafe { _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_loadl_epi64(p as *const __m128i))) }
+    }
+
+    #[inline(always)]
+    fn coeff(self, w: f32, vi: usize) -> f32 {
+        w * self.0[vi]
+    }
+}
+
+/// One register tile of the row kernel, and the only non-zero loop in it:
+/// `G` full 8-lane groups plus `tail < 8` further lanes of the output at
+/// `yp` stay in YMM accumulators across every non-zero of the row, so each
+/// non-zero costs one decode + FMA per group and the output is loaded (if
+/// `LOAD_Y`) and stored once. Full groups FMA; the tail lanes multiply,
+/// then add — lane for lane the arithmetic of one `axpy_avx2` call per
+/// non-zero, which is what keeps every sharded, gathered and replayed path
+/// bitwise equal to the per-non-zero sequence. The payload row
+/// [`PREFETCH_AHEAD`] non-zeros on is prefetched one hint per cache line of
+/// the tile: rows land at graph-random addresses.
 ///
 /// # Safety
 ///
-/// The caller must guarantee the CPU supports AVX2 and FMA (the
-/// [`KernelDispatch`] invariant). `x` is the row-major payload with
-/// `stride` elements per row; column ids past `x.len() / stride` are
-/// skipped, so no caller-side bounds contract is needed.
+/// The caller must run under `D`'s target features, `yp` must be valid for
+/// `G * 8 + tail` floats, and `xp` must point at the tile's first lane in
+/// payload row 0, with rows `stride` elements apart, at least `rows` of
+/// them, each valid for `G * 8 + tail` elements from there.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-// SAFETY: `unsafe fn` purely for `#[target_feature]`; callers uphold the
-// `# Safety` contract above via the `KernelDispatch` backend invariant.
-unsafe fn acc_row_bf16_avx2<const LOAD_Y: bool>(
-    y: &mut [f32],
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: `unsafe fn` for the pointer and ISA contract above.
+unsafe fn row_tile<D: RowDecode, const LOAD_Y: bool, const G: usize>(
+    d: D,
+    yp: *mut f32,
+    tail: usize,
     cols: &[u32],
     weights: &[f32],
-    x: &[u16],
+    xp: *const D::Elem,
     stride: usize,
+    rows: usize,
 ) {
     use std::arch::x86_64::*;
-    let k = y.len().min(stride);
-    let rows = x.len() / stride;
-    let mut c0 = 0;
-    while c0 + ACC_LANES <= k {
-        // SAFETY: `c0 + 64 <= k <= y.len()` bounds the eight f32 loads and
-        // stores; `vi < rows` bounds every 16-byte payload load to
-        // `x[vi * stride + c0 .. vi * stride + c0 + 64]`, inside `x`
-        // because `(vi + 1) * stride <= x.len()` and `c0 + 64 <= stride`.
-        unsafe {
-            let yp = y.as_mut_ptr().add(c0);
-            let mut acc = [_mm256_setzero_ps(); ACC_LANES / 8];
-            if LOAD_Y {
-                for (g, slot) in acc.iter_mut().enumerate() {
-                    *slot = _mm256_loadu_ps(yp.add(g * 8));
-                }
+    let elem = size_of::<D::Elem>();
+    // SAFETY: every `yp` access covers `[0, G * 8 + tail)` (the tail ones
+    // masked to `tail` lanes); every payload read is in a row `vi < rows`
+    // at lanes `[0, G * 8 + tail)`; prefetch hints never fault.
+    unsafe {
+        let mask = tail_mask(tail);
+        let mut acc = [_mm256_setzero_ps(); G];
+        let mut tacc = _mm256_setzero_ps();
+        if LOAD_Y {
+            for (g, slot) in acc.iter_mut().enumerate() {
+                *slot = _mm256_loadu_ps(yp.add(g * 8));
             }
-            for (idx, (&v, &w)) in cols.iter().zip(weights).enumerate() {
-                let vi = v as usize;
-                if vi >= rows {
-                    continue;
-                }
-                if let Some(&nv) = cols.get(idx + PREFETCH_AHEAD) {
-                    if (nv as usize) < rows {
-                        _mm_prefetch(
-                            x.as_ptr().add(nv as usize * stride + c0) as *const i8,
-                            _MM_HINT_T0,
-                        );
-                    }
-                }
-                let av = _mm256_set1_ps(w);
-                let xp = x.as_ptr().add(vi * stride + c0);
-                for (g, slot) in acc.iter_mut().enumerate() {
-                    let raw = _mm_loadu_si128(xp.add(g * 8) as *const __m128i);
-                    let xv = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
-                    *slot = _mm256_fmadd_ps(av, xv, *slot);
-                }
-            }
-            for (g, slot) in acc.iter().enumerate() {
-                _mm256_storeu_ps(yp.add(g * 8), *slot);
+            if tail != 0 {
+                tacc = _mm256_maskload_ps(yp.add(G * 8), mask);
             }
         }
-        c0 += ACC_LANES;
-    }
-    if c0 < k {
-        if !LOAD_Y {
-            for yi in &mut y[c0..k] {
-                *yi = 0.0;
-            }
-        }
-        for (&v, &w) in cols.iter().zip(weights) {
+        for (idx, (&v, &w)) in cols.iter().zip(weights).enumerate() {
             let vi = v as usize;
             if vi >= rows {
                 continue;
             }
-            let base = vi * stride;
-            // SAFETY: AVX2+FMA hold by this function's own contract.
-            unsafe { axpy_bf16_avx2(&mut y[c0..k], w, &x[base + c0..base + k]) };
+            if let Some(&nv) = cols.get(idx + PREFETCH_AHEAD) {
+                if (nv as usize) < rows {
+                    let np = xp.add(nv as usize * stride) as *const i8;
+                    for line in 0..(G * 8 * elem).div_ceil(64) {
+                        _mm_prefetch(np.add(line * 64), _MM_HINT_T0);
+                    }
+                    _mm_prefetch(np.add((G * 8 + tail) * elem - 1), _MM_HINT_T0);
+                }
+            }
+            let av = _mm256_set1_ps(d.coeff(w, vi));
+            let rp = xp.add(vi * stride);
+            for (g, slot) in acc.iter_mut().enumerate() {
+                *slot = _mm256_fmadd_ps(av, d.load8(rp.add(g * 8)), *slot);
+            }
+            if tail != 0 {
+                let xv = d.load_tail(rp.add(G * 8), tail);
+                tacc = _mm256_add_ps(tacc, _mm256_mul_ps(av, xv));
+            }
+        }
+        for (g, slot) in acc.iter().enumerate() {
+            _mm256_storeu_ps(yp.add(g * 8), *slot);
+        }
+        if tail != 0 {
+            _mm256_maskstore_ps(yp.add(G * 8), mask, tacc);
         }
     }
 }
 
-/// Register-tiled row accumulation over IEEE binary16 storage —
-/// [`acc_row_bf16_avx2`] with `vcvtph2ps` as the decode.
+/// The register-tiled SpMM row kernel for every storage width: walks the
+/// output row in [`ACC_LANES`]-wide tiles, then one last pass over the
+/// `K / 8 % 8` remaining full groups and the `K % 8` tail lanes together.
+/// Column ids at or past `rows` (clamped to what `x` holds) are skipped, so
+/// no caller-side bounds contract is needed.
+///
+/// # Safety
+///
+/// The caller must run under `D`'s target features — the reason this body
+/// is `#[inline(always)]` into a `#[target_feature]` shell.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// SAFETY: `unsafe fn` purely for the ISA contract above.
+unsafe fn acc_row<D: RowDecode, const LOAD_Y: bool>(
+    d: D,
+    y: &mut [f32],
+    cols: &[u32],
+    weights: &[f32],
+    x: &[D::Elem],
+    stride: usize,
+    rows: usize,
+) {
+    let k = y.len().min(stride);
+    if k == 0 {
+        return;
+    }
+    let rows = rows.min(x.len() / stride);
+    let mut c0 = 0;
+    while c0 < k {
+        let lanes = (k - c0).min(ACC_LANES);
+        let tail = lanes % 8;
+        // SAFETY: `c0 + lanes <= k <= y.len()` bounds the output tile, and
+        // `(vi + 1) * stride <= x.len()` for every `vi < rows` with
+        // `c0 + lanes <= stride` bounds each payload row's tile.
+        unsafe {
+            let (yp, xp) = (y.as_mut_ptr().add(c0), x.as_ptr().add(c0));
+            macro_rules! tile {
+                ($g:literal, $tail:expr) => {
+                    row_tile::<D, LOAD_Y, $g>(d, yp, $tail, cols, weights, xp, stride, rows)
+                };
+            }
+            match lanes / 8 {
+                8 => tile!(8, 0),
+                7 => tile!(7, tail),
+                6 => tile!(6, tail),
+                5 => tile!(5, tail),
+                4 => tile!(4, tail),
+                3 => tile!(3, tail),
+                2 => tile!(2, tail),
+                1 => tile!(1, tail),
+                _ => tile!(0, tail),
+            }
+        }
+        c0 += lanes;
+    }
+}
+
+/// AVX2+FMA shell of [`acc_row`] (f32, bf16, int8).
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX2 and FMA (the
+/// [`KernelDispatch`] invariant), and must not instantiate it with
+/// [`F16Rows`], whose decode needs [`acc_row_f16c`]'s extra feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+// SAFETY: `unsafe fn` purely for `#[target_feature]`; callers uphold the
+// `# Safety` contract above via the `KernelDispatch` backend invariant.
+unsafe fn acc_row_avx2<D: RowDecode, const LOAD_Y: bool>(
+    d: D,
+    y: &mut [f32],
+    cols: &[u32],
+    weights: &[f32],
+    x: &[D::Elem],
+    stride: usize,
+    rows: usize,
+) {
+    // SAFETY: AVX2+FMA hold by this function's own contract.
+    unsafe { acc_row::<D, LOAD_Y>(d, y, cols, weights, x, stride, rows) }
+}
+
+/// AVX2+FMA+F16C shell of [`acc_row`] for IEEE binary16 rows.
 ///
 /// # Safety
 ///
 /// The caller must guarantee AVX2, FMA, *and* F16C (the dispatch checks
-/// [`f16c_available`] before routing here). Payload contract as in
-/// [`acc_row_bf16_avx2`].
+/// [`f16c_available`] before routing here).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
 // SAFETY: `unsafe fn` purely for `#[target_feature]`; callers uphold the
 // `# Safety` contract above (backend invariant + F16C guard).
-unsafe fn acc_row_f16_avx2<const LOAD_Y: bool>(
+unsafe fn acc_row_f16c<const LOAD_Y: bool>(
     y: &mut [f32],
     cols: &[u32],
     weights: &[f32],
     x: &[u16],
     stride: usize,
+    rows: usize,
 ) {
-    use std::arch::x86_64::*;
-    let k = y.len().min(stride);
-    let rows = x.len() / stride;
-    let mut c0 = 0;
-    while c0 + ACC_LANES <= k {
-        // SAFETY: same bounds argument as `acc_row_bf16_avx2` — the tile
-        // stays inside `y[c0..c0 + 64]` and every payload load inside row
-        // `vi` of `x`.
-        unsafe {
-            let yp = y.as_mut_ptr().add(c0);
-            let mut acc = [_mm256_setzero_ps(); ACC_LANES / 8];
-            if LOAD_Y {
-                for (g, slot) in acc.iter_mut().enumerate() {
-                    *slot = _mm256_loadu_ps(yp.add(g * 8));
-                }
-            }
-            for (idx, (&v, &w)) in cols.iter().zip(weights).enumerate() {
-                let vi = v as usize;
-                if vi >= rows {
-                    continue;
-                }
-                if let Some(&nv) = cols.get(idx + PREFETCH_AHEAD) {
-                    if (nv as usize) < rows {
-                        _mm_prefetch(
-                            x.as_ptr().add(nv as usize * stride + c0) as *const i8,
-                            _MM_HINT_T0,
-                        );
-                    }
-                }
-                let av = _mm256_set1_ps(w);
-                let xp = x.as_ptr().add(vi * stride + c0);
-                for (g, slot) in acc.iter_mut().enumerate() {
-                    let xv = _mm256_cvtph_ps(_mm_loadu_si128(xp.add(g * 8) as *const __m128i));
-                    *slot = _mm256_fmadd_ps(av, xv, *slot);
-                }
-            }
-            for (g, slot) in acc.iter().enumerate() {
-                _mm256_storeu_ps(yp.add(g * 8), *slot);
-            }
-        }
-        c0 += ACC_LANES;
-    }
-    if c0 < k {
-        if !LOAD_Y {
-            for yi in &mut y[c0..k] {
-                *yi = 0.0;
-            }
-        }
-        for (&v, &w) in cols.iter().zip(weights) {
-            let vi = v as usize;
-            if vi >= rows {
-                continue;
-            }
-            let base = vi * stride;
-            // SAFETY: AVX2+FMA+F16C hold by this function's own contract.
-            unsafe { axpy_f16_avx2(&mut y[c0..k], w, &x[base + c0..base + k]) };
-        }
-    }
-}
-
-/// Register-tiled row accumulation over symmetric int8 storage: the
-/// per-row dequantization scale folds into the FMA coefficient, so each
-/// non-zero costs one sign-extend+convert+FMA per 8-lane group.
-///
-/// # Safety
-///
-/// The caller must guarantee the CPU supports AVX2 and FMA (the
-/// [`KernelDispatch`] invariant). Payload contract as in
-/// [`acc_row_bf16_avx2`]; `scales` holds one entry per payload row.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-// SAFETY: `unsafe fn` purely for `#[target_feature]`; callers uphold the
-// `# Safety` contract above via the `KernelDispatch` backend invariant.
-unsafe fn acc_row_i8_avx2<const LOAD_Y: bool>(
-    y: &mut [f32],
-    cols: &[u32],
-    weights: &[f32],
-    x: &[i8],
-    scales: &[f32],
-    stride: usize,
-) {
-    use std::arch::x86_64::*;
-    let k = y.len().min(stride);
-    let rows = (x.len() / stride).min(scales.len());
-    let mut c0 = 0;
-    // Double-width tile first (128 lanes, sixteen YMM accumulators): int8
-    // packs a whole 128-lane chunk into two cache lines, so the wide tile
-    // halves the chunk passes — and with them the per-non-zero loop
-    // overhead and the number of scattered reads per edge.
-    while c0 + 2 * ACC_LANES <= k {
-        // SAFETY: `c0 + 128 <= k <= y.len()` bounds the sixteen f32 loads
-        // and stores; `vi < rows <= scales.len()` bounds the scale read and
-        // every 8-byte payload load stays inside row `vi` of `x` because
-        // `(vi + 1) * stride <= x.len()` and `c0 + 128 <= stride`.
-        unsafe {
-            let yp = y.as_mut_ptr().add(c0);
-            let mut acc = [_mm256_setzero_ps(); 2 * ACC_LANES / 8];
-            if LOAD_Y {
-                for (g, slot) in acc.iter_mut().enumerate() {
-                    *slot = _mm256_loadu_ps(yp.add(g * 8));
-                }
-            }
-            for (idx, (&v, &w)) in cols.iter().zip(weights).enumerate() {
-                let vi = v as usize;
-                if vi >= rows {
-                    continue;
-                }
-                if let Some(&nv) = cols.get(idx + PREFETCH_AHEAD) {
-                    if (nv as usize) < rows {
-                        // The 128-lane int8 chunk spans two cache lines;
-                        // prefetch both so neither demand-misses.
-                        let np = x.as_ptr().add(nv as usize * stride + c0);
-                        _mm_prefetch(np, _MM_HINT_T0);
-                        _mm_prefetch(np.add(ACC_LANES), _MM_HINT_T0);
-                    }
-                }
-                let av = _mm256_set1_ps(w * *scales.get_unchecked(vi));
-                let xp = x.as_ptr().add(vi * stride + c0);
-                for (g, slot) in acc.iter_mut().enumerate() {
-                    let raw = _mm_loadl_epi64(xp.add(g * 8) as *const __m128i);
-                    let xv = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-                    *slot = _mm256_fmadd_ps(av, xv, *slot);
-                }
-            }
-            for (g, slot) in acc.iter().enumerate() {
-                _mm256_storeu_ps(yp.add(g * 8), *slot);
-            }
-        }
-        c0 += 2 * ACC_LANES;
-    }
-    while c0 + ACC_LANES <= k {
-        // SAFETY: same bounds argument as `acc_row_bf16_avx2`, with 8-byte
-        // payload loads; `vi < rows <= scales.len()` bounds the scale read.
-        unsafe {
-            let yp = y.as_mut_ptr().add(c0);
-            let mut acc = [_mm256_setzero_ps(); ACC_LANES / 8];
-            if LOAD_Y {
-                for (g, slot) in acc.iter_mut().enumerate() {
-                    *slot = _mm256_loadu_ps(yp.add(g * 8));
-                }
-            }
-            for (idx, (&v, &w)) in cols.iter().zip(weights).enumerate() {
-                let vi = v as usize;
-                if vi >= rows {
-                    continue;
-                }
-                if let Some(&nv) = cols.get(idx + PREFETCH_AHEAD) {
-                    if (nv as usize) < rows {
-                        _mm_prefetch(x.as_ptr().add(nv as usize * stride + c0), _MM_HINT_T0);
-                    }
-                }
-                let av = _mm256_set1_ps(w * *scales.get_unchecked(vi));
-                let xp = x.as_ptr().add(vi * stride + c0);
-                for (g, slot) in acc.iter_mut().enumerate() {
-                    let raw = _mm_loadl_epi64(xp.add(g * 8) as *const __m128i);
-                    let xv = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-                    *slot = _mm256_fmadd_ps(av, xv, *slot);
-                }
-            }
-            for (g, slot) in acc.iter().enumerate() {
-                _mm256_storeu_ps(yp.add(g * 8), *slot);
-            }
-        }
-        c0 += ACC_LANES;
-    }
-    if c0 < k {
-        if !LOAD_Y {
-            for yi in &mut y[c0..k] {
-                *yi = 0.0;
-            }
-        }
-        for (&v, &w) in cols.iter().zip(weights) {
-            let vi = v as usize;
-            if vi >= rows {
-                continue;
-            }
-            let base = vi * stride;
-            // SAFETY: AVX2+FMA hold by this function's own contract.
-            unsafe { axpy_i8_avx2(&mut y[c0..k], w * scales[vi], &x[base + c0..base + k]) };
-        }
-    }
+    // SAFETY: AVX2+FMA+F16C hold by this function's own contract.
+    unsafe { acc_row::<F16Rows, LOAD_Y>(F16Rows, y, cols, weights, x, stride, rows) }
 }
 
 // ---------------------------------------------------------------------------

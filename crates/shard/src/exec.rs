@@ -24,6 +24,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
+use kernels::spmm::FeatureOperand;
 use matrix::microkernel::KernelDispatch;
 use matrix::DenseMatrix;
 use sparse::Csr;
@@ -358,8 +359,9 @@ pub fn scatter_block(dst: &mut DenseMatrix, src: &DenseMatrix, r0: usize, r1: us
 
 /// Accumulates one 2D column block into a row block's accumulator:
 /// `acc[u] += Σ local[u, lc] * stage[lc]` with each row's non-zeros walked
-/// in ascending column order through the same element-wise
-/// [`KernelDispatch::axpy`] the single-node row loops use. Because the
+/// in ascending column order through the same row kernel
+/// ([`FeatureOperand::accumulate_row`]) the single-node row loops use,
+/// resuming each lane from the accumulator's stored value. Because the
 /// partition keeps per-row column order and blocks are accumulated in
 /// ascending block order, the floating-point sequence per output element
 /// is identical to the unsharded sequential walk — this is the kernel that
@@ -374,12 +376,7 @@ pub fn accumulate_block(
     debug_assert_eq!(stage.rows(), local.ncols());
     debug_assert_eq!(stage.cols(), acc.cols());
     for u in 0..local.nrows() {
-        let cols = local.row_cols(u);
-        let vals = local.row_values(u);
-        let y = acc.row_mut(u);
-        for (&lc, &v) in cols.iter().zip(vals) {
-            kd.axpy(y, v, stage.row(lc as usize));
-        }
+        stage.accumulate_row(kd, acc.row_mut(u), local.row_cols(u), local.row_values(u));
     }
 }
 

@@ -144,6 +144,33 @@ fn bitwise_n8_2d() {
     check_all_table1(8, PartitionKind::Grid2D);
 }
 
+/// The wide-K regime (gcnbench's `full_wide` model, aggregating at 128, 256
+/// and 40 lanes) on the skewed arxiv twin. A plan keeps wide `K` on the row
+/// partition, so the pinned plan's re-resolution at the other layer widths
+/// stays row-local and the identity holds at `K = 256` as it does at 16.
+fn check_wide(kind: PartitionKind) {
+    let d = OgbDataset::Arxiv;
+    let a_hat = twin(d);
+    let model = GcnModel::new(&GcnConfig::from_dims(vec![128, 256, 256, 40]), 7);
+    let x = features(a_hat.nrows(), 128, 11);
+    let want = reference(&model, &a_hat, &x);
+    let mut sharded = ShardedGcn::new(&a_hat, 4, kind).expect("shard plan builds");
+    let got = sharded
+        .infer(&model, &x)
+        .expect("sharded inference succeeds");
+    assert_bitwise(d, &got, &want);
+}
+
+#[test]
+fn bitwise_n4_1d_wide() {
+    check_wide(PartitionKind::Rows1D);
+}
+
+#[test]
+fn bitwise_n4_2d_wide() {
+    check_wide(PartitionKind::Grid2D);
+}
+
 /// Narrow-precision sharded inference (1D only) agrees bitwise with the
 /// single-node narrow path at the same width-1 plan.
 #[test]

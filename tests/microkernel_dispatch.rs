@@ -5,10 +5,15 @@
 //! (k == 0, single-column outputs, widths that are not multiples of the
 //! 8-lane tile).
 
+use piuma_gcn::kernels::plan::{nnz_balanced_partition, spmm_nnz_balanced_with};
+use piuma_gcn::kernels::spmm::{spmm_sequential_into, FeatureOperand};
 use piuma_gcn::matrix::gemm::matmul_naive;
 use piuma_gcn::matrix::microkernel::{avx2_available, matmul_packed_with, Backend, KernelDispatch};
-use piuma_gcn::matrix::DenseMatrix;
+use piuma_gcn::matrix::{DenseMatrix, Precision, QuantMatrix};
+use piuma_gcn::sparse::{Coo, Csr};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Every backend the host can run. AVX2+FMA is included only when the
 /// CPU reports it; `KernelDispatch::with_backend` would silently
@@ -22,6 +27,132 @@ fn backends() -> Vec<KernelDispatch> {
         v.push(KernelDispatch::with_backend(Backend::Avx2Fma));
     }
     v
+}
+
+fn random_dense(rng: &mut StdRng, rows: usize, cols: usize) -> DenseMatrix {
+    let data = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    DenseMatrix::from_vec(rows, cols, data).unwrap()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The bitwise oracle of the register-tiled SpMM row kernel: on every
+/// backend, for widths on both sides of the 8-lane group and the 64-lane
+/// tile, `fill_row` (into stale NaNs) and `accumulate_row` (from a random
+/// row) equal one `kd.axpy` per non-zero, bit for bit. That equality is
+/// what the shard / rows / serving / recovery identity gates stand on.
+#[test]
+fn row_kernel_is_bitwise_equal_to_the_per_nonzero_axpy_loop() {
+    let mut rng = StdRng::seed_from_u64(15);
+    for k in [1usize, 7, 8, 9, 40, 47, 64, 100, 128, 129, 256] {
+        let h = random_dense(&mut rng, 50, k);
+        for nnz in [0usize, 1, 5, 1000] {
+            let cols: Vec<u32> = (0..nnz).map(|_| rng.gen_range(0..50)).collect();
+            let weights: Vec<f32> = (0..nnz).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let start: Vec<f32> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            for kd in backends() {
+                let name = kd.backend().name();
+                for from in [None, Some(&start)] {
+                    let mut want = from.map_or(vec![0.0; k], |s| s.clone());
+                    for (&v, &w) in cols.iter().zip(&weights) {
+                        kd.axpy(&mut want, w, h.row(v as usize));
+                    }
+                    let got = match from {
+                        None => {
+                            let mut y = vec![f32::NAN; k];
+                            h.fill_row(kd, &mut y, &cols, &weights);
+                            y
+                        }
+                        Some(s) => {
+                            let mut y = s.clone();
+                            h.accumulate_row(kd, &mut y, &cols, &weights);
+                            y
+                        }
+                    };
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{name} k={k} nnz={nnz} accumulate={}",
+                        from.is_some()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// One contract for every storage width and backend: a column id at or
+/// past the operand's last row is skipped — never read, never a panic.
+#[test]
+fn row_kernel_skips_out_of_range_columns_at_every_width() {
+    let mut rng = StdRng::seed_from_u64(16);
+    // Two full groups plus a masked tail.
+    let h = random_dense(&mut rng, 6, 20);
+    let (cols, weights) = ([4u32, 6, 1, u32::MAX, 5], [0.5f32, 9.0, -1.25, 3.0, 2.0]);
+    let (kept_cols, kept_weights) = ([4u32, 1, 5], [0.5f32, -1.25, 2.0]);
+    fn check<F: FeatureOperand>(h: &F, what: &str, with: (&[u32], &[f32]), kept: (&[u32], &[f32])) {
+        for kd in backends() {
+            let (mut got, mut want) = (vec![f32::NAN; 20], vec![f32::NAN; 20]);
+            h.fill_row(kd, &mut got, with.0, with.1);
+            h.fill_row(kd, &mut want, kept.0, kept.1);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{what} {} fill",
+                kd.backend().name()
+            );
+            h.accumulate_row(kd, &mut got, with.0, with.1);
+            h.accumulate_row(kd, &mut want, kept.0, kept.1);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{what} {} acc",
+                kd.backend().name()
+            );
+        }
+    }
+    check(&h, "f32", (&cols, &weights), (&kept_cols, &kept_weights));
+    let mut q = QuantMatrix::new();
+    for p in [Precision::Bf16, Precision::F16, Precision::Int8] {
+        q.encode(&h, p).unwrap();
+        check(&q, p.name(), (&cols, &weights), (&kept_cols, &kept_weights));
+    }
+}
+
+/// The whole-row kernels no longer zero their output first, so a reused
+/// same-shape buffer must still come back fully written — empty rows too.
+#[test]
+fn spmm_into_a_stale_same_shape_buffer_leaves_no_nan() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let n = 300;
+    let mut coo = Coo::new(n, n);
+    for u in (0..n).filter(|u| u % 3 != 1) {
+        for _ in 0..1 + u % 7 {
+            coo.push(u, rng.gen_range(0..n), rng.gen_range(-1.0..1.0));
+        }
+    }
+    let a = Csr::from_coo(&coo);
+    assert!((0..n).any(|u| a.row_nnz(u) == 0));
+    for k in [9usize, 64] {
+        let h = random_dense(&mut rng, n, k);
+        let mut reference = DenseMatrix::default();
+        spmm_sequential_into(&a, &h, &mut reference).unwrap();
+        assert!(reference.all_finite());
+        let partition = nnz_balanced_partition(a.row_ptr(), 8);
+        for kd in backends() {
+            for threads in [1usize, 4] {
+                let mut out = DenseMatrix::filled(n, k, f32::NAN);
+                spmm_nnz_balanced_with(kd, &a, &h, &partition, threads, &mut out).unwrap();
+                assert!(out.all_finite(), "{} x{threads}", kd.backend().name());
+                assert!(reference.max_abs_diff(&out) < 1e-4);
+            }
+        }
+        let mut out = DenseMatrix::filled(n, k, f32::NAN);
+        spmm_sequential_into(&a, &h, &mut out).unwrap();
+        assert_eq!(out, reference);
+    }
 }
 
 /// Maps a raw selector to an interesting row/column dimension: the fixed
