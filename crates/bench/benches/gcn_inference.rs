@@ -2,8 +2,8 @@
 
 use bench::products_graph;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gcn::{GcnConfig, GcnModel};
-use kernels::SpmmStrategy;
+use gcn::{GcnConfig, GcnModel, InferenceWorkspace};
+use kernels::{SpmmPlan, SpmmStrategy};
 
 fn bench_gcn(c: &mut Criterion) {
     let g = products_graph();
@@ -19,8 +19,15 @@ fn bench_gcn(c: &mut Criterion) {
             SpmmStrategy::VertexParallel { threads },
             SpmmStrategy::EdgeParallel { threads },
         ] {
+            let mut ws = InferenceWorkspace::new();
+            ws.install_plan(SpmmPlan::pinned(&a_hat, x.cols(), strategy));
             group.bench_with_input(BenchmarkId::new(strategy.to_string(), k), &k, |b, _| {
-                b.iter(|| model.infer_normalized(&a_hat, &x, strategy).unwrap())
+                b.iter(|| {
+                    model
+                        .infer_planned_with(&a_hat, &x, &mut ws)
+                        .map(|_| ())
+                        .unwrap()
+                })
             });
         }
     }

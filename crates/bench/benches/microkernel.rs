@@ -3,9 +3,9 @@
 //!
 //! Two question sets, matching the paper's two pillars of a GCN layer:
 //!
-//! * **GEMM GFLOPS** at 512x512x512: naive triple loop vs `matmul_blocked`
-//!   (now a single-threaded entry into the packed engine — its scalar
-//!   cache-blocked loop regressed below naive at this size) vs the packed
+//! * **GEMM GFLOPS** at 512x512x512: naive triple loop vs
+//!   `DenseMatrix::matmul` (the `blocked` row: one thread of the packed
+//!   engine on the cached dispatch, allocating its output) vs the packed
 //!   register-tiled engine on each available backend (scalar / portable /
 //!   AVX2+FMA), single- and multi-threaded. The acceptance bar is the best
 //!   packed backend beating naive by >= 2x and no shipped kernel slower
@@ -26,7 +26,7 @@ use bench::BENCH_SEED;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph::rmat::RmatConfig;
 use graph::Graph;
-use matrix::gemm::{gemm_flops, matmul_blocked, matmul_naive};
+use matrix::gemm::{gemm_flops, matmul_naive};
 use matrix::microkernel::{
     avx2_available, matmul_packed_prec_with, matmul_packed_with, Backend, KernelDispatch,
 };
@@ -124,7 +124,7 @@ fn measure_gemm() -> Vec<GemmMeasurement> {
         "blocked".into(),
         1,
         median_secs(|| {
-            matmul_blocked(&a, &b).unwrap();
+            a.matmul(&b).unwrap();
         }),
     );
     let mut c = DenseMatrix::default();
@@ -300,9 +300,7 @@ fn bench_gemm(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(BENCH_SEED);
     let a = random_matrix(&mut rng, GEMM_DIM, GEMM_DIM);
     let b = random_matrix(&mut rng, GEMM_DIM, GEMM_DIM);
-    group.bench_function("blocked_scalar", |bch| {
-        bch.iter(|| matmul_blocked(&a, &b).unwrap())
-    });
+    group.bench_function("blocked_scalar", |bch| bch.iter(|| a.matmul(&b).unwrap()));
     let mut out = DenseMatrix::default();
     for kd in backends() {
         let name = kd.backend().name();

@@ -1,30 +1,27 @@
-//! Planned + reordered SpMM vs the per-call `Auto` strategy.
+//! Planned SpMM, native vs reordered.
 //!
-//! Three executions of the same aggregation are compared on a skewed RMAT
+//! Two executions of the same aggregation are compared on a skewed RMAT
 //! graph (2^16 vertices) and a uniform Erdős–Rényi control:
 //!
-//! * `auto` — `SpmmStrategy::Auto`, which re-derives degree statistics and
-//!   partitions rows by *count* on every call (the PR 1 baseline),
 //! * `planned` — a cached [`SpmmPlan`]: NNZ-balanced row partition and
 //!   strategy resolution paid once, reused every iteration,
 //! * `planned_rcm` — the same plan built on the RCM-reordered graph, so
 //!   neighbouring rows read neighbouring feature rows.
 //!
-//! A second group runs full 3-layer GCN inference through `Auto` vs the
-//! workspace-cached plan. Alongside the timing output the bench writes
-//! plan statistics (slot NNZ spread, imbalance) and per-ordering bandwidth
-//! reductions to `results/BENCH_plan_reorder.json`.
+//! (`SpmmStrategy::Auto` is "build this plan, run it once", so it has no
+//! arm of its own: it would time `SpmmPlan::new` plus the `planned` row.)
+//! Alongside the timing output the bench writes plan statistics (slot NNZ
+//! spread, imbalance) and per-ordering bandwidth reductions to
+//! `results/BENCH_plan_reorder.json`.
 
 use bench::{features, BENCH_SEED};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gcn::{GcnConfig, GcnModel, InferenceWorkspace};
 use graph::generators::erdos_renyi;
 use graph::reorder::mean_bandwidth;
 use graph::rmat::RmatConfig;
 use graph::{Graph, ReorderKind, ReorderedGraph};
-use kernels::{SpmmPlan, SpmmStrategy};
+use kernels::SpmmPlan;
 use matrix::DenseMatrix;
-use sparse::Csr;
 use std::fmt::Write as _;
 
 /// log2 of the vertex count; matches the paper's smallest RMAT scale.
@@ -50,10 +47,6 @@ fn fixtures() -> Vec<Fixture> {
     ]
 }
 
-fn spmm_auto(a: &Csr, h: &DenseMatrix, out: &mut DenseMatrix) {
-    SpmmStrategy::Auto.run_into(a, h, out).unwrap();
-}
-
 fn bench_spmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_reorder/spmm");
     group.sample_size(10);
@@ -68,9 +61,6 @@ fn bench_spmm(c: &mut Criterion) {
             let plan_rcm = SpmmPlan::new(&a_rcm, k);
             let mut out = DenseMatrix::zeros(a.nrows(), k);
             let id = format!("{}/k{}", fx.name, k);
-            group.bench_with_input(BenchmarkId::new("auto", &id), &k, |b, _| {
-                b.iter(|| spmm_auto(&a, &h, &mut out))
-            });
             group.bench_with_input(BenchmarkId::new("planned", &id), &k, |b, _| {
                 b.iter(|| plan.run_into(&a, &h, &mut out).unwrap())
             });
@@ -79,33 +69,6 @@ fn bench_spmm(c: &mut Criterion) {
             });
         }
     }
-    group.finish();
-}
-
-fn bench_gcn(c: &mut Criterion) {
-    let mut group = c.benchmark_group("plan_reorder/gcn");
-    group.sample_size(10);
-    let graph = Graph::rmat(&RmatConfig::power_law(SCALE as u32, DEGREE), 3);
-    let a_hat = graph.normalized_adjacency().unwrap();
-    let k = 64usize;
-    let model = GcnModel::new(&GcnConfig::paper_model(k, k, 16), 7);
-    let x = graph.random_features(k, 2);
-    let mut auto_ws = InferenceWorkspace::new();
-    group.bench_with_input(BenchmarkId::new("auto", k), &k, |b, _| {
-        b.iter(|| {
-            model
-                .infer_normalized_with(&a_hat, &x, SpmmStrategy::Auto, &mut auto_ws)
-                .unwrap();
-        })
-    });
-    let mut planned_ws = InferenceWorkspace::new();
-    group.bench_with_input(BenchmarkId::new("planned", k), &k, |b, _| {
-        b.iter(|| {
-            model
-                .infer_planned_with(&a_hat, &x, &mut planned_ws)
-                .unwrap();
-        })
-    });
     group.finish();
 }
 
@@ -180,7 +143,6 @@ fn write_stats() {
 fn bench_all(c: &mut Criterion) {
     write_stats();
     bench_spmm(c);
-    bench_gcn(c);
 }
 
 criterion_group!(benches, bench_all);

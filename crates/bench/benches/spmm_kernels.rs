@@ -3,7 +3,7 @@
 
 use bench::{features, products_twin};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kernels::spmm::{spmm_edge_parallel, spmm_sequential, spmm_vertex_parallel};
+use kernels::SpmmStrategy;
 
 fn bench_spmm(c: &mut Criterion) {
     let a = products_twin();
@@ -12,15 +12,15 @@ fn bench_spmm(c: &mut Criterion) {
     group.sample_size(10);
     for k in [8usize, 64] {
         let h = features(&a, k);
-        group.bench_with_input(BenchmarkId::new("sequential", k), &k, |b, _| {
-            b.iter(|| spmm_sequential(&a, &h).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("vertex_parallel", k), &k, |b, _| {
-            b.iter(|| spmm_vertex_parallel(&a, &h, threads).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("edge_parallel", k), &k, |b, _| {
-            b.iter(|| spmm_edge_parallel(&a, &h, threads).unwrap())
-        });
+        for (label, strategy) in [
+            ("sequential", SpmmStrategy::Sequential),
+            ("vertex_parallel", SpmmStrategy::VertexParallel { threads }),
+            ("edge_parallel", SpmmStrategy::EdgeParallel { threads }),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, k), &k, |b, _| {
+                b.iter(|| strategy.run(&a, &h).unwrap())
+            });
+        }
     }
     group.finish();
 }

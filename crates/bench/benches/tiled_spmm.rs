@@ -3,8 +3,7 @@
 
 use bench::{features, products_twin};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kernels::spmm::spmm_vertex_parallel;
-use kernels::tiled::{spmm_feature_parallel, spmm_feature_tiled};
+use kernels::SpmmStrategy;
 
 fn bench_tiled(c: &mut Criterion) {
     let a = products_twin();
@@ -13,15 +12,18 @@ fn bench_tiled(c: &mut Criterion) {
     group.sample_size(10);
     for k in [32usize, 256] {
         let h = features(&a, k);
-        group.bench_with_input(BenchmarkId::new("vertex_parallel", k), &k, |b, _| {
-            b.iter(|| spmm_vertex_parallel(&a, &h, threads).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("feature_tiled_seq", k), &k, |b, _| {
-            b.iter(|| spmm_feature_tiled(&a, &h, 64).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("feature_parallel", k), &k, |b, _| {
-            b.iter(|| spmm_feature_parallel(&a, &h, threads).unwrap())
-        });
+        for (label, strategy) in [
+            ("vertex_parallel", SpmmStrategy::VertexParallel { threads }),
+            ("feature_tiled_seq", SpmmStrategy::FeatureTiled { tile: 64 }),
+            (
+                "feature_parallel",
+                SpmmStrategy::FeatureParallel { threads },
+            ),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, k), &k, |b, _| {
+                b.iter(|| strategy.run(&a, &h).unwrap())
+            });
+        }
     }
     group.finish();
 }

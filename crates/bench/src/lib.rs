@@ -1,8 +1,9 @@
 //! Shared fixtures for the benchmark harness.
 //!
-//! Each Criterion bench target regenerates one paper table/figure (through
-//! [`report::experiments`]) or measures the executable kernels directly.
-//! Fixtures live here so every bench sees identical inputs.
+//! One Criterion bench target (`paper_experiments`) regenerates every paper
+//! table/figure through [`report::experiments`]; the others measure the
+//! executable kernels directly. Fixtures live here so every bench sees
+//! identical inputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

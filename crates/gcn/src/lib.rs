@@ -3,8 +3,15 @@
 //! A GCN stacks layers of the form `H_{t+1} = sigma(A_hat * H_t * W_t)`.
 //! The paper characterizes a **three-layer** model whose hidden embedding
 //! dimension `K` is swept from 8 to 256; [`GcnConfig`] captures exactly
-//! those architecture knobs and [`GcnModel`] executes inference with any
-//! [`kernels::SpmmStrategy`].
+//! those architecture knobs and [`GcnModel`] executes inference.
+//!
+//! There is one layer loop, behind [`GcnModel::infer_planned_with`]. *How*
+//! it aggregates is the [`kernels::SpmmPlan`] in the caller's
+//! [`InferenceWorkspace`] — resolved by the plan's own rule or pinned to an
+//! explicit [`kernels::SpmmStrategy`], and carrying width, precision and
+//! SIMD backend. A run guard and a retry policy are operands of the same
+//! loop ([`GcnModel::infer_resilient_with`]); every other entry point is a
+//! thin caller of it.
 //!
 //! # Examples
 //!
@@ -30,9 +37,9 @@ pub mod accuracy;
 pub mod config;
 /// Error type unifying graph, matrix, and kernel failures.
 pub mod error;
-/// The GCN layer stack and full-graph inference entry points.
+/// The GCN layer stack, the workspace, and the one layer loop.
 pub mod model;
-/// Guarded (budget/cancel) and fault-tolerant inference entry points.
+/// Guarded (budget/cancel), fault-tolerant and precision-guarded entry points.
 pub mod resilient;
 /// Batched per-vertex inference over gathered k-hop neighbourhoods.
 pub mod rows;

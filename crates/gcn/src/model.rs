@@ -2,33 +2,37 @@
 
 use crate::config::GcnConfig;
 use crate::error::GcnError;
+use crate::resilient::InferenceRun;
 use graph::Graph;
-use kernels::fused::{gcn_layer_fused_into, gcn_layer_planned_into};
+use kernels::fused::gcn_layer_planned_into;
+use kernels::resilient::{fallback_of, Degradation, ExecutionReport};
 use kernels::{SpmmPlan, SpmmStrategy};
-use matrix::{Activation, DenseMatrix, Precision, QuantMatrix, WeightInit};
+use matrix::{Activation, DenseMatrix, MatrixError, Precision, QuantMatrix, WeightInit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use resilience::guard::RunGuard;
+use resilience::retry::{self, Failure, RetryPolicy};
 use sparse::Csr;
 
-/// Reusable buffers for [`GcnModel::infer_normalized_with`]: two ping-pong
-/// activation matrices plus the fused layer's intermediate. After the first
+/// Reusable buffers for [`GcnModel::infer_planned_with`]: two ping-pong
+/// activation matrices plus the layer's intermediate. After the first
 /// inference call sizes them, subsequent calls on same-shaped inputs perform
 /// no output-sized allocation — each layer writes into the spare buffer and
 /// the pair is swapped, instead of allocating a fresh activation matrix per
 /// layer.
 ///
-/// The workspace also caches one [`SpmmPlan`] per adjacency: the first
-/// planned inference pays the degree scan, NNZ partition, and strategy
-/// selection once, and every later layer / epoch / call against the same
-/// graph reuses the plan (a fingerprint check, `O(1)`) instead of
-/// re-deriving statistics per SpMM the way `SpmmStrategy::Auto` does.
+/// The workspace also holds the one [`SpmmPlan`] inference aggregates on,
+/// built by the first inference against an adjacency and reused by every
+/// later layer / epoch / call after an `O(1)` fingerprint check. The plan
+/// says *how* to run — strategy (resolved or pinned), width, precision,
+/// SIMD backend — so no inference entry point takes those as arguments.
 #[derive(Debug, Clone, Default)]
 pub struct InferenceWorkspace {
     /// Current activations; holds the model output after inference.
     h: DenseMatrix,
     /// Spare activation buffer written by the next layer.
     next: DenseMatrix,
-    /// Intermediate product inside the fused layer.
+    /// Intermediate product inside the layer.
     mid: DenseMatrix,
     /// Cached execution plan, keyed by the adjacency's structural
     /// fingerprint.
@@ -50,34 +54,17 @@ impl InferenceWorkspace {
         &self.h
     }
 
-    /// Mutable access to the output/activation buffer, for entry points
-    /// that seed it with the input features before the layer loop.
-    pub fn output_mut(&mut self) -> &mut DenseMatrix {
-        &mut self.h
-    }
-
-    /// Splits the workspace into its three layer-loop buffers:
-    /// `(current activations, spare output, fused intermediate)`.
-    pub fn buffers_mut(&mut self) -> (&mut DenseMatrix, &mut DenseMatrix, &mut DenseMatrix) {
-        (&mut self.h, &mut self.next, &mut self.mid)
-    }
-
-    /// Promotes the spare buffer written by the last layer to be the
-    /// current activations (the ping-pong swap).
-    pub fn swap_output(&mut self) {
-        std::mem::swap(&mut self.h, &mut self.next);
-    }
-
-    /// The cached execution plan, if a planned inference has run.
+    /// The cached execution plan, if an inference has run or one was
+    /// installed.
     pub fn plan(&self) -> Option<&SpmmPlan> {
         self.plan.as_ref()
     }
 
-    /// Installs `plan` as the cached execution plan. Planned inference
-    /// keeps any installed plan whose fingerprint matches the adjacency,
-    /// so tests, the rows path and the sharded runner use this to pin a
-    /// machine-independent plan (e.g. width 1 → always sequential) before
-    /// calling [`GcnModel::infer_planned_with`].
+    /// Installs `plan` as the cached execution plan. Inference keeps any
+    /// installed plan whose fingerprint matches the adjacency, so this is
+    /// how a caller chooses how to aggregate: a machine-independent width-1
+    /// plan (tests, the rows path, the sharded runner), or one pinned to an
+    /// explicit strategy ([`SpmmPlan::pinned`]).
     pub fn install_plan(&mut self, plan: SpmmPlan) {
         self.plan = Some(plan);
     }
@@ -123,7 +110,7 @@ impl GcnLayer {
 }
 
 /// A multi-layer GCN model with learned (here: randomly initialized)
-/// weights, executing inference over any [`SpmmStrategy`].
+/// weights, executing inference along any [`SpmmPlan`].
 ///
 /// # Examples
 ///
@@ -182,8 +169,11 @@ impl GcnModel {
         self.layers.first().map_or(0, GcnLayer::in_dim)
     }
 
-    /// Runs full-graph inference: normalizes the adjacency and applies every
-    /// layer with the given SpMM strategy.
+    /// Runs full-graph inference with an explicit SpMM strategy — the one
+    /// convenience wrapper: normalizes the adjacency, pins a plan to
+    /// `strategy` ([`SpmmPlan::pinned`]) and runs
+    /// [`GcnModel::infer_planned_with`] in a fresh workspace. Callers that
+    /// infer repeatedly hold the adjacency and a workspace instead.
     ///
     /// # Errors
     ///
@@ -196,83 +186,21 @@ impl GcnModel {
         strategy: SpmmStrategy,
     ) -> Result<DenseMatrix, GcnError> {
         let a_hat = graph.normalized_adjacency()?;
-        self.infer_normalized(&a_hat, features, strategy)
-    }
-
-    /// Runs inference against a pre-normalized adjacency matrix. Use this
-    /// when amortizing normalization across many inference calls.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GcnModel::infer`].
-    pub fn infer_normalized(
-        &self,
-        a_hat: &Csr,
-        features: &DenseMatrix,
-        strategy: SpmmStrategy,
-    ) -> Result<DenseMatrix, GcnError> {
         let mut workspace = InferenceWorkspace::new();
-        self.infer_normalized_with(a_hat, features, strategy, &mut workspace)?;
+        workspace.install_plan(SpmmPlan::pinned(&a_hat, features.cols(), strategy));
+        self.infer_planned_with(&a_hat, features, &mut workspace)?;
         Ok(workspace.h)
     }
 
-    /// [`GcnModel::infer_normalized`] running entirely inside a caller-owned
-    /// [`InferenceWorkspace`]. The output lands in the workspace (also
-    /// returned as a reference); repeated calls on same-shaped inputs reuse
-    /// the workspace buffers instead of allocating per layer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GcnModel::infer`].
-    pub fn infer_normalized_with<'w>(
-        &self,
-        a_hat: &Csr,
-        features: &DenseMatrix,
-        strategy: SpmmStrategy,
-        workspace: &'w mut InferenceWorkspace,
-    ) -> Result<&'w DenseMatrix, GcnError> {
-        self.check_shapes(a_hat, features)?;
-        workspace.h.copy_from(features);
-        for layer in &self.layers {
-            gcn_layer_fused_into(
-                a_hat,
-                &workspace.h,
-                &layer.weight,
-                layer.bias.as_deref(),
-                layer.activation,
-                strategy,
-                &mut workspace.mid,
-                &mut workspace.next,
-            )?;
-            std::mem::swap(&mut workspace.h, &mut workspace.next);
-        }
-        Ok(&workspace.h)
-    }
-
-    /// Runs inference against a pre-normalized adjacency through a cached
-    /// [`SpmmPlan`], building the plan on first use.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GcnModel::infer`].
-    pub fn infer_planned(
-        &self,
-        a_hat: &Csr,
-        features: &DenseMatrix,
-    ) -> Result<DenseMatrix, GcnError> {
-        let mut workspace = InferenceWorkspace::new();
-        self.infer_planned_with(a_hat, features, &mut workspace)?;
-        Ok(workspace.h)
-    }
-
-    /// [`GcnModel::infer_planned`] running entirely inside a caller-owned
-    /// [`InferenceWorkspace`]. The workspace caches the [`SpmmPlan`] next to
-    /// the activation buffers: the first call against a graph pays the degree
-    /// scan and NNZ-balanced partition once, and every subsequent layer and
-    /// call reuses them after an `O(1)` fingerprint check. Per layer only the
-    /// strategy *resolution* (a handful of comparisons against the cached
-    /// statistics) runs, so layers with different feature widths still pick
-    /// the right kernel.
+    /// Runs inference against a pre-normalized adjacency, entirely inside a
+    /// caller-owned [`InferenceWorkspace`], along the workspace's
+    /// [`SpmmPlan`]: the first call against a graph builds one at pool
+    /// width (unless a matching plan was installed) and every later layer
+    /// and call reuses it. Under a resolved plan only the strategy
+    /// *resolution* (a handful of comparisons against the cached
+    /// statistics) runs per layer, so layers with different feature widths
+    /// still pick the right kernel; a pinned plan runs its strategy at
+    /// every layer.
     ///
     /// Precision is carried by the plan the workspace holds: an empty
     /// workspace runs `f32`; after [`InferenceWorkspace::plan_for`] (or an
@@ -290,6 +218,26 @@ impl GcnModel {
         workspace: &'w mut InferenceWorkspace,
     ) -> Result<&'w DenseMatrix, GcnError> {
         self.check_shapes(a_hat, features)?;
+        self.run_layers(a_hat, features, &RunGuard::unbounded(), None, workspace)?;
+        Ok(&workspace.h)
+    }
+
+    /// The layer loop every inference entry point runs. A fired `guard`
+    /// (checked before each layer) ends the run with the workspace at the
+    /// last completed layer. Without a `policy` each layer is one direct
+    /// call; with one it runs under [`retry::run`] — the `gcn.layer` fault
+    /// site inside the retried attempt — and on exhausting its attempts
+    /// degrades to a copy of the workspace's plan re-pinned one rung down
+    /// [`fallback_of`]. Every layer starts back at the workspace's own
+    /// plan, which is never modified.
+    pub(crate) fn run_layers(
+        &self,
+        a_hat: &Csr,
+        features: &DenseMatrix,
+        guard: &RunGuard,
+        policy: Option<&RetryPolicy>,
+        workspace: &mut InferenceWorkspace,
+    ) -> Result<InferenceRun, GcnError> {
         let precision = workspace
             .plan
             .as_ref()
@@ -302,23 +250,82 @@ impl GcnModel {
             plan,
             qbuf,
         } = workspace;
-        let plan = plan.as_ref().expect("plan populated above");
+        let base = plan.as_ref().expect("plan populated above");
+        let mut run = InferenceRun {
+            total_layers: self.layers.len(),
+            report: ExecutionReport::new(),
+            ..InferenceRun::default()
+        };
         h.copy_from(features);
         for layer in &self.layers {
-            gcn_layer_planned_into(
-                a_hat,
-                h,
-                &layer.weight,
-                layer.bias.as_deref(),
-                layer.activation,
-                plan,
-                qbuf,
-                mid,
-                next,
-            )?;
+            if let Some(reason) = guard.should_stop() {
+                run.stopped = Some(reason);
+                return Ok(run);
+            }
+            let mut attempt = |plan: &SpmmPlan| {
+                gcn_layer_planned_into(
+                    a_hat,
+                    h,
+                    &layer.weight,
+                    layer.bias.as_deref(),
+                    layer.activation,
+                    plan,
+                    qbuf,
+                    mid,
+                    next,
+                )
+                .map(|_| ())
+            };
+            if let Some(policy) = policy {
+                let mut degraded: Option<SpmmPlan> = None;
+                loop {
+                    let current = degraded.as_ref().unwrap_or(base);
+                    let outcome = retry::run(policy, || -> Result<(), MatrixError> {
+                        resilience::fault_point_err!(
+                            "gcn.layer",
+                            MatrixError::Fault { site: "gcn.layer" }
+                        );
+                        attempt(current)
+                    });
+                    let from = current.exec();
+                    match outcome {
+                        Ok(rec) => {
+                            run.report.attempts += rec.attempts;
+                            run.report.recovered_panics += rec.recovered_panics;
+                            run.report.recovered_errors += rec.recovered_errors;
+                            run.report.completed_with = Some(from.to_string());
+                            break;
+                        }
+                        Err(err) => {
+                            run.report.attempts += err.attempts;
+                            let Some(to) = fallback_of(from) else {
+                                return Err(match err.last {
+                                    Failure::Error(e) => GcnError::Kernel(e),
+                                    Failure::Panic(_) => GcnError::Kernel(MatrixError::Fault {
+                                        site: "gcn.layer: unrecovered panic",
+                                    }),
+                                });
+                            };
+                            run.report.degradations.push(Degradation {
+                                from: from.to_string(),
+                                to: to.to_string(),
+                                cause: err.last.to_string(),
+                            });
+                            degraded = Some(degraded.unwrap_or_else(|| base.clone()).pin(to));
+                            if let Some(reason) = guard.should_stop() {
+                                run.stopped = Some(reason);
+                                return Ok(run);
+                            }
+                        }
+                    }
+                }
+            } else {
+                attempt(base)?;
+            }
             std::mem::swap(h, next);
+            run.layers_done += 1;
         }
-        Ok(&workspace.h)
+        Ok(run)
     }
 
     /// The shape contract every inference entry point shares: one feature
@@ -447,16 +454,20 @@ mod tests {
     }
 
     #[test]
-    fn normalized_reuse_matches_fresh_normalization() {
+    fn pinned_workspace_matches_fresh_normalization() {
+        // `infer` is normalize + pin + the loop: holding the normalized
+        // adjacency and a pinned workspace gives the same bits.
         let g = small_graph();
         let model = GcnModel::new(&GcnConfig::paper_model(8, 8, 8), 5);
         let x = g.random_features(8, 6);
         let a_hat = g.normalized_adjacency().unwrap();
         let a = model.infer(&g, &x, SpmmStrategy::Sequential).unwrap();
-        let b = model
-            .infer_normalized(&a_hat, &x, SpmmStrategy::Sequential)
-            .unwrap();
-        assert_eq!(a, b);
+        let mut ws = InferenceWorkspace::new();
+        ws.install_plan(SpmmPlan::pinned(&a_hat, 8, SpmmStrategy::Sequential));
+        let b = model.infer_planned_with(&a_hat, &x, &mut ws).unwrap();
+        assert_eq!(a, *b);
+        // The pin survives the call: the loop never replaces a matching plan.
+        assert_eq!(ws.plan().unwrap().exec(), SpmmStrategy::Sequential);
     }
 
     #[test]
@@ -466,11 +477,12 @@ mod tests {
         let x = g.random_features(16, 7);
         let reference = model.infer_reference(&g, &x).unwrap();
         let a_hat = g.normalized_adjacency().unwrap();
-        let planned = model.infer_planned(&a_hat, &x).unwrap();
+        let mut ws = InferenceWorkspace::new();
+        let planned = model.infer_planned_with(&a_hat, &x, &mut ws).unwrap();
         assert!(
-            reference.max_abs_diff(&planned) < 1e-3,
+            reference.max_abs_diff(planned) < 1e-3,
             "planned inference diverged by {}",
-            reference.max_abs_diff(&planned)
+            reference.max_abs_diff(planned)
         );
     }
 
@@ -504,9 +516,7 @@ mod tests {
         let model = GcnModel::new(&GcnConfig::paper_model(12, 12, 12), 2);
         let x = g.random_features(12, 5);
         let a_hat = g.normalized_adjacency().unwrap();
-        let auto = model
-            .infer_normalized(&a_hat, &x, SpmmStrategy::Auto)
-            .unwrap();
+        let auto = model.infer(&g, &x, SpmmStrategy::Auto).unwrap();
         let mut ws = InferenceWorkspace::new();
         let planned = model.infer_planned_with(&a_hat, &x, &mut ws).unwrap();
         assert!(auto.max_abs_diff(planned) < 1e-3);

@@ -1,35 +1,33 @@
 //! Guarded and fault-tolerant inference entry points.
 //!
-//! Two concerns layer on top of [`GcnModel`]'s plain inference:
+//! Two concerns layer on top of [`GcnModel::infer_planned_with`], both as
+//! operands of the same layer loop rather than copies of it:
 //!
-//! * **Run guards** — [`GcnModel::infer_guarded_with`] checks a
-//!   [`RunGuard`] (wall-clock budget and/or cooperative cancellation)
-//!   between layers and returns a typed partial result instead of running
-//!   past its budget: the workspace holds the activations of the last
-//!   *completed* layer, and the outcome says how many layers finished and
-//!   why the run stopped.
+//! * **Run guards** — a [`RunGuard`] (wall-clock budget and/or cooperative
+//!   cancellation) is checked between layers and ends the run with a typed
+//!   partial result: the workspace holds the activations of the last
+//!   *completed* layer, and the returned [`InferenceRun`] says how many
+//!   layers finished and why the run stopped.
 //! * **Retry + degradation** — [`GcnModel::infer_resilient_with`]
 //!   validates inputs up front (dimension checks plus a NaN/Inf sweep over
 //!   features and weights), then executes each layer under
-//!   [`resilience::retry`], degrading the SpMM strategy one rung at a time
-//!   (via [`kernels::resilient::fallback_of`]) when a layer keeps failing.
-//!   Everything that happened — attempts, recovered panics, strategy
-//!   fallbacks, SIMD-backend downgrades — is reported in the returned
-//!   [`InferenceRun`].
+//!   [`resilience::retry`], degrading the plan's SpMM strategy one rung at
+//!   a time (via [`kernels::resilient::fallback_of`]) when a layer keeps
+//!   failing, and reports attempts, recovered panics, fallbacks and
+//!   SIMD-backend downgrades in the [`InferenceRun`]. A guard alone is the
+//!   same call under `RetryPolicy::immediate(1)`.
 //!
-//! Retrying a layer is sound because the fused layer kernel fully
-//! overwrites its two output buffers; a crashed attempt leaves no state a
-//! later attempt can observe.
+//! Retrying a layer is sound because the layer kernel fully overwrites its
+//! two output buffers; a crashed attempt leaves no state a later attempt
+//! can observe.
 
 use crate::accuracy::{accuracy_bound, rel_frobenius};
 use crate::error::GcnError;
 use crate::model::{GcnModel, InferenceWorkspace};
-use kernels::fused::gcn_layer_fused_into;
-use kernels::resilient::{fallback_of, Degradation, ExecutionReport};
-use kernels::SpmmStrategy;
+use kernels::resilient::{Degradation, ExecutionReport};
 use matrix::{DenseMatrix, MatrixError, Precision};
-use resilience::guard::{RunGuard, RunOutcome, StopReason};
-use resilience::retry::{self, Failure, RetryPolicy};
+use resilience::guard::{RunGuard, StopReason};
+use resilience::retry::RetryPolicy;
 use sparse::Csr;
 
 /// How a resilient inference run completed: progress, stop reason (if the
@@ -108,54 +106,15 @@ impl GcnModel {
         Ok(())
     }
 
-    /// [`GcnModel::infer_normalized_with`] under a [`RunGuard`]: the guard
-    /// is checked before every layer, and a fired guard ends the run with
-    /// a typed partial result instead of an error. On a partial return the
-    /// workspace output holds the activations of the last completed layer
-    /// and the outcome value is the number of layers done.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GcnModel::infer`]; guard stops are *not*
-    /// errors.
-    pub fn infer_guarded_with(
-        &self,
-        a_hat: &Csr,
-        features: &DenseMatrix,
-        strategy: SpmmStrategy,
-        guard: &RunGuard,
-        workspace: &mut InferenceWorkspace,
-    ) -> Result<RunOutcome<usize>, GcnError> {
-        self.validate_inputs(a_hat, features)?;
-        workspace.output_mut().copy_from(features);
-        for (done, layer) in self.layers().iter().enumerate() {
-            if let Some(reason) = guard.should_stop() {
-                return Ok(RunOutcome::Partial {
-                    value: done,
-                    reason,
-                });
-            }
-            let (h, next, mid) = workspace.buffers_mut();
-            gcn_layer_fused_into(
-                a_hat,
-                h,
-                &layer.weight,
-                layer.bias.as_deref(),
-                layer.activation,
-                strategy,
-                mid,
-                next,
-            )?;
-            workspace.swap_output();
-        }
-        Ok(RunOutcome::Complete(self.layers().len()))
-    }
-
-    /// Fully hardened inference: validated inputs, per-layer bounded retry
-    /// with panic capture, strategy degradation on persistent failure, and
-    /// a [`RunGuard`] checked between layers (and between degradation
-    /// rungs). Returns an [`InferenceRun`] describing exactly how the
-    /// result was obtained; the output lands in the workspace.
+    /// Fully hardened inference along the workspace's plan (as in
+    /// [`GcnModel::infer_planned_with`]): validated inputs, per-layer
+    /// bounded retry with panic capture, strategy degradation on persistent
+    /// failure, and a [`RunGuard`] checked between layers (and between
+    /// degradation rungs). Returns an [`InferenceRun`] describing exactly
+    /// how the result was obtained; the output lands in the workspace. A
+    /// fired guard is *not* an error: the run returns with
+    /// [`InferenceRun::stopped`] set and the workspace output at the last
+    /// completed layer.
     ///
     /// # Errors
     ///
@@ -166,81 +125,12 @@ impl GcnModel {
         &self,
         a_hat: &Csr,
         features: &DenseMatrix,
-        strategy: SpmmStrategy,
         policy: &RetryPolicy,
         guard: &RunGuard,
         workspace: &mut InferenceWorkspace,
     ) -> Result<InferenceRun, GcnError> {
         self.validate_inputs(a_hat, features)?;
-        let mut run = InferenceRun {
-            total_layers: self.layers().len(),
-            report: ExecutionReport::new(),
-            ..InferenceRun::default()
-        };
-        workspace.output_mut().copy_from(features);
-        for layer in self.layers() {
-            if let Some(reason) = guard.should_stop() {
-                run.stopped = Some(reason);
-                return Ok(run);
-            }
-            let mut current = match strategy {
-                SpmmStrategy::Auto => SpmmStrategy::select(a_hat, layer.out_dim()),
-                s => s,
-            };
-            loop {
-                let (h, next, mid) = workspace.buffers_mut();
-                let outcome = retry::run(policy, || -> Result<(), MatrixError> {
-                    resilience::fault_point_err!(
-                        "gcn.layer",
-                        MatrixError::Fault { site: "gcn.layer" }
-                    );
-                    gcn_layer_fused_into(
-                        a_hat,
-                        h,
-                        &layer.weight,
-                        layer.bias.as_deref(),
-                        layer.activation,
-                        current,
-                        mid,
-                        next,
-                    )
-                    .map(|_| ())
-                });
-                match outcome {
-                    Ok(rec) => {
-                        run.report.attempts += rec.attempts;
-                        run.report.recovered_panics += rec.recovered_panics;
-                        run.report.recovered_errors += rec.recovered_errors;
-                        break;
-                    }
-                    Err(err) => {
-                        run.report.attempts += err.attempts;
-                        let Some(fallback) = fallback_of(current) else {
-                            return Err(match err.last {
-                                Failure::Error(e) => GcnError::Kernel(e),
-                                Failure::Panic(_) => GcnError::Kernel(MatrixError::Fault {
-                                    site: "gcn.layer: unrecovered panic",
-                                }),
-                            });
-                        };
-                        run.report.degradations.push(Degradation {
-                            from: current.to_string(),
-                            to: fallback.to_string(),
-                            cause: err.last.to_string(),
-                        });
-                        current = fallback;
-                        if let Some(reason) = guard.should_stop() {
-                            run.stopped = Some(reason);
-                            return Ok(run);
-                        }
-                    }
-                }
-            }
-            workspace.swap_output();
-            run.layers_done += 1;
-            run.report.completed_with = Some(current.to_string());
-        }
-        Ok(run)
+        self.run_layers(a_hat, features, guard, Some(policy), workspace)
     }
 
     /// Narrow-precision inference with an end-to-end accuracy guard:
@@ -336,6 +226,7 @@ mod tests {
     use crate::config::GcnConfig;
     use graph::rmat::RmatConfig;
     use graph::Graph;
+    use kernels::{SpmmPlan, SpmmStrategy};
     use resilience::fault::{self, FaultConfig, FaultKind};
     use resilience::guard::CancelToken;
     use std::time::Duration;
@@ -348,23 +239,39 @@ mod tests {
         (a_hat, x, model)
     }
 
+    /// A workspace whose plan is pinned to `strategy`.
+    fn pinned(a_hat: &Csr, x: &DenseMatrix, strategy: SpmmStrategy) -> InferenceWorkspace {
+        let mut ws = InferenceWorkspace::new();
+        ws.install_plan(SpmmPlan::pinned(a_hat, x.cols(), strategy));
+        ws
+    }
+
+    /// The undisturbed output under a plan pinned to `Sequential`.
+    fn sequential_reference(a_hat: &Csr, x: &DenseMatrix, model: &GcnModel) -> DenseMatrix {
+        let mut ws = pinned(a_hat, x, SpmmStrategy::Sequential);
+        model.infer_planned_with(a_hat, x, &mut ws).unwrap().clone()
+    }
+
+    /// A guard alone: the resilient entry point with one attempt per rung.
+    fn guarded(
+        model: &GcnModel,
+        a_hat: &Csr,
+        x: &DenseMatrix,
+        guard: &RunGuard,
+        ws: &mut InferenceWorkspace,
+    ) -> Result<InferenceRun, GcnError> {
+        model.infer_resilient_with(a_hat, x, &RetryPolicy::immediate(1), guard, ws)
+    }
+
     #[test]
     fn unbounded_guard_completes_and_matches_plain_inference() {
         let (a_hat, x, model) = setup();
-        let expected = model
-            .infer_normalized(&a_hat, &x, SpmmStrategy::Sequential)
-            .unwrap();
-        let mut ws = InferenceWorkspace::new();
-        let outcome = model
-            .infer_guarded_with(
-                &a_hat,
-                &x,
-                SpmmStrategy::Sequential,
-                &RunGuard::unbounded(),
-                &mut ws,
-            )
-            .unwrap();
-        assert_eq!(outcome, RunOutcome::Complete(3));
+        let expected = sequential_reference(&a_hat, &x, &model);
+        let mut ws = pinned(&a_hat, &x, SpmmStrategy::Sequential);
+        let run = guarded(&model, &a_hat, &x, &RunGuard::unbounded(), &mut ws).unwrap();
+        assert!(run.is_complete());
+        assert_eq!((run.layers_done, run.stopped), (3, None));
+        assert_eq!(run.report.completed_with.as_deref(), Some("sequential"));
         assert_eq!(expected, *ws.output());
     }
 
@@ -374,21 +281,11 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut ws = InferenceWorkspace::new();
-        let outcome = model
-            .infer_guarded_with(
-                &a_hat,
-                &x,
-                SpmmStrategy::Sequential,
-                &RunGuard::with_token(token),
-                &mut ws,
-            )
-            .unwrap();
+        let run = guarded(&model, &a_hat, &x, &RunGuard::with_token(token), &mut ws).unwrap();
+        assert!(!run.is_complete());
         assert_eq!(
-            outcome,
-            RunOutcome::Partial {
-                value: 0,
-                reason: StopReason::Cancelled
-            }
+            (run.layers_done, run.stopped),
+            (0, Some(StopReason::Cancelled))
         );
         // Zero layers ran: the workspace still holds the input features.
         assert_eq!(*ws.output(), x);
@@ -398,21 +295,11 @@ mod tests {
     fn zero_budget_stops_before_the_first_layer() {
         let (a_hat, x, model) = setup();
         let mut ws = InferenceWorkspace::new();
-        let outcome = model
-            .infer_guarded_with(
-                &a_hat,
-                &x,
-                SpmmStrategy::Sequential,
-                &RunGuard::with_budget(Duration::ZERO),
-                &mut ws,
-            )
-            .unwrap();
+        let guard = RunGuard::with_budget(Duration::ZERO);
+        let run = guarded(&model, &a_hat, &x, &guard, &mut ws).unwrap();
         assert_eq!(
-            outcome,
-            RunOutcome::Partial {
-                value: 0,
-                reason: StopReason::BudgetExceeded
-            }
+            (run.layers_done, run.stopped),
+            (0, Some(StopReason::BudgetExceeded))
         );
     }
 
@@ -421,15 +308,7 @@ mod tests {
         let (a_hat, mut x, model) = setup();
         x.as_mut_slice()[7] = f32::NAN;
         let mut ws = InferenceWorkspace::new();
-        let err = model
-            .infer_guarded_with(
-                &a_hat,
-                &x,
-                SpmmStrategy::Sequential,
-                &RunGuard::unbounded(),
-                &mut ws,
-            )
-            .unwrap_err();
+        let err = guarded(&model, &a_hat, &x, &RunGuard::unbounded(), &mut ws).unwrap_err();
         assert!(matches!(
             err,
             GcnError::Kernel(MatrixError::NonFinite {
@@ -455,16 +334,13 @@ mod tests {
     #[test]
     fn resilient_inference_recovers_injected_layer_faults() {
         let (a_hat, x, model) = setup();
-        let expected = model
-            .infer_normalized(&a_hat, &x, SpmmStrategy::Sequential)
-            .unwrap();
+        let expected = sequential_reference(&a_hat, &x, &model);
         let _armed = fault::arm(FaultConfig::new(17).point("gcn.layer", FaultKind::Error, 0.4));
-        let mut ws = InferenceWorkspace::new();
+        let mut ws = pinned(&a_hat, &x, SpmmStrategy::Sequential);
         let run = model
             .infer_resilient_with(
                 &a_hat,
                 &x,
-                SpmmStrategy::Sequential,
                 &RetryPolicy::immediate(10),
                 &RunGuard::unbounded(),
                 &mut ws,
@@ -480,9 +356,7 @@ mod tests {
     #[test]
     fn resilient_inference_degrades_strategy_and_reports_it() {
         let (a_hat, x, model) = setup();
-        let expected = model
-            .infer_normalized(&a_hat, &x, SpmmStrategy::Sequential)
-            .unwrap();
+        let expected = sequential_reference(&a_hat, &x, &model);
         // Find a seed whose decision stream (probed on the real site name,
         // which keys the hash) lets every layer finish within its
         // degradation chain while forcing at least one fallback. Each
@@ -515,12 +389,11 @@ mod tests {
             })
             .expect("some seed degrades at least one layer yet completes");
         let _armed = fault::arm(FaultConfig::new(seed).point("gcn.layer", FaultKind::Error, 0.5));
-        let mut ws = InferenceWorkspace::new();
+        let mut ws = pinned(&a_hat, &x, SpmmStrategy::Hybrid { threads: 2 });
         let run = model
             .infer_resilient_with(
                 &a_hat,
                 &x,
-                SpmmStrategy::Hybrid { threads: 2 },
                 &RetryPolicy::immediate(1),
                 &RunGuard::unbounded(),
                 &mut ws,
@@ -531,6 +404,11 @@ mod tests {
         assert_eq!(run.report.degradations[0].from, "hybrid x2");
         assert_eq!(run.report.degradations[0].to, "vertex-parallel x2");
         assert!(expected.max_abs_diff(ws.output()) < 1e-4);
+        // Degradation re-pins a copy: the workspace keeps its own plan.
+        assert_eq!(
+            ws.plan().unwrap().exec(),
+            SpmmStrategy::Hybrid { threads: 2 }
+        );
     }
 
     #[test]
@@ -558,7 +436,10 @@ mod tests {
     #[test]
     fn rejecting_bound_walks_the_full_precision_chain_to_f32() {
         let (a_hat, x, model) = setup();
-        let expected = model.infer_planned(&a_hat, &x).unwrap();
+        let expected = model
+            .infer_planned_with(&a_hat, &x, &mut InferenceWorkspace::new())
+            .unwrap()
+            .clone();
         let mut ws = InferenceWorkspace::new();
         // A bound that accepts only a bitwise-exact match forces every
         // narrow rung to fail, so the run must land on f32.
@@ -611,12 +492,11 @@ mod tests {
     fn exhausted_chain_surfaces_the_typed_error() {
         let (a_hat, x, model) = setup();
         let _armed = fault::arm(FaultConfig::new(5).point("gcn.layer", FaultKind::Error, 1.0));
-        let mut ws = InferenceWorkspace::new();
+        let mut ws = pinned(&a_hat, &x, SpmmStrategy::Hybrid { threads: 2 });
         let err = model
             .infer_resilient_with(
                 &a_hat,
                 &x,
-                SpmmStrategy::Hybrid { threads: 2 },
                 &RetryPolicy::immediate(2),
                 &RunGuard::unbounded(),
                 &mut ws,

@@ -10,7 +10,7 @@
 //! (ascending global) order under renumbering and every per-shard kernel
 //! runs a width-1 (sequential) plan, so each target row's floating-point
 //! sequence is **bitwise identical** to full-graph
-//! [`GcnModel::infer_planned_with`] under a pinned width-1 plan — the same
+//! [`GcnModel::infer_planned_with`] under an installed width-1 plan — the same
 //! machine-independent contract the sharded runner pins (see
 //! `crates/shard`). Coalescing requests into one batch therefore never
 //! changes a single bit of any request's result, which is what lets the
@@ -141,7 +141,7 @@ impl GcnModel {
 
     /// [`GcnModel::infer_rows_planned_into`] at a chosen storage precision
     /// — narrow ones are the serving brownout path. Gather, saturation and
-    /// plans are the same at every precision (the pinned width-1 sub-plan,
+    /// plans are the same at every precision (the installed width-1 sub-plan,
     /// the cached width-1 full-graph plan, both
     /// [`SpmmPlan::at_precision`]), so narrow batches keep the
     /// coalescing-invariance of the `f32` path: a target row's bits do not
@@ -326,7 +326,7 @@ mod tests {
         (a_hat, model, x)
     }
 
-    /// Full-graph reference under the pinned width-1 plan — the bitwise
+    /// Full-graph reference under the installed width-1 plan — the bitwise
     /// contract both the sharded runner and the rows path share.
     fn reference(a_hat: &Csr, model: &GcnModel, x: &DenseMatrix) -> DenseMatrix {
         let mut ws = InferenceWorkspace::new();
@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn narrow_batched_rows_match_serial_and_full_graph_bitwise() {
-        // The narrow rows path shares the f32 path's plans — pinned
+        // The narrow rows path shares the f32 path's plans — installed
         // width-1 sub-plan, width-1 full-graph plan — so the same bitwise
         // contract holds at every precision: per-row encode scales and the
         // ascending-order gather keep each target row's sequence
@@ -409,7 +409,7 @@ mod tests {
             assert!(stats.full_graph);
             let plan = ws.full_ws.plan().unwrap();
             assert_eq!(plan.precision(), p);
-            assert_eq!(plan.exec(), kernels::plan::PlannedExec::Sequential);
+            assert_eq!(plan.exec(), kernels::SpmmStrategy::Sequential);
             let mut full_ws = InferenceWorkspace::new();
             full_ws.install_plan(SpmmPlan::with_width(&a_hat, x.cols(), 1).at_precision(p));
             let full = model.infer_planned_with(&a_hat, &x, &mut full_ws).unwrap();

@@ -1,15 +1,15 @@
 //! Steady-state inference must not allocate per-layer activation matrices.
 //!
 //! A counting global allocator wraps `System` and tallies every allocated
-//! byte. The first `infer_normalized_with` call sizes the workspace (and
-//! the pool's scratch arena); the second call on identically-shaped inputs
+//! byte. The first `infer_planned_with` call sizes the workspace (and the
+//! pool's scratch arena); the second call on identically-shaped inputs
 //! must allocate far less than a single activation matrix — only small
 //! per-call bookkeeping (chunk tables, the pool's job handle) is allowed.
 
 use gcn::{GcnConfig, GcnModel, InferenceWorkspace};
 use graph::rmat::RmatConfig;
 use graph::Graph;
-use kernels::SpmmStrategy;
+use kernels::{SpmmPlan, SpmmStrategy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -56,14 +56,15 @@ fn steady_state_inference_does_not_allocate_activations() {
 
     // Warm-up: sizes the workspace, spawns the pool, fills scratch caches.
     let mut workspace = InferenceWorkspace::new();
+    workspace.install_plan(SpmmPlan::pinned(&a_hat, input_dim, strategy));
     let reference = model
-        .infer_normalized_with(&a_hat, &features, strategy, &mut workspace)
+        .infer_planned_with(&a_hat, &features, &mut workspace)
         .unwrap()
         .clone();
 
     ALLOCATED_BYTES.store(0, Ordering::Relaxed);
     let out = model
-        .infer_normalized_with(&a_hat, &features, strategy, &mut workspace)
+        .infer_planned_with(&a_hat, &features, &mut workspace)
         .unwrap();
     let steady_state = ALLOCATED_BYTES.load(Ordering::Relaxed);
     assert!(reference.max_abs_diff(out) < 1e-5);

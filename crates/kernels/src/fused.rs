@@ -1,4 +1,4 @@
-//! A fused GCN layer: aggregation + dense update + activation.
+//! The GCN layer: aggregation + dense update + activation, on a plan.
 //!
 //! A GCN layer is `H' = sigma(A_hat * H * W + b)`. Because `K_in` usually
 //! differs from `K_out`, the cheaper association is computed first:
@@ -6,11 +6,14 @@
 //! otherwise — the standard trick also used by PyTorch-Geometric. Both
 //! orders are mathematically identical (`(A H) W = A (H W)`), and a test
 //! pins that down.
+//!
+//! There is one layer function; *how* its SpMM is parallelised — the only
+//! thing the paper varies (Sections II-C, V-A) — is the [`SpmmPlan`] it is
+//! handed, resolved or pinned.
 
-use crate::engine::SpmmStrategy;
 use crate::plan::SpmmPlan;
 use matrix::microkernel::matmul_packed_prec_with;
-use matrix::{gemm, Activation, DenseMatrix, MatrixError, QuantMatrix};
+use matrix::{Activation, DenseMatrix, MatrixError, QuantMatrix};
 use sparse::Csr;
 
 /// Which association order the fused layer used (exposed for tests and for
@@ -23,98 +26,17 @@ pub enum FusedOrder {
     UpdateFirst,
 }
 
-/// Runs one fused GCN layer and reports the association order chosen.
-///
-/// # Errors
-///
-/// Propagates shape mismatches from the SpMM / GEMM kernels.
-///
-/// # Examples
-///
-/// ```
-/// use kernels::fused::gcn_layer_fused;
-/// use kernels::SpmmStrategy;
-/// use matrix::{Activation, DenseMatrix};
-/// use sparse::{Coo, Csr};
-///
-/// let mut coo = Coo::new(2, 2);
-/// coo.push(0, 0, 1.0);
-/// coo.push(1, 1, 1.0);
-/// let a = Csr::from_coo(&coo);
-/// let h = DenseMatrix::from_rows(&[&[1.0, -1.0], &[2.0, 3.0]]).unwrap();
-/// let w = DenseMatrix::identity(2);
-/// let (out, _) = gcn_layer_fused(
-///     &a, &h, &w, None, Activation::Relu, SpmmStrategy::Sequential,
-/// ).unwrap();
-/// assert_eq!(out.row(0), &[1.0, 0.0]); // ReLU clamped the -1
-/// ```
-pub fn gcn_layer_fused(
-    a: &Csr,
-    h: &DenseMatrix,
-    w: &DenseMatrix,
-    bias: Option<&[f32]>,
-    activation: Activation,
-    strategy: SpmmStrategy,
-) -> Result<(DenseMatrix, FusedOrder), MatrixError> {
-    let mut mid = DenseMatrix::default();
-    let mut out = DenseMatrix::default();
-    let order = gcn_layer_fused_into(a, h, w, bias, activation, strategy, &mut mid, &mut out)?;
-    Ok((out, order))
-}
-
-/// [`gcn_layer_fused`] writing into caller-owned buffers: `mid` holds the
-/// intermediate product (aggregation or update, depending on the chosen
-/// order) and `out` receives the layer output. Both are reshaped with
-/// [`DenseMatrix::resize_zeroed`], so a model looping over layers with two
+/// Runs one GCN layer along `plan` into caller-owned buffers and reports
+/// the association order chosen: `mid` holds the intermediate product and
+/// `out` receives the layer output, so a model looping over layers with two
 /// ping-pong activation buffers plus one `mid` buffer performs no
 /// output-sized allocation in steady state.
 ///
-/// # Errors
-///
-/// Propagates shape mismatches from the SpMM / GEMM kernels.
-#[allow(clippy::too_many_arguments)]
-// lint:allow(L004): composite layer driver, not a kernel — every
-// dispatched sub-kernel (SpMM strategy, GEMM, bias add) runs its own
-// dimension check on entry before touching data.
-pub fn gcn_layer_fused_into(
-    a: &Csr,
-    h: &DenseMatrix,
-    w: &DenseMatrix,
-    bias: Option<&[f32]>,
-    activation: Activation,
-    strategy: SpmmStrategy,
-    mid: &mut DenseMatrix,
-    out: &mut DenseMatrix,
-) -> Result<FusedOrder, MatrixError> {
-    let k_in = w.rows();
-    let k_out = w.cols();
-    let threads = strategy.threads();
-
-    let order = if k_in <= k_out {
-        // Aggregate in the narrow dimension first.
-        strategy.run_into(a, h, mid)?;
-        gemm::matmul_parallel_into(mid, w, threads, out)?;
-        FusedOrder::AggregateFirst
-    } else {
-        gemm::matmul_parallel_into(h, w, threads, mid)?;
-        strategy.run_into(a, mid, out)?;
-        FusedOrder::UpdateFirst
-    };
-
-    if let Some(b) = bias {
-        out.add_row_bias(b)?;
-    }
-    out.apply_activation(activation);
-    Ok(order)
-}
-
-/// [`gcn_layer_fused_into`] running the aggregation along a precomputed
-/// [`SpmmPlan`] instead of a per-call strategy: the degree scan, partition,
-/// and strategy selection were all paid once at plan time. The dense update
-/// uses the pool's full width and runs the packed register-tiled GEMM on
-/// the plan's cached [`matrix::microkernel::KernelDispatch`]
-/// ([`SpmmPlan::dense_kernel`]), so plan resolution fixes the SIMD path for
-/// both pillars of the layer.
+/// The plan fixes the whole layer: the aggregation runs its execution path
+/// ([`SpmmPlan::exec`]), and the dense update runs the packed
+/// register-tiled GEMM on the plan's cached dispatch
+/// ([`SpmmPlan::dense_kernel`]) across the pool's full width — or, under a
+/// pinned plan, the pinned strategy's own thread count ([`SpmmPlan::pin`]).
 ///
 /// Precision is carried by the plan ([`SpmmPlan::precision`]): a narrow
 /// plan encodes the layer's SpMM feature operand into `qbuf` (bf16 / f16 /
@@ -126,6 +48,29 @@ pub fn gcn_layer_fused_into(
 ///
 /// Propagates shape mismatches from the SpMM / GEMM kernels (including a
 /// plan built for a different adjacency).
+///
+/// # Examples
+///
+/// ```
+/// use kernels::fused::gcn_layer_planned_into;
+/// use kernels::{SpmmPlan, SpmmStrategy};
+/// use matrix::{Activation, DenseMatrix, QuantMatrix};
+/// use sparse::{Coo, Csr};
+///
+/// let mut coo = Coo::new(2, 2);
+/// coo.push(0, 0, 1.0);
+/// coo.push(1, 1, 1.0);
+/// let a = Csr::from_coo(&coo);
+/// let h = DenseMatrix::from_rows(&[&[1.0, -1.0], &[2.0, 3.0]]).unwrap();
+/// let w = DenseMatrix::identity(2);
+/// let plan = SpmmPlan::pinned(&a, 2, SpmmStrategy::Sequential);
+/// let mut qbuf = QuantMatrix::new();
+/// let (mut mid, mut out) = (DenseMatrix::default(), DenseMatrix::default());
+/// gcn_layer_planned_into(
+///     &a, &h, &w, None, Activation::Relu, &plan, &mut qbuf, &mut mid, &mut out,
+/// ).unwrap();
+/// assert_eq!(out.row(0), &[1.0, 0.0]); // ReLU clamped the -1
+/// ```
 #[allow(clippy::too_many_arguments)]
 // lint:allow(L004): composite layer driver, not a kernel — the plan's
 // check_plan plus each sub-kernel's own check validate all shapes.
@@ -142,7 +87,7 @@ pub fn gcn_layer_planned_into(
 ) -> Result<FusedOrder, MatrixError> {
     let k_in = w.rows();
     let k_out = w.cols();
-    let threads = pool::global().width();
+    let threads = plan.dense_threads();
     let kd = plan.dense_kernel();
     let precision = plan.precision();
 
@@ -166,6 +111,7 @@ pub fn gcn_layer_planned_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpmmStrategy;
     use matrix::Precision;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -196,103 +142,109 @@ mod tests {
         (a, h, w)
     }
 
+    /// One ReLU layer along `plan` into the caller's buffers.
+    fn run_layer(
+        plan: &SpmmPlan,
+        (a, h, w): (&Csr, &DenseMatrix, &DenseMatrix),
+        bias: Option<&[f32]>,
+        mid: &mut DenseMatrix,
+        out: &mut DenseMatrix,
+    ) -> Result<FusedOrder, MatrixError> {
+        let mut qbuf = QuantMatrix::new();
+        gcn_layer_planned_into(a, h, w, bias, Activation::Relu, plan, &mut qbuf, mid, out)
+    }
+
+    /// One layer under a plan pinned to `strategy`, into fresh buffers.
+    fn layer(
+        a: &Csr,
+        h: &DenseMatrix,
+        w: &DenseMatrix,
+        bias: Option<&[f32]>,
+        strategy: SpmmStrategy,
+    ) -> (DenseMatrix, FusedOrder) {
+        let plan = SpmmPlan::pinned(a, h.cols(), strategy);
+        let (mut mid, mut out) = (DenseMatrix::default(), DenseMatrix::default());
+        let order = run_layer(&plan, (a, h, w), bias, &mut mid, &mut out).unwrap();
+        (out, order)
+    }
+
     #[test]
     fn both_association_orders_agree() {
-        let (a, h, w_wide) = random_setup(50, 8, 32, 1);
         // Wide W -> aggregate first; narrow W -> update first. Compare both
         // against the unfused reference.
-        let (fused, order) = gcn_layer_fused(
-            &a,
-            &h,
-            &w_wide,
-            None,
-            Activation::Identity,
-            SpmmStrategy::Sequential,
-        )
-        .unwrap();
-        assert_eq!(order, FusedOrder::AggregateFirst);
-        let reference = crate::spmm::spmm_sequential(&a, &h)
-            .unwrap()
-            .matmul(&w_wide)
-            .unwrap();
-        assert!(fused.max_abs_diff(&reference) < 1e-3);
-
-        let (a2, h2, w_narrow) = random_setup(50, 32, 8, 2);
-        let (fused2, order2) = gcn_layer_fused(
-            &a2,
-            &h2,
-            &w_narrow,
-            None,
-            Activation::Identity,
-            SpmmStrategy::Sequential,
-        )
-        .unwrap();
-        assert_eq!(order2, FusedOrder::UpdateFirst);
-        let reference2 = crate::spmm::spmm_sequential(&a2, &h2)
-            .unwrap()
-            .matmul(&w_narrow)
-            .unwrap();
-        assert!(fused2.max_abs_diff(&reference2) < 1e-3);
+        for (seed, k_in, k_out, want) in [
+            (1, 8, 32, FusedOrder::AggregateFirst),
+            (2, 32, 8, FusedOrder::UpdateFirst),
+        ] {
+            let (a, h, w) = random_setup(50, k_in, k_out, seed);
+            let (fused, order) = layer(&a, &h, &w, None, SpmmStrategy::Sequential);
+            assert_eq!(order, want);
+            let mut reference = crate::spmm::spmm_sequential(&a, &h)
+                .unwrap()
+                .matmul(&w)
+                .unwrap();
+            reference.apply_activation(Activation::Relu);
+            assert!(fused.max_abs_diff(&reference) < 1e-3);
+        }
     }
 
     #[test]
     fn bias_and_activation_are_applied_last() {
         let (a, h, w) = random_setup(20, 4, 4, 3);
         let bias = vec![10.0; 4];
-        let (out, _) = gcn_layer_fused(
-            &a,
-            &h,
-            &w,
-            Some(&bias),
-            Activation::Relu,
-            SpmmStrategy::Sequential,
-        )
-        .unwrap();
+        let (out, _) = layer(&a, &h, &w, Some(&bias), SpmmStrategy::Sequential);
         // With a +10 bias and small weights everything should be positive,
         // so ReLU is the identity here and all entries exceed 5.
         assert!(out.as_slice().iter().all(|&x| x > 5.0));
     }
 
     #[test]
-    fn parallel_strategies_match_sequential_fused() {
+    fn every_pinned_strategy_matches_the_sequential_layer() {
         let (a, h, w) = random_setup(80, 16, 16, 4);
-        let (reference, _) =
-            gcn_layer_fused(&a, &h, &w, None, Activation::Relu, SpmmStrategy::Sequential).unwrap();
+        let (reference, _) = layer(&a, &h, &w, None, SpmmStrategy::Sequential);
         for strategy in [
             SpmmStrategy::VertexParallel { threads: 4 },
+            SpmmStrategy::NnzBalanced { threads: 4 },
             SpmmStrategy::EdgeParallel { threads: 4 },
             SpmmStrategy::FeatureParallel { threads: 4 },
             SpmmStrategy::Hybrid { threads: 4 },
             SpmmStrategy::Auto,
         ] {
-            let (got, _) = gcn_layer_fused(&a, &h, &w, None, Activation::Relu, strategy).unwrap();
+            let (got, _) = layer(&a, &h, &w, None, strategy);
             assert!(reference.max_abs_diff(&got) < 1e-3, "{strategy}");
         }
     }
 
     #[test]
-    fn fused_into_reuses_buffers_without_stale_values() {
+    fn layer_reuses_buffers_without_stale_values() {
         let (a, h, w) = random_setup(40, 12, 6, 5);
-        let (reference, _) =
-            gcn_layer_fused(&a, &h, &w, None, Activation::Relu, SpmmStrategy::Sequential).unwrap();
+        let (reference, _) = layer(&a, &h, &w, None, SpmmStrategy::Sequential);
+        let plan = SpmmPlan::pinned(&a, 12, SpmmStrategy::VertexParallel { threads: 4 });
         // Oversized, NaN-poisoned buffers: a reshape that fails to clear
         // stale values would surface immediately.
         let mut mid = DenseMatrix::filled(60, 20, f32::NAN);
         let mut out = DenseMatrix::filled(60, 20, f32::NAN);
         for _ in 0..2 {
-            let order = gcn_layer_fused_into(
-                &a,
-                &h,
-                &w,
-                None,
-                Activation::Relu,
-                SpmmStrategy::VertexParallel { threads: 4 },
-                &mut mid,
-                &mut out,
-            )
-            .unwrap();
+            let order = run_layer(&plan, (&a, &h, &w), None, &mut mid, &mut out).unwrap();
             assert_eq!(order, FusedOrder::UpdateFirst);
             assert!(reference.max_abs_diff(&out) < 1e-3);
+        }
+    }
+
+    #[test]
+    fn narrow_run_on_an_f32_only_pin_is_a_typed_error() {
+        // Never a silent f32 run: both association orders surface the
+        // kernel's refusal.
+        for (k_in, k_out) in [(8, 32), (32, 8)] {
+            let (a, h, w) = random_setup(30, k_in, k_out, 6);
+            let plan = SpmmPlan::pinned(&a, k_in, SpmmStrategy::EdgeParallel { threads: 2 })
+                .at_precision(Precision::Bf16);
+            let (mut mid, mut out) = (DenseMatrix::default(), DenseMatrix::default());
+            let ran = run_layer(&plan, (&a, &h, &w), None, &mut mid, &mut out);
+            assert!(
+                matches!(ran, Err(MatrixError::UnsupportedPrecision { .. })),
+                "{ran:?}"
+            );
         }
     }
 
@@ -363,7 +315,7 @@ mod tests {
         // exactly `SpmmPlan::run_into` over the f32 rows plus
         // `matmul_packed_with`, and never touch the staging buffer.
         let (a, h, w) = random_setup(40, 12, 6, 9);
-        let plan = SpmmPlan::with_precision(&a, 12, Precision::F32);
+        let plan = SpmmPlan::new(&a, 12);
         let mut mid = DenseMatrix::default();
         let mut reference = DenseMatrix::default();
         let kd = plan.dense_kernel();

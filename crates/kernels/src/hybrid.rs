@@ -56,20 +56,8 @@ enum Work<'a> {
     },
 }
 
-/// Degree-aware hybrid SpMM (see module docs).
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_hybrid(a: &Csr, h: &DenseMatrix, threads: usize) -> Result<DenseMatrix, MatrixError> {
-    let mut out = DenseMatrix::default();
-    spmm_hybrid_into(a, h, threads, &mut out)?;
-    Ok(out)
-}
-
-/// [`spmm_hybrid`] over any [`FeatureOperand`], writing into a
-/// caller-owned output matrix (reshaped with
+/// Degree-aware hybrid SpMM (see module docs) over any [`FeatureOperand`],
+/// writing into a caller-owned output matrix (reshaped with
 /// [`DenseMatrix::resize_zeroed`]; allocation-free at capacity apart from
 /// per-call work-list bookkeeping).
 ///
@@ -193,6 +181,10 @@ mod tests {
         DenseMatrix::from_vec(r, c, data).unwrap()
     }
 
+    fn hybrid(a: &Csr, h: &DenseMatrix, threads: usize) -> Result<DenseMatrix, MatrixError> {
+        crate::SpmmStrategy::Hybrid { threads }.run(a, h)
+    }
+
     #[test]
     fn hybrid_matches_sequential_on_star_graph() {
         // One hub touching every vertex plus a sparse tail: the acceptance
@@ -214,7 +206,7 @@ mod tests {
         let h = random_dense(&mut rng, n, 17);
         let reference = spmm_sequential(&a, &h).unwrap();
         for threads in [2, 4, 7, 16] {
-            let got = spmm_hybrid(&a, &h, threads).unwrap();
+            let got = hybrid(&a, &h, threads).unwrap();
             assert!(
                 reference.max_abs_diff(&got) < 1e-3,
                 "threads={threads} diverged by {}",
@@ -238,7 +230,7 @@ mod tests {
         let h = random_dense(&mut rng, n, 8);
         let reference = spmm_sequential(&a, &h).unwrap();
         for threads in [2, 8] {
-            let got = spmm_hybrid(&a, &h, threads).unwrap();
+            let got = hybrid(&a, &h, threads).unwrap();
             assert!(reference.max_abs_diff(&got) < 1e-4);
         }
     }
@@ -247,19 +239,16 @@ mod tests {
     fn hybrid_handles_degenerate_inputs() {
         let a = Csr::empty(5, 5);
         let h = DenseMatrix::zeros(5, 3);
-        assert!(spmm_hybrid(&a, &h, 4)
+        assert!(hybrid(&a, &h, 4)
             .unwrap()
             .as_slice()
             .iter()
             .all(|&x| x == 0.0));
         let h0 = DenseMatrix::zeros(5, 0);
-        assert_eq!(spmm_hybrid(&a, &h0, 4).unwrap().shape(), (5, 0));
-        assert!(matches!(
-            spmm_hybrid(&a, &h, 0),
-            Err(MatrixError::ZeroThreads)
-        ));
+        assert_eq!(hybrid(&a, &h0, 4).unwrap().shape(), (5, 0));
+        assert!(matches!(hybrid(&a, &h, 0), Err(MatrixError::ZeroThreads)));
         let bad = DenseMatrix::zeros(6, 2);
-        assert!(spmm_hybrid(&a, &bad, 2).is_err());
+        assert!(hybrid(&a, &bad, 2).is_err());
     }
 
     #[test]

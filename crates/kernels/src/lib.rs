@@ -1,36 +1,42 @@
-//! Executable SpMM kernels and the fused GCN layer.
+//! Executable SpMM kernels and the GCN layer that runs on them.
 //!
 //! Section II-C of the paper describes two parallelization strategies for
 //! SpMM — *vertex-parallel* (rows of the output distributed across threads)
 //! and *edge-parallel* (non-zeros distributed across threads, Algorithm 2) —
 //! and Section V-A notes that on CPUs the vertex-parallel variant with
 //! dynamic load balancing wins because atomics are expensive, while PIUMA's
-//! cheap remote atomics favour edge-parallel. This crate implements both so
-//! the trade-off can be measured on real hardware:
+//! cheap remote atomics favour edge-parallel. This crate implements both,
+//! and the design-space kernels around them, so the trade-off can be
+//! measured on real hardware. One enum, [`SpmmStrategy`], names them all:
 //!
-//! * [`spmm::spmm_sequential`] — single-threaded reference,
-//! * [`spmm::spmm_vertex_parallel`] — work-stealing row chunks, no atomics,
-//! * [`spmm::spmm_edge_parallel`] — equal edge shares, binary search for the
-//!   starting row, atomic accumulation into shared output (Algorithm 2),
-//! * [`tiled::spmm_feature_tiled`] / [`tiled::spmm_feature_parallel`] —
-//!   cache blocking and worker-owned tiles over the feature dimension,
-//! * [`hybrid::spmm_hybrid`] — degree-aware hub/tail split for power-law
-//!   graphs,
-//! * [`fused::gcn_layer_fused`] — aggregation + update + activation in one
-//!   call, the building block `gcn` uses,
-//! * [`plan::SpmmPlan`] — a precomputed execution plan (NNZ-balanced row
-//!   partition, cached degree statistics, resolved strategy, storage
-//!   precision) amortizing per-call analysis across layers and epochs.
+//! * `Sequential` — the single-threaded reference,
+//! * `VertexParallel` — work-stealing row chunks, no atomics,
+//! * `NnzBalanced` — contiguous row ranges of ~equal non-zeros, no atomics,
+//! * `EdgeParallel` — equal edge shares, binary search for the starting
+//!   row, atomic accumulation into shared output (Algorithm 2),
+//! * `FeatureTiled` / `FeatureParallel` — cache blocking and worker-owned
+//!   tiles over the feature dimension,
+//! * `Hybrid` — degree-aware hub/tail split for power-law graphs,
+//! * `Auto` — build a plan and run it.
+//!
+//! A strategy runs one multiplication ([`SpmmStrategy::run_into`]).
+//! Anything that multiplies repeatedly against one adjacency holds a
+//! [`plan::SpmmPlan`] instead — cached statistics, row partition,
+//! micro-kernel dispatch, storage precision, and an execution path either
+//! *resolved* by the workspace's one selection rule or *pinned* to an
+//! explicit strategy. The plan is the only operand
+//! [`fused::gcn_layer_planned_into`], the one GCN layer function,
+//! aggregates on.
 //!
 //! All parallel kernels execute on the process-wide persistent thread pool
 //! re-exported as [`pool`] (spawned once on first use, then reused — see
-//! the pool crate's docs for the spawn-once contract). Every kernel also
-//! has a `*_into` variant writing into a caller-owned [`matrix::DenseMatrix`]
-//! so steady-state inference performs no output-sized allocations.
+//! the pool crate's docs for the spawn-once contract). Every kernel writes
+//! into a caller-owned [`matrix::DenseMatrix`] so steady-state inference
+//! performs no output-sized allocations.
 //!
-//! Storage precision is an operand, not a function name: the planned arms
-//! (sequential, NNZ-balanced, hybrid, feature-tiled,
-//! [`plan::SpmmPlan::run_into`]) are written once over
+//! Storage precision is an operand, not a function name: every arm but the
+//! two `f32`-only design-space kernels (edge-parallel, feature-parallel —
+//! a narrow operand is a typed error there) is written once over
 //! [`spmm::FeatureOperand`] and monomorphised for `f32`
 //! [`matrix::DenseMatrix`] rows and narrow-storage [`matrix::QuantMatrix`]
 //! rows (bf16 / f16 / int8, decoded on the fly, accumulated in `f32`). A
@@ -51,14 +57,15 @@
 //! ```
 //! use sparse::{Coo, Csr};
 //! use matrix::DenseMatrix;
-//! use kernels::spmm::{spmm_sequential, spmm_vertex_parallel};
+//! use kernels::spmm::spmm_sequential;
+//! use kernels::SpmmStrategy;
 //!
 //! let mut coo = Coo::new(2, 2);
 //! coo.push(0, 1, 2.0);
 //! let a = Csr::from_coo(&coo);
 //! let h = DenseMatrix::from_rows(&[&[1.0, 1.0], &[3.0, 4.0]]).unwrap();
 //! let seq = spmm_sequential(&a, &h).unwrap();
-//! let par = spmm_vertex_parallel(&a, &h, 4).unwrap();
+//! let par = SpmmStrategy::VertexParallel { threads: 4 }.run(&a, &h).unwrap();
 //! assert_eq!(seq, par);
 //! assert_eq!(seq.row(0), &[6.0, 8.0]);
 //! ```
@@ -66,13 +73,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Strategy-dispatch entry points ([`SpmmStrategy`]).
+/// The SpMM algorithm enum and its dispatch ([`SpmmStrategy`]).
 pub mod engine;
-/// Fused aggregate+transform GCN layer kernels.
+/// The GCN layer: aggregate + transform + activation on a plan.
 pub mod fused;
 /// Row-split hybrid SpMM (dense rows dense-accumulated, sparse rows gathered).
 pub mod hybrid;
-/// NNZ-balanced execution plans ([`SpmmPlan`]) built once, run many times.
+/// Execution plans ([`SpmmPlan`]), resolved or pinned: built once, run many times.
 pub mod plan;
 /// Retry + strategy-degradation wrappers ([`ExecutionReport`]).
 pub mod resilient;

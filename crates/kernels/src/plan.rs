@@ -1,23 +1,25 @@
-//! Precomputed, reusable SpMM execution plans.
+//! Precomputed, reusable SpMM execution plans — the one operand a GCN
+//! layer aggregates on.
 //!
-//! Every `SpmmStrategy::Auto` call re-derives degree statistics (an `O(n)`
-//! scan) and partitions rows by *count*, not by *non-zeros* — so a chunk
-//! holding a hub row serializes on one worker while its siblings idle.
-//! [`SpmmPlan`] pays the analysis once per adjacency and reuses it across
-//! every layer and epoch:
+//! A plan-less [`SpmmStrategy`] call pays its analysis per multiplication;
+//! [`SpmmPlan`] pays once per adjacency and reuses it across every layer
+//! and epoch: cached [`DegreeStats`], an **NNZ-balanced row partition**
+//! (slot boundaries by binary search over `row_ptr` so each pool slot owns
+//! ~equal non-zeros — merge-path style, the workload mapping Accel-GCN
+//! identifies as the biggest SpMM lever), and the execution path, a
+//! [`SpmmStrategy`]. The path is **pinned** ([`SpmmPlan::pinned`]) to an
+//! explicit strategy, or **resolved** ([`SpmmPlan::new`]) by the
+//! workspace's one `Auto` rule:
 //!
-//! * an **NNZ-balanced row partition** — slot boundaries found by binary
-//!   search over `row_ptr` so each pool slot owns ~equal non-zeros
-//!   (merge-path style, the workload mapping Accel-GCN identifies as the
-//!   biggest SpMM lever),
-//! * **cached [`DegreeStats`]** and the resolved execution path, so `Auto`
-//!   selection is paid once per graph instead of per call.
-//!
-//! A plan never splits columns: with the output row held in registers
-//! ([`matrix::microkernel::KernelDispatch::fill_row`]) the row partition
-//! beats column tiles at every width measured (EXPERIMENTS.md), so wide
-//! `K` stays on the NNZ slots. The explicit
-//! [`SpmmStrategy::FeatureParallel`] remains for design-space studies.
+//! 1. nothing to fan out (an empty operand, a one-thread budget, or
+//!    `nnz * K` below [`AUTO_SEQUENTIAL_WORK`]) → `Sequential`;
+//! 2. degrees skewed past [`AUTO_SKEW_CV`] **and** a heaviest slot over
+//!    [`PLAN_MAX_IMBALANCE`] times the ideal → `Hybrid` (hubs edge-split);
+//!    skew the partition *can* balance stays atomics-free;
+//! 3. otherwise → `NnzBalanced` at every width: with the output row held in
+//!    registers ([`matrix::microkernel::KernelDispatch::fill_row`]) the
+//!    row partition beat column tiles wherever measured (EXPERIMENTS.md),
+//!    so [`SpmmStrategy::FeatureParallel`] exists only as a pin.
 //!
 //! A plan is keyed by a structural fingerprint of the adjacency (shape,
 //! nnz, sampled `row_ptr`/`col_idx` entries), letting callers cache one
@@ -29,13 +31,23 @@ use matrix::{DenseMatrix, MatrixError, Precision, QuantMatrix};
 use parking_lot::Mutex;
 use sparse::{Csr, DegreeStats};
 
-use crate::engine::{SpmmStrategy, AUTO_SEQUENTIAL_WORK, AUTO_SKEW_CV};
+use crate::engine::SpmmStrategy;
 use crate::spmm::{spmm_rows_with, FeatureOperand};
 
 // BOUNDS: indexing in this module walks partition boundary vectors whose
 // construction guarantees `0 <= p[i] < p[i+1] <= nrows` (see
 // `nnz_balanced_partition`), CSR arrays validated by `Csr::from_coo`, and
 // sampled positions clamped with `.min(len)` in `fingerprint`.
+
+/// Below this many scalar multiply-adds (`nnz * K`) a plan resolves
+/// sequential: a broadcast costs on the order of microseconds, which small
+/// problems cannot recoup.
+pub const AUTO_SEQUENTIAL_WORK: usize = 1 << 14;
+
+/// Degree coefficient-of-variation above which a plan treats the graph as
+/// skewed — a candidate for the hybrid kernel, taken only if the NNZ
+/// partition cannot balance it ([`PLAN_MAX_IMBALANCE`]).
+pub const AUTO_SKEW_CV: f64 = 1.5;
 
 /// NNZ-balanced slots per pool thread. More slots than threads leaves the
 /// pool's dynamic claiming slack to absorb residual imbalance (a slot that
@@ -129,42 +141,13 @@ pub fn nnz_balanced_partition(row_ptr: &[usize], slots: usize) -> Vec<usize> {
     partition
 }
 
-/// The execution path a plan resolved to (the planned analogue of
-/// [`SpmmStrategy`], with `Auto` already decided and vertex-parallel
-/// upgraded to the NNZ-balanced partition).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlannedExec {
-    /// Single-threaded: the problem is too small to fan out.
-    Sequential,
-    /// NNZ-balanced row ranges on the persistent pool, no atomics.
-    NnzBalanced {
-        /// Number of worker threads.
-        threads: usize,
-    },
-    /// Hub rows edge-split, tail chunked — for graphs whose largest rows
-    /// exceed what any row-granular partition can balance.
-    Hybrid {
-        /// Number of worker threads.
-        threads: usize,
-    },
-}
-
-impl std::fmt::Display for PlannedExec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlannedExec::Sequential => write!(f, "sequential"),
-            PlannedExec::NnzBalanced { threads } => write!(f, "nnz-balanced x{threads}"),
-            PlannedExec::Hybrid { threads } => write!(f, "hybrid x{threads}"),
-        }
-    }
-}
-
 /// A precomputed execution plan for repeated SpMM against one adjacency.
 ///
 /// Build once with [`SpmmPlan::new`], then call [`SpmmPlan::run_into`] per
-/// multiplication. The plan's `k` hint fixes the primary execution path;
-/// calls with a different feature width re-resolve from the *cached*
-/// statistics (an `O(1)` decision — never a rescan of the matrix).
+/// multiplication. A resolved plan's `k` hint fixes the primary execution
+/// path; calls with a different feature width re-resolve from the *cached*
+/// statistics (an `O(1)` decision — never a rescan of the matrix). A
+/// pinned plan runs its strategy at every width.
 ///
 /// # Examples
 ///
@@ -192,7 +175,9 @@ pub struct SpmmPlan {
     stats: DegreeStats,
     partition: Vec<usize>,
     plan_stats: PlanStats,
-    exec: PlannedExec,
+    exec: SpmmStrategy,
+    /// `exec` was chosen by the caller, not by [`SpmmPlan::resolve`].
+    pinned: bool,
     /// Micro-kernel backend captured at plan time: the sparse row loops and
     /// the layer's dense transform both run this dispatch, so one plan
     /// fixes the whole layer's SIMD path.
@@ -213,18 +198,33 @@ impl SpmmPlan {
         Self::with_width(a, k, width)
     }
 
-    /// [`SpmmPlan::new`] at a narrow storage precision: the plan probes the
-    /// requested precision against the captured kernel dispatch and records
-    /// any downgrade ([`SpmmPlan::precision_fallback`]). The planned layer
-    /// then stores its feature operand at the resolved precision.
-    pub fn with_precision(a: &Csr, k: usize, precision: Precision) -> SpmmPlan {
-        Self::new(a, k).at_precision(precision)
+    /// A plan for `a` pinned to `strategy` ([`SpmmPlan::pin`]; `Auto` ⇒
+    /// [`SpmmPlan::new`]).
+    pub fn pinned(a: &Csr, k: usize, strategy: SpmmStrategy) -> SpmmPlan {
+        Self::with_width(a, k, strategy.threads()).pin(strategy)
+    }
+
+    /// Pins this plan to `strategy` (`O(1)`: statistics and partition are
+    /// kept; `Auto` leaves the plan as it is). A pinned plan runs that
+    /// strategy's kernel at every `K`, and the layer's dense update runs on
+    /// `strategy.threads()` threads — a `Sequential` pin is single-threaded
+    /// end to end. A narrow run on a pin to an `f32`-only kernel
+    /// (edge-parallel, feature-parallel) is
+    /// [`MatrixError::UnsupportedPrecision`].
+    pub fn pin(mut self, strategy: SpmmStrategy) -> SpmmPlan {
+        if strategy != SpmmStrategy::Auto {
+            self.exec = strategy;
+            self.pinned = true;
+        }
+        self
     }
 
     /// Re-targets an existing plan to a storage precision, probing it
-    /// against the plan's captured kernel dispatch exactly like
-    /// [`SpmmPlan::with_precision`] — sharded runners use this to inherit a
-    /// precision onto per-shard plans without re-deriving statistics.
+    /// against the plan's captured kernel dispatch and recording any
+    /// downgrade ([`SpmmPlan::precision_fallback`]); the planned layer then
+    /// stores its feature operand at the resolved precision. Sharded
+    /// runners use this to inherit a precision onto per-shard plans without
+    /// re-deriving statistics.
     pub fn at_precision(mut self, precision: Precision) -> SpmmPlan {
         // Keyed on the *requested* precision: a plan whose ISA probe
         // downgraded (say int8 → bf16) still satisfies later int8 requests
@@ -254,7 +254,8 @@ impl SpmmPlan {
             stats,
             partition,
             plan_stats,
-            exec: PlannedExec::Sequential,
+            exec: SpmmStrategy::Sequential,
+            pinned: false,
             kernel: KernelDispatch::get(),
             precision: Precision::F32,
             precision_fallback: None,
@@ -263,23 +264,23 @@ impl SpmmPlan {
         plan
     }
 
-    /// Resolves the execution path for feature width `k` from the cached
-    /// statistics. `O(1)`: no matrix scan.
-    pub fn resolve(&self, k: usize, width: usize) -> PlannedExec {
+    /// The `Auto` rule (module docs): resolves the execution path for
+    /// feature width `k` from the cached statistics. `O(1)`: no matrix
+    /// scan.
+    fn resolve(&self, k: usize, width: usize) -> SpmmStrategy {
         if self.nrows == 0 || self.nnz == 0 || k == 0 || width <= 1 {
-            return PlannedExec::Sequential;
+            return SpmmStrategy::Sequential;
         }
         if self.nnz.saturating_mul(k) < AUTO_SEQUENTIAL_WORK {
-            return PlannedExec::Sequential;
+            return SpmmStrategy::Sequential;
         }
         // Skewed graphs whose hubs defeat any row partition need
         // edge-splitting; skewed graphs the partition *can* balance run
-        // atomics-free on the NNZ slots — the step past Auto's
-        // chunked-by-count vertex kernel.
+        // atomics-free on the NNZ slots.
         if self.stats.cv > AUTO_SKEW_CV && self.plan_stats.imbalance > PLAN_MAX_IMBALANCE {
-            return PlannedExec::Hybrid { threads: width };
+            return SpmmStrategy::Hybrid { threads: width };
         }
-        PlannedExec::NnzBalanced { threads: width }
+        SpmmStrategy::NnzBalanced { threads: width }
     }
 
     /// Whether this plan was built for `a` (structural fingerprint check;
@@ -311,9 +312,20 @@ impl SpmmPlan {
         &self.plan_stats
     }
 
-    /// The resolved execution path for the plan's `k` hint.
-    pub fn exec(&self) -> PlannedExec {
+    /// The execution path: the pinned strategy, or what the rule resolved
+    /// for the plan's `k` hint (never [`SpmmStrategy::Auto`]).
+    pub fn exec(&self) -> SpmmStrategy {
         self.exec
+    }
+
+    /// Threads for the layer's dense update: the pool's width under a
+    /// resolved plan (of any width), the strategy's own under a pinned one.
+    pub(crate) fn dense_threads(&self) -> usize {
+        if self.pinned {
+            self.exec.threads()
+        } else {
+            pool::global().width()
+        }
     }
 
     /// The NNZ-balanced row boundaries (`slots + 1` entries).
@@ -330,8 +342,8 @@ impl SpmmPlan {
     }
 
     /// The storage precision the planned layer runs at. `F32` unless the
-    /// plan was built with [`SpmmPlan::with_precision`] (and the requested
-    /// precision survived its ISA probe).
+    /// plan was re-targeted with [`SpmmPlan::at_precision`] (and the
+    /// requested precision survived its ISA probe).
     pub fn precision(&self) -> Precision {
         self.precision
     }
@@ -368,7 +380,9 @@ impl SpmmPlan {
     /// # Errors
     ///
     /// Returns [`MatrixError::DimensionMismatch`] if `a`'s shape disagrees
-    /// with the plan or `h`'s rows disagree with `a`'s columns.
+    /// with the plan or `h`'s rows disagree with `a`'s columns, and
+    /// [`MatrixError::UnsupportedPrecision`] for a narrow `h` under a pin
+    /// to an `f32`-only kernel.
     pub fn run_into<F: FeatureOperand>(
         &self,
         a: &Csr,
@@ -377,17 +391,17 @@ impl SpmmPlan {
     ) -> Result<(), MatrixError> {
         self.check_plan(a)?;
         let k = h.shape().1;
-        let exec = if k == self.k {
+        let exec = if self.pinned || k == self.k {
             self.exec
         } else {
             self.resolve(k, pool::global().width())
         };
         match exec {
-            PlannedExec::Sequential => crate::spmm::spmm_sequential_into(a, h, out),
-            PlannedExec::NnzBalanced { threads } => {
+            // The one arm with planned state: the cached partition.
+            SpmmStrategy::NnzBalanced { threads } => {
                 spmm_nnz_balanced_with(self.kernel, a, h, &self.partition, threads, out)
             }
-            PlannedExec::Hybrid { threads } => crate::hybrid::spmm_hybrid_into(a, h, threads, out),
+            other => other.run_into(a, h, out),
         }
     }
 
@@ -431,16 +445,6 @@ impl SpmmPlan {
             });
         }
         Ok(())
-    }
-
-    /// The fixed [`SpmmStrategy`] closest to the planned path — what the
-    /// planless engine would have to be told to approximate this plan.
-    pub fn strategy_equivalent(&self) -> SpmmStrategy {
-        match self.exec {
-            PlannedExec::Sequential => SpmmStrategy::Sequential,
-            PlannedExec::NnzBalanced { threads } => SpmmStrategy::VertexParallel { threads },
-            PlannedExec::Hybrid { threads } => SpmmStrategy::Hybrid { threads },
-        }
     }
 }
 
@@ -681,7 +685,7 @@ mod tests {
         let a = Csr::from_coo(&coo);
         let plan = SpmmPlan::with_width(&a, 64, 8);
         assert!(
-            matches!(plan.exec(), PlannedExec::Hybrid { .. }),
+            matches!(plan.exec(), SpmmStrategy::Hybrid { .. }),
             "expected hybrid for star graph, got {}",
             plan.exec()
         );
@@ -707,7 +711,7 @@ mod tests {
         let a = Csr::from_coo(&coo);
         let plan = SpmmPlan::with_width(&a, 32, 8);
         assert!(
-            matches!(plan.exec(), PlannedExec::NnzBalanced { .. }),
+            matches!(plan.exec(), SpmmStrategy::NnzBalanced { .. }),
             "got {}",
             plan.exec()
         );
@@ -719,7 +723,7 @@ mod tests {
         let a = random_csr(&mut rng, 512, 4000);
         let plan = SpmmPlan::with_width(&a, 1024, 8);
         assert!(
-            matches!(plan.exec(), PlannedExec::NnzBalanced { .. }),
+            matches!(plan.exec(), SpmmStrategy::NnzBalanced { .. }),
             "got {}",
             plan.exec()
         );
@@ -734,10 +738,10 @@ mod tests {
         coo.push(1, 2, 1.0);
         let a = Csr::from_coo(&coo);
         let plan = SpmmPlan::with_width(&a, 4, 8);
-        assert_eq!(plan.exec(), PlannedExec::Sequential);
+        assert_eq!(plan.exec(), SpmmStrategy::Sequential);
         assert_eq!(
             SpmmPlan::with_width(&a, 4, 1).exec(),
-            PlannedExec::Sequential
+            SpmmStrategy::Sequential
         );
     }
 
@@ -753,39 +757,17 @@ mod tests {
         ));
     }
 
-    /// The arms every storage precision must agree on.
-    #[derive(Debug, Clone, Copy)]
-    enum Arm {
-        Sequential,
-        NnzBalanced,
-        Hybrid,
-        FeatureTiled,
-    }
-
-    fn run_arm<F: FeatureOperand>(arm: Arm, a: &Csr, h: &F, out: &mut DenseMatrix) {
-        let kd = KernelDispatch::get();
-        match arm {
-            Arm::Sequential => crate::spmm::spmm_sequential_into(a, h, out),
-            Arm::NnzBalanced => {
-                let partition = nnz_balanced_partition(a.row_ptr(), 16);
-                spmm_nnz_balanced_with(kd, a, h, &partition, 4, out)
-            }
-            Arm::Hybrid => crate::hybrid::spmm_hybrid_into(a, h, 4, out),
-            // A tile width off the 8-lane boundary.
-            Arm::FeatureTiled => crate::tiled::spmm_feature_tiled_into(a, h, 7, out),
-        }
-        .unwrap();
-    }
-
     #[test]
     fn every_arm_agrees_with_sequential_at_every_precision() {
-        // One table instead of per-twin tests: arm x precision x graph.
-        // An f32 operand is checked against `spmm_sequential` — bitwise on
-        // the row-local arms, within accumulation-order noise where rows
-        // are split (hub segments) or tiled. A narrow operand is checked
-        // against the same narrowing applied by hand (decode, then f32):
-        // the kernels may differ only by accumulation order and scale-fold
-        // rounding.
+        // One table instead of per-twin tests: pinned arm x precision x
+        // graph. An f32 operand is checked against `spmm_sequential` —
+        // bitwise on the row-local arms, within accumulation-order noise
+        // where rows are split (hub segments, edge shares) or tiled. A
+        // narrow operand is checked against the same narrowing applied by
+        // hand (decode, then f32): the kernels may differ only by
+        // accumulation order and scale-fold rounding. The two arms that
+        // exist only over f32 rows must refuse a narrow operand with a
+        // typed error rather than run it wide.
         let mut rng = StdRng::seed_from_u64(31);
         let uniform = random_csr(&mut rng, 300, 2400);
         // One hub touching every vertex plus a sparse tail: both the
@@ -807,41 +789,99 @@ mod tests {
         let mut decoded = DenseMatrix::default();
         for (graph, a) in [("uniform", &uniform), ("star", &star)] {
             let h = random_dense(&mut rng, a.nrows(), 19);
-            for arm in [
-                Arm::Sequential,
-                Arm::NnzBalanced,
-                Arm::Hybrid,
-                Arm::FeatureTiled,
+            for (arm, f32_tol) in [
+                (SpmmStrategy::Sequential, 0.0),
+                (SpmmStrategy::VertexParallel { threads: 4 }, 0.0),
+                (SpmmStrategy::NnzBalanced { threads: 4 }, 0.0),
+                (SpmmStrategy::Hybrid { threads: 4 }, 1e-3),
+                (SpmmStrategy::EdgeParallel { threads: 4 }, 1e-3),
+                // A tile width off the 8-lane boundary.
+                (SpmmStrategy::FeatureTiled { tile: 7 }, 1e-4),
+                (SpmmStrategy::FeatureParallel { threads: 4 }, 1e-4),
             ] {
+                let plan = SpmmPlan::pinned(a, h.cols(), arm);
+                assert_eq!(plan.exec(), arm);
+                let f32_only = matches!(
+                    arm,
+                    SpmmStrategy::EdgeParallel { .. } | SpmmStrategy::FeatureParallel { .. }
+                );
                 for p in Precision::all() {
                     let mut out = DenseMatrix::filled(3, 3, f32::NAN);
                     let (reference, tol) = if p == Precision::F32 {
-                        run_arm(arm, a, &h, &mut out);
-                        let tol = match arm {
-                            Arm::Sequential | Arm::NnzBalanced => 0.0,
-                            Arm::FeatureTiled => 1e-4,
-                            Arm::Hybrid => 1e-3,
-                        };
-                        (spmm_sequential(a, &h).unwrap(), tol)
+                        plan.run_into(a, &h, &mut out).unwrap();
+                        (spmm_sequential(a, &h).unwrap(), f32_tol)
                     } else {
                         q.encode(&h, p).unwrap();
-                        run_arm(arm, a, &q, &mut out);
+                        let ran = plan.run_into(a, &q, &mut out);
+                        if f32_only {
+                            assert!(
+                                matches!(ran, Err(MatrixError::UnsupportedPrecision { .. })),
+                                "{graph} {arm} {p}: {ran:?}"
+                            );
+                            continue;
+                        }
+                        ran.unwrap();
                         q.decode(&mut decoded);
                         (spmm_sequential(a, &decoded).unwrap(), 1e-3)
                     };
                     let diff = reference.max_abs_diff(&out);
                     assert!(
                         diff <= tol,
-                        "{graph} {arm:?} {p}: diverged by {diff} (tolerance {tol})"
+                        "{graph} {arm} {p}: diverged by {diff} (tolerance {tol})"
                     );
                 }
             }
-            // The feature-parallel cell: no plan resolves to column tiles
-            // any more, so it is the explicit strategy, f32 rows only.
-            let mut out = DenseMatrix::filled(3, 3, f32::NAN);
-            crate::tiled::spmm_feature_parallel_into(a, &h, 4, &mut out).unwrap();
-            let diff = spmm_sequential(a, &h).unwrap().max_abs_diff(&out);
-            assert!(diff <= 1e-4, "{graph} feature-parallel: diverged by {diff}");
+        }
+    }
+
+    #[test]
+    fn pinned_plan_keeps_its_strategy_at_every_width() {
+        // A resolved plan re-resolves when K differs from its hint (k = 0
+        // goes sequential); a pinned one never does, and re-pinning keeps
+        // the structure the plan was built from.
+        let mut rng = StdRng::seed_from_u64(34);
+        let a = random_csr(&mut rng, 256, 4000);
+        let pin = SpmmStrategy::EdgeParallel { threads: 3 };
+        let plan = SpmmPlan::pinned(&a, 16, pin);
+        assert_eq!((plan.exec(), plan.dense_threads()), (pin, 3));
+        let h = random_dense(&mut rng, 256, 40);
+        let reference = spmm_sequential(&a, &h).unwrap();
+        assert!(reference.max_abs_diff(&plan.run(&a, &h).unwrap()) < 1e-3);
+        let fp = plan.fingerprint_value();
+        let repinned = plan.pin(SpmmStrategy::Sequential);
+        assert_eq!(
+            (repinned.exec(), repinned.dense_threads()),
+            (SpmmStrategy::Sequential, 1)
+        );
+        assert_eq!(repinned.fingerprint_value(), fp);
+        assert_eq!(repinned.run(&a, &h).unwrap(), reference);
+        // `Auto` is the rule itself: the plan stays resolved, its dense
+        // update at pool width.
+        let auto = SpmmPlan::pinned(&a, 16, SpmmStrategy::Auto);
+        assert_eq!(auto.exec(), SpmmPlan::new(&a, 16).exec());
+        assert_eq!(auto.dense_threads(), pool::global().width());
+    }
+
+    #[test]
+    fn the_rule_never_resolves_to_a_design_space_kernel() {
+        // Across a spread of shapes the rule stays on its three arms — in
+        // particular never the atomics-heavy edge-parallel kernel (paper:
+        // it only wins with hardware-cheap remote atomics).
+        let mut rng = StdRng::seed_from_u64(7);
+        for n in [64usize, 512, 2048] {
+            let a = random_csr(&mut rng, n, n * 8);
+            for k in [1usize, 16, 300, 1024] {
+                let picked = SpmmPlan::with_width(&a, k, 8).exec();
+                assert!(
+                    matches!(
+                        picked,
+                        SpmmStrategy::Sequential
+                            | SpmmStrategy::NnzBalanced { .. }
+                            | SpmmStrategy::Hybrid { .. }
+                    ),
+                    "n={n} k={k} picked {picked}"
+                );
+            }
         }
     }
 
@@ -939,10 +979,10 @@ mod tests {
         let plan = base.at_precision(Precision::Bf16);
         assert_eq!(plan.fingerprint_value(), fp);
         assert!(plan.matches(&a));
-        // Same resolution as building at the precision directly.
-        let direct = SpmmPlan::with_precision(&a, 8, Precision::Bf16);
-        assert_eq!(plan.precision(), direct.precision());
-        assert_eq!(plan.precision_fallback(), direct.precision_fallback());
+        // Asking again for the same precision is a no-op, not a re-probe.
+        let again = plan.clone().at_precision(Precision::Bf16);
+        assert_eq!(plan.precision(), again.precision());
+        assert_eq!(plan.precision_fallback(), again.precision_fallback());
     }
 
     #[test]
@@ -952,7 +992,7 @@ mod tests {
         let h_bad = random_dense(&mut rng, 41, 5);
         let mut q = QuantMatrix::new();
         q.encode(&h_bad, Precision::Bf16).unwrap();
-        let plan = SpmmPlan::with_precision(&a, 5, Precision::Bf16);
+        let plan = SpmmPlan::new(&a, 5).at_precision(Precision::Bf16);
         let mut out = DenseMatrix::default();
         assert!(matches!(
             plan.run_into(&a, &q, &mut out),

@@ -4,9 +4,10 @@
 //! become caught failures, attempts are bounded with backoff) and, when a
 //! strategy keeps failing, walks a degradation chain toward simpler
 //! kernels: Hybrid / EdgeParallel / FeatureParallel → VertexParallel →
-//! Sequential. The sequential kernel touches no pool, no atomics, and no
-//! scratch arena, so it is the last resort that a single surviving thread
-//! can always execute. Every recovery and fallback is recorded in an
+//! Sequential (NnzBalanced, like VertexParallel, → Sequential). The
+//! sequential kernel touches no pool, no atomics, and no scratch arena, so
+//! it is the last resort that a single surviving thread can always
+//! execute. Every recovery and fallback is recorded in an
 //! [`ExecutionReport`] so callers (and chaos tests) can see exactly how a
 //! result was obtained.
 //!
@@ -100,9 +101,9 @@ pub fn fallback_of(s: SpmmStrategy) -> Option<SpmmStrategy> {
         | SpmmStrategy::FeatureParallel { threads } => {
             Some(SpmmStrategy::VertexParallel { threads })
         }
-        SpmmStrategy::VertexParallel { .. } | SpmmStrategy::FeatureTiled { .. } => {
-            Some(SpmmStrategy::Sequential)
-        }
+        SpmmStrategy::VertexParallel { .. }
+        | SpmmStrategy::NnzBalanced { .. }
+        | SpmmStrategy::FeatureTiled { .. } => Some(SpmmStrategy::Sequential),
         SpmmStrategy::Sequential => None,
         SpmmStrategy::Auto => Some(SpmmStrategy::Sequential),
     }
@@ -132,10 +133,10 @@ fn terminal_error(last: Failure<MatrixError>) -> MatrixError {
 /// Runs `out = a * h` with bounded retry and strategy degradation,
 /// returning how the result was obtained.
 ///
-/// `strategy` is resolved (for [`SpmmStrategy::Auto`]) once up front; each
-/// rung of the chain gets `policy.attempts` tries before degrading. The
-/// final [`SpmmStrategy::Sequential`] rung failing is the only way this
-/// returns `Err`.
+/// `strategy` is resolved (for [`SpmmStrategy::Auto`], by the plan's rule)
+/// once up front; each rung of the chain gets `policy.attempts` tries
+/// before degrading. The final [`SpmmStrategy::Sequential`] rung failing is
+/// the only way this returns `Err`.
 ///
 /// # Errors
 ///
@@ -151,7 +152,7 @@ pub fn run_resilient_into(
     crate::spmm::check("run_resilient_into", a, h)?;
     let mut report = ExecutionReport::new();
     let mut current = match strategy {
-        SpmmStrategy::Auto => SpmmStrategy::select(a, h.cols()),
+        SpmmStrategy::Auto => SpmmPlan::new(a, h.cols()).exec(),
         s => s,
     };
     loop {
@@ -186,64 +187,6 @@ pub fn run_resilient_into(
                     cause: err.last.to_string(),
                 });
                 current = next;
-            }
-        }
-    }
-}
-
-/// Planned counterpart of [`run_resilient_into`]: tries the plan's cached
-/// execution path first, then degrades through the plan's
-/// strategy-equivalent chain (e.g. a planned Hybrid falls back to
-/// VertexParallel, then Sequential).
-///
-/// # Errors
-///
-/// See [`run_resilient_into`].
-pub fn run_planned_resilient_into(
-    plan: &SpmmPlan,
-    a: &Csr,
-    h: &DenseMatrix,
-    policy: &RetryPolicy,
-    out: &mut DenseMatrix,
-) -> Result<ExecutionReport, MatrixError> {
-    crate::spmm::check("run_planned_resilient_into", a, h)?;
-    let mut report = ExecutionReport::new();
-    let outcome = retry::run(policy, || -> Result<(), MatrixError> {
-        resilience::fault_point_err!(
-            "kernels.plan.exec",
-            MatrixError::Fault {
-                site: "kernels.plan.exec",
-            }
-        );
-        plan.run_into(a, h, out)
-    });
-    match outcome {
-        Ok(rec) => {
-            report.absorb(&rec);
-            report.completed_with = Some(format!("planned {}", plan.strategy_equivalent()));
-            Ok(report)
-        }
-        Err(err) => {
-            report.attempts += err.attempts;
-            report.fault_site = Some(failure_site(&err.last));
-            let next = fallback_of(plan.strategy_equivalent()).unwrap_or(SpmmStrategy::Sequential);
-            report.degradations.push(Degradation {
-                from: format!("planned {}", plan.strategy_equivalent()),
-                to: next.to_string(),
-                cause: err.last.to_string(),
-            });
-            match run_resilient_into(a, h, next, policy, out) {
-                Ok(mut tail) => {
-                    tail.attempts += report.attempts;
-                    tail.fault_site = report.fault_site.or(tail.fault_site);
-                    tail.degradations = {
-                        let mut d = report.degradations;
-                        d.extend(tail.degradations);
-                        d
-                    };
-                    Ok(tail)
-                }
-                Err(e) => Err(e),
             }
         }
     }
@@ -406,28 +349,6 @@ mod tests {
             "the report names the originating fault site"
         );
         assert_eq!(report.shard, None, "kernels never attributes a shard");
-        assert!(expected.max_abs_diff(&out) < 1e-4);
-    }
-
-    #[test]
-    fn planned_run_degrades_to_strategy_chain() {
-        let (a, h, expected) = small_problem();
-        let plan = SpmmPlan::new(&a, h.cols());
-        let mut out = DenseMatrix::default();
-        let report =
-            run_planned_resilient_into(&plan, &a, &h, &RetryPolicy::immediate(2), &mut out)
-                .unwrap();
-        assert!(expected.max_abs_diff(&out) < 1e-4);
-        assert!(report.completed_with.is_some());
-        // Now fail the planned path outright; the strategy chain takes over.
-        let _armed =
-            fault::arm(FaultConfig::new(8).point("kernels.plan.exec", FaultKind::Error, 1.0));
-        let report =
-            run_planned_resilient_into(&plan, &a, &h, &RetryPolicy::immediate(2), &mut out)
-                .unwrap();
-        assert!(!report.degradations.is_empty(), "plan failure not recorded");
-        assert!(report.degradations[0].from.starts_with("planned"));
-        assert_eq!(report.fault_site.as_deref(), Some("kernels.plan.exec"));
         assert!(expected.max_abs_diff(&out) < 1e-4);
     }
 }

@@ -3,9 +3,10 @@
 //! All parallel kernels execute on the process-wide persistent thread pool
 //! ([`pool::global`]): threads are spawned once and reused across calls,
 //! so per-invocation cost is one job publication instead of N thread
-//! spawns. Each kernel has a `*_into` variant writing into a caller-owned
-//! [`DenseMatrix`], which the GCN inference path uses to ping-pong between
-//! two activation buffers without per-layer allocation.
+//! spawns. Every kernel writes into a caller-owned [`DenseMatrix`], which
+//! the GCN inference path uses to ping-pong between two activation buffers
+//! without per-layer allocation; the allocating form of any of them is
+//! [`crate::SpmmStrategy::run`].
 
 use matrix::microkernel::KernelDispatch;
 use matrix::{DenseMatrix, MatrixError, QuantMatrix};
@@ -52,6 +53,12 @@ pub trait FeatureOperand: Sync {
     /// `y += w * self[v, t]` — the column-range form the feature-tiled
     /// kernel needs.
     fn axpy_range(&self, kd: KernelDispatch, y: &mut [f32], w: f32, v: usize, t: Range<usize>);
+
+    /// The operand as full-precision rows, for the kernels that exist only
+    /// over `f32` storage (edge-parallel, feature-parallel). Narrow storage
+    /// is [`MatrixError::UnsupportedPrecision`] naming `op` — an error,
+    /// never a silent `f32` run.
+    fn f32_rows(&self, op: &'static str) -> Result<&DenseMatrix, MatrixError>;
 }
 
 impl FeatureOperand for DenseMatrix {
@@ -75,6 +82,10 @@ impl FeatureOperand for DenseMatrix {
     #[inline]
     fn axpy_range(&self, kd: KernelDispatch, y: &mut [f32], w: f32, v: usize, t: Range<usize>) {
         kd.axpy(y, w, &self.row(v)[t]);
+    }
+
+    fn f32_rows(&self, _op: &'static str) -> Result<&DenseMatrix, MatrixError> {
+        Ok(self)
     }
 }
 
@@ -100,6 +111,13 @@ impl FeatureOperand for QuantMatrix {
     #[inline]
     fn axpy_range(&self, kd: KernelDispatch, y: &mut [f32], w: f32, v: usize, t: Range<usize>) {
         kd.axpy_quant(y, w, self.row_range(v, t.start, t.end));
+    }
+
+    fn f32_rows(&self, op: &'static str) -> Result<&DenseMatrix, MatrixError> {
+        Err(MatrixError::UnsupportedPrecision {
+            op,
+            precision: self.precision().name(),
+        })
     }
 }
 
@@ -168,40 +186,24 @@ pub fn spmm_sequential_into<F: FeatureOperand>(
     Ok(())
 }
 
-/// Vertex-parallel SpMM with dynamic load balancing.
+/// Vertex-parallel SpMM with dynamic load balancing, over any
+/// [`FeatureOperand`].
 ///
 /// Output rows are split into [`VERTEX_CHUNK`]-row chunks; pool workers
 /// claim chunks from the job's shared counter (the moral equivalent of
 /// OpenMP `schedule(dynamic)`, which Section V-A reports as the fastest
 /// CPU configuration). Each chunk is owned exclusively by one worker, so
-/// no atomics touch the output.
+/// no atomics touch the output; the chunks cover every row and the row
+/// kernel overwrites, so `out` is reshaped without a memset and without
+/// allocating once it has reached capacity.
 ///
 /// # Errors
 ///
 /// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
 /// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_vertex_parallel(
+pub fn spmm_vertex_parallel_into<F: FeatureOperand>(
     a: &Csr,
-    h: &DenseMatrix,
-    threads: usize,
-) -> Result<DenseMatrix, MatrixError> {
-    let mut out = DenseMatrix::default();
-    spmm_vertex_parallel_into(a, h, threads, &mut out)?;
-    Ok(out)
-}
-
-/// [`spmm_vertex_parallel`] writing into a caller-owned output matrix
-/// (reshaped with [`DenseMatrix::resize_for_overwrite`] — the chunks cover
-/// every row and the row kernel overwrites; allocation of the output is
-/// avoided entirely once the buffer has reached capacity).
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_vertex_parallel_into(
-    a: &Csr,
-    h: &DenseMatrix,
+    h: &F,
     threads: usize,
     out: &mut DenseMatrix,
 ) -> Result<(), MatrixError> {
@@ -209,7 +211,7 @@ pub fn spmm_vertex_parallel_into(
     if threads == 0 {
         return Err(MatrixError::ZeroThreads);
     }
-    let (n, k) = (a.nrows(), h.cols());
+    let (n, k) = (a.nrows(), h.shape().1);
     out.resize_for_overwrite(n, k);
     // k == 0 would make the chunk size below zero-sized (a panic in
     // `chunks_mut`), and there is nothing to compute anyway.
@@ -252,22 +254,6 @@ pub fn spmm_vertex_parallel_into(
 /// This is the strategy PIUMA's cheap remote atomics make attractive; on
 /// CPUs the atomic traffic makes it slower than vertex-parallel, which is
 /// exactly the contrast the paper draws.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_edge_parallel(
-    a: &Csr,
-    h: &DenseMatrix,
-    threads: usize,
-) -> Result<DenseMatrix, MatrixError> {
-    let mut out = DenseMatrix::default();
-    spmm_edge_parallel_into(a, h, threads, &mut out)?;
-    Ok(out)
-}
-
-/// [`spmm_edge_parallel`] writing into a caller-owned output matrix.
 ///
 /// The `n * k` atomic accumulation grid comes from the global pool's
 /// [`pool::ScratchArena`] instead of a fresh `Vec<AtomicU32>` per call, so
@@ -380,6 +366,7 @@ pub(crate) fn atomic_add_f32(cell: &AtomicU32, add: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpmmStrategy;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sparse::Coo;
@@ -401,6 +388,18 @@ mod tests {
         DenseMatrix::from_vec(r, c, data).unwrap()
     }
 
+    fn vertex_parallel(
+        a: &Csr,
+        h: &DenseMatrix,
+        threads: usize,
+    ) -> Result<DenseMatrix, MatrixError> {
+        SpmmStrategy::VertexParallel { threads }.run(a, h)
+    }
+
+    fn edge_parallel(a: &Csr, h: &DenseMatrix, threads: usize) -> Result<DenseMatrix, MatrixError> {
+        SpmmStrategy::EdgeParallel { threads }.run(a, h)
+    }
+
     #[test]
     fn sequential_matches_dense_reference() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -418,7 +417,7 @@ mod tests {
         let h = random_dense(&mut rng, 300, 16);
         let reference = spmm_sequential(&a, &h).unwrap();
         for threads in [1, 2, 4, 7, 32] {
-            let got = spmm_vertex_parallel(&a, &h, threads).unwrap();
+            let got = vertex_parallel(&a, &h, threads).unwrap();
             assert!(
                 reference.max_abs_diff(&got) < 1e-4,
                 "threads={threads} diverged"
@@ -433,7 +432,7 @@ mod tests {
         let h = random_dense(&mut rng, 200, 9);
         let reference = spmm_sequential(&a, &h).unwrap();
         for threads in [1, 2, 3, 8, 16] {
-            let got = spmm_edge_parallel(&a, &h, threads).unwrap();
+            let got = edge_parallel(&a, &h, threads).unwrap();
             assert!(
                 reference.max_abs_diff(&got) < 1e-3,
                 "threads={threads} diverged"
@@ -455,7 +454,7 @@ mod tests {
         let h = random_dense(&mut rng, 64, 5);
         let reference = spmm_sequential(&a, &h).unwrap();
         for threads in [2, 5, 13] {
-            let got = spmm_edge_parallel(&a, &h, threads).unwrap();
+            let got = edge_parallel(&a, &h, threads).unwrap();
             assert!(reference.max_abs_diff(&got) < 1e-4);
         }
     }
@@ -466,7 +465,7 @@ mod tests {
         coo.push(1, 2, 1.5);
         let a = Csr::from_coo(&coo);
         let h = DenseMatrix::filled(4, 3, 1.0);
-        let got = spmm_edge_parallel(&a, &h, 64).unwrap();
+        let got = edge_parallel(&a, &h, 64).unwrap();
         assert_eq!(got.row(1), &[1.5, 1.5, 1.5]);
     }
 
@@ -475,8 +474,8 @@ mod tests {
         let a = Csr::empty(3, 4);
         let h = DenseMatrix::zeros(5, 2);
         assert!(spmm_sequential(&a, &h).is_err());
-        assert!(spmm_vertex_parallel(&a, &h, 2).is_err());
-        assert!(spmm_edge_parallel(&a, &h, 2).is_err());
+        assert!(vertex_parallel(&a, &h, 2).is_err());
+        assert!(edge_parallel(&a, &h, 2).is_err());
     }
 
     #[test]
@@ -484,11 +483,11 @@ mod tests {
         let a = Csr::empty(2, 2);
         let h = DenseMatrix::zeros(2, 2);
         assert!(matches!(
-            spmm_vertex_parallel(&a, &h, 0),
+            vertex_parallel(&a, &h, 0),
             Err(MatrixError::ZeroThreads)
         ));
         assert!(matches!(
-            spmm_edge_parallel(&a, &h, 0),
+            edge_parallel(&a, &h, 0),
             Err(MatrixError::ZeroThreads)
         ));
     }
@@ -502,9 +501,9 @@ mod tests {
         let a = random_csr(&mut rng, 100, 100, 400);
         let h = DenseMatrix::zeros(100, 0);
         for threads in [1, 2, 8] {
-            let v = spmm_vertex_parallel(&a, &h, threads).unwrap();
+            let v = vertex_parallel(&a, &h, threads).unwrap();
             assert_eq!(v.shape(), (100, 0));
-            let e = spmm_edge_parallel(&a, &h, threads).unwrap();
+            let e = edge_parallel(&a, &h, threads).unwrap();
             assert_eq!(e.shape(), (100, 0));
         }
     }
@@ -547,8 +546,8 @@ mod tests {
         let h = DenseMatrix::filled(3, 4, 2.0);
         for result in [
             spmm_sequential(&a, &h).unwrap(),
-            spmm_vertex_parallel(&a, &h, 4).unwrap(),
-            spmm_edge_parallel(&a, &h, 4).unwrap(),
+            vertex_parallel(&a, &h, 4).unwrap(),
+            edge_parallel(&a, &h, 4).unwrap(),
         ] {
             assert!(result.as_slice().iter().all(|&x| x == 0.0));
         }

@@ -34,27 +34,11 @@ use crate::spmm::{check, FeatureOperand};
 pub const DEFAULT_TILE: usize = 256;
 
 /// Sequential feature-tiled SpMM: `out = A * H`, processed in K-tiles of
-/// width `tile`.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch; a zero
-/// `tile` is promoted to [`DEFAULT_TILE`].
-pub fn spmm_feature_tiled(
-    a: &Csr,
-    h: &DenseMatrix,
-    tile: usize,
-) -> Result<DenseMatrix, MatrixError> {
-    let mut out = DenseMatrix::default();
-    spmm_feature_tiled_into(a, h, tile, &mut out)?;
-    Ok(out)
-}
-
-/// [`spmm_feature_tiled`] over any [`FeatureOperand`], writing into a
-/// caller-owned output matrix (reshaped with
-/// [`DenseMatrix::resize_zeroed`]; allocation-free at capacity). Over
-/// narrow storage, tiling and narrowing compound: a tile's working set
-/// shrinks by the tile factor *and* the storage ratio.
+/// width `tile`, over any [`FeatureOperand`], writing into a caller-owned
+/// output matrix (reshaped with [`DenseMatrix::resize_zeroed`];
+/// allocation-free at capacity). Over narrow storage, tiling and narrowing
+/// compound: a tile's working set shrinks by the tile factor *and* the
+/// storage ratio.
 ///
 /// # Errors
 ///
@@ -90,22 +74,6 @@ pub fn spmm_feature_tiled_into<F: FeatureOperand>(
 /// the same cache lines. Complements the row-parallel kernels when `K >>
 /// thread count` — and is the layout GE-SpMM's coalesced row caching
 /// exploits on GPUs.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_feature_parallel(
-    a: &Csr,
-    h: &DenseMatrix,
-    threads: usize,
-) -> Result<DenseMatrix, MatrixError> {
-    let mut out = DenseMatrix::default();
-    spmm_feature_parallel_into(a, h, threads, &mut out)?;
-    Ok(out)
-}
-
-/// [`spmm_feature_parallel`] writing into a caller-owned output matrix.
 ///
 /// Runs on the persistent global pool. Column tiles cannot be handed out
 /// as `&mut` slices of a row-major matrix, so tiles accumulate into the
@@ -173,6 +141,7 @@ pub fn spmm_feature_parallel_into(
 mod tests {
     use super::*;
     use crate::spmm::spmm_sequential;
+    use crate::SpmmStrategy;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sparse::Coo;
@@ -194,12 +163,24 @@ mod tests {
         )
     }
 
+    fn feature_tiled(a: &Csr, h: &DenseMatrix, tile: usize) -> Result<DenseMatrix, MatrixError> {
+        SpmmStrategy::FeatureTiled { tile }.run(a, h)
+    }
+
+    fn feature_parallel(
+        a: &Csr,
+        h: &DenseMatrix,
+        threads: usize,
+    ) -> Result<DenseMatrix, MatrixError> {
+        SpmmStrategy::FeatureParallel { threads }.run(a, h)
+    }
+
     #[test]
     fn tiled_matches_reference_for_many_tile_sizes() {
         let (a, h) = random_inputs(60, 500, 37, 1);
         let reference = spmm_sequential(&a, &h).unwrap();
         for tile in [1, 2, 7, 16, 37, 64, 0] {
-            let got = spmm_feature_tiled(&a, &h, tile).unwrap();
+            let got = feature_tiled(&a, &h, tile).unwrap();
             assert!(reference.max_abs_diff(&got) < 1e-4, "tile={tile} diverged");
         }
     }
@@ -209,7 +190,7 @@ mod tests {
         let (a, h) = random_inputs(80, 900, 48, 2);
         let reference = spmm_sequential(&a, &h).unwrap();
         for threads in [1, 2, 3, 5, 48, 100] {
-            let got = spmm_feature_parallel(&a, &h, threads).unwrap();
+            let got = feature_parallel(&a, &h, threads).unwrap();
             assert!(
                 reference.max_abs_diff(&got) < 1e-4,
                 "threads={threads} diverged"
@@ -221,18 +202,18 @@ mod tests {
     fn narrow_k_is_handled() {
         let (a, h) = random_inputs(20, 60, 1, 3);
         let reference = spmm_sequential(&a, &h).unwrap();
-        assert!(reference.max_abs_diff(&spmm_feature_parallel(&a, &h, 8).unwrap()) < 1e-5);
+        assert!(reference.max_abs_diff(&feature_parallel(&a, &h, 8).unwrap()) < 1e-5);
     }
 
     #[test]
     fn shape_and_thread_errors_are_reported() {
         let a = Csr::empty(3, 3);
         let h = DenseMatrix::zeros(4, 2);
-        assert!(spmm_feature_tiled(&a, &h, 4).is_err());
-        assert!(spmm_feature_parallel(&a, &h, 2).is_err());
+        assert!(feature_tiled(&a, &h, 4).is_err());
+        assert!(feature_parallel(&a, &h, 2).is_err());
         let h = DenseMatrix::zeros(3, 2);
         assert!(matches!(
-            spmm_feature_parallel(&a, &h, 0),
+            feature_parallel(&a, &h, 0),
             Err(MatrixError::ZeroThreads)
         ));
     }
@@ -241,7 +222,7 @@ mod tests {
     fn empty_inputs_give_zero_output() {
         let a = Csr::empty(4, 4);
         let h = DenseMatrix::zeros(4, 0);
-        let out = spmm_feature_parallel(&a, &h, 3).unwrap();
+        let out = feature_parallel(&a, &h, 3).unwrap();
         assert_eq!(out.shape(), (4, 0));
     }
 }

@@ -35,6 +35,7 @@ fn every_strategy_matches_sequential_across_graphs_threads_and_widths() {
             for threads in THREADS {
                 let strategies = [
                     SpmmStrategy::VertexParallel { threads },
+                    SpmmStrategy::NnzBalanced { threads },
                     SpmmStrategy::EdgeParallel { threads },
                     SpmmStrategy::FeatureParallel { threads },
                     SpmmStrategy::Hybrid { threads },
@@ -54,7 +55,7 @@ fn every_strategy_matches_sequential_across_graphs_threads_and_widths() {
             assert!(
                 reference.max_abs_diff(&got) < 1e-3,
                 "{name} k={k} auto ({}) diverged",
-                SpmmStrategy::select(&a_hat, k)
+                kernels::SpmmPlan::new(&a_hat, k).exec()
             );
         }
     }

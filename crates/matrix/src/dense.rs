@@ -175,15 +175,19 @@ impl DenseMatrix {
         out
     }
 
-    /// Multiplies `self * rhs` using the packed register-tiled GEMM engine
-    /// ([`crate::microkernel::matmul_packed`]).
+    /// Multiplies `self * rhs` on one thread of the packed register-tiled
+    /// GEMM engine ([`crate::microkernel::matmul_packed_with`]) — the
+    /// allocating convenience tests use.
     ///
     /// # Errors
     ///
     /// Returns [`MatrixError::DimensionMismatch`] if
     /// `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &DenseMatrix) -> Result<DenseMatrix> {
-        crate::microkernel::matmul_packed(self, rhs)
+        let mut c = DenseMatrix::default();
+        let kd = crate::microkernel::KernelDispatch::get();
+        crate::microkernel::matmul_packed_with(kd, self, rhs, 1, &mut c)?;
+        Ok(c)
     }
 
     /// Applies an activation function element-wise, in place.

@@ -1,9 +1,11 @@
-//! Dense GEMM kernels: naive reference, cache-blocked, and multi-threaded.
+//! The naive GEMM reference and the shape / FLOP helpers the packed engine
+//! shares.
 //!
 //! The GCN "update" phase is `H * W` where `H` is `|V| x K_in` (tall and
-//! skinny) and `W` is `K_in x K_out` (small). All kernels here compute
-//! `C = A * B` for arbitrary conforming shapes; the blocked and parallel
-//! variants are tuned for the tall-skinny case.
+//! skinny) and `W` is `K_in x K_out` (small). The production kernel is the
+//! packed, register-tiled, multi-threaded engine in [`crate::microkernel`]
+//! ([`crate::microkernel::matmul_packed_with`]); [`matmul_naive`] is the
+//! oracle it and `GcnModel::infer_reference` are checked against.
 
 use crate::dense::DenseMatrix;
 use crate::error::MatrixError;
@@ -50,76 +52,6 @@ pub fn matmul_naive(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     Ok(c)
 }
 
-/// Single-threaded GEMM through the packed micro-kernel engine.
-///
-/// This entry point used to run the scalar cache-blocked ikj loop, but at
-/// 512³ that loop measured *slower* than [`matmul_naive`] (block-edge
-/// bookkeeping with no bandwidth win at L2-resident sizes), so it now
-/// routes through [`crate::microkernel::matmul_packed_with`] with one
-/// thread — no shipped kernel is slower than naive.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if `a.cols() != b.rows()`.
-pub fn matmul_blocked(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-    check_shapes("matmul_blocked", a, b)?;
-    let mut c = DenseMatrix::default();
-    crate::microkernel::matmul_packed_with(
-        crate::microkernel::KernelDispatch::get(),
-        a,
-        b,
-        1,
-        &mut c,
-    )?;
-    Ok(c)
-}
-
-/// Multi-threaded GEMM that partitions rows of `A` across `threads`
-/// executors of the process-wide [`pool::global`] thread pool. Each share
-/// owns a disjoint slice of `C`, so no synchronization is needed beyond the
-/// pool's completion barrier.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if `a.cols() != b.rows()` and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn matmul_parallel(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-    let mut c = DenseMatrix::default();
-    matmul_parallel_into(a, b, threads, &mut c)?;
-    Ok(c)
-}
-
-/// [`matmul_parallel`] writing into a caller-owned output matrix.
-///
-/// `c` is reshaped to `(a.rows(), b.cols())` with
-/// [`DenseMatrix::resize_zeroed`], so in steady state (same shapes every
-/// call) the output is computed without touching the allocator. On error
-/// `c` is left unchanged.
-///
-/// Since the micro-kernel engine landed this routes through
-/// [`crate::microkernel::matmul_packed_with`] — panel-packed, register-tiled
-/// inner loops on the process-wide [`crate::microkernel::KernelDispatch`].
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if `a.cols() != b.rows()` and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn matmul_parallel_into(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    threads: usize,
-    c: &mut DenseMatrix,
-) -> Result<()> {
-    check_shapes("matmul_parallel", a, b)?;
-    crate::microkernel::matmul_packed_with(
-        crate::microkernel::KernelDispatch::get(),
-        a,
-        b,
-        threads,
-        c,
-    )
-}
-
 /// FLOP count of a GEMM with these operand shapes (`2 * m * k * n`),
 /// saturating instead of overflowing on huge synthetic shapes: the product
 /// is formed in `u128` with saturating multiplies before the final `f64`
@@ -135,12 +67,20 @@ pub fn gemm_flops(m: usize, k: usize, n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microkernel::{matmul_packed_with, KernelDispatch};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> DenseMatrix {
         let data: Vec<f32> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
         DenseMatrix::from_vec(rows, cols, data).unwrap()
+    }
+
+    /// The packed engine on `threads` pool executors, into a fresh output.
+    fn packed(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+        let mut c = DenseMatrix::default();
+        matmul_packed_with(KernelDispatch::get(), a, b, threads, &mut c)?;
+        Ok(c)
     }
 
     #[test]
@@ -153,7 +93,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_naive_on_random_inputs() {
+    fn one_thread_packed_matches_naive_on_random_inputs() {
         let mut rng = StdRng::seed_from_u64(1);
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -165,19 +105,19 @@ mod tests {
             let a = random_matrix(&mut rng, m, k);
             let b = random_matrix(&mut rng, k, n);
             let c0 = matmul_naive(&a, &b).unwrap();
-            let c1 = matmul_blocked(&a, &b).unwrap();
+            let c1 = a.matmul(&b).unwrap();
             assert!(c0.max_abs_diff(&c1) < 1e-4, "shape ({m},{k},{n})");
         }
     }
 
     #[test]
-    fn parallel_matches_naive_for_various_thread_counts() {
+    fn packed_matches_naive_for_various_thread_counts() {
         let mut rng = StdRng::seed_from_u64(2);
         let a = random_matrix(&mut rng, 97, 43);
         let b = random_matrix(&mut rng, 43, 21);
         let reference = matmul_naive(&a, &b).unwrap();
         for threads in [1, 2, 3, 8, 200] {
-            let c = matmul_parallel(&a, &b, threads).unwrap();
+            let c = packed(&a, &b, threads).unwrap();
             assert!(
                 reference.max_abs_diff(&c) < 1e-4,
                 "threads={threads} diverged"
@@ -186,7 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_into_reuses_buffer_and_clears_stale_values() {
+    fn packed_reuses_buffer_and_clears_stale_values() {
         let mut rng = StdRng::seed_from_u64(3);
         let a = random_matrix(&mut rng, 33, 17);
         let b = random_matrix(&mut rng, 17, 9);
@@ -194,7 +134,7 @@ mod tests {
         // Pre-poison the output with a larger stale matrix.
         let mut c = DenseMatrix::filled(50, 50, f32::NAN);
         let ptr = c.as_slice().as_ptr();
-        matmul_parallel_into(&a, &b, 4, &mut c).unwrap();
+        matmul_packed_with(KernelDispatch::get(), &a, &b, 4, &mut c).unwrap();
         assert!(reference.max_abs_diff(&c) < 1e-4);
         assert_eq!(
             c.as_slice().as_ptr(),
@@ -202,7 +142,7 @@ mod tests {
             "capacity was large enough: no realloc"
         );
         // Second call with identical shapes must also be correct.
-        matmul_parallel_into(&a, &b, 4, &mut c).unwrap();
+        matmul_packed_with(KernelDispatch::get(), &a, &b, 4, &mut c).unwrap();
         assert!(reference.max_abs_diff(&c) < 1e-4);
     }
 
@@ -210,7 +150,7 @@ mod tests {
     fn zero_width_outputs_are_handled() {
         let a = DenseMatrix::zeros(4, 3);
         let b = DenseMatrix::zeros(3, 0);
-        let c = matmul_parallel(&a, &b, 4).unwrap();
+        let c = packed(&a, &b, 4).unwrap();
         assert_eq!(c.shape(), (4, 0));
     }
 
@@ -219,25 +159,22 @@ mod tests {
         let a = DenseMatrix::zeros(2, 3);
         let b = DenseMatrix::zeros(4, 2);
         assert!(matmul_naive(&a, &b).is_err());
-        assert!(matmul_blocked(&a, &b).is_err());
-        assert!(matmul_parallel(&a, &b, 2).is_err());
+        assert!(a.matmul(&b).is_err());
+        assert!(packed(&a, &b, 2).is_err());
     }
 
     #[test]
     fn zero_threads_is_rejected() {
         let a = DenseMatrix::zeros(2, 2);
         let b = DenseMatrix::zeros(2, 2);
-        assert_eq!(
-            matmul_parallel(&a, &b, 0).unwrap_err(),
-            MatrixError::ZeroThreads
-        );
+        assert_eq!(packed(&a, &b, 0).unwrap_err(), MatrixError::ZeroThreads);
     }
 
     #[test]
     fn empty_matrices_multiply_to_empty() {
         let a = DenseMatrix::zeros(0, 3);
         let b = DenseMatrix::zeros(3, 4);
-        let c = matmul_parallel(&a, &b, 4).unwrap();
+        let c = packed(&a, &b, 4).unwrap();
         assert_eq!(c.shape(), (0, 4));
     }
 

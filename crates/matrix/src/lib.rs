@@ -6,19 +6,15 @@
 //! lives here.
 //!
 //! The centerpiece is [`DenseMatrix`], a row-major `f32` matrix, together
-//! with GEMM implementations of increasing sophistication:
+//! with two GEMMs:
 //!
 //! * [`gemm::matmul_naive`] — triple loop, the correctness reference,
-//! * [`gemm::matmul_blocked`] — single-threaded entry into the packed
-//!   engine (the scalar cache-blocked loop it replaced regressed below
-//!   naive at L2-resident sizes),
-//! * [`gemm::matmul_parallel`] — row-partitioned multi-threaded GEMM,
-//! * [`microkernel::matmul_packed`] — panel-packed, register-tiled GEMM with
-//!   runtime SIMD dispatch; [`DenseMatrix::matmul`] and the parallel `_into`
-//!   entry points route through it. One blocked driver serves every storage
-//!   precision ([`microkernel::matmul_packed_prec_with`]): the panel format
-//!   (f32 / bf16 / f16 / int8) is a type argument of the driver, not a copy
-//!   of it.
+//! * [`microkernel::matmul_packed_with`] — panel-packed, register-tiled,
+//!   row-partitioned across pool threads, with runtime SIMD dispatch;
+//!   [`DenseMatrix::matmul`] is its one-thread allocating convenience. One
+//!   blocked driver serves every storage precision
+//!   ([`microkernel::matmul_packed_prec_with`]): the panel format (f32 /
+//!   bf16 / f16 / int8) is a type argument of the driver, not a copy of it.
 //!
 //! # Examples
 //!

@@ -1809,35 +1809,6 @@ fn gemm_block<F: PanelFormat>(
 // Blocked driver
 // ---------------------------------------------------------------------------
 
-/// Packed register-tiled GEMM through the process-wide cached dispatch;
-/// see [`matmul_packed_with`].
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if `a.cols() != b.rows()`.
-pub fn matmul_packed(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-    let mut c = DenseMatrix::default();
-    matmul_packed_with(KernelDispatch::get(), a, b, 1, &mut c)?;
-    Ok(c)
-}
-
-/// [`matmul_packed`] writing into a caller-owned output across `threads`
-/// executors of the global pool.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if `a.cols() != b.rows()` and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn matmul_packed_into(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    threads: usize,
-    c: &mut DenseMatrix,
-) -> Result<()> {
-    check_shapes("matmul_packed", a, b)?;
-    matmul_packed_with(KernelDispatch::get(), a, b, threads, c)
-}
-
 /// Cache-blocked, panel-packed GEMM `C = A * B` running its inner tiles on
 /// an explicit [`KernelDispatch`] — the `f32` instantiation of the one
 /// blocked driver.

@@ -8,6 +8,7 @@
 //! buffer from a crashed attempt is erased by the next one.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How many attempts to make and how long to pause between them.
@@ -160,16 +161,33 @@ where
     }
 }
 
-/// Replace the global panic hook with a silent one for the guard's
-/// lifetime; restores the previous hook on drop.
+/// The payload prefix of every panic a fault site injects
+/// ([`fault_point!`](crate::fault_point)).
+const INJECTED_PANIC_PREFIX: &str = "injected fault at";
+
+/// Silence *injected* panics for the guard's lifetime; restores the
+/// previous hook on drop.
 ///
 /// Chaos tests inject hundreds of panics that are all caught and retried;
 /// without this the default hook floods stderr with expected backtraces.
-/// The hook is process-global, so hold this only inside regions already
-/// serialized by [`fault::arm`](crate::fault::arm).
+/// Only panics whose payload starts with `"injected fault at"` are
+/// swallowed — anything else (a failed `assert!` in the test holding the
+/// guard, a real bug) still reaches the previous hook, so a failing gate
+/// keeps its message. The hook is process-global, so hold this only inside
+/// regions already serialized by [`fault::arm`](crate::fault::arm).
 pub fn quiet_panics() -> QuietPanicGuard {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    let prev = Arc::new(std::panic::take_hook());
+    let forward = Arc::clone(&prev);
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let message = match payload.downcast_ref::<String>() {
+            Some(s) => Some(s.as_str()),
+            None => payload.downcast_ref::<&str>().copied(),
+        };
+        if !message.is_some_and(|m| m.starts_with(INJECTED_PANIC_PREFIX)) {
+            forward(info);
+        }
+    }));
     QuietPanicGuard { prev: Some(prev) }
 }
 
@@ -178,20 +196,43 @@ type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
 
 /// Guard returned by [`quiet_panics`].
 pub struct QuietPanicGuard {
-    prev: Option<PanicHook>,
+    prev: Option<Arc<PanicHook>>,
 }
 
 impl Drop for QuietPanicGuard {
     fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            std::panic::set_hook(prev);
+        // `take_hook` / `set_hook` panic on a panicking thread, and a panic
+        // in a destructor during unwinding aborts the process. Dropped by a
+        // failing test, the guard leaves its hook in place: it forwards
+        // everything but injected panics anyway.
+        if std::thread::panicking() {
+            return;
         }
+        let Some(prev) = self.prev.take() else {
+            return;
+        };
+        // Dropping the quiet hook releases its clone of `prev`.
+        drop(std::panic::take_hook());
+        std::panic::set_hook(match Arc::try_unwrap(prev) {
+            Ok(hook) => hook,
+            // Guards dropped out of order: some other quiet hook still
+            // forwards to this one.
+            Err(shared) => Box::new(move |info| shared(info)),
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// The panic hook is process-global: tests that install one take turns.
+    static HOOK: Mutex<()> = Mutex::new(());
+
+    fn hook_turn() -> std::sync::MutexGuard<'static, ()> {
+        HOOK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn first_try_success_is_one_attempt() {
@@ -203,12 +244,13 @@ mod tests {
 
     #[test]
     fn recovers_from_panics_and_errors() {
+        let _turn = hook_turn();
         let _quiet = quiet_panics();
         let mut n = 0;
         let r = run(&RetryPolicy::immediate(4), || {
             n += 1;
             match n {
-                1 => panic!("injected"),
+                1 => panic!("injected fault at `test`"),
                 2 => Err("typed".to_string()),
                 _ => Ok(n),
             }
@@ -222,6 +264,7 @@ mod tests {
 
     #[test]
     fn exhaustion_reports_last_failure() {
+        let _turn = hook_turn();
         let _quiet = quiet_panics();
         let err = run::<u32, _, _>(&RetryPolicy::immediate(2), || {
             Err::<u32, _>("always".to_string())
@@ -234,10 +277,47 @@ mod tests {
 
     #[test]
     fn panic_message_renders_common_payloads() {
+        let _turn = hook_turn();
         let _quiet = quiet_panics();
-        let p = catch_unwind(|| panic!("literal")).unwrap_err();
-        assert_eq!(panic_message(p.as_ref()), "literal");
-        let p = catch_unwind(|| panic!("{}", String::from("formatted"))).unwrap_err();
-        assert_eq!(panic_message(p.as_ref()), "formatted");
+        let p = catch_unwind(|| panic!("injected fault at `literal`")).unwrap_err();
+        assert_eq!(panic_message(p.as_ref()), "injected fault at `literal`");
+        let p = catch_unwind(|| panic!("injected fault at `{}`", "formatted")).unwrap_err();
+        assert_eq!(panic_message(p.as_ref()), "injected fault at `formatted`");
+    }
+
+    #[test]
+    fn quiet_guard_forwards_real_panics_and_survives_an_unwinding_drop() {
+        let _turn = hook_turn();
+        static SEEN: Mutex<Vec<String>> = Mutex::new(Vec::new());
+        let outer = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|info| {
+            SEEN.lock().unwrap().push(panic_message(info.payload()));
+        }));
+        {
+            let _quiet = quiet_panics();
+            let site = "site";
+            assert!(catch_unwind(|| panic!("injected fault at `{site}`")).is_err());
+            assert!(catch_unwind(|| panic!("injected fault at `site`")).is_err());
+            assert!(catch_unwind(|| panic!("gate failed: no post-heal success")).is_err());
+        }
+        // A failing test drops the guard while unwinding. Before the fix
+        // that `set_hook` call panicked inside the destructor and aborted
+        // the whole test binary.
+        let unwound = catch_unwind(|| {
+            let _quiet = quiet_panics();
+            panic!("assertion under the guard");
+        });
+        assert!(unwound.is_err());
+        // The abandoned quiet hook still forwards what is not injected.
+        assert!(catch_unwind(|| panic!("after the unwind")).is_err());
+        std::panic::set_hook(outer);
+        assert_eq!(
+            *SEEN.lock().unwrap(),
+            [
+                "gate failed: no post-heal success",
+                "assertion under the guard",
+                "after the unwind",
+            ]
+        );
     }
 }

@@ -362,7 +362,7 @@ impl SoakState<'_> {
 
 /// Run the soak schedule against a live service.
 ///
-/// `reference` is the full single-node `infer_planned` output over every
+/// `reference` is the full single-node `infer_planned_with` output over every
 /// graph vertex — row `v` is the expected (bitwise) response for vertex
 /// `v`. The harness arms each window's fault config in turn (clean
 /// phases arm a zero-rate config so environment fault settings cannot
@@ -391,8 +391,11 @@ pub fn run_soak(svc: &GcnService, reference: &DenseMatrix, cfg: &SoakConfig) -> 
                      phase: Phase,
                      dur: Duration,
                      armed: FaultConfig| {
-        let phase_start = start.elapsed();
+        // Arming blocks on the process-wide arm lock (another soak's phase
+        // may hold it): start the phase clock only once this phase owns it,
+        // or a short phase can expire while waiting and submit nothing.
         let guard = fault::arm(armed);
+        let phase_start = start.elapsed();
         while start.elapsed().saturating_sub(phase_start) < dur {
             let v = *next_vertex % n;
             *next_vertex += 1;

@@ -16,7 +16,7 @@
 //! chaos-testable.
 //!
 //! The numeric contract is strict: sharded inference is **bitwise
-//! identical** to single-node [`gcn::GcnModel::infer_planned`] running a
+//! identical** to single-node [`gcn::GcnModel::infer_planned_with`] running a
 //! width-1 (sequential) plan. Per-shard SpMM walks each row's non-zeros in
 //! the same ascending column order as the single-node row loop, 2D grids
 //! accumulate column blocks in ascending order into one accumulator, and

@@ -11,7 +11,7 @@
 //! measured quantity.
 //!
 //! The output is **bitwise identical** to single-node
-//! [`gcn::GcnModel::infer_planned`] running a width-1 plan: per-shard
+//! [`gcn::GcnModel::infer_planned_with`] running a width-1 plan: per-shard
 //! plans are built at width 1 (always sequential — parallelism comes from
 //! the task graph, not from inside a shard), 2D column blocks accumulate
 //! in ascending order so each output element sees the exact same

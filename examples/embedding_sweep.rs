@@ -6,7 +6,9 @@
 //! cargo run --release --example embedding_sweep
 //! ```
 
-use kernels::fused::gcn_layer_fused;
+use kernels::fused::gcn_layer_planned_into;
+use matrix::microkernel::{matmul_packed_with, KernelDispatch};
+use matrix::QuantMatrix;
 use piuma_gcn::prelude::*;
 use std::time::Instant;
 
@@ -24,28 +26,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n{:>5} {:>14} {:>14} {:>14} {:>10}",
         "K", "spmm ms", "dense ms", "total ms", "spmm %"
     );
+    let strategy = SpmmStrategy::VertexParallel { threads };
+    let (mut upd, mut mid, mut fused) = (
+        DenseMatrix::default(),
+        DenseMatrix::default(),
+        DenseMatrix::default(),
+    );
+    let mut qbuf = QuantMatrix::new();
     for k in [8usize, 16, 32, 64, 128, 256] {
         let x = g.random_features(k, 5);
         let w = WeightInit::Glorot.build(k, k, &mut rand::rngs::mock::StepRng::new(1, 7));
 
         // Time the two phases separately...
         let t0 = Instant::now();
-        let agg = SpmmStrategy::VertexParallel { threads }.run(&a_hat, &x)?;
+        let agg = strategy.run(&a_hat, &x)?;
         let spmm_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let t1 = Instant::now();
-        let upd = matrix::gemm::matmul_parallel(&agg, &w, threads)?;
+        matmul_packed_with(KernelDispatch::get(), &agg, &w, threads, &mut upd)?;
         let dense_ms = t1.elapsed().as_secs_f64() * 1e3;
 
-        // ...and the fused layer end to end.
+        // ...and the layer end to end, on a plan pinned to the same kernel.
+        let plan = SpmmPlan::pinned(&a_hat, k, strategy);
         let t2 = Instant::now();
-        let (fused, _) = gcn_layer_fused(
+        gcn_layer_planned_into(
             &a_hat,
             &x,
             &w,
             None,
             Activation::Relu,
-            SpmmStrategy::VertexParallel { threads },
+            &plan,
+            &mut qbuf,
+            &mut mid,
+            &mut fused,
         )?;
         let total_ms = t2.elapsed().as_secs_f64() * 1e3;
         assert_eq!(fused.shape(), upd.shape());

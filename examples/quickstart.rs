@@ -28,6 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reference = model.infer(&g, &x, SpmmStrategy::Sequential)?;
     for strategy in [
         SpmmStrategy::VertexParallel { threads: 4 },
+        SpmmStrategy::NnzBalanced { threads: 4 },
         SpmmStrategy::EdgeParallel { threads: 4 },
         SpmmStrategy::FeatureParallel { threads: 4 },
         SpmmStrategy::Hybrid { threads: 4 },
@@ -43,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "auto resolves to `{}` for this graph at K=32 (pool width {})",
-        SpmmStrategy::select(&g.normalized_adjacency()?, 32),
+        SpmmPlan::new(&g.normalized_adjacency()?, 32).exec(),
         kernels::pool::global().width()
     );
 

@@ -19,7 +19,7 @@
 //! let g = Graph::rmat(&RmatConfig::power_law(8, 8), 42);
 //! let model = GcnModel::new(&GcnConfig::paper_model(16, 32, 4), 7);
 //! let x = g.random_features(16, 9);
-//! let out = model.infer(&g, &x, SpmmStrategy::default()).unwrap();
+//! let out = model.infer(&g, &x, SpmmStrategy::Auto).unwrap();
 //! assert_eq!(out.shape(), (g.vertices(), 4));
 //!
 //! // Simulate the same aggregation on a 4-core PIUMA machine.
@@ -32,11 +32,11 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`matrix`] | dense matrices, GEMM, activations |
+//! | [`matrix`] | dense matrices, packed GEMM (+ naive reference), activations |
 //! | [`sparse`] | COO/CSR, GCN normalization, degree stats |
 //! | [`graph`] | graph type, RMAT/ER generators, OGB catalog |
-//! | [`kernels`] | host SpMM (sequential / vertex- / edge-parallel) |
-//! | [`gcn`] | the GCN model and inference |
+//! | [`kernels`] | host SpMM: one `SpmmStrategy` enum, `SpmmPlan` (resolved or pinned), the one GCN layer |
+//! | [`gcn`] | the GCN model and its one layer loop (plan, guard, retry as operands) |
 //! | [`analytic`] | the paper's Eq. 1–5 bandwidth-bound model |
 //! | [`piuma_sim`] | the discrete-event PIUMA simulator |
 //! | [`piuma_kernels`] | SpMM lowered onto the simulator |

@@ -56,19 +56,21 @@ fn test_model() -> (Csr, GcnModel, DenseMatrix) {
     (a_hat, model, x)
 }
 
+/// A workspace whose plan is pinned to the sequential kernel.
+fn sequential_workspace(a_hat: &Csr, x: &DenseMatrix) -> InferenceWorkspace {
+    let mut ws = InferenceWorkspace::new();
+    ws.install_plan(SpmmPlan::pinned(a_hat, x.cols(), SpmmStrategy::Sequential));
+    ws
+}
+
 /// Fault-free reference through the *same* resilient code path, computed
 /// under an armed-but-never-firing config so it holds the arm lock.
-fn quiet_reference(
-    a_hat: &Csr,
-    model: &GcnModel,
-    x: &DenseMatrix,
-    strategy: SpmmStrategy,
-) -> DenseMatrix {
+fn quiet_reference(a_hat: &Csr, model: &GcnModel, x: &DenseMatrix) -> DenseMatrix {
     let _quiet = fault::arm(FaultConfig::new(0));
     let guard = RunGuard::unbounded();
-    let mut ws = InferenceWorkspace::new();
+    let mut ws = sequential_workspace(a_hat, x);
     let run = model
-        .infer_resilient_with(a_hat, x, strategy, &RetryPolicy::default(), &guard, &mut ws)
+        .infer_resilient_with(a_hat, x, &RetryPolicy::default(), &guard, &mut ws)
         .unwrap();
     assert!(run.is_complete());
     ws.output().clone()
@@ -77,8 +79,7 @@ fn quiet_reference(
 #[test]
 fn inference_under_error_injection_is_bitwise_correct_across_seeds() {
     let (a_hat, model, x) = test_model();
-    let strategy = SpmmStrategy::Sequential;
-    let reference = quiet_reference(&a_hat, &model, &x, strategy);
+    let reference = quiet_reference(&a_hat, &model, &x);
     let p = rate();
 
     for seed in seeds() {
@@ -89,16 +90,9 @@ fn inference_under_error_injection_is_bitwise_correct_across_seeds() {
                 .point("kernels.exec", FaultKind::Error, p),
         );
         let guard = RunGuard::with_budget(BUDGET);
-        let mut ws = InferenceWorkspace::new();
+        let mut ws = sequential_workspace(&a_hat, &x);
         let run = model
-            .infer_resilient_with(
-                &a_hat,
-                &x,
-                strategy,
-                &RetryPolicy::default(),
-                &guard,
-                &mut ws,
-            )
+            .infer_resilient_with(&a_hat, &x, &RetryPolicy::default(), &guard, &mut ws)
             .unwrap_or_else(|e| panic!("seed {seed}: inference failed: {e}"));
         assert!(run.is_complete(), "seed {seed}: {run:?}");
         assert_eq!(
@@ -116,8 +110,7 @@ fn inference_under_error_injection_is_bitwise_correct_across_seeds() {
 #[test]
 fn inference_recovers_injected_panics_without_escaping() {
     let (a_hat, model, x) = test_model();
-    let strategy = SpmmStrategy::Sequential;
-    let reference = quiet_reference(&a_hat, &model, &x, strategy);
+    let reference = quiet_reference(&a_hat, &model, &x);
     let env_pinned = std::env::var("FAULT_SEED").is_ok();
     let mut injected_total = 0u64;
 
@@ -125,12 +118,12 @@ fn inference_recovers_injected_panics_without_escaping() {
         let _quiet = retry::quiet_panics();
         let _armed = fault::arm(FaultConfig::new(seed).point("gcn.layer", FaultKind::Panic, 0.3));
         let guard = RunGuard::with_budget(BUDGET);
-        let mut ws = InferenceWorkspace::new();
+        let mut ws = sequential_workspace(&a_hat, &x);
         // Generous attempt budget: at p = 0.3 a rung of the chain must
         // still find a fault-free attempt with overwhelming probability.
         let policy = RetryPolicy::immediate(8);
         let run = model
-            .infer_resilient_with(&a_hat, &x, strategy, &policy, &guard, &mut ws)
+            .infer_resilient_with(&a_hat, &x, &policy, &guard, &mut ws)
             .unwrap_or_else(|e| panic!("seed {seed}: panic escaped or chain exhausted: {e}"));
         assert!(run.is_complete(), "seed {seed}: {run:?}");
         assert_eq!(

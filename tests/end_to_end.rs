@@ -3,6 +3,208 @@
 
 use piuma_gcn::prelude::*;
 
+use kernels::resilient::fallback_of;
+use piuma_gcn::graph::generators::erdos_renyi;
+use piuma_gcn::kernels;
+use resilience::fault::{self, FaultConfig, FaultKind};
+use resilience::guard::{CancelToken, RunGuard, StopReason};
+use resilience::retry::RetryPolicy;
+use std::time::Duration;
+
+/// The table's twins: a skewed RMAT and a near-uniform Erdős–Rényi graph.
+fn twins() -> [(&'static str, Graph); 2] {
+    [
+        ("rmat", Graph::rmat(&RmatConfig::power_law(8, 8), 13)),
+        ("erdos-renyi", erdos_renyi(300, 1800, 14)),
+    ]
+}
+
+/// The table's models: one that starts aggregate-first (`8 <= 16`) and one
+/// that is update-first throughout.
+fn models() -> [(&'static str, GcnModel); 2] {
+    [
+        (
+            "8-16-4",
+            GcnModel::new(&GcnConfig::from_dims(vec![8, 16, 4]), 3),
+        ),
+        (
+            "16-8-4",
+            GcnModel::new(&GcnConfig::from_dims(vec![16, 8, 4]), 4),
+        ),
+    ]
+}
+
+/// A workspace holding `plan`.
+fn workspace(plan: SpmmPlan) -> InferenceWorkspace {
+    let mut ws = InferenceWorkspace::new();
+    ws.install_plan(plan);
+    ws
+}
+
+#[test]
+fn every_strategy_runs_the_one_layer_loop() {
+    // strategy x association order x degree distribution, through the one
+    // convenience wrapper, against the unfused oracle; the row-local arms
+    // additionally against the machine-independent width-1 plan, bit for
+    // bit (packed GEMM does not depend on its thread count).
+    for (graph_name, g) in twins() {
+        let a_hat = g.normalized_adjacency().unwrap();
+        for (model_name, model) in models() {
+            let k = model.input_dim();
+            let x = g.random_features(k, 21);
+            let reference = model.infer_reference(&g, &x).unwrap();
+            let mut ws = workspace(SpmmPlan::with_width(&a_hat, k, 1));
+            let width1 = model.infer_planned_with(&a_hat, &x, &mut ws).unwrap();
+            for (strategy, width1_tol) in [
+                (SpmmStrategy::Sequential, Some(0.0)),
+                (SpmmStrategy::VertexParallel { threads: 3 }, Some(0.0)),
+                (SpmmStrategy::NnzBalanced { threads: 3 }, Some(0.0)),
+                (SpmmStrategy::FeatureTiled { tile: 0 }, Some(1e-4)),
+                (SpmmStrategy::EdgeParallel { threads: 3 }, None),
+                (SpmmStrategy::FeatureParallel { threads: 3 }, None),
+                (SpmmStrategy::Hybrid { threads: 3 }, None),
+                (SpmmStrategy::Auto, None),
+            ] {
+                let case = format!("{graph_name} {model_name} {strategy}");
+                let out = model.infer(&g, &x, strategy).unwrap();
+                let diff = reference.max_abs_diff(&out);
+                assert!(diff < 1e-3, "{case}: {diff} from the oracle");
+                if let Some(tol) = width1_tol {
+                    let diff = width1.max_abs_diff(&out);
+                    assert!(diff <= tol, "{case}: {diff} from the width-1 plan");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fired_guard_stops_with_a_typed_reason_at_the_last_completed_layer() {
+    let (_, g) = &twins()[0];
+    let (_, model) = &models()[0];
+    let a_hat = g.normalized_adjacency().unwrap();
+    let x = g.random_features(model.input_dim(), 21);
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    for (guard, reason) in [
+        (RunGuard::with_token(cancelled), StopReason::Cancelled),
+        (
+            RunGuard::with_budget(Duration::ZERO),
+            StopReason::BudgetExceeded,
+        ),
+    ] {
+        let mut ws = InferenceWorkspace::new();
+        let run = model
+            .infer_resilient_with(&a_hat, &x, &RetryPolicy::immediate(1), &guard, &mut ws)
+            .unwrap();
+        assert!(!run.is_complete());
+        assert_eq!((run.layers_done, run.total_layers), (0, 2));
+        assert_eq!(run.stopped, Some(reason));
+        // No layer completed: the workspace still holds the input features.
+        assert_eq!(*ws.output(), x);
+    }
+}
+
+/// Replays a `gcn.layer` decision stream (one decision per attempt, one
+/// attempt per rung) against the degradation chain every layer restarts at
+/// `start`: the `(from, to)` trail, or `None` if some layer exhausts its
+/// chain or the stream runs out.
+fn expected_trail(
+    fires: &[bool],
+    start: SpmmStrategy,
+    layers: usize,
+) -> Option<Vec<(String, String)>> {
+    let mut decisions = fires.iter();
+    let mut trail = Vec::new();
+    for _ in 0..layers {
+        let mut current = start;
+        while *decisions.next()? {
+            let next = fallback_of(current)?;
+            trail.push((current.to_string(), next.to_string()));
+            current = next;
+        }
+    }
+    Some(trail)
+}
+
+#[test]
+fn layer_fault_schedule_degrades_down_the_plans_chain_and_recovers_the_same_bits() {
+    let (_, g) = &twins()[0];
+    let (_, model) = &models()[0];
+    let a_hat = g.normalized_adjacency().unwrap();
+    let k = model.input_dim();
+    let x = g.random_features(k, 21);
+    let layers = model.layers().len();
+    // (plan, its first rung by name, layers the schedule must degrade).
+    for (plan, first_rung, degraded_layers) in [
+        // Every layer degrades: each one's trail restarting at the pin is
+        // what shows that a degradation does not outlive its layer.
+        (
+            SpmmPlan::pinned(&a_hat, k, SpmmStrategy::Hybrid { threads: 2 }),
+            Some(("hybrid x2", "vertex-parallel x2")),
+            layers,
+        ),
+        // A resolved plan degrades down the chain of whatever it resolved
+        // to (four threads' worth of work: never sequential here). Its
+        // two-rung chain leaves one decision pattern that degrades both
+        // layers, and no seed's FNV stream produces it.
+        (SpmmPlan::with_width(&a_hat, k, 4), None, 1),
+    ] {
+        let start = plan.exec();
+        assert!(
+            fallback_of(start).is_some(),
+            "{start} has no rung to fall to"
+        );
+        // Undisturbed run of the same plan. Hubs on this twin fit one edge
+        // segment, so every rung of the chain is bitwise reproducible.
+        let undisturbed = model
+            .infer_planned_with(&a_hat, &x, &mut workspace(plan.clone()))
+            .unwrap()
+            .clone();
+        // The decision hash keys on (seed, site, visit): probe the real
+        // site for a stream that degrades that many layers yet lets all
+        // finish.
+        let layer_faults = |seed| FaultConfig::new(seed).point("gcn.layer", FaultKind::Error, 0.5);
+        let (seed, trail) = (0..256u64)
+            .find_map(|seed| {
+                let _probe = fault::arm(layer_faults(seed));
+                let fires: Vec<bool> = (0..16).map(|_| fault::should_fail("gcn.layer")).collect();
+                let trail = expected_trail(&fires, start, layers)?;
+                let restarts = trail.iter().filter(|(from, _)| *from == start.to_string());
+                (restarts.count() == degraded_layers).then_some((seed, trail))
+            })
+            .expect("some seed degrades that many layers yet completes");
+        let _armed = fault::arm(layer_faults(seed));
+        let mut ws = workspace(plan);
+        let run = model
+            .infer_resilient_with(
+                &a_hat,
+                &x,
+                &RetryPolicy::immediate(1),
+                &RunGuard::unbounded(),
+                &mut ws,
+            )
+            .unwrap();
+        assert!(run.is_complete(), "{start}: {run:?}");
+        let got: Vec<(String, String)> = run
+            .report
+            .degradations
+            .iter()
+            .map(|d| (d.from.clone(), d.to.clone()))
+            .collect();
+        assert_eq!(got, trail, "{start}");
+        if let Some((from, to)) = first_rung {
+            assert_eq!((got[0].0.as_str(), got[0].1.as_str()), (from, to));
+        }
+        assert_eq!(*ws.output(), undisturbed, "{start}: recovered bits differ");
+        assert_eq!(
+            ws.plan().unwrap().exec(),
+            start,
+            "the workspace's plan is kept"
+        );
+    }
+}
+
 #[test]
 fn full_pipeline_on_a_power_law_graph() {
     let g = Graph::rmat(&RmatConfig::power_law(9, 8), 123);

@@ -62,19 +62,19 @@ fn reordered_planned_inference_matches_native() {
 fn planned_inference_matches_auto_across_widths() {
     let graph = Graph::rmat(&RmatConfig::power_law(8, 8), 77);
     let a_hat = graph.normalized_adjacency().unwrap();
-    // Layer widths straddling the wide-K threshold exercise per-layer
-    // strategy re-resolution from the cached statistics.
+    // `Auto` is the plan's own rule: asking for it by name and holding a
+    // default workspace are the same path. Layer widths a decade apart
+    // exercise per-layer re-resolution from the cached statistics.
     for k in [8usize, 64] {
         let model = GcnModel::new(&GcnConfig::paper_model(k, 4 * k, 4), 3);
         let x = graph.random_features(k, 9);
-        let auto = model
-            .infer_normalized(&a_hat, &x, SpmmStrategy::Auto)
-            .unwrap();
-        let planned = model.infer_planned(&a_hat, &x).unwrap();
+        let auto = model.infer(&graph, &x, SpmmStrategy::Auto).unwrap();
+        let mut ws = InferenceWorkspace::new();
+        let planned = model.infer_planned_with(&a_hat, &x, &mut ws).unwrap();
         assert!(
-            auto.max_abs_diff(&planned) < TOL,
+            auto.max_abs_diff(planned) < TOL,
             "k={k} diverged by {}",
-            auto.max_abs_diff(&planned)
+            auto.max_abs_diff(planned)
         );
     }
 }
