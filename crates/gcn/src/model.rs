@@ -14,33 +14,39 @@ use resilience::guard::RunGuard;
 use resilience::retry::{self, Failure, RetryPolicy};
 use sparse::Csr;
 
-/// Reusable buffers for [`GcnModel::infer_planned_with`]: two ping-pong
-/// activation matrices plus the layer's intermediate. After the first
-/// inference call sizes them, subsequent calls on same-shaped inputs perform
-/// no output-sized allocation — each layer writes into the spare buffer and
-/// the pair is swapped, instead of allocating a fresh activation matrix per
-/// layer.
-///
-/// The workspace also holds the one [`SpmmPlan`] inference aggregates on,
-/// built by the first inference against an adjacency and reused by every
-/// later layer / epoch / call after an `O(1)` fingerprint check. The plan
-/// says *how* to run — strategy (resolved or pinned), width, precision,
-/// SIMD backend — so no inference entry point takes those as arguments.
+/// The buffers the layer loop ([`GcnModel::run_layers`]) ping-pongs
+/// through: its input is read from `h`, each layer writes into `next` and
+/// the pair is swapped, so after the loop `h` holds the output. After the
+/// first call sizes them, later calls on same-shaped inputs perform no
+/// output-sized allocation.
 #[derive(Debug, Clone, Default)]
-pub struct InferenceWorkspace {
-    /// Current activations; holds the model output after inference.
-    h: DenseMatrix,
+pub(crate) struct LayerBuffers {
+    /// Current activations: the loop's input, then its output.
+    pub(crate) h: DenseMatrix,
     /// Spare activation buffer written by the next layer.
     next: DenseMatrix,
     /// Intermediate product inside the layer.
     mid: DenseMatrix,
-    /// Cached execution plan, keyed by the adjacency's structural
-    /// fingerprint.
-    plan: Option<SpmmPlan>,
     /// Narrow-storage staging buffer: under a narrow plan each layer
     /// encodes its SpMM feature operand here (bf16 / f16 / int8) and the
     /// buffer is reused across layers and calls; untouched at `f32`.
     qbuf: QuantMatrix,
+}
+
+/// Reusable state for [`GcnModel::infer_planned_with`]: the layer loop's
+/// activation buffers (two ping-pong matrices plus the layer's
+/// intermediate — no fresh activation matrix per layer in steady state)
+/// and the one [`SpmmPlan`] inference aggregates on, built by the first
+/// inference against an adjacency and reused by every later layer / epoch
+/// / call after an `O(1)` fingerprint check. The plan says *how* to run —
+/// strategy (resolved or pinned), width, precision, SIMD backend — so no
+/// inference entry point takes those as arguments.
+#[derive(Debug, Clone, Default)]
+pub struct InferenceWorkspace {
+    bufs: LayerBuffers,
+    /// Cached execution plan, keyed by the adjacency's structural
+    /// fingerprint.
+    plan: Option<SpmmPlan>,
 }
 
 impl InferenceWorkspace {
@@ -51,7 +57,7 @@ impl InferenceWorkspace {
 
     /// The activations produced by the most recent inference call.
     pub fn output(&self) -> &DenseMatrix {
-        &self.h
+        &self.bufs.h
     }
 
     /// The cached execution plan, if an inference has run or one was
@@ -63,7 +69,7 @@ impl InferenceWorkspace {
     /// Installs `plan` as the cached execution plan. Inference keeps any
     /// installed plan whose fingerprint matches the adjacency, so this is
     /// how a caller chooses how to aggregate: a machine-independent width-1
-    /// plan (tests, the rows path, the sharded runner), or one pinned to an
+    /// plan (tests, the sharded runner), or one pinned to an
     /// explicit strategy ([`SpmmPlan::pinned`]).
     pub fn install_plan(&mut self, plan: SpmmPlan) {
         self.plan = Some(plan);
@@ -189,7 +195,7 @@ impl GcnModel {
         let mut workspace = InferenceWorkspace::new();
         workspace.install_plan(SpmmPlan::pinned(&a_hat, features.cols(), strategy));
         self.infer_planned_with(&a_hat, features, &mut workspace)?;
-        Ok(workspace.h)
+        Ok(workspace.bufs.h)
     }
 
     /// Runs inference against a pre-normalized adjacency, entirely inside a
@@ -218,19 +224,15 @@ impl GcnModel {
         workspace: &'w mut InferenceWorkspace,
     ) -> Result<&'w DenseMatrix, GcnError> {
         self.check_shapes(a_hat, features)?;
-        self.run_layers(a_hat, features, &RunGuard::unbounded(), None, workspace)?;
-        Ok(&workspace.h)
+        self.run_whole_graph(a_hat, features, &RunGuard::unbounded(), None, workspace)?;
+        Ok(&workspace.bufs.h)
     }
 
-    /// The layer loop every inference entry point runs. A fired `guard`
-    /// (checked before each layer) ends the run with the workspace at the
-    /// last completed layer. Without a `policy` each layer is one direct
-    /// call; with one it runs under [`retry::run`] — the `gcn.layer` fault
-    /// site inside the retried attempt — and on exhausting its attempts
-    /// degrades to a copy of the workspace's plan re-pinned one rung down
-    /// [`fallback_of`]. Every layer starts back at the workspace's own
-    /// plan, which is never modified.
-    pub(crate) fn run_layers(
+    /// Whole-graph inference along the workspace's plan: resolves the plan
+    /// for `a_hat` at the precision the workspace was asked for, copies
+    /// `features` in, and runs every layer on that one `(a_hat, plan)` pair.
+    /// The workspace's own plan is never modified.
+    pub(crate) fn run_whole_graph(
         &self,
         a_hat: &Csr,
         features: &DenseMatrix,
@@ -243,25 +245,42 @@ impl GcnModel {
             .as_ref()
             .map_or(Precision::F32, SpmmPlan::requested_precision);
         workspace.plan_for(a_hat, features.cols(), precision);
-        let InferenceWorkspace {
-            h,
-            next,
-            mid,
-            plan,
-            qbuf,
-        } = workspace;
-        let base = plan.as_ref().expect("plan populated above");
+        let InferenceWorkspace { bufs, plan } = workspace;
+        let plan = plan.as_ref().expect("plan populated above");
+        bufs.h.copy_from(features);
+        self.run_layers(&[(a_hat, plan)], guard, policy, bufs)
+    }
+
+    /// The layer loop every inference entry point runs, over the input
+    /// already in `bufs.h`. Layer `t` aggregates on `ops[t]` — its
+    /// (possibly rectangular) adjacency operand and that operand's plan; a
+    /// one-entry `ops` is broadcast to every layer (whole-graph inference),
+    /// one entry per layer is the rows path's frontier stack. A fired
+    /// `guard` (checked before each layer) ends the run with the buffers at
+    /// the last completed layer. Without a `policy` each layer is one direct
+    /// call; with one it runs under [`retry::run`] — the `gcn.layer` fault
+    /// site inside the retried attempt — and on exhausting its attempts
+    /// degrades to a copy of that layer's plan re-pinned one rung down
+    /// [`fallback_of`]. Every layer starts back at its own plan.
+    pub(crate) fn run_layers(
+        &self,
+        ops: &[(&Csr, &SpmmPlan)],
+        guard: &RunGuard,
+        policy: Option<&RetryPolicy>,
+        bufs: &mut LayerBuffers,
+    ) -> Result<InferenceRun, GcnError> {
+        let LayerBuffers { h, next, mid, qbuf } = bufs;
         let mut run = InferenceRun {
             total_layers: self.layers.len(),
             report: ExecutionReport::new(),
             ..InferenceRun::default()
         };
-        h.copy_from(features);
-        for layer in &self.layers {
+        for (t, layer) in self.layers.iter().enumerate() {
             if let Some(reason) = guard.should_stop() {
                 run.stopped = Some(reason);
                 return Ok(run);
             }
+            let (a_hat, base) = ops[t.min(ops.len() - 1)];
             let mut attempt = |plan: &SpmmPlan| {
                 gcn_layer_planned_into(
                     a_hat,

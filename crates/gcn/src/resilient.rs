@@ -130,7 +130,7 @@ impl GcnModel {
         workspace: &mut InferenceWorkspace,
     ) -> Result<InferenceRun, GcnError> {
         self.validate_inputs(a_hat, features)?;
-        self.run_layers(a_hat, features, guard, Some(policy), workspace)
+        self.run_whole_graph(a_hat, features, guard, Some(policy), workspace)
     }
 
     /// Narrow-precision inference with an end-to-end accuracy guard:

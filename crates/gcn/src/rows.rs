@@ -1,84 +1,87 @@
-//! Batched per-vertex inference: gather the requested rows' k-hop
-//! neighbourhood once and run the planned layer stack on the induced
-//! sub-problem, instead of running the full graph per request.
+//! Batched per-vertex inference over layer-wise shrinking frontiers: a
+//! served vertex computes only the rows its answer depends on.
 //!
-//! This is the kernel the serving batcher calls. A batch of target
-//! vertices expands to its L-hop in-neighbourhood over the *normalized*
-//! adjacency (L = layer count), the touched rows of `A_hat` and the
-//! feature matrix are gathered into a compact sub-problem, and the
-//! ordinary planned layer loop runs on it. Vertices keep their relative
-//! (ascending global) order under renumbering and every per-shard kernel
-//! runs a width-1 (sequential) plan, so each target row's floating-point
-//! sequence is **bitwise identical** to full-graph
-//! [`GcnModel::infer_planned_with`] under an installed width-1 plan — the same
-//! machine-independent contract the sharded runner pins (see
-//! `crates/shard`). Coalescing requests into one batch therefore never
-//! changes a single bit of any request's result, which is what lets the
-//! serving layer batch aggressively.
+//! This is the kernel the serving batcher calls. An `L`-layer model's
+//! output at a vertex reads layer `L-1`'s output at that vertex's
+//! in-neighbours, which read layer `L-2`'s at theirs, and so on, so a batch
+//! is a stack of **levels** over the *normalized* adjacency `A_hat`:
 //!
-//! Storage precision is an argument, not a second path: a narrow
-//! (brownout) batch runs the *same* width-1 plans
-//! [`SpmmPlan::at_precision`], and because narrowing is row-local
-//! (element-wise for bf16 / f16, per-row scales for int8, per-column GEMM
-//! scales taken from the weights) the bitwise contract above holds at
-//! every precision against the full-graph run at that precision.
+//! * `V_L` — the batch's unique targets, ascending;
+//! * `V_{l-1}` — the ascending union of the column ids of `A_hat`'s rows
+//!   `V_l` (with self-loops the levels nest, `V_l ⊆ V_{l-1}`; nothing below
+//!   relies on that).
 //!
-//! When the expansion saturates (the neighbourhood reaches every vertex —
-//! common for small-diameter graphs and multi-layer models), the gather is
-//! skipped entirely and the batch runs against the **cached full-graph
-//! plan** held by the workspace, paying the plan build once per adjacency
-//! rather than once per batch.
+//! Layer `l` produces `|V_l|` rows from `|V_{l-1}|`: its operand is the
+//! rectangular `|V_l| x |V_{l-1}|` matrix whose row for `v` is `A_hat`'s
+//! row `v` **in full** — every non-zero, same order, same values, column
+//! ids renumbered by rank in `V_{l-1}`. Only `X[V_0]` is gathered, and the
+//! one layer loop (`GcnModel::run_layers`) runs the stack, one operand
+//! and one `Sequential`-pinned [`kernels::SpmmPlan`] per layer.
+//!
+//! **Why the bits do not change.** Each kept row walks exactly `A_hat`'s
+//! non-zeros in ascending global column order (ranking is monotone) through
+//! the same row kernel; the packed GEMM and the narrow encodes (element-wise
+//! for bf16 / f16, per-row scales for int8, per-column GEMM scales taken
+//! from the weights) are row-local, and GEMM output does not depend on the
+//! thread count. So every target row is **bitwise identical** to
+//! full-graph [`GcnModel::infer_planned_with`] under an installed width-1
+//! plan at the same storage precision — the machine-independent contract
+//! the sharded runner also pins (see `crates/shard`) — whatever batch the
+//! row rode in, which is what lets the serving layer coalesce freely.
+//! Precision is an argument, not a second path
+//! ([`kernels::SpmmPlan::at_precision`]).
+//!
+//! A level that is the whole vertex set is the identity case of the same
+//! code: two adjacent whole levels aggregate on `A_hat` itself, in place.
+//!
+//! [`RowsBatchStats`] counts the work: `gathered = |V_0|` (feature rows
+//! read), `sub_nnz` = the non-zeros of all `L` operands (`Σ_l Σ_{v ∈ V_l}
+//! deg(v)`), and `full_graph` only when every level — the targets included
+//! — is the whole vertex set.
 
 use crate::error::GcnError;
-use crate::model::{GcnModel, InferenceWorkspace};
-use kernels::SpmmPlan;
+use crate::model::{GcnModel, LayerBuffers};
+use kernels::{SpmmPlan, SpmmStrategy};
 use matrix::{DenseMatrix, Precision};
+use resilience::guard::RunGuard;
 use sparse::Csr;
 
-/// Statistics of one gathered-batch inference call (fed into the serving
-/// metrics: neighbourhood size is the real unit of work a batch costs).
+/// Statistics of one batched rows call (fed into the serving metrics: the
+/// frontier sizes are the real unit of work a batch costs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowsBatchStats {
     /// Requested target rows (including duplicates, in caller order).
     pub targets: usize,
-    /// Unique vertices in the gathered L-hop neighbourhood.
+    /// `|V_0|`: unique vertices whose feature rows the batch reads.
     pub gathered: usize,
-    /// Non-zeros of the induced sub-adjacency (0 on the full-graph path).
+    /// Non-zeros aggregated over, summed over the per-layer operands.
     pub sub_nnz: usize,
     /// Hops expanded (= model layer count).
     pub hops: usize,
-    /// The expansion saturated and the batch ran the cached full-graph
-    /// plan instead of a gathered sub-problem.
+    /// Every level was the whole vertex set: the batch was a full-graph
+    /// inference.
     pub full_graph: bool,
 }
 
-/// Reusable buffers for [`GcnModel::infer_rows_planned_into`]: the
-/// epoch-stamped visited marks and vertex list of the frontier expansion,
-/// the recycled sub-CSR arrays, the gathered feature block, and two
-/// [`InferenceWorkspace`]s — one for sub-problems (plan rebuilt per batch)
-/// and one holding the cached width-1 full-graph plan for saturated
-/// batches, re-targeted in `O(1)` when a batch asks for another storage
-/// precision. After the first call on a given adjacency, steady-state
-/// calls reuse every buffer at its high-water mark.
+/// Reusable buffers for [`GcnModel::infer_rows_planned_into`]: epoch-stamped
+/// visited marks, the levels, the rank table, the per-layer operand arrays
+/// and the layer loop's activation buffers. Steady-state calls reuse every
+/// one at its high-water mark; only the per-layer plans are rebuilt.
 #[derive(Debug, Default)]
 pub struct RowsWorkspace {
-    /// `mark[v] == epoch` ⇔ vertex `v` is in the current neighbourhood.
+    /// `mark[v] == epoch` ⇔ vertex `v` is in the level being collected.
     mark: Vec<u32>,
     epoch: u32,
-    /// Gathered vertices; sorted ascending before the sub-CSR is built.
-    verts: Vec<usize>,
-    /// Recycled sub-CSR arrays (taken by `Csr::from_raw`, returned by
-    /// `Csr::into_raw` after the batch).
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<f32>,
-    /// Gathered feature rows for the sub-problem.
-    feat: DenseMatrix,
-    /// Workspace for sub-problem inference (fresh plan per batch).
-    sub_ws: InferenceWorkspace,
-    /// Workspace for saturated batches: caches one width-1 full-graph
-    /// plan per adjacency across calls.
-    full_ws: InferenceWorkspace,
+    /// `local[v]` = rank of `v` in the level ranked last.
+    local: Vec<u32>,
+    /// `levels[l]` = `V_l`, ascending.
+    levels: Vec<Vec<usize>>,
+    /// `subs[l]` = layer `l + 1`'s operand (rows `V_{l+1}`, columns `V_l`),
+    /// rebuilt per batch in its own recycled arrays; `None` when both
+    /// levels are whole and the layer aggregates on `a_hat` in place.
+    subs: Vec<Option<Csr>>,
+    plans: Vec<SpmmPlan>,
+    bufs: LayerBuffers,
 }
 
 impl RowsWorkspace {
@@ -87,19 +90,9 @@ impl RowsWorkspace {
         Self::default()
     }
 
-    /// The unique vertices gathered by the most recent call, ascending.
-    /// Empty after a saturated (full-graph) batch. The sharded backend
-    /// uses this to count halo rows — gathered vertices owned by other
-    /// shards.
-    pub fn gathered(&self) -> &[usize] {
-        &self.verts
-    }
-
-    /// Bumps the visited-mark epoch, resetting the mark array on wrap.
-    fn next_epoch(&mut self, n: usize) -> u32 {
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-        }
+    /// Starts collecting a level: bumps the visited-mark epoch, resetting
+    /// the mark array on wrap.
+    fn next_epoch(&mut self) -> u32 {
         if self.epoch == u32::MAX {
             self.mark.fill(0);
             self.epoch = 0;
@@ -109,12 +102,42 @@ impl RowsWorkspace {
     }
 }
 
+/// Writes each member's rank in the ascending `level` into `local`.
+fn rank(level: &[usize], local: &mut [u32]) {
+    for (r, &v) in level.iter().enumerate() {
+        local[v] = r as u32;
+    }
+}
+
+/// Rebuilds `sub` as `a`'s rows `rows` in full, column ids renumbered
+/// through `local` (monotone, so `Csr::from_raw`'s increasing-column
+/// invariant holds), recycling `sub`'s arrays.
+fn gather_rows(
+    a: &Csr,
+    rows: &[usize],
+    ncols: usize,
+    local: &[u32],
+    sub: &mut Option<Csr>,
+) -> Result<(), GcnError> {
+    let (mut row_ptr, mut col_idx, mut values) = sub.take().map(Csr::into_raw).unwrap_or_default();
+    row_ptr.clear();
+    col_idx.clear();
+    values.clear();
+    row_ptr.push(0);
+    for &v in rows {
+        col_idx.extend(a.row_cols(v).iter().map(|&c| local[c as usize]));
+        values.extend_from_slice(a.row_values(v));
+        row_ptr.push(col_idx.len());
+    }
+    *sub = Some(Csr::from_raw(rows.len(), ncols, row_ptr, col_idx, values)?);
+    Ok(())
+}
+
 impl GcnModel {
     /// Batched per-vertex planned inference: computes the model output for
     /// exactly the rows in `targets` (output row `i` corresponds to
     /// `targets[i]`; duplicates are allowed and each gets its own output
-    /// row), gathering the targets' L-hop in-neighbourhood once for the
-    /// whole batch.
+    /// row), computing at each layer only the rows the targets depend on.
     ///
     /// The result is bitwise identical to running full-graph
     /// [`GcnModel::infer_planned_with`] under an installed width-1 plan
@@ -140,10 +163,9 @@ impl GcnModel {
     }
 
     /// [`GcnModel::infer_rows_planned_into`] at a chosen storage precision
-    /// — narrow ones are the serving brownout path. Gather, saturation and
-    /// plans are the same at every precision (the installed width-1 sub-plan,
-    /// the cached width-1 full-graph plan, both
-    /// [`SpmmPlan::at_precision`]), so narrow batches keep the
+    /// — narrow ones are the serving brownout path. Levels and operands are
+    /// the same at every precision and each layer's plan is re-targeted
+    /// with [`SpmmPlan::at_precision`], so narrow batches keep the
     /// coalescing-invariance of the `f32` path: a target row's bits do not
     /// depend on which batch it rode in. Narrow outputs carry the
     /// precision's quantization error and are **not** bitwise-comparable
@@ -169,144 +191,92 @@ impl GcnModel {
             .last()
             .map_or(features.cols(), |l| l.out_dim());
         out.resize_for_overwrite(targets.len(), out_dim);
-        if targets.is_empty() {
-            ws.verts.clear();
-            return Ok(RowsBatchStats {
-                targets: 0,
-                gathered: 0,
-                sub_nnz: 0,
-                hops,
-                full_graph: false,
+        if let Some(&t) = targets.iter().find(|&&t| t >= n) {
+            return Err(GcnError::VertexOutOfRange {
+                vertex: t,
+                vertices: n,
             });
         }
+        if ws.mark.len() < n {
+            ws.mark.resize(n, 0);
+            ws.local.resize(n, 0);
+        }
+        ws.levels.resize_with(hops + 1, Vec::new);
+        ws.subs.resize_with(hops, || None);
 
-        // --- Expansion: L-hop in-neighbourhood of the target set. -------
-        let epoch = ws.next_epoch(n);
-        ws.verts.clear();
+        // --- Levels, top down; each operand is built as soon as its
+        // column level is ranked, so one `local` table serves them all.
+        let epoch = ws.next_epoch();
+        ws.levels[hops].clear();
         for &t in targets {
-            if t >= n {
-                return Err(GcnError::VertexOutOfRange {
-                    vertex: t,
-                    vertices: n,
-                });
-            }
             if ws.mark[t] != epoch {
                 ws.mark[t] = epoch;
-                ws.verts.push(t);
+                ws.levels[hops].push(t);
             }
         }
-        let mut level = 0;
-        for _ in 0..hops {
-            let hi = ws.verts.len();
-            if hi == n {
-                break;
-            }
-            for i in level..hi {
-                let v = ws.verts[i];
+        ws.levels[hops].sort_unstable();
+        let mut sub_nnz = 0;
+        for l in (0..hops).rev() {
+            let epoch = ws.next_epoch();
+            let (below, above) = ws.levels.split_at_mut(l + 1);
+            let (below, above) = (&mut below[l], &above[0]);
+            below.clear();
+            for &v in above {
+                sub_nnz += a_hat.row_nnz(v);
                 for &c in a_hat.row_cols(v) {
                     let c = c as usize;
                     if ws.mark[c] != epoch {
                         ws.mark[c] = epoch;
-                        ws.verts.push(c);
+                        below.push(c);
                     }
                 }
             }
-            if ws.verts.len() == hi {
-                break; // fixed point: no new vertices reachable
+            below.sort_unstable();
+            rank(below, &mut ws.local);
+            if above.len() < n || below.len() < n {
+                gather_rows(a_hat, above, below.len(), &ws.local, &mut ws.subs[l])?;
+            } else {
+                ws.subs[l] = None;
             }
-            level = hi;
         }
 
-        // --- Saturated: run the cached width-1 full-graph plan. ---------
-        if ws.verts.len() == n {
-            if !ws.full_ws.plan().is_some_and(|p| p.matches(a_hat)) {
-                ws.full_ws
-                    .install_plan(SpmmPlan::with_width(a_hat, features.cols(), 1));
-            }
-            ws.full_ws.plan_for(a_hat, features.cols(), precision);
-            let h = self.infer_planned_with(a_hat, features, &mut ws.full_ws)?;
-            for (i, &t) in targets.iter().enumerate() {
-                out.row_mut(i).copy_from_slice(h.row(t));
-            }
-            ws.verts.clear();
-            return Ok(RowsBatchStats {
-                targets: targets.len(),
-                gathered: n,
-                sub_nnz: 0,
-                hops,
-                full_graph: true,
-            });
+        // --- One Sequential-pinned plan per operand: batch parallelism
+        // comes from the serving lanes, never from inside a batch, and a
+        // pin never re-resolves at another K or widens the dense update.
+        let RowsWorkspace {
+            levels,
+            subs,
+            plans,
+            bufs,
+            local,
+            ..
+        } = ws;
+        let operand = |l: usize| subs[l].as_ref().unwrap_or(a_hat);
+        plans.clear();
+        for (l, layer) in self.layers().iter().enumerate() {
+            let plan = SpmmPlan::pinned(operand(l), layer.in_dim(), SpmmStrategy::Sequential);
+            plans.push(plan.at_precision(precision));
         }
+        let ops: Vec<_> = (0..hops).map(|l| (operand(l), &plans[l])).collect();
 
-        // --- Gather: induced sub-CSR + feature block, global order kept.
-        // Sorting keeps renumbered columns ascending, so every gathered
-        // row walks its non-zeros in the exact global order and
-        // `Csr::from_raw`'s strictly-increasing-column invariant holds.
-        ws.verts.sort_unstable();
-        let m = ws.verts.len();
-        let k = features.cols();
-        ws.row_ptr.clear();
-        ws.col_idx.clear();
-        ws.values.clear();
-        ws.row_ptr.push(0);
-        ws.feat.resize_for_overwrite(m, k);
-        for (local, &g) in ws.verts.iter().enumerate() {
-            let cols = a_hat.row_cols(g);
-            let vals = a_hat.row_values(g);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let cu = c as usize;
-                if ws.mark[cu] == epoch {
-                    let lc = ws
-                        .verts
-                        .binary_search(&cu)
-                        .expect("marked vertex is in the sorted gather list");
-                    ws.col_idx.push(lc as u32);
-                    ws.values.push(v);
-                }
-            }
-            ws.row_ptr.push(ws.col_idx.len());
-            ws.feat.row_mut(local).copy_from_slice(features.row(g));
+        // --- Gather `X[V_0]` straight into the loop's input, run, scatter.
+        bufs.h
+            .resize_for_overwrite(levels[0].len(), features.cols());
+        for (r, &v) in levels[0].iter().enumerate() {
+            bufs.h.row_mut(r).copy_from_slice(features.row(v));
         }
-        let sub = Csr::from_raw(
-            m,
-            m,
-            std::mem::take(&mut ws.row_ptr),
-            std::mem::take(&mut ws.col_idx),
-            std::mem::take(&mut ws.values),
-        )?;
-        let sub_nnz = sub.nnz();
-
-        // Width 1 ⇒ always sequential: batch parallelism comes from the
-        // serving lanes, never from inside a batch, which keeps the
-        // per-row floating-point order independent of batch composition.
-        ws.sub_ws
-            .install_plan(SpmmPlan::with_width(&sub, k, 1).at_precision(precision));
-        let run = self.infer_planned_with(&sub, &ws.feat, &mut ws.sub_ws);
-        // Recycle the sub-CSR arrays before propagating any error.
-        let scatter = match run {
-            Ok(h) => {
-                for (i, &t) in targets.iter().enumerate() {
-                    let local = ws
-                        .verts
-                        .binary_search(&t)
-                        .expect("every target seeds its own gather");
-                    out.row_mut(i).copy_from_slice(h.row(local));
-                }
-                Ok(())
-            }
-            Err(e) => Err(e),
-        };
-        let (rp, ci, vs) = sub.into_raw();
-        ws.row_ptr = rp;
-        ws.col_idx = ci;
-        ws.values = vs;
-        scatter?;
+        self.run_layers(&ops, &RunGuard::unbounded(), None, bufs)?;
+        rank(&levels[hops], local);
+        for (i, &t) in targets.iter().enumerate() {
+            out.row_mut(i)
+                .copy_from_slice(bufs.h.row(local[t] as usize));
+        }
         Ok(RowsBatchStats {
             targets: targets.len(),
-            gathered: m,
+            gathered: levels[0].len(),
             sub_nnz,
             hops,
-            full_graph: false,
+            full_graph: levels.iter().all(|level| level.len() == n),
         })
     }
 }
@@ -315,6 +285,7 @@ impl GcnModel {
 mod tests {
     use super::*;
     use crate::config::GcnConfig;
+    use crate::model::InferenceWorkspace;
     use graph::rmat::RmatConfig;
     use graph::Graph;
 
@@ -324,6 +295,15 @@ mod tests {
         let x = g.random_features(8, 6);
         let a_hat = g.normalized_adjacency().unwrap();
         (a_hat, model, x)
+    }
+
+    /// A 4-vertex graph dense enough that, under the 3-layer model, every
+    /// level below the targets is the whole vertex set.
+    fn tiny() -> (Csr, GcnModel, DenseMatrix) {
+        let g = Graph::from_undirected_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
+        let model = GcnModel::new(&GcnConfig::paper_model(8, 12, 3), 4);
+        let x = g.random_features(8, 6);
+        (g.normalized_adjacency().unwrap(), model, x)
     }
 
     /// Full-graph reference under the installed width-1 plan — the bitwise
@@ -353,24 +333,24 @@ mod tests {
 
     #[test]
     fn narrow_batched_rows_match_serial_and_full_graph_bitwise() {
-        // The narrow rows path shares the f32 path's plans — installed
-        // width-1 sub-plan, width-1 full-graph plan — so the same bitwise
-        // contract holds at every precision: per-row encode scales and the
-        // ascending-order gather keep each target row's sequence
-        // independent of the batch it rides in.
+        // The narrow rows path is the f32 path with re-targeted plans, so
+        // the same bitwise contract holds at every precision: per-row
+        // encode scales and the ascending-order levels keep each target
+        // row's sequence independent of the batch it rides in.
         let (a_hat, model, x) = setup(9);
         let targets = [3usize, 99, 400, 3, 17];
         for p in [Precision::Bf16, Precision::F16, Precision::Int8] {
-            let mut full_ws = InferenceWorkspace::new();
-            full_ws.install_plan(SpmmPlan::with_width(&a_hat, x.cols(), 1).at_precision(p));
-            let full = model.infer_planned_with(&a_hat, &x, &mut full_ws).unwrap();
+            let mut width1_ws = InferenceWorkspace::new();
+            width1_ws.install_plan(SpmmPlan::with_width(&a_hat, x.cols(), 1).at_precision(p));
+            let full = model
+                .infer_planned_with(&a_hat, &x, &mut width1_ws)
+                .unwrap();
             let mut ws = RowsWorkspace::new();
             let (mut all, mut one) = (DenseMatrix::default(), DenseMatrix::default());
             let stats = model
                 .infer_rows_planned_prec_into(&a_hat, &x, &targets, p, &mut ws, &mut all)
                 .unwrap();
-            assert!(!stats.full_graph, "{p}: expected a gathered sub-problem");
-            assert_eq!(ws.sub_ws.plan().unwrap().precision(), p);
+            assert!(!stats.full_graph, "{p}: expected shrinking frontiers");
             for (i, &t) in targets.iter().enumerate() {
                 assert_eq!(all.row(i), full.row(t), "{p}: row {t} vs full graph");
                 model
@@ -386,15 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn saturated_batches_retarget_one_cached_plan_across_precisions() {
-        // Alternating f32 / narrow saturated batches share one width-1
-        // full-graph plan: the precision switch is an O(1) re-target, never
-        // a rebuild at pool width, and each answer matches the full-graph
-        // run at its own precision.
-        let g = Graph::from_undirected_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
-        let model = GcnModel::new(&GcnConfig::paper_model(8, 12, 3), 4);
-        let x = g.random_features(8, 6);
-        let a_hat = g.normalized_adjacency().unwrap();
+    fn saturated_lower_levels_match_full_graph_across_precisions() {
+        // The lower levels are the whole vertex set (layers aggregating on
+        // `a_hat` in place), the top one is not. Alternating f32 / narrow batches through one
+        // workspace each match the full-graph run at their own precision.
+        let (a_hat, model, x) = tiny();
         let mut ws = RowsWorkspace::new();
         let mut out = DenseMatrix::default();
         for p in [
@@ -406,41 +382,36 @@ mod tests {
             let stats = model
                 .infer_rows_planned_prec_into(&a_hat, &x, &[2, 0], p, &mut ws, &mut out)
                 .unwrap();
-            assert!(stats.full_graph);
-            let plan = ws.full_ws.plan().unwrap();
-            assert_eq!(plan.precision(), p);
-            assert_eq!(plan.exec(), kernels::SpmmStrategy::Sequential);
-            let mut full_ws = InferenceWorkspace::new();
-            full_ws.install_plan(SpmmPlan::with_width(&a_hat, x.cols(), 1).at_precision(p));
-            let full = model.infer_planned_with(&a_hat, &x, &mut full_ws).unwrap();
+            assert_eq!((stats.gathered, stats.full_graph), (4, false));
+            let mut width1_ws = InferenceWorkspace::new();
+            width1_ws.install_plan(SpmmPlan::with_width(&a_hat, x.cols(), 1).at_precision(p));
+            let full = model
+                .infer_planned_with(&a_hat, &x, &mut width1_ws)
+                .unwrap();
             assert_eq!(out.row(0), full.row(2), "{p}");
             assert_eq!(out.row(1), full.row(0), "{p}");
         }
     }
 
     #[test]
-    fn saturated_expansion_uses_cached_full_plan() {
-        // A tiny dense graph saturates in one hop of a 3-layer model.
-        let g = Graph::from_undirected_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
-        let model = GcnModel::new(&GcnConfig::paper_model(8, 12, 3), 4);
-        let x = g.random_features(8, 6);
-        let a_hat = g.normalized_adjacency().unwrap();
+    fn every_vertex_as_target_is_a_full_graph_batch() {
+        let (a_hat, model, x) = tiny();
         let full = reference(&a_hat, &model, &x);
         let mut ws = RowsWorkspace::new();
         let mut out = DenseMatrix::default();
         let stats = model
-            .infer_rows_planned_into(&a_hat, &x, &[2, 0], &mut ws, &mut out)
+            .infer_rows_planned_into(&a_hat, &x, &[2, 0, 3, 1], &mut ws, &mut out)
             .unwrap();
         assert!(stats.full_graph);
-        assert_eq!(stats.gathered, 4);
+        assert_eq!((stats.gathered, stats.sub_nnz), (4, 3 * a_hat.nnz()));
         assert_eq!(out.row(0), full.row(2));
-        assert_eq!(out.row(1), full.row(0));
-        // The cached full plan survives into the next call.
-        let fp = ws.full_ws.plan().unwrap().fingerprint_value();
-        model
+        assert_eq!(out.row(3), full.row(1));
+        // A narrower batch through the same workspace shrinks again.
+        let stats = model
             .infer_rows_planned_into(&a_hat, &x, &[1], &mut ws, &mut out)
             .unwrap();
-        assert_eq!(ws.full_ws.plan().unwrap().fingerprint_value(), fp);
+        assert!(!stats.full_graph);
+        assert_eq!(out.row(0), full.row(1));
     }
 
     #[test]

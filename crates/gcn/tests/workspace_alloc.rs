@@ -5,13 +5,17 @@
 //! pool's scratch arena); the second call on identically-shaped inputs
 //! must allocate far less than a single activation matrix — only small
 //! per-call bookkeeping (chunk tables, the pool's job handle) is allowed.
+//! A repeated `infer_rows_planned_into` batch allocates nothing sized by
+//! the batch or its frontiers at all: a fixed few bytes per layer remain.
 
-use gcn::{GcnConfig, GcnModel, InferenceWorkspace};
+use gcn::{GcnConfig, GcnModel, InferenceWorkspace, RowsWorkspace};
 use graph::rmat::RmatConfig;
 use graph::Graph;
 use kernels::{SpmmPlan, SpmmStrategy};
+use matrix::DenseMatrix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 struct CountingAllocator;
 
@@ -44,8 +48,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// The counter is process-wide: one measuring test at a time.
+static MEASURING: Mutex<()> = Mutex::new(());
+
 #[test]
 fn steady_state_inference_does_not_allocate_activations() {
+    let _one_at_a_time = MEASURING.lock().unwrap();
     let graph = Graph::rmat(&RmatConfig::power_law(9, 8), 42);
     let n = graph.vertices();
     let (input_dim, hidden, classes) = (32, 64, 16);
@@ -77,4 +85,50 @@ fn steady_state_inference_does_not_allocate_activations() {
         "steady-state inference allocated {steady_state} bytes, \
          >= one activation matrix ({one_activation} bytes)"
     );
+}
+
+#[test]
+fn repeated_rows_batches_allocate_a_per_layer_constant() {
+    let _one_at_a_time = MEASURING.lock().unwrap();
+    let graph = Graph::rmat(&RmatConfig::power_law(9, 8), 42);
+    let n = graph.vertices();
+    let model = GcnModel::new(&GcnConfig::paper_model(32, 64, 16), 7);
+    let layers = model.layers().len();
+    let features = graph.random_features(32, 3);
+    let a_hat = graph.normalized_adjacency().unwrap();
+    let mut ws = RowsWorkspace::new();
+    let mut out = DenseMatrix::default();
+
+    // Bytes allocated by the third of three identical calls: the first
+    // sizes the workspace, and because the ping-pong activation pair swaps
+    // roles on an odd layer count the second may still grow the smaller of
+    // the two; from then on every call is the same.
+    let mut repeat_bytes = |targets: &[usize]| {
+        let mut call = || {
+            let stats = model
+                .infer_rows_planned_into(&a_hat, &features, targets, &mut ws, &mut out)
+                .unwrap();
+            assert!(stats.gathered > targets.len() && !stats.full_graph);
+        };
+        call();
+        call();
+        ALLOCATED_BYTES.store(0, Ordering::Relaxed);
+        call();
+        ALLOCATED_BYTES.load(Ordering::Relaxed)
+    };
+    let one = repeat_bytes(&[n / 2]);
+    let sixty_four: Vec<usize> = (0..64).map(|i| (i * 7) % n).collect();
+    let many = repeat_bytes(&sixty_four);
+
+    // Levels, rank table, per-layer operand arrays and activation buffers
+    // are all recycled. What a call still allocates is, per layer: its
+    // pinned plan's partition vector (capacity 5 `usize`s at width 1), its
+    // `(operand, plan)` entry in the layer loop's operand slice (two
+    // pointers), and the single-threaded packed GEMM's one-entry output
+    // chunk and A-panel tables (a locked slice each, three words) — 104
+    // bytes a layer on a 64-bit host, whatever the batch.
+    let word = size_of::<usize>();
+    let per_layer = 5 * word + 2 * word + 2 * 3 * word;
+    assert_eq!(one, layers * per_layer, "1-target batch");
+    assert_eq!(many, layers * per_layer, "64-target batch");
 }

@@ -7,9 +7,10 @@
 //! lane blocks on the queue, lets the batching window coalesce arrivals,
 //! then runs the whole batch as **one** backend call:
 //!
-//! * **planned** — [`GcnModel::infer_rows_planned_into`] gathers the
-//!   batch's k-hop neighbourhood once and runs the cached width-1
-//!   [`kernels::SpmmPlan`] over the induced sub-problem;
+//! * **planned** — [`GcnModel::infer_rows_planned_into`] expands the
+//!   batch into layer-wise shrinking frontiers once and computes, at each
+//!   layer, only the rows the batch's answers depend on, under
+//!   `Sequential`-pinned [`kernels::SpmmPlan`]s;
 //! * **sharded** — one [`ShardedGcn::infer`] pass serves every request in
 //!   the batch, and each target row is attributed to its owning shard via
 //!   [`shard::ShardPlan::owner_of_row`] for routing statistics.

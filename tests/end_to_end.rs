@@ -4,11 +4,13 @@
 use piuma_gcn::prelude::*;
 
 use kernels::resilient::fallback_of;
+use piuma_gcn::gcn::RowsWorkspace;
 use piuma_gcn::graph::generators::erdos_renyi;
 use piuma_gcn::kernels;
 use resilience::fault::{self, FaultConfig, FaultKind};
 use resilience::guard::{CancelToken, RunGuard, StopReason};
 use resilience::retry::RetryPolicy;
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// The table's twins: a skewed RMAT and a near-uniform Erdős–Rényi graph.
@@ -202,6 +204,132 @@ fn layer_fault_schedule_degrades_down_the_plans_chain_and_recovers_the_same_bits
             start,
             "the workspace's plan is kept"
         );
+    }
+}
+
+/// The rows table's adjacencies. The first two and the last are
+/// normalized (self-loops: levels nest); the middle two are raw `Csr`s the
+/// normalizer never produces.
+fn rows_graphs() -> Vec<(&'static str, Csr)> {
+    let [(_, rmat), (_, er)] = twins();
+    let er = er.normalized_adjacency().unwrap();
+    // Directed, no self-loops, some rows empty: `V_l` is not inside `V_{l-1}`.
+    let n = 200;
+    let mut directed = Coo::new(n, n);
+    for v in (0..n).filter(|v| v % 9 != 4) {
+        for j in 0..3 {
+            let c = (v * 31 + j * 17 + 7) % n;
+            if c != v {
+                directed.push(v, c, 0.25 + 0.125 * j as f32);
+            }
+        }
+    }
+    // Vertex 5 (the single-vertex target) loses every edge, self-loop included.
+    let mut isolated = Coo::new(er.nrows(), er.ncols());
+    for (r, c, v) in er.iter().filter(|&(r, c, _)| r != 5 && c != 5) {
+        isolated.push(r, c, v);
+    }
+    let tiny = Graph::from_undirected_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
+    vec![
+        ("rmat", rmat.normalized_adjacency().unwrap()),
+        ("directed-no-self-loops", Csr::from_coo(&directed)),
+        ("isolated-target", Csr::from_coo(&isolated)),
+        ("erdos-renyi", er),
+        ("tiny-saturating", tiny.normalized_adjacency().unwrap()),
+    ]
+}
+
+/// `(|V_0|, Σ_l Σ_{v ∈ V_l} deg(v), every level whole)` of a batch,
+/// recomputed from the adjacency alone.
+fn frontier_stats(a: &Csr, targets: &[usize], hops: usize) -> (usize, usize, bool) {
+    let mut level: BTreeSet<usize> = targets.iter().copied().collect();
+    let mut whole = level.len() == a.nrows();
+    let mut nnz = 0;
+    for _ in 0..hops {
+        nnz += level.iter().map(|&v| a.row_nnz(v)).sum::<usize>();
+        level = level
+            .iter()
+            .flat_map(|&v| a.row_cols(v).iter().map(|&c| c as usize))
+            .collect();
+        whole &= level.len() == a.nrows();
+    }
+    (level.len(), nnz, whole)
+}
+
+#[test]
+fn rows_match_the_width_one_full_graph_run_bitwise_whatever_the_batch() {
+    // depth and association order x precision x graph x target set: each
+    // served row equals full-graph inference under the width-1 plan at that
+    // precision bit for bit, and the same target served alone; the batch's
+    // stats are its frontier sizes.
+    let models = [
+        ("1-layer update-first", vec![16, 8]),
+        ("2-layer aggregate-first", vec![8, 16, 32]),
+        ("2-layer update-first", vec![32, 16, 8]),
+        ("3-layer mixed", vec![8, 16, 8, 12]),
+    ];
+    for (graph_name, a_hat) in rows_graphs() {
+        let n = a_hat.nrows();
+        let graph = Graph::from_adjacency(a_hat.clone());
+        let pick = |i: usize| ((i % 11) * 37 + 5) % (n - 1);
+        let target_sets = [
+            ("one", vec![pick(0)]),
+            ("16 with duplicates", (0..16).map(pick).collect()),
+            ("every vertex", (0..n).rev().collect::<Vec<_>>()),
+        ];
+        for (model_name, dims) in &models {
+            let model = GcnModel::new(&GcnConfig::from_dims(dims.clone()), 5);
+            let hops = model.layers().len();
+            let x = graph.random_features(dims[0], 21);
+            for p in Precision::all() {
+                let mut ws = workspace(SpmmPlan::with_width(&a_hat, dims[0], 1).at_precision(p));
+                let full = model.infer_planned_with(&a_hat, &x, &mut ws).unwrap();
+                let mut rows_ws = RowsWorkspace::new();
+                let (mut out, mut alone) = (DenseMatrix::default(), DenseMatrix::default());
+                for (set_name, targets) in &target_sets {
+                    let case = format!("{graph_name}, {model_name}, {p}, {set_name}");
+                    let stats = model
+                        .infer_rows_planned_prec_into(
+                            &a_hat,
+                            &x,
+                            targets,
+                            p,
+                            &mut rows_ws,
+                            &mut out,
+                        )
+                        .unwrap();
+                    let (gathered, sub_nnz, whole) = frontier_stats(&a_hat, targets, hops);
+                    assert_eq!(
+                        (stats.targets, stats.hops, stats.gathered, stats.sub_nnz),
+                        (targets.len(), hops, gathered, sub_nnz),
+                        "{case}"
+                    );
+                    assert_eq!(stats.full_graph, whole, "{case}");
+                    assert!(!whole || targets.len() == n, "{case}");
+                    for (i, &t) in targets.iter().enumerate() {
+                        assert_eq!(out.row(i), full.row(t), "{case}: row {t} vs full graph");
+                    }
+                    // Coalescing invariance, on at most 16 of the targets.
+                    for (i, &t) in targets
+                        .iter()
+                        .enumerate()
+                        .step_by(targets.len().div_ceil(16))
+                    {
+                        model
+                            .infer_rows_planned_prec_into(
+                                &a_hat,
+                                &x,
+                                &[t],
+                                p,
+                                &mut rows_ws,
+                                &mut alone,
+                            )
+                            .unwrap();
+                        assert_eq!(alone.row(0), out.row(i), "{case}: row {t} served alone");
+                    }
+                }
+            }
+        }
     }
 }
 
