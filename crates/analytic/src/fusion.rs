@@ -1,4 +1,4 @@
-//! Layer fusion — the Graphite optimization (ref. [9] of the paper).
+//! Layer fusion — the Graphite optimization (ref. \[9\] of the paper).
 //!
 //! The paper's Related Work notes that Graphite's layer fusion
 //! "demonstrated a 1.3x speedup for SpMM and is an interesting software

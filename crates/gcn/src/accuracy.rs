@@ -15,7 +15,7 @@
 //! Errors compound across layers roughly linearly (accumulation stays
 //! `f32`, so only storage rounding enters per layer). The same bounds
 //! drive the resilient precision guard
-//! ([`crate::resilient::PrecisionRun`]).
+//! ([`GcnModel::infer_prec_guarded_with`]).
 
 use crate::error::GcnError;
 use crate::model::{GcnModel, InferenceWorkspace};

@@ -11,7 +11,9 @@
 //! explicit [`kernels::SpmmStrategy`], and carrying width, precision and
 //! SIMD backend. A run guard and a retry policy are operands of the same
 //! loop ([`GcnModel::infer_resilient_with`]); every other entry point is a
-//! thin caller of it.
+//! thin caller of it. How a run falls back is data too — rungs on the
+//! plan, that loop's policy arm as the only retry-then-degrade walk, one
+//! flat [`InferenceRun`] report: see [`resilient`].
 //!
 //! # Examples
 //!
@@ -39,7 +41,7 @@ pub mod config;
 pub mod error;
 /// The GCN layer stack, the workspace, and the one layer loop.
 pub mod model;
-/// Guarded (budget/cancel), fault-tolerant and precision-guarded entry points.
+/// Guarded, fault-tolerant and precision-guarded entry points; their one report.
 pub mod resilient;
 /// Batched per-vertex inference over gathered k-hop neighbourhoods.
 pub mod rows;
@@ -50,6 +52,6 @@ pub use accuracy::{accuracy_bound, AccuracyReport};
 pub use config::GcnConfig;
 pub use error::GcnError;
 pub use model::{GcnLayer, GcnModel, InferenceWorkspace};
-pub use resilient::{InferenceRun, PrecisionRun};
+pub use resilient::{Degradation, InferenceRun};
 pub use rows::{RowsBatchStats, RowsWorkspace};
 pub use sampled::{SampledBatch, SamplingScheme};

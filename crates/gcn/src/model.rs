@@ -2,10 +2,9 @@
 
 use crate::config::GcnConfig;
 use crate::error::GcnError;
-use crate::resilient::InferenceRun;
+use crate::resilient::{Degradation, InferenceRun};
 use graph::Graph;
 use kernels::fused::gcn_layer_planned_into;
-use kernels::resilient::{fallback_of, Degradation, ExecutionReport};
 use kernels::{SpmmPlan, SpmmStrategy};
 use matrix::{Activation, DenseMatrix, MatrixError, Precision, QuantMatrix, WeightInit};
 use rand::rngs::StdRng;
@@ -231,7 +230,8 @@ impl GcnModel {
     /// Whole-graph inference along the workspace's plan: resolves the plan
     /// for `a_hat` at the precision the workspace was asked for, copies
     /// `features` in, and runs every layer on that one `(a_hat, plan)` pair.
-    /// The workspace's own plan is never modified.
+    /// The workspace's own plan is never modified; the report carries the
+    /// precision it ran at and its ISA-probe downgrade, if any.
     pub(crate) fn run_whole_graph(
         &self,
         a_hat: &Csr,
@@ -248,7 +248,10 @@ impl GcnModel {
         let InferenceWorkspace { bufs, plan } = workspace;
         let plan = plan.as_ref().expect("plan populated above");
         bufs.h.copy_from(features);
-        self.run_layers(&[(a_hat, plan)], guard, policy, bufs)
+        let mut run = self.run_layers(&[(a_hat, plan)], guard, policy, bufs)?;
+        run.used = plan.precision();
+        run.precision_fallback = plan.precision_fallback();
+        Ok(run)
     }
 
     /// The layer loop every inference entry point runs, over the input
@@ -258,10 +261,12 @@ impl GcnModel {
     /// one entry per layer is the rows path's frontier stack. A fired
     /// `guard` (checked before each layer) ends the run with the buffers at
     /// the last completed layer. Without a `policy` each layer is one direct
-    /// call; with one it runs under [`retry::run`] — the `gcn.layer` fault
-    /// site inside the retried attempt — and on exhausting its attempts
-    /// degrades to a copy of that layer's plan re-pinned one rung down
-    /// [`fallback_of`]. Every layer starts back at its own plan.
+    /// call. With one, this is the workspace's only retry-then-degrade walk:
+    /// the layer runs under [`retry::run`] — the `gcn.layer` fault site
+    /// inside the retried attempt — and on exhausting its attempts steps to
+    /// a copy of that layer's plan re-pinned one rung down
+    /// [`SpmmStrategy::fallback`], recording the rung in the report. Every
+    /// layer starts back at its own plan.
     pub(crate) fn run_layers(
         &self,
         ops: &[(&Csr, &SpmmPlan)],
@@ -272,7 +277,7 @@ impl GcnModel {
         let LayerBuffers { h, next, mid, qbuf } = bufs;
         let mut run = InferenceRun {
             total_layers: self.layers.len(),
-            report: ExecutionReport::new(),
+            backend_fallback: matrix::microkernel::probe_fallback(),
             ..InferenceRun::default()
         };
         for (t, layer) in self.layers.iter().enumerate() {
@@ -296,9 +301,9 @@ impl GcnModel {
                 .map(|_| ())
             };
             if let Some(policy) = policy {
-                let mut degraded: Option<SpmmPlan> = None;
+                let mut rung: Option<SpmmPlan> = None;
                 loop {
-                    let current = degraded.as_ref().unwrap_or(base);
+                    let current = rung.as_ref().unwrap_or(base);
                     let outcome = retry::run(policy, || -> Result<(), MatrixError> {
                         resilience::fault_point_err!(
                             "gcn.layer",
@@ -306,36 +311,35 @@ impl GcnModel {
                         );
                         attempt(current)
                     });
-                    let from = current.exec();
-                    match outcome {
+                    let err = match outcome {
                         Ok(rec) => {
-                            run.report.attempts += rec.attempts;
-                            run.report.recovered_panics += rec.recovered_panics;
-                            run.report.recovered_errors += rec.recovered_errors;
-                            run.report.completed_with = Some(from.to_string());
+                            run.attempts += rec.attempts;
+                            run.recovered_panics += rec.recovered_panics;
+                            run.recovered_errors += rec.recovered_errors;
                             break;
                         }
-                        Err(err) => {
-                            run.report.attempts += err.attempts;
-                            let Some(to) = fallback_of(from) else {
-                                return Err(match err.last {
-                                    Failure::Error(e) => GcnError::Kernel(e),
-                                    Failure::Panic(_) => GcnError::Kernel(MatrixError::Fault {
-                                        site: "gcn.layer: unrecovered panic",
-                                    }),
-                                });
-                            };
-                            run.report.degradations.push(Degradation {
-                                from: from.to_string(),
-                                to: to.to_string(),
-                                cause: err.last.to_string(),
-                            });
-                            degraded = Some(degraded.unwrap_or_else(|| base.clone()).pin(to));
-                            if let Some(reason) = guard.should_stop() {
-                                run.stopped = Some(reason);
-                                return Ok(run);
-                            }
-                        }
+                        Err(err) => err,
+                    };
+                    run.attempts += err.attempts;
+                    let from = current.exec();
+                    let Some(to) = from.fallback() else {
+                        return Err(GcnError::Kernel(match err.last {
+                            Failure::Error(e) => e,
+                            Failure::Panic(_) => MatrixError::Fault {
+                                site: "gcn.layer: unrecovered panic",
+                            },
+                        }));
+                    };
+                    run.degradations.push(Degradation {
+                        layer: Some(t),
+                        from: from.to_string(),
+                        to: to.to_string(),
+                        cause: err.last.to_string(),
+                    });
+                    rung = Some(base.clone().pin(to));
+                    if let Some(reason) = guard.should_stop() {
+                        run.stopped = Some(reason);
+                        return Ok(run);
                     }
                 }
             } else {

@@ -1,21 +1,27 @@
-//! Guarded and fault-tolerant inference entry points.
+//! Guarded and fault-tolerant inference entry points, and the one report
+//! they share. How a run falls back is data on the plan, not a second
+//! executor:
 //!
-//! Two concerns layer on top of [`GcnModel::infer_planned_with`], both as
-//! operands of the same layer loop rather than copies of it:
+//! * **Rungs.** A plan's strategy steps down
+//!   [`kernels::SpmmStrategy::fallback`] and its storage precision down
+//!   [`matrix::Precision::fallback`]; a rung down is a copy of the plan
+//!   re-pinned or re-targeted; the workspace's plan is never modified.
+//! * **One walk.** [`GcnModel::infer_resilient_with`] validates inputs
+//!   (shapes, then a NaN/Inf sweep over features and weights) and hands a
+//!   retry policy and a [`resilience::guard::RunGuard`] to the layer loop
+//!   behind [`GcnModel::infer_planned_with`], whose policy arm is the only
+//!   retry-then-degrade walk. The guard (wall-clock budget and/or
+//!   cancellation) is checked between layers and between rungs; a fired
+//!   guard is a typed partial result with the workspace at the last
+//!   *completed* layer. A guard alone is `RetryPolicy::immediate(1)`.
+//! * **One report.** Both entry points return an [`InferenceRun`].
 //!
-//! * **Run guards** — a [`RunGuard`] (wall-clock budget and/or cooperative
-//!   cancellation) is checked between layers and ends the run with a typed
-//!   partial result: the workspace holds the activations of the last
-//!   *completed* layer, and the returned [`InferenceRun`] says how many
-//!   layers finished and why the run stopped.
-//! * **Retry + degradation** — [`GcnModel::infer_resilient_with`]
-//!   validates inputs up front (dimension checks plus a NaN/Inf sweep over
-//!   features and weights), then executes each layer under
-//!   [`resilience::retry`], degrading the plan's SpMM strategy one rung at
-//!   a time (via [`kernels::resilient::fallback_of`]) when a layer keeps
-//!   failing, and reports attempts, recovered panics, fallbacks and
-//!   SIMD-backend downgrades in the [`InferenceRun`]. A guard alone is the
-//!   same call under `RetryPolicy::immediate(1)`.
+//! Deliberately *not* folded into the walk: the precision guard
+//! ([`GcnModel::infer_prec_guarded_with`]) keeps its own short outer loop.
+//! Its trigger is *acceptance of a completed run against an `f32`
+//! reference*, not failure of an attempt — the failure walk would need an
+//! error variant that smuggles a measurement — and it propagates kernel
+//! errors instead of degrading past them.
 //!
 //! Retrying a layer is sound because the layer kernel fully overwrites its
 //! two output buffers; a crashed attempt leaves no state a later attempt
@@ -24,14 +30,30 @@
 use crate::accuracy::{accuracy_bound, rel_frobenius};
 use crate::error::GcnError;
 use crate::model::{GcnModel, InferenceWorkspace};
-use kernels::resilient::{Degradation, ExecutionReport};
+use matrix::microkernel::Backend;
 use matrix::{DenseMatrix, MatrixError, Precision};
 use resilience::guard::{RunGuard, StopReason};
 use resilience::retry::RetryPolicy;
 use sparse::Csr;
 
-/// How a resilient inference run completed: progress, stop reason (if the
-/// guard fired), and the merged per-layer [`ExecutionReport`].
+/// One rung taken down a degradation ladder.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Degradation {
+    /// Layer whose attempts were exhausted (a strategy rung), or `None`
+    /// for a whole-run precision rung.
+    pub layer: Option<usize>,
+    /// Display form of the strategy or precision stepped down from.
+    pub from: String,
+    /// Display form of the rung tried next.
+    pub to: String,
+    /// Why: the rendered failure, the failed ISA probe, or the accuracy
+    /// guard's measurement.
+    pub cause: String,
+}
+
+/// How an inference output was obtained — the one report of
+/// [`GcnModel::infer_resilient_with`] and
+/// [`GcnModel::infer_prec_guarded_with`].
 #[derive(Debug, Clone, Default)]
 pub struct InferenceRun {
     /// Layers fully executed; the workspace output reflects exactly these.
@@ -40,38 +62,35 @@ pub struct InferenceRun {
     pub total_layers: usize,
     /// Why the run stopped early, if it did.
     pub stopped: Option<StopReason>,
-    /// Attempts, recoveries, and degradations accumulated across layers.
-    pub report: ExecutionReport,
+    /// Layer attempts made across all layers and rungs, including the
+    /// successful ones (`0` when no retry policy ran).
+    pub attempts: u32,
+    /// Panics caught and retried.
+    pub recovered_panics: u32,
+    /// Typed errors retried.
+    pub recovered_errors: u32,
+    /// Rungs taken, in order: strategy rungs tagged with their layer,
+    /// precision rungs (ISA probe, accuracy guard) with `layer == None`.
+    pub degradations: Vec<Degradation>,
+    /// `(preferred, chosen)` if the micro-kernel dispatch probe downgraded
+    /// the SIMD backend at process start
+    /// ([`matrix::microkernel::probe_fallback`]).
+    pub backend_fallback: Option<(Backend, Backend)>,
+    /// Storage precision the workspace output was produced at.
+    pub used: Precision,
+    /// `(requested, used)` if that is not the precision asked for — the
+    /// plan's ISA probe or the accuracy guard stepped down
+    /// [`Precision::fallback`].
+    pub precision_fallback: Option<(Precision, Precision)>,
+    /// Measured `||out - out_f32||_F / ||out_f32||_F` of the accepted
+    /// output, when an accuracy guard ran.
+    pub rel_frobenius: Option<f32>,
 }
 
 impl InferenceRun {
     /// Did every layer run to completion?
     pub fn is_complete(&self) -> bool {
         self.stopped.is_none() && self.layers_done == self.total_layers
-    }
-}
-
-/// How a precision-guarded inference run completed: the precision that was
-/// asked for, the one that actually produced the accepted output, the
-/// measured end-to-end error, and the degradation trail.
-#[derive(Debug, Clone)]
-pub struct PrecisionRun {
-    /// Storage precision the caller requested.
-    pub requested: Precision,
-    /// Precision whose output passed the accuracy guard (the workspace
-    /// output was produced at this precision).
-    pub used: Precision,
-    /// Measured `||out - out_f32||_F / ||out_f32||_F` of the accepted run.
-    pub rel_frobenius: f32,
-    /// ISA-probe and accuracy-guard downgrades, plus the merged
-    /// [`ExecutionReport`] fields.
-    pub report: ExecutionReport,
-}
-
-impl PrecisionRun {
-    /// Did the run complete at the precision the caller asked for?
-    pub fn at_requested_precision(&self) -> bool {
-        self.requested == self.used
     }
 }
 
@@ -144,8 +163,9 @@ impl GcnModel {
     /// reference bitwise, so its error is exactly zero.
     ///
     /// The accepted output lands in the workspace
-    /// ([`InferenceWorkspace::output`]); the returned [`PrecisionRun`]
-    /// says which precision produced it and how far it strayed.
+    /// ([`InferenceWorkspace::output`]); the returned [`InferenceRun`]
+    /// says which precision produced it ([`InferenceRun::used`]) and how
+    /// far it strayed ([`InferenceRun::rel_frobenius`]).
     ///
     /// # Errors
     ///
@@ -157,7 +177,7 @@ impl GcnModel {
         features: &DenseMatrix,
         precision: Precision,
         workspace: &mut InferenceWorkspace,
-    ) -> Result<PrecisionRun, GcnError> {
+    ) -> Result<InferenceRun, GcnError> {
         self.infer_prec_guarded_inner(a_hat, features, precision, accuracy_bound, workspace)
     }
 
@@ -171,50 +191,43 @@ impl GcnModel {
         precision: Precision,
         bound: impl Fn(Precision) -> f32,
         workspace: &mut InferenceWorkspace,
-    ) -> Result<PrecisionRun, GcnError> {
+    ) -> Result<InferenceRun, GcnError> {
         self.validate_inputs(a_hat, features)?;
         let mut reference_ws = InferenceWorkspace::new();
         self.infer_planned_with(a_hat, features, &mut reference_ws)?;
-        let mut report = ExecutionReport::new();
+        let unguarded = RunGuard::unbounded();
+        let rung = |from: Precision, to: Precision, cause: String| Degradation {
+            layer: None,
+            from: from.to_string(),
+            to: to.to_string(),
+            cause,
+        };
+        let mut trail = Vec::new();
         let mut current = precision;
         loop {
             workspace.plan_for(a_hat, features.cols(), current);
-            self.infer_planned_with(a_hat, features, workspace)?;
-            let used = workspace.plan().map_or(current, |p| p.precision());
-            if let Some((from, to)) = workspace.plan().and_then(|p| p.precision_fallback()) {
-                report.degradations.push(Degradation {
-                    from: from.to_string(),
-                    to: to.to_string(),
-                    cause: "precision ISA probe failed".to_string(),
-                });
+            let mut run = self.run_whole_graph(a_hat, features, &unguarded, None, workspace)?;
+            if let Some((from, to)) = run.precision_fallback {
+                trail.push(rung(from, to, "precision ISA probe failed".to_string()));
             }
             let err = rel_frobenius(workspace.output(), reference_ws.output());
-            if err <= bound(used) {
-                if used != precision {
-                    report.precision_fallback = Some((precision, used));
-                }
-                report.completed_with = Some(used.to_string());
-                return Ok(PrecisionRun {
-                    requested: precision,
-                    used,
-                    rel_frobenius: err,
-                    report,
-                });
+            if err <= bound(run.used) {
+                run.precision_fallback = (run.used != precision).then_some((precision, run.used));
+                run.rel_frobenius = Some(err);
+                run.degradations = trail;
+                return Ok(run);
             }
             // f32 reproduces the reference exactly (err == 0), so a rung
             // with no fallback can only be reached if the bound function
             // rejects an exact match — surface that as a kernel fault
             // rather than looping.
-            let Some(next) = used.fallback() else {
+            let Some(next) = run.used.fallback() else {
                 return Err(GcnError::Kernel(MatrixError::Fault {
                     site: "gcn.precision_guard: f32 rung rejected",
                 }));
             };
-            report.degradations.push(Degradation {
-                from: used.to_string(),
-                to: next.to_string(),
-                cause: format!("accuracy guard: rel_frobenius {err:.3e} over bound"),
-            });
+            let cause = format!("accuracy guard: rel_frobenius {err:.3e} over bound");
+            trail.push(rung(run.used, next, cause));
             current = next;
         }
     }
@@ -271,7 +284,12 @@ mod tests {
         let run = guarded(&model, &a_hat, &x, &RunGuard::unbounded(), &mut ws).unwrap();
         assert!(run.is_complete());
         assert_eq!((run.layers_done, run.stopped), (3, None));
-        assert_eq!(run.report.completed_with.as_deref(), Some("sequential"));
+        // One attempt per layer, nothing recovered, nothing stepped down.
+        assert_eq!((run.attempts, run.recovered_errors), (3, 0));
+        assert!(run.degradations.is_empty());
+        assert_eq!(run.backend_fallback, matrix::microkernel::probe_fallback());
+        assert_eq!((run.used, run.precision_fallback), (Precision::F32, None));
+        assert_eq!(run.rel_frobenius, None, "no accuracy guard ran");
         assert_eq!(expected, *ws.output());
     }
 
@@ -348,6 +366,9 @@ mod tests {
             .unwrap();
         assert!(run.is_complete());
         assert_eq!(run.layers_done, 3);
+        assert!(run.recovered_errors > 0, "seed 17 fires at least once");
+        assert_eq!(run.attempts, 3 + run.recovered_errors);
+        assert_eq!(run.recovered_panics, 0);
         // Retries re-run the same deterministic kernel, so the recovered
         // result is bitwise identical to an undisturbed run.
         assert_eq!(expected, *ws.output());
@@ -400,9 +421,10 @@ mod tests {
             )
             .unwrap();
         assert!(run.is_complete());
-        assert!(!run.report.degradations.is_empty());
-        assert_eq!(run.report.degradations[0].from, "hybrid x2");
-        assert_eq!(run.report.degradations[0].to, "vertex-parallel x2");
+        assert!(!run.degradations.is_empty());
+        assert_eq!(run.degradations[0].from, "hybrid x2");
+        assert_eq!(run.degradations[0].to, "vertex-parallel x2");
+        assert!(run.degradations.iter().all(|d| d.layer.is_some()));
         assert!(expected.max_abs_diff(ws.output()) < 1e-4);
         // Degradation re-pins a copy: the workspace keeps its own plan.
         assert_eq!(
@@ -419,17 +441,18 @@ mod tests {
             let run = model
                 .infer_prec_guarded_with(&a_hat, &x, p, &mut ws)
                 .unwrap();
-            assert!(
-                run.at_requested_precision(),
-                "{p} unexpectedly degraded to {}",
-                run.used
+            assert!(run.is_complete());
+            assert_eq!(
+                (run.used, run.precision_fallback),
+                (p, None),
+                "{p} unexpectedly degraded"
             );
+            assert!(run.degradations.is_empty());
+            let err = run.rel_frobenius.expect("the accuracy guard ran");
             assert!(
-                run.rel_frobenius <= accuracy_bound(run.used),
-                "{p}: accepted error {:.3e} over bound",
-                run.rel_frobenius
+                err <= accuracy_bound(run.used),
+                "{p}: accepted error {err:.3e} over bound"
             );
-            assert_eq!(run.report.completed_with.as_deref(), Some(run.used.name()));
         }
     }
 
@@ -454,16 +477,18 @@ mod tests {
             .unwrap();
         assert_eq!(run.used, Precision::F32);
         assert_eq!(
-            run.report.precision_fallback,
+            run.precision_fallback,
             Some((Precision::Int8, Precision::F32))
         );
-        // Two guard degradations: int8 → bf16, bf16 → f32.
-        assert_eq!(run.report.degradations.len(), 2);
-        assert_eq!(run.report.degradations[0].from, "int8");
-        assert_eq!(run.report.degradations[0].to, "bf16");
-        assert_eq!(run.report.degradations[1].to, "f32");
-        assert!(run.report.degraded());
-        assert_eq!(run.rel_frobenius, 0.0);
+        // Two whole-run guard rungs: int8 → bf16, bf16 → f32.
+        let rungs: Vec<_> = run
+            .degradations
+            .iter()
+            .map(|d| (d.layer, d.from.as_str(), d.to.as_str()))
+            .collect();
+        assert_eq!(rungs, [(None, "int8", "bf16"), (None, "bf16", "f32")]);
+        assert!(run.is_complete());
+        assert_eq!(run.rel_frobenius, Some(0.0));
         assert_eq!(expected, *ws.output());
     }
 
@@ -478,14 +503,13 @@ mod tests {
             .unwrap();
         assert_eq!(run.used, Precision::Bf16);
         assert_eq!(
-            run.report.precision_fallback,
+            run.precision_fallback,
             Some((Precision::Int8, Precision::Bf16))
         );
         assert!(run
-            .report
             .degradations
             .iter()
-            .any(|d| d.cause.contains("ISA probe")));
+            .any(|d| d.layer.is_none() && d.cause.contains("ISA probe")));
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! * [`random_walk`] — uniform random walks (the PinSAGE building block),
 //! * [`Subgraph`] — an induced subgraph with a vertex mapping back to the
 //!   parent graph, ready for mini-batch inference.
+//!
+//! [`full_neighborhood`]: crate::sampling::full_neighborhood
+//! [`sample_neighbors`]: crate::sampling::sample_neighbors
+//! [`random_walk`]: crate::sampling::random_walk
 
 use crate::graph_type::Graph;
 use rand::rngs::StdRng;

@@ -136,6 +136,27 @@ impl SpmmStrategy {
         }
     }
 
+    /// The next-simpler rung of the degradation ladder, the mirror of
+    /// [`matrix::Precision::fallback`]: the three kernels that share output
+    /// rows or tiles between workers fall to `VertexParallel` at the same
+    /// width, everything else to `Sequential` — no pool, no atomics, no
+    /// scratch arena, so a single surviving thread can always run it — and
+    /// `Sequential` is the last rung.
+    pub fn fallback(self) -> Option<SpmmStrategy> {
+        match self {
+            SpmmStrategy::Hybrid { threads }
+            | SpmmStrategy::EdgeParallel { threads }
+            | SpmmStrategy::FeatureParallel { threads } => {
+                Some(SpmmStrategy::VertexParallel { threads })
+            }
+            SpmmStrategy::VertexParallel { .. }
+            | SpmmStrategy::NnzBalanced { .. }
+            | SpmmStrategy::FeatureTiled { .. }
+            | SpmmStrategy::Auto => Some(SpmmStrategy::Sequential),
+            SpmmStrategy::Sequential => None,
+        }
+    }
+
     /// Thread count this strategy will use (`Auto` reports the pool width
     /// its plan is built for).
     pub fn threads(self) -> usize {

@@ -73,7 +73,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// The SpMM algorithm enum and its dispatch ([`SpmmStrategy`]).
+/// The SpMM algorithm enum, its dispatch and its degradation rungs ([`SpmmStrategy`]).
 pub mod engine;
 /// The GCN layer: aggregate + transform + activation on a plan.
 pub mod fused;
@@ -81,8 +81,6 @@ pub mod fused;
 pub mod hybrid;
 /// Execution plans ([`SpmmPlan`]), resolved or pinned: built once, run many times.
 pub mod plan;
-/// Retry + strategy-degradation wrappers ([`ExecutionReport`]).
-pub mod resilient;
 /// Baseline sequential and parallel CSR SpMM kernels.
 pub mod spmm;
 /// Cache-blocked (tiled) SpMM over column strips.
@@ -91,5 +89,3 @@ pub mod tiled;
 pub use engine::SpmmStrategy;
 pub use plan::SpmmPlan;
 pub use pool;
-pub use resilience;
-pub use resilient::{run_resilient_into, ExecutionReport};

@@ -3,11 +3,11 @@
 //!
 //! A plan-less [`SpmmStrategy`] call pays its analysis per multiplication;
 //! [`SpmmPlan`] pays once per adjacency and reuses it across every layer
-//! and epoch: cached [`DegreeStats`], an **NNZ-balanced row partition**
-//! (slot boundaries by binary search over `row_ptr` so each pool slot owns
-//! ~equal non-zeros — merge-path style, the workload mapping Accel-GCN
-//! identifies as the biggest SpMM lever), and the execution path, a
-//! [`SpmmStrategy`]. The path is **pinned** ([`SpmmPlan::pinned`]) to an
+//! and epoch: cached [`sparse::DegreeStats`], an **NNZ-balanced row
+//! partition** (slot boundaries by binary search over `row_ptr` so each
+//! pool slot owns ~equal non-zeros — merge-path style, the workload mapping
+//! Accel-GCN identifies as the biggest SpMM lever), and the execution path,
+//! a [`SpmmStrategy`]. The path is **pinned** ([`SpmmPlan::pinned`]) to an
 //! explicit strategy, or **resolved** ([`SpmmPlan::new`]) by the
 //! workspace's one `Auto` rule:
 //!
@@ -25,6 +25,10 @@
 //! nnz, sampled `row_ptr`/`col_idx` entries), letting callers cache one
 //! plan per graph without holding a borrow — `gcn::InferenceWorkspace`
 //! does exactly that.
+//!
+//! [`AUTO_SEQUENTIAL_WORK`]: crate::plan::AUTO_SEQUENTIAL_WORK
+//! [`AUTO_SKEW_CV`]: crate::plan::AUTO_SKEW_CV
+//! [`PLAN_MAX_IMBALANCE`]: crate::plan::PLAN_MAX_IMBALANCE
 
 use matrix::microkernel::{resolve_precision, KernelDispatch};
 use matrix::{DenseMatrix, MatrixError, Precision, QuantMatrix};

@@ -3,10 +3,10 @@
 //! All parallel kernels execute on the process-wide persistent thread pool
 //! ([`pool::global`]): threads are spawned once and reused across calls,
 //! so per-invocation cost is one job publication instead of N thread
-//! spawns. Every kernel writes into a caller-owned [`DenseMatrix`], which
-//! the GCN inference path uses to ping-pong between two activation buffers
-//! without per-layer allocation; the allocating form of any of them is
-//! [`crate::SpmmStrategy::run`].
+//! spawns. Every kernel writes into a caller-owned
+//! [`matrix::DenseMatrix`], which the GCN inference path uses to ping-pong
+//! between two activation buffers without per-layer allocation; the
+//! allocating form of any of them is [`crate::SpmmStrategy::run`].
 
 use matrix::microkernel::KernelDispatch;
 use matrix::{DenseMatrix, MatrixError, QuantMatrix};

@@ -2,7 +2,7 @@
 //!
 //! At large K the paper's CPU baseline degrades because each random feature
 //! row is a cache-line burst that evicts other rows (Section III-C). A
-//! standard mitigation — used by Graphite [9] and GE-SpMM [11] — is to tile
+//! standard mitigation — used by Graphite \[9\] and GE-SpMM \[11\] — is to tile
 //! the *feature* dimension: process the sparse structure once per K-tile,
 //! so the working set per pass shrinks from `|V| * K` to `|V| * T` floats.
 //! The trade-off is re-reading the CSR arrays once per tile; tiling wins

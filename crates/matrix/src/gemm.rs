@@ -6,6 +6,8 @@
 //! packed, register-tiled, multi-threaded engine in [`crate::microkernel`]
 //! ([`crate::microkernel::matmul_packed_with`]); [`matmul_naive`] is the
 //! oracle it and `GcnModel::infer_reference` are checked against.
+//!
+//! [`matmul_naive`]: crate::gemm::matmul_naive
 
 use crate::dense::DenseMatrix;
 use crate::error::MatrixError;

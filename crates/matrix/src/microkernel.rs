@@ -45,6 +45,12 @@
 //! columns that fall outside `C`. `B` is packed once per `(jc, pc)` block
 //! and shared read-only by every executor; each executor owns a private A
 //! panel carved from the same scratch borrow.
+//!
+//! [`KernelDispatch`]: crate::microkernel::KernelDispatch
+//! [`KernelDispatch::get`]: crate::microkernel::KernelDispatch::get
+//! [`Backend::Avx2Fma`]: crate::microkernel::Backend::Avx2Fma
+//! [`Backend::Portable`]: crate::microkernel::Backend::Portable
+//! [`Backend::Scalar`]: crate::microkernel::Backend::Scalar
 
 // Explicit SIMD intrinsics are the point of this module; the crate-level
 // deny stays in force for everything else in `matrix`.
@@ -195,7 +201,7 @@ static PROBE_FALLBACK: OnceLock<Option<(Backend, Backend)>> = OnceLock::new();
 /// The `(preferred, chosen)` downgrade the dispatch probe took when
 /// [`KernelDispatch::get`] first ran, or `None` if the preferred backend
 /// passed its probe (or `get` has not run yet). Surfaced in
-/// `kernels::ExecutionReport`.
+/// `gcn::InferenceRun::backend_fallback`.
 pub fn probe_fallback() -> Option<(Backend, Backend)> {
     PROBE_FALLBACK.get().copied().flatten()
 }

@@ -20,6 +20,10 @@
 //! [`saturating_cast_i8`]) and saturate rather than wrap: out-of-range
 //! int8 inputs clamp to ±127, NaN quantizes to 0, and f16 overflow goes
 //! to ±inf exactly as IEEE 754 binary16 prescribes.
+//!
+//! [`f32_to_bf16`]: crate::quant::f32_to_bf16
+//! [`f32_to_f16`]: crate::quant::f32_to_f16
+//! [`saturating_cast_i8`]: crate::quant::saturating_cast_i8
 
 // BOUNDS: all `[]` indexing in this module is over row slices carved as
 // `[r * cols .. (r + 1) * cols]` from payload buffers that `encode`

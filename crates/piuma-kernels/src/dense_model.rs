@@ -1,7 +1,7 @@
 //! Dense MM on PIUMA — a calibrated throughput model.
 //!
 //! The paper does not simulate Dense MM on PIUMA; it uses the *observed peak
-//! FLOPS* from prior work (Tithi et al., "SU3 Bench on PIUMA", ref. [21])
+//! FLOPS* from prior work (Tithi et al., "SU3 Bench on PIUMA", ref. \[21\])
 //! to price the GCN update phase (Section V-B). We do the same: a per-core
 //! sustained GEMM rate, calibrated so that a full node's dense throughput
 //! sits slightly below a dual-socket Xeon's — which is what produces the
@@ -26,7 +26,7 @@ pub struct PiumaDenseModel {
     /// threads each retiring a MAC per cycle in the best case:
     /// 4 MTPs x 16 threads... bounded in practice by issue slots. The
     /// default (140 GFLOP/s) makes a 32-core node ~0.76x a dual-socket
-    /// Xeon 8380's sustained GEMM, consistent with [21]'s observation that
+    /// Xeon 8380's sustained GEMM, consistent with \[21\]'s observation that
     /// PIUMA is roughly at parity per node on dense kernels.
     pub gflops_per_core: f64,
     /// Fraction of peak sustained on real GEMM shapes.

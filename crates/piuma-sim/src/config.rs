@@ -79,7 +79,7 @@ pub struct MachineConfig {
     /// contribute. PIUMA pipelines are scalar (1 MAC/cycle), so anything
     /// above 2 here is offload-engine assist; the default (16) calibrates a
     /// core to ~90 GFLOP/s at 1.4 GHz, matching the observed dense rates of
-    /// prior work ([21]) that `PiumaDenseModel` encodes.
+    /// prior work (\[21\]) that `PiumaDenseModel` encodes.
     pub dense_flops_per_cycle_per_mtp: f64,
 }
 

@@ -3,7 +3,7 @@
 //! Section V-A: "Traditional CPU systems such as Xeon can not scale their
 //! memory bandwidth by increasing the number of systems ... communication
 //! overheads of MPI significantly reduce performance relative to an
-//! at-scale DGAS system" (citing the COST critique, ref. [24]). This module
+//! at-scale DGAS system" (citing the COST critique, ref. \[24\]). This module
 //! models a cluster of Xeon nodes running 1-D row-partitioned SpMM with a
 //! bulk-synchronous feature gather, so the DGAS-vs-MPI contrast the paper
 //! asserts can be measured.

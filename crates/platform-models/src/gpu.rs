@@ -1,5 +1,5 @@
 //! NVIDIA A100 GCN timing model (the paper's GPU comparison, from its
-//! companion study, ref. [16]).
+//! companion study, ref. \[16\]).
 
 use crate::breakdown::GcnPhaseTimes;
 use analytic::workload::GcnWorkload;

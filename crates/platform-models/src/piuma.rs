@@ -2,7 +2,7 @@
 //!
 //! The paper prices GCN on PIUMA by combining (a) the measured DMA-SpMM
 //! kernel, which achieves 80–90 % of the Eq. 1–5 bandwidth model, with
-//! (b) the observed dense peak FLOPS from prior work [21]. This module does
+//! (b) the observed dense peak FLOPS from prior work \[21\]. This module does
 //! the same composition: the analytical SpMM roofline at the node's
 //! aggregate bandwidth degraded by a measured efficiency, plus the
 //! calibrated [`PiumaDenseModel`]. For full-size Table-I graphs this is the

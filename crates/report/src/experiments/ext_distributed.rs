@@ -1,5 +1,5 @@
 //! Extension — distributed-memory CPU versus PIUMA DGAS scaling
-//! (Section V-A's closing argument, with the COST critique of ref. [24]).
+//! (Section V-A's closing argument, with the COST critique of ref. \[24\]).
 
 use super::common::{dataset_workload, ms};
 use crate::{ExperimentOutput, TextTable};

@@ -1,9 +1,10 @@
 //! Deterministic, seeded fault-injection registry.
 //!
-//! Call sites are instrumented with [`fault_point!`] (panics / artificial
-//! latency at an execution point) or [`fault_point_err!`] (typed early
-//! `return Err(..)`). Each site is identified by a `&'static str` name such
-//! as `"pool.worker"` or `"graph.io.matrix_market"`.
+//! Call sites are instrumented with [`crate::fault_point!`] (panics /
+//! artificial latency at an execution point) or [`crate::fault_point_err!`]
+//! (typed early `return Err(..)`). Each site is identified by a
+//! `&'static str` name such as `"pool.worker"` or
+//! `"graph.io.matrix_market"`.
 //!
 //! # Disarmed cost
 //!
@@ -350,7 +351,7 @@ fn decide(site: &'static str, err_site: bool) -> Option<(FaultKind, Duration)> {
     Some((kind, reg.config.latency))
 }
 
-/// Slow path of [`fault_point!`]: called only while armed. May panic or
+/// Slow path of [`crate::fault_point!`]: called only while armed. May panic or
 /// sleep; an `Error` decision at a plain execution point falls back to a
 /// panic (there is no error channel to return through).
 #[cold]
@@ -366,7 +367,7 @@ pub fn inject_execution(site: &'static str) {
     }
 }
 
-/// Slow path of [`fault_point_err!`]: called only while armed. Returns
+/// Slow path of [`crate::fault_point_err!`]: called only while armed. Returns
 /// `true` when the site should return its typed error this visit; a pinned
 /// `Panic` kind panics instead, a `Latency` kind sleeps and returns `false`.
 #[cold]

@@ -26,6 +26,10 @@
 //! injected through the `serving.queue` / `serving.batch` fault points —
 //! are contained per lane iteration and turn into typed
 //! [`Rejection::Faulted`] deliveries, never hangs.
+//!
+//! [`GcnModel::infer_rows_planned_into`]: gcn::GcnModel::infer_rows_planned_into
+//! [`ShardedGcn::infer`]: shard::ShardedGcn::infer
+//! [`RunGuard`]: resilience::guard::RunGuard
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};

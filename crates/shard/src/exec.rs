@@ -12,6 +12,8 @@
 //! engines. A task body that panics poisons the run: its dependents are
 //! never released, every worker drains out, and the caller gets
 //! [`ExecError::TaskPanicked`] instead of a deadlock.
+//!
+//! [`ExecError::TaskPanicked`]: crate::exec::ExecError::TaskPanicked
 
 // BOUNDS: all `[]` indexing in this module is over vectors sized in
 // lock-step with the task count at graph construction (`dependents` and

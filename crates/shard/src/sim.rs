@@ -20,6 +20,10 @@
 //! widths the K-independent per-row request overheads and barriers are
 //! exposed (poor scaling), at K=256 the per-row payload amortizes them
 //! and efficiency stays high.
+//!
+//! [`MachineConfig::network_latency_ns`]: piuma_sim::MachineConfig::network_latency_ns
+//! [`SPMM_EFFICIENCY`]: crate::sim::SPMM_EFFICIENCY
+//! [`GEMM_EFFICIENCY`]: crate::sim::GEMM_EFFICIENCY
 
 use piuma_sim::MachineConfig;
 

@@ -48,6 +48,27 @@ fn rate() -> f64 {
 /// retry loop or lock recovery path livelocked.
 const BUDGET: Duration = Duration::from_secs(60);
 
+/// Called while `config` is still armed: every prefix it armed matched a
+/// fault site the scenario actually passed, so a stale or misspelt site
+/// name fails here instead of silently testing nothing.
+fn assert_armed_sites_visited(config: &FaultConfig) {
+    let stats = fault::stats();
+    for armed in &config.overrides {
+        let visits: u64 = stats
+            .sites
+            .iter()
+            .filter(|(site, _)| site.starts_with(armed.prefix.as_str()))
+            .map(|(_, site)| site.visits)
+            .sum();
+        assert!(
+            visits > 0,
+            "armed `{}` but the scenario visited no fault site under it (visited: {:?})",
+            armed.prefix,
+            stats.sites.keys().collect::<Vec<_>>()
+        );
+    }
+}
+
 fn test_model() -> (Csr, GcnModel, DenseMatrix) {
     let g = Graph::rmat(&RmatConfig::power_law(8, 8), 2024);
     let a_hat = g.normalized_adjacency().unwrap();
@@ -56,19 +77,24 @@ fn test_model() -> (Csr, GcnModel, DenseMatrix) {
     (a_hat, model, x)
 }
 
-/// A workspace whose plan is pinned to the sequential kernel.
-fn sequential_workspace(a_hat: &Csr, x: &DenseMatrix) -> InferenceWorkspace {
+/// A workspace whose plan is pinned to `strategy`.
+fn pinned_workspace(a_hat: &Csr, x: &DenseMatrix, strategy: SpmmStrategy) -> InferenceWorkspace {
     let mut ws = InferenceWorkspace::new();
-    ws.install_plan(SpmmPlan::pinned(a_hat, x.cols(), SpmmStrategy::Sequential));
+    ws.install_plan(SpmmPlan::pinned(a_hat, x.cols(), strategy));
     ws
 }
 
 /// Fault-free reference through the *same* resilient code path, computed
 /// under an armed-but-never-firing config so it holds the arm lock.
-fn quiet_reference(a_hat: &Csr, model: &GcnModel, x: &DenseMatrix) -> DenseMatrix {
+fn quiet_reference(
+    a_hat: &Csr,
+    model: &GcnModel,
+    x: &DenseMatrix,
+    strategy: SpmmStrategy,
+) -> DenseMatrix {
     let _quiet = fault::arm(FaultConfig::new(0));
     let guard = RunGuard::unbounded();
-    let mut ws = sequential_workspace(a_hat, x);
+    let mut ws = pinned_workspace(a_hat, x, strategy);
     let run = model
         .infer_resilient_with(a_hat, x, &RetryPolicy::default(), &guard, &mut ws)
         .unwrap();
@@ -79,18 +105,15 @@ fn quiet_reference(a_hat: &Csr, model: &GcnModel, x: &DenseMatrix) -> DenseMatri
 #[test]
 fn inference_under_error_injection_is_bitwise_correct_across_seeds() {
     let (a_hat, model, x) = test_model();
-    let reference = quiet_reference(&a_hat, &model, &x);
+    let reference = quiet_reference(&a_hat, &model, &x, SpmmStrategy::Sequential);
     let p = rate();
 
     for seed in seeds() {
         let started = Instant::now();
-        let _armed = fault::arm(
-            FaultConfig::new(seed)
-                .point("gcn.layer", FaultKind::Error, p)
-                .point("kernels.exec", FaultKind::Error, p),
-        );
+        let config = FaultConfig::new(seed).point("gcn.layer", FaultKind::Error, p);
+        let _armed = fault::arm(config.clone());
         let guard = RunGuard::with_budget(BUDGET);
-        let mut ws = sequential_workspace(&a_hat, &x);
+        let mut ws = pinned_workspace(&a_hat, &x, SpmmStrategy::Sequential);
         let run = model
             .infer_resilient_with(&a_hat, &x, &RetryPolicy::default(), &guard, &mut ws)
             .unwrap_or_else(|e| panic!("seed {seed}: inference failed: {e}"));
@@ -104,21 +127,23 @@ fn inference_under_error_injection_is_bitwise_correct_across_seeds() {
             started.elapsed() < BUDGET,
             "seed {seed}: chaos run exceeded the wall-clock budget"
         );
+        assert_armed_sites_visited(&config);
     }
 }
 
 #[test]
 fn inference_recovers_injected_panics_without_escaping() {
     let (a_hat, model, x) = test_model();
-    let reference = quiet_reference(&a_hat, &model, &x);
+    let reference = quiet_reference(&a_hat, &model, &x, SpmmStrategy::Sequential);
     let env_pinned = std::env::var("FAULT_SEED").is_ok();
     let mut injected_total = 0u64;
 
     for seed in seeds() {
         let _quiet = retry::quiet_panics();
-        let _armed = fault::arm(FaultConfig::new(seed).point("gcn.layer", FaultKind::Panic, 0.3));
+        let config = FaultConfig::new(seed).point("gcn.layer", FaultKind::Panic, 0.3);
+        let _armed = fault::arm(config.clone());
         let guard = RunGuard::with_budget(BUDGET);
-        let mut ws = sequential_workspace(&a_hat, &x);
+        let mut ws = pinned_workspace(&a_hat, &x, SpmmStrategy::Sequential);
         // Generous attempt budget: at p = 0.3 a rung of the chain must
         // still find a fault-free attempt with overwhelming probability.
         let policy = RetryPolicy::immediate(8);
@@ -132,6 +157,7 @@ fn inference_recovers_injected_panics_without_escaping() {
             "seed {seed}: panic-recovered result diverged"
         );
         injected_total += fault::stats().total_injected();
+        assert_armed_sites_visited(&config);
     }
     // The default eight-seed sweep at p = 0.3 deterministically injects at
     // least one panic; a CI-pinned single seed may legitimately miss.
@@ -145,32 +171,47 @@ fn inference_recovers_injected_panics_without_escaping() {
 
 #[test]
 fn parallel_spmm_survives_pool_worker_panics() {
-    use kernels::resilient::run_resilient_into;
+    // Pool-share panics under the parallel SpMM (and the layer's parallel
+    // dense update), on the one path that retries: resilient inference
+    // along a plan pinned to the four-thread vertex-parallel kernel.
     let g = Graph::rmat(&RmatConfig::power_law(9, 8), 99);
-    let a = g.adjacency().clone();
-    let h = g.random_features(32, 13);
+    let a_hat = g.normalized_adjacency().unwrap();
+    let model = GcnModel::new(&GcnConfig::paper_model(32, 32, 4), 7);
+    let x = g.random_features(32, 13);
     let strategy = SpmmStrategy::VertexParallel { threads: 4 };
-
-    let reference = {
-        let _quiet = fault::arm(FaultConfig::new(0));
-        let mut out = DenseMatrix::zeros(a.nrows(), h.cols());
-        run_resilient_into(&a, &h, strategy, &RetryPolicy::default(), &mut out).unwrap();
-        out
-    };
+    let reference = quiet_reference(&a_hat, &model, &x, strategy);
+    let mut recovered = 0;
 
     for seed in seeds() {
         let _quiet = retry::quiet_panics();
-        let _armed = fault::arm(FaultConfig::new(seed).point("pool.share", FaultKind::Panic, 0.02));
+        let config = FaultConfig::new(seed).point("pool.share", FaultKind::Panic, 0.02);
+        let _armed = fault::arm(config.clone());
         let started = Instant::now();
-        let mut out = DenseMatrix::zeros(a.nrows(), h.cols());
-        let report = run_resilient_into(&a, &h, strategy, &RetryPolicy::immediate(8), &mut out)
-            .unwrap_or_else(|e| panic!("seed {seed}: parallel SpMM failed: {e}"));
+        let mut ws = pinned_workspace(&a_hat, &x, strategy);
+        let run = model
+            .infer_resilient_with(
+                &a_hat,
+                &x,
+                &RetryPolicy::immediate(8),
+                &RunGuard::with_budget(BUDGET),
+                &mut ws,
+            )
+            .unwrap_or_else(|e| panic!("seed {seed}: parallel inference failed: {e}"));
+        assert!(run.is_complete(), "seed {seed}: {run:?}");
         assert_eq!(
-            out.as_slice(),
+            ws.output().as_slice(),
             reference.as_slice(),
-            "seed {seed}: pool-recovered SpMM diverged (report: {report:?})"
+            "seed {seed}: pool-recovered inference diverged (run: {run:?})"
         );
         assert!(started.elapsed() < BUDGET, "seed {seed}: over budget");
+        recovered += run.recovered_panics;
+        assert_armed_sites_visited(&config);
+    }
+    // Share visits per attempt are fixed at a given pool width, so the
+    // default sweep's firings are too (about 300 visits at p = 0.02); a
+    // CI-pinned single seed may legitimately miss.
+    if std::env::var("FAULT_SEED").is_err() {
+        assert!(recovered > 0, "no pool-share panic was ever recovered");
     }
 }
 
@@ -187,7 +228,8 @@ fn graph_loading_retries_through_injected_io_faults() {
     };
 
     for seed in seeds() {
-        let _armed = fault::arm(FaultConfig::new(seed).point("graph.io.", FaultKind::Error, 0.3));
+        let config = FaultConfig::new(seed).point("graph.io.", FaultKind::Error, 0.3);
+        let _armed = fault::arm(config.clone());
         let outcome = retry::run(&RetryPolicy::immediate(8), || {
             read_matrix_market(Cursor::new(text))
         });
@@ -195,6 +237,7 @@ fn graph_loading_retries_through_injected_io_faults() {
         assert_eq!(rec.value.row_ptr(), reference.row_ptr(), "seed {seed}");
         assert_eq!(rec.value.col_idx(), reference.col_idx(), "seed {seed}");
         assert_eq!(rec.value.values(), reference.values(), "seed {seed}");
+        assert_armed_sites_visited(&config);
     }
 }
 
@@ -212,11 +255,10 @@ fn simulator_chaos_latency_does_not_change_simulated_time() {
     for seed in seeds() {
         // Host-side latency at the event-loop site: slows the wall clock,
         // must not perturb virtual time or traffic accounting.
-        let _armed = fault::arm(
-            FaultConfig::new(seed)
-                .latency(Duration::from_micros(20))
-                .point("sim.event", FaultKind::Latency, 0.001),
-        );
+        let config = FaultConfig::new(seed)
+            .latency(Duration::from_micros(20))
+            .point("sim.event", FaultKind::Latency, 0.001);
+        let _armed = fault::arm(config.clone());
         let guard = RunGuard::with_budget(BUDGET);
         let outcome = sim
             .run_guarded(a, 8, &guard)
@@ -230,6 +272,7 @@ fn simulator_chaos_latency_does_not_change_simulated_time() {
                 panic!("seed {seed}: small sim blew the {BUDGET:?} budget ({reason:?})")
             }
         }
+        assert_armed_sites_visited(&config);
     }
 }
 
@@ -237,10 +280,12 @@ fn simulator_chaos_latency_does_not_change_simulated_time() {
 fn exhausted_injection_surfaces_typed_errors_not_panics() {
     // Rate 1.0 at the simulator entry: every attempt fails, so the caller
     // must see the typed error — never an abort or a poisoned lock.
-    let _armed = fault::arm(FaultConfig::new(1).point("sim.run", FaultKind::Error, 1.0));
+    let config = FaultConfig::new(1).point("sim.run", FaultKind::Error, 1.0);
+    let _armed = fault::arm(config.clone());
     let g = Graph::rmat(&RmatConfig::uniform(6, 4), 1);
     let err = SpmmSimulation::new(MachineConfig::single_core(), SpmmVariant::Dma)
         .run(g.adjacency(), 4)
         .unwrap_err();
     assert_eq!(format!("{err}"), "injected fault at `sim.run`");
+    assert_armed_sites_visited(&config);
 }

@@ -3,13 +3,12 @@
 
 use piuma_gcn::prelude::*;
 
-use kernels::resilient::fallback_of;
-use piuma_gcn::gcn::RowsWorkspace;
+use piuma_gcn::gcn::{GcnError, RowsWorkspace};
 use piuma_gcn::graph::generators::erdos_renyi;
-use piuma_gcn::kernels;
+use piuma_gcn::matrix::MatrixError;
 use resilience::fault::{self, FaultConfig, FaultKind};
 use resilience::guard::{CancelToken, RunGuard, StopReason};
-use resilience::retry::RetryPolicy;
+use resilience::retry::{self, RetryPolicy};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -107,23 +106,42 @@ fn fired_guard_stops_with_a_typed_reason_at_the_last_completed_layer() {
     }
 }
 
+#[test]
+fn every_strategy_reaches_sequential_within_two_rungs() {
+    for start in [
+        SpmmStrategy::Sequential,
+        SpmmStrategy::VertexParallel { threads: 3 },
+        SpmmStrategy::NnzBalanced { threads: 3 },
+        SpmmStrategy::EdgeParallel { threads: 3 },
+        SpmmStrategy::FeatureTiled { tile: 0 },
+        SpmmStrategy::FeatureParallel { threads: 3 },
+        SpmmStrategy::Hybrid { threads: 3 },
+        SpmmStrategy::Auto,
+    ] {
+        let ladder: Vec<_> = std::iter::successors(Some(start), |s| s.fallback()).collect();
+        assert!(ladder.len() <= 3, "{start}: {ladder:?}");
+        assert_eq!(ladder.last(), Some(&SpmmStrategy::Sequential), "{start}");
+        // A rung down keeps the thread budget or drops to one thread.
+        assert!(ladder.windows(2).all(|w| w[1].threads() <= w[0].threads()));
+    }
+}
+
 /// Replays a `gcn.layer` decision stream (one decision per attempt, one
-/// attempt per rung) against the degradation chain every layer restarts at
-/// `start`: the `(from, to)` trail, or `None` if some layer exhausts its
-/// chain or the stream runs out.
-fn expected_trail(
+/// attempt per rung) against `ladder`, the strategy names every layer
+/// restarts at the top of: the `(layer, from, to)` trail, or `None` if some
+/// layer runs out of rungs or the stream runs out.
+fn expected_trail<'a>(
     fires: &[bool],
-    start: SpmmStrategy,
+    ladder: &[&'a str],
     layers: usize,
-) -> Option<Vec<(String, String)>> {
+) -> Option<Vec<(Option<usize>, &'a str, &'a str)>> {
     let mut decisions = fires.iter();
     let mut trail = Vec::new();
-    for _ in 0..layers {
-        let mut current = start;
+    for layer in 0..layers {
+        let mut rung = 0;
         while *decisions.next()? {
-            let next = fallback_of(current)?;
-            trail.push((current.to_string(), next.to_string()));
-            current = next;
+            trail.push((Some(layer), ladder[rung], *ladder.get(rung + 1)?));
+            rung += 1;
         }
     }
     Some(trail)
@@ -137,73 +155,107 @@ fn layer_fault_schedule_degrades_down_the_plans_chain_and_recovers_the_same_bits
     let k = model.input_dim();
     let x = g.random_features(k, 21);
     let layers = model.layers().len();
-    // (plan, its first rung by name, layers the schedule must degrade).
-    for (plan, first_rung, degraded_layers) in [
+    let _quiet = retry::quiet_panics();
+    // (plan, its ladder by name, how the site fails, layers the schedule
+    // must degrade).
+    for (plan, ladder, kind, degraded) in [
         // Every layer degrades: each one's trail restarting at the pin is
         // what shows that a degradation does not outlive its layer.
         (
             SpmmPlan::pinned(&a_hat, k, SpmmStrategy::Hybrid { threads: 2 }),
-            Some(("hybrid x2", "vertex-parallel x2")),
-            layers,
+            &["hybrid x2", "vertex-parallel x2", "sequential"][..],
+            FaultKind::Error,
+            &[0, 1][..],
         ),
-        // A resolved plan degrades down the chain of whatever it resolved
-        // to (four threads' worth of work: never sequential here). Its
-        // two-rung chain leaves one decision pattern that degrades both
-        // layers, and no seed's FNV stream produces it.
-        (SpmmPlan::with_width(&a_hat, k, 4), None, 1),
+        // A resolved plan degrades down the ladder of whatever it resolved
+        // to. A two-rung ladder leaves one decision pattern that degrades
+        // both layers, and no seed's FNV stream produces it: degrade the
+        // second layer only, by panics.
+        (
+            SpmmPlan::with_width(&a_hat, k, 4),
+            &["nnz-balanced x4", "sequential"],
+            FaultKind::Panic,
+            &[1],
+        ),
+        (
+            SpmmPlan::pinned(&a_hat, k, SpmmStrategy::FeatureTiled { tile: 0 }),
+            &["feature-tiled t0", "sequential"],
+            FaultKind::Error,
+            &[0],
+        ),
     ] {
         let start = plan.exec();
-        assert!(
-            fallback_of(start).is_some(),
-            "{start} has no rung to fall to"
-        );
+        assert_eq!(start.to_string(), ladder[0]);
         // Undisturbed run of the same plan. Hubs on this twin fit one edge
         // segment, so every rung of the chain is bitwise reproducible.
         let undisturbed = model
             .infer_planned_with(&a_hat, &x, &mut workspace(plan.clone()))
             .unwrap()
             .clone();
-        // The decision hash keys on (seed, site, visit): probe the real
-        // site for a stream that degrades that many layers yet lets all
-        // finish.
-        let layer_faults = |seed| FaultConfig::new(seed).point("gcn.layer", FaultKind::Error, 0.5);
+        // The decision hash keys on (seed, site, visit), not on the kind:
+        // probe the real site, as errors, for a stream that degrades
+        // exactly those layers yet lets all finish.
+        let layer_faults = |seed, kind, rate| FaultConfig::new(seed).point("gcn.layer", kind, rate);
         let (seed, trail) = (0..256u64)
             .find_map(|seed| {
-                let _probe = fault::arm(layer_faults(seed));
+                let _probe = fault::arm(layer_faults(seed, FaultKind::Error, 0.5));
                 let fires: Vec<bool> = (0..16).map(|_| fault::should_fail("gcn.layer")).collect();
-                let trail = expected_trail(&fires, start, layers)?;
-                let restarts = trail.iter().filter(|(from, _)| *from == start.to_string());
-                (restarts.count() == degraded_layers).then_some((seed, trail))
+                let trail = expected_trail(&fires, ladder, layers)?;
+                let mut hit: Vec<usize> = trail.iter().filter_map(|rung| rung.0).collect();
+                hit.dedup();
+                (hit == degraded).then_some((seed, trail))
             })
-            .expect("some seed degrades that many layers yet completes");
-        let _armed = fault::arm(layer_faults(seed));
+            .expect("some seed degrades exactly those layers yet completes");
         let mut ws = workspace(plan);
-        let run = model
-            .infer_resilient_with(
+        let run = {
+            let _armed = fault::arm(layer_faults(seed, kind, 0.5));
+            model.infer_resilient_with(
                 &a_hat,
                 &x,
                 &RetryPolicy::immediate(1),
                 &RunGuard::unbounded(),
                 &mut ws,
             )
-            .unwrap();
+        }
+        .unwrap();
         assert!(run.is_complete(), "{start}: {run:?}");
-        let got: Vec<(String, String)> = run
-            .report
+        let got: Vec<_> = run
             .degradations
             .iter()
-            .map(|d| (d.from.clone(), d.to.clone()))
+            .map(|d| (d.layer, d.from.as_str(), d.to.as_str()))
             .collect();
         assert_eq!(got, trail, "{start}");
-        if let Some((from, to)) = first_rung {
-            assert_eq!((got[0].0.as_str(), got[0].1.as_str()), (from, to));
-        }
+        // One attempt per rung: each layer's success plus each rung left.
+        assert_eq!(run.attempts as usize, layers + trail.len(), "{start}");
         assert_eq!(*ws.output(), undisturbed, "{start}: recovered bits differ");
         assert_eq!(
             ws.plan().unwrap().exec(),
             start,
             "the workspace's plan is kept"
         );
+
+        // The same plan under a site that fires on every visit: each rung
+        // spends its attempts, the ladder runs out, and the last failure
+        // surfaces typed with the workspace's plan still the caller's.
+        let _armed = fault::arm(layer_faults(seed, kind, 1.0));
+        let err = model
+            .infer_resilient_with(
+                &a_hat,
+                &x,
+                &RetryPolicy::immediate(2),
+                &RunGuard::unbounded(),
+                &mut ws,
+            )
+            .unwrap_err();
+        let site = match kind {
+            FaultKind::Panic => "gcn.layer: unrecovered panic",
+            _ => "gcn.layer",
+        };
+        assert!(
+            matches!(err, GcnError::Kernel(MatrixError::Fault { site: s }) if s == site),
+            "{start}: {err}"
+        );
+        assert_eq!(ws.plan().unwrap().exec(), start);
     }
 }
 

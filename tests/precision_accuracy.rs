@@ -62,12 +62,12 @@ fn precision_guard_accepts_narrow_runs_on_a_table1_twin() {
         let run = model
             .infer_prec_guarded_with(&a_hat, &x, precision, &mut ws)
             .unwrap();
-        assert!(
-            run.at_requested_precision(),
-            "{precision} degraded to {}: rel_frobenius {:.3e}",
-            run.used,
-            run.rel_frobenius
+        let err = run.rel_frobenius.expect("the accuracy guard ran");
+        assert_eq!(
+            (run.used, run.precision_fallback),
+            (precision, None),
+            "{precision} degraded: rel_frobenius {err:.3e}"
         );
-        assert!(run.rel_frobenius <= accuracy_bound(run.used));
+        assert!(err <= accuracy_bound(run.used));
     }
 }
