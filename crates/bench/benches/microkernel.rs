@@ -9,7 +9,8 @@
 //!   register-tiled engine on each available backend (scalar / portable /
 //!   AVX2+FMA), single- and multi-threaded. The acceptance bar is the best
 //!   packed backend beating naive by >= 2x and no shipped kernel slower
-//!   than naive.
+//!   than naive. There is one GEMM, at `f32`: the update is compute-bound,
+//!   so storage precision narrows only the SpMM operand below.
 //! * **SpMM effective GB/s** at F in {16, 64, 256} on an RMAT graph at
 //!   every storage precision (f32 / bf16 / f16 / int8), using the paper's
 //!   traffic model (CSR read + one feature-row read per non-zero + output
@@ -27,9 +28,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph::rmat::RmatConfig;
 use graph::Graph;
 use matrix::gemm::{gemm_flops, matmul_naive};
-use matrix::microkernel::{
-    avx2_available, matmul_packed_prec_with, matmul_packed_with, Backend, KernelDispatch,
-};
+use matrix::microkernel::{avx2_available, matmul_packed_with, Backend, KernelDispatch};
 use matrix::{DenseMatrix, Precision, QuantMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -138,18 +137,6 @@ fn measure_gemm() -> Vec<GemmMeasurement> {
                 }),
             );
         }
-    }
-    // Narrow storage on the best backend: GEMM is compute-bound at this
-    // shape, so these document overhead/parity, not a bandwidth win.
-    let kd = *backends().last().expect("at least scalar");
-    for precision in [Precision::Bf16, Precision::F16, Precision::Int8] {
-        push(
-            format!("packed_{}_{}", kd.backend().name(), precision.name()),
-            1,
-            median_secs(|| {
-                matmul_packed_prec_with(kd, precision, &a, &b, 1, &mut c).unwrap();
-            }),
-        );
     }
     out
 }

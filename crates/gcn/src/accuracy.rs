@@ -34,7 +34,7 @@ pub fn accuracy_bound(p: Precision) -> f32 {
         Precision::Bf16 => 2e-2,
         // 10 mantissa bits; activations stay inside f16's exponent range.
         Precision::F16 => 5e-3,
-        // Per-row 8-bit quantization of features and per-column weights.
+        // Per-row 8-bit quantization of each layer's SpMM feature operand.
         Precision::Int8 => 1.5e-1,
     }
 }

@@ -210,8 +210,8 @@ impl GcnModel {
     /// Precision is carried by the plan the workspace holds: an empty
     /// workspace runs `f32`; after [`InferenceWorkspace::plan_for`] (or an
     /// installed plan) at bf16 / f16 / int8, every layer stores its SpMM
-    /// feature operand and packed GEMM panels at that precision while
-    /// accumulating in `f32`.
+    /// feature operand at that precision while accumulating in `f32`; the
+    /// dense update is the same `f32` GEMM at every precision.
     ///
     /// # Errors
     ///

@@ -20,10 +20,9 @@
 //!
 //! **Why the bits do not change.** Each kept row walks exactly `A_hat`'s
 //! non-zeros in ascending global column order (ranking is monotone) through
-//! the same row kernel; the packed GEMM and the narrow encodes (element-wise
-//! for bf16 / f16, per-row scales for int8, per-column GEMM scales taken
-//! from the weights) are row-local, and GEMM output does not depend on the
-//! thread count. So every target row is **bitwise identical** to
+//! the same row kernel; the packed `f32` GEMM and the narrow encodes of the
+//! SpMM operand (element-wise for bf16 / f16, per-row scales for int8) are
+//! row-local, and GEMM output does not depend on the thread count. So every target row is **bitwise identical** to
 //! full-graph [`GcnModel::infer_planned_with`] under an installed width-1
 //! plan at the same storage precision — the machine-independent contract
 //! the sharded runner also pins (see `crates/shard`) — whatever batch the

@@ -9,11 +9,17 @@
 //! points at fixed-fanout (GraphSAGE-style) sampling as future work.
 //!
 //! Full-neighbourhood sampling computes *exactly* what full-graph inference
-//! computes for the target vertices (a test pins this); fixed-fanout
-//! sampling is the cheaper approximation.
+//! computes for the target vertices (a test pins this): the rows a target
+//! depends on are aggregated with the parent graph's normalized adjacency,
+//! degrees and all — which is the rows path
+//! ([`GcnModel::infer_rows_planned_into`]), so that arm calls it. Running
+//! the model on the *induced* subgraph instead renormalizes it, truncating
+//! the degrees of the outermost hop; that is what fixed-fanout sampling,
+//! the cheaper approximation, does by design.
 
 use crate::error::GcnError;
 use crate::model::GcnModel;
+use crate::rows::RowsWorkspace;
 use graph::sampling::{full_neighborhood, sample_neighbors, Subgraph};
 use graph::Graph;
 use kernels::SpmmStrategy;
@@ -46,11 +52,15 @@ pub struct SampledBatch {
 
 impl GcnModel {
     /// Runs inference for `batch` only, by sampling its L-hop neighbourhood
-    /// (L = layer count) and running the model on the induced subgraph.
+    /// (L = layer count). [`SamplingScheme::FullNeighborhood`] is exact: it
+    /// runs the rows path against the parent's normalized adjacency (one
+    /// `Sequential` plan per layer, whatever `strategy` says) and reports
+    /// the neighbourhood it read. [`SamplingScheme::FixedFanout`] runs the
+    /// model, under `strategy`, on the renormalized induced subgraph.
     ///
     /// `features` is the *full* feature matrix; rows for the sampled
-    /// vertices are gathered into the subgraph. Output row `i` corresponds
-    /// to `batch[i]`.
+    /// vertices are gathered from it. Output row `i` corresponds to
+    /// `batch[i]`.
     ///
     /// # Errors
     ///
@@ -69,7 +79,14 @@ impl GcnModel {
     ) -> Result<SampledBatch, GcnError> {
         let hops = self.layers().len();
         let subgraph = match scheme {
-            SamplingScheme::FullNeighborhood => full_neighborhood(graph, batch, hops),
+            SamplingScheme::FullNeighborhood => {
+                let subgraph = full_neighborhood(graph, batch, hops);
+                let a_hat = graph.normalized_adjacency()?;
+                let mut output = DenseMatrix::default();
+                let mut ws = RowsWorkspace::new();
+                self.infer_rows_planned_into(&a_hat, features, batch, &mut ws, &mut output)?;
+                return Ok(SampledBatch { output, subgraph });
+            }
             SamplingScheme::FixedFanout { fanout, seed } => {
                 sample_neighbors(graph, batch, hops, fanout, seed)
             }
@@ -107,19 +124,26 @@ mod tests {
     use crate::config::GcnConfig;
     use graph::rmat::RmatConfig;
 
-    fn setup() -> (Graph, GcnModel, DenseMatrix) {
-        let g = Graph::rmat(&RmatConfig::power_law(7, 6), 21);
+    fn setup_at(scale: u32) -> (Graph, GcnModel, DenseMatrix) {
+        let g = Graph::rmat(&RmatConfig::power_law(scale, 6), 21);
         let model = GcnModel::new(&GcnConfig::paper_model(8, 12, 3), 4);
         let x = g.random_features(8, 6);
         (g, model, x)
+    }
+
+    fn setup() -> (Graph, GcnModel, DenseMatrix) {
+        setup_at(7)
     }
 
     #[test]
     fn full_neighborhood_sampling_is_exact() {
         // The L-hop receptive field of a vertex fully determines its L-layer
         // GCN output, so full-neighbourhood mini-batch inference must equal
-        // the full-graph result on the batch rows.
-        let (g, model, x) = setup();
+        // the full-graph result on the batch rows — at a scale where the
+        // batch's 3-hop ball does not cover its component, so boundary
+        // vertices have neighbours outside the sample and a renormalized
+        // induced subgraph would truncate their degrees.
+        let (g, model, x) = setup_at(10);
         let full = model.infer(&g, &x, SpmmStrategy::Sequential).unwrap();
         let batch = [3usize, 17, 42];
         let sampled = model
@@ -131,15 +155,17 @@ mod tests {
                 SpmmStrategy::Sequential,
             )
             .unwrap();
+        assert!(sampled.subgraph.len() < g.vertices());
         for (i, &v) in batch.iter().enumerate() {
             let expected = full.row(v);
             let got = sampled.output.row(i);
+            let scale = expected.iter().fold(0.0f32, |m, e| m.max(e.abs()));
             let diff = expected
                 .iter()
                 .zip(got)
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f32, f32::max);
-            assert!(diff < 1e-4, "vertex {v}: diff {diff}");
+            assert!(diff <= 1e-6 * scale, "vertex {v}: diff {diff} on {scale}");
         }
     }
 
@@ -191,28 +217,22 @@ mod tests {
                 SpmmStrategy::Sequential,
             )
             .unwrap();
-        // Orderings differ between the two samples, so float summation
-        // order differs; compare with a tolerance.
-        let diff = |a: &[f32], b: &[f32]| {
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0f32, f32::max)
-        };
-        assert!(diff(forward.output.row(0), reversed.output.row(1)) < 1e-5);
-        assert!(diff(forward.output.row(1), reversed.output.row(0)) < 1e-5);
+        // A row's bits do not depend on the batch it rode in.
+        assert_eq!(forward.output.row(0), reversed.output.row(1));
+        assert_eq!(forward.output.row(1), reversed.output.row(0));
     }
 
     #[test]
     fn sampled_inference_works_with_parallel_kernels() {
         let (g, model, x) = setup();
+        // The same seeded sample twice: only the kernel differs.
         let batch = [1usize, 2, 3];
         let seq = model
             .infer_sampled(
                 &g,
                 &x,
                 &batch,
-                SamplingScheme::FullNeighborhood,
+                SamplingScheme::FixedFanout { fanout: 3, seed: 5 },
                 SpmmStrategy::Sequential,
             )
             .unwrap();
@@ -221,7 +241,7 @@ mod tests {
                 &g,
                 &x,
                 &batch,
-                SamplingScheme::FullNeighborhood,
+                SamplingScheme::FixedFanout { fanout: 3, seed: 5 },
                 SpmmStrategy::EdgeParallel { threads: 4 },
             )
             .unwrap();

@@ -11,9 +11,7 @@
 //! [`SpmmStrategy::EdgeParallel`] is never auto-selected: its per-element
 //! atomic adds only pay off on hardware with cheap remote atomics (PIUMA),
 //! not on the CPUs this crate targets. It remains available as an explicit
-//! choice for measuring exactly that gap, as do
-//! [`SpmmStrategy::FeatureParallel`] and [`SpmmStrategy::FeatureTiled`] for
-//! the paper's design-space examples.
+//! choice for measuring exactly that gap — Section II-C's comparison.
 
 use matrix::microkernel::KernelDispatch;
 use matrix::{DenseMatrix, MatrixError};
@@ -61,17 +59,6 @@ pub enum SpmmStrategy {
         /// Number of worker threads.
         threads: usize,
     },
-    /// Sequential cache-blocked kernel processing `tile` feature columns
-    /// per pass (0 means the default tile width).
-    FeatureTiled {
-        /// Feature-tile width in columns; `0` selects the default.
-        tile: usize,
-    },
-    /// Feature-parallel: each worker owns a disjoint K-tile of the output.
-    FeatureParallel {
-        /// Number of worker threads.
-        threads: usize,
-    },
     /// Degree-aware hybrid: hub rows edge-split across workers, tail rows
     /// processed as atomics-free vertex chunks.
     Hybrid {
@@ -100,8 +87,8 @@ impl SpmmStrategy {
     /// # Errors
     ///
     /// Propagates the underlying kernel's shape/thread-count errors;
-    /// [`MatrixError::UnsupportedPrecision`] for a narrow operand on one of
-    /// the two `f32`-only kernels (edge-parallel, feature-parallel).
+    /// [`MatrixError::UnsupportedPrecision`] for a narrow operand on the
+    /// `f32`-only edge-parallel kernel.
     // lint:allow(L004): pure dispatch — every kernel this match arms into
     // performs its own dimension check before touching data.
     pub fn run_into<F: FeatureOperand>(
@@ -124,34 +111,24 @@ impl SpmmStrategy {
                 let h = h.f32_rows("spmm_edge_parallel")?;
                 crate::spmm::spmm_edge_parallel_into(a, h, threads, out)
             }
-            SpmmStrategy::FeatureTiled { tile } => {
-                crate::tiled::spmm_feature_tiled_into(a, h, tile, out)
-            }
-            SpmmStrategy::FeatureParallel { threads } => {
-                let h = h.f32_rows("spmm_feature_parallel")?;
-                crate::tiled::spmm_feature_parallel_into(a, h, threads, out)
-            }
             SpmmStrategy::Hybrid { threads } => crate::hybrid::spmm_hybrid_into(a, h, threads, out),
             SpmmStrategy::Auto => SpmmPlan::new(a, h.shape().1).run_into(a, h, out),
         }
     }
 
     /// The next-simpler rung of the degradation ladder, the mirror of
-    /// [`matrix::Precision::fallback`]: the three kernels that share output
-    /// rows or tiles between workers fall to `VertexParallel` at the same
-    /// width, everything else to `Sequential` — no pool, no atomics, no
+    /// [`matrix::Precision::fallback`]: the two kernels that share output
+    /// rows between workers fall to `VertexParallel` at the same width,
+    /// everything else to `Sequential` — no pool, no atomics, no
     /// scratch arena, so a single surviving thread can always run it — and
     /// `Sequential` is the last rung.
     pub fn fallback(self) -> Option<SpmmStrategy> {
         match self {
-            SpmmStrategy::Hybrid { threads }
-            | SpmmStrategy::EdgeParallel { threads }
-            | SpmmStrategy::FeatureParallel { threads } => {
+            SpmmStrategy::Hybrid { threads } | SpmmStrategy::EdgeParallel { threads } => {
                 Some(SpmmStrategy::VertexParallel { threads })
             }
             SpmmStrategy::VertexParallel { .. }
             | SpmmStrategy::NnzBalanced { .. }
-            | SpmmStrategy::FeatureTiled { .. }
             | SpmmStrategy::Auto => Some(SpmmStrategy::Sequential),
             SpmmStrategy::Sequential => None,
         }
@@ -161,11 +138,10 @@ impl SpmmStrategy {
     /// its plan is built for).
     pub fn threads(self) -> usize {
         match self {
-            SpmmStrategy::Sequential | SpmmStrategy::FeatureTiled { .. } => 1,
+            SpmmStrategy::Sequential => 1,
             SpmmStrategy::VertexParallel { threads }
             | SpmmStrategy::NnzBalanced { threads }
             | SpmmStrategy::EdgeParallel { threads }
-            | SpmmStrategy::FeatureParallel { threads }
             | SpmmStrategy::Hybrid { threads } => threads,
             SpmmStrategy::Auto => pool::global().width(),
         }
@@ -179,8 +155,6 @@ impl std::fmt::Display for SpmmStrategy {
             SpmmStrategy::VertexParallel { threads } => write!(f, "vertex-parallel x{threads}"),
             SpmmStrategy::NnzBalanced { threads } => write!(f, "nnz-balanced x{threads}"),
             SpmmStrategy::EdgeParallel { threads } => write!(f, "edge-parallel x{threads}"),
-            SpmmStrategy::FeatureTiled { tile } => write!(f, "feature-tiled t{tile}"),
-            SpmmStrategy::FeatureParallel { threads } => write!(f, "feature-parallel x{threads}"),
             SpmmStrategy::Hybrid { threads } => write!(f, "hybrid x{threads}"),
             SpmmStrategy::Auto => write!(f, "auto"),
         }
@@ -207,8 +181,6 @@ mod tests {
             SpmmStrategy::VertexParallel { threads: 3 },
             SpmmStrategy::NnzBalanced { threads: 3 },
             SpmmStrategy::EdgeParallel { threads: 3 },
-            SpmmStrategy::FeatureTiled { tile: 1 },
-            SpmmStrategy::FeatureParallel { threads: 2 },
             SpmmStrategy::Hybrid { threads: 3 },
             SpmmStrategy::Auto,
         ] {
@@ -221,10 +193,6 @@ mod tests {
         assert_eq!(
             SpmmStrategy::EdgeParallel { threads: 8 }.to_string(),
             "edge-parallel x8"
-        );
-        assert_eq!(
-            SpmmStrategy::FeatureParallel { threads: 4 }.to_string(),
-            "feature-parallel x4"
         );
         assert_eq!(SpmmStrategy::Hybrid { threads: 2 }.to_string(), "hybrid x2");
         assert_eq!(
@@ -255,8 +223,6 @@ mod tests {
             SpmmStrategy::VertexParallel { threads: 4 },
             SpmmStrategy::NnzBalanced { threads: 4 },
             SpmmStrategy::EdgeParallel { threads: 4 },
-            SpmmStrategy::FeatureTiled { tile: 4 },
-            SpmmStrategy::FeatureParallel { threads: 4 },
             SpmmStrategy::Hybrid { threads: 4 },
             SpmmStrategy::Auto,
         ] {

@@ -12,7 +12,7 @@
 //! handed, resolved or pinned.
 
 use crate::plan::SpmmPlan;
-use matrix::microkernel::matmul_packed_prec_with;
+use matrix::microkernel::matmul_packed_with;
 use matrix::{Activation, DenseMatrix, MatrixError, QuantMatrix};
 use sparse::Csr;
 
@@ -38,11 +38,12 @@ pub enum FusedOrder {
 /// ([`SpmmPlan::dense_kernel`]) across the pool's full width — or, under a
 /// pinned plan, the pinned strategy's own thread count ([`SpmmPlan::pin`]).
 ///
-/// Precision is carried by the plan ([`SpmmPlan::precision`]): a narrow
-/// plan encodes the layer's SpMM feature operand into `qbuf` (bf16 / f16 /
-/// int8), reads it through the same row loops, and packs narrow GEMM
-/// panels — all accumulation stays `f32`, only storage narrows. An `f32`
-/// plan leaves `qbuf` untouched.
+/// Precision is carried by the plan ([`SpmmPlan::precision`]) and narrows
+/// the bandwidth-bound operand only: a narrow plan encodes the layer's SpMM
+/// feature operand into `qbuf` (bf16 / f16 / int8) and reads it through the
+/// same row loops, accumulating in `f32`. The compute-bound dense update is
+/// the one `f32` GEMM at every precision. An `f32` plan leaves `qbuf`
+/// untouched.
 ///
 /// # Errors
 ///
@@ -89,14 +90,13 @@ pub fn gcn_layer_planned_into(
     let k_out = w.cols();
     let threads = plan.dense_threads();
     let kd = plan.dense_kernel();
-    let precision = plan.precision();
 
     let order = if k_in <= k_out {
         plan.run_at_precision_into(a, h, qbuf, mid)?;
-        matmul_packed_prec_with(kd, precision, mid, w, threads, out)?;
+        matmul_packed_with(kd, mid, w, threads, out)?;
         FusedOrder::AggregateFirst
     } else {
-        matmul_packed_prec_with(kd, precision, h, w, threads, mid)?;
+        matmul_packed_with(kd, h, w, threads, mid)?;
         plan.run_at_precision_into(a, mid, qbuf, out)?;
         FusedOrder::UpdateFirst
     };
@@ -206,7 +206,6 @@ mod tests {
             SpmmStrategy::VertexParallel { threads: 4 },
             SpmmStrategy::NnzBalanced { threads: 4 },
             SpmmStrategy::EdgeParallel { threads: 4 },
-            SpmmStrategy::FeatureParallel { threads: 4 },
             SpmmStrategy::Hybrid { threads: 4 },
             SpmmStrategy::Auto,
         ] {
@@ -310,35 +309,59 @@ mod tests {
     }
 
     #[test]
-    fn planned_layer_at_f32_is_bitwise_identical_to_the_f32_calls() {
-        // The f32-instantiation pin: a plan at `Precision::F32` must run
-        // exactly `SpmmPlan::run_into` over the f32 rows plus
-        // `matmul_packed_with`, and never touch the staging buffer.
-        let (a, h, w) = random_setup(40, 12, 6, 9);
-        let plan = SpmmPlan::new(&a, 12);
-        let mut mid = DenseMatrix::default();
-        let mut reference = DenseMatrix::default();
-        let kd = plan.dense_kernel();
-        let threads = pool::global().width();
-        matrix::microkernel::matmul_packed_with(kd, &h, &w, threads, &mut mid).unwrap();
-        plan.run_into(&a, &mid, &mut reference).unwrap();
-        reference.apply_activation(Activation::Relu);
-        let mut qbuf = QuantMatrix::new();
-        let mut out = DenseMatrix::default();
-        let order = gcn_layer_planned_into(
-            &a,
-            &h,
-            &w,
-            None,
-            Activation::Relu,
-            &plan,
-            &mut qbuf,
-            &mut mid,
-            &mut out,
-        )
-        .unwrap();
-        assert_eq!(order, FusedOrder::UpdateFirst);
-        assert_eq!(reference.max_abs_diff(&out), 0.0);
-        assert_eq!(qbuf.shape(), (0, 0));
+    fn planned_layer_is_bitwise_the_public_replay_at_every_precision() {
+        // The layer contract: at every storage precision and in both
+        // association orders, one layer is exactly the public calls
+        // `run_at_precision_into` → `matmul_packed_with` → `add_row_bias` →
+        // `apply_activation`. Precision picks the SpMM operand and nothing
+        // else; an f32 plan never touches the staging buffer.
+        for (seed, k_in, k_out, want_order) in [
+            (9u64, 8usize, 32usize, FusedOrder::AggregateFirst),
+            (10, 12, 6, FusedOrder::UpdateFirst),
+        ] {
+            let (a, h, w) = random_setup(40, k_in, k_out, seed);
+            let bias = vec![0.25; k_out];
+            for precision in Precision::all() {
+                let plan = SpmmPlan::new(&a, k_in).at_precision(precision);
+                let (kd, threads) = (plan.dense_kernel(), pool::global().width());
+                let mut qbuf = QuantMatrix::new();
+                let mut mid = DenseMatrix::default();
+                let mut reference = DenseMatrix::default();
+                if want_order == FusedOrder::AggregateFirst {
+                    plan.run_at_precision_into(&a, &h, &mut qbuf, &mut mid)
+                        .unwrap();
+                    matmul_packed_with(kd, &mid, &w, threads, &mut reference).unwrap();
+                } else {
+                    matmul_packed_with(kd, &h, &w, threads, &mut mid).unwrap();
+                    plan.run_at_precision_into(&a, &mid, &mut qbuf, &mut reference)
+                        .unwrap();
+                }
+                reference.add_row_bias(&bias).unwrap();
+                reference.apply_activation(Activation::Relu);
+
+                let mut qbuf = QuantMatrix::new();
+                let mut out = DenseMatrix::default();
+                let order = gcn_layer_planned_into(
+                    &a,
+                    &h,
+                    &w,
+                    Some(&bias),
+                    Activation::Relu,
+                    &plan,
+                    &mut qbuf,
+                    &mut mid,
+                    &mut out,
+                )
+                .unwrap();
+                assert_eq!(order, want_order, "{precision}");
+                assert_eq!(out, reference, "{precision} {want_order:?}");
+                let staged = if precision.is_narrow() {
+                    (40, k_in.min(k_out))
+                } else {
+                    (0, 0)
+                };
+                assert_eq!(qbuf.shape(), staged, "{precision} {want_order:?}");
+            }
+        }
     }
 }

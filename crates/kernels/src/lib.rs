@@ -14,8 +14,6 @@
 //! * `NnzBalanced` — contiguous row ranges of ~equal non-zeros, no atomics,
 //! * `EdgeParallel` — equal edge shares, binary search for the starting
 //!   row, atomic accumulation into shared output (Algorithm 2),
-//! * `FeatureTiled` / `FeatureParallel` — cache blocking and worker-owned
-//!   tiles over the feature dimension,
 //! * `Hybrid` — degree-aware hub/tail split for power-law graphs,
 //! * `Auto` — build a plan and run it.
 //!
@@ -35,8 +33,8 @@
 //! performs no output-sized allocations.
 //!
 //! Storage precision is an operand, not a function name: every arm but the
-//! two `f32`-only design-space kernels (edge-parallel, feature-parallel —
-//! a narrow operand is a typed error there) is written once over
+//! `f32`-only edge-parallel kernel (a narrow operand is a typed error
+//! there) is written once over
 //! [`spmm::FeatureOperand`] and monomorphised for `f32`
 //! [`matrix::DenseMatrix`] rows and narrow-storage [`matrix::QuantMatrix`]
 //! rows (bf16 / f16 / int8, decoded on the fly, accumulated in `f32`). A
@@ -83,8 +81,6 @@ pub mod hybrid;
 pub mod plan;
 /// Baseline sequential and parallel CSR SpMM kernels.
 pub mod spmm;
-/// Cache-blocked (tiled) SpMM over column strips.
-pub mod tiled;
 
 pub use engine::SpmmStrategy;
 pub use plan::SpmmPlan;

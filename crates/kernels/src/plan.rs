@@ -18,8 +18,8 @@
 //!    skew the partition *can* balance stays atomics-free;
 //! 3. otherwise → `NnzBalanced` at every width: with the output row held in
 //!    registers ([`matrix::microkernel::KernelDispatch::fill_row`]) the
-//!    row partition beat column tiles wherever measured (EXPERIMENTS.md),
-//!    so [`SpmmStrategy::FeatureParallel`] exists only as a pin.
+//!    row partition beat column tiles wherever measured (EXPERIMENTS.md
+//!    "Strategy selection" records the table that retired them).
 //!
 //! A plan is keyed by a structural fingerprint of the adjacency (shape,
 //! nnz, sampled `row_ptr`/`col_idx` entries), letting callers cache one
@@ -212,9 +212,8 @@ impl SpmmPlan {
     /// kept; `Auto` leaves the plan as it is). A pinned plan runs that
     /// strategy's kernel at every `K`, and the layer's dense update runs on
     /// `strategy.threads()` threads — a `Sequential` pin is single-threaded
-    /// end to end. A narrow run on a pin to an `f32`-only kernel
-    /// (edge-parallel, feature-parallel) is
-    /// [`MatrixError::UnsupportedPrecision`].
+    /// end to end. A narrow run on a pin to the `f32`-only edge-parallel
+    /// kernel is [`MatrixError::UnsupportedPrecision`].
     pub fn pin(mut self, strategy: SpmmStrategy) -> SpmmPlan {
         if strategy != SpmmStrategy::Auto {
             self.exec = strategy;
@@ -766,11 +765,11 @@ mod tests {
         // One table instead of per-twin tests: pinned arm x precision x
         // graph. An f32 operand is checked against `spmm_sequential` —
         // bitwise on the row-local arms, within accumulation-order noise
-        // where rows are split (hub segments, edge shares) or tiled. A
+        // where rows are split (hub segments, edge shares). A
         // narrow operand is checked against the same narrowing applied by
         // hand (decode, then f32): the kernels may differ only by
-        // accumulation order and scale-fold rounding. The two arms that
-        // exist only over f32 rows must refuse a narrow operand with a
+        // accumulation order and scale-fold rounding. The one arm that
+        // exists only over f32 rows must refuse a narrow operand with a
         // typed error rather than run it wide.
         let mut rng = StdRng::seed_from_u64(31);
         let uniform = random_csr(&mut rng, 300, 2400);
@@ -799,16 +798,10 @@ mod tests {
                 (SpmmStrategy::NnzBalanced { threads: 4 }, 0.0),
                 (SpmmStrategy::Hybrid { threads: 4 }, 1e-3),
                 (SpmmStrategy::EdgeParallel { threads: 4 }, 1e-3),
-                // A tile width off the 8-lane boundary.
-                (SpmmStrategy::FeatureTiled { tile: 7 }, 1e-4),
-                (SpmmStrategy::FeatureParallel { threads: 4 }, 1e-4),
             ] {
                 let plan = SpmmPlan::pinned(a, h.cols(), arm);
                 assert_eq!(plan.exec(), arm);
-                let f32_only = matches!(
-                    arm,
-                    SpmmStrategy::EdgeParallel { .. } | SpmmStrategy::FeatureParallel { .. }
-                );
+                let f32_only = matches!(arm, SpmmStrategy::EdgeParallel { .. });
                 for p in Precision::all() {
                     let mut out = DenseMatrix::filled(3, 3, f32::NAN);
                     let (reference, tol) = if p == Precision::F32 {

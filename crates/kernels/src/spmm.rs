@@ -11,7 +11,6 @@
 use matrix::microkernel::KernelDispatch;
 use matrix::{DenseMatrix, MatrixError, QuantMatrix};
 use parking_lot::Mutex;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use sparse::Csr;
@@ -50,12 +49,8 @@ pub trait FeatureOperand: Sync {
     /// loop. Overwrites `y` whatever it held — an empty row writes zeros.
     fn fill_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]);
 
-    /// `y += w * self[v, t]` — the column-range form the feature-tiled
-    /// kernel needs.
-    fn axpy_range(&self, kd: KernelDispatch, y: &mut [f32], w: f32, v: usize, t: Range<usize>);
-
-    /// The operand as full-precision rows, for the kernels that exist only
-    /// over `f32` storage (edge-parallel, feature-parallel). Narrow storage
+    /// The operand as full-precision rows, for the one kernel that exists
+    /// only over `f32` storage (edge-parallel). Narrow storage
     /// is [`MatrixError::UnsupportedPrecision`] naming `op` — an error,
     /// never a silent `f32` run.
     fn f32_rows(&self, op: &'static str) -> Result<&DenseMatrix, MatrixError>;
@@ -77,11 +72,6 @@ impl FeatureOperand for DenseMatrix {
     #[inline]
     fn fill_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]) {
         kd.fill_row(y, cols, weights, self);
-    }
-
-    #[inline]
-    fn axpy_range(&self, kd: KernelDispatch, y: &mut [f32], w: f32, v: usize, t: Range<usize>) {
-        kd.axpy(y, w, &self.row(v)[t]);
     }
 
     fn f32_rows(&self, _op: &'static str) -> Result<&DenseMatrix, MatrixError> {
@@ -106,11 +96,6 @@ impl FeatureOperand for QuantMatrix {
     #[inline]
     fn fill_row(&self, kd: KernelDispatch, y: &mut [f32], cols: &[u32], weights: &[f32]) {
         kd.fill_row_quant(y, cols, weights, self);
-    }
-
-    #[inline]
-    fn axpy_range(&self, kd: KernelDispatch, y: &mut [f32], w: f32, v: usize, t: Range<usize>) {
-        kd.axpy_quant(y, w, self.row_range(v, t.start, t.end));
     }
 
     fn f32_rows(&self, op: &'static str) -> Result<&DenseMatrix, MatrixError> {

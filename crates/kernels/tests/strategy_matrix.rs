@@ -37,9 +37,7 @@ fn every_strategy_matches_sequential_across_graphs_threads_and_widths() {
                     SpmmStrategy::VertexParallel { threads },
                     SpmmStrategy::NnzBalanced { threads },
                     SpmmStrategy::EdgeParallel { threads },
-                    SpmmStrategy::FeatureParallel { threads },
                     SpmmStrategy::Hybrid { threads },
-                    SpmmStrategy::FeatureTiled { tile: threads * 3 },
                 ];
                 for strategy in strategies {
                     let got = strategy.run(&a_hat, &h).unwrap();

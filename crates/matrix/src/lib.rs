@@ -11,10 +11,10 @@
 //! * [`gemm::matmul_naive`] — triple loop, the correctness reference,
 //! * [`microkernel::matmul_packed_with`] — panel-packed, register-tiled,
 //!   row-partitioned across pool threads, with runtime SIMD dispatch;
-//!   [`DenseMatrix::matmul`] is its one-thread allocating convenience. One
-//!   blocked driver serves every storage precision
-//!   ([`microkernel::matmul_packed_prec_with`]): the panel format (f32 /
-//!   bf16 / f16 / int8) is a type argument of the driver, not a copy of it.
+//!   [`DenseMatrix::matmul`] is its one-thread allocating convenience.
+//!   There is one GEMM and it is `f32`: the update is compute-bound, so
+//!   storage precision ([`Precision`]) narrows only the bandwidth-bound
+//!   SpMM feature operand ([`QuantMatrix`]), never the GEMM's panels.
 //!
 //! # Examples
 //!
@@ -47,14 +47,14 @@ pub mod init;
 pub mod microkernel;
 /// Narrow-precision storage (bf16 / f16 / int8): round-to-nearest-even
 /// conversions, saturating casts, scale calibration, and the
-/// [`quant::QuantMatrix`] payload container the quantized kernels read.
+/// [`quant::QuantMatrix`] payload container the SpMM row kernel reads.
 pub mod quant;
 
 pub use activation::Activation;
 pub use dense::DenseMatrix;
 pub use error::MatrixError;
 pub use init::WeightInit;
-pub use quant::{Precision, QuantMatrix, QuantRow};
+pub use quant::{Precision, QuantMatrix};
 
 /// Convenience result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, MatrixError>;

@@ -7,6 +7,12 @@
 //! serve both if it exposes (a) a packed, cache-blocked GEMM and (b) a
 //! feature-panel AXPY (`y += alpha * x`) for the sparse row loops.
 //!
+//! The two pillars sit on opposite sides of the roofline, and storage
+//! precision follows that: the SpMM row kernel is bandwidth-bound and reads
+//! its feature operand at any [`Precision`] (f32 / bf16 / f16 / int8, one
+//! loop, four decoders); the GEMM is compute-bound, its operands are `f32`
+//! at rest, and it exists once, at `f32` ([`matmul_packed_with`]).
+//!
 //! # Kernel backends
 //!
 //! Three implementations of the same 8x8-register-tile contract, selected
@@ -51,6 +57,8 @@
 //! [`Backend::Avx2Fma`]: crate::microkernel::Backend::Avx2Fma
 //! [`Backend::Portable`]: crate::microkernel::Backend::Portable
 //! [`Backend::Scalar`]: crate::microkernel::Backend::Scalar
+//! [`Precision`]: crate::quant::Precision
+//! [`matmul_packed_with`]: crate::microkernel::matmul_packed_with
 
 // Explicit SIMD intrinsics are the point of this module; the crate-level
 // deny stays in force for everything else in `matrix`.
@@ -58,18 +66,14 @@
 
 // BOUNDS: all `[]` indexing here is over (a) packed panels sliced as
 // `[idx * kc * 8 .. (idx + 1) * kc * 8]` from buffers sized `>= panels * kc
-// * 8` at the single `with_f32` call — narrow panels use the same carving
-// divided by the elements-per-slot ratio (2 for bf16/f16, 4 for int8),
-// exact because MR = NR = 8 — (b) operand rows via `DenseMatrix::row`
-// (length-checked by construction) with sub-ranges clamped by `.min(..)`
-// against the operand shape, (c) the fixed `[f32; 64]` / `[i32; 64]`
-// accumulator tiles and `[f32; 8]` lane spills indexed by `r * 8 + j` with
-// `r, j < 8`, (d) output chunks carved by `chunks_mut(rows_per * n)` from
-// a buffer sized `m * n`, and (e) int8 scale slices carved as
-// `[..m]`/`[..n]` from a scratch prefix sized `2 * (m + n)` and indexed by
-// row/column ids bounded by the operand shape, and (f) raw feature payload
-// rows carved as `[v * stride .. (v + 1) * stride]` and int8 scales indexed
-// by the same `v`, with `v < Rows::rows(stride)` checked per non-zero;
+// * 8` at the single `with_f32` call, (b) operand rows via
+// `DenseMatrix::row` (length-checked by construction) with sub-ranges
+// clamped by `.min(..)` against the operand shape, (c) the fixed
+// `[f32; 64]` accumulator tile indexed by `r * 8 + j` with `r, j < 8`,
+// (d) output chunks carved by `chunks_mut(rows_per * n)` from a buffer
+// sized `m * n`, and (e) raw feature payload rows carved as
+// `[v * stride .. (v + 1) * stride]` and int8 scales indexed by the same
+// `v`, with `v < Rows::rows(stride)` checked per non-zero;
 // `check_shapes` ties the operand dimensions together at every entry
 // point.
 
@@ -78,7 +82,7 @@ use crate::error::MatrixError;
 use crate::gemm::check_shapes;
 use crate::quant::{
     bf16_to_f32, calibrate_scale, f16_to_f32, f32_to_bf16, f32_to_f16, saturating_cast_i8,
-    Precision, QuantMatrix, QuantRow, I8_MAX_Q,
+    Precision, QuantMatrix,
 };
 use crate::Result;
 use resilience::audit;
@@ -366,21 +370,6 @@ impl KernelDispatch {
         }
     }
 
-    /// Widened AXPY over one quantized row, `y[j] += alpha * decode(x[j])`
-    /// for the common prefix: the row kernel ([`KernelDispatch::row`]) on a
-    /// one-row payload with a single non-zero, so one code path serves every
-    /// storage precision. Int8 folds the row's dequantization scale into
-    /// `alpha`; accumulation stays `f32`.
-    #[inline]
-    pub fn axpy_quant(self, y: &mut [f32], alpha: f32, row: QuantRow<'_>) {
-        let (src, alpha, len) = match row {
-            QuantRow::Bf16(x) => (Rows::Bf16(x), alpha, x.len()),
-            QuantRow::F16(x) => (Rows::F16(x), alpha, x.len()),
-            QuantRow::Int8(scale, x) => (Rows::Int8(x, &[1.0]), alpha * scale, x.len()),
-        };
-        self.row::<true>(y, &[0], &[alpha], src, len);
-    }
-
     /// The non-AVX2 narrow AXPY: decode each stored element, then
     /// multiply-add, autovectorizable unless the backend is the scalar
     /// reference.
@@ -421,8 +410,8 @@ impl KernelDispatch {
     /// `y[j] += sum_i weights[i] * decode(Q[cols[i], j])`. Same kernel,
     /// narrower loads — per-edge cost is pure decode + FMA, which is what
     /// lets narrow storage run bandwidth-bound instead of issue-bound.
-    /// F16 without F16C takes one [`KernelDispatch::axpy_quant`] per
-    /// non-zero even on the AVX2 backend.
+    /// F16 without F16C takes one decoded AXPY per non-zero even on the
+    /// AVX2 backend.
     pub fn accumulate_row_quant(
         self,
         y: &mut [f32],
@@ -507,78 +496,6 @@ impl KernelDispatch {
             Backend::Scalar => mk8x8_scalar(ap, bp, kc, acc),
         }
     }
-
-    /// 16-bit-storage register-tile kernel: panels hold two encoded
-    /// elements per `f32` scratch slot (`kc * 4` slots each); lanes are
-    /// decoded to `f32` before every FMA. bf16 has a native AVX2 decode
-    /// (integer shift); f16 uses F16C when available and the portable
-    /// decode otherwise.
-    #[inline]
-    fn mk8x8_w16(self, w: W16, ap: &[f32], bp: &[f32], kc: usize, acc: &mut [f32; MR * NR]) {
-        match (self.backend, w) {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the struct invariant guarantees `Avx2Fma` is only
-            // present when `avx2_available()` held at construction, and
-            // the callers slice `ap`/`bp` to exactly `kc * 4` slots.
-            (Backend::Avx2Fma, W16::Bf16) => unsafe { mk8x8_bf16_avx2(ap, bp, kc, acc) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: AVX2+FMA via the struct invariant plus the F16C
-            // guard cover every target feature of `mk8x8_f16_avx2`.
-            (Backend::Avx2Fma, W16::F16) if f16c_available() => unsafe {
-                mk8x8_f16_avx2(ap, bp, kc, acc)
-            },
-            (_, w) => mk8x8_w16_portable(ap, bp, kc, acc, |u| dec_w16(w, u)),
-        }
-    }
-
-    /// int8 register-tile kernel with widened `i32` accumulation: panels
-    /// hold four encoded elements per `f32` scratch slot (`kc * 2` slots
-    /// each). Dequantization happens at write-back, not here.
-    #[inline]
-    fn mk8x8_i8(self, ap: &[f32], bp: &[f32], kc: usize, acc: &mut [i32; MR * NR]) {
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the struct invariant guarantees `Avx2Fma` is only
-            // present when `avx2_available()` held at construction, and
-            // the callers slice `ap`/`bp` to exactly `kc * 2` slots.
-            Backend::Avx2Fma => unsafe { mk8x8_i8_avx2(ap, bp, kc, acc) },
-            _ => mk8x8_i8_portable(ap, bp, kc, acc),
-        }
-    }
-}
-
-/// The two 16-bit storage formats the shared w16 GEMM driver serves; the
-/// tag threads through packing (encode) and the micro-kernel (decode) so
-/// both sides always agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum W16 {
-    Bf16,
-    F16,
-}
-
-/// Encode one `f32` at the tagged 16-bit format (round-to-nearest-even).
-#[inline(always)]
-fn enc_w16(w: W16, v: f32) -> u16 {
-    match w {
-        W16::Bf16 => f32_to_bf16(v),
-        W16::F16 => f32_to_f16(v),
-    }
-}
-
-/// Decode one stored 16-bit element back to `f32`.
-#[inline(always)]
-fn dec_w16(w: W16, u: u16) -> f32 {
-    match w {
-        W16::Bf16 => bf16_to_f32(u),
-        W16::F16 => f16_to_f32(u),
-    }
-}
-
-/// Convenience wrapper: [`KernelDispatch::axpy`] through the process-wide
-/// cached dispatch.
-#[inline]
-pub fn axpy_f32(y: &mut [f32], alpha: f32, x: &[f32]) {
-    KernelDispatch::get().axpy(y, alpha, x)
 }
 
 // ---------------------------------------------------------------------------
@@ -704,7 +621,7 @@ impl<'a> Rows<'a> {
             }
             Precision::F16 => Rows::F16(q.wide_payload()),
             // Bf16 is also the decode of an (unreachable in the kernels)
-            // F32-tagged container, as in `QuantMatrix::row_range`.
+            // F32-tagged container, as in `QuantMatrix::decode`.
             _ => Rows::Bf16(q.wide_payload()),
         }
     }
@@ -1127,262 +1044,6 @@ unsafe fn mk8x8_avx2(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [f32; MR * NR]
     }
 }
 
-/// Portable register-tile kernel over 16-bit-storage panels (two encoded
-/// elements per `f32` slot): decodes each depth step's 8 A lanes and 8 B
-/// lanes into stack arrays, then runs the same autovectorizable 8x8 FMA
-/// shape as [`mk8x8_portable`]. Also serves the scalar backend — the
-/// decode makes the textbook loop the same either way.
-#[inline(always)]
-fn mk8x8_w16_portable(
-    ap: &[f32],
-    bp: &[f32],
-    kc: usize,
-    acc: &mut [f32; MR * NR],
-    dec: impl Fn(u16) -> f32,
-) {
-    *acc = [0.0; MR * NR];
-    let mut a8 = [0.0f32; MR];
-    let mut b8 = [0.0f32; NR];
-    for p in 0..kc {
-        for q in 0..MR / 2 {
-            let bits = ap[p * (MR / 2) + q].to_bits();
-            a8[q * 2] = dec(bits as u16);
-            a8[q * 2 + 1] = dec((bits >> 16) as u16);
-        }
-        for q in 0..NR / 2 {
-            let bits = bp[p * (NR / 2) + q].to_bits();
-            b8[q * 2] = dec(bits as u16);
-            b8[q * 2 + 1] = dec((bits >> 16) as u16);
-        }
-        for (r, &ar) in a8.iter().enumerate() {
-            let row = &mut acc[r * NR..r * NR + NR];
-            for (c, &bv) in row.iter_mut().zip(&b8) {
-                *c += ar * bv;
-            }
-        }
-    }
-}
-
-/// AVX2 + FMA register-tile kernel over bfloat16 panels: one 128-bit
-/// load yields the 8 B lanes (or 8 A lanes), decoded by widening shift.
-///
-/// # Safety
-///
-/// The caller must guarantee the CPU supports AVX2 and FMA (the
-/// [`KernelDispatch`] invariant) and that `ap.len() >= kc * 4` and
-/// `bp.len() >= kc * 4` (slots of two encoded elements each).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-// SAFETY: `unsafe fn` purely for `#[target_feature]`; callers uphold the
-// `# Safety` contract above via the `KernelDispatch` backend invariant.
-unsafe fn mk8x8_bf16_avx2(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [f32; MR * NR]) {
-    use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= kc * (MR / 2) && bp.len() >= kc * (NR / 2));
-    let mut c0 = _mm256_setzero_ps();
-    let mut c1 = _mm256_setzero_ps();
-    let mut c2 = _mm256_setzero_ps();
-    let mut c3 = _mm256_setzero_ps();
-    let mut c4 = _mm256_setzero_ps();
-    let mut c5 = _mm256_setzero_ps();
-    let mut c6 = _mm256_setzero_ps();
-    let mut c7 = _mm256_setzero_ps();
-    let a_ptr = ap.as_ptr();
-    let b_ptr = bp.as_ptr();
-    let mut alanes = [0.0f32; MR];
-    for p in 0..kc {
-        // SAFETY: `p < kc` and both panels hold at least `kc * 4` slots
-        // (caller contract, debug-asserted above); each 128-bit load reads
-        // exactly the 4 slots (= 8 encoded lanes) of depth step `p`.
-        unsafe {
-            let braw = _mm_loadu_si128(b_ptr.add(p * (NR / 2)) as *const __m128i);
-            let b = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(braw), 16));
-            let araw = _mm_loadu_si128(a_ptr.add(p * (MR / 2)) as *const __m128i);
-            let av = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(araw), 16));
-            _mm256_storeu_ps(alanes.as_mut_ptr(), av);
-            c0 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[0]), b, c0);
-            c1 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[1]), b, c1);
-            c2 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[2]), b, c2);
-            c3 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[3]), b, c3);
-            c4 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[4]), b, c4);
-            c5 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[5]), b, c5);
-            c6 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[6]), b, c6);
-            c7 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[7]), b, c7);
-        }
-    }
-    // SAFETY: `acc` is exactly 64 floats; the eight stores cover
-    // `[0, 64)` in disjoint 8-float rows.
-    unsafe {
-        let out = acc.as_mut_ptr();
-        _mm256_storeu_ps(out, c0);
-        _mm256_storeu_ps(out.add(8), c1);
-        _mm256_storeu_ps(out.add(16), c2);
-        _mm256_storeu_ps(out.add(24), c3);
-        _mm256_storeu_ps(out.add(32), c4);
-        _mm256_storeu_ps(out.add(40), c5);
-        _mm256_storeu_ps(out.add(48), c6);
-        _mm256_storeu_ps(out.add(56), c7);
-    }
-}
-
-/// AVX2 + FMA + F16C register-tile kernel over binary16 panels:
-/// `vcvtph2ps` decodes 8 halves per 128-bit load.
-///
-/// # Safety
-///
-/// The caller must guarantee the CPU supports AVX2, FMA, *and* F16C, and
-/// that `ap.len() >= kc * 4` and `bp.len() >= kc * 4`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-// SAFETY: `unsafe fn` purely for `#[target_feature]`; callers uphold the
-// `# Safety` contract above (backend invariant + F16C guard).
-unsafe fn mk8x8_f16_avx2(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [f32; MR * NR]) {
-    use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= kc * (MR / 2) && bp.len() >= kc * (NR / 2));
-    let mut c0 = _mm256_setzero_ps();
-    let mut c1 = _mm256_setzero_ps();
-    let mut c2 = _mm256_setzero_ps();
-    let mut c3 = _mm256_setzero_ps();
-    let mut c4 = _mm256_setzero_ps();
-    let mut c5 = _mm256_setzero_ps();
-    let mut c6 = _mm256_setzero_ps();
-    let mut c7 = _mm256_setzero_ps();
-    let a_ptr = ap.as_ptr();
-    let b_ptr = bp.as_ptr();
-    let mut alanes = [0.0f32; MR];
-    for p in 0..kc {
-        // SAFETY: `p < kc` and both panels hold at least `kc * 4` slots
-        // (caller contract, debug-asserted above); each 128-bit load reads
-        // exactly the 4 slots (= 8 encoded lanes) of depth step `p`.
-        unsafe {
-            let b = _mm256_cvtph_ps(_mm_loadu_si128(b_ptr.add(p * (NR / 2)) as *const __m128i));
-            let av = _mm256_cvtph_ps(_mm_loadu_si128(a_ptr.add(p * (MR / 2)) as *const __m128i));
-            _mm256_storeu_ps(alanes.as_mut_ptr(), av);
-            c0 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[0]), b, c0);
-            c1 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[1]), b, c1);
-            c2 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[2]), b, c2);
-            c3 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[3]), b, c3);
-            c4 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[4]), b, c4);
-            c5 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[5]), b, c5);
-            c6 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[6]), b, c6);
-            c7 = _mm256_fmadd_ps(_mm256_set1_ps(alanes[7]), b, c7);
-        }
-    }
-    // SAFETY: `acc` is exactly 64 floats; the eight stores cover
-    // `[0, 64)` in disjoint 8-float rows.
-    unsafe {
-        let out = acc.as_mut_ptr();
-        _mm256_storeu_ps(out, c0);
-        _mm256_storeu_ps(out.add(8), c1);
-        _mm256_storeu_ps(out.add(16), c2);
-        _mm256_storeu_ps(out.add(24), c3);
-        _mm256_storeu_ps(out.add(32), c4);
-        _mm256_storeu_ps(out.add(40), c5);
-        _mm256_storeu_ps(out.add(48), c6);
-        _mm256_storeu_ps(out.add(56), c7);
-    }
-}
-
-/// Portable int8 register-tile kernel with `i32` accumulation: four
-/// encoded elements per `f32` slot are unpacked by byte shifts; the
-/// integer 8x8 FMA shape autovectorizes the same way the float one does.
-/// Also serves the scalar backend.
-fn mk8x8_i8_portable(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [i32; MR * NR]) {
-    *acc = [0; MR * NR];
-    let mut a8 = [0i32; MR];
-    let mut b8 = [0i32; NR];
-    for p in 0..kc {
-        for q in 0..MR / 4 {
-            let bits = ap[p * (MR / 4) + q].to_bits();
-            a8[q * 4] = (bits as u8 as i8) as i32;
-            a8[q * 4 + 1] = ((bits >> 8) as u8 as i8) as i32;
-            a8[q * 4 + 2] = ((bits >> 16) as u8 as i8) as i32;
-            a8[q * 4 + 3] = ((bits >> 24) as u8 as i8) as i32;
-        }
-        for q in 0..NR / 4 {
-            let bits = bp[p * (NR / 4) + q].to_bits();
-            b8[q * 4] = (bits as u8 as i8) as i32;
-            b8[q * 4 + 1] = ((bits >> 8) as u8 as i8) as i32;
-            b8[q * 4 + 2] = ((bits >> 16) as u8 as i8) as i32;
-            b8[q * 4 + 3] = ((bits >> 24) as u8 as i8) as i32;
-        }
-        for (r, &ar) in a8.iter().enumerate() {
-            let row = &mut acc[r * NR..r * NR + NR];
-            for (c, &bv) in row.iter_mut().zip(&b8) {
-                *c += ar * bv;
-            }
-        }
-    }
-}
-
-/// AVX2 int8 register-tile kernel: 8 B bytes sign-extend to one `i32`
-/// vector per depth step; 8 broadcast multiplies accumulate into 8
-/// integer YMM registers. Dequantization happens at write-back.
-///
-/// # Safety
-///
-/// The caller must guarantee the CPU supports AVX2 (the
-/// [`KernelDispatch`] invariant) and that `ap.len() >= kc * 2` and
-/// `bp.len() >= kc * 2` (slots of four encoded elements each).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: `unsafe fn` purely for `#[target_feature]`; callers uphold the
-// `# Safety` contract above via the `KernelDispatch` backend invariant.
-unsafe fn mk8x8_i8_avx2(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [i32; MR * NR]) {
-    use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= kc * (MR / 4) && bp.len() >= kc * (NR / 4));
-    let mut c0 = _mm256_setzero_si256();
-    let mut c1 = _mm256_setzero_si256();
-    let mut c2 = _mm256_setzero_si256();
-    let mut c3 = _mm256_setzero_si256();
-    let mut c4 = _mm256_setzero_si256();
-    let mut c5 = _mm256_setzero_si256();
-    let mut c6 = _mm256_setzero_si256();
-    let mut c7 = _mm256_setzero_si256();
-    let a_ptr = ap.as_ptr();
-    let b_ptr = bp.as_ptr();
-    for p in 0..kc {
-        // SAFETY: `p < kc` and both panels hold at least `kc * 2` slots
-        // (caller contract, debug-asserted above); the 8-byte load reads
-        // exactly the 2 slots (= 8 encoded lanes) of depth step `p`, and
-        // the two scalar slot reads stay inside `ap`.
-        unsafe {
-            let braw = _mm_loadl_epi64(b_ptr.add(p * (NR / 4)) as *const __m128i);
-            let b = _mm256_cvtepi8_epi32(braw);
-            let lo = (*a_ptr.add(p * (MR / 4))).to_bits();
-            let hi = (*a_ptr.add(p * (MR / 4) + 1)).to_bits();
-            let m0 = _mm256_set1_epi32((lo as u8 as i8) as i32);
-            let m1 = _mm256_set1_epi32(((lo >> 8) as u8 as i8) as i32);
-            let m2 = _mm256_set1_epi32(((lo >> 16) as u8 as i8) as i32);
-            let m3 = _mm256_set1_epi32(((lo >> 24) as u8 as i8) as i32);
-            let m4 = _mm256_set1_epi32((hi as u8 as i8) as i32);
-            let m5 = _mm256_set1_epi32(((hi >> 8) as u8 as i8) as i32);
-            let m6 = _mm256_set1_epi32(((hi >> 16) as u8 as i8) as i32);
-            let m7 = _mm256_set1_epi32(((hi >> 24) as u8 as i8) as i32);
-            c0 = _mm256_add_epi32(c0, _mm256_mullo_epi32(m0, b));
-            c1 = _mm256_add_epi32(c1, _mm256_mullo_epi32(m1, b));
-            c2 = _mm256_add_epi32(c2, _mm256_mullo_epi32(m2, b));
-            c3 = _mm256_add_epi32(c3, _mm256_mullo_epi32(m3, b));
-            c4 = _mm256_add_epi32(c4, _mm256_mullo_epi32(m4, b));
-            c5 = _mm256_add_epi32(c5, _mm256_mullo_epi32(m5, b));
-            c6 = _mm256_add_epi32(c6, _mm256_mullo_epi32(m6, b));
-            c7 = _mm256_add_epi32(c7, _mm256_mullo_epi32(m7, b));
-        }
-    }
-    // SAFETY: `acc` is exactly 64 i32s; the eight stores cover `[0, 64)`
-    // in disjoint 8-lane rows.
-    unsafe {
-        let out = acc.as_mut_ptr() as *mut __m256i;
-        _mm256_storeu_si256(out, c0);
-        _mm256_storeu_si256(out.add(1), c1);
-        _mm256_storeu_si256(out.add(2), c2);
-        _mm256_storeu_si256(out.add(3), c3);
-        _mm256_storeu_si256(out.add(4), c4);
-        _mm256_storeu_si256(out.add(5), c5);
-        _mm256_storeu_si256(out.add(6), c6);
-        _mm256_storeu_si256(out.add(7), c7);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Panel packing
 // ---------------------------------------------------------------------------
@@ -1431,26 +1092,25 @@ fn pack_b_block(b: &DenseMatrix, pc: usize, pe: usize, jc: usize, je: usize, dst
 }
 
 /// One accumulator register tile.
-type Tile<T> = [T; MR * NR];
+type Tile = [f32; MR * NR];
 
 /// A half-open index range `[start, end)` of rows, columns or depth.
 type Span = (usize, usize);
 
 /// Where a register tile lands in the output: chunk-local row `row0`,
-/// global row / column `(i0, j0)`, and the `rows x cols` corner of the tile
-/// that falls inside `C`.
+/// global column `j0`, and the `rows x cols` corner of the tile that falls
+/// inside `C`.
 #[derive(Clone, Copy)]
 struct TileAt {
     row0: usize,
-    i0: usize,
     j0: usize,
     rows: usize,
     cols: usize,
 }
 
-/// Adds the masked corner of a full `f32` accumulator tile into the output
-/// chunk (`n` is the output row stride).
-fn add_tile(c_chunk: &mut [f32], n: usize, at: TileAt, acc: &Tile<f32>) {
+/// Adds the masked corner of a full accumulator tile into the output chunk
+/// (`n` is the output row stride).
+fn add_tile(c_chunk: &mut [f32], n: usize, at: TileAt, acc: &Tile) {
     for r in 0..at.rows {
         let base = (at.row0 + r) * n + at.j0;
         let dst = &mut c_chunk[base..base + at.cols];
@@ -1460,331 +1120,29 @@ fn add_tile(c_chunk: &mut [f32], n: usize, at: TileAt, acc: &Tile<f32>) {
     }
 }
 
-/// [`pack_a_block`] at 16-bit storage: element `(r, p)` of micro-panel
-/// `ir` lands at u16 index `p * MR + r`, two encoded elements per `f32`
-/// scratch slot (lane `r` in the half selected by `r % 2`). Panels are
-/// zeroed first so absent rows decode as +0.0 at either format.
-#[inline(always)]
-fn pack_a_w16(
-    a: &DenseMatrix,
-    ic: usize,
-    ie: usize,
-    pc: usize,
-    pe: usize,
-    dst: &mut [f32],
-    enc: impl Fn(f32) -> u16,
-) {
-    let kc = pe - pc;
-    let panels = (ie - ic).div_ceil(MR);
-    let slot = MR / 2;
-    for ir in 0..panels {
-        let panel = &mut dst[ir * kc * slot..(ir + 1) * kc * slot];
-        panel.fill(0.0);
-        let i0 = ic + ir * MR;
-        let rows = (ie - i0).min(MR);
-        for r in 0..rows {
-            let arow = &a.row(i0 + r)[pc..pe];
-            let (q, shift) = (r / 2, 16 * (r % 2));
-            for (p, &v) in arow.iter().enumerate() {
-                let s = &mut panel[p * slot + q];
-                *s = f32::from_bits(s.to_bits() | ((enc(v) as u32) << shift));
-            }
-        }
-    }
-}
-
-/// [`pack_b_block`] at 16-bit storage: element `(p, j)` of micro-panel
-/// `jr` lands at u16 index `p * NR + j`, two encoded elements per `f32`
-/// scratch slot. Absent columns decode as +0.0.
-#[inline(always)]
-fn pack_b_w16(
-    b: &DenseMatrix,
-    pc: usize,
-    pe: usize,
-    jc: usize,
-    je: usize,
-    dst: &mut [f32],
-    enc: impl Fn(f32) -> u16,
-) {
-    let kc = pe - pc;
-    let panels = (je - jc).div_ceil(NR);
-    let slot = NR / 2;
-    for jr in 0..panels {
-        let panel = &mut dst[jr * kc * slot..(jr + 1) * kc * slot];
-        panel.fill(0.0);
-        let j0 = jc + jr * NR;
-        let cols = (je - j0).min(NR);
-        for p in 0..kc {
-            let brow = &b.row(pc + p)[j0..j0 + cols];
-            for (j, &v) in brow.iter().enumerate() {
-                let s = &mut panel[p * slot + j / 2];
-                *s = f32::from_bits(s.to_bits() | ((enc(v) as u32) << (16 * (j % 2))));
-            }
-        }
-    }
-}
-
-/// [`pack_a_block`] at int8 storage: element `(r, p)` lands at byte index
-/// `p * MR + r`, four encoded elements per `f32` scratch slot. Each row
-/// is quantized with its own reciprocal scale (`inv_scales[i]`, indexed
-/// by absolute row id); absent rows encode as 0.
-#[inline(always)]
-fn pack_a_i8(
-    a: &DenseMatrix,
-    ic: usize,
-    ie: usize,
-    pc: usize,
-    pe: usize,
-    inv_scales: &[f32],
-    dst: &mut [f32],
-) {
-    let kc = pe - pc;
-    let panels = (ie - ic).div_ceil(MR);
-    let slot = MR / 4;
-    for ir in 0..panels {
-        let panel = &mut dst[ir * kc * slot..(ir + 1) * kc * slot];
-        panel.fill(0.0);
-        let i0 = ic + ir * MR;
-        let rows = (ie - i0).min(MR);
-        for r in 0..rows {
-            let inv = inv_scales[i0 + r];
-            let arow = &a.row(i0 + r)[pc..pe];
-            let (q, shift) = (r / 4, 8 * (r % 4));
-            for (p, &v) in arow.iter().enumerate() {
-                let s = &mut panel[p * slot + q];
-                let byte = saturating_cast_i8(v * inv) as u8 as u32;
-                *s = f32::from_bits(s.to_bits() | (byte << shift));
-            }
-        }
-    }
-}
-
-/// [`pack_b_block`] at int8 storage: element `(p, j)` lands at byte index
-/// `p * NR + j`, four encoded elements per `f32` scratch slot. Each
-/// column is quantized with its own reciprocal scale (`inv_scales[j]`,
-/// indexed by absolute column id); absent columns encode as 0.
-#[inline(always)]
-fn pack_b_i8(
-    b: &DenseMatrix,
-    pc: usize,
-    pe: usize,
-    jc: usize,
-    je: usize,
-    inv_scales: &[f32],
-    dst: &mut [f32],
-) {
-    let kc = pe - pc;
-    let panels = (je - jc).div_ceil(NR);
-    let slot = NR / 4;
-    for jr in 0..panels {
-        let panel = &mut dst[jr * kc * slot..(jr + 1) * kc * slot];
-        panel.fill(0.0);
-        let j0 = jc + jr * NR;
-        let cols = (je - j0).min(NR);
-        for p in 0..kc {
-            let brow = &b.row(pc + p)[j0..j0 + cols];
-            for (j, &v) in brow.iter().enumerate() {
-                let s = &mut panel[p * slot + j / 4];
-                let byte = saturating_cast_i8(v * inv_scales[j0 + j]) as u8 as u32;
-                *s = f32::from_bits(s.to_bits() | (byte << (8 * (j % 4))));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Panel formats
-// ---------------------------------------------------------------------------
-
-/// The int8 scale tables, carved `[sa | inv_sa | sb | inv_sb]` from the
-/// front of the GEMM scratch borrow: per-row scales of `A`, per-column
-/// scales of `B`, and their reciprocals. All four are empty for the float
-/// formats.
-struct Scales<'a> {
-    sa: &'a [f32],
-    inv_sa: &'a [f32],
-    sb: &'a [f32],
-    inv_sb: &'a [f32],
-}
-
-/// How one storage precision lays out and consumes packed GEMM panels. The
-/// blocked driver ([`packed_gemm`]) and [`gemm_block`] are generic over
-/// this, so a precision is a type argument rather than a second copy of
-/// the blocking; packing and micro-kernel always agree on the layout
-/// because both come from the same impl.
-trait PanelFormat: Copy + Sync {
-    /// Encoded elements per `f32` scratch slot (1 / 2 / 4). Panel element
-    /// counts carry a factor of `MR = NR = 8`, so dividing by it is exact.
-    const RATIO: usize;
-    /// Whether the format quantizes against the [`Scales`] tables.
-    const SCALED: bool = false;
-    /// Accumulator lane type of the register tile.
-    type Acc: Copy + Default;
-
-    /// Packs `rows` x `depth` of `a` into A micro-panels.
-    fn pack_a(self, a: &DenseMatrix, rows: Span, depth: Span, s: &Scales<'_>, dst: &mut [f32]);
-    /// Packs `depth` x `cols` of `b` into B micro-panels.
-    fn pack_b(self, b: &DenseMatrix, depth: Span, cols: Span, s: &Scales<'_>, dst: &mut [f32]);
-    /// Overwrites `acc` with the product of one packed A micro-panel and
-    /// one packed B micro-panel.
-    fn mk8x8(
-        self,
-        kd: KernelDispatch,
-        ap: &[f32],
-        bp: &[f32],
-        kc: usize,
-        acc: &mut Tile<Self::Acc>,
-    );
-    /// Adds the masked corner of `acc` into the output chunk.
-    fn add_tile(self, c: &mut [f32], n: usize, at: TileAt, acc: &Tile<Self::Acc>, s: &Scales<'_>);
-}
-
-/// Full-precision panels: one `f32` per slot, no conversion.
-#[derive(Clone, Copy)]
-struct F32Panels;
-
-impl PanelFormat for F32Panels {
-    const RATIO: usize = 1;
-    type Acc = f32;
-
-    #[inline]
-    fn pack_a(self, a: &DenseMatrix, r: Span, d: Span, _: &Scales<'_>, dst: &mut [f32]) {
-        pack_a_block(a, r.0, r.1, d.0, d.1, dst)
-    }
-    #[inline]
-    fn pack_b(self, b: &DenseMatrix, d: Span, c: Span, _: &Scales<'_>, dst: &mut [f32]) {
-        pack_b_block(b, d.0, d.1, c.0, c.1, dst)
-    }
-    #[inline]
-    fn mk8x8(self, kd: KernelDispatch, ap: &[f32], bp: &[f32], kc: usize, acc: &mut Tile<f32>) {
-        kd.mk8x8(ap, bp, kc, acc)
-    }
-    #[inline]
-    fn add_tile(self, c: &mut [f32], n: usize, at: TileAt, acc: &Tile<f32>, _: &Scales<'_>) {
-        add_tile(c, n, at, acc)
-    }
-}
-
-/// 16-bit panels: operands are encoded on the fly during packing (two
-/// elements per slot) and the micro-kernel decodes lanes back to `f32` —
-/// accumulators never narrow.
-impl PanelFormat for W16 {
-    const RATIO: usize = 2;
-    type Acc = f32;
-
-    #[inline]
-    fn pack_a(self, a: &DenseMatrix, r: Span, d: Span, _: &Scales<'_>, dst: &mut [f32]) {
-        pack_a_w16(a, r.0, r.1, d.0, d.1, dst, |v| enc_w16(self, v))
-    }
-    #[inline]
-    fn pack_b(self, b: &DenseMatrix, d: Span, c: Span, _: &Scales<'_>, dst: &mut [f32]) {
-        pack_b_w16(b, d.0, d.1, c.0, c.1, dst, |v| enc_w16(self, v))
-    }
-    #[inline]
-    fn mk8x8(self, kd: KernelDispatch, ap: &[f32], bp: &[f32], kc: usize, acc: &mut Tile<f32>) {
-        kd.mk8x8_w16(self, ap, bp, kc, acc)
-    }
-    #[inline]
-    fn add_tile(self, c: &mut [f32], n: usize, at: TileAt, acc: &Tile<f32>, _: &Scales<'_>) {
-        add_tile(c, n, at, acc)
-    }
-}
-
-/// int8 panels: A rows quantize against per-row scales, B columns against
-/// per-column scales (four elements per slot), the micro-kernel
-/// accumulates in `i32`, and the write-back dequantizes —
-/// `c[i][j] += acc[i][j] * sa[i] * sb[j]`. Per-`KC`-block partial products
-/// sum exactly because the scales are global to the whole reduction, not
-/// per block.
-#[derive(Clone, Copy)]
-struct I8Panels;
-
-impl PanelFormat for I8Panels {
-    const RATIO: usize = 4;
-    const SCALED: bool = true;
-    type Acc = i32;
-
-    #[inline]
-    fn pack_a(self, a: &DenseMatrix, r: Span, d: Span, s: &Scales<'_>, dst: &mut [f32]) {
-        pack_a_i8(a, r.0, r.1, d.0, d.1, s.inv_sa, dst)
-    }
-    #[inline]
-    fn pack_b(self, b: &DenseMatrix, d: Span, c: Span, s: &Scales<'_>, dst: &mut [f32]) {
-        pack_b_i8(b, d.0, d.1, c.0, c.1, s.inv_sb, dst)
-    }
-    #[inline]
-    fn mk8x8(self, kd: KernelDispatch, ap: &[f32], bp: &[f32], kc: usize, acc: &mut Tile<i32>) {
-        kd.mk8x8_i8(ap, bp, kc, acc)
-    }
-    #[inline]
-    fn add_tile(self, c: &mut [f32], n: usize, at: TileAt, acc: &Tile<i32>, s: &Scales<'_>) {
-        let sb = &s.sb[at.j0..at.j0 + at.cols];
-        for r in 0..at.rows {
-            let s_r = s.sa[at.i0 + r];
-            let base = (at.row0 + r) * n + at.j0;
-            let dst = &mut c[base..base + at.cols];
-            for ((d, &v), &s_c) in dst.iter_mut().zip(&acc[r * NR..r * NR + at.cols]).zip(sb) {
-                *d += (v as f32) * s_r * s_c;
-            }
-        }
-    }
-}
-
-/// Fills the int8 scale tables: per-row scales of `a`, per-column scales
-/// of `b` (one row-major pass), and both reciprocals.
-fn calibrate_scales(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    sa: &mut [f32],
-    inv_sa: &mut [f32],
-    sb: &mut [f32],
-    inv_sb: &mut [f32],
-) {
-    for (i, s) in sa.iter_mut().enumerate() {
-        *s = calibrate_scale(a.row(i));
-    }
-    for (s, inv) in sa.iter().zip(inv_sa.iter_mut()) {
-        *inv = 1.0 / s;
-    }
-    sb.fill(0.0);
-    for p in 0..b.rows() {
-        for (s, &v) in sb.iter_mut().zip(b.row(p)) {
-            if v.is_finite() {
-                *s = s.max(v.abs());
-            }
-        }
-    }
-    for (s, inv) in sb.iter_mut().zip(inv_sb.iter_mut()) {
-        *s = if *s > 0.0 { *s / I8_MAX_Q } else { 1.0 };
-        *inv = 1.0 / *s;
-    }
-}
-
 /// One executor's work for one `(cols, depth)` block: packs its own A
 /// panels (`MC` rows at a time) and accumulates every micro-tile of its row
 /// range against the shared packed B panel.
 #[allow(clippy::too_many_arguments)]
-fn gemm_block<F: PanelFormat>(
-    fmt: F,
+fn gemm_block(
     kd: KernelDispatch,
     a: &DenseMatrix,
     c_chunk: &mut [f32],
     n: usize,
     (row_start, row_end): Span,
     (jc, je): Span,
-    depth: Span,
-    scales: &Scales<'_>,
+    (pc, pe): Span,
     apanel: &mut [f32],
     bpanel: &[f32],
 ) {
-    let kc = depth.1 - depth.0;
+    let kc = pe - pc;
     let jpanels = (je - jc).div_ceil(NR);
-    let (pslot_a, pslot_b) = (kc * MR / F::RATIO, kc * NR / F::RATIO);
-    let mut acc = [F::Acc::default(); MR * NR];
+    let (pslot_a, pslot_b) = (kc * MR, kc * NR);
+    let mut acc: Tile = [0.0; MR * NR];
     let mut ic = row_start;
     while ic < row_end {
         let ie = (ic + MC).min(row_end);
-        fmt.pack_a(a, (ic, ie), depth, scales, apanel);
+        pack_a_block(a, ic, ie, pc, pe, apanel);
         let ipanels = (ie - ic).div_ceil(MR);
         // B micro-panel outermost: it stays hot in L1 across every A panel
         // of this MC block.
@@ -1796,15 +1154,14 @@ fn gemm_block<F: PanelFormat>(
                 let ap = &apanel[ir * pslot_a..(ir + 1) * pslot_a];
                 let i0 = ic + ir * MR;
                 let rows = (ie - i0).min(MR);
-                fmt.mk8x8(kd, ap, bp, kc, &mut acc);
+                kd.mk8x8(ap, bp, kc, &mut acc);
                 let at = TileAt {
                     row0: i0 - row_start,
-                    i0,
                     j0,
                     rows,
                     cols,
                 };
-                fmt.add_tile(c_chunk, n, at, &acc, scales);
+                add_tile(c_chunk, n, at, &acc);
             }
         }
         ic = ie;
@@ -1816,8 +1173,8 @@ fn gemm_block<F: PanelFormat>(
 // ---------------------------------------------------------------------------
 
 /// Cache-blocked, panel-packed GEMM `C = A * B` running its inner tiles on
-/// an explicit [`KernelDispatch`] — the `f32` instantiation of the one
-/// blocked driver.
+/// an explicit [`KernelDispatch`] — the one dense update every layer runs,
+/// whatever storage width its SpMM feature operand has.
 ///
 /// Rows of `A` are split contiguously across `threads` pool executors;
 /// each executor packs its own A micro-panels into a private slice of one
@@ -1831,45 +1188,6 @@ fn gemm_block<F: PanelFormat>(
 /// Returns [`MatrixError::DimensionMismatch`] if `a.cols() != b.rows()` and
 /// [`MatrixError::ZeroThreads`] if `threads == 0`.
 pub fn matmul_packed_with(
-    kd: KernelDispatch,
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    threads: usize,
-    c: &mut DenseMatrix,
-) -> Result<()> {
-    packed_gemm(F32Panels, kd, a, b, threads, c)
-}
-
-/// [`matmul_packed_with`] at a chosen storage [`Precision`]: packing
-/// converts operands on the fly into the 64-byte-aligned pool scratch
-/// (bf16/f16 at two elements per slot, int8 at four), so only the panel
-/// storage narrows — arithmetic stays `f32` (bf16/f16) or widens to
-/// `i32` with per-row/per-column scales dequantized on write-back
-/// (int8). [`Precision::F32`] is [`matmul_packed_with`] exactly.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if `a.cols() != b.rows()`
-/// and [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn matmul_packed_prec_with(
-    kd: KernelDispatch,
-    precision: Precision,
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    threads: usize,
-    c: &mut DenseMatrix,
-) -> Result<()> {
-    match precision {
-        Precision::F32 => packed_gemm(F32Panels, kd, a, b, threads, c),
-        Precision::Bf16 => packed_gemm(W16::Bf16, kd, a, b, threads, c),
-        Precision::F16 => packed_gemm(W16::F16, kd, a, b, threads, c),
-        Precision::Int8 => packed_gemm(I8Panels, kd, a, b, threads, c),
-    }
-}
-
-/// The one blocked GEMM driver, generic over the panel storage format.
-fn packed_gemm<F: PanelFormat>(
-    fmt: F,
     kd: KernelDispatch,
     a: &DenseMatrix,
     b: &DenseMatrix,
@@ -1902,27 +1220,11 @@ fn packed_gemm<F: PanelFormat>(
     let executors = chunks.len();
 
     let kc_max = KC.min(k);
-    let bp_len = kc_max * (NC.min(n)).div_ceil(NR) * NR / F::RATIO;
-    let ap_len = kc_max * MC / F::RATIO;
-    // Scaled formats carve `[sa | inv_sa | sb | inv_sb]` from the front of
-    // the same scratch borrow.
-    let (ms, ns) = if F::SCALED { (m, n) } else { (0, 0) };
+    let bp_len = kc_max * (NC.min(n)).div_ceil(NR) * NR;
+    let ap_len = kc_max * MC;
     pool.scratch()
-        .with_f32(2 * (ms + ns) + bp_len + executors * ap_len, |scratch| {
-            let (sa, rest) = scratch.split_at_mut(ms);
-            let (inv_sa, rest) = rest.split_at_mut(ms);
-            let (sb, rest) = rest.split_at_mut(ns);
-            let (inv_sb, panels) = rest.split_at_mut(ns);
-            if F::SCALED {
-                calibrate_scales(a, b, sa, inv_sa, sb, inv_sb);
-            }
-            let scales = Scales {
-                sa,
-                inv_sa,
-                sb,
-                inv_sb,
-            };
-            let (bpanel, ap_all) = panels.split_at_mut(bp_len);
+        .with_f32(bp_len + executors * ap_len, |scratch| {
+            let (bpanel, ap_all) = scratch.split_at_mut(bp_len);
             let apanels: Vec<Mutex<&mut [f32]>> = ap_all
                 .chunks_mut(ap_len)
                 .take(executors)
@@ -1936,7 +1238,7 @@ fn packed_gemm<F: PanelFormat>(
                 let mut pc = 0;
                 while pc < k {
                     let pe = (pc + KC).min(k);
-                    fmt.pack_b(b, (pc, pe), (jc, je), &scales, bpanel);
+                    pack_b_block(b, pc, pe, jc, je, bpanel);
                     let bp: &[f32] = bpanel;
                     pool.broadcast(executors, executors, |t| {
                         let row_start = t * rows_per;
@@ -1948,19 +1250,7 @@ fn packed_gemm<F: PanelFormat>(
                         let mut chunk = audit::recover("gemm.chunk", &chunks[t]);
                         let mut ap = audit::recover("gemm.apanel", &apanels[t]);
                         let rows = (row_start, row_end);
-                        gemm_block(
-                            fmt,
-                            kd,
-                            a,
-                            &mut chunk,
-                            n,
-                            rows,
-                            (jc, je),
-                            (pc, pe),
-                            &scales,
-                            &mut ap,
-                            bp,
-                        );
+                        gemm_block(kd, a, &mut chunk, n, rows, (jc, je), (pc, pe), &mut ap, bp);
                     });
                     pc = pe;
                 }
@@ -2012,8 +1302,9 @@ fn precision_probe_site(p: Precision) -> Result<()> {
     Ok(())
 }
 
-/// `true` when `precision` survives a tiny encode → quantized-AXPY probe
-/// on `kd`: 16 known values are narrowed, accumulated, and checked
+/// `true` when `precision` survives a tiny encode → row-kernel probe on
+/// `kd`: 16 known values are narrowed into a one-row payload, accumulated
+/// through [`KernelDispatch::row`] with a single non-zero, and checked
 /// against the analytic answer under `catch_unwind`. Panics, wrong
 /// values, and non-finite output all fail the probe; stack arrays only.
 fn probe_precision(kd: KernelDispatch, precision: Precision) -> bool {
@@ -2037,13 +1328,13 @@ fn probe_precision(kd: KernelDispatch, precision: Precision) -> bool {
                 for (d, &v) in wide.iter_mut().zip(&x) {
                     *d = f32_to_bf16(v);
                 }
-                kd.axpy_quant(&mut y, 2.0, QuantRow::Bf16(&wide));
+                kd.row::<true>(&mut y, &[0], &[2.0], Rows::Bf16(&wide), 16);
             }
             Precision::F16 => {
                 for (d, &v) in wide.iter_mut().zip(&x) {
                     *d = f32_to_f16(v);
                 }
-                kd.axpy_quant(&mut y, 2.0, QuantRow::F16(&wide));
+                kd.row::<true>(&mut y, &[0], &[2.0], Rows::F16(&wide), 16);
             }
             _ => {
                 let scale = calibrate_scale(&x);
@@ -2051,7 +1342,7 @@ fn probe_precision(kd: KernelDispatch, precision: Precision) -> bool {
                 for (d, &v) in narrow.iter_mut().zip(&x) {
                     *d = saturating_cast_i8(v * inv);
                 }
-                kd.axpy_quant(&mut y, 2.0, QuantRow::Int8(scale, &narrow));
+                kd.row::<true>(&mut y, &[0], &[2.0], Rows::Int8(&narrow, &[scale]), 16);
             }
         }
         // Worst case is the int8 grid: step ~0.0148 over this range,
@@ -2180,103 +1471,6 @@ mod tests {
         }
     }
 
-    /// Reference for the narrow GEMMs: round-trip the operands through
-    /// the same storage narrowing the packed path uses, then run the
-    /// naive f32 triple loop — the remaining difference is accumulation
-    /// order only.
-    fn narrowed_reference(a: &DenseMatrix, b: &DenseMatrix, precision: Precision) -> DenseMatrix {
-        use crate::quant::{f16_to_f32 as df16, f32_to_f16 as ef16};
-        let narrow = |m: &DenseMatrix, per_col: bool| -> DenseMatrix {
-            let mut out = m.clone();
-            match precision {
-                Precision::Bf16 => {
-                    for v in out.as_mut_slice() {
-                        *v = bf16_to_f32(f32_to_bf16(*v));
-                    }
-                }
-                Precision::F16 => {
-                    for v in out.as_mut_slice() {
-                        *v = df16(ef16(*v));
-                    }
-                }
-                _ => {
-                    if per_col {
-                        let t = m.transpose();
-                        let mut tq = t.clone();
-                        for r in 0..t.rows() {
-                            let s = calibrate_scale(t.row(r));
-                            for (d, &v) in tq.row_mut(r).iter_mut().zip(t.row(r)) {
-                                *d = saturating_cast_i8(v / s) as f32 * s;
-                            }
-                        }
-                        out = tq.transpose();
-                    } else {
-                        for r in 0..m.rows() {
-                            let s = calibrate_scale(m.row(r));
-                            for (d, &v) in out.row_mut(r).iter_mut().zip(m.row(r)) {
-                                *d = saturating_cast_i8(v / s) as f32 * s;
-                            }
-                        }
-                    }
-                }
-            }
-            out
-        };
-        matmul_naive(&narrow(a, false), &narrow(b, true)).unwrap()
-    }
-
-    #[test]
-    fn packed_prec_matches_narrowed_naive_across_shapes_and_backends() {
-        let mut rng = StdRng::seed_from_u64(13);
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (8, 8, 8),
-            (3, 5, 7),
-            (17, 0, 9),
-            (65, 129, 33),
-            (70, 64, 1),
-        ] {
-            let a = random_matrix(&mut rng, m, k);
-            let b = random_matrix(&mut rng, k, n);
-            for precision in [Precision::Bf16, Precision::F16, Precision::Int8] {
-                let reference = narrowed_reference(&a, &b, precision);
-                for kd in all_backends() {
-                    for threads in [1, 4] {
-                        let mut c = DenseMatrix::filled(3, 3, f32::NAN);
-                        matmul_packed_prec_with(kd, precision, &a, &b, threads, &mut c).unwrap();
-                        // The reference applies identical narrowing, so
-                        // only accumulation order differs (plus one
-                        // rounding per i32→f32 writeback for int8).
-                        let tol = if precision == Precision::Int8 {
-                            2e-3
-                        } else {
-                            1e-4
-                        } * (k.max(1) as f32);
-                        assert!(
-                            reference.max_abs_diff(&c) < tol,
-                            "({m},{k},{n}) prec={precision} backend={} threads={threads} diff={}",
-                            kd.backend().name(),
-                            reference.max_abs_diff(&c)
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_prec_f32_delegates_to_f32_path() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let a = random_matrix(&mut rng, 10, 12);
-        let b = random_matrix(&mut rng, 12, 9);
-        let mut c32 = DenseMatrix::default();
-        let mut cp = DenseMatrix::default();
-        let kd = KernelDispatch::get();
-        matmul_packed_with(kd, &a, &b, 1, &mut c32).unwrap();
-        matmul_packed_prec_with(kd, Precision::F32, &a, &b, 1, &mut cp).unwrap();
-        assert_eq!(c32.max_abs_diff(&cp), 0.0);
-    }
-
     #[test]
     fn narrow_axpy_backends_agree_with_scalar_decode() {
         let mut rng = StdRng::seed_from_u64(15);
@@ -2292,7 +1486,7 @@ mod tests {
                 let mut want = base.clone();
                 axpy_decoded_scalar(&mut want, alpha, &bf, bf16_to_f32);
                 let mut y = base.clone();
-                kd.axpy_quant(&mut y, alpha, QuantRow::Bf16(&bf));
+                kd.row::<true>(&mut y, &[0], &[alpha], Rows::Bf16(&bf), len);
                 for (w, g) in want.iter().zip(&y) {
                     assert!(
                         (w - g).abs() < 1e-5,
@@ -2303,7 +1497,7 @@ mod tests {
                 let mut want = base.clone();
                 axpy_decoded_scalar(&mut want, alpha, &hf, f16_to_f32);
                 let mut y = base.clone();
-                kd.axpy_quant(&mut y, alpha, QuantRow::F16(&hf));
+                kd.row::<true>(&mut y, &[0], &[alpha], Rows::F16(&hf), len);
                 for (w, g) in want.iter().zip(&y) {
                     assert!(
                         (w - g).abs() < 1e-5,
@@ -2314,7 +1508,7 @@ mod tests {
                 let mut want = base.clone();
                 axpy_decoded_scalar(&mut want, alpha * scale, &i8s, |v| v as f32);
                 let mut y = base.clone();
-                kd.axpy_quant(&mut y, alpha, QuantRow::Int8(scale, &i8s));
+                kd.row::<true>(&mut y, &[0], &[alpha], Rows::Int8(&i8s, &[scale]), len);
                 for (w, g) in want.iter().zip(&y) {
                     assert!(
                         (w - g).abs() < 1e-4,

@@ -1,20 +1,19 @@
-//! Narrow-precision storage for dense operands: bf16 / f16 / int8 with
-//! round-to-nearest-even conversion, saturating casts, and per-row scale
-//! calibration.
+//! Narrow-precision storage for the SpMM feature operand: bf16 / f16 /
+//! int8 with round-to-nearest-even conversion, saturating casts, and
+//! per-row scale calibration.
 //!
-//! The paper's characterization shows both GCN pillars — SpMM aggregation
-//! and the dense update — are bandwidth-bound at the feature widths it
-//! sweeps, so halving (bf16/f16) or quartering (int8) the bytes moved per
-//! feature element is the dominant lever once the f32 SIMD engine is in
-//! place. The contract throughout this module (and the micro-kernels that
-//! consume its payloads) is **storage narrows, arithmetic does not**:
+//! The paper's characterization shows SpMM aggregation is bandwidth-bound
+//! — per-edge cost is the feature-row read — so halving (bf16/f16) or
+//! quartering (int8) the bytes moved per feature element is the lever
+//! there. The dense update is compute-bound and its operands are `f32` at
+//! rest, so it is never narrowed. The contract throughout this module (and
+//! the row kernel that consumes its payloads) is **storage narrows,
+//! arithmetic does not**:
 //!
 //! * bf16 / f16 values are decoded to `f32` lanes before every
 //!   multiply-accumulate; accumulators are always `f32`;
-//! * int8 values carry a per-row scale ([`QuantMatrix`]) or per-row /
-//!   per-column scales (the packed GEMM path) and accumulate in `i32`
-//!   (GEMM) or `f32` with the scale folded into the AXPY coefficient
-//!   (SpMM), dequantized on write-back.
+//! * int8 values carry a per-row scale ([`QuantMatrix`]), folded into the
+//!   `f32` FMA coefficient of the row kernel.
 //!
 //! Conversions round to nearest-even ([`f32_to_bf16`], [`f32_to_f16`],
 //! [`saturating_cast_i8`]) and saturate rather than wrap: out-of-range
@@ -34,7 +33,8 @@
 use crate::dense::DenseMatrix;
 use crate::error::MatrixError;
 
-/// Storage precision for a dense operand on the inference hot path.
+/// Storage precision of the SpMM feature operand on the inference hot
+/// path.
 ///
 /// `F32` is the reference path (no quantization); the narrow variants
 /// store 2 or 1 bytes per element and decode/dequantize into `f32`
@@ -50,9 +50,8 @@ pub enum Precision {
     /// IEEE 754 binary16: 5-bit exponent, 11-bit significand. Narrow
     /// range (max ~65504) but more mantissa than bf16.
     F16,
-    /// Symmetric int8 with per-row (feature) / per-column (weight)
-    /// scales; accumulation widens to `i32` (GEMM) or folds the scale
-    /// into the `f32` AXPY coefficient (SpMM).
+    /// Symmetric int8 with per-row scales, folded into the `f32` FMA
+    /// coefficient of the SpMM row kernel.
     Int8,
 }
 
@@ -258,20 +257,6 @@ pub fn quantize_i8_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
 // Quantized feature storage
 // ---------------------------------------------------------------------------
 
-/// Borrowed view of one quantized row: the payload plus whatever the
-/// consumer needs to dequantize it. Int8 rows carry their per-row scale;
-/// the SpMM kernels fold it into the AXPY coefficient so accumulation
-/// stays in `f32`.
-#[derive(Debug, Clone, Copy)]
-pub enum QuantRow<'a> {
-    /// bfloat16 payload.
-    Bf16(&'a [u16]),
-    /// IEEE binary16 payload.
-    F16(&'a [u16]),
-    /// Symmetric int8 payload with its dequantization scale.
-    Int8(f32, &'a [i8]),
-}
-
 /// A row-major matrix stored at a narrow [`Precision`], with per-row
 /// scales for int8. Buffers are reused across [`QuantMatrix::encode`]
 /// calls, so steady-state re-encoding at a fixed shape never touches the
@@ -317,7 +302,7 @@ impl QuantMatrix {
 
     /// Raw bf16/f16 payload (`rows * cols` entries when active, empty for
     /// int8) — the register-tiled SpMM row accumulator indexes rows
-    /// directly instead of matching a [`QuantRow`] per non-zero.
+    /// directly.
     pub(crate) fn wide_payload(&self) -> &[u16] {
         &self.wide
     }
@@ -376,27 +361,6 @@ impl QuantMatrix {
                 }
                 Ok(())
             }
-        }
-    }
-
-    /// Borrowed view of row `r` (panics in debug builds if `r` is out of
-    /// range, like slice indexing would).
-    #[inline]
-    pub fn row(&self, r: usize) -> QuantRow<'_> {
-        self.row_range(r, 0, self.cols)
-    }
-
-    /// Borrowed view of columns `[c0, c1)` of row `r` — the feature-tiled
-    /// kernels slice rows to their active tile.
-    #[inline]
-    pub fn row_range(&self, r: usize, c0: usize, c1: usize) -> QuantRow<'_> {
-        let base = r * self.cols;
-        match self.precision {
-            Precision::Int8 => QuantRow::Int8(self.scales[r], &self.narrow[base + c0..base + c1]),
-            Precision::F16 => QuantRow::F16(&self.wide[base + c0..base + c1]),
-            // Bf16 is also the decode used for an (unreachable in the
-            // kernels) F32-tagged container, keeping `row` total.
-            _ => QuantRow::Bf16(&self.wide[base + c0..base + c1]),
         }
     }
 
@@ -568,20 +532,5 @@ mod tests {
         assert_eq!(Precision::Bf16.fallback(), Some(Precision::F32));
         assert_eq!(Precision::F16.fallback(), Some(Precision::F32));
         assert_eq!(Precision::F32.fallback(), None);
-    }
-
-    #[test]
-    fn row_range_slices_the_tile() {
-        let src =
-            DenseMatrix::from_vec(2, 4, vec![1.0, 2.0, 3.0, 4.0, -4.0, -3.0, -2.0, -1.0]).unwrap();
-        let mut q = QuantMatrix::new();
-        q.encode(&src, Precision::Int8).unwrap();
-        match q.row_range(1, 1, 3) {
-            QuantRow::Int8(scale, payload) => {
-                assert_eq!(payload.len(), 2);
-                assert!((payload[0] as f32 * scale + 3.0).abs() < 0.05);
-            }
-            other => panic!("unexpected row view {other:?}"),
-        }
     }
 }

@@ -6,6 +6,9 @@ use resilience::fault::{self, FaultConfig, FaultKind};
 
 #[test]
 fn clean_probe_keeps_the_detected_backend() {
+    // Fires nowhere, but holds the process-wide arm lock: a neighbour's
+    // injected faults cannot land in this run.
+    let _quiet = fault::arm(FaultConfig::new(0));
     let (kd, fallback) = resolve_probed();
     assert_eq!(kd.backend(), Backend::detect());
     assert_eq!(fallback, None);

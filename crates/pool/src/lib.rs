@@ -749,6 +749,9 @@ mod tests {
         ignore = "5×256 timed shares; thread-identity claim needs no interpreter"
     )]
     fn pool_reuses_same_threads() {
+        // Fires nowhere, but holds the process-wide arm lock: a neighbour's
+        // `pool.worker` kills cannot replace this pool's threads.
+        let _quiet = fault::arm(FaultConfig::new(0));
         let pool = ThreadPool::new(4);
         let observe = || {
             let ids = Mutex::new(HashSet::new());

@@ -9,6 +9,11 @@
 //! (seeded panics on the `serving.*` fault points surface as typed
 //! rejections on the affected requests only — every handle resolves, the
 //! service never hangs, and survivors are still bit-correct).
+//!
+//! Fault arming is process-global, so the tests that arm nothing open with
+//! `fault::arm(FaultConfig::new(0))` — a config that fires nowhere but
+//! holds the arm lock, keeping the `chaos_*` tests' injected faults out of
+//! their runs.
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -92,6 +97,7 @@ fn batched_config(max_batch: usize, window_us: u64, lanes: usize) -> ServiceConf
 /// the serial reference to the bit.
 #[test]
 fn bitwise_all_table1_twins() {
+    let _quiet = fault::arm(FaultConfig::new(0));
     let config = GcnConfig::from_dims(vec![16, 32, 8]);
     for d in OgbDataset::TABLE1 {
         let name = d.stats().name;
@@ -152,6 +158,7 @@ proptest! {
         window_us in 0u64..800,
         lanes in 1usize..4,
     ) {
+        let _quiet = fault::arm(FaultConfig::new(0));
         let a = twin(OgbDataset::Arxiv);
         let n = a.nrows();
         let model = GcnModel::new(&GcnConfig::from_dims(vec![16, 24]), 7);
@@ -190,6 +197,7 @@ proptest! {
 /// request completes, nothing is shed, and the window coalesces.
 #[test]
 fn smoke_low_rate_zero_sheds() {
+    let _quiet = fault::arm(FaultConfig::new(0));
     let a = twin(OgbDataset::Products);
     let n = a.nrows();
     let model = GcnModel::new(&GcnConfig::from_dims(vec![16, 16]), 7);
@@ -226,6 +234,7 @@ fn smoke_low_rate_zero_sheds() {
 /// per-request one builds a sub-plan per request).
 #[test]
 fn smoke_batching_beats_per_request() {
+    let _quiet = fault::arm(FaultConfig::new(0));
     let a = twin(OgbDataset::Products);
     let n = a.nrows();
     let model = GcnModel::new(&GcnConfig::from_dims(vec![32, 32, 16]), 7);
@@ -354,6 +363,7 @@ fn chaos_faults_surface_as_typed_rejections() {
 /// that outlasts the test until the kill closes the queue under it.
 #[test]
 fn chaos_kill_mid_flight_rejects_typed() {
+    let _quiet = fault::arm(FaultConfig::new(0));
     let a = twin(OgbDataset::Products);
     let n = a.nrows();
     let model = GcnModel::new(&GcnConfig::from_dims(vec![16, 16]), 7);

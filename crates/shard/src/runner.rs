@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use gcn::{GcnLayer, GcnModel};
 use kernels::SpmmPlan;
-use matrix::microkernel::{matmul_packed_prec_with, KernelDispatch};
+use matrix::microkernel::{matmul_packed_with, KernelDispatch};
 use matrix::{DenseMatrix, Precision, QuantMatrix};
 use resilience::retry::{self, RetryPolicy};
 use sparse::Csr;
@@ -186,7 +186,8 @@ impl ShardedGcn {
     }
 
     /// [`ShardedGcn::new`] at a narrow storage precision: every shard's
-    /// plan and packed GEMM inherit `precision`, exactly like single-node
+    /// plan inherits `precision` for its SpMM feature operand (the update
+    /// stays the one `f32` GEMM), exactly like single-node
     /// [`gcn::GcnModel::infer_planned_with`] under a plan
     /// [`SpmmPlan::at_precision`].
     ///
@@ -630,8 +631,7 @@ impl ShardedGcn {
             }
         }
         let a = if from_acc { &rb.acc } else { &rb.hblk };
-        let res =
-            matmul_packed_prec_with(self.kd, self.precision, a, &layer.weight, 1, &mut rb.out);
+        let res = matmul_packed_with(self.kd, a, &layer.weight, 1, &mut rb.out);
         if let Err(e) = res {
             self.record(None, Some(i), ShardError::Matrix(e));
             return;

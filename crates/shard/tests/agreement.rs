@@ -82,6 +82,9 @@ fn assert_bitwise(d: OgbDataset, got: &DenseMatrix, want: &DenseMatrix) {
 /// layer is aggregate-first (`k_in <= k_out`), the 32→8 layer is
 /// update-first, so one pass covers both schedules.
 fn check_all_table1(workers: usize, kind: PartitionKind) {
+    // Fires nowhere, but holds the process-wide arm lock: a neighbour's
+    // injected faults cannot land in this run.
+    let _quiet = fault::arm(FaultConfig::new(0));
     let config = GcnConfig::from_dims(vec![16, 32, 8]);
     for d in OgbDataset::TABLE1 {
         let a_hat = twin(d);
@@ -149,6 +152,9 @@ fn bitwise_n8_2d() {
 /// partition, so the pinned plan's re-resolution at the other layer widths
 /// stays row-local and the identity holds at `K = 256` as it does at 16.
 fn check_wide(kind: PartitionKind) {
+    // Fires nowhere, but holds the process-wide arm lock: a neighbour's
+    // injected faults cannot land in this run.
+    let _quiet = fault::arm(FaultConfig::new(0));
     let d = OgbDataset::Arxiv;
     let a_hat = twin(d);
     let model = GcnModel::new(&GcnConfig::from_dims(vec![128, 256, 256, 40]), 7);
@@ -176,6 +182,9 @@ fn bitwise_n4_2d_wide() {
 #[test]
 fn bitwise_narrow_precision_1d() {
     use matrix::Precision;
+    // Fires nowhere, but holds the process-wide arm lock: a neighbour's
+    // injected faults cannot land in this run.
+    let _quiet = fault::arm(FaultConfig::new(0));
     let a_hat = twin(OgbDataset::Arxiv);
     let config = GcnConfig::from_dims(vec![16, 32, 8]);
     let model = GcnModel::new(&config, 7);

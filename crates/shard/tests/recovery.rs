@@ -159,6 +159,9 @@ fn bitwise_recovery_all_table1_grid2d() {
 /// observations, not failures — output stays bitwise-identical.
 #[test]
 fn deadline_overruns_are_recorded_not_fatal() {
+    // Fires nowhere, but holds the process-wide arm lock: the recovery
+    // tests' `shard.task` kills cannot land in this run.
+    let _quiet = fault::arm(FaultConfig::new(0));
     let d = OgbDataset::Arxiv;
     let a_hat = twin(d);
     let model = GcnModel::new(&GcnConfig::from_dims(vec![16, 32, 8]), 7);

@@ -8,6 +8,7 @@
 //! cargo run --release --example output_hashes
 //! ```
 
+use piuma_gcn::gcn::accuracy::rel_frobenius;
 use piuma_gcn::gcn::RowsWorkspace;
 use piuma_gcn::graph::generators::erdos_renyi;
 use piuma_gcn::prelude::*;
@@ -30,27 +31,41 @@ fn main() {
     for (name, g) in &twins {
         let a_hat = g.normalized_adjacency().unwrap();
         let x = g.random_features(16, 21);
-        // The two atomic-accumulating arms run on one thread: their bits
-        // depend on arrival order otherwise. `Auto` resolves at pool width,
-        // so compare runs taken on the same host.
+        // All six strategies. The two atomic-accumulating arms run on one
+        // thread: their bits depend on arrival order otherwise. `Auto`
+        // resolves at pool width, so compare runs taken on the same host.
         for strategy in [
             SpmmStrategy::Sequential,
             SpmmStrategy::VertexParallel { threads: 3 },
             SpmmStrategy::NnzBalanced { threads: 3 },
-            SpmmStrategy::FeatureTiled { tile: 0 },
             SpmmStrategy::EdgeParallel { threads: 1 },
-            SpmmStrategy::FeatureParallel { threads: 3 },
             SpmmStrategy::Hybrid { threads: 1 },
             SpmmStrategy::Auto,
         ] {
             let out = model.infer(g, &x, strategy).unwrap();
             println!("{name} infer {strategy}: {:016x}", fnv(&out));
         }
+        // `Precision::all()` starts at f32, which is the reference the
+        // narrow lines report their relative-Frobenius error against. The
+        // narrow hashes are expected to differ from parents before PR 24
+        // (the dense update stopped narrowing there); their error must not
+        // be larger than the parent's.
+        let mut f32_out = DenseMatrix::default();
         for precision in Precision::all() {
             let mut ws = InferenceWorkspace::new();
             ws.install_plan(SpmmPlan::with_width(&a_hat, 16, 1).at_precision(precision));
             let out = model.infer_planned_with(&a_hat, &x, &mut ws).unwrap();
-            println!("{name} planned {precision}: {:016x}", fnv(out));
+            let hash = fnv(out);
+            if precision == Precision::F32 {
+                f32_out = out.clone();
+                println!("{name} planned {precision}: {hash:016x}");
+            } else {
+                let err = rel_frobenius(out, &f32_out);
+                println!(
+                    "{name} planned {precision} (expected to differ from parents before PR 24): \
+                     {hash:016x} rel-frobenius vs f32 {err:.3e}"
+                );
+            }
         }
         let mut ws = RowsWorkspace::new();
         let mut out = DenseMatrix::default();

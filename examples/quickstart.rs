@@ -30,7 +30,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SpmmStrategy::VertexParallel { threads: 4 },
         SpmmStrategy::NnzBalanced { threads: 4 },
         SpmmStrategy::EdgeParallel { threads: 4 },
-        SpmmStrategy::FeatureParallel { threads: 4 },
         SpmmStrategy::Hybrid { threads: 4 },
         SpmmStrategy::Auto,
     ] {

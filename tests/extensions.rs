@@ -9,7 +9,10 @@ use piuma_gcn::sparse::ops::{pagerank, spmv};
 
 #[test]
 fn sampled_inference_matches_full_graph() {
-    let g = Graph::rmat(&RmatConfig::power_law(8, 6), 5);
+    // Scale 10: the batch's 3-hop ball stops short of its component, so
+    // the sample's boundary vertices have neighbours outside it — the case
+    // where renormalizing the induced subgraph is not exact.
+    let g = Graph::rmat(&RmatConfig::power_law(10, 6), 5);
     let model = GcnModel::new(&GcnConfig::paper_model(8, 8, 3), 2);
     let x = g.random_features(8, 4);
 
@@ -24,14 +27,19 @@ fn sampled_inference_matches_full_graph() {
             SpmmStrategy::Sequential,
         )
         .unwrap();
+    assert!(sampled.subgraph.len() < g.vertices());
     for (i, &v) in batch.iter().enumerate() {
+        let scale = full.row(v).iter().fold(0.0f32, |m, e| m.max(e.abs()));
         let diff = full
             .row(v)
             .iter()
             .zip(sampled.output.row(i))
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
-        assert!(diff < 5e-4, "vertex {v} diverged by {diff}");
+        assert!(
+            diff <= 1e-6 * scale,
+            "vertex {v} diverged by {diff} on {scale}"
+        );
     }
 }
 

@@ -1,14 +1,12 @@
 //! Property tests for the narrow-precision storage layer: conversion
 //! round-trips must stay inside the format's half-step, saturating casts
 //! must clamp (never wrap) on every edge the IEEE encodings can produce,
-//! and the quantized micro-kernels must agree across dispatch backends on
-//! the same degenerate shapes the f32 engine is tested on — empty
-//! reduction (k == 0), single-column panels (F == 1), and ragged widths
-//! that are not multiples of the 8-lane tile.
+//! and the quantized row kernel must agree across dispatch backends on
+//! the same degenerate widths the f32 engine is tested on — single-column
+//! rows (F == 1) and ragged widths that are not multiples of the 8-lane
+//! tile.
 
-use piuma_gcn::matrix::microkernel::{
-    avx2_available, matmul_packed_prec_with, Backend, KernelDispatch,
-};
+use piuma_gcn::matrix::microkernel::{avx2_available, Backend, KernelDispatch};
 use piuma_gcn::matrix::quant::{
     bf16_to_f32, f16_to_f32, f32_to_bf16, f32_to_f16, saturating_cast_i8, I8_MAX_Q,
 };
@@ -28,45 +26,6 @@ fn backends() -> Vec<KernelDispatch> {
 }
 
 const NARROW: [Precision; 3] = [Precision::Bf16, Precision::F16, Precision::Int8];
-
-/// Row/column selector with dedicated mass on the tile boundaries:
-/// 1 (pure padding), 8 (exactly one register tile), then ragged 2..80.
-fn dim_from(sel: usize) -> usize {
-    match sel {
-        0..=2 => 1,
-        3..=5 => 8,
-        s => 2 + s % 78,
-    }
-}
-
-/// Reduction depth with dedicated mass on the empty reduction (k == 0)
-/// and a depth past the first 8-wide panel boundary.
-fn k_from(sel: usize) -> usize {
-    match sel {
-        0..=2 => 0,
-        3..=5 => 33,
-        s => 1 + s % 23,
-    }
-}
-
-/// A GEMM problem (A: m x k, B: k x n) straddling the register tile.
-fn gemm_strategy() -> impl Strategy<Value = (DenseMatrix, DenseMatrix)> {
-    (0usize..120, 0usize..120, 0usize..120).prop_flat_map(|(ms, ks, ns)| {
-        let (m, k, n) = (dim_from(ms), k_from(ks), dim_from(ns));
-        // The vendored proptest stub sizes vectors by range; `x..x + 1`
-        // pins the length exactly.
-        (
-            proptest::collection::vec(-2.0f32..2.0, m * k..m * k + 1),
-            proptest::collection::vec(-2.0f32..2.0, k * n..k * n + 1),
-        )
-            .prop_map(move |(av, bv)| {
-                (
-                    DenseMatrix::from_vec(m, k, av).unwrap(),
-                    DenseMatrix::from_vec(k, n, bv).unwrap(),
-                )
-            })
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -136,35 +95,10 @@ proptest! {
         prop_assert_eq!(q as f32, want);
     }
 
-    /// All backends (and both executor paths) produce the same quantized
-    /// GEMM result: the narrowing is deterministic, so only accumulation
-    /// order may differ between backends.
-    #[test]
-    fn packed_prec_backends_agree((a, b) in gemm_strategy()) {
-        let scalar = KernelDispatch::with_backend(Backend::Scalar);
-        for precision in NARROW {
-            let mut reference = DenseMatrix::default();
-            matmul_packed_prec_with(scalar, precision, &a, &b, 1, &mut reference).unwrap();
-            let mut c = DenseMatrix::default();
-            for kd in backends() {
-                for threads in [1usize, 4] {
-                    matmul_packed_prec_with(kd, precision, &a, &b, threads, &mut c).unwrap();
-                    prop_assert_eq!(c.shape(), reference.shape());
-                    let tol = 1e-4 * (a.cols().max(1) as f32);
-                    let diff = reference.max_abs_diff(&c);
-                    prop_assert!(
-                        diff < tol,
-                        "{} backend {} threads {} diverged by {}",
-                        precision, kd.backend().name(), threads, diff
-                    );
-                }
-            }
-        }
-    }
-
-    /// The quantized AXPY agrees across backends with a scalar decode →
-    /// f32 AXPY reference, for every narrow precision and for widths
-    /// covering F == 1 and ragged non-multiple-of-8 tails.
+    /// The quantized row kernel on a one-row payload with a single
+    /// non-zero — a quantized AXPY — agrees across backends with a scalar
+    /// decode → f32 AXPY reference, for every narrow precision and for
+    /// widths covering F == 1 and ragged non-multiple-of-8 tails.
     #[test]
     fn axpy_quant_backends_agree_with_decoded_reference(
         alpha in -4.0f32..4.0,
@@ -183,7 +117,7 @@ proptest! {
             }
             for kd in backends() {
                 let mut y = vec![y_seed; x.len()];
-                kd.axpy_quant(&mut y, alpha, q.row(0));
+                kd.accumulate_row_quant(&mut y, &[0], &[alpha], &q);
                 for (j, (got, want)) in y.iter().zip(&expect).enumerate() {
                     prop_assert!(
                         (got - want).abs() < 1e-3,
