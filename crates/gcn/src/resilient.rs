@@ -244,6 +244,10 @@ mod tests {
     use resilience::guard::CancelToken;
     use std::time::Duration;
 
+    // Tests that arm nothing but reach `gcn.layer` or an ISA probe hold the
+    // arm lock with a config that fires nowhere (`_quiet`), so the faults a
+    // neighbouring test arms stay out of their runs.
+
     fn setup() -> (Csr, DenseMatrix, GcnModel) {
         let g = Graph::rmat(&RmatConfig::power_law(7, 4), 13);
         let model = GcnModel::new(&GcnConfig::paper_model(8, 16, 4), 3);
@@ -278,6 +282,7 @@ mod tests {
 
     #[test]
     fn unbounded_guard_completes_and_matches_plain_inference() {
+        let _quiet = fault::arm(FaultConfig::new(0));
         let (a_hat, x, model) = setup();
         let expected = sequential_reference(&a_hat, &x, &model);
         let mut ws = pinned(&a_hat, &x, SpmmStrategy::Sequential);
@@ -435,6 +440,7 @@ mod tests {
 
     #[test]
     fn precision_guard_accepts_every_precision_within_bounds() {
+        let _quiet = fault::arm(FaultConfig::new(0));
         let (a_hat, x, model) = setup();
         for p in Precision::all() {
             let mut ws = InferenceWorkspace::new();
@@ -458,6 +464,7 @@ mod tests {
 
     #[test]
     fn rejecting_bound_walks_the_full_precision_chain_to_f32() {
+        let _quiet = fault::arm(FaultConfig::new(0));
         let (a_hat, x, model) = setup();
         let expected = model
             .infer_planned_with(&a_hat, &x, &mut InferenceWorkspace::new())

@@ -427,7 +427,10 @@ mod tests {
 
     #[test]
     fn disarmed_points_do_nothing() {
-        // Not armed (and FAULT_SEED is not set under `cargo test`).
+        // Hold the arm lock without arming, so no other test in this binary
+        // can be armed meanwhile (FAULT_SEED is not set under `cargo test`).
+        let _disarmed = audit::recover("resilience.arm_lock", &ARM_LOCK);
+        assert!(!armed());
         fault_point!("test.noop");
         let r: Result<u32, &str> = (|| {
             fault_point_err!("test.noop.err", "nope");

@@ -1,16 +1,16 @@
 //! Async GCN inference service: request batching, admission control, and
-//! per-tenant accounting over the planned and sharded backends.
+//! per-tenant accounting over the planned rows path.
 //!
-//! The serving layer turns the repo's offline inference engines into an
+//! The serving layer turns the repo's offline inference engine into an
 //! online service. Callers submit per-vertex or per-subgraph requests
 //! ([`Request`]) and get back a one-shot [`ResponseHandle`] (blocking or
 //! `.await`-able). Inside, an admission queue (bounded depth, per-tenant
 //! row quotas, deficit-round-robin fairness) feeds lane threads that
 //! coalesce requests within a configurable batching window and execute
 //! each batch as a *single* planned SpMM+GEMM call over the batch's
-//! gathered k-hop neighbourhood — or a single [`shard::ShardedGcn`] pass.
-//! Batching amortises plan reuse and kernel launch overhead exactly the
-//! way the paper's PIUMA pipeline amortises DMA setup across gathers.
+//! layer-wise frontiers. Batching amortises plan reuse and kernel launch
+//! overhead exactly the way the paper's PIUMA pipeline amortises DMA setup
+//! across gathers.
 //!
 //! Three properties are load-bearing and tested:
 //!
@@ -26,26 +26,18 @@
 
 mod queue;
 
-/// Per-backend circuit breaker (closed → open → half-open).
-pub mod breaker;
 /// Latency histograms and shed/throughput counters.
 pub mod metrics;
 /// Request, response, and typed-rejection types.
 pub mod request;
-/// The service itself: lanes, backends, lifecycle.
+/// The service itself: lanes, the planned backend, lifecycle.
 pub mod service;
-/// Seeded chaos soak harness: kill/heal schedules over the fault points.
-pub mod soak;
 /// Per-tenant resource accounting and fair-share configuration.
 pub mod tenant;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use request::{
-    Brownout, BrownoutCause, Rejection, Request, RequestKind, Response, ResponseHandle, ServedBy,
-    TenantId,
+    Brownout, Rejection, Request, RequestKind, Response, ResponseHandle, ServedBy, TenantId,
 };
 pub use service::{BrownoutPolicy, GcnService, ServiceConfig, ServingError};
-pub use shard::PartitionKind;
-pub use soak::{FaultWindow, SoakConfig, SoakReport, WindowReport};
 pub use tenant::{FixedQuota, Resources, TenantSpec};

@@ -134,10 +134,7 @@ pub struct ServiceMetrics {
     shed_inference: AtomicU64,
     batches: AtomicU64,
     batched_rows: AtomicU64,
-    failovers: AtomicU64,
     brownout_batches: AtomicU64,
-    breaker_opens: AtomicU64,
-    breaker_state: AtomicU64,
     batch_sizes: [AtomicU64; BATCH_SIZE_BUCKETS],
     queue_wait: LatencyHistogram,
     latency: LatencyHistogram,
@@ -194,28 +191,10 @@ impl ServiceMetrics {
         self.latency.record(total);
     }
 
-    /// Count one batch failed over from the sharded backend to the
-    /// planned single-node fallback.
-    pub fn on_failover(&self) {
-        // lint:allow(L006): monotone event counter, no data published.
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Count one batch served at degraded (brownout) precision.
     pub fn on_brownout(&self) {
         // lint:allow(L006): monotone event counter, no data published.
         self.brownout_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publish the sharded backend's breaker state (0 = closed, 1 = open,
-    /// 2 = half-open) and its cumulative open count.
-    pub fn set_breaker(&self, state: u8, opens: u64) {
-        let state = u64::from(state);
-        // lint:allow(L006): last-writer-wins advisory gauge; readers need
-        // no ordering with the transition that produced it.
-        self.breaker_state.store(state, Ordering::Relaxed);
-        // lint:allow(L006): see above.
-        self.breaker_opens.store(opens, Ordering::Relaxed);
     }
 
     /// Aggregate the counters into an owned snapshot.
@@ -254,10 +233,8 @@ impl ServiceMetrics {
             },
             batches: load(&self.batches),
             batched_rows: load(&self.batched_rows),
-            failovers: load(&self.failovers),
+            failovers: 0,
             brownout_batches: load(&self.brownout_batches),
-            breaker_opens: load(&self.breaker_opens),
-            breaker_state: breaker_state_name(load(&self.breaker_state)),
             batch_size_hist: self.batch_sizes.iter().map(load).collect(),
             queue_p50: self.queue_wait.quantile(0.50),
             queue_p99: self.queue_wait.quantile(0.99),
@@ -267,10 +244,9 @@ impl ServiceMetrics {
         }
     }
 
-    /// Render the current counters, quantiles, breaker state, and both
-    /// latency histograms (non-empty buckets, `[lower_bound_ns, count]`
-    /// pairs) as a JSON object — the form the chaos soak harness embeds
-    /// in `results/BENCH_recovery.json`.
+    /// Render the current counters, quantiles, and both latency
+    /// histograms (non-empty buckets, `[lower_bound_ns, count]` pairs) as
+    /// a JSON object.
     pub fn snapshot_json(&self) -> String {
         let s = self.snapshot();
         let hist = |pairs: Vec<(u64, u64)>| {
@@ -282,8 +258,7 @@ impl ServiceMetrics {
                 "{{\"submitted\":{},\"admitted\":{},\"completed\":{},",
                 "\"shed\":{{\"queue_full\":{},\"deadline\":{},\"tenant\":{},",
                 "\"shutdown\":{},\"faulted\":{},\"inference\":{},\"total\":{}}},",
-                "\"failovers\":{},\"brownout_batches\":{},",
-                "\"breaker\":{{\"state\":\"{}\",\"opens\":{}}},",
+                "\"brownout_batches\":{},",
                 "\"batches\":{},\"batched_rows\":{},",
                 "\"latency_ns\":{{\"queue_p50\":{},\"queue_p99\":{},",
                 "\"p50\":{},\"p99\":{},\"p999\":{}}},",
@@ -299,10 +274,7 @@ impl ServiceMetrics {
             s.shed_faulted,
             s.shed_inference,
             s.shed,
-            s.failovers,
             s.brownout_batches,
-            s.breaker_state,
-            s.breaker_opens,
             s.batches,
             s.batched_rows,
             s.queue_p50.as_nanos(),
@@ -313,15 +285,6 @@ impl ServiceMetrics {
             hist(self.queue_wait.nonzero_buckets()),
             hist(self.latency.nonzero_buckets()),
         )
-    }
-}
-
-/// Human-readable name for the breaker-state gauge value.
-fn breaker_state_name(v: u64) -> &'static str {
-    match v {
-        1 => "open",
-        2 => "half-open",
-        _ => "closed",
     }
 }
 
@@ -354,16 +317,12 @@ pub struct MetricsSnapshot {
     pub batches: u64,
     /// Output rows across all executed batches.
     pub batched_rows: u64,
-    /// Batches failed over from the sharded backend to the planned
-    /// single-node fallback.
+    /// Always 0: the service has one backend and nothing to fail over
+    /// to. Kept only because gcnbench reads it (`serving.failovers`); goes
+    /// in the next `[benchmark]` PR.
     pub failovers: u64,
     /// Batches served at degraded (brownout) precision.
     pub brownout_batches: u64,
-    /// Times the sharded backend's circuit breaker tripped open.
-    pub breaker_opens: u64,
-    /// Breaker state at snapshot time (`closed` / `open` / `half-open`;
-    /// `closed` for services with no sharded backend).
-    pub breaker_state: &'static str,
     /// Batch-size histogram: bucket `i` counts batches of
     /// `[2^i, 2^(i+1))` requests.
     pub batch_size_hist: Vec<u64>,
@@ -460,20 +419,13 @@ mod tests {
         m.on_admitted();
         m.on_batch(2, 2);
         m.on_completed(Duration::from_micros(3), Duration::from_micros(30));
-        m.on_failover();
         m.on_brownout();
-        m.set_breaker(1, 2);
         let j = m.snapshot_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"completed\":1"));
-        assert!(j.contains("\"failovers\":1"));
         assert!(j.contains("\"brownout_batches\":1"));
-        assert!(j.contains("\"state\":\"open\""));
-        assert!(j.contains("\"opens\":2"));
         assert!(j.contains("\"latency_hist\":[["));
-        let s = m.snapshot();
-        assert_eq!(s.breaker_state, "open");
-        assert_eq!(s.breaker_opens, 2);
+        assert_eq!(m.snapshot().failovers, 0);
     }
 
     #[test]

@@ -120,12 +120,8 @@ pub enum Rejection {
     /// request was queued or executing; the request was abandoned, not
     /// retried.
     Faulted {
-        /// The originating fault-site string, e.g. `serving.batch`, or
-        /// the rendered panic payload when the fault escaped a backend.
+        /// The originating fault site: `serving.queue` or `serving.batch`.
         site: String,
-        /// The shard the fault is attributed to, when the sharded
-        /// backend's health registry could name one.
-        shard: Option<usize>,
     },
     /// The backend rejected the batch (dimension mismatch, out-of-range
     /// vertex, kernel error), rendered from the backend's own error type.
@@ -154,10 +150,7 @@ impl std::fmt::Display for Rejection {
             }
             Rejection::Shutdown => write!(f, "service is shut down"),
             Rejection::Stopped(r) => write!(f, "batch stopped: {r}"),
-            Rejection::Faulted { site, shard } => match shard {
-                Some(s) => write!(f, "fault at {site} (shard {s})"),
-                None => write!(f, "fault at {site}"),
-            },
+            Rejection::Faulted { site } => write!(f, "fault at {site}"),
             Rejection::Inference(e) => write!(f, "inference failed: {e}"),
         }
     }
@@ -165,51 +158,23 @@ impl std::fmt::Display for Rejection {
 
 impl std::error::Error for Rejection {}
 
-/// Which backend actually computed a response — the failover chain is
-/// sharded → planned single-node, and callers comparing outputs bitwise
-/// need to know when a response took the fallback path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServedBy {
-    /// The sharded multi-node backend.
-    Sharded,
-    /// The planned single-node backend (the service was configured with
-    /// it directly).
-    #[default]
-    Planned,
-    /// The planned single-node backend, reached by failing over from a
-    /// faulted or breaker-opened sharded backend.
-    PlannedFailover,
-}
-
-impl std::fmt::Display for ServedBy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServedBy::Sharded => write!(f, "sharded"),
-            ServedBy::Planned => write!(f, "planned"),
-            ServedBy::PlannedFailover => write!(f, "planned-failover"),
-        }
-    }
-}
-
-/// Why a response was served at degraded precision.
+/// Which backend computed a response. The service has one, so this is
+/// always `Planned`; the name stays only because gcnbench's `serve.rs`
+/// reads it, and goes in the next `[benchmark]` PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BrownoutCause {
-    /// Sustained overload: the queue was above the brownout high-water
-    /// mark when the batch dispatched.
-    OverloadedQueue,
-    /// The sharded backend's circuit breaker was open, so the fallback
-    /// ran browned-out to absorb the extra load.
-    OpenBreaker,
+pub enum ServedBy {
+    /// The planned rows path.
+    Planned,
 }
 
-/// Typed annotation for a browned-out response: the precision it was
-/// computed at and why — degradation is surfaced, never silent drift.
+/// Typed annotation for a browned-out response: the batch dispatched with
+/// the queue at or above the brownout high-water mark, so it ran at a
+/// narrower storage precision — degradation is surfaced, never silent
+/// drift.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Brownout {
     /// Storage precision the batch actually ran at (e.g. bf16).
     pub precision: matrix::Precision,
-    /// What triggered the degradation.
-    pub cause: BrownoutCause,
 }
 
 /// A fulfilled request: the model output rows plus where the time went.
@@ -223,7 +188,7 @@ pub struct Response {
     pub total: Duration,
     /// Number of requests coalesced into the batch that served this one.
     pub batch_size: usize,
-    /// The backend that computed this response.
+    /// Always [`ServedBy::Planned`] (kept for gcnbench, see [`ServedBy`]).
     pub served_by: ServedBy,
     /// `Some` when the brownout policy degraded precision for this batch;
     /// `None` for full-precision (bitwise-exact) responses.
@@ -384,14 +349,8 @@ mod tests {
         assert!(r.to_string().contains("8 of 8"));
         assert!(Rejection::Faulted {
             site: "serving.batch".into(),
-            shard: None,
         }
         .to_string()
         .contains("serving.batch"));
-        let attributed = Rejection::Faulted {
-            site: "shard.task".into(),
-            shard: Some(3),
-        };
-        assert!(attributed.to_string().contains("shard 3"));
     }
 }

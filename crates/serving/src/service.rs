@@ -1,55 +1,43 @@
-//! The inference service: lanes, backends, lifecycle.
+//! The inference service: lanes, the planned backend, lifecycle.
 //!
 //! [`GcnService`] owns the admission queue plus a small set of **lane
 //! threads** (the bounded in-flight executor: at most `queue_limit`
 //! requests queued and `lanes x max_batch` requests executing, in the
 //! spirit of the organizer engine's `CONCURRENT_OPERATIONS` cap). Each
 //! lane blocks on the queue, lets the batching window coalesce arrivals,
-//! then runs the whole batch as **one** backend call:
-//!
-//! * **planned** — [`GcnModel::infer_rows_planned_into`] expands the
-//!   batch into layer-wise shrinking frontiers once and computes, at each
-//!   layer, only the rows the batch's answers depend on, under
-//!   `Sequential`-pinned [`kernels::SpmmPlan`]s;
-//! * **sharded** — one [`ShardedGcn::infer`] pass serves every request in
-//!   the batch, and each target row is attributed to its owning shard via
-//!   [`shard::ShardPlan::owner_of_row`] for routing statistics.
-//!
-//! Both backends sit on the same bitwise contract (width-1 plans,
-//! row-partition-invariant GEMM), so coalescing requests into batches —
-//! in any interleaving — never changes a single bit of any response.
+//! then runs the whole batch as **one**
+//! [`GcnModel::infer_rows_planned_prec_into`] call: the batch's targets
+//! are expanded into layer-wise shrinking frontiers once, and each layer
+//! computes only the rows the batch's answers depend on, under
+//! `Sequential`-pinned [`kernels::SpmmPlan`]s. That width-1 contract is
+//! what makes coalescing requests into batches — in any interleaving —
+//! leave every bit of every response unchanged.
 //!
 //! Every batch executes under a [`RunGuard`] **child** of the lane guard
 //! carrying the batch's tightest request deadline, so a nested budget can
-//! only shrink the remaining time (the PR-9 guard semantics fix), and a
-//! `kill()` cancels all lanes through the shared token. Panics — real or
-//! injected through the `serving.queue` / `serving.batch` fault points —
-//! are contained per lane iteration and turn into typed
-//! [`Rejection::Faulted`] deliveries, never hangs.
+//! only shrink the remaining time, and a `kill()` cancels all lanes
+//! through the shared token. Panics — real or injected through the
+//! `serving.queue` / `serving.batch` fault points — are contained per lane
+//! iteration and turn into typed [`Rejection::Faulted`] deliveries, never
+//! hangs.
 //!
-//! [`GcnModel::infer_rows_planned_into`]: gcn::GcnModel::infer_rows_planned_into
-//! [`ShardedGcn::infer`]: shard::ShardedGcn::infer
+//! [`GcnModel::infer_rows_planned_prec_into`]: gcn::GcnModel::infer_rows_planned_prec_into
 //! [`RunGuard`]: resilience::guard::RunGuard
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use gcn::rows::RowsWorkspace;
 use gcn::{GcnError, GcnModel};
 use matrix::{DenseMatrix, Precision};
-use resilience::audit;
 use resilience::guard::{CancelToken, RunGuard};
-use shard::{PartitionKind, ShardError, ShardedGcn};
 use sparse::Csr;
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::queue::{AdmissionQueue, Pending, TenantLane};
-use crate::request::{
-    Brownout, BrownoutCause, Rejection, Request, Response, ResponseHandle, ServedBy, TenantId,
-};
+use crate::request::{Brownout, Rejection, Request, Response, ResponseHandle, ServedBy, TenantId};
 use crate::tenant::{FixedQuota, Resources, TenantSpec};
 
 /// Tunables for one service instance.
@@ -74,9 +62,6 @@ pub struct ServiceConfig {
     /// Per-tenant scheduling weight and row quota; tenant `i` is
     /// `tenants[i]`.
     pub tenants: Vec<TenantSpec>,
-    /// Circuit-breaker tunables for the sharded backend (ignored by
-    /// planned-only services).
-    pub breaker: BreakerConfig,
     /// When and how to degrade precision before shedding.
     pub brownout: BrownoutPolicy,
 }
@@ -86,12 +71,9 @@ pub struct ServiceConfig {
 /// annotation on every affected response.
 #[derive(Debug, Clone)]
 pub struct BrownoutPolicy {
-    /// Queue depth at or above which planned batches run at the brownout
-    /// precision (`usize::MAX` disables overload brownout).
+    /// Queue depth at or above which batches run at the brownout
+    /// precision (`usize::MAX`, the default, disables brownout).
     pub queue_high_water: usize,
-    /// Run breaker-triggered failover batches at the brownout precision
-    /// (absorbing the failed-over load more cheaply).
-    pub on_open_breaker: bool,
     /// The degraded storage precision.
     pub precision: Precision,
 }
@@ -100,7 +82,6 @@ impl Default for BrownoutPolicy {
     fn default() -> Self {
         BrownoutPolicy {
             queue_high_water: usize::MAX,
-            on_open_breaker: true,
             precision: Precision::Bf16,
         }
     }
@@ -117,7 +98,6 @@ impl ServiceConfig {
             latency_budget: Duration::from_secs(1),
             lanes: 2,
             tenants: vec![TenantSpec::default()],
-            breaker: BreakerConfig::default(),
             brownout: BrownoutPolicy::default(),
         }
     }
@@ -139,8 +119,6 @@ pub enum ServingError {
     Config(String),
     /// The model/graph/features triple is inconsistent.
     Model(GcnError),
-    /// Building the sharded backend failed.
-    Shard(ShardError),
 }
 
 impl std::fmt::Display for ServingError {
@@ -148,34 +126,17 @@ impl std::fmt::Display for ServingError {
         match self {
             ServingError::Config(m) => write!(f, "invalid service config: {m}"),
             ServingError::Model(e) => write!(f, "model/graph mismatch: {e}"),
-            ServingError::Shard(e) => write!(f, "sharded backend: {e}"),
         }
     }
 }
 
 impl std::error::Error for ServingError {}
 
-impl From<ShardError> for ServingError {
-    fn from(e: ShardError) -> Self {
-        ServingError::Shard(e)
-    }
-}
-
 /// The immutable inference state every lane shares.
 struct Engine {
     model: GcnModel,
     a_hat: Csr,
     features: DenseMatrix,
-    /// `Some` = sharded backend (the runner needs `&mut`, so lanes take
-    /// turns); `None` = planned gathered-rows backend (per-lane
-    /// workspaces, fully concurrent).
-    sharded: Option<Mutex<ShardedGcn>>,
-    /// Per-shard request-row attribution (empty for the planned backend).
-    routes: Mutex<Vec<u64>>,
-    /// Sharded-backend circuit breaker (idle for planned-only services).
-    /// Never locked while `sharded` or `routes` is held — the lock graph
-    /// stays edge-free.
-    breaker: Mutex<CircuitBreaker>,
     /// Precision-degradation policy.
     brownout: BrownoutPolicy,
 }
@@ -223,37 +184,12 @@ impl std::fmt::Debug for GcnService {
 }
 
 impl GcnService {
-    /// A service over the planned single-node backend: batches gather
-    /// their joint k-hop neighbourhood and run the cached plan.
+    /// A service over the planned rows path: each batch computes, layer
+    /// by layer, only the rows its targets depend on.
     pub fn planned(
         model: GcnModel,
         a_hat: Csr,
         features: DenseMatrix,
-        cfg: ServiceConfig,
-    ) -> Result<GcnService, ServingError> {
-        Self::start(model, a_hat, features, None, cfg)
-    }
-
-    /// A service over the sharded backend: each batch runs one
-    /// [`ShardedGcn::infer`] pass across `workers` shards, and requests
-    /// are attributed to owning shards for routing statistics.
-    pub fn sharded(
-        model: GcnModel,
-        a_hat: Csr,
-        features: DenseMatrix,
-        workers: usize,
-        kind: PartitionKind,
-        cfg: ServiceConfig,
-    ) -> Result<GcnService, ServingError> {
-        let runner = ShardedGcn::new(&a_hat, workers, kind)?;
-        Self::start(model, a_hat, features, Some(runner), cfg)
-    }
-
-    fn start(
-        model: GcnModel,
-        a_hat: Csr,
-        features: DenseMatrix,
-        sharded: Option<ShardedGcn>,
         cfg: ServiceConfig,
     ) -> Result<GcnService, ServingError> {
         if cfg.tenants.is_empty() {
@@ -283,7 +219,6 @@ impl GcnService {
         let resources: Box<dyn Resources> = Box::new(FixedQuota::per_tenant(
             cfg.tenants.iter().map(|t| t.quota_rows).collect(),
         ));
-        let workers = sharded.as_ref().map_or(0, |s| s.plan().workers());
         let inner = Arc::new(Inner {
             queue: AdmissionQueue::new(
                 lanes,
@@ -300,9 +235,6 @@ impl GcnService {
                 model,
                 a_hat,
                 features,
-                sharded: sharded.map(Mutex::new),
-                routes: Mutex::new(vec![0; workers]),
-                breaker: Mutex::new(CircuitBreaker::new(cfg.breaker.clone())),
                 brownout: cfg.brownout.clone(),
             },
             token: CancelToken::new(),
@@ -328,7 +260,6 @@ impl GcnService {
             Err(_) => {
                 let r = Rejection::Faulted {
                     site: "serving.queue".into(),
-                    shard: None,
                 };
                 self.inner.metrics.on_rejected(&r);
                 Err(r)
@@ -359,19 +290,6 @@ impl GcnService {
     /// Requests currently queued.
     pub fn queue_depth(&self) -> usize {
         self.inner.queue.depth()
-    }
-
-    /// Current circuit-breaker state for the sharded backend (always
-    /// `Closed` for planned-only services, which never trip it).
-    pub fn breaker_state(&self) -> BreakerState {
-        audit::recover("serving.breaker", &self.inner.engine.breaker).state()
-    }
-
-    /// Per-shard target-row attribution (`routes()[w]` = output rows the
-    /// sharded backend computed on worker `w`). Empty for the planned
-    /// backend.
-    pub fn shard_routes(&self) -> Vec<u64> {
-        audit::recover("serving.routes", &self.inner.engine.routes).clone()
     }
 
     /// Graceful shutdown: intake closes (new submissions shed
@@ -448,7 +366,6 @@ fn lane_main(inner: &Inner) {
 fn abandon(inner: &Inner, ctx: &mut LaneCtx) {
     let r = Rejection::Faulted {
         site: "serving.batch".into(),
-        shard: None,
     };
     for p in ctx.batch.drain(..) {
         inner.queue.release(p.tenant, p.rows);
@@ -506,12 +423,12 @@ fn serve_once(inner: &Inner, guard: &RunGuard, ctx: &mut LaneCtx) -> bool {
     inner.metrics.on_batch(ctx.batch.len(), ctx.targets.len());
     // The whole coalesced batch becomes ONE backend call.
     resilience::fault_point!("serving.batch");
-    match run_backend(inner, &batch_guard, &ctx.targets, &mut ctx.ws, &mut ctx.out) {
-        Ok(outcome) => {
+    match run_backend(inner, &ctx.targets, &mut ctx.ws, &mut ctx.out) {
+        Ok(degraded) => {
             let done = Instant::now();
             let width = ctx.out.cols();
             let batch_size = ctx.batch.len();
-            if outcome.degraded.is_some() {
+            if degraded.is_some() {
                 inner.metrics.on_brownout();
             }
             let mut row0 = 0usize;
@@ -531,8 +448,8 @@ fn serve_once(inner: &Inner, guard: &RunGuard, ctx: &mut LaneCtx) -> bool {
                     queued,
                     total,
                     batch_size,
-                    served_by: outcome.served_by,
-                    degraded: outcome.degraded,
+                    served_by: ServedBy::Planned,
+                    degraded,
                 }));
             }
         }
@@ -547,201 +464,31 @@ fn serve_once(inner: &Inner, guard: &RunGuard, ctx: &mut LaneCtx) -> bool {
     alive
 }
 
-/// How one batch was ultimately served.
-struct BatchOutcome {
-    served_by: ServedBy,
-    degraded: Option<Brownout>,
-}
-
-/// Run the planned single-node backend, browned out to `precision` when
-/// one is given.
-fn run_planned(
-    engine: &Engine,
+/// Run one batch, leaving one output row per target in `out`: range-check
+/// the targets, brown the batch out if the queue is at its high-water mark,
+/// and make one rows-path call. Returns the brownout, if any.
+fn run_backend(
+    inner: &Inner,
     targets: &[usize],
-    precision: Option<Precision>,
     ws: &mut RowsWorkspace,
     out: &mut DenseMatrix,
-) -> Result<(), String> {
-    let precision = precision.unwrap_or(Precision::F32);
+) -> Result<Option<Brownout>, Rejection> {
+    let engine = &inner.engine;
+    let vertices = engine.a_hat.nrows();
+    if let Some(&vertex) = targets.iter().find(|&&t| t >= vertices) {
+        return Err(Rejection::Inference(
+            GcnError::VertexOutOfRange { vertex, vertices }.to_string(),
+        ));
+    }
+    let degraded = (inner.queue.depth() >= engine.brownout.queue_high_water).then_some(Brownout {
+        precision: engine.brownout.precision,
+    });
+    let precision = degraded.map_or(Precision::F32, |b| b.precision);
     engine
         .model
         .infer_rows_planned_prec_into(&engine.a_hat, &engine.features, targets, precision, ws, out)
-        .map(|_| ())
-        .map_err(|e| e.to_string())
-}
-
-/// Publish the breaker's current state into the metrics gauge. The
-/// breaker lock is taken and released here alone — never while the
-/// runner or routes locks are held.
-/// Admit one sharded attempt through the breaker. Like every helper
-/// below, acquires the breaker lock alone and drops it before returning,
-/// so no function ever orders the breaker lock against the runner or
-/// routing locks (L011).
-fn breaker_try_admit(inner: &Inner, now: Instant) -> bool {
-    audit::recover("serving.breaker", &inner.engine.breaker).try_admit(now)
-}
-
-/// Report a sharded success to the breaker and refresh the gauge.
-fn breaker_on_success(inner: &Inner) {
-    audit::recover("serving.breaker", &inner.engine.breaker).on_success();
-    breaker_gauge(inner);
-}
-
-/// Report a sharded failure to the breaker and refresh the gauge.
-fn breaker_on_failure(inner: &Inner, now: Instant) {
-    audit::recover("serving.breaker", &inner.engine.breaker).on_failure(now);
-    breaker_gauge(inner);
-}
-
-/// Is the breaker anywhere but closed right now?
-fn breaker_not_closed(inner: &Inner) -> bool {
-    audit::recover("serving.breaker", &inner.engine.breaker).state() != BreakerState::Closed
-}
-
-fn breaker_gauge(inner: &Inner) {
-    let b = audit::recover("serving.breaker", &inner.engine.breaker);
-    let state = match b.state() {
-        BreakerState::Closed => 0,
-        BreakerState::Open => 1,
-        BreakerState::HalfOpen => 2,
-    };
-    inner.metrics.set_breaker(state, b.opens());
-}
-
-/// Run one batch against the engine's backend, leaving one output row
-/// per target in `out`.
-///
-/// Sharded services route through the circuit breaker: a failed sharded
-/// pass records the originating fault site from the runner's health
-/// registry, trips the breaker toward open, and **fails over** to the
-/// planned single-node backend as a hedged re-dispatch under a child of
-/// the batch guard (so the retry still honours the batch budget and the
-/// service kill token). While the breaker is open, batches skip the
-/// sharded backend entirely and — per [`BrownoutPolicy`] — run the
-/// failover at degraded precision.
-fn run_backend(
-    inner: &Inner,
-    guard: &RunGuard,
-    targets: &[usize],
-    ws: &mut RowsWorkspace,
-    out: &mut DenseMatrix,
-) -> Result<BatchOutcome, Rejection> {
-    let engine = &inner.engine;
-    for &t in targets {
-        if t >= engine.a_hat.nrows() {
-            return Err(Rejection::Inference(
-                GcnError::VertexOutOfRange {
-                    vertex: t,
-                    vertices: engine.a_hat.nrows(),
-                }
-                .to_string(),
-            ));
-        }
-    }
-    let overloaded = inner.queue.depth() >= engine.brownout.queue_high_water;
-    let m = match &engine.sharded {
-        None => {
-            // Planned-only service: brownout under queue overload, no
-            // breaker in the path.
-            let degraded = overloaded.then_some(Brownout {
-                precision: engine.brownout.precision,
-                cause: BrownoutCause::OverloadedQueue,
-            });
-            run_planned(
-                engine,
-                targets,
-                degraded.as_ref().map(|b| b.precision),
-                ws,
-                out,
-            )
-            .map_err(Rejection::Inference)?;
-            return Ok(BatchOutcome {
-                served_by: ServedBy::Planned,
-                degraded,
-            });
-        }
-        Some(m) => m,
-    };
-    let now = Instant::now();
-    let admitted = breaker_try_admit(inner, now);
-    let sharded_error: Option<(String, Option<usize>)> = if admitted {
-        let mut runner = audit::recover("serving.sharded", m);
-        match runner.infer(&engine.model, &engine.features) {
-            Ok(h) => {
-                out.resize_for_overwrite(targets.len(), h.cols());
-                let mut routes = audit::recover("serving.routes", &engine.routes);
-                for (i, &t) in targets.iter().enumerate() {
-                    out.row_mut(i).copy_from_slice(h.row(t));
-                    if let Some(w) = runner.plan().owner_of_row(t) {
-                        if let Some(c) = routes.get_mut(w) {
-                            *c += 1;
-                        }
-                    }
-                }
-                drop(routes);
-                drop(runner);
-                breaker_on_success(inner);
-                return Ok(BatchOutcome {
-                    served_by: ServedBy::Sharded,
-                    degraded: None,
-                });
-            }
-            Err(e) => {
-                // Attribute the failure before releasing the runner: the
-                // health registry's most recent event names the fault
-                // site and shard this error escaped from.
-                let (site, shard) = match runner.health().last() {
-                    Some(ev) => (ev.site.clone(), ev.shard),
-                    None => (e.to_string(), None),
-                };
-                drop(runner);
-                breaker_on_failure(inner, now);
-                Some((site, shard))
-            }
-        }
-    } else {
-        None
-    };
-    // Failover: hedged re-dispatch on the planned backend under a child
-    // guard — still subject to the batch budget and kill token.
-    inner.metrics.on_failover();
-    let hedge = guard.child();
-    if let Some(reason) = hedge.should_stop() {
-        return Err(Rejection::Stopped(reason));
-    }
-    let breaker_open = breaker_not_closed(inner);
-    let degraded = if overloaded {
-        Some(Brownout {
-            precision: engine.brownout.precision,
-            cause: BrownoutCause::OverloadedQueue,
-        })
-    } else if breaker_open && engine.brownout.on_open_breaker {
-        Some(Brownout {
-            precision: engine.brownout.precision,
-            cause: BrownoutCause::OpenBreaker,
-        })
-    } else {
-        None
-    };
-    match run_planned(
-        engine,
-        targets,
-        degraded.as_ref().map(|b| b.precision),
-        ws,
-        out,
-    ) {
-        Ok(()) => Ok(BatchOutcome {
-            served_by: ServedBy::PlannedFailover,
-            degraded,
-        }),
-        Err(e2) => match sharded_error {
-            Some((site, shard)) => Err(Rejection::Faulted {
-                site: format!("{site}; fallback: {e2}"),
-                shard,
-            }),
-            None => Err(Rejection::Inference(e2)),
-        },
-    }
+        .map_err(|e| Rejection::Inference(e.to_string()))?;
+    Ok(degraded)
 }
 
 #[cfg(test)]
@@ -793,30 +540,6 @@ mod tests {
         for (i, &t) in [3usize, 1, 3, 99].iter().enumerate() {
             assert_eq!(r.rows.row(i), full.row(t));
         }
-        svc.shutdown();
-    }
-
-    #[test]
-    fn sharded_service_matches_planned_bitwise_and_routes() {
-        let (model, a, x) = setup();
-        let full = reference(&model, &a, &x);
-        let svc = GcnService::sharded(
-            model,
-            a,
-            x,
-            4,
-            PartitionKind::Rows1D,
-            ServiceConfig::single_tenant(),
-        )
-        .unwrap();
-        let handles: Vec<_> = (0..12)
-            .map(|v| svc.submit_vertex(0, v * 11).unwrap())
-            .collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            let r = h.wait().unwrap();
-            assert_eq!(r.rows.row(0), full.row(i * 11), "vertex {}", i * 11);
-        }
-        assert_eq!(svc.shard_routes().iter().sum::<u64>(), 12);
         svc.shutdown();
     }
 

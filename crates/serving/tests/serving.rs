@@ -5,7 +5,8 @@
 //! concern per step: `bitwise_*` (any interleaving/coalescing of
 //! requests returns bit-identical rows to serial per-request planned
 //! inference, on every Table-I twin), `smoke_*` (fixed-seed open loop:
-//! zero sheds at low rate, measurable batching gain), and `chaos_*`
+//! zero sheds at low rate, measurable batching gain), `brownout_*` (a
+//! browned-out batch says so on every response it serves), and `chaos_*`
 //! (seeded panics on the `serving.*` fault points surface as typed
 //! rejections on the affected requests only — every handle resolves, the
 //! service never hangs, and survivors are still bit-correct).
@@ -22,9 +23,12 @@ use gcn::{GcnConfig, GcnModel, InferenceWorkspace};
 use graph::OgbDataset;
 use kernels::SpmmPlan;
 use matrix::DenseMatrix;
+use matrix::Precision;
 use proptest::prelude::*;
 use resilience::fault::{self, FaultConfig, FaultKind};
-use serving::{GcnService, Rejection, Request, ServiceConfig, TenantSpec};
+use serving::{
+    Brownout, BrownoutPolicy, GcnService, Rejection, Request, ServiceConfig, TenantSpec,
+};
 use sparse::Csr;
 
 /// Small twin cap keeps all nine datasets fast while preserving degree
@@ -87,8 +91,7 @@ fn batched_config(max_batch: usize, window_us: u64, lanes: usize) -> ServiceConf
         latency_budget: Duration::from_secs(30),
         lanes,
         tenants: vec![TenantSpec::default()],
-        breaker: serving::BreakerConfig::default(),
-        brownout: serving::BrownoutPolicy::default(),
+        brownout: BrownoutPolicy::default(),
     }
 }
 
@@ -191,6 +194,44 @@ proptest! {
         }
         svc.shutdown();
     }
+}
+
+/// A zero high-water mark browns out every batch (queue depth is always
+/// at least 0): every response carries the typed bf16 annotation, and the
+/// service counts each batch it served as a brownout batch.
+#[test]
+fn brownout_annotates_every_response() {
+    let _quiet = fault::arm(FaultConfig::new(0));
+    let a = twin(OgbDataset::Arxiv);
+    let n = a.nrows();
+    let model = GcnModel::new(&GcnConfig::from_dims(vec![16, 32, 8]), 7);
+    let x = features(n, 16, 11);
+    let mut cfg = batched_config(8, 200, 2);
+    cfg.brownout.queue_high_water = 0;
+    let svc = GcnService::planned(model, a, x, cfg).expect("service starts");
+    let handles: Vec<_> = (0..60)
+        .map(|i| {
+            let targets = vec![(i * 13) % n; 1 + i % 3];
+            svc.submit(Request::subgraph(0, targets)).expect("admits")
+        })
+        .collect();
+    for h in handles {
+        let r = h.wait().expect("a browned-out request still completes");
+        assert_eq!(
+            r.degraded,
+            Some(Brownout {
+                precision: Precision::Bf16
+            })
+        );
+    }
+    let m = svc.shutdown();
+    assert_eq!(m.completed, 60);
+    assert_eq!(m.shed, 0);
+    assert!(m.batches > 0);
+    assert_eq!(
+        m.brownout_batches, m.batches,
+        "every batch served is counted as browned out"
+    );
 }
 
 /// Fixed-seed open loop at a rate the service trivially sustains: every
@@ -313,9 +354,8 @@ fn chaos_faults_surface_as_typed_rejections() {
                     let _ = tx.send((target, h.wait()));
                 });
             }
-            Err(Rejection::Faulted { site, shard }) => {
+            Err(Rejection::Faulted { site }) => {
                 assert_eq!(site, "serving.queue");
-                assert_eq!(shard, None);
                 door_faults += 1;
             }
             Err(other) => panic!("unexpected admission rejection: {other}"),

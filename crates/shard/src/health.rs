@@ -5,8 +5,12 @@
 //! `shard.exchange` fault that escaped its retry budget, and a per-task
 //! deadline overrun. Each event names the shard (column-block) and row
 //! block it hit, the layer being executed, and the originating fault-site
-//! string, so a serving layer — or the chaos soak harness — can attribute
-//! every failover and shed to a concrete injected fault.
+//! string. The runner's masked replay records into it and marks a layer's
+//! events recovered once the replay completes; callers read the log back
+//! through [`ShardedGcn::health`] to see which injected fault each replay
+//! answered.
+//!
+//! [`ShardedGcn::health`]: crate::ShardedGcn::health
 //!
 //! The registry is a bounded ring: supervision must never become the
 //! thing that runs the process out of memory during a fault storm.
@@ -121,11 +125,6 @@ impl HealthRegistry {
         self.lock().events.iter().cloned().collect()
     }
 
-    /// The most recent event, if any.
-    pub fn last(&self) -> Option<ShardEvent> {
-        self.lock().events.back().cloned()
-    }
-
     /// Number of retained events.
     pub fn len(&self) -> usize {
         self.lock().events.len()
@@ -180,7 +179,10 @@ mod tests {
         reg.record(event(0, 1, ShardDownCause::DeadlineOverrun));
         assert_eq!(reg.len(), 3);
         assert_eq!(reg.strikes(), vec![1, 0, 2, 0]);
-        assert_eq!(reg.last().unwrap().cause, ShardDownCause::DeadlineOverrun);
+        assert_eq!(
+            reg.events().last().unwrap().cause,
+            ShardDownCause::DeadlineOverrun
+        );
     }
 
     #[test]

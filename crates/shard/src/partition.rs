@@ -295,25 +295,6 @@ impl ShardPlan {
         self.nnz
     }
 
-    /// The worker that **homes** global activation row `row`: the unique
-    /// block whose row range and column range both contain it (the DGAS
-    /// ownership map in the module docs). The serving router uses this to
-    /// attribute per-vertex inference requests to the shard that produces
-    /// the row. `None` for rows outside the partitioned index space.
-    ///
-    /// `row_bounds`/`col_bounds` may carry duplicate (empty-block)
-    /// boundaries; `partition_point` lands past every duplicate, so empty
-    /// blocks are never reported as owners.
-    pub fn owner_of_row(&self, row: usize) -> Option<usize> {
-        if row >= self.nrows {
-            return None;
-        }
-        let i = self.row_bounds.partition_point(|&b| b <= row) - 1;
-        let j = self.col_bounds.partition_point(|&b| b <= row) - 1;
-        let (_, c) = self.grid;
-        Some(i * c + j)
-    }
-
     /// Per-worker non-zero counts, block order.
     pub fn shard_nnz(&self) -> Vec<usize> {
         self.blocks.iter().map(ShardBlock::nnz).collect()
@@ -535,20 +516,16 @@ mod tests {
             for n in [1usize, 2, 4, 6, 8] {
                 let plan = ShardPlan::new(&a, n, kind).unwrap();
                 for row in 0..a.nrows() {
-                    let w = plan.owner_of_row(row).unwrap();
                     let owners = plan
                         .blocks()
                         .iter()
-                        .enumerate()
-                        .filter(|(_, b)| {
+                        .filter(|b| {
                             let (lo, hi) = b.owned_range();
                             (lo..hi).contains(&row)
                         })
-                        .map(|(i, _)| i)
-                        .collect::<Vec<_>>();
-                    assert_eq!(owners, vec![w], "row {row} kind={kind} n={n}");
+                        .count();
+                    assert_eq!(owners, 1, "row {row} kind={kind} n={n}");
                 }
-                assert_eq!(plan.owner_of_row(a.nrows()), None);
             }
         }
     }

@@ -93,8 +93,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Degraded-mode quickstart -------------------------------------
     // Under sustained overload the service degrades precision before it
     // sheds: a zero high-water mark marks every batch overloaded, so each
-    // response comes back annotated with the brownout (which precision
-    // served it, and why) instead of silently at lower fidelity.
+    // response comes back annotated with the precision that served it
+    // instead of silently at lower fidelity.
     let g2 = Graph::from_undirected_edges(2708, &edges);
     let a_hat2 = g2.normalized_adjacency()?;
     let x2 = g2.random_features(1433, 9);
@@ -105,8 +105,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let resp = svc.submit_vertex(0, 0)?.wait()?;
     match &resp.degraded {
         Some(b) => println!(
-            "degraded mode: served at {:?} because {:?} (served_by {:?})",
-            b.precision, b.cause, resp.served_by
+            "degraded mode: served at {:?} (queue at its high-water mark)",
+            b.precision
         ),
         None => println!("degraded mode: response unexpectedly full-precision"),
     }
