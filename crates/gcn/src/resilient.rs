@@ -96,18 +96,41 @@ impl InferenceRun {
 
 impl GcnModel {
     /// Shape and finiteness validation shared by the hardened entry
-    /// points: dimension checks, then a NaN/Inf sweep over the feature
-    /// matrix and every layer's weights and bias.
+    /// points: dimension checks — including each bias against its layer's
+    /// output width and each layer's output against the next one's input —
+    /// then a NaN/Inf sweep over the feature matrix and every layer's
+    /// weights and bias. A model that fails here runs no kernel, so it is
+    /// never retried or stepped down a degradation rung.
     ///
     /// # Errors
     ///
     /// [`GcnError::FeatureDimMismatch`] / [`GcnError::VertexCountMismatch`]
-    /// on shape violations; [`GcnError::Normalize`] if the adjacency fails
-    /// its structural check ([`Csr::validate`]); [`GcnError::Kernel`]
-    /// wrapping [`MatrixError::NonFinite`] naming the first offending
-    /// entry.
+    /// on shape violations; [`GcnError::Kernel`] wrapping
+    /// [`MatrixError::DimensionMismatch`] (`op` `"layer bias"` or
+    /// `"layer chain"`) on a mis-shaped bias or layer stack;
+    /// [`GcnError::Normalize`] if the adjacency fails its structural check
+    /// ([`Csr::validate`]); [`GcnError::Kernel`] wrapping
+    /// [`MatrixError::NonFinite`] naming the first offending entry.
     pub fn validate_inputs(&self, a_hat: &Csr, features: &DenseMatrix) -> Result<(), GcnError> {
         self.check_shapes(a_hat, features)?;
+        for (layer, next) in self.layers().iter().zip(self.layers().iter().skip(1)) {
+            if layer.out_dim() != next.in_dim() {
+                return Err(GcnError::Kernel(MatrixError::DimensionMismatch {
+                    op: "layer chain",
+                    lhs: layer.weight.shape(),
+                    rhs: next.weight.shape(),
+                }));
+            }
+        }
+        for layer in self.layers() {
+            if let Some(bias) = layer.bias.as_ref().filter(|b| b.len() != layer.out_dim()) {
+                return Err(GcnError::Kernel(MatrixError::DimensionMismatch {
+                    op: "layer bias",
+                    lhs: layer.weight.shape(),
+                    rhs: (1, bias.len()),
+                }));
+            }
+        }
         a_hat.validate()?;
         features.validate_finite("features")?;
         for (t, layer) in self.layers().iter().enumerate() {
@@ -352,6 +375,29 @@ mod tests {
                 ..
             }))
         ));
+    }
+
+    #[test]
+    fn misshaped_bias_and_layer_stack_are_rejected_before_any_kernel_runs() {
+        let (a_hat, x, model) = setup();
+        let mut short_bias = model.clone();
+        short_bias.layers_mut()[1].bias = Some(vec![0.0; 3]);
+        let mut broken_chain = model;
+        broken_chain.layers_mut()[2].weight = DenseMatrix::zeros(5, 4);
+        for (model, want) in [(short_bias, "layer bias"), (broken_chain, "layer chain")] {
+            let mut ws = InferenceWorkspace::new();
+            let policy = RetryPolicy::immediate(3);
+            let err = model
+                .infer_resilient_with(&a_hat, &x, &policy, &RunGuard::unbounded(), &mut ws)
+                .unwrap_err();
+            assert!(
+                matches!(err, GcnError::Kernel(MatrixError::DimensionMismatch { op, .. }) if op == want),
+                "{want}: {err}"
+            );
+            // No plan was built, so no layer was attempted, retried or
+            // stepped down a rung.
+            assert!(ws.plan().is_none(), "{want}");
+        }
     }
 
     #[test]

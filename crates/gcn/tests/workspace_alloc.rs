@@ -124,11 +124,11 @@ fn repeated_rows_batches_allocate_a_per_layer_constant() {
     // are all recycled. What a call still allocates is, per layer: its
     // pinned plan's partition vector (capacity 5 `usize`s at width 1), its
     // `(operand, plan)` entry in the layer loop's operand slice (two
-    // pointers), and the single-threaded packed GEMM's one-entry output
-    // chunk and A-panel tables (a locked slice each, three words) — 104
-    // bytes a layer on a 64-bit host, whatever the batch.
+    // pointers), and the single-threaded dense update's one-entry output
+    // chunk table (a locked slice, three words) — 80 bytes a layer on a
+    // 64-bit host, whatever the batch.
     let word = size_of::<usize>();
-    let per_layer = 5 * word + 2 * word + 2 * 3 * word;
+    let per_layer = 5 * word + 2 * word + 3 * word;
     assert_eq!(one, layers * per_layer, "1-target batch");
     assert_eq!(many, layers * per_layer, "64-target batch");
 }

@@ -12,7 +12,7 @@
 //! handed, resolved or pinned.
 
 use crate::plan::SpmmPlan;
-use matrix::microkernel::matmul_packed_with;
+use matrix::microkernel::{dense_update_with, matmul_packed_with};
 use matrix::{Activation, DenseMatrix, MatrixError, QuantMatrix};
 use sparse::Csr;
 
@@ -37,6 +37,9 @@ pub enum FusedOrder {
 /// register-tiled GEMM on the plan's cached dispatch
 /// ([`SpmmPlan::dense_kernel`]) across the pool's full width — or, under a
 /// pinned plan, the pinned strategy's own thread count ([`SpmmPlan::pin`]).
+/// Aggregating first, the update is one pass that writes the finished
+/// activation from its register tiles ([`dense_update_with`]); updating
+/// first, bias and activation follow the SpMM as their own sweep.
 ///
 /// Precision is carried by the plan ([`SpmmPlan::precision`]) and narrows
 /// the bandwidth-bound operand only: a narrow plan encodes the layer's SpMM
@@ -91,21 +94,18 @@ pub fn gcn_layer_planned_into(
     let threads = plan.dense_threads();
     let kd = plan.dense_kernel();
 
-    let order = if k_in <= k_out {
+    if k_in <= k_out {
         plan.run_at_precision_into(a, h, qbuf, mid)?;
-        matmul_packed_with(kd, mid, w, threads, out)?;
-        FusedOrder::AggregateFirst
-    } else {
-        matmul_packed_with(kd, h, w, threads, mid)?;
-        plan.run_at_precision_into(a, mid, qbuf, out)?;
-        FusedOrder::UpdateFirst
-    };
-
+        dense_update_with(kd, mid, w, bias, activation, threads, out)?;
+        return Ok(FusedOrder::AggregateFirst);
+    }
+    matmul_packed_with(kd, h, w, threads, mid)?;
+    plan.run_at_precision_into(a, mid, qbuf, out)?;
     if let Some(b) = bias {
         out.add_row_bias(b)?;
     }
     out.apply_activation(activation);
-    Ok(order)
+    Ok(FusedOrder::UpdateFirst)
 }
 
 #[cfg(test)]

@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use gcn::{GcnLayer, GcnModel};
 use kernels::SpmmPlan;
-use matrix::microkernel::{matmul_packed_with, KernelDispatch};
-use matrix::{DenseMatrix, Precision, QuantMatrix};
+use matrix::microkernel::{dense_update_with, KernelDispatch};
+use matrix::{Activation, DenseMatrix, Precision, QuantMatrix};
 use resilience::retry::{self, RetryPolicy};
 use sparse::Csr;
 
@@ -607,7 +607,8 @@ impl ShardedGcn {
 
     /// Runs row block `i`'s dense update. With `from_acc` the GEMM input
     /// is the aggregation accumulator (aggregate-first) and bias +
-    /// activation are applied; otherwise the input is the staged `H`
+    /// activation are applied in the same pass, from the GEMM's register
+    /// tiles; otherwise the input is the staged `H`
     /// block (update-first phase A) and the raw product is kept for the
     /// later aggregation.
     fn update_task(&self, i: usize, layer: &GcnLayer, from_acc: bool) {
@@ -630,20 +631,14 @@ impl ShardedGcn {
                 }
             }
         }
-        let a = if from_acc { &rb.acc } else { &rb.hblk };
-        let res = matmul_packed_with(self.kd, a, &layer.weight, 1, &mut rb.out);
+        let (a, bias, act) = if from_acc {
+            (&rb.acc, layer.bias.as_deref(), layer.activation)
+        } else {
+            (&rb.hblk, None, Activation::Identity)
+        };
+        let res = dense_update_with(self.kd, a, &layer.weight, bias, act, 1, &mut rb.out);
         if let Err(e) = res {
             self.record(None, Some(i), ShardError::Matrix(e));
-            return;
-        }
-        if from_acc {
-            if let Some(bias) = &layer.bias {
-                if let Err(e) = rb.out.add_row_bias(bias) {
-                    self.record(None, Some(i), ShardError::Matrix(e));
-                    return;
-                }
-            }
-            rb.out.apply_activation(layer.activation);
         }
     }
 

@@ -2,14 +2,18 @@
 //! backend (scalar, portable, and AVX2+FMA when the host supports it)
 //! must compute the same product as the naive reference GEMM on random
 //! shapes — including degenerate ones the register tiling has to pad
-//! (k == 0, single-column outputs, widths that are not multiples of the
-//! 8-lane tile).
+//! (k == 0, single-column outputs, heights and widths that are not
+//! multiples of the 6x16 tile, depths on both sides of the 256-deep panel)
+//! — and the fused dense update must equal the unfused GEMM → bias →
+//! activation sequence bit for bit.
 
 use piuma_gcn::kernels::plan::{nnz_balanced_partition, spmm_nnz_balanced_with};
 use piuma_gcn::kernels::spmm::{spmm_sequential_into, FeatureOperand};
 use piuma_gcn::matrix::gemm::matmul_naive;
-use piuma_gcn::matrix::microkernel::{avx2_available, matmul_packed_with, Backend, KernelDispatch};
-use piuma_gcn::matrix::{DenseMatrix, Precision, QuantMatrix};
+use piuma_gcn::matrix::microkernel::{
+    avx2_available, dense_update_with, matmul_packed_with, Backend, KernelDispatch,
+};
+use piuma_gcn::matrix::{Activation, DenseMatrix, Precision, QuantMatrix};
 use piuma_gcn::sparse::{Coo, Csr};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -156,30 +160,37 @@ fn spmm_into_a_stale_same_shape_buffer_leaves_no_nan() {
 }
 
 /// Maps a raw selector to an interesting row/column dimension: the fixed
-/// boundary cases (1 = pure tile padding, 8 = exactly one register tile,
-/// 64 = one full MC row block) each get dedicated mass, the rest spreads
-/// over 2..80 to cover ragged non-multiple-of-8 widths.
+/// boundary cases (1 = pure tile padding, 6 = exactly one tile height,
+/// 16 = exactly one tile width, 72 = one full MC row block) each get
+/// dedicated mass, the rest spreads over 2..80 to cover ragged heights and
+/// widths that are not multiples of 6 or 16.
 fn dim_from(sel: usize) -> usize {
     match sel {
         0..=2 => 1,
-        3..=5 => 8,
-        6..=8 => 64,
+        3..=5 => 6,
+        6..=8 => 16,
+        9..=11 => 72,
         s => 2 + s % 78,
     }
 }
 
 /// Maps a raw selector to a reduction depth, with dedicated mass on the
-/// empty reduction (k == 0) and a depth past the first panel boundary.
+/// empty reduction (k == 0) and on depths around the 256-deep panel: one
+/// short of it, exactly one, one past it (a second, one-lane depth block)
+/// and three blocks — the store → add → epilogue write-back sequence.
 fn k_from(sel: usize) -> usize {
     match sel {
         0..=2 => 0,
-        3..=5 => 33,
+        3..=5 => 255,
+        6..=8 => 256,
+        9..=11 => 257,
+        12..=14 => 513,
         s => 1 + s % 23,
     }
 }
 
 /// Strategy: a GEMM problem (A: m x k, B: k x n) with shapes chosen to
-/// straddle the MR=NR=8 register tile, plus the degenerate edges the
+/// straddle the MR=6 x NR=16 register tile and the KC=256 depth block, plus the degenerate edges the
 /// packing code has to handle: empty reduction (k == 0) and one-column
 /// feature panels (n == 1).
 fn gemm_strategy() -> impl Strategy<Value = (DenseMatrix, DenseMatrix)> {
@@ -207,6 +218,84 @@ fn max_rel_diff(x: &DenseMatrix, y: &DenseMatrix) -> f32 {
         .zip(y.as_slice())
         .map(|(a, b)| (a - b).abs() / a.abs().max(1.0))
         .fold(0.0, f32::max)
+}
+
+/// Every activation the layer can ask for.
+const ACTIVATIONS: [Activation; 5] = [
+    Activation::Relu,
+    Activation::LeakyRelu,
+    Activation::Sigmoid,
+    Activation::Tanh,
+    Activation::Identity,
+];
+
+/// The fused dense update equals `matmul_packed_with` → `add_row_bias` →
+/// `apply_activation` bit for bit: on every backend, for every activation,
+/// with and without a bias, on one and four executors, at depths of one,
+/// two and three panels. The inputs are seeded with NaN, signed zeros, a
+/// `-0.0` bias lane and a row whose products all underflow to `-0.0` — the
+/// cases where storing the first depth block as `0.0 + acc` (not `acc`)
+/// and a vector ReLU could differ from an add into a zeroed output
+/// followed by `f32::max`.
+#[test]
+fn epilogue_matches_unfused_bitwise() {
+    let mut rng = StdRng::seed_from_u64(18);
+    for (m, k, n) in [
+        (13usize, 40usize, 37usize),
+        (7, 300, 16),
+        (20, 513, 9),
+        (5, 0, 6),
+    ] {
+        let mut a = random_dense(&mut rng, m, k);
+        let mut w = random_dense(&mut rng, k, n);
+        if k > 0 {
+            // Row 0 of A against column 0 of W: tiny negatives against
+            // tiny positives, so every product of C[0][0] underflows to
+            // -0.0.
+            a.row_mut(0).fill(-1e-30);
+            for p in 0..k {
+                w.row_mut(p)[0] = 1e-30;
+            }
+            a.row_mut(1)[k / 2] = f32::NAN;
+            a.row_mut(2).fill(-0.0);
+            a.row_mut(3)[0] = 0.0;
+        }
+        let mut bias: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        bias[0] = -0.0;
+        bias[n - 1] = 0.0;
+        for kd in backends() {
+            let name = kd.backend().name();
+            for threads in [1usize, 4] {
+                let mut product = DenseMatrix::default();
+                matmul_packed_with(kd, &a, &w, threads, &mut product).unwrap();
+                if k > 0 {
+                    // An add into a zeroed output maps -0.0 to +0.0.
+                    assert_eq!(
+                        product.row(0)[0].to_bits(),
+                        0,
+                        "{name} k={k} x{threads}: underflowed sum must be +0.0"
+                    );
+                }
+                for act in ACTIVATIONS {
+                    for b in [None, Some(bias.as_slice())] {
+                        let mut want = product.clone();
+                        if let Some(b) = b {
+                            want.add_row_bias(b).unwrap();
+                        }
+                        want.apply_activation(act);
+                        let mut got = DenseMatrix::filled(m, n, f32::NAN);
+                        dense_update_with(kd, &a, &w, b, act, threads, &mut got).unwrap();
+                        assert_eq!(
+                            bits(got.as_slice()),
+                            bits(want.as_slice()),
+                            "{name} ({m},{k},{n}) x{threads} {act} bias={}",
+                            b.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
