@@ -1,6 +1,6 @@
 //! Sharded GCN strong-scaling study: measured execution plus PIUMA
-//! projection over N ∈ {1, 2, 4, 8} shards, F ∈ {16, 64, 256} feature
-//! widths, both partition kinds, natural and RCM-reordered vertex order.
+//! projection over N ∈ {1, 2, 4, 8} row-block shards, F ∈ {16, 64, 256}
+//! feature widths, natural and RCM-reordered vertex order.
 //!
 //! Two result families per configuration, written to
 //! `results/BENCH_shard_scaling.json` (one JSON object per row, one row
@@ -16,7 +16,7 @@
 //!   per shard — per-node DMA halo gathers over the HyperX path, DRAM /
 //!   dense-peak kernel bounds, and a closing barrier — reported as
 //!   achieved GFLOPS and parallel efficiency against the N=1 baseline of
-//!   the same kind/width/ordering.
+//!   the same width/ordering.
 //!
 //! The reordering column is the satellite study: RCM tightens each row
 //! block's reference window, so the halo fraction (and the exchanged
@@ -77,7 +77,6 @@ fn twins() -> [(&'static str, Csr); 2] {
 
 struct Row {
     workers: usize,
-    kind: PartitionKind,
     reordered: bool,
     f: usize,
     imbalance: f64,
@@ -93,44 +92,42 @@ struct Row {
 fn measure(a: &Csr, reordered: bool) -> Vec<Row> {
     let mut rng = StdRng::seed_from_u64(BENCH_SEED ^ 0x5AAD);
     let mut rows = Vec::new();
-    for kind in [PartitionKind::Rows1D, PartitionKind::Grid2D] {
-        for &f in &F_SWEEP {
-            let model = GcnModel::new(&GcnConfig::from_dims(vec![f, f]), 7);
-            let x = random_features(&mut rng, a.nrows(), f);
-            let flops = 2.0 * a.nnz() as f64 * f as f64 + 2.0 * a.nrows() as f64 * (f * f) as f64;
-            let mut base_sim = None;
-            for &n in &N_SWEEP {
-                let mut sharded = ShardedGcn::new(a, n, kind).expect("shard plan builds");
-                let median_s = median_secs(|| {
-                    sharded
-                        .infer(&model, &x)
-                        .expect("sharded inference succeeds");
-                });
-                let report = sharded.report(&model);
-                let sim = simulate_model(sharded.plan(), &[(f, f)], CORES_PER_NODE);
-                let eff = match &base_sim {
-                    None => {
-                        let e = 1.0;
-                        base_sim = Some(sim.clone());
-                        e
-                    }
-                    Some(base) => parallel_efficiency(base, 1, &sim, n),
-                };
-                rows.push(Row {
-                    workers: n,
-                    kind,
-                    reordered,
-                    f,
-                    imbalance: report.imbalance,
-                    halo_rows: report.halo_rows,
-                    halo_frac: report.halo_fraction,
-                    exchange_bytes: report.staged_bytes,
-                    median_s,
-                    measured_gflops: flops / median_s / 1e9,
-                    sim_gflops: sim.gflops(),
-                    sim_efficiency: eff,
-                });
-            }
+    for &f in &F_SWEEP {
+        let model = GcnModel::new(&GcnConfig::from_dims(vec![f, f]), 7);
+        let x = random_features(&mut rng, a.nrows(), f);
+        let flops = 2.0 * a.nnz() as f64 * f as f64 + 2.0 * a.nrows() as f64 * (f * f) as f64;
+        let mut base_sim = None;
+        for &n in &N_SWEEP {
+            let mut sharded =
+                ShardedGcn::new(a, n, PartitionKind::Rows1D).expect("shard plan builds");
+            let median_s = median_secs(|| {
+                sharded
+                    .infer(&model, &x)
+                    .expect("sharded inference succeeds");
+            });
+            let report = sharded.report(&model);
+            let sim = simulate_model(sharded.plan(), &[(f, f)], CORES_PER_NODE);
+            let eff = match &base_sim {
+                None => {
+                    let e = 1.0;
+                    base_sim = Some(sim.clone());
+                    e
+                }
+                Some(base) => parallel_efficiency(base, 1, &sim, n),
+            };
+            rows.push(Row {
+                workers: n,
+                reordered,
+                f,
+                imbalance: report.imbalance,
+                halo_rows: report.halo_rows,
+                halo_frac: report.halo_fraction,
+                exchange_bytes: report.staged_bytes,
+                median_s,
+                measured_gflops: flops / median_s / 1e9,
+                sim_gflops: sim.gflops(),
+                sim_efficiency: eff,
+            });
         }
     }
     rows
@@ -138,15 +135,10 @@ fn measure(a: &Csr, reordered: bool) -> Vec<Row> {
 
 fn write_stats(rows: &[Row], vertices: usize, nnz: usize) {
     // Satellite headline: RCM's halo-byte reduction at the widest sweep
-    // point (N=8, 1D, F=256) relative to the natural ordering.
+    // point (N=8, F=256) relative to the natural ordering.
     let halo_at = |reordered: bool| {
         rows.iter()
-            .find(|r| {
-                r.workers == 8
-                    && r.kind == PartitionKind::Rows1D
-                    && r.f == 256
-                    && r.reordered == reordered
-            })
+            .find(|r| r.workers == 8 && r.f == 256 && r.reordered == reordered)
             .map_or(0.0, |r| r.exchange_bytes as f64)
     };
     let natural = halo_at(false);
@@ -163,12 +155,11 @@ fn write_stats(rows: &[Row], vertices: usize, nnz: usize) {
         }
         write!(
             rows_json,
-            "\n    {{\"workers\": {}, \"kind\": \"{}\", \"reordered\": {}, \"f\": {}, \
+            "\n    {{\"workers\": {}, \"reordered\": {}, \"f\": {}, \
              \"imbalance\": {:.3}, \"halo_rows\": {}, \"halo_frac\": {:.4}, \
              \"exchange_bytes\": {}, \"median_ms\": {:.3}, \"measured_gflops\": {:.3}, \
              \"sim_gflops\": {:.2}, \"sim_efficiency\": {:.3}}}",
             r.workers,
-            r.kind.name(),
             r.reordered,
             r.f,
             r.imbalance,
@@ -209,25 +200,22 @@ fn bench_all(c: &mut Criterion) {
     }
     write_stats(&all, shape.0, shape.1);
 
-    // One interactive criterion datapoint per partition kind so the sweep
-    // above stays a single-shot (it is far too wide for criterion's
-    // sampling).
+    // One interactive criterion datapoint so the sweep above stays a
+    // single-shot (it is far too wide for criterion's sampling).
     let a = twins()[0].1.clone();
     let model = GcnModel::new(&GcnConfig::from_dims(vec![64, 64]), 7);
     let mut rng = StdRng::seed_from_u64(BENCH_SEED);
     let x = random_features(&mut rng, a.nrows(), 64);
     let mut group = c.benchmark_group("shard_scaling");
     group.sample_size(10);
-    for kind in [PartitionKind::Rows1D, PartitionKind::Grid2D] {
-        let mut sharded = ShardedGcn::new(&a, 4, kind).expect("shard plan builds");
-        group.bench_function(format!("infer_n4_{}_f64", kind.name()), |b| {
-            b.iter(|| {
-                sharded
-                    .infer(&model, &x)
-                    .expect("sharded inference succeeds")
-            })
-        });
-    }
+    let mut sharded = ShardedGcn::new(&a, 4, PartitionKind::Rows1D).expect("shard plan builds");
+    group.bench_function("infer_n4_f64", |b| {
+        b.iter(|| {
+            sharded
+                .infer(&model, &x)
+                .expect("sharded inference succeeds")
+        })
+    });
     group.finish();
 }
 

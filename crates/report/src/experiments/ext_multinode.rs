@@ -57,7 +57,7 @@ fn field(line: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// Measured `(median_ms, gflops)` for a 1D natural-order configuration
+/// Measured `(median_ms, gflops)` for a natural-order configuration
 /// from `results/BENCH_shard_scaling.json`, if the bench has run.
 pub fn measured(k: usize, workers: usize) -> Option<(f64, f64)> {
     let path = concat!(
@@ -66,7 +66,7 @@ pub fn measured(k: usize, workers: usize) -> Option<(f64, f64)> {
     );
     let text = std::fs::read_to_string(path).ok()?;
     for line in text.lines() {
-        if !line.contains("\"kind\": \"1d\"") || !line.contains("\"reordered\": false") {
+        if !line.contains("\"reordered\": false") {
             continue;
         }
         let (Some(w), Some(f)) = (field(line, "workers"), field(line, "f")) else {

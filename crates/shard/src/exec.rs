@@ -1,11 +1,10 @@
 //! The shard execution hot loop: a dependency-counting task-graph
-//! executor over the shared worker pool, plus the two memory-bound
-//! kernels every sharded layer schedules — halo gather and column-block
-//! accumulation.
+//! executor over the shared worker pool, plus the copy kernels every
+//! sharded layer schedules — halo gather, row-block staging and scatter.
 //!
 //! "Kernel on shard" and "halo exchange" are both just task IDs here. A
-//! [`TaskGraph`] is a static DAG (built once per layer shape, reused every
-//! call); [`TaskGraph::run`] drains it with the pool's workers using a
+//! [`TaskGraph`] is a static DAG (one `exchange(b) → compute(b)` edge per
+//! row block); [`TaskGraph::run`] drains it with the pool's workers using a
 //! shared ready queue and per-task dependency counters, so shards whose
 //! halos arrive early start aggregating while other shards are still
 //! exchanging — the same overlap a PIUMA node gets from its hardware DMA
@@ -18,18 +17,15 @@
 // BOUNDS: all `[]` indexing in this module is over vectors sized in
 // lock-step with the task count at graph construction (`dependents` and
 // `indegree` are `tasks` long and task IDs only ever come from those
-// structures), or over rows/columns the partition layer validated when it
-// built the shard-local CSR (`refs` entries are in-range columns of the
-// source matrix; local column indices were checked by `Csr::from_raw`).
+// structures), or over rows the partition layer validated when it built
+// the shard-local CSR (`refs` entries are in-range columns of the source
+// matrix).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-use kernels::spmm::FeatureOperand;
-use matrix::microkernel::KernelDispatch;
 use matrix::DenseMatrix;
-use sparse::Csr;
 
 /// Why a task-graph run failed to drain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -359,29 +355,6 @@ pub fn scatter_block(dst: &mut DenseMatrix, src: &DenseMatrix, r0: usize, r1: us
     ((r1 - r0) * width * 4) as u64
 }
 
-/// Accumulates one 2D column block into a row block's accumulator:
-/// `acc[u] += Σ local[u, lc] * stage[lc]` with each row's non-zeros walked
-/// in ascending column order through the same row kernel
-/// ([`FeatureOperand::accumulate_row`]) the single-node row loops use,
-/// resuming each lane from the accumulator's stored value. Because the
-/// partition keeps per-row column order and blocks are accumulated in
-/// ascending block order, the floating-point sequence per output element
-/// is identical to the unsharded sequential walk — this is the kernel that
-/// makes 2D sharding bitwise-exact.
-pub fn accumulate_block(
-    kd: KernelDispatch,
-    local: &Csr,
-    stage: &DenseMatrix,
-    acc: &mut DenseMatrix,
-) {
-    debug_assert_eq!(acc.rows(), local.nrows());
-    debug_assert_eq!(stage.rows(), local.ncols());
-    debug_assert_eq!(stage.cols(), acc.cols());
-    for u in 0..local.nrows() {
-        stage.accumulate_row(kd, acc.row_mut(u), local.row_cols(u), local.row_values(u));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,19 +442,5 @@ mod tests {
         assert_eq!(bytes, 2 * 2 * 4);
         assert_eq!(stage.row(0), &[30.0, 31.0]);
         assert_eq!(stage.row(1), &[10.0, 11.0]);
-    }
-
-    #[test]
-    fn accumulate_block_matches_a_manual_walk() {
-        let mut coo = sparse::Coo::new(2, 3);
-        coo.push(0, 0, 2.0);
-        coo.push(0, 2, -1.0);
-        coo.push(1, 1, 0.5);
-        let local = Csr::from_coo(&coo);
-        let stage = DenseMatrix::from_rows(&[&[1.0, 2.0], &[4.0, 8.0], &[16.0, 32.0]]).unwrap();
-        let mut acc = DenseMatrix::from_rows(&[&[100.0, 100.0], &[100.0, 100.0]]).unwrap();
-        accumulate_block(KernelDispatch::get(), &local, &stage, &mut acc);
-        assert_eq!(acc.row(0), &[100.0 + 2.0 - 16.0, 100.0 + 4.0 - 32.0]);
-        assert_eq!(acc.row(1), &[102.0, 104.0]);
     }
 }

@@ -4,11 +4,11 @@
 //! a distributed global address space, with remote feature rows fetched
 //! over the HyperX network. This crate reproduces that execution model in
 //! process. A [`ShardPlan`] cuts the normalized adjacency into NNZ-balanced
-//! 1D row blocks or a 2D grid (reusing the single-node planner's merge-path
-//! split), giving each worker a local CSR plus a **halo map** — the remote
-//! rows whose activations it must fetch each layer. [`ShardedGcn`] then
-//! runs inference as a task graph per layer: "gather halo into this shard's
-//! stage buffer" and "aggregate / update this block" become schedulable
+//! row blocks (reusing the single-node planner's merge-path split), one per
+//! worker, giving each a local CSR plus a **halo map** — the remote rows
+//! whose activations it must fetch each layer. [`ShardedGcn`] then runs
+//! each layer as a task graph: "gather this block's referenced rows into
+//! its stage buffer" and "aggregate and finish this block" are schedulable
 //! nodes executed by [`exec::TaskGraph`] over the shared [`pool`], with all
 //! cross-shard traffic flowing through explicit copy buffers so the
 //! communication volume is measured, not inferred. Every exchange passes a
@@ -18,9 +18,8 @@
 //! The numeric contract is strict: sharded inference is **bitwise
 //! identical** to single-node [`gcn::GcnModel::infer_planned_with`] running a
 //! width-1 (sequential) plan. Per-shard SpMM walks each row's non-zeros in
-//! the same ascending column order as the single-node row loop, 2D grids
-//! accumulate column blocks in ascending order into one accumulator, and
-//! the packed GEMM's per-row FP sequence is row-partition-invariant — so
+//! the same ascending column order as the single-node row loop, and the
+//! packed GEMM's per-row FP sequence is row-partition-invariant — so
 //! splitting work across shards never reassociates a single addition.
 //!
 //! [`sim`] mirrors the same partition inside the `piuma-sim` machine model
@@ -30,9 +29,9 @@
 
 /// Task-graph executor draining shard tasks through the process pool.
 pub mod exec;
-/// Shard health supervision: typed shard-down events and strike counts.
+/// Shard health supervision: a bounded log of typed shard-down events.
 pub mod health;
-/// Partitioning: NNZ/row-balanced blocks, halo maps, exchange ledger.
+/// Partitioning: NNZ/row-balanced row blocks, halo maps, exchange ledger.
 pub mod partition;
 /// The sharded GCN runner: per-layer task graphs with halo exchange.
 pub mod runner;
@@ -81,9 +80,6 @@ pub enum ShardError {
     /// The task-graph executor stalled (dependency cycle or a task panic
     /// that left dependents unreleased).
     Executor(String),
-    /// Narrow storage precision is only supported for 1D partitions (2D
-    /// accumulation has no quantized partial-sum path).
-    UnsupportedPrecision(matrix::Precision),
 }
 
 impl std::fmt::Display for ShardError {
@@ -109,12 +105,6 @@ impl std::fmt::Display for ShardError {
             }
             ShardError::Exchange(e) => write!(f, "halo exchange failed: {e}"),
             ShardError::Executor(e) => write!(f, "shard executor stalled: {e}"),
-            ShardError::UnsupportedPrecision(p) => {
-                write!(
-                    f,
-                    "precision {p} requires a 1D partition (2D has no quantized partial-sum path)"
-                )
-            }
         }
     }
 }

@@ -1,17 +1,16 @@
-//! NNZ-balanced 1D / 2D partitioning of a CSR adjacency across workers.
+//! NNZ-balanced row-block partitioning of a CSR adjacency across workers.
 //!
-//! A [`ShardPlan`] cuts a square adjacency into `workers` blocks — either
-//! 1D contiguous row blocks or a 2D grid of (row range x column range)
-//! blocks — with boundaries found by the same merge-path binary search the
+//! A [`ShardPlan`] cuts a square adjacency into `workers` contiguous row
+//! blocks, with boundaries found by the same merge-path binary search the
 //! single-node planner uses ([`kernels::plan::nnz_balanced_partition`]).
 //! Each block gets a **local CSR** over only the columns it references,
 //! plus a **halo map**: the referenced rows whose activations live on
 //! another worker and must be fetched before the block can aggregate.
 //!
 //! Ownership follows the PIUMA DGAS layout: global activation row `r`
-//! lives on the worker whose row range *and* column range both contain
-//! `r`, so every row has exactly one home and 1D degenerates to the
-//! classic "each worker owns its row block" distribution.
+//! lives on the worker whose row range contains `r`, so every row has
+//! exactly one home and a block's halo is its references outside its own
+//! row range.
 
 use kernels::fused::FusedOrder;
 use kernels::plan::nnz_balanced_partition;
@@ -19,49 +18,15 @@ use sparse::Csr;
 
 use crate::ShardError;
 
-/// How the adjacency is cut across workers.
+/// How the adjacency is cut across workers. There is one partition, the
+/// row block; the argument stays only because gcnbench passes it to
+/// [`ShardPlan::new`] and [`crate::ShardedGcn::new`], and goes in the next
+/// `[benchmark]` PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionKind {
     /// `N` contiguous NNZ-balanced row blocks (each worker owns whole
     /// rows and gathers every referenced column).
     Rows1D,
-    /// An `R x C` grid (`R * C = N`, as square as `N`'s divisors allow):
-    /// each worker owns one row-range x column-range block, aggregation
-    /// partials flow along grid rows.
-    Grid2D,
-}
-
-impl PartitionKind {
-    /// Grid shape `(row_blocks, col_blocks)` for `workers` workers.
-    /// `Rows1D` maps to `(workers, 1)`; `Grid2D` picks the divisor pair of
-    /// `workers` closest to a square (so 2 -> 1x2, 4 -> 2x2, 8 -> 2x4).
-    pub fn grid(self, workers: usize) -> (usize, usize) {
-        let workers = workers.max(1);
-        match self {
-            PartitionKind::Rows1D => (workers, 1),
-            PartitionKind::Grid2D => {
-                let mut r = (workers as f64).sqrt().floor() as usize;
-                while r > 1 && !workers.is_multiple_of(r) {
-                    r -= 1;
-                }
-                (r.max(1), workers / r.max(1))
-            }
-        }
-    }
-
-    /// Short lowercase name used in bench JSON and CI matrix filters.
-    pub fn name(self) -> &'static str {
-        match self {
-            PartitionKind::Rows1D => "1d",
-            PartitionKind::Grid2D => "2d",
-        }
-    }
-}
-
-impl std::fmt::Display for PartitionKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Exactly-`parts` boundary wrapper over
@@ -100,42 +65,22 @@ pub fn row_work_bounds(row_ptr: &[usize], parts: usize) -> Vec<usize> {
     shard_bounds(&prefix, parts)
 }
 
-/// Column-direction analogue of [`shard_bounds`]: builds the column
-/// non-zero prefix (a transposed `row_ptr`) and NNZ-balances column
-/// ranges over it, so 2D grids balance incoming as well as outgoing
-/// edges.
-pub fn col_shard_bounds(a: &Csr, parts: usize) -> Vec<usize> {
-    let mut prefix = vec![0usize; a.ncols() + 1];
-    for &c in a.col_idx() {
-        prefix[c as usize + 1] += 1;
-    }
-    for i in 0..a.ncols() {
-        prefix[i + 1] += prefix[i];
-    }
-    shard_bounds(&prefix, parts)
-}
-
 /// One worker's block of the partitioned adjacency.
 #[derive(Debug, Clone)]
 pub struct ShardBlock {
-    /// Grid coordinates `(i, j)` of this block.
-    pub grid_pos: (usize, usize),
-    /// Global row range `[row_start, row_end)` this block aggregates into.
+    /// Global row range `[row_start, row_end)` this block owns and
+    /// aggregates into.
     pub row_start: usize,
     /// End of the global row range (exclusive).
     pub row_end: usize,
-    /// Global column range `[col_start, col_end)` this block reads from.
-    pub col_start: usize,
-    /// End of the global column range (exclusive).
-    pub col_end: usize,
     /// Local CSR: `(row_end - row_start)` rows over `refs.len()` columns;
     /// local column `l` is global column `refs[l]`.
     pub local: Csr,
     /// Referenced global columns, ascending — the rows whose features
     /// this block needs staged before it can aggregate.
     pub refs: Vec<u32>,
-    /// The halo: the subset of `refs` owned by other workers (outside
-    /// this block's own row range) whose features must cross the network.
+    /// The halo: the subset of `refs` outside this block's own row range,
+    /// owned by other workers, whose features must cross the network.
     pub halo: Vec<u32>,
 }
 
@@ -149,21 +94,13 @@ impl ShardBlock {
     pub fn nnz(&self) -> usize {
         self.local.nnz()
     }
-
-    /// Global activation rows homed on this worker: the intersection of
-    /// its row and column ranges (see module docs on ownership).
-    pub fn owned_range(&self) -> (usize, usize) {
-        let lo = self.row_start.max(self.col_start);
-        let hi = self.row_end.min(self.col_end);
-        (lo, hi.max(lo))
-    }
 }
 
-/// Static communication cost of one sharded GCN layer, in bytes.
+/// Static communication cost of one sharded GCN layer.
 ///
-/// All three components are derived from the partition alone (they do not
-/// depend on feature values), so the same ledger drives both the runtime
-/// counters and the `piuma-sim` mirror.
+/// Derived from the partition alone (it does not depend on feature
+/// values), so the same ledger drives both the runtime counters and the
+/// `piuma-sim` mirror.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerExchange {
     /// Association order the fused layer picks for these widths.
@@ -175,47 +112,30 @@ pub struct LayerExchange {
     pub halo_rows: usize,
     /// Referenced rows staged (local + halo), summed over blocks.
     pub referenced_rows: usize,
-    /// Bytes of remote feature rows gathered before aggregation.
+    /// Bytes of remote feature rows gathered before aggregation — the
+    /// only bytes a row-block layer moves across workers.
     pub gather_bytes: u64,
-    /// Bytes of partial-accumulator handoffs along 2D grid rows
-    /// (`(C - 1)` hops per row block); zero for 1D.
-    pub reduce_bytes: u64,
-    /// Bytes written back to rows homed on other workers after the
-    /// update/activation; zero for 1D.
-    pub scatter_bytes: u64,
-    /// Update-first only: bytes of `H` rows the per-row-block GEMM reads
-    /// from other workers; zero for aggregate-first and for 1D.
-    pub mid_gather_bytes: u64,
 }
 
-impl LayerExchange {
-    /// Total bytes crossing worker boundaries for this layer.
-    pub fn total_bytes(&self) -> u64 {
-        self.gather_bytes + self.reduce_bytes + self.scatter_bytes + self.mid_gather_bytes
-    }
-}
-
-/// An NNZ-balanced 1D or 2D partition of one square adjacency.
+/// An NNZ-balanced row-block partition of one square adjacency.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
-    kind: PartitionKind,
-    grid: (usize, usize),
     row_bounds: Vec<usize>,
-    col_bounds: Vec<usize>,
     blocks: Vec<ShardBlock>,
     nrows: usize,
     nnz: usize,
 }
 
 impl ShardPlan {
-    /// Partitions `a` across `workers` blocks of the given kind.
+    /// Partitions `a` across `workers` row blocks (`_kind` names the one
+    /// partition there is).
     ///
     /// # Errors
     ///
     /// Returns [`ShardError::NotSquare`] for a non-square adjacency (the
     /// DGAS ownership map needs row and column index spaces to coincide)
     /// and [`ShardError::ZeroWorkers`] for `workers == 0`.
-    pub fn new(a: &Csr, workers: usize, kind: PartitionKind) -> Result<ShardPlan, ShardError> {
+    pub fn new(a: &Csr, workers: usize, _kind: PartitionKind) -> Result<ShardPlan, ShardError> {
         if a.nrows() != a.ncols() {
             return Err(ShardError::NotSquare {
                 rows: a.nrows(),
@@ -225,29 +145,13 @@ impl ShardPlan {
         if workers == 0 {
             return Err(ShardError::ZeroWorkers);
         }
-        let (r, c) = kind.grid(workers);
-        let row_bounds = row_work_bounds(a.row_ptr(), r);
-        let col_bounds = if c == 1 {
-            vec![0, a.ncols()]
-        } else {
-            col_shard_bounds(a, c)
-        };
-        let mut blocks = Vec::with_capacity(r * c);
-        for i in 0..r {
-            for j in 0..c {
-                blocks.push(build_block(
-                    a,
-                    (i, j),
-                    (row_bounds[i], row_bounds[i + 1]),
-                    (col_bounds[j], col_bounds[j + 1]),
-                )?);
-            }
-        }
+        let row_bounds = row_work_bounds(a.row_ptr(), workers);
+        let blocks = row_bounds
+            .windows(2)
+            .map(|w| build_block(a, w[0], w[1]))
+            .collect::<Result<_, _>>()?;
         Ok(ShardPlan {
-            kind,
-            grid: (r, c),
             row_bounds,
-            col_bounds,
             blocks,
             nrows: a.nrows(),
             nnz: a.nnz(),
@@ -259,27 +163,13 @@ impl ShardPlan {
         self.blocks.len()
     }
 
-    /// The partition kind this plan was built with.
-    pub fn kind(&self) -> PartitionKind {
-        self.kind
-    }
-
-    /// Grid shape `(row_blocks, col_blocks)`.
-    pub fn grid(&self) -> (usize, usize) {
-        self.grid
-    }
-
-    /// Row-block boundaries (`row_blocks + 1` non-decreasing entries).
+    /// Row-block boundaries (`workers + 1` non-decreasing entries).
     pub fn row_bounds(&self) -> &[usize] {
         &self.row_bounds
     }
 
-    /// Column-block boundaries (`col_blocks + 1` non-decreasing entries).
-    pub fn col_bounds(&self) -> &[usize] {
-        &self.col_bounds
-    }
-
-    /// The blocks, row-major: block `(i, j)` is at index `i * C + j`.
+    /// The blocks, in row order: block `b` owns rows
+    /// `row_bounds[b]..row_bounds[b + 1]`.
     pub fn blocks(&self) -> &[ShardBlock] {
         &self.blocks
     }
@@ -342,58 +232,23 @@ impl ShardPlan {
             FusedOrder::AggregateFirst => k_in,
             FusedOrder::UpdateFirst => k_out,
         };
-        let (r, c) = self.grid;
         let halo_rows = self.halo_rows();
-        let referenced_rows = self.referenced_rows();
-        let gather_bytes = (halo_rows * agg_width * 4) as u64;
-        let mut reduce_rows = 0usize;
-        let mut scatter_rows = 0usize;
-        for i in 0..r {
-            let rows_i = self.row_bounds[i + 1] - self.row_bounds[i];
-            reduce_rows += (c - 1) * rows_i;
-            // The update/finish of row block i runs where its accumulator
-            // chain ends: worker (i, C-1). Rows homed elsewhere in the
-            // grid row are written back across the network.
-            let last = &self.blocks[i * c + (c - 1)];
-            let (o_lo, o_hi) = last.owned_range();
-            scatter_rows += rows_i - (o_hi - o_lo);
-        }
-        let reduce_bytes = (reduce_rows * agg_width * 4) as u64;
-        let scatter_bytes = (scatter_rows * k_out * 4) as u64;
-        // Update-first: the per-row-block GEMM reads all of its H rows at
-        // k_in before aggregation; the same non-owned rows are remote.
-        let mid_gather_bytes = match order {
-            FusedOrder::UpdateFirst => (scatter_rows * k_in * 4) as u64,
-            FusedOrder::AggregateFirst => 0,
-        };
         LayerExchange {
             order,
             agg_width,
             halo_rows,
-            referenced_rows,
-            gather_bytes,
-            reduce_bytes,
-            scatter_bytes,
-            mid_gather_bytes,
+            referenced_rows: self.referenced_rows(),
+            gather_bytes: (halo_rows * agg_width * 4) as u64,
         }
     }
 }
 
-/// Builds one block: local CSR over referenced columns plus the halo map.
-fn build_block(
-    a: &Csr,
-    grid_pos: (usize, usize),
-    (row_start, row_end): (usize, usize),
-    (col_start, col_end): (usize, usize),
-) -> Result<ShardBlock, ShardError> {
+/// Builds the block owning rows `row_start..row_end`: local CSR over the
+/// referenced columns plus the halo map.
+fn build_block(a: &Csr, row_start: usize, row_end: usize) -> Result<ShardBlock, ShardError> {
     let mut refs: Vec<u32> = Vec::new();
     for u in row_start..row_end {
-        for &col in a.row_cols(u) {
-            let g = col as usize;
-            if g >= col_start && g < col_end {
-                refs.push(col);
-            }
-        }
+        refs.extend_from_slice(a.row_cols(u));
     }
     refs.sort_unstable();
     refs.dedup();
@@ -404,14 +259,11 @@ fn build_block(
     let mut values = Vec::new();
     for u in row_start..row_end {
         for (&col, &v) in a.row_cols(u).iter().zip(a.row_values(u)) {
-            let g = col as usize;
-            if g >= col_start && g < col_end {
-                let l = refs
-                    .binary_search(&col)
-                    .expect("column collected into refs above");
-                col_idx.push(l as u32);
-                values.push(v);
-            }
+            let l = refs
+                .binary_search(&col)
+                .expect("column collected into refs above");
+            col_idx.push(l as u32);
+            values.push(v);
         }
         row_ptr.push(col_idx.len());
     }
@@ -423,11 +275,8 @@ fn build_block(
         .filter(|&g| (g as usize) < row_start || (g as usize) >= row_end)
         .collect();
     Ok(ShardBlock {
-        grid_pos,
         row_start,
         row_end,
-        col_start,
-        col_end,
         local,
         refs,
         halo,
@@ -444,16 +293,6 @@ mod tests {
         Graph::rmat(&RmatConfig::power_law(scale, 6), seed)
             .normalized_adjacency()
             .unwrap()
-    }
-
-    #[test]
-    fn grid_shapes_are_near_square() {
-        assert_eq!(PartitionKind::Rows1D.grid(8), (8, 1));
-        assert_eq!(PartitionKind::Grid2D.grid(1), (1, 1));
-        assert_eq!(PartitionKind::Grid2D.grid(2), (1, 2));
-        assert_eq!(PartitionKind::Grid2D.grid(4), (2, 2));
-        assert_eq!(PartitionKind::Grid2D.grid(8), (2, 4));
-        assert_eq!(PartitionKind::Grid2D.grid(6), (2, 3));
     }
 
     #[test]
@@ -481,28 +320,22 @@ mod tests {
     #[test]
     fn blocks_tile_the_adjacency_exactly() {
         let a = twin(9, 7);
-        for kind in [PartitionKind::Rows1D, PartitionKind::Grid2D] {
-            for n in [1usize, 2, 4, 8] {
-                let plan = ShardPlan::new(&a, n, kind).unwrap();
-                assert_eq!(plan.workers(), n);
-                // NNZ conservation.
-                assert_eq!(
-                    plan.shard_nnz().iter().sum::<usize>(),
-                    a.nnz(),
-                    "kind={kind} n={n}"
-                );
-                // Row coverage: row bounds tile [0, nrows].
-                assert_eq!(plan.row_bounds()[0], 0);
-                assert_eq!(*plan.row_bounds().last().unwrap(), a.nrows());
-                // Every local entry decodes back to the original value.
-                for b in plan.blocks() {
-                    for lu in 0..b.local.nrows() {
-                        let gu = b.row_start + lu;
-                        for (&lc, &v) in b.local.row_cols(lu).iter().zip(b.local.row_values(lu)) {
-                            let gc = b.refs[lc as usize];
-                            let pos = a.row_cols(gu).binary_search(&gc).unwrap();
-                            assert_eq!(a.row_values(gu)[pos], v);
-                        }
+        for n in [1usize, 2, 4, 8] {
+            let plan = ShardPlan::new(&a, n, PartitionKind::Rows1D).unwrap();
+            assert_eq!(plan.workers(), n);
+            // NNZ conservation.
+            assert_eq!(plan.shard_nnz().iter().sum::<usize>(), a.nnz(), "n={n}");
+            // Row coverage: row bounds tile [0, nrows].
+            assert_eq!(plan.row_bounds()[0], 0);
+            assert_eq!(*plan.row_bounds().last().unwrap(), a.nrows());
+            // Every local entry decodes back to the original value.
+            for b in plan.blocks() {
+                for lu in 0..b.local.nrows() {
+                    let gu = b.row_start + lu;
+                    for (&lc, &v) in b.local.row_cols(lu).iter().zip(b.local.row_values(lu)) {
+                        let gc = b.refs[lc as usize];
+                        let pos = a.row_cols(gu).binary_search(&gc).unwrap();
+                        assert_eq!(a.row_values(gu)[pos], v);
                     }
                 }
             }
@@ -512,20 +345,15 @@ mod tests {
     #[test]
     fn every_row_has_exactly_one_owner() {
         let a = twin(8, 19);
-        for kind in [PartitionKind::Rows1D, PartitionKind::Grid2D] {
-            for n in [1usize, 2, 4, 6, 8] {
-                let plan = ShardPlan::new(&a, n, kind).unwrap();
-                for row in 0..a.nrows() {
-                    let owners = plan
-                        .blocks()
-                        .iter()
-                        .filter(|b| {
-                            let (lo, hi) = b.owned_range();
-                            (lo..hi).contains(&row)
-                        })
-                        .count();
-                    assert_eq!(owners, 1, "row {row} kind={kind} n={n}");
-                }
+        for n in [1usize, 2, 4, 6, 8] {
+            let plan = ShardPlan::new(&a, n, PartitionKind::Rows1D).unwrap();
+            for row in 0..a.nrows() {
+                let owners = plan
+                    .blocks()
+                    .iter()
+                    .filter(|b| (b.row_start..b.row_end).contains(&row))
+                    .count();
+                assert_eq!(owners, 1, "row {row} n={n}");
             }
         }
     }
@@ -533,7 +361,7 @@ mod tests {
     #[test]
     fn halo_is_exactly_the_non_owned_references() {
         let a = twin(8, 11);
-        let plan = ShardPlan::new(&a, 4, PartitionKind::Grid2D).unwrap();
+        let plan = ShardPlan::new(&a, 4, PartitionKind::Rows1D).unwrap();
         for b in plan.blocks() {
             for &g in &b.halo {
                 assert!((g as usize) < b.row_start || (g as usize) >= b.row_end);
@@ -553,16 +381,14 @@ mod tests {
     #[test]
     fn single_worker_plan_is_the_identity_partition() {
         let a = twin(7, 5);
-        for kind in [PartitionKind::Rows1D, PartitionKind::Grid2D] {
-            let plan = ShardPlan::new(&a, 1, kind).unwrap();
-            assert_eq!(plan.workers(), 1);
-            let b = &plan.blocks()[0];
-            assert_eq!((b.row_start, b.row_end), (0, a.nrows()));
-            assert_eq!(b.nnz(), a.nnz());
-            assert!(b.halo.is_empty(), "one worker owns everything");
-            assert_eq!(plan.halo_rows(), 0);
-            assert!((plan.imbalance() - 1.0).abs() < 1e-9);
-        }
+        let plan = ShardPlan::new(&a, 1, PartitionKind::Rows1D).unwrap();
+        assert_eq!(plan.workers(), 1);
+        let b = &plan.blocks()[0];
+        assert_eq!((b.row_start, b.row_end), (0, a.nrows()));
+        assert_eq!(b.nnz(), a.nnz());
+        assert!(b.halo.is_empty(), "one worker owns everything");
+        assert_eq!(plan.halo_rows(), 0);
+        assert!((plan.imbalance() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -572,17 +398,12 @@ mod tests {
         let agg_first = plan.layer_exchange(16, 64);
         assert_eq!(agg_first.order, FusedOrder::AggregateFirst);
         assert_eq!(agg_first.agg_width, 16);
-        assert_eq!(agg_first.mid_gather_bytes, 0);
         let upd_first = plan.layer_exchange(64, 16);
         assert_eq!(upd_first.order, FusedOrder::UpdateFirst);
         assert_eq!(upd_first.agg_width, 16);
-        // 1D: no reduce, no scatter, no remote mid reads.
-        assert_eq!(agg_first.reduce_bytes, 0);
-        assert_eq!(agg_first.scatter_bytes, 0);
-        assert_eq!(upd_first.mid_gather_bytes, 0);
-        // 2D pays reduce hops.
-        let plan2 = ShardPlan::new(&a, 4, PartitionKind::Grid2D).unwrap();
-        assert!(plan2.layer_exchange(16, 64).reduce_bytes > 0);
+        // Only the halo crosses workers, at the aggregation width.
+        assert_eq!(agg_first.gather_bytes, (plan.halo_rows() * 16 * 4) as u64);
+        assert_eq!(upd_first.gather_bytes, agg_first.gather_bytes);
     }
 
     #[test]

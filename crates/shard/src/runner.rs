@@ -1,31 +1,31 @@
 //! The sharded GCN inference runner.
 //!
 //! [`ShardedGcn`] executes a [`gcn::GcnModel`] over a [`ShardPlan`] the
-//! way a PIUMA cluster would: every layer becomes one (aggregate-first)
-//! or two (update-first) task graphs whose nodes are "gather this shard's
-//! halo into its landing buffer" and "run this shard's kernel", drained by
-//! [`crate::exec::TaskGraph`] over the shared pool. All cross-shard data
-//! moves through explicit per-shard copy buffers, every gather passes a
-//! `shard.exchange` fault point and is retried idempotently, and the
-//! runner counts the staged/halo bytes so communication volume is a
-//! measured quantity.
+//! way a PIUMA cluster would: every layer is one task graph of
+//! `exchange(b) → compute(b)` per row block — "gather this block's
+//! referenced rows into its stage buffer", then "aggregate them and run
+//! the layer's tail" — drained by [`crate::exec::TaskGraph`] over the
+//! shared pool. An update-first layer runs one independent `H_blk · W`
+//! task per block before it. All cross-shard data moves through explicit
+//! per-block copy buffers, every copy passes a fault point and is retried
+//! idempotently, and the runner counts the staged/halo bytes so
+//! communication volume is a measured quantity.
 //!
 //! The output is **bitwise identical** to single-node
-//! [`gcn::GcnModel::infer_planned_with`] running a width-1 plan: per-shard
+//! [`gcn::GcnModel::infer_planned_with`] running a width-1 plan: per-block
 //! plans are built at width 1 (always sequential — parallelism comes from
-//! the task graph, not from inside a shard), 2D column blocks accumulate
-//! in ascending order so each output element sees the exact same
-//! floating-point sequence as the unsharded row walk, and the packed GEMM
-//! is row-partition-invariant.
+//! the task graph, not from inside a shard), each block walks its rows'
+//! non-zeros in the same ascending column order as the unsharded row loop,
+//! and the packed GEMM is row-partition-invariant.
 
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use gcn::{GcnLayer, GcnModel};
+use kernels::fused::FusedOrder;
 use kernels::SpmmPlan;
 use matrix::microkernel::{dense_update_with, KernelDispatch};
 use matrix::{Activation, DenseMatrix, Precision, QuantMatrix};
-use resilience::retry::{self, RetryPolicy};
+use resilience::retry::{self, Recovery, RetryError, RetryPolicy};
 use sparse::Csr;
 
 use crate::exec::{self, TaskGraph};
@@ -38,20 +38,15 @@ use crate::ShardError;
 /// looping forever under a 100% fault rate.
 pub const MAX_REPLAY_ATTEMPTS: usize = 8;
 
-/// Per-worker exchange state: the staged feature rows (the halo landing
-/// buffer), their narrow-storage encoding (written only under a narrow
-/// plan), and the shard's cached execution plan.
+/// Per-block state: the staged feature rows (the halo landing buffer),
+/// their narrow-storage encoding (written only under a narrow plan), the
+/// block's cached execution plan, the aggregation accumulator, the layer
+/// output rows, and the update-first staging block of `H` rows.
 #[derive(Debug, Default)]
-struct StageBuf {
+struct BlockBuf {
     feat: DenseMatrix,
     quant: QuantMatrix,
     plan: Option<SpmmPlan>,
-}
-
-/// Per-row-block dense state: the aggregation accumulator, the layer
-/// output rows, and the update-first staging block of `H` rows.
-#[derive(Debug, Default)]
-struct RowBuf {
     acc: DenseMatrix,
     out: DenseMatrix,
     hblk: DenseMatrix,
@@ -68,48 +63,11 @@ struct Counters {
 }
 
 /// A task-level failure recorded while a layer graph was draining: the
-/// typed error plus the shard / row block it is attributed to.
+/// typed error plus the row block it is attributed to.
 #[derive(Debug, Clone)]
 struct TaskFault {
-    shard: Option<usize>,
-    row_block: Option<usize>,
+    block: usize,
     error: ShardError,
-}
-
-/// Which task layout a layer graph uses — how task IDs map back to
-/// shards and row blocks for failure attribution and chain-consistent
-/// replay masking.
-#[derive(Debug, Clone, Copy)]
-enum GraphShape {
-    /// `w` exchange tasks, `w` aggregate tasks, `r` tail tasks
-    /// (update or finish): the aggregate-first / phase-B layout.
-    ExchangeAggregate {
-        /// Row blocks.
-        r: usize,
-        /// Column blocks.
-        c: usize,
-    },
-    /// `r` independent per-row-block tasks (update-first phase A).
-    RowBlocks,
-}
-
-impl GraphShape {
-    /// `(shard, row_block)` attribution for task `t`.
-    fn locate(self, t: usize) -> (Option<usize>, Option<usize>) {
-        match self {
-            GraphShape::ExchangeAggregate { r, c } => {
-                let w = r * c;
-                if t < w {
-                    (Some(t), Some(t / c))
-                } else if t < 2 * w {
-                    (Some(t - w), Some((t - w) / c))
-                } else {
-                    (None, Some(t - 2 * w))
-                }
-            }
-            GraphShape::RowBlocks => (None, Some(t)),
-        }
-    }
 }
 
 /// Partition statistics plus the communication ledger and the measured
@@ -118,10 +76,6 @@ impl GraphShape {
 pub struct ShardReport {
     /// Worker (shard) count.
     pub workers: usize,
-    /// Partition kind the plan was built with.
-    pub kind: PartitionKind,
-    /// Grid shape `(row_blocks, col_blocks)`.
-    pub grid: (usize, usize),
     /// Non-zeros per shard, block order.
     pub shard_nnz: Vec<usize>,
     /// `max_shard_nnz / mean_shard_nnz` (1.0 = perfect balance).
@@ -163,29 +117,27 @@ pub struct ShardedGcn {
     precision: Precision,
     policy: RetryPolicy,
     kd: KernelDispatch,
-    stages: Vec<Mutex<StageBuf>>,
-    rows: Vec<Mutex<RowBuf>>,
+    blocks: Vec<Mutex<BlockBuf>>,
     h: DenseMatrix,
     next: DenseMatrix,
     mid: DenseMatrix,
     counters: Mutex<Counters>,
     faults: Mutex<Vec<TaskFault>>,
     health: HealthRegistry,
-    task_deadline: Option<Duration>,
 }
 
 impl ShardedGcn {
-    /// Partitions `a` across `workers` shards and prepares the runner at
-    /// full `f32` precision.
+    /// Partitions `a` across `workers` row blocks and prepares the runner
+    /// at full `f32` precision (`_kind` names the one partition there is).
     ///
     /// # Errors
     ///
     /// Propagates [`ShardPlan::new`] errors.
-    pub fn new(a: &Csr, workers: usize, kind: PartitionKind) -> Result<ShardedGcn, ShardError> {
-        Self::with_precision(a, workers, kind, Precision::F32)
+    pub fn new(a: &Csr, workers: usize, _kind: PartitionKind) -> Result<ShardedGcn, ShardError> {
+        Self::with_precision(a, workers, Precision::F32)
     }
 
-    /// [`ShardedGcn::new`] at a narrow storage precision: every shard's
+    /// [`ShardedGcn::new`] at a narrow storage precision: every block's
     /// plan inherits `precision` for its SpMM feature operand (the update
     /// stays the one `f32` GEMM), exactly like single-node
     /// [`gcn::GcnModel::infer_planned_with`] under a plan
@@ -193,40 +145,28 @@ impl ShardedGcn {
     ///
     /// # Errors
     ///
-    /// [`ShardError::UnsupportedPrecision`] for a narrow precision on a
-    /// multi-column (2D) grid — partial aggregates have no quantized
-    /// accumulation path — plus [`ShardPlan::new`] errors.
+    /// Propagates [`ShardPlan::new`] errors.
     pub fn with_precision(
         a: &Csr,
         workers: usize,
-        kind: PartitionKind,
         precision: Precision,
     ) -> Result<ShardedGcn, ShardError> {
-        let plan = ShardPlan::new(a, workers, kind)?;
-        if precision != Precision::F32 && plan.grid().1 > 1 {
-            return Err(ShardError::UnsupportedPrecision(precision));
-        }
-        let stages = (0..plan.workers())
-            .map(|_| Mutex::new(StageBuf::default()))
+        let plan = ShardPlan::new(a, workers, PartitionKind::Rows1D)?;
+        let blocks = (0..plan.workers())
+            .map(|_| Mutex::new(BlockBuf::default()))
             .collect();
-        let rows = (0..plan.grid().0)
-            .map(|_| Mutex::new(RowBuf::default()))
-            .collect();
-        let workers = plan.workers();
         Ok(ShardedGcn {
             plan,
             precision,
             policy: RetryPolicy::default(),
             kd: KernelDispatch::get(),
-            stages,
-            rows,
+            blocks,
             h: DenseMatrix::default(),
             next: DenseMatrix::default(),
             mid: DenseMatrix::default(),
             counters: Mutex::new(Counters::default()),
             faults: Mutex::new(Vec::new()),
-            health: HealthRegistry::new(workers),
-            task_deadline: None,
+            health: HealthRegistry::default(),
         })
     }
 
@@ -245,20 +185,10 @@ impl ShardedGcn {
         self.policy = policy;
     }
 
-    /// Arms per-task deadline supervision: a task whose wall-clock run
-    /// time exceeds `deadline` is reported to the health registry as a
-    /// [`ShardDownCause::DeadlineOverrun`] (the task's result is kept —
-    /// the overrun is a straggler signal, not a failure). `None` disables
-    /// the check.
-    pub fn set_task_deadline(&mut self, deadline: Option<Duration>) {
-        self.task_deadline = deadline;
-    }
-
     /// The shard health registry: typed shard-down events recorded by
-    /// supervision, and per-shard strike counts. Events accumulate across
-    /// inference calls (the registry ring is bounded); callers that want
-    /// per-call attribution should [`HealthRegistry::clear`] between
-    /// calls.
+    /// supervision. Events accumulate across inference calls (the registry
+    /// ring is bounded); callers that want per-call attribution should
+    /// [`HealthRegistry::clear`] between calls.
     pub fn health(&self) -> &HealthRegistry {
         &self.health
     }
@@ -294,11 +224,7 @@ impl ShardedGcn {
         *lock(&self.counters) = Counters::default();
         self.h.copy_from(features);
         for (layer_idx, layer) in model.layers().iter().enumerate() {
-            if layer.in_dim() <= layer.out_dim() {
-                self.layer_aggregate_first(layer, layer_idx)?;
-            } else {
-                self.layer_update_first(layer, layer_idx)?;
-            }
+            self.run_layer(layer, layer_idx)?;
             std::mem::swap(&mut self.h, &mut self.next);
         }
         Ok(self.h.clone())
@@ -312,12 +238,10 @@ impl ShardedGcn {
             .iter()
             .map(|l| self.plan.layer_exchange(l.in_dim(), l.out_dim()))
             .collect();
-        let ledger_bytes = layers.iter().map(LayerExchange::total_bytes).sum();
+        let ledger_bytes = layers.iter().map(|l| l.gather_bytes).sum();
         let c = *lock(&self.counters);
         ShardReport {
             workers: self.plan.workers(),
-            kind: self.plan.kind(),
-            grid: self.plan.grid(),
             shard_nnz: self.plan.shard_nnz(),
             imbalance: self.plan.imbalance(),
             halo_rows: self.plan.halo_rows(),
@@ -333,101 +257,64 @@ impl ShardedGcn {
         }
     }
 
-    /// Aggregate-first layer (`k_in <= k_out`): one task graph of
-    /// exchange → aggregation chain → per-row-block update, then a
-    /// sequential scatter of the block outputs into the ping-pong buffer.
-    fn layer_aggregate_first(
-        &mut self,
-        layer: &GcnLayer,
-        layer_idx: usize,
-    ) -> Result<(), ShardError> {
-        let (r, c) = self.plan.grid();
-        let w = r * c;
-        let k_in = layer.in_dim();
-        let graph = exchange_aggregate_graph(r, c);
-        let this: &Self = self;
-        this.run_recovering(
-            &graph,
-            w.max(r),
-            layer_idx,
-            GraphShape::ExchangeAggregate { r, c },
-            |t| {
-                if t < w {
-                    this.exchange_task(t, &this.h, k_in);
-                } else if t < 2 * w {
-                    this.aggregate_task(t - w, k_in);
-                } else {
-                    this.update_task(t - 2 * w, layer, true);
+    /// One layer, in the fused layer's association order
+    /// ([`ShardPlan::layer_exchange`]). An update-first layer
+    /// (`k_in > k_out`) first runs every block's `H_blk · W` and publishes
+    /// the products to `mid`. Then the `exchange(b) → compute(b)` graph
+    /// aggregates `H` (aggregate-first) or `mid` (update-first), and the
+    /// block outputs are scattered into the ping-pong buffer.
+    fn run_layer(&mut self, layer: &GcnLayer, layer_idx: usize) -> Result<(), ShardError> {
+        let ex = self.plan.layer_exchange(layer.in_dim(), layer.out_dim());
+        let update_first = ex.order == FusedOrder::UpdateFirst;
+        let r = self.plan.workers();
+        if update_first {
+            let this: &Self = self;
+            this.run_recovering(&TaskGraph::new(r), layer_idx, |b| {
+                this.update_task(b, layer)
+            })?;
+            // Publish the block products to the global mid buffer (the
+            // sequential analogue of writing updates to the DGAS).
+            self.mid
+                .resize_for_overwrite(self.plan.nrows(), ex.agg_width);
+            for (b, w) in self.plan.row_bounds().windows(2).enumerate() {
+                let buf = lock(&self.blocks[b]);
+                for (lu, g) in (w[0]..w[1]).enumerate() {
+                    self.mid.row_mut(g).copy_from_slice(buf.out.row(lu));
                 }
-            },
-        )?;
-        self.scatter_outputs(layer.out_dim(), false)
-    }
-
-    /// Update-first layer (`k_in > k_out`): phase A runs the per-row-block
-    /// GEMM `H_blk * W` into `mid`, phase B exchanges `mid` rows and
-    /// aggregates them, finishing with bias + activation per row block.
-    fn layer_update_first(&mut self, layer: &GcnLayer, layer_idx: usize) -> Result<(), ShardError> {
-        let (r, c) = self.plan.grid();
-        let w = r * c;
-        let k_out = layer.out_dim();
-        // Phase A: independent per-row-block updates.
-        let phase_a = TaskGraph::new(r);
-        let this: &Self = self;
-        this.run_recovering(&phase_a, r, layer_idx, GraphShape::RowBlocks, |i| {
-            this.update_task(i, layer, false)
-        })?;
-        // Gather the block products into the global mid buffer (the
-        // sequential analogue of publishing updates to the DGAS).
-        self.mid.resize_for_overwrite(self.plan.nrows(), k_out);
-        for i in 0..r {
-            let rb = lock(&self.rows[i]);
-            let (r0, r1) = (self.plan.row_bounds()[i], self.plan.row_bounds()[i + 1]);
-            for (lu, g) in (r0..r1).enumerate() {
-                self.mid.row_mut(g).copy_from_slice(rb.out.row(lu));
             }
         }
-        // Phase B: exchange mid rows, aggregate, then bias + activation.
-        let graph = exchange_aggregate_graph(r, c);
         let this: &Self = self;
-        this.run_recovering(
-            &graph,
-            w.max(r),
-            layer_idx,
-            GraphShape::ExchangeAggregate { r, c },
-            |t| {
-                if t < w {
-                    this.exchange_task(t, &this.mid, k_out);
-                } else if t < 2 * w {
-                    this.aggregate_task(t - w, k_out);
-                } else {
-                    this.finish_task(t - 2 * w, layer);
-                }
-            },
-        )?;
-        self.scatter_outputs(k_out, true)
+        let src = if update_first { &this.mid } else { &this.h };
+        let mut graph = TaskGraph::new(2 * r);
+        for b in 0..r {
+            graph.add_dep(r + b, b);
+        }
+        this.run_recovering(&graph, layer_idx, |t| {
+            if t < r {
+                this.exchange_task(t, src, ex.agg_width);
+            } else {
+                this.compute_task(t - r, layer, ex);
+            }
+        })?;
+        self.scatter_outputs(layer.out_dim(), update_first)
     }
 
-    /// Drains `graph` with supervision and bounded masked-replay
-    /// recovery. The first attempt runs every task; when a task panics
-    /// (worker loss), an exchange exhausts its retries, or a kernel
-    /// records a recoverable fault, the completed tasks' buffers are kept
-    /// and only the incomplete remainder — widened to whole aggregation
-    /// chains, whose accumulation is not idempotent — is re-executed on
-    /// the surviving workers. Because every replayed region either fully
-    /// overwrites its output buffer or replays its accumulation chain
-    /// from the overwriting first block, a recovered layer is bitwise
-    /// identical to a fault-free run.
+    /// Drains `graph` (task `t` belongs to block `t % workers`) with
+    /// bounded masked-replay recovery. The first attempt runs every task;
+    /// when a task panics (worker loss) or a staging copy exhausts its
+    /// retries, the completed tasks' buffers are kept and only the rest is
+    /// re-executed on the surviving workers. The replay mask has one rule:
+    /// a fault on block `b` clears every task of `b` — its staging copy and
+    /// the compute that read it. Every task overwrites its outputs, so a
+    /// recovered layer is bitwise identical to a fault-free run.
     fn run_recovering<F: Fn(usize) + Sync>(
         &self,
         graph: &TaskGraph,
-        lanes: usize,
         layer_idx: usize,
-        shape: GraphShape,
         run_task: F,
     ) -> Result<(), ShardError> {
-        let total = graph.tasks();
-        let mut done = vec![false; total];
+        let r = self.plan.workers();
+        let mut done = vec![false; graph.tasks()];
         let mut replayed = 0u64;
         let mut recovered = false;
         let mut last_error = ShardError::Executor("recovery attempts exhausted".into());
@@ -437,11 +324,17 @@ impl ShardedGcn {
             }
             lock(&self.faults).clear();
             let done_ro = &done;
-            let trace = graph.run_tracked(lanes, |t| {
-                if done_ro[t] {
-                    return; // already completed in a prior attempt
+            let trace = graph.run_tracked(r, |t| {
+                // Done in a prior attempt, or its block already faulted in
+                // this one (a stale stage buffer): leave it to the mask.
+                if done_ro[t] || lock(&self.faults).iter().any(|f| f.block == t % r) {
+                    return;
                 }
-                self.supervised(t, layer_idx, shape, &run_task);
+                // The chaos harness' worker-kill site. It fires before the
+                // task body, so an injected kill never leaves a partial
+                // in-place mutation.
+                resilience::fault_point!("shard.task");
+                run_task(t);
             });
             for (d, td) in done.iter_mut().zip(&trace.done) {
                 *d = *d || *td;
@@ -451,13 +344,8 @@ impl ShardedGcn {
             // decide whether the run still completed (a pool-share panic
             // can re-raise after every task drained).
             if let Some(f) = &trace.failure {
-                let (shard, row_block) = match f.task {
-                    Some(t) => shape.locate(t),
-                    None => (None, None),
-                };
                 self.health.record(ShardEvent {
-                    shard,
-                    row_block,
+                    block: f.task.map(|t| t % r),
                     layer: layer_idx,
                     cause: ShardDownCause::Panic,
                     site: f.message.clone(),
@@ -497,188 +385,156 @@ impl ShardedGcn {
             }
             for f in faults {
                 self.health.record(ShardEvent {
-                    shard: f.shard,
-                    row_block: f.row_block,
+                    block: Some(f.block),
                     layer: layer_idx,
                     cause: ShardDownCause::ExchangeFault,
                     site: f.error.to_string(),
                     recovered: false,
                 });
-                // The faulted task returned normally after recording, so
-                // its done flag lies: clear it (and anything its stale
-                // buffer feeds) for the next attempt.
-                clear_attributed(&mut done, shape, f.shard, f.row_block);
+                // The faulted block's tasks returned normally, so their
+                // done flags lie: clear them for the next attempt.
+                for d in done.iter_mut().skip(f.block).step_by(r) {
+                    *d = false;
+                }
                 last_error = f.error;
             }
-            // Widen the replay set to chain granularity: an aggregation
-            // chain accumulates in place, so a partially-complete chain
-            // must restart from its overwriting first block.
-            widen_to_chains(&mut done, shape);
             recovered = true;
         }
         Err(last_error)
     }
 
-    /// Per-task supervision wrapper: the `shard.task` fault point (the
-    /// chaos harness' worker-kill site — it fires *before* the task body,
-    /// so an injected kill never leaves a partial in-place mutation) plus
-    /// per-task deadline timing.
-    fn supervised<F: Fn(usize)>(
-        &self,
-        t: usize,
-        layer_idx: usize,
-        shape: GraphShape,
-        run_task: &F,
-    ) {
-        resilience::fault_point!("shard.task");
-        let started = self.task_deadline.map(|_| Instant::now());
-        run_task(t);
-        if let (Some(deadline), Some(at)) = (self.task_deadline, started) {
-            let took = at.elapsed();
-            if took > deadline {
-                let (shard, row_block) = shape.locate(t);
-                self.health.record(ShardEvent {
-                    shard,
-                    row_block,
-                    layer: layer_idx,
-                    cause: ShardDownCause::DeadlineOverrun,
-                    site: format!("shard.task[{t}] ran {took:?} (deadline {deadline:?})"),
-                    // The task completed; the overrun is advisory.
-                    recovered: true,
-                });
-            }
+    /// Stages block `b`'s referenced rows of `src` into its stage buffer,
+    /// retrying through the `shard.exchange` fault point.
+    fn exchange_task(&self, b: usize, src: &DenseMatrix, width: usize) {
+        let blk = &self.plan.blocks()[b];
+        let mut buf = lock(&self.blocks[b]);
+        let outcome = retry::run(&self.policy, || -> Result<u64, ShardError> {
+            Ok(exec::gather_rows(&mut buf.feat, src, &blk.refs))
+        });
+        self.book_copy(b, outcome, (blk.halo.len() * width * 4) as u64);
+    }
+
+    /// Block `b`'s compute: aggregate its staged rows into `acc` through
+    /// the block's cached width-1 plan (rebuilt when the aggregation width
+    /// changes; a narrow plan encodes the staged rows first), then the
+    /// layer's tail — the dense update with bias + activation written from
+    /// the GEMM's register tiles (aggregate-first), or bias + activation on
+    /// `acc` itself (update-first). The aggregate overwrites `acc`, so a
+    /// replayed compute is idempotent.
+    fn compute_task(&self, b: usize, layer: &GcnLayer, ex: LayerExchange) {
+        let blk = &self.plan.blocks()[b];
+        let mut buf = lock(&self.blocks[b]);
+        let buf = &mut *buf;
+        if !buf
+            .plan
+            .as_ref()
+            .is_some_and(|p| p.matches(&blk.local) && p.k() == ex.agg_width)
+        {
+            // Width 1 => always sequential: parallelism comes from the
+            // task graph, never from inside a shard, which keeps the
+            // per-row floating-point order machine-independent.
+            buf.plan = Some(
+                SpmmPlan::with_width(&blk.local, ex.agg_width, 1).at_precision(self.precision),
+            );
+        }
+        let plan = buf.plan.as_ref().expect("plan installed just above");
+        let res = plan
+            .run_at_precision_into(&blk.local, &buf.feat, &mut buf.quant, &mut buf.acc)
+            .and_then(|()| match ex.order {
+                FusedOrder::AggregateFirst => dense_update_with(
+                    self.kd,
+                    &buf.acc,
+                    &layer.weight,
+                    layer.bias.as_deref(),
+                    layer.activation,
+                    1,
+                    &mut buf.out,
+                ),
+                FusedOrder::UpdateFirst => {
+                    if let Some(bias) = &layer.bias {
+                        buf.acc.add_row_bias(bias)?;
+                    }
+                    buf.acc.apply_activation(layer.activation);
+                    Ok(())
+                }
+            });
+        if let Err(e) = res {
+            self.record(b, ShardError::Matrix(e));
         }
     }
 
-    /// Stages shard `b`'s referenced rows of `src` into its landing
-    /// buffer, retrying through the fault point.
-    fn exchange_task(&self, b: usize, src: &DenseMatrix, width: usize) {
-        let blk = &self.plan.blocks()[b];
-        let mut st = lock(&self.stages[b]);
-        let st = &mut *st;
+    /// Update-first phase A on block `b`: stage its own `H` rows (retried
+    /// through the `shard.stage` fault point) and multiply them by `W`
+    /// into `out`; bias and activation wait until after the aggregation.
+    fn update_task(&self, b: usize, layer: &GcnLayer) {
+        let (r0, r1) = (self.plan.row_bounds()[b], self.plan.row_bounds()[b + 1]);
+        let mut buf = lock(&self.blocks[b]);
+        let buf = &mut *buf;
         let outcome = retry::run(&self.policy, || -> Result<u64, ShardError> {
-            Ok(exec::gather_rows(&mut st.feat, src, &blk.refs))
+            Ok(exec::stage_block(&mut buf.hblk, &self.h, r0, r1))
         });
+        if !self.book_copy(b, outcome, 0) {
+            return;
+        }
+        let res = dense_update_with(
+            self.kd,
+            &buf.hblk,
+            &layer.weight,
+            None,
+            Activation::Identity,
+            1,
+            &mut buf.out,
+        );
+        if let Err(e) = res {
+            self.record(b, ShardError::Matrix(e));
+        }
+    }
+
+    /// Books one retried staging copy of block `b`: its bytes and
+    /// recoveries when it landed, an `Exchange` fault when it exhausted
+    /// its retries. Returns whether it landed.
+    fn book_copy(
+        &self,
+        b: usize,
+        outcome: Result<Recovery<u64>, RetryError<ShardError>>,
+        halo_bytes: u64,
+    ) -> bool {
         match outcome {
             Ok(rec) => {
                 let mut c = lock(&self.counters);
                 c.staged_bytes += rec.value;
-                c.halo_bytes += (blk.halo.len() * width * 4) as u64;
+                c.halo_bytes += halo_bytes;
                 c.recovered_exchanges += u64::from(rec.attempts - 1);
+                true
             }
-            Err(e) => self.record(Some(b), None, ShardError::Exchange(e.to_string())),
+            Err(e) => {
+                self.record(b, ShardError::Exchange(e.to_string()));
+                false
+            }
         }
     }
 
-    /// Aggregates shard `b`'s local block: column block 0 runs the
-    /// shard's cached width-1 plan (rebuilt when the aggregation width
-    /// changes) at the runner's precision — a narrow plan encodes the
-    /// staged rows first — and later column blocks accumulate in
-    /// ascending order.
-    fn aggregate_task(&self, b: usize, k_agg: usize) {
-        let (_, c) = self.plan.grid();
-        let blk = &self.plan.blocks()[b];
-        let i = b / c;
-        let j = b % c;
-        let mut st = lock(&self.stages[b]);
-        let st = &mut *st;
-        let mut rb = lock(&self.rows[i]);
-        if j == 0 {
-            if !st
-                .plan
-                .as_ref()
-                .is_some_and(|p| p.matches(&blk.local) && p.k() == k_agg)
-            {
-                // Width 1 => always sequential: parallelism comes from the
-                // task graph, never from inside a shard, which keeps the
-                // per-row floating-point order machine-independent.
-                st.plan =
-                    Some(SpmmPlan::with_width(&blk.local, k_agg, 1).at_precision(self.precision));
-            }
-            let plan = st.plan.as_ref().expect("plan installed just above");
-            let res = plan.run_at_precision_into(&blk.local, &st.feat, &mut st.quant, &mut rb.acc);
-            if let Err(e) = res {
-                self.record(Some(b), Some(i), ShardError::Matrix(e));
-            }
-        } else {
-            exec::accumulate_block(self.kd, &blk.local, &st.feat, &mut rb.acc);
-        }
-    }
-
-    /// Runs row block `i`'s dense update. With `from_acc` the GEMM input
-    /// is the aggregation accumulator (aggregate-first) and bias +
-    /// activation are applied in the same pass, from the GEMM's register
-    /// tiles; otherwise the input is the staged `H`
-    /// block (update-first phase A) and the raw product is kept for the
-    /// later aggregation.
-    fn update_task(&self, i: usize, layer: &GcnLayer, from_acc: bool) {
-        let mut rb = lock(&self.rows[i]);
-        let rb = &mut *rb;
-        if !from_acc {
-            let (r0, r1) = (self.plan.row_bounds()[i], self.plan.row_bounds()[i + 1]);
-            let outcome = retry::run(&self.policy, || -> Result<u64, ShardError> {
-                Ok(exec::stage_block(&mut rb.hblk, &self.h, r0, r1))
-            });
-            match outcome {
-                Ok(rec) => {
-                    let mut c = lock(&self.counters);
-                    c.staged_bytes += rec.value;
-                    c.recovered_exchanges += u64::from(rec.attempts - 1);
-                }
-                Err(e) => {
-                    self.record(None, Some(i), ShardError::Exchange(e.to_string()));
-                    return;
-                }
-            }
-        }
-        let (a, bias, act) = if from_acc {
-            (&rb.acc, layer.bias.as_deref(), layer.activation)
-        } else {
-            (&rb.hblk, None, Activation::Identity)
-        };
-        let res = dense_update_with(self.kd, a, &layer.weight, bias, act, 1, &mut rb.out);
-        if let Err(e) = res {
-            self.record(None, Some(i), ShardError::Matrix(e));
-        }
-    }
-
-    /// Update-first epilogue on row block `i`: bias + activation applied
-    /// to the aggregated accumulator (which already holds `A_blk * mid`).
-    fn finish_task(&self, i: usize, layer: &GcnLayer) {
-        let mut rb = lock(&self.rows[i]);
-        if let Some(bias) = &layer.bias {
-            if let Err(e) = rb.acc.add_row_bias(bias) {
-                self.record(None, Some(i), ShardError::Matrix(e));
-                return;
-            }
-        }
-        rb.acc.apply_activation(layer.activation);
-    }
-
-    /// Copies per-row-block results into the ping-pong output buffer
-    /// (`acc` after update-first, `out` after aggregate-first). The whole
+    /// Copies per-block results into the ping-pong output buffer (`acc`
+    /// after update-first, `out` after aggregate-first). The whole
     /// collection — buffer resize plus per-block scatter — runs inside one
     /// retried fault-pointed region: every write is an idempotent
     /// overwrite, so an injected panic just replays the copy.
     fn scatter_outputs(&mut self, k_out: usize, from_acc: bool) -> Result<(), ShardError> {
-        let (r, _) = self.plan.grid();
-        let (next, plan, rows) = (&mut self.next, &self.plan, &self.rows);
+        let (next, plan, blocks) = (&mut self.next, &self.plan, &self.blocks);
         let outcome = retry::run(&self.policy, || -> Result<u64, ShardError> {
             resilience::fault_point!("shard.collect");
             next.resize_for_overwrite(plan.nrows(), k_out);
             let mut bytes = 0u64;
-            for (i, row) in rows.iter().enumerate().take(r) {
-                let rb = lock(row);
-                let src = if from_acc { &rb.acc } else { &rb.out };
-                let (r0, r1) = (plan.row_bounds()[i], plan.row_bounds()[i + 1]);
-                bytes += exec::scatter_block(next, src, r0, r1);
+            for (block, w) in blocks.iter().zip(plan.row_bounds().windows(2)) {
+                let buf = lock(block);
+                let src = if from_acc { &buf.acc } else { &buf.out };
+                bytes += exec::scatter_block(next, src, w[0], w[1]);
             }
             Ok(bytes)
         });
         match outcome {
             Ok(rec) => {
-                let mut c = lock(&self.counters);
-                c.recovered_exchanges += u64::from(rec.attempts - 1);
+                lock(&self.counters).recovered_exchanges += u64::from(rec.attempts - 1);
                 Ok(())
             }
             Err(e) => Err(ShardError::Exchange(e.to_string())),
@@ -686,93 +542,10 @@ impl ShardedGcn {
     }
 
     /// Records a task-level error of the current graph run, attributed to
-    /// the shard / row block that hit it. Every fault is kept — recovery
-    /// must invalidate *all* stale buffers, not just the first.
-    fn record(&self, shard: Option<usize>, row_block: Option<usize>, e: ShardError) {
-        lock(&self.faults).push(TaskFault {
-            shard,
-            row_block,
-            error: e,
-        });
-    }
-}
-
-/// Builds the exchange → aggregation-chain → tail task graph shared by
-/// aggregate-first layers and update-first phase B: tasks `0..w` exchange,
-/// `w..2w` aggregate (chained per row block in ascending column order),
-/// `2w..2w+r` run the per-row-block tail.
-fn exchange_aggregate_graph(r: usize, c: usize) -> TaskGraph {
-    let w = r * c;
-    let mut graph = TaskGraph::new(2 * w + r);
-    for i in 0..r {
-        for j in 0..c {
-            let b = i * c + j;
-            graph.add_dep(w + b, b);
-            if j > 0 {
-                graph.add_dep(w + b, w + b - 1);
-            }
-        }
-        graph.add_dep(2 * w + i, w + (i * c + c - 1));
-    }
-    graph
-}
-
-/// Clears the completion flags a recorded task fault invalidates: the
-/// faulted shard's exchange (its landing buffer is stale) and the whole
-/// aggregation chain of the attributed row block.
-fn clear_attributed(
-    done: &mut [bool],
-    shape: GraphShape,
-    shard: Option<usize>,
-    row: Option<usize>,
-) {
-    match shape {
-        GraphShape::ExchangeAggregate { r, c } => {
-            if let Some(b) = shard {
-                if let Some(d) = done.get_mut(b) {
-                    *d = false;
-                }
-            }
-            let row = row.or(shard.map(|b| b / c));
-            if let Some(i) = row {
-                for t in chain_tasks(i, r, c) {
-                    if let Some(d) = done.get_mut(t) {
-                        *d = false;
-                    }
-                }
-            }
-        }
-        GraphShape::RowBlocks => {
-            if let Some(i) = row {
-                if let Some(d) = done.get_mut(i) {
-                    *d = false;
-                }
-            }
-        }
-    }
-}
-
-/// Task IDs of row block `i`'s aggregation chain plus its tail task in an
-/// exchange-aggregate graph.
-fn chain_tasks(i: usize, r: usize, c: usize) -> impl Iterator<Item = usize> {
-    let w = r * c;
-    (w + i * c..w + (i + 1) * c).chain(std::iter::once(2 * w + i))
-}
-
-/// Chain-consistency pass over the replay mask: 2D aggregation chains
-/// accumulate into one accumulator in place, so if *any* task of a row
-/// block's chain (or its tail) is incomplete, the whole chain must replay
-/// from its overwriting first block. Completed exchanges stay completed —
-/// their landing buffers are untouched by aggregation.
-fn widen_to_chains(done: &mut [bool], shape: GraphShape) {
-    if let GraphShape::ExchangeAggregate { r, c } = shape {
-        for i in 0..r {
-            if chain_tasks(i, r, c).any(|t| !done[t]) {
-                for t in chain_tasks(i, r, c) {
-                    done[t] = false;
-                }
-            }
-        }
+    /// the block that hit it. Every fault is kept — recovery must
+    /// invalidate *all* stale buffers, not just the first.
+    fn record(&self, block: usize, error: ShardError) {
+        lock(&self.faults).push(TaskFault { block, error });
     }
 }
 

@@ -43,7 +43,8 @@ pub const GEMM_EFFICIENCY: f64 = 0.55;
 pub struct ShardSimResult {
     /// End-to-end nanoseconds for the full layer stack.
     pub total_ns: f64,
-    /// Per-layer nanoseconds (critical-path row-block chain + barrier).
+    /// Per-layer nanoseconds (slowest block's gather + aggregate + update,
+    /// plus the barrier).
     pub layer_ns: Vec<f64>,
     /// Useful floating-point operations (same count as single-node).
     pub flops: f64,
@@ -84,7 +85,6 @@ pub fn simulate_model(
 ) -> ShardSimResult {
     let workers = plan.workers().max(1);
     let machine = MachineConfig::multi_node(workers, cores_per_node.max(1));
-    let (rows_blocks, col_blocks) = plan.grid();
 
     // Per-node rates. FLOPs per ns = GFLOPS; bytes per ns = GB/s.
     let cpn = machine.cores_per_node() as f64;
@@ -109,43 +109,30 @@ pub fn simulate_model(
     let mut layer_ns = Vec::with_capacity(dims.len());
     let mut flops = 0.0;
     for &(k_in, k_out) in dims {
-        let ex = plan.layer_exchange(k_in, k_out);
-        let k_agg = ex.agg_width as f64;
+        let k_agg = plan.layer_exchange(k_in, k_out).agg_width as f64;
         let mut worst_chain = 0.0f64;
-        for i in 0..rows_blocks {
-            let rows_i = (plan.row_bounds()[i + 1] - plan.row_bounds()[i]) as f64;
-            let mut chain = 0.0f64;
-            for j in 0..col_blocks {
-                let blk = &plan.blocks()[i * col_blocks + j];
-                let nnz = blk.nnz() as f64;
-                let refs = blk.refs.len() as f64;
-                let halo = blk.halo.len() as f64;
-                // Aggregation: compute-bound or memory-bound, whichever
-                // binds (8 B per stored non-zero, staged reads, acc RMW).
-                let agg_bytes = nnz * 8.0 + (refs + 2.0 * rows_i) * k_agg * 4.0;
-                let t_spmm = (2.0 * nnz * k_agg / spmm_rate).max(agg_bytes / node_bw);
-                // Halo gather: the DMA engines stream the payload while
-                // the SpMM drains already-landed rows, so the payload
-                // overlaps compute; only the per-row request issue cost
-                // is exposed. That overhead is K-independent — this is
-                // what sinks small feature widths.
-                let t_payload = halo * k_agg * 4.0 / dma_rate;
-                chain += halo * req_ns + t_payload.max(t_spmm);
-                if j > 0 {
-                    // Partial-accumulator handoff along the grid row.
-                    chain += rows_i * k_agg * 4.0 / dma_rate + remote_ns;
-                }
-            }
-            // Dense update of this row block (either order runs exactly
-            // one GEMM over rows_i).
-            let up_flops = 2.0 * rows_i * k_in as f64 * k_out as f64;
-            let up_bytes = rows_i * (k_in + k_out) as f64 * 4.0;
-            chain += (up_flops / gemm_rate).max(up_bytes / node_bw);
-            // Non-owned output rows written back across the network.
-            if ex.scatter_bytes > 0 {
-                let per_row = ex.scatter_bytes as f64 / rows_blocks as f64;
-                chain += per_row / dma_rate + remote_ns;
-            }
+        for blk in plan.blocks() {
+            let rows = blk.rows() as f64;
+            let nnz = blk.nnz() as f64;
+            let refs = blk.refs.len() as f64;
+            let halo = blk.halo.len() as f64;
+            // Aggregation: compute-bound or memory-bound, whichever binds
+            // (8 B per stored non-zero, staged reads, acc RMW).
+            let agg_bytes = nnz * 8.0 + (refs + 2.0 * rows) * k_agg * 4.0;
+            let t_spmm = (2.0 * nnz * k_agg / spmm_rate).max(agg_bytes / node_bw);
+            // Halo gather: the DMA engines stream the payload while the
+            // SpMM drains already-landed rows, so the payload overlaps
+            // compute; only the per-row request issue cost is exposed.
+            // That overhead is K-independent — this is what sinks small
+            // feature widths.
+            let t_payload = halo * k_agg * 4.0 / dma_rate;
+            // Dense update of this block (either order runs exactly one
+            // GEMM over its rows).
+            let up_flops = 2.0 * rows * k_in as f64 * k_out as f64;
+            let up_bytes = rows * (k_in + k_out) as f64 * 4.0;
+            let chain = halo * req_ns
+                + t_payload.max(t_spmm)
+                + (up_flops / gemm_rate).max(up_bytes / node_bw);
             worst_chain = worst_chain.max(chain);
         }
         let t_layer = worst_chain + machine.barrier_latency_ns();
@@ -235,23 +222,5 @@ mod tests {
             );
             last = r.gflops();
         }
-    }
-
-    #[test]
-    fn two_d_grids_pay_reduce_hops() {
-        let a = twin();
-        let d1 = simulate_model(
-            &ShardPlan::new(&a, 8, PartitionKind::Rows1D).unwrap(),
-            &[(64, 64)],
-            8,
-        );
-        let d2 = simulate_model(
-            &ShardPlan::new(&a, 8, PartitionKind::Grid2D).unwrap(),
-            &[(64, 64)],
-            8,
-        );
-        assert!(d1.total_ns > 0.0 && d2.total_ns > 0.0);
-        // Same useful work either way.
-        assert!((d1.flops - d2.flops).abs() < 1.0);
     }
 }

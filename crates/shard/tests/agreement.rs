@@ -1,6 +1,6 @@
 //! Bitwise agreement between [`shard::ShardedGcn`] and the single-node
-//! planned inference path, across every Table-I dataset twin, both
-//! partition kinds, and N ∈ {2, 4, 8} workers.
+//! planned inference path, across every Table-I dataset twin and
+//! N ∈ {2, 4, 8} row-block workers.
 //!
 //! The contract under test: sharded execution is a pure reassociation-free
 //! re-tiling of the same FP instruction stream, so outputs must agree to
@@ -9,9 +9,9 @@
 //! [`gcn::InferenceWorkspace::install_plan`] so machine width cannot
 //! perturb the comparison.
 //!
-//! Test names follow `bitwise_n{workers}_{kind}` so CI's shard-matrix job
-//! can filter one cell per runner: `cargo test -p shard --test agreement
-//! bitwise_n4_2d`.
+//! Test names follow `bitwise_n{workers}` so CI's shard-matrix job can
+//! filter one cell per runner: `cargo test -p shard --test agreement
+//! bitwise_n4`.
 
 use gcn::{GcnConfig, GcnModel, InferenceWorkspace};
 use graph::OgbDataset;
@@ -81,7 +81,7 @@ fn assert_bitwise(d: OgbDataset, got: &DenseMatrix, want: &DenseMatrix) {
 /// Runs every Table-I twin through both association orders: the 16→32
 /// layer is aggregate-first (`k_in <= k_out`), the 32→8 layer is
 /// update-first, so one pass covers both schedules.
-fn check_all_table1(workers: usize, kind: PartitionKind) {
+fn check_all_table1(workers: usize) {
     // Fires nowhere, but holds the process-wide arm lock: a neighbour's
     // injected faults cannot land in this run.
     let _quiet = fault::arm(FaultConfig::new(0));
@@ -91,8 +91,8 @@ fn check_all_table1(workers: usize, kind: PartitionKind) {
         let model = GcnModel::new(&config, 7);
         let x = features(a_hat.nrows(), 16, 11);
         let want = reference(&model, &a_hat, &x);
-        let mut sharded =
-            ShardedGcn::new(&a_hat, workers, kind).expect("shard plan builds for every twin");
+        let mut sharded = ShardedGcn::new(&a_hat, workers, PartitionKind::Rows1D)
+            .expect("shard plan builds for every twin");
         let got = sharded
             .infer(&model, &x)
             .expect("sharded inference succeeds");
@@ -100,7 +100,6 @@ fn check_all_table1(workers: usize, kind: PartitionKind) {
 
         let report = sharded.report(&model);
         assert_eq!(report.workers, workers);
-        assert_eq!(report.kind, kind);
         assert_eq!(
             report.recovered_exchanges,
             0,
@@ -118,40 +117,26 @@ fn check_all_table1(workers: usize, kind: PartitionKind) {
 }
 
 #[test]
-fn bitwise_n2_1d() {
-    check_all_table1(2, PartitionKind::Rows1D);
+fn bitwise_n2() {
+    check_all_table1(2);
 }
 
 #[test]
-fn bitwise_n4_1d() {
-    check_all_table1(4, PartitionKind::Rows1D);
+fn bitwise_n4() {
+    check_all_table1(4);
 }
 
 #[test]
-fn bitwise_n8_1d() {
-    check_all_table1(8, PartitionKind::Rows1D);
-}
-
-#[test]
-fn bitwise_n2_2d() {
-    check_all_table1(2, PartitionKind::Grid2D);
-}
-
-#[test]
-fn bitwise_n4_2d() {
-    check_all_table1(4, PartitionKind::Grid2D);
-}
-
-#[test]
-fn bitwise_n8_2d() {
-    check_all_table1(8, PartitionKind::Grid2D);
+fn bitwise_n8() {
+    check_all_table1(8);
 }
 
 /// The wide-K regime (gcnbench's `full_wide` model, aggregating at 128, 256
 /// and 40 lanes) on the skewed arxiv twin. A plan keeps wide `K` on the row
 /// partition, so the pinned plan's re-resolution at the other layer widths
 /// stays row-local and the identity holds at `K = 256` as it does at 16.
-fn check_wide(kind: PartitionKind) {
+#[test]
+fn bitwise_n4_wide() {
     // Fires nowhere, but holds the process-wide arm lock: a neighbour's
     // injected faults cannot land in this run.
     let _quiet = fault::arm(FaultConfig::new(0));
@@ -160,27 +145,17 @@ fn check_wide(kind: PartitionKind) {
     let model = GcnModel::new(&GcnConfig::from_dims(vec![128, 256, 256, 40]), 7);
     let x = features(a_hat.nrows(), 128, 11);
     let want = reference(&model, &a_hat, &x);
-    let mut sharded = ShardedGcn::new(&a_hat, 4, kind).expect("shard plan builds");
+    let mut sharded = ShardedGcn::new(&a_hat, 4, PartitionKind::Rows1D).expect("shard plan builds");
     let got = sharded
         .infer(&model, &x)
         .expect("sharded inference succeeds");
     assert_bitwise(d, &got, &want);
 }
 
+/// Narrow-precision sharded inference agrees bitwise with the single-node
+/// narrow path at the same width-1 plan.
 #[test]
-fn bitwise_n4_1d_wide() {
-    check_wide(PartitionKind::Rows1D);
-}
-
-#[test]
-fn bitwise_n4_2d_wide() {
-    check_wide(PartitionKind::Grid2D);
-}
-
-/// Narrow-precision sharded inference (1D only) agrees bitwise with the
-/// single-node narrow path at the same width-1 plan.
-#[test]
-fn bitwise_narrow_precision_1d() {
+fn bitwise_narrow_precision() {
     use matrix::Precision;
     // Fires nowhere, but holds the process-wide arm lock: a neighbour's
     // injected faults cannot land in this run.
@@ -196,8 +171,8 @@ fn bitwise_narrow_precision_1d() {
             .infer_planned_with(&a_hat, &x, &mut ws)
             .expect("single-node narrow inference succeeds")
             .clone();
-        let mut sharded = ShardedGcn::with_precision(&a_hat, 4, PartitionKind::Rows1D, precision)
-            .expect("narrow 1D shard plan builds");
+        let mut sharded =
+            ShardedGcn::with_precision(&a_hat, 4, precision).expect("narrow shard plan builds");
         let got = sharded
             .infer(&model, &x)
             .expect("sharded narrow inference succeeds");

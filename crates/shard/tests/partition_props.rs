@@ -1,6 +1,5 @@
 //! Property tests: the shard partition tiles the original adjacency
-//! exactly, on arbitrary random graphs, at every worker count and both
-//! partition kinds.
+//! exactly, on arbitrary random graphs, at every worker count.
 //!
 //! "Tiles exactly" means: every non-zero `(r, c, v)` of the original CSR
 //! appears in exactly one shard-local block at its translated local
@@ -23,26 +22,19 @@ fn build_csr(n: usize, edges: &[(usize, usize)]) -> Csr {
 
 /// Decodes every non-zero of every block back into global coordinates.
 fn decode(plan: &ShardPlan) -> Vec<(usize, usize, f32)> {
-    let (_, c_blocks) = plan.grid();
     let mut entries = Vec::new();
-    for (b, blk) in plan.blocks().iter().enumerate() {
-        let j = b % c_blocks;
-        assert_eq!(blk.grid_pos, (b / c_blocks, j));
+    for blk in plan.blocks() {
         for lr in 0..blk.local.nrows() {
             let gr = blk.row_start + lr;
             let s = blk.local.row_ptr()[lr];
             let e = blk.local.row_ptr()[lr + 1];
             for p in s..e {
                 let gc = blk.refs[blk.local.col_idx()[p] as usize] as usize;
-                assert!(
-                    gc >= blk.col_start && gc < blk.col_end,
-                    "ref outside the block's column range"
-                );
                 entries.push((gr, gc, blk.local.values()[p]));
             }
         }
     }
-    entries.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    entries.sort_by_key(|e| (e.0, e.1));
     entries
 }
 
@@ -64,11 +56,10 @@ proptest! {
         n in 1usize..48,
         edges in proptest::collection::vec((0usize..64, 0usize..64), 0..256),
         workers in 1usize..9,
-        two_d in 0usize..2,
     ) {
         let a = build_csr(n, &edges);
-        let kind = if two_d == 1 { PartitionKind::Grid2D } else { PartitionKind::Rows1D };
-        let plan = ShardPlan::new(&a, workers, kind).expect("square matrix partitions");
+        let plan = ShardPlan::new(&a, workers, PartitionKind::Rows1D)
+            .expect("square matrix partitions");
 
         prop_assert_eq!(plan.workers(), workers);
         let bounds = plan.row_bounds();
@@ -104,15 +95,13 @@ proptest! {
         edges in proptest::collection::vec((0usize..40, 0usize..40), 0..128),
     ) {
         let a = build_csr(n, &edges);
-        for kind in [PartitionKind::Rows1D, PartitionKind::Grid2D] {
-            let plan = ShardPlan::new(&a, 1, kind).expect("partition builds");
-            prop_assert_eq!(plan.blocks().len(), 1);
-            let blk = &plan.blocks()[0];
-            prop_assert_eq!((blk.row_start, blk.row_end), (0, n));
-            prop_assert_eq!(blk.nnz(), a.nnz());
-            prop_assert!(blk.halo.is_empty(), "one worker owns every referenced row");
-            prop_assert_eq!(plan.halo_rows(), 0);
-        }
+        let plan = ShardPlan::new(&a, 1, PartitionKind::Rows1D).expect("partition builds");
+        prop_assert_eq!(plan.blocks().len(), 1);
+        let blk = &plan.blocks()[0];
+        prop_assert_eq!((blk.row_start, blk.row_end), (0, n));
+        prop_assert_eq!(blk.nnz(), a.nnz());
+        prop_assert!(blk.halo.is_empty(), "one worker owns every referenced row");
+        prop_assert_eq!(plan.halo_rows(), 0);
     }
 
     /// A deliberately planted hub row (dense row 0) never breaks the
@@ -126,17 +115,24 @@ proptest! {
         let mut edges: Vec<(usize, usize)> = (0..n).map(|c| (0, c)).collect();
         edges.extend(tail);
         let a = build_csr(n, &edges);
-        for kind in [PartitionKind::Rows1D, PartitionKind::Grid2D] {
-            let plan = ShardPlan::new(&a, workers, kind).expect("partition builds");
-            prop_assert_eq!(decode(&plan), flatten(&a));
+        let plan = ShardPlan::new(&a, workers, PartitionKind::Rows1D).expect("partition builds");
+        prop_assert_eq!(decode(&plan), flatten(&a));
+        for blk in plan.blocks() {
             // Every halo row is referenced but not owned by its block.
-            for blk in plan.blocks() {
-                let (lo, hi) = blk.owned_range();
-                for &h in &blk.halo {
-                    let h = h as usize;
-                    prop_assert!(h < lo || h >= hi, "halo row {h} is owned by its own block");
-                }
+            for &h in &blk.halo {
+                let h = h as usize;
+                prop_assert!(
+                    h < blk.row_start || h >= blk.row_end,
+                    "halo row {h} is owned by its own block"
+                );
             }
+            // The ascending refs split into below / inside / above the
+            // owned rows, and the halo is exactly the outer two parts.
+            prop_assert!(blk.refs.windows(2).all(|w| w[0] < w[1]), "refs ascend");
+            let lo = blk.refs.partition_point(|&g| (g as usize) < blk.row_start);
+            let hi = blk.refs.partition_point(|&g| (g as usize) < blk.row_end);
+            let outer: Vec<u32> = blk.refs[..lo].iter().chain(&blk.refs[hi..]).copied().collect();
+            prop_assert_eq!(&blk.halo, &outer);
         }
     }
 }

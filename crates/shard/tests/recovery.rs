@@ -1,8 +1,7 @@
 //! Bitwise recovery: killing shard tasks mid-layer must never change a
 //! bit of the output.
 //!
-//! For every Table-I twin and both partition kinds, this arms the
-//! `shard.task` fault point (panic at the top of the supervised task
+//! For every Table-I twin, this arms the `shard.task` fault point (panic at the top of the supervised task
 //! wrapper — an injected kill never leaves a partial in-place mutation)
 //! and searches a bounded seed range for a schedule whose kills land in
 //! **every** layer, verified through the health registry's per-event
@@ -22,11 +21,12 @@ use graph::OgbDataset;
 use kernels::SpmmPlan;
 use matrix::DenseMatrix;
 use resilience::fault::{self, FaultConfig, FaultKind};
-use shard::{PartitionKind, ShardDownCause, ShardedGcn};
+use resilience::RetryPolicy;
+use shard::{PartitionKind, ShardDownCause, ShardError, ShardedGcn};
 use sparse::Csr;
 
 const TWIN_CAP: usize = 1 << 9;
-/// Seeds probed per (twin, kind) cell before declaring coverage missing.
+/// Seeds probed per twin before declaring coverage missing.
 const SEED_RANGE: u64 = 192;
 /// Per-visit panic rate on `shard.task` while a probe seed is armed.
 const KILL_RATE: f64 = 0.12;
@@ -74,8 +74,8 @@ fn assert_bitwise(name: &str, seed: u64, got: &DenseMatrix, want: &DenseMatrix) 
     }
 }
 
-/// One (twin, kind) cell: probe seeds until kills covered every layer.
-fn kill_one_shard_per_layer(d: OgbDataset, workers: usize, kind: PartitionKind) {
+/// One twin: probe seeds until kills covered every layer.
+fn kill_one_shard_per_layer(d: OgbDataset, workers: usize) {
     let name = d.stats().name;
     let config = GcnConfig::from_dims(vec![16, 32, 8]);
     let layers = 2usize;
@@ -83,7 +83,8 @@ fn kill_one_shard_per_layer(d: OgbDataset, workers: usize, kind: PartitionKind) 
     let model = GcnModel::new(&config, 7);
     let x = features(a_hat.nrows(), 16, 11);
     let want = reference(&model, &a_hat, &x);
-    let mut sharded = ShardedGcn::new(&a_hat, workers, kind).expect("shard plan builds");
+    let mut sharded =
+        ShardedGcn::new(&a_hat, workers, PartitionKind::Rows1D).expect("shard plan builds");
 
     let _quiet = resilience::retry::quiet_panics();
     let mut covered = false;
@@ -135,51 +136,92 @@ fn kill_one_shard_per_layer(d: OgbDataset, workers: usize, kind: PartitionKind) 
     }
     assert!(
         covered,
-        "{name} ({kind:?}, {workers} workers): no seed in 0..{SEED_RANGE} \
+        "{name} ({workers} workers): no seed in 0..{SEED_RANGE} \
          killed a task in every layer and recovered — coverage lost"
     );
 }
 
 #[test]
-fn bitwise_recovery_all_table1_rows1d() {
+fn bitwise_recovery_all_table1() {
     for d in OgbDataset::TABLE1 {
-        kill_one_shard_per_layer(d, 4, PartitionKind::Rows1D);
+        kill_one_shard_per_layer(d, 4);
+    }
+}
+
+/// Per-visit panic rate on a staging site while a probe seed is armed.
+const STAGE_FAULT_RATE: f64 = 0.3;
+
+/// One staging site with a single-attempt retry budget, so every injected
+/// panic exhausts its retries and reaches the masked replay: on every
+/// Table-I twin, every completed run is bitwise the width-1 reference,
+/// some seed records an `ExchangeFault` that the replay answered, and a
+/// site that always fails ends in a typed `ShardError::Exchange`.
+fn exhausted_staging_replays_bitwise(site: &'static str) {
+    let config = GcnConfig::from_dims(vec![16, 32, 8]);
+    let _quiet = resilience::retry::quiet_panics();
+    for d in OgbDataset::TABLE1 {
+        let name = d.stats().name;
+        let a_hat = twin(d);
+        let model = GcnModel::new(&config, 7);
+        let x = features(a_hat.nrows(), 16, 11);
+        let want = reference(&model, &a_hat, &x);
+        let mut sharded = ShardedGcn::new(&a_hat, 4, PartitionKind::Rows1D).expect("plan builds");
+        sharded.set_retry_policy(RetryPolicy::immediate(1));
+
+        let mut covered = false;
+        for seed in 0..SEED_RANGE {
+            sharded.health().clear();
+            let outcome = {
+                let _armed = fault::arm(FaultConfig::new(seed).point(
+                    site,
+                    FaultKind::Panic,
+                    STAGE_FAULT_RATE,
+                ));
+                sharded.infer(&model, &x)
+            };
+            let Ok(got) = outcome else { continue };
+            assert_bitwise(name, seed, &got, &want);
+            let events = sharded.health().events();
+            for e in &events {
+                assert!(
+                    e.recovered,
+                    "{name} seed {seed}: event in completed run not marked recovered: {e:?}"
+                );
+            }
+            let faulted = events
+                .iter()
+                .any(|e| e.cause == ShardDownCause::ExchangeFault && e.site.contains(site));
+            if faulted {
+                assert!(
+                    sharded.report(&model).replayed_tasks > 0,
+                    "{name} seed {seed}: an exhausted {site} must replay tasks"
+                );
+                covered = true;
+                break;
+            }
+        }
+        assert!(
+            covered,
+            "{name}: no seed in 0..{SEED_RANGE} exhausted a {site} retry and recovered"
+        );
+
+        let outcome = {
+            let _armed = fault::arm(FaultConfig::new(0).point(site, FaultKind::Panic, 1.0));
+            sharded.infer(&model, &x)
+        };
+        assert!(
+            matches!(outcome, Err(ShardError::Exchange(_))),
+            "{name}: {site} failing every visit must end in a typed exchange error, got {outcome:?}"
+        );
     }
 }
 
 #[test]
-fn bitwise_recovery_all_table1_grid2d() {
-    for d in OgbDataset::TABLE1 {
-        kill_one_shard_per_layer(d, 4, PartitionKind::Grid2D);
-    }
+fn exhausted_exchange_retries_replay_bitwise() {
+    exhausted_staging_replays_bitwise("shard.exchange");
 }
 
-/// A zero task deadline makes every task a straggler: the registry fills
-/// with `DeadlineOverrun` annotations, but deadline overruns are
-/// observations, not failures — output stays bitwise-identical.
 #[test]
-fn deadline_overruns_are_recorded_not_fatal() {
-    // Fires nowhere, but holds the process-wide arm lock: the recovery
-    // tests' `shard.task` kills cannot land in this run.
-    let _quiet = fault::arm(FaultConfig::new(0));
-    let d = OgbDataset::Arxiv;
-    let a_hat = twin(d);
-    let model = GcnModel::new(&GcnConfig::from_dims(vec![16, 32, 8]), 7);
-    let x = features(a_hat.nrows(), 16, 11);
-    let want = reference(&model, &a_hat, &x);
-    let mut sharded = ShardedGcn::new(&a_hat, 4, PartitionKind::Rows1D).expect("plan builds");
-    sharded.set_task_deadline(Some(std::time::Duration::ZERO));
-    let got = sharded
-        .infer(&model, &x)
-        .expect("overruns never fail a run");
-    assert_bitwise(d.stats().name, 0, &got, &want);
-    let events = sharded.health().events();
-    assert!(!events.is_empty(), "zero deadline must record overruns");
-    assert!(events
-        .iter()
-        .all(|e| e.cause == ShardDownCause::DeadlineOverrun));
-    sharded.set_task_deadline(None);
-    sharded.health().clear();
-    sharded.infer(&model, &x).expect("clean run");
-    assert!(sharded.health().is_empty(), "no deadline, no events");
+fn exhausted_stage_retries_replay_bitwise() {
+    exhausted_staging_replays_bitwise("shard.stage");
 }
