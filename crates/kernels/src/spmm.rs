@@ -20,11 +20,6 @@ use sparse::Csr;
 // ncols) plus output slices sized to `n * k` by the `resize_*` call before
 // the kernels run; `check()` ties the two shapes together at every entry point.
 
-/// Dynamic chunk-claiming counter shared with the pool crate; re-exported
-/// here because benchmarks and the paper discussion reference it as part
-/// of the kernel layer.
-pub use pool::DynamicCounter;
-
 /// Row-chunk size handed to a worker at a time by the vertex-parallel
 /// kernel's dynamic scheduler. Small enough to balance power-law rows,
 /// large enough to amortize the claim.
@@ -551,17 +546,5 @@ mod tests {
             }
         });
         assert_eq!(f32::from_bits(cell.into_inner()), 8000.0);
-    }
-
-    #[test]
-    fn dynamic_counter_covers_range_exactly_once() {
-        let counter = DynamicCounter::new();
-        let mut seen = [false; 100];
-        while let Some((s, e)) = counter.claim(7, 100) {
-            for (i, slot) in seen.iter_mut().enumerate().take(e).skip(s) {
-                assert!(!std::mem::replace(slot, true), "item {i} claimed twice");
-            }
-        }
-        assert!(seen.iter().all(|&x| x));
     }
 }

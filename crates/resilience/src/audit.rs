@@ -5,22 +5,16 @@
 //! they guard either plain counters or buffers that the next job fully
 //! overwrites, so the right response is to take the data anyway via
 //! `PoisonError::into_inner`. PR 3 established that idiom in the GEMM
-//! kernels; this module centralizes it and *counts* every recovery, so
-//! chaos tests can assert that injected panics actually exercised the
-//! poisoning path and operators can see it in [`PoolHealth`-style
-//! reports](crate::guard).
+//! kernels; this module centralizes it and *counts* every recovery per
+//! site in [`recovery_log`], so chaos tests can assert that injected
+//! panics actually exercised the poisoning path.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-static RECOVERIES: AtomicU64 = AtomicU64::new(0);
 // Small, touched only on the (rare) recovery path; keyed by site name.
 static SITES: Mutex<Vec<(&'static str, u64)>> = Mutex::new(Vec::new());
 
 fn note(site: &'static str) {
-    // lint:allow(L006): monotonic event counter; readers only need an
-    // eventually-consistent total.
-    RECOVERIES.fetch_add(1, Ordering::Relaxed);
     let mut sites = SITES.lock().unwrap_or_else(|e| e.into_inner());
     match sites.iter_mut().find(|(s, _)| *s == site) {
         Some((_, n)) => *n += 1,
@@ -48,18 +42,6 @@ pub fn recover<'a, T>(site: &'static str, m: &'a Mutex<T>) -> MutexGuard<'a, T> 
 /// end-of-run pattern `Mutex::into_inner`.
 pub fn recover_into<T>(site: &'static str, m: Mutex<T>) -> T {
     match m.into_inner() {
-        Ok(v) => v,
-        Err(e) => {
-            note(site);
-            e.into_inner()
-        }
-    }
-}
-
-/// Exclusive-access analogue of [`recover`]: `Mutex::get_mut` for owners
-/// holding `&mut`, recovering (and recording) if the lock is poisoned.
-pub fn recover_mut<'a, T>(site: &'static str, m: &'a mut Mutex<T>) -> &'a mut T {
-    match m.get_mut() {
         Ok(v) => v,
         Err(e) => {
             note(site);
@@ -104,12 +86,6 @@ pub fn recover_wait_timeout<'a, T>(
     }
 }
 
-/// Total poisoned-lock recoveries since process start.
-pub fn poison_recoveries() -> u64 {
-    // lint:allow(L006): see note(); monotonic counter read.
-    RECOVERIES.load(Ordering::Relaxed)
-}
-
 /// Per-site recovery counts, for diagnostics and chaos-test assertions.
 pub fn recovery_log() -> Vec<(&'static str, u64)> {
     SITES.lock().unwrap_or_else(|e| e.into_inner()).clone()
@@ -120,10 +96,9 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    // Each test reads its own sites' counts from `recovery_log()`: the
-    // process-wide `poison_recoveries()` total moves whenever any other
-    // test in the binary recovers a lock, so it cannot carry an exact
-    // delta.
+    // Each test reads its own sites' counts from `recovery_log()`: other
+    // tests in the binary recover locks concurrently, so only a per-site
+    // delta is exact.
     fn count(site: &str) -> u64 {
         recovery_log()
             .iter()
@@ -147,25 +122,21 @@ mod tests {
     #[test]
     fn recovers_from_poison_and_counts_it() {
         let m = poisoned(41);
-        let (before, total_before) = (count("test.audit.recover"), poison_recoveries());
+        let before = count("test.audit.recover");
         let mut g = recover("test.audit.recover", &m);
         *g += 1;
         assert_eq!(*g, 42);
         drop(g);
         assert_eq!(count("test.audit.recover"), before + 1);
-        // The total is monotone, so "moved" holds whatever runs alongside.
-        assert!(poison_recoveries() > total_before);
     }
 
     #[test]
-    fn recover_into_and_mut_take_poisoned_data() {
+    fn recover_into_takes_poisoned_data() {
         let m = poisoned(7);
-        let (mut_before, into_before) = (count("test.audit.mut"), count("test.audit.into"));
-        let mut m = Arc::into_inner(m).expect("sole owner");
-        assert_eq!(*recover_mut("test.audit.mut", &mut m), 7);
+        let before = count("test.audit.into");
+        let m = Arc::into_inner(m).expect("sole owner");
         assert_eq!(recover_into("test.audit.into", m), 7);
-        assert_eq!(count("test.audit.mut"), mut_before + 1);
-        assert_eq!(count("test.audit.into"), into_before + 1);
+        assert_eq!(count("test.audit.into"), before + 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Call sites are instrumented with [`crate::fault_point!`] (panics /
 //! artificial latency at an execution point) or [`crate::fault_point_err!`]
 //! (typed early `return Err(..)`). Each site is identified by a
-//! `&'static str` name such as `"pool.worker"` or
+//! `&'static str` name such as `"pool.share"` or
 //! `"graph.io.matrix_market"`.
 //!
 //! # Disarmed cost

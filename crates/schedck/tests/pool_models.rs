@@ -1,84 +1,11 @@
-//! Model-checks two more workspace protocols: the pool's
-//! quarantine/respawn rendezvous (`crates/pool/src/lib.rs`, the
-//! `reap_and_respawn` path) and the shard executor's exchange-retry
-//! loop (`crates/shard/src/runner.rs` staging under
-//! `resilience::retry::run`). Both are small condvar/mutex handshakes
-//! whose liveness and publication guarantees the explorer proves over
-//! every preemption-bounded interleaving.
+//! Model-checks the shard executor's exchange-retry loop
+//! (`crates/shard/src/runner.rs` staging under `resilience::retry::run`):
+//! a small mutex handshake whose publication guarantees the explorer
+//! proves over every preemption-bounded interleaving. (The pool's own
+//! completion handshake is modelled in the root `tests/schedck_gate.rs`
+//! and in `seeded_bugs.rs`.)
 
 use schedck::{explore, Config, MCell};
-
-/// Quarantine/respawn: a worker trips its fault budget and
-/// self-quarantines instead of taking the job; the supervisor observes
-/// the flag under the slot mutex and spawns a replacement, which runs
-/// the job and signals completion. Mirrors the pool's invariant that a
-/// quarantined worker's slot is refilled before the job is considered
-/// lost.
-#[test]
-fn quarantine_respawn_rendezvous_is_clean() {
-    struct Slot {
-        quarantined: bool,
-        job_done: bool,
-    }
-
-    let cfg = Config {
-        preemption_bound: 2,
-        max_schedules: 60_000,
-        max_steps: 20_000,
-    };
-    let report = explore(cfg, |th| {
-        let mx = th.mutex("pool.slot");
-        let cv = th.condvar();
-        let slot = th.cell(
-            "slot-state",
-            Slot {
-                quarantined: false,
-                job_done: false,
-            },
-        );
-        let out = th.cell("job-output", 0u64);
-
-        // The doomed worker: hits its fault budget, marks itself
-        // quarantined under the slot lock, and exits without touching
-        // the job.
-        let (s1, mx1, cv1) = (slot.clone(), mx, cv);
-        let doomed = th.spawn(move |th| {
-            let _g = mx1.lock(th);
-            s1.write(th, |s| s.quarantined = true);
-            cv1.notify_all(th);
-        });
-
-        // The supervisor (root): waits for the quarantine report, then
-        // respawns the slot with a fresh worker.
-        let mut g = mx.lock(th);
-        while !slot.read(th, |s| s.quarantined) {
-            g = cv.wait(g);
-        }
-        slot.write(th, |s| s.quarantined = false);
-        drop(g);
-
-        let (s2, o2, mx2, cv2) = (slot.clone(), out.clone(), mx, cv);
-        let replacement = th.spawn(move |th| {
-            o2.write(th, |v| *v = 77);
-            let _g = mx2.lock(th);
-            s2.write(th, |s| s.job_done = true);
-            cv2.notify_all(th);
-        });
-
-        let mut g = mx.lock(th);
-        while !slot.read(th, |s| s.job_done) {
-            g = cv.wait(g);
-        }
-        drop(g);
-        // The mutex handoff publishes the replacement's job output.
-        assert_eq!(out.read(th, |v| *v), 77);
-
-        th.join(doomed);
-        th.join(replacement);
-    });
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-    assert!(!report.truncated);
-}
 
 /// Exchange-retry: two workers stage disjoint blocks; each hits one
 /// injected fault on its first attempt and replays the (idempotent)

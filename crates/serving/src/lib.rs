@@ -40,4 +40,4 @@ pub use request::{
     Brownout, Rejection, Request, RequestKind, Response, ResponseHandle, ServedBy, TenantId,
 };
 pub use service::{BrownoutPolicy, GcnService, ServiceConfig, ServingError};
-pub use tenant::{FixedQuota, Resources, TenantSpec};
+pub use tenant::{FixedQuota, TenantSpec};

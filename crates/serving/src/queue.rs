@@ -2,7 +2,7 @@
 //!
 //! One `Mutex<Sched>` + condvar pair carries all scheduler state: a
 //! bounded per-tenant FIFO each, the global depth counter, the deficit
-//! round-robin cursor, and the [`Resources`] meter. Admission
+//! round-robin cursor, and the [`FixedQuota`] row meter. Admission
 //! ([`AdmissionQueue::submit`]) enforces three rules before a request is
 //! ever queued — intake open, global depth below the limit, tenant under
 //! its row quota — and every refusal is a typed
@@ -38,7 +38,7 @@ use resilience::audit;
 
 use crate::metrics::ServiceMetrics;
 use crate::request::{Rejection, Request, RequestKind, ResponseHandle, Slot, TenantId};
-use crate::tenant::Resources;
+use crate::tenant::FixedQuota;
 
 /// One admitted request waiting for (or riding in) a batch.
 #[derive(Debug)]
@@ -77,23 +77,13 @@ impl TenantLane {
 }
 
 /// Everything the scheduler mutates, under one lock.
+#[derive(Debug)]
 struct Sched {
     lanes: Vec<TenantLane>,
-    resources: Box<dyn Resources>,
+    resources: FixedQuota,
     depth: usize,
     cursor: usize,
     open: bool,
-}
-
-impl std::fmt::Debug for Sched {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sched")
-            .field("lanes", &self.lanes.len())
-            .field("depth", &self.depth)
-            .field("cursor", &self.cursor)
-            .field("open", &self.open)
-            .finish()
-    }
 }
 
 /// The shared admission/batching queue (see module docs).
@@ -115,7 +105,7 @@ impl AdmissionQueue {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         lanes: Vec<TenantLane>,
-        resources: Box<dyn Resources>,
+        resources: FixedQuota,
         limit: usize,
         budget: Duration,
         max_batch: usize,
@@ -332,13 +322,12 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tenant::FixedQuota;
 
     fn queue(limit: usize, budget: Duration, max_batch: usize, tenants: usize) -> AdmissionQueue {
         let lanes = (0..tenants).map(|_| TenantLane::new(1)).collect();
         AdmissionQueue::new(
             lanes,
-            Box::new(FixedQuota::uniform(tenants, u64::MAX)),
+            FixedQuota::uniform(tenants, u64::MAX),
             limit,
             budget,
             max_batch,
@@ -365,7 +354,7 @@ mod tests {
         let lanes = (0..2).map(|_| TenantLane::new(1)).collect();
         let q = AdmissionQueue::new(
             lanes,
-            Box::new(FixedQuota::uniform(2, 3)),
+            FixedQuota::uniform(2, 3),
             64,
             Duration::from_secs(60),
             8,
@@ -432,7 +421,7 @@ mod tests {
         let lanes = vec![TenantLane::new(2), TenantLane::new(1)];
         let q = AdmissionQueue::new(
             lanes,
-            Box::new(FixedQuota::uniform(2, u64::MAX)),
+            FixedQuota::uniform(2, u64::MAX),
             64,
             Duration::from_secs(60),
             6,

@@ -38,7 +38,7 @@ use sparse::Csr;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::queue::{AdmissionQueue, Pending, TenantLane};
 use crate::request::{Brownout, Rejection, Request, Response, ResponseHandle, ServedBy, TenantId};
-use crate::tenant::{FixedQuota, Resources, TenantSpec};
+use crate::tenant::{FixedQuota, TenantSpec};
 
 /// Tunables for one service instance.
 #[derive(Debug, Clone)]
@@ -216,9 +216,7 @@ impl GcnService {
             .iter()
             .map(|t| TenantLane::new(t.weight))
             .collect();
-        let resources: Box<dyn Resources> = Box::new(FixedQuota::per_tenant(
-            cfg.tenants.iter().map(|t| t.quota_rows).collect(),
-        ));
+        let resources = FixedQuota::per_tenant(cfg.tenants.iter().map(|t| t.quota_rows).collect());
         let inner = Arc::new(Inner {
             queue: AdmissionQueue::new(
                 lanes,

@@ -1,42 +1,24 @@
 //! Per-tenant resource accounting and fair-share configuration.
 //!
-//! The service meters concurrent work per tenant through a [`Resources`]
-//! implementation (the dfut-style `can_execute(requirements, available)`
-//! pattern reduced to charge/release over one resource axis: in-flight
-//! output rows). Admission charges a request's row count against its
+//! The service meters concurrent work per tenant through a [`FixedQuota`]
+//! (the dfut-style `can_execute(requirements, available)` pattern reduced
+//! to charge/release over one resource axis: in-flight output rows).
+//! A request's cost is its row count — a subgraph request costs its target
+//! count, a vertex request costs 1 — so quotas bound *work*, not request
+//! count. Admission charges a request's row count against its
 //! tenant before queueing it and releases the charge when the response
 //! (or rejection) is delivered, so a tenant flooding the queue runs out
 //! of quota instead of starving everyone else. Dispatch-side fairness is
 //! separate: the queue drains tenants by deficit round-robin weighted by
 //! [`TenantSpec::weight`] (see `queue`).
 //!
-//! NOTE: trait methods are called from the hot admission path (L009
-//! closure) — implementations must not allocate or panic in steady state.
+//! NOTE: the charge/release methods are called from the hot admission path
+//! (L009 closure) — they must not allocate or panic in steady state.
 
 use crate::request::TenantId;
 
-/// Accounting policy for concurrent per-tenant work.
-///
-/// `units` is the request's cost in output rows (a subgraph request
-/// costs its target count, a vertex request costs 1), so quotas bound
-/// *work*, not request count.
-pub trait Resources: Send {
-    /// Try to reserve `units` for `tenant`. Returns `false` (and charges
-    /// nothing) if the reservation would exceed the tenant's quota.
-    fn try_charge(&mut self, tenant: TenantId, units: u64) -> bool;
-
-    /// Return `units` previously charged to `tenant`.
-    fn release(&mut self, tenant: TenantId, units: u64);
-
-    /// Units currently charged to `tenant`.
-    fn in_flight(&self, tenant: TenantId) -> u64;
-
-    /// The quota `try_charge` enforces for `tenant` (for rejections).
-    fn limit(&self, tenant: TenantId) -> u64;
-}
-
-/// The default [`Resources`] policy: one fixed in-flight row quota per
-/// tenant, tracked in a dense per-tenant table.
+/// One fixed in-flight row quota per tenant, tracked in a dense
+/// per-tenant table.
 #[derive(Debug, Clone)]
 pub struct FixedQuota {
     limits: Vec<u64>,
@@ -60,10 +42,10 @@ impl FixedQuota {
             in_flight: vec![0; n],
         }
     }
-}
 
-impl Resources for FixedQuota {
-    fn try_charge(&mut self, tenant: TenantId, units: u64) -> bool {
+    /// Try to reserve `units` for `tenant`. Returns `false` (and charges
+    /// nothing) if the reservation would exceed the tenant's quota.
+    pub(crate) fn try_charge(&mut self, tenant: TenantId, units: u64) -> bool {
         let t = tenant as usize;
         let (Some(used), Some(&limit)) = (self.in_flight.get_mut(t), self.limits.get(t)) else {
             return false;
@@ -75,17 +57,20 @@ impl Resources for FixedQuota {
         true
     }
 
-    fn release(&mut self, tenant: TenantId, units: u64) {
+    /// Return `units` previously charged to `tenant`.
+    pub(crate) fn release(&mut self, tenant: TenantId, units: u64) {
         if let Some(used) = self.in_flight.get_mut(tenant as usize) {
             *used = used.saturating_sub(units);
         }
     }
 
-    fn in_flight(&self, tenant: TenantId) -> u64 {
+    /// Units currently charged to `tenant`.
+    pub(crate) fn in_flight(&self, tenant: TenantId) -> u64 {
         self.in_flight.get(tenant as usize).copied().unwrap_or(0)
     }
 
-    fn limit(&self, tenant: TenantId) -> u64 {
+    /// The quota `try_charge` enforces for `tenant` (for rejections).
+    pub(crate) fn limit(&self, tenant: TenantId) -> u64 {
         self.limits.get(tenant as usize).copied().unwrap_or(0)
     }
 }
@@ -97,18 +82,8 @@ pub struct TenantSpec {
     /// dispatch up to `weight` requests before the cursor moves on.
     /// Zero is clamped to 1.
     pub weight: u32,
-    /// In-flight output-row quota enforced by the default [`FixedQuota`].
+    /// In-flight output-row quota enforced by the service's [`FixedQuota`].
     pub quota_rows: u64,
-}
-
-impl TenantSpec {
-    /// Equal-weight tenant with the given row quota.
-    pub fn with_quota(quota_rows: u64) -> Self {
-        TenantSpec {
-            weight: 1,
-            quota_rows,
-        }
-    }
 }
 
 impl Default for TenantSpec {

@@ -4,15 +4,13 @@
 //!
 //! "Kernel on shard" and "halo exchange" are both just task IDs here. A
 //! [`TaskGraph`] is a static DAG (one `exchange(b) → compute(b)` edge per
-//! row block); [`TaskGraph::run`] drains it with the pool's workers using a
-//! shared ready queue and per-task dependency counters, so shards whose
-//! halos arrive early start aggregating while other shards are still
+//! row block); [`TaskGraph::run_tracked`] drains it with the pool's workers
+//! using a shared ready queue and per-task dependency counters, so shards
+//! whose halos arrive early start aggregating while other shards are still
 //! exchanging — the same overlap a PIUMA node gets from its hardware DMA
 //! engines. A task body that panics poisons the run: its dependents are
-//! never released, every worker drains out, and the caller gets
-//! [`ExecError::TaskPanicked`] instead of a deadlock.
-//!
-//! [`ExecError::TaskPanicked`]: crate::exec::ExecError::TaskPanicked
+//! never released, every worker drains out, and the caller gets a
+//! [`RunTrace`] naming the failure instead of a deadlock.
 
 // BOUNDS: all `[]` indexing in this module is over vectors sized in
 // lock-step with the task count at graph construction (`dependents` and
@@ -27,37 +25,9 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 use matrix::DenseMatrix;
 
-/// Why a task-graph run failed to drain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecError {
-    /// The ready queue emptied with tasks still pending and none running —
-    /// a dependency cycle, or dependents of a failed task.
-    Stalled {
-        /// Tasks that never became ready.
-        remaining: usize,
-    },
-    /// A task body panicked; its dependents were withheld and the run
-    /// drained early.
-    TaskPanicked,
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::Stalled { remaining } => {
-                write!(f, "task graph stalled with {remaining} tasks unreleased")
-            }
-            ExecError::TaskPanicked => write!(f, "a shard task panicked"),
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
-
 /// The first panic observed during a tracked run: which task it hit (if
 /// attributable) and the rendered panic payload, so supervision layers can
-/// turn it into a typed shard-down event instead of an opaque
-/// [`ExecError::TaskPanicked`].
+/// turn it into a typed shard-down event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskFailure {
     /// The failing task's ID, or `None` when the panic surfaced on the
@@ -87,27 +57,7 @@ pub struct RunTrace {
     pub remaining: usize,
 }
 
-impl RunTrace {
-    /// True when every task ran to completion.
-    pub fn complete(&self) -> bool {
-        self.failure.is_none() && self.remaining == 0
-    }
-
-    /// The trace folded back to the untracked [`TaskGraph::run`] verdict.
-    pub fn error(&self) -> Option<ExecError> {
-        if self.failure.is_some() {
-            Some(ExecError::TaskPanicked)
-        } else if self.remaining > 0 {
-            Some(ExecError::Stalled {
-                remaining: self.remaining,
-            })
-        } else {
-            None
-        }
-    }
-}
-
-/// Mutable frontier of one [`TaskGraph::run`] call.
+/// Mutable frontier of one [`TaskGraph::run_tracked`] call.
 struct RunState {
     ready: VecDeque<usize>,
     indegree: Vec<usize>,
@@ -156,28 +106,15 @@ impl TaskGraph {
 
     /// Drains the graph with up to `workers` pool lanes, calling
     /// `run_task(id)` exactly once per task, dependencies before
-    /// dependents. Blocks until every task ran or the run poisoned.
+    /// dependents, and blocks until every task ran or the run poisoned.
     ///
-    /// # Errors
-    ///
-    /// [`ExecError::TaskPanicked`] if a task body panicked (the payload is
-    /// swallowed; record task-level errors out of band), and
-    /// [`ExecError::Stalled`] if tasks remain unreleasable — a dependency
-    /// cycle. Both leave the pool healthy.
-    pub fn run<F: Fn(usize) + Sync>(&self, workers: usize, run_task: F) -> Result<(), ExecError> {
-        match self.run_tracked(workers, run_task).error() {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// [`TaskGraph::run`] with a per-task completion trace: drains the
-    /// graph the same way but returns which tasks completed, which panic
-    /// poisoned the run (with its rendered payload and task ID), and how
-    /// many tasks were withheld — the raw material for task-level
-    /// recovery. A pool worker-share panic that re-raises on the caller is
+    /// Returns the per-task completion trace — which tasks completed, which
+    /// panic poisoned the run (with its rendered payload and task ID), and
+    /// how many tasks never completed: the raw material for task-level
+    /// recovery. A dependency cycle shows as `remaining > 0` with no
+    /// failure. A pool worker-share panic that re-raises on the caller is
     /// captured as a [`TaskFailure`] with no task ID rather than
-    /// unwinding.
+    /// unwinding. Either way the pool stays healthy.
     pub fn run_tracked<F: Fn(usize) + Sync>(&self, workers: usize, run_task: F) -> RunTrace {
         let total = self.indegree.len();
         if total == 0 {
@@ -363,7 +300,8 @@ mod tests {
     #[test]
     fn empty_graph_is_a_noop() {
         let g = TaskGraph::new(0);
-        assert_eq!(g.run(4, |_| {}), Ok(()));
+        let trace = g.run_tracked(4, |_| {});
+        assert_eq!((trace.remaining, trace.failure), (0, None));
     }
 
     #[test]
@@ -373,7 +311,8 @@ mod tests {
         g.add_dep(1, 0);
         g.add_dep(2, 1);
         let order = Mutex::new(Vec::new());
-        g.run(4, |t| order.lock().unwrap().push(t)).unwrap();
+        let trace = g.run_tracked(4, |t| order.lock().unwrap().push(t));
+        assert!(trace.done.iter().all(|&d| d));
         let order = order.into_inner().unwrap();
         assert_eq!(order.len(), 4);
         let pos = |t: usize| order.iter().position(|&x| x == t).unwrap();
@@ -391,13 +330,13 @@ mod tests {
             g.add_dep(3, 1);
             g.add_dep(3, 2);
             let hits = AtomicUsize::new(0);
-            g.run(4, |t| {
+            let trace = g.run_tracked(4, |t| {
                 if t == 3 {
                     assert_eq!(hits.load(Ordering::SeqCst), 3);
                 }
                 hits.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
+            });
+            assert!(trace.done.iter().all(|&d| d));
             assert_eq!(hits.into_inner(), 4);
         }
     }
@@ -408,10 +347,10 @@ mod tests {
         g.add_dep(1, 0);
         g.add_dep(0, 1); // 0 <-> 1 cycle; 2 is free.
         let ran = AtomicUsize::new(0);
-        let err = g.run(2, |_| {
+        let trace = g.run_tracked(2, |_| {
             ran.fetch_add(1, Ordering::SeqCst);
         });
-        assert_eq!(err, Err(ExecError::Stalled { remaining: 2 }));
+        assert_eq!((trace.remaining, trace.failure), (2, None));
         assert_eq!(ran.into_inner(), 1, "only the free task ran");
     }
 
@@ -422,13 +361,13 @@ mod tests {
         g.add_dep(1, 0);
         g.add_dep(2, 1);
         let ran = AtomicUsize::new(0);
-        let err = g.run(2, |t| {
+        let trace = g.run_tracked(2, |t| {
             if t == 0 {
                 panic!("injected test failure in task 0");
             }
             ran.fetch_add(1, Ordering::SeqCst);
         });
-        assert_eq!(err, Err(ExecError::TaskPanicked));
+        assert_eq!(trace.failure.and_then(|f| f.task), Some(0));
         assert_eq!(ran.into_inner(), 0, "dependents of the failure never ran");
     }
 

@@ -298,7 +298,7 @@ fn l011_locks(
                     path,
                     line,
                     "raw poisoned-lock handling — route lock acquisition through \
-                     `resilience::audit` (recover/recover_wait/recover_into/recover_mut) \
+                     `resilience::audit` (recover/recover_wait/recover_into) \
                      so recoveries are counted, or waive with the soundness argument"
                         .into(),
                 ));
