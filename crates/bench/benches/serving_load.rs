@@ -25,7 +25,7 @@ use graph::OgbDataset;
 use matrix::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serving::{GcnService, Rejection, ServiceConfig};
+use serving::{GcnService, Rejection, Request, ServiceConfig};
 use sparse::Csr;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -50,7 +50,6 @@ fn service_config(batched: bool) -> ServiceConfig {
         queue_limit: 256,
         latency_budget: Duration::from_millis(500),
         lanes: 2,
-        tenants: vec![serving::TenantSpec::default()],
         ..ServiceConfig::single_tenant()
     };
     if batched {
@@ -108,7 +107,7 @@ fn run_cell(
     let svc = GcnService::planned(model.clone(), a.clone(), x.clone(), service_config(batched))
         .expect("service config is valid");
     // Warm the plan caches so the measured window starts hot.
-    svc.submit_vertex(0, 0)
+    svc.submit(Request::vertex(0, 0))
         .expect("warmup request admits")
         .wait()
         .expect("warmup request completes");
@@ -124,7 +123,7 @@ fn run_cell(
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         next += Duration::from_secs_f64(-mean_gap * u.ln());
         pace_until(next);
-        match svc.submit_vertex(0, rng.gen_range(0..n)) {
+        match svc.submit(Request::vertex(0, rng.gen_range(0..n))) {
             Ok(h) => handles.push(h),
             Err(Rejection::QueueFull { .. }) => door_sheds += 1,
             Err(other) => panic!("unexpected admission rejection: {other}"),
@@ -299,7 +298,7 @@ fn bench_all(c: &mut Criterion) {
         group.bench_function(format!("burst64_{mode}"), |b| {
             b.iter(|| {
                 let handles: Vec<_> = (0..64)
-                    .map(|v| svc.submit_vertex(0, v * 61 % TWIN_CAP).unwrap())
+                    .map(|v| svc.submit(Request::vertex(0, v * 61 % TWIN_CAP)).unwrap())
                     .collect();
                 for h in handles {
                     h.wait().unwrap();

@@ -2,7 +2,8 @@
 //! workspace's concurrency handshakes.
 //!
 //! The pool's finished-counter handshake, the shard executor's
-//! ready-ring, and the exchange-retry path are all small protocols whose
+//! ready-ring, the exchange-retry path and the serving admission queue
+//! are all small protocols whose
 //! correctness depends on *which* interleavings are possible and *what*
 //! each synchronization op publishes. Ordinary tests sample a handful of
 //! OS schedules; this crate enumerates them. A model is a closure over

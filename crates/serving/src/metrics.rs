@@ -77,21 +77,6 @@ impl LatencyHistogram {
             .sum()
     }
 
-    /// The non-empty buckets as `(lower_bound_ns, count)` pairs, ascending
-    /// — the JSON-exportable form of the histogram.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                // lint:allow(L006): see record(); snapshot reads are
-                // advisory.
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| (value_of(i), n))
-            })
-            .collect()
-    }
-
     /// The `q`-quantile (`0.0 ..= 1.0`) of recorded samples, as the
     /// lower bound of the bucket containing it. Zero when empty.
     pub fn quantile(&self, q: f64) -> Duration {
@@ -128,7 +113,6 @@ pub struct ServiceMetrics {
     completed: AtomicU64,
     shed_queue_full: AtomicU64,
     shed_deadline: AtomicU64,
-    shed_tenant: AtomicU64,
     shed_shutdown: AtomicU64,
     shed_faulted: AtomicU64,
     shed_inference: AtomicU64,
@@ -158,9 +142,6 @@ impl ServiceMetrics {
         let counter = match why {
             Rejection::QueueFull { .. } => &self.shed_queue_full,
             Rejection::DeadlineExceeded { .. } | Rejection::Stopped(_) => &self.shed_deadline,
-            Rejection::TenantOverLimit { .. } | Rejection::UnknownTenant { .. } => {
-                &self.shed_tenant
-            }
             Rejection::Shutdown => &self.shed_shutdown,
             Rejection::Faulted { .. } => &self.shed_faulted,
             Rejection::Inference(_) => &self.shed_inference,
@@ -204,24 +185,17 @@ impl ServiceMetrics {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let shed_queue_full = load(&self.shed_queue_full);
         let shed_deadline = load(&self.shed_deadline);
-        let shed_tenant = load(&self.shed_tenant);
         let shed_shutdown = load(&self.shed_shutdown);
         let shed_faulted = load(&self.shed_faulted);
         let shed_inference = load(&self.shed_inference);
         let submitted = load(&self.submitted);
-        let shed = shed_queue_full
-            + shed_deadline
-            + shed_tenant
-            + shed_shutdown
-            + shed_faulted
-            + shed_inference;
+        let shed = shed_queue_full + shed_deadline + shed_shutdown + shed_faulted + shed_inference;
         MetricsSnapshot {
             submitted,
             admitted: load(&self.admitted),
             completed: load(&self.completed),
             shed_queue_full,
             shed_deadline,
-            shed_tenant,
             shed_shutdown,
             shed_faulted,
             shed_inference,
@@ -243,49 +217,6 @@ impl ServiceMetrics {
             p999: self.latency.quantile(0.999),
         }
     }
-
-    /// Render the current counters, quantiles, and both latency
-    /// histograms (non-empty buckets, `[lower_bound_ns, count]` pairs) as
-    /// a JSON object.
-    pub fn snapshot_json(&self) -> String {
-        let s = self.snapshot();
-        let hist = |pairs: Vec<(u64, u64)>| {
-            let items: Vec<String> = pairs.iter().map(|(lo, n)| format!("[{lo},{n}]")).collect();
-            format!("[{}]", items.join(","))
-        };
-        format!(
-            concat!(
-                "{{\"submitted\":{},\"admitted\":{},\"completed\":{},",
-                "\"shed\":{{\"queue_full\":{},\"deadline\":{},\"tenant\":{},",
-                "\"shutdown\":{},\"faulted\":{},\"inference\":{},\"total\":{}}},",
-                "\"brownout_batches\":{},",
-                "\"batches\":{},\"batched_rows\":{},",
-                "\"latency_ns\":{{\"queue_p50\":{},\"queue_p99\":{},",
-                "\"p50\":{},\"p99\":{},\"p999\":{}}},",
-                "\"queue_wait_hist\":{},\"latency_hist\":{}}}"
-            ),
-            s.submitted,
-            s.admitted,
-            s.completed,
-            s.shed_queue_full,
-            s.shed_deadline,
-            s.shed_tenant,
-            s.shed_shutdown,
-            s.shed_faulted,
-            s.shed_inference,
-            s.shed,
-            s.brownout_batches,
-            s.batches,
-            s.batched_rows,
-            s.queue_p50.as_nanos(),
-            s.queue_p99.as_nanos(),
-            s.p50.as_nanos(),
-            s.p99.as_nanos(),
-            s.p999.as_nanos(),
-            hist(self.queue_wait.nonzero_buckets()),
-            hist(self.latency.nonzero_buckets()),
-        )
-    }
 }
 
 /// Owned, point-in-time view of a service's counters.
@@ -301,8 +232,6 @@ pub struct MetricsSnapshot {
     pub shed_queue_full: u64,
     /// Sheds: latency budget expired before dispatch (or batch stopped).
     pub shed_deadline: u64,
-    /// Sheds: tenant over quota or unknown.
-    pub shed_tenant: u64,
     /// Sheds: service shut down with the request pending.
     pub shed_shutdown: u64,
     /// Sheds: fault (injected or real panic) hit the request's batch.
@@ -399,6 +328,7 @@ mod tests {
         m.on_rejected(&Rejection::QueueFull { depth: 1, limit: 1 });
         m.on_batch(4, 9);
         m.on_completed(Duration::from_micros(5), Duration::from_micros(50));
+        m.on_brownout();
         let s = m.snapshot();
         assert_eq!(s.submitted, 2);
         assert_eq!(s.admitted, 1);
@@ -410,22 +340,8 @@ mod tests {
         assert_eq!(s.batched_rows, 9);
         assert_eq!(s.batch_size_hist[2], 1, "4 requests land in bucket 2");
         assert!(s.p99 >= s.p50);
-    }
-
-    #[test]
-    fn snapshot_json_exports_counters_and_histograms() {
-        let m = ServiceMetrics::default();
-        m.on_submitted();
-        m.on_admitted();
-        m.on_batch(2, 2);
-        m.on_completed(Duration::from_micros(3), Duration::from_micros(30));
-        m.on_brownout();
-        let j = m.snapshot_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"completed\":1"));
-        assert!(j.contains("\"brownout_batches\":1"));
-        assert!(j.contains("\"latency_hist\":[["));
-        assert_eq!(m.snapshot().failovers, 0);
+        assert_eq!(s.brownout_batches, 1);
+        assert_eq!(s.failovers, 0);
     }
 
     #[test]

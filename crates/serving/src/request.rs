@@ -1,7 +1,7 @@
 //! Request, response, and typed-rejection types for the inference service.
 //!
-//! A [`Request`] names a tenant and a set of target vertices (one vertex
-//! or a subgraph's worth). Submission returns a [`ResponseHandle`] — a
+//! A [`Request`] names a set of target vertices (one vertex or a
+//! subgraph's worth). Submission returns a [`ResponseHandle`] — a
 //! one-shot future the caller can either `.await` or block on with
 //! [`ResponseHandle::wait`]. Every admission failure is a typed
 //! [`Rejection`] carrying enough state to act on (shed, retry elsewhere,
@@ -18,13 +18,9 @@ use matrix::DenseMatrix;
 use resilience::audit;
 use resilience::guard::StopReason;
 
-/// Tenant identifier: an index into the service's configured tenant
-/// table (weights and quotas are per-tenant, see `ServiceConfig`).
-pub type TenantId = u32;
-
 /// What a request asks the model to score.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RequestKind {
+pub enum Request {
     /// One vertex: the response carries a single output row.
     Vertex(usize),
     /// A subgraph query: one output row per listed target vertex, in the
@@ -32,45 +28,31 @@ pub enum RequestKind {
     Subgraph(Vec<usize>),
 }
 
-impl RequestKind {
+impl Request {
+    /// A single-vertex request. The first argument is ignored (it named a
+    /// tenant); it stays only because gcnbench passes it, and goes in the
+    /// next `[benchmark]` PR.
+    pub fn vertex(_tenant: u32, v: usize) -> Self {
+        Request::Vertex(v)
+    }
+
+    /// A subgraph request over `targets` (one output row each). The first
+    /// argument is ignored, as in [`Request::vertex`].
+    pub fn subgraph(_tenant: u32, targets: Vec<usize>) -> Self {
+        Request::Subgraph(targets)
+    }
+
     /// Target vertices of this request, in response-row order.
     pub fn targets(&self) -> &[usize] {
         match self {
-            RequestKind::Vertex(v) => std::slice::from_ref(v),
-            RequestKind::Subgraph(t) => t,
+            Request::Vertex(v) => std::slice::from_ref(v),
+            Request::Subgraph(t) => t,
         }
     }
 
-    /// Number of output rows this request produces (its accounting cost).
+    /// Number of output rows this request produces.
     pub fn rows(&self) -> usize {
         self.targets().len()
-    }
-}
-
-/// One inference request: which tenant is asking, and for what.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    /// The submitting tenant (admission is metered per tenant).
-    pub tenant: TenantId,
-    /// The requested computation.
-    pub kind: RequestKind,
-}
-
-impl Request {
-    /// A single-vertex request.
-    pub fn vertex(tenant: TenantId, v: usize) -> Self {
-        Request {
-            tenant,
-            kind: RequestKind::Vertex(v),
-        }
-    }
-
-    /// A subgraph request over `targets` (one output row each).
-    pub fn subgraph(tenant: TenantId, targets: Vec<usize>) -> Self {
-        Request {
-            tenant,
-            kind: RequestKind::Subgraph(targets),
-        }
     }
 }
 
@@ -79,7 +61,7 @@ impl Request {
 /// without limit.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Rejection {
-    /// The global queue is at its depth limit; the request was never
+    /// The queue is at its depth limit; the request was never
     /// admitted.
     QueueFull {
         /// Requests queued at the time of rejection.
@@ -92,23 +74,6 @@ pub enum Rejection {
     DeadlineExceeded {
         /// The per-request budget that was exceeded.
         budget: Duration,
-    },
-    /// The tenant is at its in-flight row quota; admitting more would let
-    /// one tenant starve the rest.
-    TenantOverLimit {
-        /// The tenant that hit its quota.
-        tenant: TenantId,
-        /// Rows the tenant currently has in flight.
-        in_flight: u64,
-        /// The tenant's configured quota.
-        limit: u64,
-    },
-    /// The tenant id is not in the service's configured tenant table.
-    UnknownTenant {
-        /// The offending tenant id.
-        tenant: TenantId,
-        /// Number of configured tenants.
-        tenants: usize,
     },
     /// The service is shutting down (or was killed); the request will
     /// never run.
@@ -123,8 +88,9 @@ pub enum Rejection {
         /// The originating fault site: `serving.queue` or `serving.batch`.
         site: String,
     },
-    /// The backend rejected the batch (dimension mismatch, out-of-range
-    /// vertex, kernel error), rendered from the backend's own error type.
+    /// The request names a vertex the graph does not have, or the backend
+    /// rejected its batch (dimension mismatch, kernel error); rendered from
+    /// the backend's own error type.
     Inference(String),
 }
 
@@ -136,17 +102,6 @@ impl std::fmt::Display for Rejection {
             }
             Rejection::DeadlineExceeded { budget } => {
                 write!(f, "latency budget {budget:?} exceeded before dispatch")
-            }
-            Rejection::TenantOverLimit {
-                tenant,
-                in_flight,
-                limit,
-            } => write!(
-                f,
-                "tenant {tenant} over quota ({in_flight} of {limit} rows in flight)"
-            ),
-            Rejection::UnknownTenant { tenant, tenants } => {
-                write!(f, "unknown tenant {tenant} (service has {tenants} tenants)")
             }
             Rejection::Shutdown => write!(f, "service is shut down"),
             Rejection::Stopped(r) => write!(f, "batch stopped: {r}"),

@@ -36,9 +36,8 @@ use resilience::guard::{CancelToken, RunGuard};
 use sparse::Csr;
 
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::queue::{AdmissionQueue, Pending, TenantLane};
-use crate::request::{Brownout, Rejection, Request, Response, ResponseHandle, ServedBy, TenantId};
-use crate::tenant::{FixedQuota, TenantSpec};
+use crate::queue::{AdmissionQueue, Pending};
+use crate::request::{Brownout, Rejection, Request, Response, ResponseHandle, ServedBy};
 
 /// Tunables for one service instance.
 #[derive(Debug, Clone)]
@@ -46,7 +45,8 @@ pub struct ServiceConfig {
     /// Most requests coalesced into one batch.
     pub max_batch: usize,
     /// Most output rows per batch (caps gathered-neighbourhood work when
-    /// subgraph requests are large).
+    /// subgraph requests are large). A single request with more rows still
+    /// runs, in a batch of its own.
     pub max_batch_rows: usize,
     /// How long a lane holds a batch open for late arrivals once the
     /// first request is in hand. Zero disables coalescing (per-request
@@ -59,9 +59,6 @@ pub struct ServiceConfig {
     pub latency_budget: Duration,
     /// Lane (executor) threads.
     pub lanes: usize,
-    /// Per-tenant scheduling weight and row quota; tenant `i` is
-    /// `tenants[i]`.
-    pub tenants: Vec<TenantSpec>,
     /// When and how to degrade precision before shedding.
     pub brownout: BrownoutPolicy,
 }
@@ -88,7 +85,9 @@ impl Default for BrownoutPolicy {
 }
 
 impl ServiceConfig {
-    /// A single unlimited tenant with batching on — the quickstart shape.
+    /// Batching on, two lanes — the quickstart shape. The name is kept
+    /// because gcnbench builds its config from it, and goes in the next
+    /// `[benchmark]` PR.
     pub fn single_tenant() -> Self {
         ServiceConfig {
             max_batch: 64,
@@ -97,7 +96,6 @@ impl ServiceConfig {
             queue_limit: 1024,
             latency_budget: Duration::from_secs(1),
             lanes: 2,
-            tenants: vec![TenantSpec::default()],
             brownout: BrownoutPolicy::default(),
         }
     }
@@ -115,7 +113,8 @@ impl ServiceConfig {
 /// [`Rejection`] instead once the service is running).
 #[derive(Debug)]
 pub enum ServingError {
-    /// The configuration is unusable (no tenants, no lanes, …).
+    /// The configuration is unusable (no lanes, a lane thread that would
+    /// not spawn).
     Config(String),
     /// The model/graph/features triple is inconsistent.
     Model(GcnError),
@@ -192,9 +191,6 @@ impl GcnService {
         features: DenseMatrix,
         cfg: ServiceConfig,
     ) -> Result<GcnService, ServingError> {
-        if cfg.tenants.is_empty() {
-            return Err(ServingError::Config("at least one tenant".into()));
-        }
         if cfg.lanes == 0 {
             return Err(ServingError::Config("at least one lane".into()));
         }
@@ -211,16 +207,8 @@ impl GcnService {
             }));
         }
         let metrics = Arc::new(ServiceMetrics::default());
-        let lanes: Vec<TenantLane> = cfg
-            .tenants
-            .iter()
-            .map(|t| TenantLane::new(t.weight))
-            .collect();
-        let resources = FixedQuota::per_tenant(cfg.tenants.iter().map(|t| t.quota_rows).collect());
         let inner = Arc::new(Inner {
             queue: AdmissionQueue::new(
-                lanes,
-                resources,
                 cfg.queue_limit,
                 cfg.latency_budget,
                 cfg.max_batch,
@@ -263,20 +251,6 @@ impl GcnService {
                 Err(r)
             }
         }
-    }
-
-    /// Submit a single-vertex request.
-    pub fn submit_vertex(&self, tenant: TenantId, v: usize) -> Result<ResponseHandle, Rejection> {
-        self.submit(Request::vertex(tenant, v))
-    }
-
-    /// Submit a subgraph request (one output row per target).
-    pub fn submit_subgraph(
-        &self,
-        tenant: TenantId,
-        targets: Vec<usize>,
-    ) -> Result<ResponseHandle, Rejection> {
-        self.submit(Request::subgraph(tenant, targets))
     }
 
     /// Point-in-time counters: throughput, sheds by cause, batch-size
@@ -360,18 +334,12 @@ fn lane_main(inner: &Inner) {
 }
 
 /// Deliver `Faulted` to everything the lane was holding when a panic
-/// (injected or real) interrupted it, releasing the tenants' charges.
+/// (injected or real) interrupted it.
 fn abandon(inner: &Inner, ctx: &mut LaneCtx) {
     let r = Rejection::Faulted {
         site: "serving.batch".into(),
     };
-    for p in ctx.batch.drain(..) {
-        inner.queue.release(p.tenant, p.rows);
-        inner.metrics.on_rejected(&r);
-        p.slot.fulfill(Err(r.clone()));
-    }
-    // Shed entries had their charges released at pop time.
-    for p in ctx.shed.drain(..) {
+    for p in ctx.batch.drain(..).chain(ctx.shed.drain(..)) {
         inner.metrics.on_rejected(&r);
         p.slot.fulfill(Err(r.clone()));
     }
@@ -389,6 +357,18 @@ fn serve_once(inner: &Inner, guard: &RunGuard, ctx: &mut LaneCtx) -> bool {
         inner.metrics.on_rejected(&r);
         p.slot.fulfill(Err(r));
     }
+    // A request naming a vertex the graph lacks fails alone; its
+    // batchmates run as if it had never been coalesced with them.
+    let vertices = inner.engine.a_hat.nrows();
+    ctx.batch.retain(|p| {
+        let Some(&vertex) = p.kind.targets().iter().find(|&&t| t >= vertices) else {
+            return true;
+        };
+        let r = Rejection::Inference(GcnError::VertexOutOfRange { vertex, vertices }.to_string());
+        inner.metrics.on_rejected(&r);
+        p.slot.fulfill(Err(r));
+        false
+    });
     if ctx.batch.is_empty() {
         return alive;
     }
@@ -408,7 +388,6 @@ fn serve_once(inner: &Inner, guard: &RunGuard, ctx: &mut LaneCtx) -> bool {
     if let Some(reason) = batch_guard.should_stop() {
         let r = Rejection::Stopped(reason);
         for p in ctx.batch.drain(..) {
-            inner.queue.release(p.tenant, p.rows);
             inner.metrics.on_rejected(&r);
             p.slot.fulfill(Err(r.clone()));
         }
@@ -439,7 +418,6 @@ fn serve_once(inner: &Inner, guard: &RunGuard, ctx: &mut LaneCtx) -> bool {
                 row0 += k;
                 let queued = popped.saturating_duration_since(p.enqueued);
                 let total = done.saturating_duration_since(p.enqueued);
-                inner.queue.release(p.tenant, p.rows);
                 inner.metrics.on_completed(queued, total);
                 p.slot.fulfill(Ok(Response {
                     rows,
@@ -453,7 +431,6 @@ fn serve_once(inner: &Inner, guard: &RunGuard, ctx: &mut LaneCtx) -> bool {
         }
         Err(r) => {
             for p in ctx.batch.drain(..) {
-                inner.queue.release(p.tenant, p.rows);
                 inner.metrics.on_rejected(&r);
                 p.slot.fulfill(Err(r.clone()));
             }
@@ -462,9 +439,9 @@ fn serve_once(inner: &Inner, guard: &RunGuard, ctx: &mut LaneCtx) -> bool {
     alive
 }
 
-/// Run one batch, leaving one output row per target in `out`: range-check
-/// the targets, brown the batch out if the queue is at its high-water mark,
-/// and make one rows-path call. Returns the brownout, if any.
+/// Run one batch, leaving one output row per target in `out`: brown the
+/// batch out if the queue is at its high-water mark, and make one rows-path
+/// call. Returns the brownout, if any.
 fn run_backend(
     inner: &Inner,
     targets: &[usize],
@@ -472,12 +449,6 @@ fn run_backend(
     out: &mut DenseMatrix,
 ) -> Result<Option<Brownout>, Rejection> {
     let engine = &inner.engine;
-    let vertices = engine.a_hat.nrows();
-    if let Some(&vertex) = targets.iter().find(|&&t| t >= vertices) {
-        return Err(Rejection::Inference(
-            GcnError::VertexOutOfRange { vertex, vertices }.to_string(),
-        ));
-    }
     let degraded = (inner.queue.depth() >= engine.brownout.queue_high_water).then_some(Brownout {
         precision: engine.brownout.precision,
     });
@@ -516,7 +487,7 @@ mod tests {
         let full = reference(&model, &a, &x);
         let svc = GcnService::planned(model, a, x, ServiceConfig::single_tenant()).unwrap();
         let handles: Vec<_> = (0..20)
-            .map(|v| svc.submit_vertex(0, v * 7).unwrap())
+            .map(|v| svc.submit(Request::vertex(0, v * 7)).unwrap())
             .collect();
         for (i, h) in handles.into_iter().enumerate() {
             let r = h.wait().unwrap();
@@ -532,7 +503,7 @@ mod tests {
         let (model, a, x) = setup();
         let full = reference(&model, &a, &x);
         let svc = GcnService::planned(model, a, x, ServiceConfig::single_tenant()).unwrap();
-        let h = svc.submit_subgraph(0, vec![3, 1, 3, 99]).unwrap();
+        let h = svc.submit(Request::subgraph(0, vec![3, 1, 3, 99])).unwrap();
         let r = h.wait().unwrap();
         assert_eq!(r.rows.rows(), 4);
         for (i, &t) in [3usize, 1, 3, 99].iter().enumerate() {
@@ -546,7 +517,7 @@ mod tests {
         let (model, a, x) = setup();
         let n = a.nrows();
         let svc = GcnService::planned(model, a, x, ServiceConfig::single_tenant()).unwrap();
-        let h = svc.submit_vertex(0, n + 5).unwrap();
+        let h = svc.submit(Request::vertex(0, n + 5)).unwrap();
         assert!(matches!(h.wait(), Err(Rejection::Inference(_))));
         svc.shutdown();
     }
@@ -559,7 +530,7 @@ mod tests {
         cfg.batch_window = Duration::from_millis(50);
         let svc = GcnService::planned(model, a, x, cfg).unwrap();
         let handles: Vec<_> = (0..50)
-            .map(|v| svc.submit_vertex(0, v % 64).unwrap())
+            .map(|v| svc.submit(Request::vertex(0, v % 64)).unwrap())
             .collect();
         let m = svc.kill();
         let mut served = 0;
@@ -582,7 +553,9 @@ mod tests {
         let mut cfg = ServiceConfig::single_tenant();
         cfg.lanes = 1;
         let svc = GcnService::planned(model, a, x, cfg).unwrap();
-        let handles: Vec<_> = (0..30).map(|v| svc.submit_vertex(0, v).unwrap()).collect();
+        let handles: Vec<_> = (0..30)
+            .map(|v| svc.submit(Request::vertex(0, v)).unwrap())
+            .collect();
         let m = svc.shutdown();
         for h in handles {
             h.wait().unwrap();
@@ -604,7 +577,7 @@ mod tests {
             Err(ServingError::Model(GcnError::FeatureDimMismatch { .. }))
         ));
         let mut cfg = ServiceConfig::single_tenant();
-        cfg.tenants.clear();
+        cfg.lanes = 0;
         let x = DenseMatrix::zeros(a.nrows(), 8);
         assert!(matches!(
             GcnService::planned(model, a, x, cfg),

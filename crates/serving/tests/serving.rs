@@ -26,9 +26,7 @@ use matrix::DenseMatrix;
 use matrix::Precision;
 use proptest::prelude::*;
 use resilience::fault::{self, FaultConfig, FaultKind};
-use serving::{
-    Brownout, BrownoutPolicy, GcnService, Rejection, Request, ServiceConfig, TenantSpec,
-};
+use serving::{Brownout, BrownoutPolicy, GcnService, Rejection, Request, ServiceConfig};
 use sparse::Csr;
 
 /// Small twin cap keeps all nine datasets fast while preserving degree
@@ -90,7 +88,6 @@ fn batched_config(max_batch: usize, window_us: u64, lanes: usize) -> ServiceConf
         queue_limit: 4096,
         latency_budget: Duration::from_secs(30),
         lanes,
-        tenants: vec![TenantSpec::default()],
         brownout: BrownoutPolicy::default(),
     }
 }
@@ -196,6 +193,29 @@ proptest! {
     }
 }
 
+/// A request naming a vertex the graph lacks fails alone: coalesced into
+/// the same batch (one lane, a window far longer than the two submits
+/// take), its valid batchmate is still served, bitwise equal to the
+/// serial reference.
+#[test]
+fn bitwise_coalescing_survives_an_out_of_range_batchmate() {
+    let _quiet = fault::arm(FaultConfig::new(0));
+    let a = twin(OgbDataset::Arxiv);
+    let n = a.nrows();
+    let model = GcnModel::new(&GcnConfig::from_dims(vec![16, 24]), 7);
+    let x = features(n, 16, 11);
+    let want = reference(&model, &a, &x);
+
+    let svc =
+        GcnService::planned(model, a, x, batched_config(8, 50_000, 1)).expect("service starts");
+    let bad = svc.submit(Request::vertex(0, n + 5)).expect("admits");
+    let good = svc.submit(Request::vertex(0, 3)).expect("admits");
+    assert!(matches!(bad.wait(), Err(Rejection::Inference(_))));
+    let r = good.wait().expect("the valid batchmate is served");
+    assert_row_bitwise("arxiv", 3, r.rows.row(0), want.row(3));
+    svc.shutdown();
+}
+
 /// A zero high-water mark browns out every batch (queue depth is always
 /// at least 0): every response carries the typed bf16 annotation, and the
 /// service counts each batch it served as a brownout batch.
@@ -257,7 +277,7 @@ fn smoke_low_rate_zero_sheds() {
         let gap_us = 2_000 + (z % 6_000); // mean ~5 ms
         std::thread::sleep(Duration::from_micros(gap_us));
         handles.push(
-            svc.submit_vertex(0, (i as usize * 37) % n)
+            svc.submit(Request::vertex(0, (i as usize * 37) % n))
                 .expect("low-rate submission always admits"),
         );
     }
@@ -285,14 +305,17 @@ fn smoke_batching_beats_per_request() {
         let svc =
             GcnService::planned(model.clone(), a.clone(), x.clone(), cfg).expect("service starts");
         // Warm plan caches outside the timed region.
-        svc.submit_vertex(0, 0)
+        svc.submit(Request::vertex(0, 0))
             .expect("admits")
             .wait()
             .expect("completes");
         let t0 = Instant::now();
         for _round in 0..3 {
             let handles: Vec<_> = (0..64)
-                .map(|i| svc.submit_vertex(0, (i * 61) % n).expect("admits"))
+                .map(|i| {
+                    svc.submit(Request::vertex(0, (i * 61) % n))
+                        .expect("admits")
+                })
                 .collect();
             for h in handles {
                 h.wait().expect("completes");
@@ -345,7 +368,7 @@ fn chaos_faults_surface_as_typed_rejections() {
     let mut submitted = 0usize;
     let mut door_faults = 0usize;
     for i in 0..300usize {
-        match svc.submit_vertex(0, (i * 13) % n) {
+        match svc.submit(Request::vertex(0, (i * 13) % n)) {
             Ok(h) => {
                 submitted += 1;
                 let tx = tx.clone();
@@ -413,7 +436,7 @@ fn chaos_kill_mid_flight_rejects_typed() {
     let svc = GcnService::planned(model, a, x, cfg).expect("service starts");
 
     let handles: Vec<_> = (0..200)
-        .map(|i| svc.submit_vertex(0, (i * 7) % n).expect("admits"))
+        .map(|i| svc.submit(Request::vertex(0, (i * 7) % n)).expect("admits"))
         .collect();
     let (tx, rx) = mpsc::channel();
     for h in handles {

@@ -3,9 +3,9 @@
 //!
 //! Cora itself (2708 vertices, 1433 features, 7 classes) is not in the
 //! Table-I catalog, so this builds an RMAT twin at Cora's shape and runs
-//! a 2-layer GCN service over it: single-vertex requests from two
-//! tenants with different deficit-round-robin weights, coalesced by a
-//! 1 ms batching window into single planned SpMM+GEMM calls.
+//! a 2-layer GCN service over it: single-vertex requests coalesced by a
+//! 1 ms batching window into single planned SpMM+GEMM calls, with a
+//! bounded queue that sheds `QueueFull` rather than queueing without limit.
 //!
 //! ```sh
 //! cargo run --release --example serve_cora
@@ -33,8 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let x = g.random_features(1433, 9);
     let model = GcnModel::new(&GcnConfig::paper_model(1433, 16, 2), 7);
 
-    // Two tenants: tenant 0 gets 3x the dispatch weight of tenant 1, and
-    // both are capped at 512 in-flight output rows.
+    // At most 512 requests queued, each with a 3 s latency budget.
     let cfg = ServiceConfig {
         max_batch: 64,
         max_batch_rows: 4096,
@@ -42,30 +41,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         queue_limit: 512,
         latency_budget: Duration::from_secs(3),
         lanes: 2,
-        tenants: vec![
-            TenantSpec {
-                weight: 3,
-                quota_rows: 512,
-            },
-            TenantSpec {
-                weight: 1,
-                quota_rows: 512,
-            },
-        ],
         ..ServiceConfig::single_tenant()
     };
     let svc = GcnService::planned(model, a_hat, x, cfg)?;
 
-    // Open-loop burst: 200 requests, alternating tenants, ~2k req/s —
+    // Open-loop burst: 200 requests at ~2k req/s —
     // fast enough that the 1 ms window coalesces real batches, slow
     // enough that a 1433-feature Cora model keeps up within budget.
     let mut handles = Vec::new();
     let mut shed = 0u64;
     for i in 0..200usize {
         std::thread::sleep(Duration::from_micros(500));
-        match svc.submit_vertex((i % 2) as u32, (i * 131) % n) {
+        match svc.submit(Request::vertex(0, (i * 131) % n)) {
             Ok(h) => handles.push(h),
-            Err(Rejection::QueueFull { .. } | Rejection::TenantOverLimit { .. }) => shed += 1,
+            Err(Rejection::QueueFull { .. }) => shed += 1,
             Err(other) => return Err(other.into()),
         }
     }
@@ -102,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut brown_cfg = ServiceConfig::single_tenant();
     brown_cfg.brownout.queue_high_water = 0;
     let svc = GcnService::planned(model2, a_hat2, x2, brown_cfg)?;
-    let resp = svc.submit_vertex(0, 0)?.wait()?;
+    let resp = svc.submit(Request::vertex(0, 0))?.wait()?;
     match &resp.degraded {
         Some(b) => println!(
             "degraded mode: served at {:?} (queue at its high-water mark)",
@@ -111,9 +100,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => println!("degraded mode: response unexpectedly full-precision"),
     }
     let m = svc.shutdown();
-    println!(
-        "brownout batches: {} (metrics export: ServiceMetrics::snapshot_json)",
-        m.brownout_batches
-    );
+    println!("brownout batches: {}", m.brownout_batches);
     Ok(())
 }

@@ -70,6 +70,6 @@ pub mod prelude {
     pub use piuma_kernels::{SpmmSimResult, SpmmSimulation, SpmmVariant};
     pub use piuma_sim::{MachineConfig, SimResult, Simulator};
     pub use platform_models::{GcnPhaseTimes, GpuModel, Phase, PiumaModel, XeonModel};
-    pub use serving::{GcnService, Rejection, Request, ServiceConfig, TenantSpec};
+    pub use serving::{GcnService, Rejection, Request, ServiceConfig};
     pub use sparse::{Coo, Csr, Permutation};
 }

@@ -2,8 +2,8 @@
 //! pool's finished-counter handshake, so `cargo test` at the root proves
 //! the protocol clean under every preemption-bounded interleaving — and
 //! proves the detector itself still fires on a seeded memory-ordering
-//! bug. The exhaustive model suites (ready-ring, exchange-retry) live
-//! in `crates/schedck/tests/` and run in the
+//! bug. The exhaustive model suites (ready-ring, exchange-retry,
+//! admission queue) live in `crates/schedck/tests/` and run in the
 //! workspace pass and the `schedck` CI job; this gate keeps the
 //! fastest pair on the tier-1 path.
 
