@@ -942,7 +942,7 @@ mod tests {
         for w in bounds.windows(2) {
             let slot_nnz = row_ptr[w[1]] - row_ptr[w[0]];
             assert!(
-                slot_nnz <= budget + max_row - 1,
+                slot_nnz < budget + max_row,
                 "slot {w:?} holds {slot_nnz} nnz, over the documented bound"
             );
         }

@@ -1,9 +1,9 @@
 //! The shard execution hot loop: a dependency-counting task-graph
-//! executor over the shared worker pool, plus the copy kernels every
-//! sharded layer schedules — halo gather, row-block staging and scatter.
+//! executor over the shared worker pool, plus the one copy kernel every
+//! sharded layer schedules — the halo gather.
 //!
 //! "Kernel on shard" and "halo exchange" are both just task IDs here. A
-//! [`TaskGraph`] is a static DAG (one `exchange(b) → compute(b)` edge per
+//! [`TaskGraph`] is a static DAG (one `exchange(b) → aggregate(b)` edge per
 //! row block); [`TaskGraph::run_tracked`] drains it with the pool's workers
 //! using a shared ready queue and per-task dependency counters, so shards
 //! whose halos arrive early start aggregating while other shards are still
@@ -252,44 +252,6 @@ pub fn gather_rows(stage: &mut DenseMatrix, src: &DenseMatrix, refs: &[u32]) -> 
         stage.row_mut(slot).copy_from_slice(src.row(g as usize));
     }
     (refs.len() * width * 4) as u64
-}
-
-/// Stages the contiguous global row range `r0..r1` of `src` into `dst`
-/// (row `g` lands in local slot `g - r0`): the hidden-state staging copy a
-/// PIUMA node performs before a dense sub-GEMM, made explicit so the
-/// staged traffic is measurable and the fault injector can reach it.
-/// Returns the bytes staged.
-///
-/// Idempotent by construction (pure copy into an exclusively-held buffer),
-/// so callers retry it verbatim when the fault injector fires.
-pub fn stage_block(dst: &mut DenseMatrix, src: &DenseMatrix, r0: usize, r1: usize) -> u64 {
-    // lint:allow(L008): disabled fault points compile to one static bool
-    // load per staging task (not per row), far below the copy cost.
-    resilience::fault_point!("shard.stage");
-    let width = src.cols();
-    dst.resize_for_overwrite(r1 - r0, width);
-    for (lu, g) in (r0..r1).enumerate() {
-        dst.row_mut(lu).copy_from_slice(src.row(g));
-    }
-    ((r1 - r0) * width * 4) as u64
-}
-
-/// The inverse copy of [`stage_block`]: scatters the local rows of `src`
-/// back to the global row range `r0..r1` of `dst` (local slot `g - r0`
-/// lands in row `g`). `dst` must already be sized; only the target range
-/// is written. Returns the bytes scattered.
-///
-/// Idempotent by construction (pure copy into an exclusively-held row
-/// range), so callers retry it verbatim when the fault injector fires.
-pub fn scatter_block(dst: &mut DenseMatrix, src: &DenseMatrix, r0: usize, r1: usize) -> u64 {
-    // lint:allow(L008): disabled fault points compile to one static bool
-    // load per scatter task (not per row), far below the copy cost.
-    resilience::fault_point!("shard.scatter");
-    let width = src.cols();
-    for (lu, g) in (r0..r1).enumerate() {
-        dst.row_mut(g).copy_from_slice(src.row(lu));
-    }
-    ((r1 - r0) * width * 4) as u64
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 //!
 //! The runner turns two raw failure signals into typed [`ShardEvent`]s
 //! here: a worker panic caught by the tracked task-graph executor, and a
-//! staging copy (`shard.exchange` or `shard.stage`) that exhausted its
-//! retry budget. Each event names the row block it hit, the layer being
+//! halo exchange (`shard.exchange`) that exhausted its retry budget. Each event names the row block it hit, the layer being
 //! executed, and the originating fault-site string. The runner's masked
 //! replay records into it and marks a layer's events recovered once the
 //! replay completes; callers read the log back through
@@ -29,8 +28,8 @@ pub enum ShardDownCause {
     /// A task body panicked (caught by the executor; the event's `site`
     /// carries the rendered panic payload).
     Panic,
-    /// A staging copy (halo exchange or row-block stage) exhausted its
-    /// retry budget and surfaced a typed error.
+    /// A halo exchange exhausted its retry budget and surfaced a typed
+    /// error.
     ExchangeFault,
 }
 

@@ -7,18 +7,20 @@
 //! row blocks (reusing the single-node planner's merge-path split), one per
 //! worker, giving each a local CSR plus a **halo map** — the remote rows
 //! whose activations it must fetch each layer. [`ShardedGcn`] then runs
-//! each layer as a task graph: "gather this block's referenced rows into
-//! its stage buffer" and "aggregate and finish this block" are schedulable
-//! nodes executed by [`exec::TaskGraph`] over the shared [`pool`], with all
-//! cross-shard traffic flowing through explicit copy buffers so the
-//! communication volume is measured, not inferred. Every exchange passes a
-//! `fault_point!` site and is retried idempotently, making the protocol
-//! chaos-testable.
+//! each layer as the planned single-node layer with only its SpMM
+//! sharded: the dense update is one pool-width GEMM over all rows, and
+//! the aggregation is a task graph — "gather this block's referenced rows
+//! into its stage buffer" and "aggregate them into the block's own output
+//! rows" are schedulable nodes executed by [`exec::TaskGraph`] over the
+//! shared [`pool`]. All cross-shard traffic flows through the explicit
+//! stage buffers, so the communication volume is measured, not inferred.
+//! Every exchange passes a `fault_point!` site and is retried
+//! idempotently, making the protocol chaos-testable.
 //!
 //! The numeric contract is strict: sharded inference is **bitwise
 //! identical** to single-node [`gcn::GcnModel::infer_planned_with`] running a
-//! width-1 (sequential) plan. Per-shard SpMM walks each row's non-zeros in
-//! the same ascending column order as the single-node row loop, and the
+//! width-1 (sequential) plan. Each block walks its rows' non-zeros in the
+//! same ascending column order as the single-node row loop, and the
 //! packed GEMM's per-row FP sequence is row-partition-invariant — so
 //! splitting work across shards never reassociates a single addition.
 //!
@@ -33,7 +35,7 @@ pub mod exec;
 pub mod health;
 /// Partitioning: NNZ/row-balanced row blocks, halo maps, exchange ledger.
 pub mod partition;
-/// The sharded GCN runner: per-layer task graphs with halo exchange.
+/// The sharded GCN runner: planned layers with a block-sharded SpMM.
 pub mod runner;
 /// PIUMA projection of a shard plan (regenerates the scaling CSV).
 pub mod sim;

@@ -1,31 +1,32 @@
 //! The sharded GCN inference runner.
 //!
 //! [`ShardedGcn`] executes a [`gcn::GcnModel`] over a [`ShardPlan`] the
-//! way a PIUMA cluster would: every layer is one task graph of
-//! `exchange(b) → compute(b)` per row block — "gather this block's
-//! referenced rows into its stage buffer", then "aggregate them and run
-//! the layer's tail" — drained by [`crate::exec::TaskGraph`] over the
-//! shared pool. An update-first layer runs one independent `H_blk · W`
-//! task per block before it. All cross-shard data moves through explicit
-//! per-block copy buffers, every copy passes a fault point and is retried
-//! idempotently, and the runner counts the staged/halo bytes so
-//! communication volume is a measured quantity.
+//! way a PIUMA cluster would: a sharded layer is the planned layer
+//! ([`kernels::fused::gcn_layer_planned_into`]) with only its SpMM
+//! sharded. The dense update is node-local, so it runs as one GEMM at pool
+//! width over the whole activation matrix; the aggregation is one task
+//! graph of `exchange(b) → aggregate(b)` per row block — "gather this
+//! block's referenced rows into its stage buffer", then "aggregate them
+//! straight into the block's own output rows" — drained by
+//! [`crate::exec::TaskGraph`] over the shared pool. The exchange is the
+//! only copy: it passes a fault point, is retried idempotently, and the
+//! runner counts its staged/halo bytes so communication volume is a
+//! measured quantity.
 //!
 //! The output is **bitwise identical** to single-node
-//! [`gcn::GcnModel::infer_planned_with`] running a width-1 plan: per-block
-//! plans are built at width 1 (always sequential — parallelism comes from
-//! the task graph, not from inside a shard), each block walks its rows'
-//! non-zeros in the same ascending column order as the unsharded row loop,
-//! and the packed GEMM is row-partition-invariant.
+//! [`gcn::GcnModel::infer_planned_with`] running a width-1 plan: each block
+//! walks its rows' non-zeros in the same ascending column order as the
+//! unsharded row loop, and the packed GEMM is row-partition-invariant, so
+//! a pool-width update equals a width-1 one.
 
 use std::sync::Mutex;
 
 use gcn::{GcnLayer, GcnModel};
 use kernels::fused::FusedOrder;
-use kernels::SpmmPlan;
-use matrix::microkernel::{dense_update_with, KernelDispatch};
-use matrix::{Activation, DenseMatrix, Precision, QuantMatrix};
-use resilience::retry::{self, Recovery, RetryError, RetryPolicy};
+use kernels::spmm::FeatureOperand;
+use matrix::microkernel::{dense_update_with, resolve_precision, KernelDispatch};
+use matrix::{Activation, DenseMatrix, MatrixError, Precision, QuantMatrix};
+use resilience::retry::{self, RetryPolicy};
 use sparse::Csr;
 
 use crate::exec::{self, TaskGraph};
@@ -38,18 +39,22 @@ use crate::ShardError;
 /// looping forever under a 100% fault rate.
 pub const MAX_REPLAY_ATTEMPTS: usize = 8;
 
-/// Per-block state: the staged feature rows (the halo landing buffer),
-/// their narrow-storage encoding (written only under a narrow plan), the
-/// block's cached execution plan, the aggregation accumulator, the layer
-/// output rows, and the update-first staging block of `H` rows.
+/// Per-block state: the staged feature rows (the halo landing buffer) and
+/// their narrow-storage encoding (written only at a narrow precision).
 #[derive(Debug, Default)]
 struct BlockBuf {
     feat: DenseMatrix,
     quant: QuantMatrix,
-    plan: Option<SpmmPlan>,
-    acc: DenseMatrix,
-    out: DenseMatrix,
-    hblk: DenseMatrix,
+}
+
+/// The planned layer's three n-row activation buffers: the layer input
+/// `h` (unused by layer 0, which reads the features in place), the
+/// intermediate `mid` and the layer output `next`.
+#[derive(Debug, Default)]
+struct LayerBufs {
+    h: DenseMatrix,
+    mid: DenseMatrix,
+    next: DenseMatrix,
 }
 
 /// Communication observed during the most recent inference call.
@@ -94,7 +99,7 @@ pub struct ShardReport {
     /// inference pass.
     pub ledger_bytes: u64,
     /// Measured bytes copied through the explicit stage buffers during
-    /// the last inference (local + halo rows, all phases).
+    /// the last inference (local + halo rows of every exchange).
     pub staged_bytes: u64,
     /// Measured halo subset of `staged_bytes` — rows fetched from other
     /// workers.
@@ -114,13 +119,12 @@ pub struct ShardReport {
 #[derive(Debug)]
 pub struct ShardedGcn {
     plan: ShardPlan,
+    graph: TaskGraph,
     precision: Precision,
     policy: RetryPolicy,
     kd: KernelDispatch,
     blocks: Vec<Mutex<BlockBuf>>,
-    h: DenseMatrix,
-    next: DenseMatrix,
-    mid: DenseMatrix,
+    bufs: LayerBufs,
     counters: Mutex<Counters>,
     faults: Mutex<Vec<TaskFault>>,
     health: HealthRegistry,
@@ -137,11 +141,11 @@ impl ShardedGcn {
         Self::with_precision(a, workers, Precision::F32)
     }
 
-    /// [`ShardedGcn::new`] at a narrow storage precision: every block's
-    /// plan inherits `precision` for its SpMM feature operand (the update
-    /// stays the one `f32` GEMM), exactly like single-node
-    /// [`gcn::GcnModel::infer_planned_with`] under a plan
-    /// [`SpmmPlan::at_precision`].
+    /// [`ShardedGcn::new`] at a narrow storage precision for the SpMM
+    /// feature operand (the update stays the one `f32` GEMM), exactly like
+    /// single-node [`gcn::GcnModel::infer_planned_with`] under a plan
+    /// [`kernels::SpmmPlan::at_precision`]: the request is probed once
+    /// here and any ISA downgrade is kept for every call.
     ///
     /// # Errors
     ///
@@ -152,18 +156,22 @@ impl ShardedGcn {
         precision: Precision,
     ) -> Result<ShardedGcn, ShardError> {
         let plan = ShardPlan::new(a, workers, PartitionKind::Rows1D)?;
-        let blocks = (0..plan.workers())
-            .map(|_| Mutex::new(BlockBuf::default()))
-            .collect();
+        let r = plan.workers();
+        // Task `b` is block b's exchange, task `r + b` its aggregate.
+        let mut graph = TaskGraph::new(2 * r);
+        for b in 0..r {
+            graph.add_dep(r + b, b);
+        }
+        let blocks = (0..r).map(|_| Mutex::new(BlockBuf::default())).collect();
+        let kd = KernelDispatch::get();
         Ok(ShardedGcn {
             plan,
-            precision,
+            graph,
+            precision: resolve_precision(kd, precision).0,
             policy: RetryPolicy::default(),
-            kd: KernelDispatch::get(),
+            kd,
             blocks,
-            h: DenseMatrix::default(),
-            next: DenseMatrix::default(),
-            mid: DenseMatrix::default(),
+            bufs: LayerBufs::default(),
             counters: Mutex::new(Counters::default()),
             faults: Mutex::new(Vec::new()),
             health: HealthRegistry::default(),
@@ -175,7 +183,8 @@ impl ShardedGcn {
         &self.plan
     }
 
-    /// Storage precision the shards run at.
+    /// Storage precision the shards run at (the requested one, or its ISA
+    /// downgrade).
     pub fn precision(&self) -> Precision {
         self.precision
     }
@@ -222,12 +231,17 @@ impl ShardedGcn {
         // this order, so the per-crate lock graph (L011) stays acyclic.
         lock(&self.faults).clear();
         *lock(&self.counters) = Counters::default();
-        self.h.copy_from(features);
-        for (layer_idx, layer) in model.layers().iter().enumerate() {
-            self.run_layer(layer, layer_idx)?;
-            std::mem::swap(&mut self.h, &mut self.next);
-        }
-        Ok(self.h.clone())
+        // The buffers leave `self` for the run, so the layer graphs can
+        // borrow the runner shared while they write the buffers.
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let run = self.run_layers(model, features, &mut bufs);
+        self.bufs = bufs;
+        run?;
+        Ok(if model.layers().is_empty() {
+            features.clone()
+        } else {
+            self.bufs.h.clone()
+        })
     }
 
     /// The partition/ledger/measured-bytes report for `model`, reflecting
@@ -257,64 +271,113 @@ impl ShardedGcn {
         }
     }
 
-    /// One layer, in the fused layer's association order
-    /// ([`ShardPlan::layer_exchange`]). An update-first layer
-    /// (`k_in > k_out`) first runs every block's `H_blk · W` and publishes
-    /// the products to `mid`. Then the `exchange(b) → compute(b)` graph
-    /// aggregates `H` (aggregate-first) or `mid` (update-first), and the
-    /// block outputs are scattered into the ping-pong buffer.
-    fn run_layer(&mut self, layer: &GcnLayer, layer_idx: usize) -> Result<(), ShardError> {
-        let ex = self.plan.layer_exchange(layer.in_dim(), layer.out_dim());
-        let update_first = ex.order == FusedOrder::UpdateFirst;
-        let r = self.plan.workers();
-        if update_first {
-            let this: &Self = self;
-            this.run_recovering(&TaskGraph::new(r), layer_idx, |b| {
-                this.update_task(b, layer)
-            })?;
-            // Publish the block products to the global mid buffer (the
-            // sequential analogue of writing updates to the DGAS).
-            self.mid
-                .resize_for_overwrite(self.plan.nrows(), ex.agg_width);
-            for (b, w) in self.plan.row_bounds().windows(2).enumerate() {
-                let buf = lock(&self.blocks[b]);
-                for (lu, g) in (w[0]..w[1]).enumerate() {
-                    self.mid.row_mut(g).copy_from_slice(buf.out.row(lu));
-                }
-            }
+    /// Every layer of `model`, layer 0 reading `features` in place; the
+    /// output ends in `bufs.h`.
+    fn run_layers(
+        &self,
+        model: &GcnModel,
+        features: &DenseMatrix,
+        bufs: &mut LayerBufs,
+    ) -> Result<(), ShardError> {
+        let LayerBufs { h, mid, next } = bufs;
+        for (layer_idx, layer) in model.layers().iter().enumerate() {
+            let input = if layer_idx == 0 { features } else { &*h };
+            self.run_layer(layer, layer_idx, input, mid, next)?;
+            std::mem::swap(h, next);
         }
-        let this: &Self = self;
-        let src = if update_first { &this.mid } else { &this.h };
-        let mut graph = TaskGraph::new(2 * r);
-        for b in 0..r {
-            graph.add_dep(r + b, b);
-        }
-        this.run_recovering(&graph, layer_idx, |t| {
-            if t < r {
-                this.exchange_task(t, src, ex.agg_width);
-            } else {
-                this.compute_task(t - r, layer, ex);
-            }
-        })?;
-        self.scatter_outputs(layer.out_dim(), update_first)
+        Ok(())
     }
 
-    /// Drains `graph` (task `t` belongs to block `t % workers`) with
-    /// bounded masked-replay recovery. The first attempt runs every task;
-    /// when a task panics (worker loss) or a staging copy exhausts its
+    /// One layer in the fused layer's association order
+    /// ([`ShardPlan::layer_exchange`]), writing `next`. Aggregate-first:
+    /// the block graph aggregates `h` into `mid`, then one pool-width
+    /// dense update with bias + activation writes `next`. Update-first
+    /// (`k_in > k_out`): one pool-width GEMM writes `mid = h · W`, then the
+    /// block graph aggregates `mid` into `next`, each block finishing its
+    /// own rows with bias + activation.
+    fn run_layer(
+        &self,
+        layer: &GcnLayer,
+        layer_idx: usize,
+        h: &DenseMatrix,
+        mid: &mut DenseMatrix,
+        next: &mut DenseMatrix,
+    ) -> Result<(), ShardError> {
+        let threads = pool::global().width();
+        let (w, bias) = (&layer.weight, layer.bias.as_deref());
+        let ex = self.plan.layer_exchange(layer.in_dim(), layer.out_dim());
+        match ex.order {
+            FusedOrder::AggregateFirst => {
+                self.aggregate(layer_idx, h, mid, None)?;
+                dense_update_with(self.kd, mid, w, bias, layer.activation, threads, next)?;
+            }
+            FusedOrder::UpdateFirst => {
+                if let Some(b) = bias.filter(|b| b.len() != w.cols()) {
+                    return Err(MatrixError::DimensionMismatch {
+                        op: "add_row_bias",
+                        lhs: (h.rows(), w.cols()),
+                        rhs: (1, b.len()),
+                    }
+                    .into());
+                }
+                dense_update_with(self.kd, h, w, None, Activation::Identity, threads, mid)?;
+                self.aggregate(layer_idx, mid, next, Some(layer))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The sharded SpMM `out = A · src` through the `exchange(b) →
+    /// aggregate(b)` graph: each block's aggregate writes its own rows
+    /// `[r0, r1)` of `out` in place, finished with `tail`'s bias +
+    /// activation when given.
+    fn aggregate(
+        &self,
+        layer_idx: usize,
+        src: &DenseMatrix,
+        out: &mut DenseMatrix,
+        tail: Option<&GcnLayer>,
+    ) -> Result<(), ShardError> {
+        let width = src.cols();
+        out.resize_for_overwrite(self.plan.nrows(), width);
+        // Each block owns a disjoint row range of `out`; the mutexes never
+        // contend, they only hand `&mut` slices through `Fn`.
+        let mut rest = out.as_mut_slice();
+        let rows: Vec<Mutex<&mut [f32]>> = self
+            .plan
+            .row_bounds()
+            .windows(2)
+            .map(|w| {
+                let (chunk, after) = std::mem::take(&mut rest).split_at_mut((w[1] - w[0]) * width);
+                rest = after;
+                Mutex::new(chunk)
+            })
+            .collect();
+        let r = self.plan.workers();
+        self.run_recovering(layer_idx, |t| {
+            if t < r {
+                self.exchange_task(t, src);
+            } else {
+                self.aggregate_task(t - r, &rows[t - r], width, tail);
+            }
+        })
+    }
+
+    /// Drains the layer graph (task `t` belongs to block `t % workers`)
+    /// with bounded masked-replay recovery. The first attempt runs every
+    /// task; when a task panics (worker loss) or an exchange exhausts its
     /// retries, the completed tasks' buffers are kept and only the rest is
     /// re-executed on the surviving workers. The replay mask has one rule:
-    /// a fault on block `b` clears every task of `b` — its staging copy and
-    /// the compute that read it. Every task overwrites its outputs, so a
+    /// a fault on block `b` clears both tasks of `b` — its exchange and
+    /// the aggregate that read it. Every task overwrites its outputs, so a
     /// recovered layer is bitwise identical to a fault-free run.
     fn run_recovering<F: Fn(usize) + Sync>(
         &self,
-        graph: &TaskGraph,
         layer_idx: usize,
         run_task: F,
     ) -> Result<(), ShardError> {
         let r = self.plan.workers();
-        let mut done = vec![false; graph.tasks()];
+        let mut done = vec![false; self.graph.tasks()];
         let mut replayed = 0u64;
         let mut recovered = false;
         let mut last_error = ShardError::Executor("recovery attempts exhausted".into());
@@ -324,7 +387,7 @@ impl ShardedGcn {
             }
             lock(&self.faults).clear();
             let done_ro = &done;
-            let trace = graph.run_tracked(r, |t| {
+            let trace = self.graph.run_tracked(r, |t| {
                 // Done in a prior attempt, or its block already faulted in
                 // this one (a stale stage buffer): leave it to the mask.
                 if done_ro[t] || lock(&self.faults).iter().any(|f| f.block == t % r) {
@@ -404,140 +467,48 @@ impl ShardedGcn {
     }
 
     /// Stages block `b`'s referenced rows of `src` into its stage buffer,
-    /// retrying through the `shard.exchange` fault point.
-    fn exchange_task(&self, b: usize, src: &DenseMatrix, width: usize) {
+    /// retrying through the `shard.exchange` fault point, and books the
+    /// copy: its bytes and recoveries when it landed, an `Exchange` fault
+    /// when it exhausted its retries.
+    fn exchange_task(&self, b: usize, src: &DenseMatrix) {
         let blk = &self.plan.blocks()[b];
         let mut buf = lock(&self.blocks[b]);
         let outcome = retry::run(&self.policy, || -> Result<u64, ShardError> {
             Ok(exec::gather_rows(&mut buf.feat, src, &blk.refs))
         });
-        self.book_copy(b, outcome, (blk.halo.len() * width * 4) as u64);
-    }
-
-    /// Block `b`'s compute: aggregate its staged rows into `acc` through
-    /// the block's cached width-1 plan (rebuilt when the aggregation width
-    /// changes; a narrow plan encodes the staged rows first), then the
-    /// layer's tail — the dense update with bias + activation written from
-    /// the GEMM's register tiles (aggregate-first), or bias + activation on
-    /// `acc` itself (update-first). The aggregate overwrites `acc`, so a
-    /// replayed compute is idempotent.
-    fn compute_task(&self, b: usize, layer: &GcnLayer, ex: LayerExchange) {
-        let blk = &self.plan.blocks()[b];
-        let mut buf = lock(&self.blocks[b]);
-        let buf = &mut *buf;
-        if !buf
-            .plan
-            .as_ref()
-            .is_some_and(|p| p.matches(&blk.local) && p.k() == ex.agg_width)
-        {
-            // Width 1 => always sequential: parallelism comes from the
-            // task graph, never from inside a shard, which keeps the
-            // per-row floating-point order machine-independent.
-            buf.plan = Some(
-                SpmmPlan::with_width(&blk.local, ex.agg_width, 1).at_precision(self.precision),
-            );
-        }
-        let plan = buf.plan.as_ref().expect("plan installed just above");
-        let res = plan
-            .run_at_precision_into(&blk.local, &buf.feat, &mut buf.quant, &mut buf.acc)
-            .and_then(|()| match ex.order {
-                FusedOrder::AggregateFirst => dense_update_with(
-                    self.kd,
-                    &buf.acc,
-                    &layer.weight,
-                    layer.bias.as_deref(),
-                    layer.activation,
-                    1,
-                    &mut buf.out,
-                ),
-                FusedOrder::UpdateFirst => {
-                    if let Some(bias) = &layer.bias {
-                        buf.acc.add_row_bias(bias)?;
-                    }
-                    buf.acc.apply_activation(layer.activation);
-                    Ok(())
-                }
-            });
-        if let Err(e) = res {
-            self.record(b, ShardError::Matrix(e));
-        }
-    }
-
-    /// Update-first phase A on block `b`: stage its own `H` rows (retried
-    /// through the `shard.stage` fault point) and multiply them by `W`
-    /// into `out`; bias and activation wait until after the aggregation.
-    fn update_task(&self, b: usize, layer: &GcnLayer) {
-        let (r0, r1) = (self.plan.row_bounds()[b], self.plan.row_bounds()[b + 1]);
-        let mut buf = lock(&self.blocks[b]);
-        let buf = &mut *buf;
-        let outcome = retry::run(&self.policy, || -> Result<u64, ShardError> {
-            Ok(exec::stage_block(&mut buf.hblk, &self.h, r0, r1))
-        });
-        if !self.book_copy(b, outcome, 0) {
-            return;
-        }
-        let res = dense_update_with(
-            self.kd,
-            &buf.hblk,
-            &layer.weight,
-            None,
-            Activation::Identity,
-            1,
-            &mut buf.out,
-        );
-        if let Err(e) = res {
-            self.record(b, ShardError::Matrix(e));
-        }
-    }
-
-    /// Books one retried staging copy of block `b`: its bytes and
-    /// recoveries when it landed, an `Exchange` fault when it exhausted
-    /// its retries. Returns whether it landed.
-    fn book_copy(
-        &self,
-        b: usize,
-        outcome: Result<Recovery<u64>, RetryError<ShardError>>,
-        halo_bytes: u64,
-    ) -> bool {
         match outcome {
             Ok(rec) => {
                 let mut c = lock(&self.counters);
                 c.staged_bytes += rec.value;
-                c.halo_bytes += halo_bytes;
+                c.halo_bytes += (blk.halo.len() * src.cols() * 4) as u64;
                 c.recovered_exchanges += u64::from(rec.attempts - 1);
-                true
             }
-            Err(e) => {
-                self.record(b, ShardError::Exchange(e.to_string()));
-                false
-            }
+            Err(e) => self.record(b, ShardError::Exchange(e.to_string())),
         }
     }
 
-    /// Copies per-block results into the ping-pong output buffer (`acc`
-    /// after update-first, `out` after aggregate-first). The whole
-    /// collection — buffer resize plus per-block scatter — runs inside one
-    /// retried fault-pointed region: every write is an idempotent
-    /// overwrite, so an injected panic just replays the copy.
-    fn scatter_outputs(&mut self, k_out: usize, from_acc: bool) -> Result<(), ShardError> {
-        let (next, plan, blocks) = (&mut self.next, &self.plan, &self.blocks);
-        let outcome = retry::run(&self.policy, || -> Result<u64, ShardError> {
-            resilience::fault_point!("shard.collect");
-            next.resize_for_overwrite(plan.nrows(), k_out);
-            let mut bytes = 0u64;
-            for (block, w) in blocks.iter().zip(plan.row_bounds().windows(2)) {
-                let buf = lock(block);
-                let src = if from_acc { &buf.acc } else { &buf.out };
-                bytes += exec::scatter_block(next, src, w[0], w[1]);
-            }
-            Ok(bytes)
-        });
-        match outcome {
-            Ok(rec) => {
-                lock(&self.counters).recovered_exchanges += u64::from(rec.attempts - 1);
-                Ok(())
-            }
-            Err(e) => Err(ShardError::Exchange(e.to_string())),
+    /// Block `b`'s aggregate: its local-CSR row loop over the staged rows
+    /// (encoded first at a narrow precision), written straight into its
+    /// `rows` of the layer output and finished with `tail`'s bias +
+    /// activation when given. Every row is overwritten, so a replayed
+    /// aggregate is idempotent.
+    fn aggregate_task(
+        &self,
+        b: usize,
+        rows: &Mutex<&mut [f32]>,
+        width: usize,
+        tail: Option<&GcnLayer>,
+    ) {
+        let local = &self.plan.blocks()[b].local;
+        let mut buf = lock(&self.blocks[b]);
+        let buf = &mut *buf;
+        let mut rows = lock(rows);
+        match self.precision {
+            Precision::F32 => fill_rows(self.kd, local, &buf.feat, &mut rows, width, tail),
+            narrow => match buf.quant.encode(&buf.feat, narrow) {
+                Ok(()) => fill_rows(self.kd, local, &buf.quant, &mut rows, width, tail),
+                Err(e) => self.record(b, ShardError::Matrix(e)),
+            },
         }
     }
 
@@ -546,6 +517,32 @@ impl ShardedGcn {
     /// invalidate *all* stale buffers, not just the first.
     fn record(&self, block: usize, error: ShardError) {
         lock(&self.faults).push(TaskFault { block, error });
+    }
+}
+
+/// `out = local · x` row by row (`width` lanes per row), each row one
+/// [`FeatureOperand::fill_row`] over its non-zeros in ascending column
+/// order — the unsharded row loop's exact FP sequence — then `tail`'s bias
+/// and activation on the finished row.
+fn fill_rows<F: FeatureOperand>(
+    kd: KernelDispatch,
+    local: &Csr,
+    x: &F,
+    out: &mut [f32],
+    width: usize,
+    tail: Option<&GcnLayer>,
+) {
+    for u in 0..local.nrows() {
+        let y = &mut out[u * width..(u + 1) * width];
+        x.fill_row(kd, y, local.row_cols(u), local.row_values(u));
+        if let Some(layer) = tail {
+            if let Some(bias) = &layer.bias {
+                for (v, b) in y.iter_mut().zip(bias) {
+                    *v += b;
+                }
+            }
+            layer.activation.apply_in_place(y);
+        }
     }
 }
 

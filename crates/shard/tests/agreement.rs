@@ -14,7 +14,8 @@
 //! bitwise_n4`.
 
 use gcn::{GcnConfig, GcnModel, InferenceWorkspace};
-use graph::OgbDataset;
+use graph::rmat::RmatConfig;
+use graph::{Graph, OgbDataset};
 use kernels::SpmmPlan;
 use matrix::DenseMatrix;
 use resilience::fault::{self, FaultConfig, FaultKind};
@@ -152,6 +153,58 @@ fn bitwise_n4_wide() {
     assert_bitwise(d, &got, &want);
 }
 
+/// More workers than rows: 300 blocks over a 16-row graph leave the
+/// trailing blocks empty, so their exchanges stage nothing and their
+/// output row ranges have zero length. Both association orders must still
+/// match the width-1 reference bitwise.
+#[test]
+fn bitwise_more_workers_than_rows() {
+    // Fires nowhere, but holds the process-wide arm lock: a neighbour's
+    // injected faults cannot land in this run.
+    let _quiet = fault::arm(FaultConfig::new(0));
+    let a_hat = Graph::rmat(&RmatConfig::power_law(4, 6), 1)
+        .normalized_adjacency()
+        .expect("rmat adjacency normalizes");
+    assert_eq!(a_hat.nrows(), 16);
+    let model = GcnModel::new(&GcnConfig::from_dims(vec![16, 32, 8]), 7);
+    let x = features(a_hat.nrows(), 16, 11);
+    let want = reference(&model, &a_hat, &x);
+    let mut sharded =
+        ShardedGcn::new(&a_hat, 300, PartitionKind::Rows1D).expect("shard plan builds");
+    assert!(sharded.plan().blocks().iter().any(|b| b.rows() == 0));
+    let got = sharded
+        .infer(&model, &x)
+        .expect("sharded inference succeeds");
+    assert_bitwise(OgbDataset::Products, &got, &want);
+}
+
+/// The measured traffic is the partition's, exactly: a fault-free run
+/// stages every block's referenced rows once per layer at the layer's
+/// aggregation width, and its halo subset is the static ledger.
+#[test]
+fn staged_bytes_match_the_partition() {
+    // Fires nowhere, but holds the process-wide arm lock: a neighbour's
+    // injected faults cannot land in this run.
+    let _quiet = fault::arm(FaultConfig::new(0));
+    let a_hat = twin(OgbDataset::Products);
+    let model = GcnModel::new(&GcnConfig::from_dims(vec![16, 32, 8]), 7);
+    let x = features(a_hat.nrows(), 16, 11);
+    let mut sharded = ShardedGcn::new(&a_hat, 4, PartitionKind::Rows1D).expect("shard plan builds");
+    sharded
+        .infer(&model, &x)
+        .expect("sharded inference succeeds");
+    let report = sharded.report(&model);
+    let refs: usize = sharded.plan().blocks().iter().map(|b| b.refs.len()).sum();
+    let want: u64 = report
+        .layers
+        .iter()
+        .map(|l| (refs * l.agg_width * 4) as u64)
+        .sum();
+    assert_eq!(report.staged_bytes, want);
+    assert_eq!(report.halo_bytes, report.ledger_bytes);
+    assert!(report.halo_bytes > 0, "four blocks exchange a halo");
+}
+
 /// Narrow-precision sharded inference agrees bitwise with the single-node
 /// narrow path at the same width-1 plan.
 #[test]
@@ -164,7 +217,7 @@ fn bitwise_narrow_precision() {
     let config = GcnConfig::from_dims(vec![16, 32, 8]);
     let model = GcnModel::new(&config, 7);
     let x = features(a_hat.nrows(), 16, 11);
-    for precision in [Precision::Bf16, Precision::F16] {
+    for precision in [Precision::Bf16, Precision::F16, Precision::Int8] {
         let mut ws = InferenceWorkspace::new();
         ws.install_plan(SpmmPlan::with_width(&a_hat, 16, 1).at_precision(precision));
         let want = model

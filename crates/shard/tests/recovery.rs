@@ -220,8 +220,3 @@ fn exhausted_staging_replays_bitwise(site: &'static str) {
 fn exhausted_exchange_retries_replay_bitwise() {
     exhausted_staging_replays_bitwise("shard.exchange");
 }
-
-#[test]
-fn exhausted_stage_retries_replay_bitwise() {
-    exhausted_staging_replays_bitwise("shard.stage");
-}

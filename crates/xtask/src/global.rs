@@ -269,6 +269,10 @@ fn extract_tag(comment: &str) -> Option<String> {
 
 // --- L011 ------------------------------------------------------------------
 
+/// One crate's lock-acquisition graph: `(first, second)` lock names →
+/// `(file, line)` of the second acquisition that created the edge.
+type LockEdges = BTreeMap<(String, String), (String, usize)>;
+
 fn l011_locks(
     files: &[(String, SourceFile)],
     ws: &Workspace,
@@ -307,10 +311,8 @@ fn l011_locks(
     }
 
     // Lock-order discipline: per-crate acquisition graph over lock names.
-    // witness: (file, line) of the second acquisition that created the edge.
-    let mut edges: BTreeMap<String, BTreeMap<(String, String), (String, usize)>> = BTreeMap::new();
-    for (caller, f) in ws.fns().iter().enumerate() {
-        let _ = caller;
+    let mut edges: BTreeMap<String, LockEdges> = BTreeMap::new();
+    for f in ws.fns() {
         if f.is_test {
             continue;
         }
@@ -470,16 +472,13 @@ fn normalize_lock_expr(expr: &str) -> Option<String> {
             .take_while(|c| c.is_alphanumeric() || *c == '_')
             .collect()
     };
-    let name = e
-        .rsplit('.')
-        .map(|seg| ident_prefix(seg))
-        .find(|n| !n.is_empty())?;
+    let name = e.rsplit('.').map(ident_prefix).find(|n| !n.is_empty())?;
     (!name.is_empty() && !name.chars().next().is_some_and(|c| c.is_ascii_digit())).then_some(name)
 }
 
 /// Enumerates one representative cycle per strongly-connected component
 /// with more than one node, as a lock-name path `a -> b -> … -> a`.
-fn find_cycles(graph: &BTreeMap<(String, String), (String, usize)>) -> Vec<Vec<String>> {
+fn find_cycles(graph: &LockEdges) -> Vec<Vec<String>> {
     let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for (a, b) in graph.keys() {
         adj.entry(a.as_str()).or_default().push(b.as_str());
@@ -568,7 +567,7 @@ fn l012_exchange(
                         if !cfg.exchange_buffers.iter().any(|b| b == &buf) {
                             continue;
                         }
-                        if !covered_from.is_some_and(|c| c <= line) {
+                        if covered_from.is_none_or(|c| c > line) {
                             push(Diagnostic::new(
                                 "L012",
                                 path,

@@ -224,6 +224,26 @@ fn gh_escape(s: &str) -> String {
         .replace('\n', "%0A")
 }
 
+/// Prints every honored waiver as `file:line [IDs] reason`, so reviewers
+/// can audit the full exception surface in one listing.
+fn list_waivers(root: &Path, files: &[PathBuf]) -> ExitCode {
+    let mut count = 0usize;
+    for path in files {
+        let Ok(text) = std::fs::read_to_string(path) else {
+            continue;
+        };
+        let rel = rel_str(path, root);
+        for (l, line) in text.lines().enumerate() {
+            if let Some(at) = line.find("lint:allow") {
+                println!("{}:{}: {}", rel, l + 1, line[at..].trim());
+                count += 1;
+            }
+        }
+    }
+    println!("{count} waiver(s)");
+    ExitCode::SUCCESS
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,24 +306,4 @@ mod tests {
         let json = render_json(&empty, 0, 0);
         assert!(json.contains("\"diagnostics\": []"));
     }
-}
-
-/// Prints every honored waiver as `file:line [IDs] reason`, so reviewers
-/// can audit the full exception surface in one listing.
-fn list_waivers(root: &Path, files: &[PathBuf]) -> ExitCode {
-    let mut count = 0usize;
-    for path in files {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            continue;
-        };
-        let rel = rel_str(path, root);
-        for (l, line) in text.lines().enumerate() {
-            if let Some(at) = line.find("lint:allow") {
-                println!("{}:{}: {}", rel, l + 1, line[at..].trim());
-                count += 1;
-            }
-        }
-    }
-    println!("{count} waiver(s)");
-    ExitCode::SUCCESS
 }

@@ -29,7 +29,15 @@ const EXCHANGE: &str = "crates/shard/src/exec.rs";
 
 /// (lint ID, failing fixture, passing fixture, pseudo-path,
 /// companion (fixture, pseudo-path) linted alongside both).
-const CASES: &[(&str, &str, &str, &str, Option<(&str, &str)>)] = &[
+type Case = (
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+    Option<(&'static str, &'static str)>,
+);
+
+const CASES: &[Case] = &[
     ("L001", "l001_bad.rs", "l001_good.rs", KERNEL_SRC, None),
     ("L002", "l002_bad.rs", "l002_good.rs", KERNEL_SRC, None),
     ("L003", "l003_bad.rs", "l003_good.rs", HOT, None),
