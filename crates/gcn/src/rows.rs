@@ -16,7 +16,9 @@
 //! row `v` **in full** — every non-zero, same order, same values, column
 //! ids renumbered by rank in `V_{l-1}`. Only `X[V_0]` is gathered, and the
 //! one layer loop (`GcnModel::run_layers`) runs the stack, one operand
-//! and one `Sequential`-pinned [`kernels::SpmmPlan`] per layer.
+//! and one [`kernels::SpmmPlan`] per layer, pinned to the NNZ-balanced
+//! kernel at the pool's width: a batch's SpMM and dense update both run on
+//! the whole pool.
 //!
 //! **Why the bits do not change.** Each kept row walks exactly `A_hat`'s
 //! non-zeros in ascending global column order (ranking is monotone) through
@@ -239,9 +241,10 @@ impl GcnModel {
             }
         }
 
-        // --- One Sequential-pinned plan per operand: batch parallelism
-        // comes from the serving lanes, never from inside a batch, and a
-        // pin never re-resolves at another K or widens the dense update.
+        // --- One plan per operand, pinned to the pool-width NNZ-balanced
+        // kernel: both halves of every layer run on the whole pool, a
+        // one-row operand runs inline, and a pin never resolves `Auto`
+        // (whose hub split changes bits) at any K.
         let RowsWorkspace {
             levels,
             subs,
@@ -251,9 +254,12 @@ impl GcnModel {
             ..
         } = ws;
         let operand = |l: usize| subs[l].as_ref().unwrap_or(a_hat);
+        let strategy = SpmmStrategy::NnzBalanced {
+            threads: kernels::pool::global().width(),
+        };
         plans.clear();
         for (l, layer) in self.layers().iter().enumerate() {
-            let plan = SpmmPlan::pinned(operand(l), layer.in_dim(), SpmmStrategy::Sequential);
+            let plan = SpmmPlan::pinned(operand(l), layer.in_dim(), strategy);
             plans.push(plan.at_precision(precision));
         }
         let ops: Vec<_> = (0..hops).map(|l| (operand(l), &plans[l])).collect();
@@ -411,6 +417,41 @@ mod tests {
             .unwrap();
         assert!(!stats.full_graph);
         assert_eq!(out.row(0), full.row(1));
+    }
+
+    #[test]
+    fn a_hub_batch_runs_pool_width_nnz_slots_never_the_hub_split() {
+        // A star with self-loops: `Auto` would split the hub's edges
+        // (`Hybrid`), which changes bits; every rows-path plan is the
+        // pool-width NNZ-balanced pin instead.
+        let n = 1024;
+        let edges: Vec<_> = (1..n).map(|v| (0, v)).collect();
+        let g = Graph::from_undirected_edges(n, &edges);
+        let (a_hat, x) = (g.normalized_adjacency().unwrap(), g.random_features(8, 6));
+        let model = GcnModel::new(&GcnConfig::paper_model(8, 12, 3), 4);
+        let auto = SpmmPlan::with_width(&a_hat, x.cols(), 8);
+        assert!(
+            matches!(auto.exec(), SpmmStrategy::Hybrid { .. }),
+            "precondition: expected Auto to resolve hybrid, got {}",
+            auto.exec()
+        );
+        let full = reference(&a_hat, &model, &x);
+        let mut ws = RowsWorkspace::new();
+        let mut out = DenseMatrix::default();
+        let targets = [5usize, 0, 17, n - 1, 0];
+        model
+            .infer_rows_planned_into(&a_hat, &x, &targets, &mut ws, &mut out)
+            .unwrap();
+        let pinned = SpmmStrategy::NnzBalanced {
+            threads: kernels::pool::global().width(),
+        };
+        assert_eq!(ws.plans.len(), model.layers().len());
+        for (l, plan) in ws.plans.iter().enumerate() {
+            assert_eq!(plan.exec(), pinned, "layer {l}");
+        }
+        for (i, &t) in targets.iter().enumerate() {
+            assert_eq!(out.row(i), full.row(t), "row {t} diverged");
+        }
     }
 
     #[test]

@@ -54,9 +54,10 @@ impl GcnModel {
     /// Runs inference for `batch` only, by sampling its L-hop neighbourhood
     /// (L = layer count). [`SamplingScheme::FullNeighborhood`] is exact: it
     /// runs the rows path against the parent's normalized adjacency (one
-    /// `Sequential` plan per layer, whatever `strategy` says) and reports
-    /// the neighbourhood it read. [`SamplingScheme::FixedFanout`] runs the
-    /// model, under `strategy`, on the renormalized induced subgraph.
+    /// pool-width NNZ-balanced plan per layer, whatever `strategy` says)
+    /// and reports the neighbourhood it read.
+    /// [`SamplingScheme::FixedFanout`] runs the model, under `strategy`, on
+    /// the renormalized induced subgraph.
     ///
     /// `features` is the *full* feature matrix; rows for the sampled
     /// vertices are gathered from it. Output row `i` corresponds to

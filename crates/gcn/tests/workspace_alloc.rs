@@ -6,7 +6,8 @@
 //! must allocate far less than a single activation matrix — only small
 //! per-call bookkeeping (chunk tables, the pool's job handle) is allowed.
 //! A repeated `infer_rows_planned_into` batch allocates nothing sized by
-//! the batch or its frontiers at all: a fixed few bytes per layer remain.
+//! the batch or its frontiers at all: a few bytes per layer and pool slot
+//! remain.
 
 use gcn::{GcnConfig, GcnModel, InferenceWorkspace, RowsWorkspace};
 use graph::rmat::RmatConfig;
@@ -15,7 +16,7 @@ use kernels::{SpmmPlan, SpmmStrategy};
 use matrix::DenseMatrix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 struct CountingAllocator;
 
@@ -48,12 +49,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// The counter is process-wide: one measuring test at a time.
+/// The counter is process-wide: one measuring test at a time. A failed
+/// test poisons the lock; the other still measures on its own.
 static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measuring() -> std::sync::MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn steady_state_inference_does_not_allocate_activations() {
-    let _one_at_a_time = MEASURING.lock().unwrap();
+    let _one_at_a_time = measuring();
     let graph = Graph::rmat(&RmatConfig::power_law(9, 8), 42);
     let n = graph.vertices();
     let (input_dim, hidden, classes) = (32, 64, 16);
@@ -89,13 +95,19 @@ fn steady_state_inference_does_not_allocate_activations() {
 
 #[test]
 fn repeated_rows_batches_allocate_a_per_layer_constant() {
-    let _one_at_a_time = MEASURING.lock().unwrap();
-    let graph = Graph::rmat(&RmatConfig::power_law(9, 8), 42);
-    let n = graph.vertices();
+    let _one_at_a_time = measuring();
+    // A circulant graph: every row of `A_hat` holds the same seven
+    // non-zeros, so an operand of `r >= 4 * width` rows fills every slot of
+    // its NNZ partition (a power-law hub row can absorb a slot instead).
+    let n = 4096;
+    let edges: Vec<_> = (0..n)
+        .flat_map(|v| [1, 64, 512].map(|d| (v, (v + d) % n)))
+        .collect();
+    let graph = Graph::from_undirected_edges(n, &edges);
     let model = GcnModel::new(&GcnConfig::paper_model(32, 64, 16), 7);
-    let layers = model.layers().len();
     let features = graph.random_features(32, 3);
     let a_hat = graph.normalized_adjacency().unwrap();
+    assert!((0..n).all(|v| a_hat.row_nnz(v) == 7), "uniform degree");
     let mut ws = RowsWorkspace::new();
     let mut out = DenseMatrix::default();
 
@@ -116,19 +128,25 @@ fn repeated_rows_batches_allocate_a_per_layer_constant() {
         call();
         ALLOCATED_BYTES.load(Ordering::Relaxed)
     };
+    let spread = |count: usize| (0..count).map(|i| i * (n / count)).collect::<Vec<_>>();
     let one = repeat_bytes(&[n / 2]);
-    let sixty_four: Vec<usize> = (0..64).map(|i| (i * 7) % n).collect();
-    let many = repeat_bytes(&sixty_four);
+    let some = repeat_bytes(&spread(n / 16));
+    let many = repeat_bytes(&spread(n / 4));
 
     // Levels, rank table, per-layer operand arrays and activation buffers
-    // are all recycled. What a call still allocates is, per layer: its
-    // pinned plan's partition vector (capacity 5 `usize`s at width 1), its
-    // `(operand, plan)` entry in the layer loop's operand slice (two
-    // pointers), and the single-threaded dense update's one-entry output
-    // chunk table (a locked slice, three words) — 80 bytes a layer on a
-    // 64-bit host, whatever the batch.
-    let word = size_of::<usize>();
-    let per_layer = 5 * word + 2 * word + 3 * word;
-    assert_eq!(one, layers * per_layer, "1-target batch");
-    assert_eq!(many, layers * per_layer, "64-target batch");
+    // are all recycled. What a call still allocates is, per layer at pool
+    // width `w`: its pinned plan's partition vector (capacity `4w + 1`
+    // `usize`s) and its `(operand, plan)` entry in the layer loop's operand
+    // slice (two pointers); then, for each kernel that publishes to the
+    // pool rather than running inline, one locked output slice (three
+    // words) per share — a partition slot for the SpMM, an executor for the
+    // dense update — and the pool's job handle. Every operand of these two
+    // batches has at least `4w` rows, so each SpMM fills all `4w` slots and
+    // each dense update all `w` executors: the same bytes, whatever the
+    // batch, up to a pool width of `n / 64`. One target's top operand is a
+    // single row, whose SpMM runs inline (no slot table, no job handle),
+    // and its smaller levels fill fewer slots, so it allocates no more. At
+    // width 1 everything runs inline: 80 bytes a layer on a 64-bit host.
+    assert_eq!(some, many, "256- vs 1024-target batch");
+    assert!(one <= many, "1-target batch: {one} > {many} bytes");
 }

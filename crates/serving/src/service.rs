@@ -9,9 +9,11 @@
 //! [`GcnModel::infer_rows_planned_prec_into`] call: the batch's targets
 //! are expanded into layer-wise shrinking frontiers once, and each layer
 //! computes only the rows the batch's answers depend on, under
-//! `Sequential`-pinned [`kernels::SpmmPlan`]s. That width-1 contract is
-//! what makes coalescing requests into batches — in any interleaving —
-//! leave every bit of every response unchanged.
+//! [`kernels::SpmmPlan`]s pinned to the pool-width NNZ-balanced kernel, so
+//! both halves of every layer run on the whole pool. Every output row is
+//! bitwise equal to the width-1 full-graph run, which is what makes
+//! coalescing requests into batches — in any interleaving — leave every
+//! bit of every response unchanged.
 //!
 //! Every batch executes under a [`RunGuard`] **child** of the lane guard
 //! carrying the batch's tightest request deadline, so a nested budget can
@@ -57,7 +59,10 @@ pub struct ServiceConfig {
     /// Per-request latency budget: requests still queued past it are
     /// shed `DeadlineExceeded`, never served arbitrarily late.
     pub latency_budget: Duration,
-    /// Lane (executor) threads.
+    /// Lane (executor) threads. A batch's kernels already run on the
+    /// whole pool, so a second lane overlaps its level building and
+    /// feature gather with another lane's kernels; the lanes' broadcasts
+    /// share the one pool, taking turns.
     pub lanes: usize,
     /// When and how to degrade precision before shedding.
     pub brownout: BrownoutPolicy,
