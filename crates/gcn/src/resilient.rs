@@ -432,7 +432,7 @@ mod tests {
         // Find a seed whose decision stream (probed on the real site name,
         // which keys the hash) lets every layer finish within its
         // degradation chain while forcing at least one fallback. Each
-        // layer walks hybrid → vertex-parallel → sequential with one
+        // layer walks edge-parallel → vertex-parallel → sequential with one
         // attempt per rung, consuming one decision per attempt.
         let seed = (0..256u64)
             .find(|&s| {
@@ -461,7 +461,7 @@ mod tests {
             })
             .expect("some seed degrades at least one layer yet completes");
         let _armed = fault::arm(FaultConfig::new(seed).point("gcn.layer", FaultKind::Error, 0.5));
-        let mut ws = pinned(&a_hat, &x, SpmmStrategy::Hybrid { threads: 2 });
+        let mut ws = pinned(&a_hat, &x, SpmmStrategy::EdgeParallel { threads: 2 });
         let run = model
             .infer_resilient_with(
                 &a_hat,
@@ -473,14 +473,14 @@ mod tests {
             .unwrap();
         assert!(run.is_complete());
         assert!(!run.degradations.is_empty());
-        assert_eq!(run.degradations[0].from, "hybrid x2");
+        assert_eq!(run.degradations[0].from, "edge-parallel x2");
         assert_eq!(run.degradations[0].to, "vertex-parallel x2");
         assert!(run.degradations.iter().all(|d| d.layer.is_some()));
         assert!(expected.max_abs_diff(ws.output()) < 1e-4);
         // Degradation re-pins a copy: the workspace keeps its own plan.
         assert_eq!(
             ws.plan().unwrap().exec(),
-            SpmmStrategy::Hybrid { threads: 2 }
+            SpmmStrategy::EdgeParallel { threads: 2 }
         );
     }
 
@@ -569,7 +569,7 @@ mod tests {
     fn exhausted_chain_surfaces_the_typed_error() {
         let (a_hat, x, model) = setup();
         let _armed = fault::arm(FaultConfig::new(5).point("gcn.layer", FaultKind::Error, 1.0));
-        let mut ws = pinned(&a_hat, &x, SpmmStrategy::Hybrid { threads: 2 });
+        let mut ws = pinned(&a_hat, &x, SpmmStrategy::EdgeParallel { threads: 2 });
         let err = model
             .infer_resilient_with(
                 &a_hat,

@@ -16,7 +16,7 @@
 //! row `v` **in full** — every non-zero, same order, same values, column
 //! ids renumbered by rank in `V_{l-1}`. Only `X[V_0]` is gathered, and the
 //! one layer loop (`GcnModel::run_layers`) runs the stack, one operand
-//! and one [`kernels::SpmmPlan`] per layer, pinned to the NNZ-balanced
+//! and one [`kernels::SpmmPlan`] per layer, pinned to the vertex-parallel
 //! kernel at the pool's width: a batch's SpMM and dense update both run on
 //! the whole pool.
 //!
@@ -241,10 +241,9 @@ impl GcnModel {
             }
         }
 
-        // --- One plan per operand, pinned to the pool-width NNZ-balanced
-        // kernel: both halves of every layer run on the whole pool, a
-        // one-row operand runs inline, and a pin never resolves `Auto`
-        // (whose hub split changes bits) at any K.
+        // --- One plan per operand, pinned to the pool-width
+        // vertex-parallel kernel: both halves of every layer run on the
+        // whole pool and a one-row operand runs inline, at any K.
         let RowsWorkspace {
             levels,
             subs,
@@ -254,7 +253,7 @@ impl GcnModel {
             ..
         } = ws;
         let operand = |l: usize| subs[l].as_ref().unwrap_or(a_hat);
-        let strategy = SpmmStrategy::NnzBalanced {
+        let strategy = SpmmStrategy::VertexParallel {
             threads: kernels::pool::global().width(),
         };
         plans.clear();
@@ -420,21 +419,14 @@ mod tests {
     }
 
     #[test]
-    fn a_hub_batch_runs_pool_width_nnz_slots_never_the_hub_split() {
-        // A star with self-loops: `Auto` would split the hub's edges
-        // (`Hybrid`), which changes bits; every rows-path plan is the
-        // pool-width NNZ-balanced pin instead.
+    fn a_hub_batch_runs_pool_width_vertex_parallel_bitwise() {
+        // A star with self-loops: the hub's row is never split, and every
+        // rows-path plan is the pool-width vertex-parallel pin.
         let n = 1024;
         let edges: Vec<_> = (1..n).map(|v| (0, v)).collect();
         let g = Graph::from_undirected_edges(n, &edges);
         let (a_hat, x) = (g.normalized_adjacency().unwrap(), g.random_features(8, 6));
         let model = GcnModel::new(&GcnConfig::paper_model(8, 12, 3), 4);
-        let auto = SpmmPlan::with_width(&a_hat, x.cols(), 8);
-        assert!(
-            matches!(auto.exec(), SpmmStrategy::Hybrid { .. }),
-            "precondition: expected Auto to resolve hybrid, got {}",
-            auto.exec()
-        );
         let full = reference(&a_hat, &model, &x);
         let mut ws = RowsWorkspace::new();
         let mut out = DenseMatrix::default();
@@ -442,7 +434,7 @@ mod tests {
         model
             .infer_rows_planned_into(&a_hat, &x, &targets, &mut ws, &mut out)
             .unwrap();
-        let pinned = SpmmStrategy::NnzBalanced {
+        let pinned = SpmmStrategy::VertexParallel {
             threads: kernels::pool::global().width(),
         };
         assert_eq!(ws.plans.len(), model.layers().len());

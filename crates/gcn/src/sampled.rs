@@ -54,7 +54,7 @@ impl GcnModel {
     /// Runs inference for `batch` only, by sampling its L-hop neighbourhood
     /// (L = layer count). [`SamplingScheme::FullNeighborhood`] is exact: it
     /// runs the rows path against the parent's normalized adjacency (one
-    /// pool-width NNZ-balanced plan per layer, whatever `strategy` says)
+    /// pool-width vertex-parallel plan per layer, whatever `strategy` says)
     /// and reports the neighbourhood it read.
     /// [`SamplingScheme::FixedFanout`] runs the model, under `strategy`, on
     /// the renormalized induced subgraph.

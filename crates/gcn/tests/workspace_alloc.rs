@@ -97,7 +97,7 @@ fn steady_state_inference_does_not_allocate_activations() {
 fn repeated_rows_batches_allocate_a_per_layer_constant() {
     let _one_at_a_time = measuring();
     // A circulant graph: every row of `A_hat` holds the same seven
-    // non-zeros, so an operand of `r >= 4 * width` rows fills every slot of
+    // non-zeros, so an operand of `r >= 16 * width` rows fills every slot of
     // its NNZ partition (a power-law hub row can absorb a slot instead).
     let n = 4096;
     let edges: Vec<_> = (0..n)
@@ -135,15 +135,15 @@ fn repeated_rows_batches_allocate_a_per_layer_constant() {
 
     // Levels, rank table, per-layer operand arrays and activation buffers
     // are all recycled. What a call still allocates is, per layer at pool
-    // width `w`: its pinned plan's partition vector (capacity `4w + 1`
+    // width `w`: its pinned plan's partition vector (capacity `16w + 1`
     // `usize`s) and its `(operand, plan)` entry in the layer loop's operand
     // slice (two pointers); then, for each kernel that publishes to the
     // pool rather than running inline, one locked output slice (three
     // words) per share — a partition slot for the SpMM, an executor for the
     // dense update — and the pool's job handle. Every operand of these two
-    // batches has at least `4w` rows, so each SpMM fills all `4w` slots and
+    // batches has at least `16w` rows, so each SpMM fills all `16w` slots and
     // each dense update all `w` executors: the same bytes, whatever the
-    // batch, up to a pool width of `n / 64`. One target's top operand is a
+    // batch, up to a pool width of `n / 256`. One target's top operand is a
     // single row, whose SpMM runs inline (no slot table, no job handle),
     // and its smaller levels fill fewer slots, so it allocates no more. At
     // width 1 everything runs inline: 80 bytes a layer on a 64-bit host.

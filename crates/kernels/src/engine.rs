@@ -1,6 +1,7 @@
 //! The SpMM algorithm enum: which kernel runs, on how many threads.
 //!
-//! [`SpmmStrategy`] names every SpMM algorithm in the crate. An explicit
+//! [`SpmmStrategy`] names the paper's two SpMM algorithms (Section II-C),
+//! vertex- and edge-parallel, beside the sequential reference. An explicit
 //! variant runs that kernel; [`SpmmStrategy::Auto`] is not a second
 //! heuristic but "build a [`SpmmPlan`] for these operands and run it", so
 //! the plan's rule ([`crate::plan`] module docs) is the only selection rule
@@ -42,26 +43,15 @@ use crate::spmm::FeatureOperand;
 pub enum SpmmStrategy {
     /// Single-threaded reference (Algorithm 1).
     Sequential,
-    /// Vertex-parallel with dynamic load balancing across `threads` workers.
+    /// Vertex-parallel with dynamic load balancing across `threads`
+    /// workers: contiguous row ranges of ~equal non-zeros — the plan's
+    /// cached partition, or one built on the spot when run plan-less.
     VertexParallel {
-        /// Number of worker threads.
-        threads: usize,
-    },
-    /// Vertex-parallel over contiguous row ranges of ~equal non-zeros —
-    /// the plan's cached partition, or one built on the spot when run
-    /// plan-less.
-    NnzBalanced {
         /// Number of worker threads.
         threads: usize,
     },
     /// Edge-parallel (Algorithm 2) across `threads` workers.
     EdgeParallel {
-        /// Number of worker threads.
-        threads: usize,
-    },
-    /// Degree-aware hybrid: hub rows edge-split across workers, tail rows
-    /// processed as atomics-free vertex chunks.
-    Hybrid {
         /// Number of worker threads.
         threads: usize,
     },
@@ -100,9 +90,6 @@ impl SpmmStrategy {
         match self {
             SpmmStrategy::Sequential => crate::spmm::spmm_sequential_into(a, h, out),
             SpmmStrategy::VertexParallel { threads } => {
-                crate::spmm::spmm_vertex_parallel_into(a, h, threads, out)
-            }
-            SpmmStrategy::NnzBalanced { threads } => {
                 let slots = threads.max(1) * PLAN_SLOTS_PER_THREAD;
                 let partition = nnz_balanced_partition(a.row_ptr(), slots);
                 spmm_nnz_balanced_with(KernelDispatch::get(), a, h, &partition, threads, out)
@@ -111,25 +98,24 @@ impl SpmmStrategy {
                 let h = h.f32_rows("spmm_edge_parallel")?;
                 crate::spmm::spmm_edge_parallel_into(a, h, threads, out)
             }
-            SpmmStrategy::Hybrid { threads } => crate::hybrid::spmm_hybrid_into(a, h, threads, out),
             SpmmStrategy::Auto => SpmmPlan::new(a, h.shape().1).run_into(a, h, out),
         }
     }
 
     /// The next-simpler rung of the degradation ladder, the mirror of
-    /// [`matrix::Precision::fallback`]: the two kernels that share output
-    /// rows between workers fall to `VertexParallel` at the same width,
-    /// everything else to `Sequential` — no pool, no atomics, no
-    /// scratch arena, so a single surviving thread can always run it — and
-    /// `Sequential` is the last rung.
+    /// [`matrix::Precision::fallback`]: the kernel that shares output rows
+    /// between workers (`EdgeParallel`) falls to `VertexParallel` at the
+    /// same width, everything else to `Sequential` — no pool, no atomics,
+    /// no scratch arena, so a single surviving thread can always run it —
+    /// and `Sequential` is the last rung.
     pub fn fallback(self) -> Option<SpmmStrategy> {
         match self {
-            SpmmStrategy::Hybrid { threads } | SpmmStrategy::EdgeParallel { threads } => {
+            SpmmStrategy::EdgeParallel { threads } => {
                 Some(SpmmStrategy::VertexParallel { threads })
             }
-            SpmmStrategy::VertexParallel { .. }
-            | SpmmStrategy::NnzBalanced { .. }
-            | SpmmStrategy::Auto => Some(SpmmStrategy::Sequential),
+            SpmmStrategy::VertexParallel { .. } | SpmmStrategy::Auto => {
+                Some(SpmmStrategy::Sequential)
+            }
             SpmmStrategy::Sequential => None,
         }
     }
@@ -139,10 +125,9 @@ impl SpmmStrategy {
     pub fn threads(self) -> usize {
         match self {
             SpmmStrategy::Sequential => 1,
-            SpmmStrategy::VertexParallel { threads }
-            | SpmmStrategy::NnzBalanced { threads }
-            | SpmmStrategy::EdgeParallel { threads }
-            | SpmmStrategy::Hybrid { threads } => threads,
+            SpmmStrategy::VertexParallel { threads } | SpmmStrategy::EdgeParallel { threads } => {
+                threads
+            }
             SpmmStrategy::Auto => pool::global().width(),
         }
     }
@@ -153,9 +138,7 @@ impl std::fmt::Display for SpmmStrategy {
         match self {
             SpmmStrategy::Sequential => write!(f, "sequential"),
             SpmmStrategy::VertexParallel { threads } => write!(f, "vertex-parallel x{threads}"),
-            SpmmStrategy::NnzBalanced { threads } => write!(f, "nnz-balanced x{threads}"),
             SpmmStrategy::EdgeParallel { threads } => write!(f, "edge-parallel x{threads}"),
-            SpmmStrategy::Hybrid { threads } => write!(f, "hybrid x{threads}"),
             SpmmStrategy::Auto => write!(f, "auto"),
         }
     }
@@ -179,9 +162,7 @@ mod tests {
         let expected = SpmmStrategy::Sequential.run(&a, &h).unwrap();
         for strategy in [
             SpmmStrategy::VertexParallel { threads: 3 },
-            SpmmStrategy::NnzBalanced { threads: 3 },
             SpmmStrategy::EdgeParallel { threads: 3 },
-            SpmmStrategy::Hybrid { threads: 3 },
             SpmmStrategy::Auto,
         ] {
             assert_eq!(strategy.run(&a, &h).unwrap(), expected, "{strategy}");
@@ -194,10 +175,9 @@ mod tests {
             SpmmStrategy::EdgeParallel { threads: 8 }.to_string(),
             "edge-parallel x8"
         );
-        assert_eq!(SpmmStrategy::Hybrid { threads: 2 }.to_string(), "hybrid x2");
         assert_eq!(
-            SpmmStrategy::NnzBalanced { threads: 2 }.to_string(),
-            "nnz-balanced x2"
+            SpmmStrategy::VertexParallel { threads: 2 }.to_string(),
+            "vertex-parallel x2"
         );
         assert_eq!(SpmmStrategy::Auto.to_string(), "auto");
     }
@@ -221,9 +201,7 @@ mod tests {
         let mut buf = DenseMatrix::filled(n * 2, 13, f32::NAN);
         for strategy in [
             SpmmStrategy::VertexParallel { threads: 4 },
-            SpmmStrategy::NnzBalanced { threads: 4 },
             SpmmStrategy::EdgeParallel { threads: 4 },
-            SpmmStrategy::Hybrid { threads: 4 },
             SpmmStrategy::Auto,
         ] {
             strategy.run_into(&a, &h, &mut buf).unwrap();

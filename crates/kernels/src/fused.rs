@@ -204,9 +204,7 @@ mod tests {
         let (reference, _) = layer(&a, &h, &w, None, SpmmStrategy::Sequential);
         for strategy in [
             SpmmStrategy::VertexParallel { threads: 4 },
-            SpmmStrategy::NnzBalanced { threads: 4 },
             SpmmStrategy::EdgeParallel { threads: 4 },
-            SpmmStrategy::Hybrid { threads: 4 },
             SpmmStrategy::Auto,
         ] {
             let (got, _) = layer(&a, &h, &w, None, strategy);

@@ -6,20 +6,19 @@
 //! and Section V-A notes that on CPUs the vertex-parallel variant with
 //! dynamic load balancing wins because atomics are expensive, while PIUMA's
 //! cheap remote atomics favour edge-parallel. This crate implements both,
-//! and the design-space kernels around them, so the trade-off can be
-//! measured on real hardware. One enum, [`SpmmStrategy`], names them all:
+//! so the trade-off can be measured on real hardware. One enum,
+//! [`SpmmStrategy`], names them:
 //!
 //! * `Sequential` — the single-threaded reference,
-//! * `VertexParallel` — work-stealing row chunks, no atomics,
-//! * `NnzBalanced` — contiguous row ranges of ~equal non-zeros, no atomics,
+//! * `VertexParallel` — contiguous row ranges of ~equal non-zeros, claimed
+//!   dynamically by the pool's workers, no atomics,
 //! * `EdgeParallel` — equal edge shares, binary search for the starting
 //!   row, atomic accumulation into shared output (Algorithm 2),
-//! * `Hybrid` — degree-aware hub/tail split for power-law graphs,
 //! * `Auto` — build a plan and run it.
 //!
 //! A strategy runs one multiplication ([`SpmmStrategy::run_into`]).
 //! Anything that multiplies repeatedly against one adjacency holds a
-//! [`plan::SpmmPlan`] instead — cached statistics, row partition,
+//! [`plan::SpmmPlan`] instead — cached row partition,
 //! micro-kernel dispatch, storage precision, and an execution path either
 //! *resolved* by the workspace's one selection rule or *pinned* to an
 //! explicit strategy. The plan is the only operand
@@ -75,8 +74,6 @@
 pub mod engine;
 /// The GCN layer: aggregate + transform + activation on a plan.
 pub mod fused;
-/// Row-split hybrid SpMM (dense rows dense-accumulated, sparse rows gathered).
-pub mod hybrid;
 /// Execution plans ([`SpmmPlan`]), resolved or pinned: built once, run many times.
 pub mod plan;
 /// Baseline sequential and parallel CSR SpMM kernels.

@@ -3,23 +3,26 @@
 //!
 //! A plan-less [`SpmmStrategy`] call pays its analysis per multiplication;
 //! [`SpmmPlan`] pays once per adjacency and reuses it across every layer
-//! and epoch: cached [`sparse::DegreeStats`], an **NNZ-balanced row
-//! partition** (slot boundaries by binary search over `row_ptr` so each
-//! pool slot owns ~equal non-zeros — merge-path style, the workload mapping
-//! Accel-GCN identifies as the biggest SpMM lever), and the execution path,
-//! a [`SpmmStrategy`]. The path is **pinned** ([`SpmmPlan::pinned`]) to an
-//! explicit strategy, or **resolved** ([`SpmmPlan::new`]) by the
-//! workspace's one `Auto` rule:
+//! and epoch: an **NNZ-balanced row partition** (slot boundaries by binary
+//! search over `row_ptr` so each pool slot owns ~equal non-zeros —
+//! merge-path style, the workload mapping Accel-GCN identifies as the
+//! biggest SpMM lever), and the execution path, a [`SpmmStrategy`]. The
+//! path is **pinned** ([`SpmmPlan::pinned`]) to an explicit strategy, or
+//! **resolved** ([`SpmmPlan::new`]) by the workspace's one `Auto` rule:
 //!
 //! 1. nothing to fan out (an empty operand, a one-thread budget, or
 //!    `nnz * K` below [`AUTO_SEQUENTIAL_WORK`]) → `Sequential`;
-//! 2. degrees skewed past [`AUTO_SKEW_CV`] **and** a heaviest slot over
-//!    [`PLAN_MAX_IMBALANCE`] times the ideal → `Hybrid` (hubs edge-split);
-//!    skew the partition *can* balance stays atomics-free;
-//! 3. otherwise → `NnzBalanced` at every width: with the output row held in
-//!    registers ([`matrix::microkernel::KernelDispatch::fill_row`]) the
-//!    row partition beat column tiles wherever measured (EXPERIMENTS.md
-//!    "Strategy selection" records the table that retired them).
+//! 2. otherwise → `VertexParallel` at the pool's width, on the partition:
+//!    with the output row held in registers
+//!    ([`matrix::microkernel::KernelDispatch::fill_row`]) and the pool
+//!    claiming slots dynamically, the row partition beat column tiles, the
+//!    hub-splitting hybrid and count-based chunks wherever measured
+//!    (EXPERIMENTS.md "Strategy selection" records the tables that retired
+//!    them).
+//!
+//! Both arms are row-local — each output row walks its non-zeros in order
+//! on one worker — so a resolved plan is bitwise `Sequential` on every
+//! graph at every width.
 //!
 //! A plan is keyed by a structural fingerprint of the adjacency (shape,
 //! nnz, sampled `row_ptr`/`col_idx` entries), letting callers cache one
@@ -27,13 +30,11 @@
 //! does exactly that.
 //!
 //! [`AUTO_SEQUENTIAL_WORK`]: crate::plan::AUTO_SEQUENTIAL_WORK
-//! [`AUTO_SKEW_CV`]: crate::plan::AUTO_SKEW_CV
-//! [`PLAN_MAX_IMBALANCE`]: crate::plan::PLAN_MAX_IMBALANCE
 
 use matrix::microkernel::{resolve_precision, KernelDispatch};
 use matrix::{DenseMatrix, MatrixError, Precision, QuantMatrix};
 use parking_lot::Mutex;
-use sparse::{Csr, DegreeStats};
+use sparse::Csr;
 
 use crate::engine::SpmmStrategy;
 use crate::spmm::{spmm_rows_with, FeatureOperand};
@@ -48,21 +49,14 @@ use crate::spmm::{spmm_rows_with, FeatureOperand};
 /// problems cannot recoup.
 pub const AUTO_SEQUENTIAL_WORK: usize = 1 << 14;
 
-/// Degree coefficient-of-variation above which a plan treats the graph as
-/// skewed — a candidate for the hybrid kernel, taken only if the NNZ
-/// partition cannot balance it ([`PLAN_MAX_IMBALANCE`]).
-pub const AUTO_SKEW_CV: f64 = 1.5;
-
 /// NNZ-balanced slots per pool thread. More slots than threads leaves the
 /// pool's dynamic claiming slack to absorb residual imbalance (a slot that
-/// is slightly heavy just means its worker claims one fewer slot).
-pub const PLAN_SLOTS_PER_THREAD: usize = 4;
-
-/// Maximum tolerated `max_slot_nnz / ideal_slot_nnz` before the plan gives
-/// up on row granularity and falls back to the hub-splitting hybrid
-/// kernel: beyond 2x, single rows dominate slots and only edge-splitting
-/// can rebalance them.
-pub const PLAN_MAX_IMBALANCE: f64 = 2.0;
+/// is slightly heavy just means its worker claims one fewer slot). Sized by
+/// measurement (EXPERIMENTS.md "Strategy selection": 2-vCPU AVX2+FMA host,
+/// width 2, Table-I twins × K ∈ {8, 64, 256}): at 4 slots a thread the
+/// partition lost 8 of 18 cells to 64-row count-based chunks by > 5 %; at
+/// 16 it loses none (worst median +3.6 %), and 32 loses none either.
+pub const PLAN_SLOTS_PER_THREAD: usize = 16;
 
 /// Load-balance quality of an NNZ-balanced partition.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,9 +143,9 @@ pub fn nnz_balanced_partition(row_ptr: &[usize], slots: usize) -> Vec<usize> {
 ///
 /// Build once with [`SpmmPlan::new`], then call [`SpmmPlan::run_into`] per
 /// multiplication. A resolved plan's `k` hint fixes the primary execution
-/// path; calls with a different feature width re-resolve from the *cached*
-/// statistics (an `O(1)` decision — never a rescan of the matrix). A
-/// pinned plan runs its strategy at every width.
+/// path; calls with a different feature width re-resolve from the cached
+/// shape (an `O(1)` decision — never a rescan of the matrix). A pinned
+/// plan runs its strategy at every width.
 ///
 /// # Examples
 ///
@@ -176,7 +170,6 @@ pub struct SpmmPlan {
     nnz: usize,
     k: usize,
     fingerprint: u64,
-    stats: DegreeStats,
     partition: Vec<usize>,
     plan_stats: PlanStats,
     exec: SpmmStrategy,
@@ -208,9 +201,9 @@ impl SpmmPlan {
         Self::with_width(a, k, strategy.threads()).pin(strategy)
     }
 
-    /// Pins this plan to `strategy` (`O(1)`: statistics and partition are
-    /// kept; `Auto` leaves the plan as it is). A pinned plan runs that
-    /// strategy's kernel at every `K`, and the layer's dense update runs on
+    /// Pins this plan to `strategy` (`O(1)`: the partition is kept; `Auto`
+    /// leaves the plan as it is). A pinned plan runs that strategy's kernel
+    /// at every `K`, and the layer's dense update runs on
     /// `strategy.threads()` threads — a `Sequential` pin is single-threaded
     /// end to end. A narrow run on a pin to the `f32`-only edge-parallel
     /// kernel is [`MatrixError::UnsupportedPrecision`].
@@ -227,7 +220,7 @@ impl SpmmPlan {
     /// downgrade ([`SpmmPlan::precision_fallback`]); the planned layer then
     /// stores its feature operand at the resolved precision. Sharded
     /// runners use this to inherit a precision onto per-shard plans without
-    /// re-deriving statistics.
+    /// re-deriving the partition.
     pub fn at_precision(mut self, precision: Precision) -> SpmmPlan {
         // Keyed on the *requested* precision: a plan whose ISA probe
         // downgraded (say int8 → bf16) still satisfies later int8 requests
@@ -244,7 +237,6 @@ impl SpmmPlan {
     /// [`SpmmPlan::new`] with an explicit thread budget (exposed so tests
     /// and benches can plan for widths other than the global pool's).
     pub fn with_width(a: &Csr, k: usize, width: usize) -> SpmmPlan {
-        let stats = DegreeStats::of(a);
         let slots = (width.max(1)) * PLAN_SLOTS_PER_THREAD;
         let partition = nnz_balanced_partition(a.row_ptr(), slots);
         let plan_stats = PlanStats::of(a.row_ptr(), &partition, slots);
@@ -254,7 +246,6 @@ impl SpmmPlan {
             nnz: a.nnz(),
             k,
             fingerprint: fingerprint(a),
-            stats,
             partition,
             plan_stats,
             exec: SpmmStrategy::Sequential,
@@ -268,22 +259,12 @@ impl SpmmPlan {
     }
 
     /// The `Auto` rule (module docs): resolves the execution path for
-    /// feature width `k` from the cached statistics. `O(1)`: no matrix
-    /// scan.
+    /// feature width `k` from the cached shape. `O(1)`: no matrix scan.
     fn resolve(&self, k: usize, width: usize) -> SpmmStrategy {
-        if self.nrows == 0 || self.nnz == 0 || k == 0 || width <= 1 {
+        if width <= 1 || self.nnz.saturating_mul(k) < AUTO_SEQUENTIAL_WORK {
             return SpmmStrategy::Sequential;
         }
-        if self.nnz.saturating_mul(k) < AUTO_SEQUENTIAL_WORK {
-            return SpmmStrategy::Sequential;
-        }
-        // Skewed graphs whose hubs defeat any row partition need
-        // edge-splitting; skewed graphs the partition *can* balance run
-        // atomics-free on the NNZ slots.
-        if self.stats.cv > AUTO_SKEW_CV && self.plan_stats.imbalance > PLAN_MAX_IMBALANCE {
-            return SpmmStrategy::Hybrid { threads: width };
-        }
-        SpmmStrategy::NnzBalanced { threads: width }
+        SpmmStrategy::VertexParallel { threads: width }
     }
 
     /// Whether this plan was built for `a` (structural fingerprint check;
@@ -303,11 +284,6 @@ impl SpmmPlan {
     /// The structural fingerprint the plan is keyed by.
     pub fn fingerprint_value(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The cached degree statistics (computed once at plan time).
-    pub fn stats(&self) -> &DegreeStats {
-        &self.stats
     }
 
     /// Load-balance quality of the NNZ partition.
@@ -401,7 +377,7 @@ impl SpmmPlan {
         };
         match exec {
             // The one arm with planned state: the cached partition.
-            SpmmStrategy::NnzBalanced { threads } => {
+            SpmmStrategy::VertexParallel { threads } => {
                 spmm_nnz_balanced_with(self.kernel, a, h, &self.partition, threads, out)
             }
             other => other.run_into(a, h, out),
@@ -485,7 +461,8 @@ pub fn fingerprint(a: &Csr) -> u64 {
 /// instead of re-resolving per call): each pool share owns one contiguous
 /// range of output rows exclusively (no atomics, no locks held across
 /// rows), and because ranges hold ~equal non-zeros, no share serializes on
-/// a heavy chunk the way count-based chunking does.
+/// a heavy chunk the way count-based chunking does. This is the kernel
+/// behind [`SpmmStrategy::VertexParallel`].
 ///
 /// # Errors
 ///
@@ -519,7 +496,7 @@ pub fn spmm_nnz_balanced_with<F: FeatureOperand>(
     // Pre-split the output at the partition boundaries. Share index ==
     // slot index and each share locks only its own slice, so the mutexes
     // never contend — they only hand `&mut` slices through a `Fn` closure.
-    // lint:allow(L005): per-call slot table of ~4x-threads pointers —
+    // lint:allow(L005): per-call slot table of ~16x-threads pointers —
     // orders of magnitude below the counting-allocator activation budget.
     let mut slices: Vec<Mutex<&mut [f32]>> = Vec::with_capacity(partition.len() - 1);
     let mut rest = out.as_mut_slice();
@@ -677,9 +654,10 @@ mod tests {
     }
 
     #[test]
-    fn skewed_graph_with_monster_hub_resolves_hybrid() {
-        // Star graph: one row holds every edge; no row partition can
-        // balance it, so the plan must fall back to edge-splitting.
+    fn a_monster_hub_stays_row_local_and_bitwise_sequential() {
+        // Star graph: one row holds every edge, so no row partition can
+        // balance it — and the plan still never splits the row: `Auto` is
+        // the vertex-parallel partition, bitwise the sequential walk.
         let n = 4096;
         let mut coo = Coo::new(n, n);
         for v in 1..n {
@@ -687,15 +665,10 @@ mod tests {
         }
         let a = Csr::from_coo(&coo);
         let plan = SpmmPlan::with_width(&a, 64, 8);
-        assert!(
-            matches!(plan.exec(), SpmmStrategy::Hybrid { .. }),
-            "expected hybrid for star graph, got {}",
-            plan.exec()
-        );
+        assert_eq!(plan.exec(), SpmmStrategy::VertexParallel { threads: 8 });
         let mut rng = StdRng::seed_from_u64(8);
-        let h = random_dense(&mut rng, n, 9);
-        let reference = spmm_sequential(&a, &h).unwrap();
-        assert!(reference.max_abs_diff(&plan.run(&a, &h).unwrap()) < 1e-3);
+        let h = random_dense(&mut rng, n, 64);
+        assert_eq!(plan.run(&a, &h).unwrap(), spmm_sequential(&a, &h).unwrap());
     }
 
     #[test]
@@ -713,11 +686,7 @@ mod tests {
         }
         let a = Csr::from_coo(&coo);
         let plan = SpmmPlan::with_width(&a, 32, 8);
-        assert!(
-            matches!(plan.exec(), SpmmStrategy::NnzBalanced { .. }),
-            "got {}",
-            plan.exec()
-        );
+        assert_eq!(plan.exec(), SpmmStrategy::VertexParallel { threads: 8 });
     }
 
     #[test]
@@ -725,11 +694,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let a = random_csr(&mut rng, 512, 4000);
         let plan = SpmmPlan::with_width(&a, 1024, 8);
-        assert!(
-            matches!(plan.exec(), SpmmStrategy::NnzBalanced { .. }),
-            "got {}",
-            plan.exec()
-        );
+        assert_eq!(plan.exec(), SpmmStrategy::VertexParallel { threads: 8 });
         // Row-local at every width: bitwise equal to the sequential walk.
         let h = random_dense(&mut rng, 512, 1024);
         assert_eq!(plan.run(&a, &h).unwrap(), spmm_sequential(&a, &h).unwrap());
@@ -765,7 +730,7 @@ mod tests {
         // One table instead of per-twin tests: pinned arm x precision x
         // graph. An f32 operand is checked against `spmm_sequential` —
         // bitwise on the row-local arms, within accumulation-order noise
-        // where rows are split (hub segments, edge shares). A
+        // where rows are split (edge shares). A
         // narrow operand is checked against the same narrowing applied by
         // hand (decode, then f32): the kernels may differ only by
         // accumulation order and scale-fold rounding. The one arm that
@@ -773,8 +738,8 @@ mod tests {
         // typed error rather than run it wide.
         let mut rng = StdRng::seed_from_u64(31);
         let uniform = random_csr(&mut rng, 300, 2400);
-        // One hub touching every vertex plus a sparse tail: both the
-        // segment-accumulate hub path and the chunked tail path run.
+        // One hub touching every vertex plus a sparse tail: a row no
+        // partition can balance, and edge shares that split it.
         let n = 400;
         let mut coo = Coo::new(n, n);
         for v in 1..n {
@@ -795,8 +760,6 @@ mod tests {
             for (arm, f32_tol) in [
                 (SpmmStrategy::Sequential, 0.0),
                 (SpmmStrategy::VertexParallel { threads: 4 }, 0.0),
-                (SpmmStrategy::NnzBalanced { threads: 4 }, 0.0),
-                (SpmmStrategy::Hybrid { threads: 4 }, 1e-3),
                 (SpmmStrategy::EdgeParallel { threads: 4 }, 1e-3),
             ] {
                 let plan = SpmmPlan::pinned(a, h.cols(), arm);
@@ -861,23 +824,24 @@ mod tests {
 
     #[test]
     fn the_rule_never_resolves_to_a_design_space_kernel() {
-        // Across a spread of shapes the rule stays on its three arms — in
-        // particular never the atomics-heavy edge-parallel kernel (paper:
-        // it only wins with hardware-cheap remote atomics).
+        // Across a spread of shapes the rule stays on its two arms —
+        // sequential exactly when the work is tiny or the budget is one
+        // thread, else vertex-parallel at the full width; never the
+        // atomics-heavy edge-parallel kernel (paper: it only wins with
+        // hardware-cheap remote atomics).
         let mut rng = StdRng::seed_from_u64(7);
         for n in [64usize, 512, 2048] {
             let a = random_csr(&mut rng, n, n * 8);
             for k in [1usize, 16, 300, 1024] {
-                let picked = SpmmPlan::with_width(&a, k, 8).exec();
-                assert!(
-                    matches!(
-                        picked,
+                for width in [1usize, 8] {
+                    let picked = SpmmPlan::with_width(&a, k, width).exec();
+                    let expected = if width == 1 || a.nnz() * k < AUTO_SEQUENTIAL_WORK {
                         SpmmStrategy::Sequential
-                            | SpmmStrategy::NnzBalanced { .. }
-                            | SpmmStrategy::Hybrid { .. }
-                    ),
-                    "n={n} k={k} picked {picked}"
-                );
+                    } else {
+                        SpmmStrategy::VertexParallel { threads: width }
+                    };
+                    assert_eq!(picked, expected, "n={n} k={k} width={width}");
+                }
             }
         }
     }

@@ -10,7 +10,6 @@
 
 use matrix::microkernel::KernelDispatch;
 use matrix::{DenseMatrix, MatrixError, QuantMatrix};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use sparse::Csr;
@@ -19,11 +18,6 @@ use sparse::Csr;
 // construction (`Csr::from_coo` checks row_ptr monotonicity and col_idx <
 // ncols) plus output slices sized to `n * k` by the `resize_*` call before
 // the kernels run; `check()` ties the two shapes together at every entry point.
-
-/// Row-chunk size handed to a worker at a time by the vertex-parallel
-/// kernel's dynamic scheduler. Small enough to balance power-law rows,
-/// large enough to amortize the claim.
-pub(crate) const VERTEX_CHUNK: usize = 64;
 
 /// The dense right-hand side of an SpMM, abstracted over storage: the
 /// kernels in this crate are written once against this trait and
@@ -118,9 +112,9 @@ pub(crate) fn check<F: FeatureOperand>(
 
 /// Computes rows `[row_start, row_end)` of `A * H` into `out_rows`
 /// (row-major, `(row_end - row_start) * k` elements, overwritten) on an explicit
-/// [`KernelDispatch`]. The shared inner loop of the sequential,
-/// vertex-parallel, NNZ-balanced and hybrid kernels: one
-/// [`FeatureOperand::fill_row`] per output row.
+/// [`KernelDispatch`]. The shared inner loop of the sequential and
+/// vertex-parallel kernels: one [`FeatureOperand::fill_row`] per output
+/// row.
 pub(crate) fn spmm_rows_with<F: FeatureOperand>(
     kd: KernelDispatch,
     a: &Csr,
@@ -163,63 +157,6 @@ pub fn spmm_sequential_into<F: FeatureOperand>(
     let (n, k) = (a.nrows(), h.shape().1);
     out.resize_for_overwrite(n, k);
     spmm_rows_with(KernelDispatch::get(), a, h, out.as_mut_slice(), 0, n, k);
-    Ok(())
-}
-
-/// Vertex-parallel SpMM with dynamic load balancing, over any
-/// [`FeatureOperand`].
-///
-/// Output rows are split into [`VERTEX_CHUNK`]-row chunks; pool workers
-/// claim chunks from the job's shared counter (the moral equivalent of
-/// OpenMP `schedule(dynamic)`, which Section V-A reports as the fastest
-/// CPU configuration). Each chunk is owned exclusively by one worker, so
-/// no atomics touch the output; the chunks cover every row and the row
-/// kernel overwrites, so `out` is reshaped without a memset and without
-/// allocating once it has reached capacity.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
-/// [`MatrixError::ZeroThreads`] if `threads == 0`.
-pub fn spmm_vertex_parallel_into<F: FeatureOperand>(
-    a: &Csr,
-    h: &F,
-    threads: usize,
-    out: &mut DenseMatrix,
-) -> Result<(), MatrixError> {
-    check("spmm_vertex_parallel", a, h)?;
-    if threads == 0 {
-        return Err(MatrixError::ZeroThreads);
-    }
-    let (n, k) = (a.nrows(), h.shape().1);
-    out.resize_for_overwrite(n, k);
-    // k == 0 would make the chunk size below zero-sized (a panic in
-    // `chunks_mut`), and there is nothing to compute anyway.
-    if n == 0 || k == 0 {
-        return Ok(());
-    }
-    let kd = KernelDispatch::get();
-    if threads == 1 {
-        spmm_rows_with(kd, a, h, out.as_mut_slice(), 0, n, k);
-        return Ok(());
-    }
-
-    // Pre-split the output into chunk slices. Share index == chunk index,
-    // and each share locks only its own chunk, so the mutexes never
-    // contend — they exist to hand `&mut` slices through a `Fn` closure.
-    let chunks: Vec<Mutex<&mut [f32]>> = out
-        .as_mut_slice()
-        .chunks_mut(VERTEX_CHUNK * k)
-        .map(Mutex::new)
-        // lint:allow(L005): per-call chunk table of n/64 pointers — orders
-        // of magnitude below the counting-allocator activation budget.
-        .collect();
-    pool::global().broadcast(threads.min(n), chunks.len(), |ci| {
-        let mut slice = chunks[ci].lock();
-        let row_start = ci * VERTEX_CHUNK;
-        let row_end = (row_start + VERTEX_CHUNK).min(n);
-        spmm_rows_with(kd, a, h, &mut slice, row_start, row_end, k);
-    });
     Ok(())
 }
 
@@ -396,12 +333,11 @@ mod tests {
         let a = random_csr(&mut rng, 300, 300, 3000);
         let h = random_dense(&mut rng, 300, 16);
         let reference = spmm_sequential(&a, &h).unwrap();
+        // Row-local: each output row walks its non-zeros in order on one
+        // worker, so every width is bitwise the sequential walk.
         for threads in [1, 2, 4, 7, 32] {
             let got = vertex_parallel(&a, &h, threads).unwrap();
-            assert!(
-                reference.max_abs_diff(&got) < 1e-4,
-                "threads={threads} diverged"
-            );
+            assert_eq!(reference, got, "threads={threads} diverged");
         }
     }
 
@@ -474,9 +410,8 @@ mod tests {
 
     #[test]
     fn zero_feature_columns_do_not_panic() {
-        // Regression test: `chunks_mut(VERTEX_CHUNK * 0)` used to panic in
-        // the vertex-parallel kernel, and the edge-parallel share math
-        // assumed k > 0.
+        // A zero-width output must not panic: the row slices are empty, and
+        // the edge-parallel share math assumes k > 0.
         let mut rng = StdRng::seed_from_u64(9);
         let a = random_csr(&mut rng, 100, 100, 400);
         let h = DenseMatrix::zeros(100, 0);
@@ -499,19 +434,16 @@ mod tests {
         let h_small = random_dense(&mut rng, 40, 8);
         let reference = spmm_sequential(&a_small, &h_small).unwrap();
 
-        type IntoKernel =
-            fn(&Csr, &DenseMatrix, usize, &mut DenseMatrix) -> Result<(), MatrixError>;
-        let kernels: [(&str, IntoKernel); 2] = [
-            ("vertex", spmm_vertex_parallel_into),
-            ("edge", spmm_edge_parallel_into),
-        ];
-        for (name, kernel) in kernels {
+        for strategy in [
+            SpmmStrategy::VertexParallel { threads: 4 },
+            SpmmStrategy::EdgeParallel { threads: 4 },
+        ] {
             let mut buf = DenseMatrix::default();
-            kernel(&a_big, &h_big, 4, &mut buf).unwrap();
-            kernel(&a_small, &h_small, 4, &mut buf).unwrap();
+            strategy.run_into(&a_big, &h_big, &mut buf).unwrap();
+            strategy.run_into(&a_small, &h_small, &mut buf).unwrap();
             assert!(
                 reference.max_abs_diff(&buf) < 1e-4,
-                "{name}_into left stale values on buffer reuse"
+                "{strategy} left stale values on buffer reuse"
             );
         }
         // Sequential _into as well.

@@ -35,9 +35,7 @@ fn every_strategy_matches_sequential_across_graphs_threads_and_widths() {
             for threads in THREADS {
                 let strategies = [
                     SpmmStrategy::VertexParallel { threads },
-                    SpmmStrategy::NnzBalanced { threads },
                     SpmmStrategy::EdgeParallel { threads },
-                    SpmmStrategy::Hybrid { threads },
                 ];
                 for strategy in strategies {
                     let got = strategy.run(&a_hat, &h).unwrap();

@@ -9,7 +9,7 @@
 //! [`GcnModel::infer_rows_planned_prec_into`] call: the batch's targets
 //! are expanded into layer-wise shrinking frontiers once, and each layer
 //! computes only the rows the batch's answers depend on, under
-//! [`kernels::SpmmPlan`]s pinned to the pool-width NNZ-balanced kernel, so
+//! [`kernels::SpmmPlan`]s pinned to the pool-width vertex-parallel kernel, so
 //! both halves of every layer run on the whole pool. Every output row is
 //! bitwise equal to the width-1 full-graph run, which is what makes
 //! coalescing requests into batches — in any interleaving — leave every

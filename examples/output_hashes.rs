@@ -31,15 +31,14 @@ fn main() {
     for (name, g) in &twins {
         let a_hat = g.normalized_adjacency().unwrap();
         let x = g.random_features(16, 21);
-        // All six strategies. The two atomic-accumulating arms run on one
-        // thread: their bits depend on arrival order otherwise. `Auto`
-        // resolves at pool width, so compare runs taken on the same host.
+        // All four strategies. The atomic-accumulating arm runs on one
+        // thread: its bits depend on arrival order otherwise. `Auto`
+        // resolves at pool width; every arm but edge-parallel is row-local,
+        // so its bits do not depend on the width either.
         for strategy in [
             SpmmStrategy::Sequential,
             SpmmStrategy::VertexParallel { threads: 3 },
-            SpmmStrategy::NnzBalanced { threads: 3 },
             SpmmStrategy::EdgeParallel { threads: 1 },
-            SpmmStrategy::Hybrid { threads: 1 },
             SpmmStrategy::Auto,
         ] {
             let out = model.infer(g, &x, strategy).unwrap();

@@ -28,9 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reference = model.infer(&g, &x, SpmmStrategy::Sequential)?;
     for strategy in [
         SpmmStrategy::VertexParallel { threads: 4 },
-        SpmmStrategy::NnzBalanced { threads: 4 },
         SpmmStrategy::EdgeParallel { threads: 4 },
-        SpmmStrategy::Hybrid { threads: 4 },
         SpmmStrategy::Auto,
     ] {
         let out = model.infer(&g, &x, strategy)?;

@@ -46,8 +46,9 @@ fn workspace(plan: SpmmPlan) -> InferenceWorkspace {
 fn every_strategy_runs_the_one_layer_loop() {
     // strategy x association order x degree distribution, through the one
     // convenience wrapper, against the unfused oracle; the row-local arms
-    // additionally against the machine-independent width-1 plan, bit for
-    // bit (packed GEMM does not depend on its thread count).
+    // (every arm `Auto` resolves to among them) additionally against the
+    // machine-independent width-1 plan, bit for bit (packed GEMM does not
+    // depend on its thread count).
     for (graph_name, g) in twins() {
         let a_hat = g.normalized_adjacency().unwrap();
         for (model_name, model) in models() {
@@ -59,10 +60,8 @@ fn every_strategy_runs_the_one_layer_loop() {
             for (strategy, width1_tol) in [
                 (SpmmStrategy::Sequential, Some(0.0)),
                 (SpmmStrategy::VertexParallel { threads: 3 }, Some(0.0)),
-                (SpmmStrategy::NnzBalanced { threads: 3 }, Some(0.0)),
                 (SpmmStrategy::EdgeParallel { threads: 3 }, None),
-                (SpmmStrategy::Hybrid { threads: 3 }, None),
-                (SpmmStrategy::Auto, None),
+                (SpmmStrategy::Auto, Some(0.0)),
             ] {
                 let case = format!("{graph_name} {model_name} {strategy}");
                 let out = model.infer(&g, &x, strategy).unwrap();
@@ -109,9 +108,7 @@ fn every_strategy_reaches_sequential_within_two_rungs() {
     for start in [
         SpmmStrategy::Sequential,
         SpmmStrategy::VertexParallel { threads: 3 },
-        SpmmStrategy::NnzBalanced { threads: 3 },
         SpmmStrategy::EdgeParallel { threads: 3 },
-        SpmmStrategy::Hybrid { threads: 3 },
         SpmmStrategy::Auto,
     ] {
         let ladder: Vec<_> = std::iter::successors(Some(start), |s| s.fallback()).collect();
@@ -156,10 +153,13 @@ fn layer_fault_schedule_degrades_down_the_plans_chain_and_recovers_the_same_bits
     // must degrade).
     for (plan, ladder, kind, degraded) in [
         // Every layer degrades: each one's trail restarting at the pin is
-        // what shows that a degradation does not outlive its layer.
+        // what shows that a degradation does not outlive its layer. The
+        // three-rung ladder starts at Algorithm 2, on one thread (more
+        // would split a row between two atomic flushes, and the recovered
+        // rungs would not reproduce its bits).
         (
-            SpmmPlan::pinned(&a_hat, k, SpmmStrategy::Hybrid { threads: 2 }),
-            &["hybrid x2", "vertex-parallel x2", "sequential"][..],
+            SpmmPlan::pinned(&a_hat, k, SpmmStrategy::EdgeParallel { threads: 1 }),
+            &["edge-parallel x1", "vertex-parallel x1", "sequential"][..],
             FaultKind::Error,
             &[0, 1][..],
         ),
@@ -169,7 +169,7 @@ fn layer_fault_schedule_degrades_down_the_plans_chain_and_recovers_the_same_bits
         // second layer only, by panics.
         (
             SpmmPlan::with_width(&a_hat, k, 4),
-            &["nnz-balanced x4", "sequential"],
+            &["vertex-parallel x4", "sequential"],
             FaultKind::Panic,
             &[1],
         ),
@@ -184,8 +184,8 @@ fn layer_fault_schedule_degrades_down_the_plans_chain_and_recovers_the_same_bits
     ] {
         let start = plan.exec();
         assert_eq!(start.to_string(), ladder[0]);
-        // Undisturbed run of the same plan. Hubs on this twin fit one edge
-        // segment, so every rung of the chain is bitwise reproducible.
+        // Undisturbed run of the same plan. Every rung of every chain is
+        // row-local, so every rung is bitwise reproducible.
         let undisturbed = model
             .infer_planned_with(&a_hat, &x, &mut workspace(plan.clone()))
             .unwrap()
