@@ -75,16 +75,6 @@ impl GcnConfig {
     pub fn layer_dims(&self, t: usize) -> (usize, usize) {
         (self.dims[t], self.dims[t + 1])
     }
-
-    /// Total number of weight parameters across all layers (excluding bias).
-    pub fn num_parameters(&self) -> usize {
-        (0..self.num_layers())
-            .map(|t| {
-                let (i, o) = self.layer_dims(t);
-                i * o + if self.bias { o } else { 0 }
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -98,14 +88,6 @@ mod tests {
         assert_eq!(c.input_dim(), 100);
         assert_eq!(c.output_dim(), 47);
         assert_eq!(c.layer_dims(1), (256, 256));
-    }
-
-    #[test]
-    fn parameter_count_includes_bias() {
-        let mut c = GcnConfig::from_dims(vec![4, 3, 2]);
-        assert_eq!(c.num_parameters(), 4 * 3 + 3 + 3 * 2 + 2);
-        c.bias = false;
-        assert_eq!(c.num_parameters(), 4 * 3 + 3 * 2);
     }
 
     #[test]

@@ -45,8 +45,6 @@ pub mod model;
 pub mod resilient;
 /// Batched per-vertex inference over gathered k-hop neighbourhoods.
 pub mod rows;
-/// Neighborhood-sampled mini-batch inference (GraphSAGE-style).
-pub mod sampled;
 
 pub use accuracy::{accuracy_bound, AccuracyReport};
 pub use config::GcnConfig;
@@ -54,4 +52,3 @@ pub use error::GcnError;
 pub use model::{GcnLayer, GcnModel, InferenceWorkspace};
 pub use resilient::{Degradation, InferenceRun};
 pub use rows::{RowsBatchStats, RowsWorkspace};
-pub use sampled::{SampledBatch, SamplingScheme};

@@ -1,9 +1,8 @@
-//! Non-R-MAT synthetic generators: Erdős–Rényi and regular-degree graphs.
+//! The non-R-MAT synthetic generator: Erdős–Rényi `G(n, m)`.
 
 use crate::graph_type::Graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparse::{Coo, Csr};
 
 /// Generates an Erdős–Rényi `G(n, m)` graph: `m` distinct undirected edges
 /// sampled uniformly at random (no self loops).
@@ -40,43 +39,6 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> Graph {
     Graph::from_undirected_edges(n, &edges)
 }
 
-/// Generates a `d`-regular *directed* graph: every vertex gets exactly `d`
-/// distinct out-neighbours (excluding itself). Used where the paper calls
-/// for "uniform degree distributions" with an exact degree.
-///
-/// # Panics
-///
-/// Panics if `d >= n`.
-pub fn regular_out_degree(n: usize, d: usize, seed: u64) -> Graph {
-    assert!(d < n, "degree {d} must be below vertex count {n}");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut coo = Coo::with_capacity(n, n, n * d);
-    let mut picked: Vec<usize> = Vec::with_capacity(d);
-    for u in 0..n {
-        picked.clear();
-        while picked.len() < d {
-            let v = rng.gen_range(0..n);
-            if v != u && !picked.contains(&v) {
-                picked.push(v);
-            }
-        }
-        for &v in &picked {
-            coo.push(u, v, 1.0);
-        }
-    }
-    Graph::from_adjacency(Csr::from_coo(&coo))
-}
-
-/// Generates a graph of a target density `delta = |E| / |V|^2` with uniform
-/// degree structure — the workload of the paper's Figure 2 sweep, where
-/// `|E| = delta * |V|^2`.
-pub fn uniform_with_density(n: usize, density: f64, seed: u64) -> Graph {
-    assert!((0.0..=1.0).contains(&density), "density must be in [0, 1]");
-    let edges = (density * n as f64 * n as f64).round() as usize;
-    let per_vertex = (edges / n.max(1)).min(n.saturating_sub(1));
-    regular_out_degree(n, per_vertex.max(1).min(n.saturating_sub(1)), seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,39 +59,5 @@ mod tests {
     #[should_panic(expected = "possible")]
     fn erdos_renyi_rejects_impossible_edge_count() {
         erdos_renyi(3, 100, 0);
-    }
-
-    #[test]
-    fn regular_graph_has_exact_degrees() {
-        let g = regular_out_degree(40, 7, 3);
-        let stats = g.degree_stats();
-        assert_eq!(stats.min, 7);
-        assert_eq!(stats.max, 7);
-        assert_eq!(stats.cv, 0.0);
-        assert_eq!(g.edges(), 40 * 7);
-    }
-
-    #[test]
-    fn regular_graph_has_no_self_loops() {
-        let g = regular_out_degree(20, 5, 8);
-        for (u, v, _) in g.adjacency().iter() {
-            assert_ne!(u, v);
-        }
-    }
-
-    #[test]
-    fn uniform_with_density_hits_target() {
-        let g = uniform_with_density(128, 0.05, 1);
-        let got = g.density();
-        assert!(
-            (got - 0.05).abs() / 0.05 < 0.2,
-            "density {got} too far from 0.05"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "below vertex count")]
-    fn regular_rejects_excess_degree() {
-        regular_out_degree(4, 4, 0);
     }
 }

@@ -6,13 +6,14 @@
 //! * [`rmat`] — the R-MAT recursive generator (the paper uses SNAP's RMAT for
 //!   its Figure 2 scale/density sweeps and the `power-16`/`power-22` graphs
 //!   of Figure 9),
-//! * [`generators`] — Erdős–Rényi and regular-degree generators,
+//! * [`generators`] — the Erdős–Rényi `G(n, m)` generator,
 //! * [`datasets`] — the Open Graph Benchmark catalog of Table I, with exact
 //!   published `|V|`/`|E|` for the analytical models and *scaled* synthetic
 //!   materialization for functional/simulated runs,
 //! * [`reorder`] — locality-aware vertex orderings (degree / BFS / RCM)
 //!   and the [`ReorderedGraph`] wrapper that keeps GCN results consistent
-//!   across the relabeling.
+//!   across the relabeling,
+//! * [`io`] — edge-list reading and Matrix Market reading / writing.
 //!
 //! # Examples
 //!
@@ -29,26 +30,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Degree distributions and other structural statistics.
-pub mod analysis;
 /// Synthetic stand-ins for the OGB datasets used in the paper.
 pub mod datasets;
-/// Deterministic graph generators (ring, grid, star, …).
+/// The seeded Erdős–Rényi `G(n, m)` generator.
 pub mod generators;
 /// The core CSR-adjacency [`Graph`] type.
 pub mod graph_type;
-/// Edge-list / metadata serialization.
+/// Edge-list and Matrix Market serialization.
 pub mod io;
-/// Locality-aware vertex reordering (degree sort, RCM, clustering).
+/// Locality-aware vertex reordering (degree sort, BFS, RCM).
 pub mod reorder;
 /// R-MAT scale-free graph generation.
 pub mod rmat;
-/// Neighborhood sampling into induced [`Subgraph`]s.
-pub mod sampling;
 
 pub use datasets::{DatasetStats, OgbDataset};
 pub use graph_type::Graph;
 pub use io::GraphError;
 pub use reorder::{ReorderKind, ReorderedGraph};
 pub use rmat::RmatConfig;
-pub use sampling::Subgraph;

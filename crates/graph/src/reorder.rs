@@ -229,24 +229,6 @@ impl ReorderedGraph {
         restored
     }
 
-    /// Permutes per-vertex data (labels, masks) into the reordered space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len()` does not match the vertex count.
-    pub fn permute_slice<T: Clone>(&self, xs: &[T]) -> Vec<T> {
-        self.perm.gather(xs)
-    }
-
-    /// Un-permutes per-vertex data back to the original vertex order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len()` does not match the vertex count.
-    pub fn restore_slice<T: Clone>(&self, xs: &[T]) -> Vec<T> {
-        self.perm.scatter(xs)
-    }
-
     /// Locality improvement: `mean_bandwidth(original) /
     /// mean_bandwidth(reordered)`. Above 1.0 means the ordering moved
     /// neighbours closer together; `original` must be the graph this
@@ -325,8 +307,6 @@ mod tests {
         for kind in [ReorderKind::Bfs, ReorderKind::Rcm] {
             let rg = ReorderedGraph::new(&g, kind);
             assert_eq!(rg.restore_rows(&rg.permute_features(&x)), x, "{kind}");
-            let labels: Vec<usize> = (0..g.vertices()).collect();
-            assert_eq!(rg.restore_slice(&rg.permute_slice(&labels)), labels);
         }
     }
 

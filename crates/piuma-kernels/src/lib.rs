@@ -21,7 +21,10 @@
 //!   red curve, within 10–20 % of the analytical model.
 //!
 //! [`runner::SpmmSimulation`] drives either variant over a real CSR matrix
-//! and reports achieved GFLOP/s next to the Eq. 1–5 roofline.
+//! and reports achieved GFLOP/s next to the Eq. 1–5 roofline. Around it,
+//! [`placement`] maps shared arrays onto DRAM slices, [`programs`] holds the
+//! per-thread instruction streams, [`dense_sim`] and [`dense_model`] price
+//! the dense update, and [`gcn_sim`] times a whole GCN layer.
 //!
 //! # Examples
 //!
@@ -51,7 +54,6 @@ pub mod placement;
 pub mod programs;
 pub mod runner;
 pub mod variant;
-pub mod walk_sim;
 
 pub use runner::{SpmmSimResult, SpmmSimulation};
 pub use variant::SpmmVariant;

@@ -3,7 +3,6 @@
 //! ```text
 //! simulate --graph web.mtx --kernel dma --cores 8 --k 64
 //! simulate --rmat 14x16 --kernel unrolled --cores 32 --k 256 --latency 360
-//! simulate --graph edges.txt --kernel walk --walkers 512 --steps 64
 //! ```
 //!
 //! Graphs load from Matrix Market (`.mtx`) or whitespace edge lists
@@ -12,7 +11,6 @@
 
 use graph::io::{read_edge_list, read_matrix_market};
 use graph::{Graph, RmatConfig};
-use piuma_kernels::walk_sim::simulate_random_walks;
 use piuma_kernels::{SpmmSimulation, SpmmVariant};
 use piuma_sim::MachineConfig;
 use sparse::Csr;
@@ -27,19 +25,15 @@ struct Args {
     k: usize,
     latency: Option<f64>,
     threads_per_mtp: Option<usize>,
-    walkers: usize,
-    steps: usize,
 }
 
 fn usage() -> &'static str {
-    "usage: simulate (--graph FILE | --rmat SxF) [--kernel dma|unrolled|vertex|walk]\n\
+    "usage: simulate (--graph FILE | --rmat SxF) [--kernel dma|unrolled|vertex]\n\
      \n\
      --cores N            PIUMA cores (default 8)\n\
      --k N                embedding dimension for SpMM kernels (default 64)\n\
      --latency NS         DRAM latency override\n\
-     --threads N          threads per MTP override\n\
-     --walkers N          walkers for the walk kernel (default 512)\n\
-     --steps N            steps per walker (default 64)"
+     --threads N          threads per MTP override"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -51,8 +45,6 @@ fn parse_args() -> Result<Args, String> {
         k: 64,
         latency: None,
         threads_per_mtp: None,
-        walkers: 512,
-        steps: 64,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -98,16 +90,6 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|e| format!("bad threads: {e}"))?,
                 )
-            }
-            "--walkers" => {
-                args.walkers = value(&argv, i, "--walkers")?
-                    .parse()
-                    .map_err(|e| format!("bad walkers: {e}"))?
-            }
-            "--steps" => {
-                args.steps = value(&argv, i, "--steps")?
-                    .parse()
-                    .map_err(|e| format!("bad steps: {e}"))?
             }
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown flag '{other}'\n\n{}", usage())),
@@ -177,45 +159,28 @@ fn main() -> ExitCode {
         cfg = cfg.with_threads_per_mtp(t);
     }
 
-    match args.kernel.as_str() {
-        "walk" => match simulate_random_walks(&cfg, &a, args.walkers, args.steps) {
-            Ok(r) => {
-                println!(
-                    "{} walkers x {} steps: {:.1} Msteps/s",
-                    args.walkers, args.steps, r.msteps_per_second
-                );
-                println!("{}", r.sim);
-            }
-            Err(e) => {
-                eprintln!("simulation failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        name => {
-            let variant = match name {
-                "dma" => SpmmVariant::Dma,
-                "unrolled" => SpmmVariant::LoopUnrolled,
-                "vertex" => SpmmVariant::DmaVertexParallel,
-                other => {
-                    eprintln!("unknown kernel '{other}' (dma|unrolled|vertex|walk)");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match SpmmSimulation::new(cfg, variant).run(&a, args.k) {
-                Ok(r) => {
-                    println!(
-                        "{variant} SpMM K={}: {:.2} GFLOP/s ({:.0}% of bandwidth model)",
-                        args.k,
-                        r.gflops,
-                        r.model_fraction() * 100.0
-                    );
-                    println!("{}", r.sim);
-                }
-                Err(e) => {
-                    eprintln!("simulation failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    let variant = match args.kernel.as_str() {
+        "dma" => SpmmVariant::Dma,
+        "unrolled" => SpmmVariant::LoopUnrolled,
+        "vertex" => SpmmVariant::DmaVertexParallel,
+        other => {
+            eprintln!("unknown kernel '{other}' (dma|unrolled|vertex)");
+            return ExitCode::FAILURE;
+        }
+    };
+    match SpmmSimulation::new(cfg, variant).run(&a, args.k) {
+        Ok(r) => {
+            println!(
+                "{variant} SpMM K={}: {:.2} GFLOP/s ({:.0}% of bandwidth model)",
+                args.k,
+                r.gflops,
+                r.model_fraction() * 100.0
+            );
+            println!("{}", r.sim);
+        }
+        Err(e) => {
+            eprintln!("simulation failed: {e}");
+            return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS

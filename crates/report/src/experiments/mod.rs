@@ -6,7 +6,6 @@ pub mod common;
 pub mod ext_distributed;
 pub mod ext_hetero;
 pub mod ext_multinode;
-pub mod ext_randomwalk;
 pub mod fig10;
 pub mod fig2;
 pub mod fig3;
@@ -59,15 +58,13 @@ pub enum Experiment {
     ExtHetero,
     /// Extension — distributed CPU (MPI) vs PIUMA DGAS scaling.
     ExtDistributed,
-    /// Extension — latency-bound random walks (Section VI).
-    ExtRandomwalk,
     /// Ablations of the simulator's design choices.
     Ablation,
 }
 
 impl Experiment {
     /// All experiments in paper order, extensions last.
-    pub const ALL: [Experiment; 15] = [
+    pub const ALL: [Experiment; 14] = [
         Experiment::Table1,
         Experiment::Fig2,
         Experiment::Fig3,
@@ -81,7 +78,6 @@ impl Experiment {
         Experiment::ExtMultinode,
         Experiment::ExtHetero,
         Experiment::ExtDistributed,
-        Experiment::ExtRandomwalk,
         Experiment::Ablation,
     ];
 
@@ -109,7 +105,6 @@ impl Experiment {
             Experiment::ExtMultinode => "ext_multinode",
             Experiment::ExtHetero => "ext_hetero",
             Experiment::ExtDistributed => "ext_distributed",
-            Experiment::ExtRandomwalk => "ext_randomwalk",
             Experiment::Ablation => "ablation",
         }
     }
@@ -130,7 +125,6 @@ impl Experiment {
             Experiment::ExtMultinode => ext_multinode::run(fidelity),
             Experiment::ExtHetero => ext_hetero::run(),
             Experiment::ExtDistributed => ext_distributed::run(),
-            Experiment::ExtRandomwalk => ext_randomwalk::run(fidelity),
             Experiment::Ablation => ablation::run(fidelity),
         }
     }

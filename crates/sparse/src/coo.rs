@@ -117,22 +117,6 @@ impl Coo {
     pub fn arrays(&self) -> (&[usize], &[usize], &[f32]) {
         (&self.rows, &self.cols, &self.values)
     }
-
-    /// Adds the transposed copy of every entry, symmetrizing the matrix.
-    /// Diagonal entries are not duplicated.
-    ///
-    /// This is how undirected graphs are built from directed edge lists.
-    pub fn symmetrize(&mut self) {
-        let n = self.nnz();
-        for i in 0..n {
-            let (r, c) = (self.rows[i], self.cols[i]);
-            if r != c {
-                self.rows.push(c);
-                self.cols.push(r);
-                self.values.push(self.values[i]);
-            }
-        }
-    }
 }
 
 impl Extend<(usize, usize, f32)> for Coo {
@@ -170,17 +154,6 @@ mod tests {
         coo.push(2, 2, 3.0);
         let triplets: Vec<_> = coo.iter().collect();
         assert_eq!(triplets, vec![(0, 1, 1.0), (2, 2, 3.0)]);
-    }
-
-    #[test]
-    fn symmetrize_mirrors_off_diagonal_only() {
-        let mut coo = Coo::new(3, 3);
-        coo.push(0, 1, 2.0);
-        coo.push(2, 2, 5.0);
-        coo.symmetrize();
-        let mut triplets: Vec<_> = coo.iter().collect();
-        triplets.sort_by_key(|&(r, c, _)| (r, c));
-        assert_eq!(triplets, vec![(0, 1, 2.0), (1, 0, 2.0), (2, 2, 5.0)]);
     }
 
     #[test]

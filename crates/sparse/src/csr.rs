@@ -331,9 +331,6 @@ impl Csr {
 
     /// Returns the transpose (equivalently: reinterprets the matrix as CSC).
     pub fn transpose(&self) -> Csr {
-        // lint:allow(L009): plan-construction path — transposes run once
-        // when a plan or partition is built, never inside the per-layer
-        // inference loop the hot seeds guard.
         let mut counts = vec![0usize; self.ncols + 1];
         for &c in &self.col_idx {
             counts[c as usize + 1] += 1;
@@ -342,9 +339,7 @@ impl Csr {
             counts[i + 1] += counts[i];
         }
         let row_ptr = counts.clone();
-        // lint:allow(L009): plan-construction path (see above).
         let mut col_idx = vec![0u32; self.nnz()];
-        // lint:allow(L009): plan-construction path (see above).
         let mut values = vec![0.0f32; self.nnz()];
         let mut next = counts;
         for r in 0..self.nrows {
@@ -371,20 +366,6 @@ impl Csr {
             m[(r, c)] += v;
         }
         m
-    }
-
-    /// Out-degree (row non-zero count) of every row.
-    pub fn out_degrees(&self) -> Vec<usize> {
-        (0..self.nrows).map(|r| self.row_nnz(r)).collect()
-    }
-
-    /// In-degree (column non-zero count) of every column.
-    pub fn in_degrees(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.ncols];
-        for &c in &self.col_idx {
-            deg[c as usize] += 1;
-        }
-        deg
     }
 
     /// Total bytes of the three CSR arrays as laid out by this
@@ -465,13 +446,6 @@ mod tests {
         assert_eq!(d[(1, 0)], 2.0);
         assert_eq!(d[(1, 2)], 3.0);
         assert_eq!(d[(2, 2)], 0.0);
-    }
-
-    #[test]
-    fn degrees_count_rows_and_columns() {
-        let csr = sample();
-        assert_eq!(csr.out_degrees(), vec![1, 2, 0]);
-        assert_eq!(csr.in_degrees(), vec![1, 1, 1]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error produced by sparse-matrix construction and kernels.
+/// Error produced by sparse-matrix construction, normalization and permutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SparseError {
     /// A coordinate was outside the declared matrix shape.
@@ -19,15 +19,6 @@ pub enum SparseError {
     InvalidCsr {
         /// Which invariant was violated.
         reason: String,
-    },
-    /// A sparse and a dense operand had incompatible shapes.
-    DimensionMismatch {
-        /// Human-readable name of the operation that failed.
-        op: &'static str,
-        /// Sparse operand shape.
-        sparse: (usize, usize),
-        /// Dense operand shape.
-        dense: (usize, usize),
     },
     /// Normalization requires a square adjacency matrix.
     NotSquare {
@@ -50,11 +41,6 @@ impl fmt::Display for SparseError {
                 shape.0, shape.1
             ),
             SparseError::InvalidCsr { reason } => write!(f, "invalid CSR structure: {reason}"),
-            SparseError::DimensionMismatch { op, sparse, dense } => write!(
-                f,
-                "dimension mismatch in {op}: sparse is {}x{}, dense is {}x{}",
-                sparse.0, sparse.1, dense.0, dense.1
-            ),
             SparseError::NotSquare { shape } => {
                 write!(
                     f,

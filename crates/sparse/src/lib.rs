@@ -33,23 +33,18 @@
 
 /// Coordinate-format triples, the construction format.
 pub mod coo;
-/// Compressed sparse column storage.
-pub mod csc;
 /// Compressed sparse row storage, the kernel-facing format.
 pub mod csr;
 /// Sparse-format validation errors.
 pub mod error;
 /// Symmetric degree normalization (D^-1/2 (A+I) D^-1/2).
 pub mod norm;
-/// Format conversions and elementwise sparse ops.
-pub mod ops;
 /// Row/column permutation of sparse matrices.
 pub mod permute;
 /// NNZ/row statistics and imbalance metrics.
 pub mod stats;
 
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::Csr;
 pub use error::SparseError;
 pub use permute::Permutation;

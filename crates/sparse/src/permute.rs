@@ -58,24 +58,10 @@ impl Permutation {
     /// Returns [`SparseError::InvalidPermutation`] if `order` is not a
     /// bijection on `0..order.len()`.
     pub fn from_new_to_old(order: Vec<usize>) -> Result<Self> {
-        let new_of_old = invert("from_new_to_old", &order)?;
+        let new_of_old = invert(&order)?;
         Ok(Permutation {
             new_of_old,
             old_of_new: order,
-        })
-    }
-
-    /// Builds a permutation from the *scatter* direction: `map[old] = new`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::InvalidPermutation`] if `map` is not a
-    /// bijection on `0..map.len()`.
-    pub fn from_old_to_new(map: Vec<usize>) -> Result<Self> {
-        let old_of_new = invert("from_old_to_new", &map)?;
-        Ok(Permutation {
-            new_of_old: map,
-            old_of_new,
         })
     }
 
@@ -107,16 +93,6 @@ impl Permutation {
         self.old_of_new[new]
     }
 
-    /// The full scatter map (`[old] -> new`).
-    pub fn as_new_of_old(&self) -> &[usize] {
-        &self.new_of_old
-    }
-
-    /// The full gather map (`[new] -> old`).
-    pub fn as_old_of_new(&self) -> &[usize] {
-        &self.old_of_new
-    }
-
     /// The inverse permutation (swaps the two stored directions).
     pub fn inverse(&self) -> Permutation {
         Permutation {
@@ -124,47 +100,21 @@ impl Permutation {
             old_of_new: self.new_of_old.clone(),
         }
     }
-
-    /// Whether this is the identity (reordering would be a no-op).
-    pub fn is_identity(&self) -> bool {
-        self.new_of_old.iter().enumerate().all(|(i, &p)| i == p)
-    }
-
-    /// Gathers a slice into permuted order: `out[new] = xs[old_of_new[new]]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len() != self.len()`.
-    pub fn gather<T: Clone>(&self, xs: &[T]) -> Vec<T> {
-        assert_eq!(xs.len(), self.len(), "slice length mismatch");
-        self.old_of_new.iter().map(|&o| xs[o].clone()).collect()
-    }
-
-    /// Scatters a permuted slice back to original order:
-    /// `out[old] = xs[new_of_old[old]]`. Inverse of [`Permutation::gather`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len() != self.len()`.
-    pub fn scatter<T: Clone>(&self, xs: &[T]) -> Vec<T> {
-        assert_eq!(xs.len(), self.len(), "slice length mismatch");
-        self.new_of_old.iter().map(|&n| xs[n].clone()).collect()
-    }
 }
 
 /// Inverts `map`, verifying it is a bijection on `0..map.len()`.
-fn invert(op: &'static str, map: &[usize]) -> Result<Vec<usize>> {
+fn invert(map: &[usize]) -> Result<Vec<usize>> {
     let n = map.len();
     let mut inv = vec![usize::MAX; n];
     for (i, &m) in map.iter().enumerate() {
         if m >= n {
             return Err(SparseError::InvalidPermutation {
-                reason: format!("{op}: index {m} out of range for length {n}"),
+                reason: format!("from_new_to_old: index {m} out of range for length {n}"),
             });
         }
         if inv[m] != usize::MAX {
             return Err(SparseError::InvalidPermutation {
-                reason: format!("{op}: index {m} appears more than once"),
+                reason: format!("from_new_to_old: index {m} appears more than once"),
             });
         }
         inv[m] = i;
@@ -269,7 +219,7 @@ mod tests {
     fn identity_round_trips() {
         let csr = sample();
         let id = Permutation::identity(3);
-        assert!(id.is_identity());
+        assert_eq!(id, Permutation::from_new_to_old(vec![0, 1, 2]).unwrap());
         assert_eq!(csr.permute(&id, &id).unwrap(), csr);
     }
 
@@ -277,7 +227,7 @@ mod tests {
     fn permute_moves_entries() {
         let csr = sample();
         // Rotate vertices: old 0 -> new 1, old 1 -> new 2, old 2 -> new 0.
-        let p = Permutation::from_old_to_new(vec![1, 2, 0]).unwrap();
+        let p = Permutation::from_new_to_old(vec![2, 0, 1]).unwrap();
         let b = csr.permute_symmetric(&p).unwrap();
         b.validate().unwrap();
         for (r, c, v) in csr.iter() {
@@ -297,19 +247,10 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scatter_are_inverse() {
-        let p = Permutation::from_new_to_old(vec![2, 0, 3, 1]).unwrap();
-        let xs = vec!["a", "b", "c", "d"];
-        let gathered = p.gather(&xs);
-        assert_eq!(gathered, vec!["c", "a", "d", "b"]);
-        assert_eq!(p.scatter(&gathered), xs);
-    }
-
-    #[test]
     fn invalid_permutations_are_rejected() {
         assert!(Permutation::from_new_to_old(vec![0, 0]).is_err());
         assert!(Permutation::from_new_to_old(vec![0, 5]).is_err());
-        assert!(Permutation::from_old_to_new(vec![1, 1, 0]).is_err());
+        assert!(Permutation::from_new_to_old(vec![1, 1, 0]).is_err());
     }
 
     #[test]

@@ -33,13 +33,13 @@
 //! | module | contents |
 //! |---|---|
 //! | [`matrix`] | dense matrices, packed GEMM (+ naive reference), activations |
-//! | [`sparse`] | COO/CSR, GCN normalization, degree stats |
-//! | [`graph`] | graph type, RMAT/ER generators, OGB catalog |
+//! | [`sparse`] | COO/CSR, GCN normalization, vertex permutations, degree stats |
+//! | [`graph`] | graph type, RMAT/ER generators, OGB catalog, reordering, loaders |
 //! | [`kernels`] | host SpMM: one `SpmmStrategy` enum, `SpmmPlan` (resolved or pinned), the one GCN layer |
 //! | [`gcn`] | the GCN model and its one layer loop (plan, guard, retry as operands) |
 //! | [`analytic`] | the paper's Eq. 1–5 bandwidth-bound model |
 //! | [`piuma_sim`] | the discrete-event PIUMA simulator |
-//! | [`piuma_kernels`] | SpMM lowered onto the simulator |
+//! | [`piuma_kernels`] | SpMM, the dense update and a GCN layer lowered onto the simulator |
 //! | [`platform_models`] | Xeon 8380 / A100 / PIUMA GCN timing models |
 //! | [`report`] | experiment harness and the `repro` binary |
 //! | [`serving`] | async inference service: batching + admission control |
@@ -63,7 +63,7 @@ pub use sparse;
 pub mod prelude {
     pub use analytic::workload::GcnWorkload;
     pub use analytic::{ElementSizes, SpmmTraffic};
-    pub use gcn::{GcnConfig, GcnModel, InferenceWorkspace, SamplingScheme};
+    pub use gcn::{GcnConfig, GcnModel, InferenceWorkspace};
     pub use graph::{Graph, OgbDataset, ReorderKind, ReorderedGraph, RmatConfig};
     pub use kernels::{SpmmPlan, SpmmStrategy};
     pub use matrix::{Activation, DenseMatrix, Precision, WeightInit};

@@ -109,17 +109,6 @@ proptest! {
     }
 
     #[test]
-    fn csc_round_trips_and_agrees_on_entries(coo in coo_strategy()) {
-        let csr = Csr::from_coo(&coo);
-        let csc = sparse::Csc::from_csr(&csr);
-        prop_assert_eq!(csc.to_csr(), csr.clone());
-        for (r, c, v) in csr.iter() {
-            prop_assert_eq!(csc.get(r, c), Some(v));
-        }
-        prop_assert_eq!(csc.nnz(), csr.nnz());
-    }
-
-    #[test]
     fn matrix_market_round_trips_arbitrary_matrices(coo in coo_strategy()) {
         use piuma_gcn::graph::io::{read_matrix_market, write_matrix_market};
         let csr = Csr::from_coo(&coo);
@@ -132,20 +121,6 @@ proptest! {
             prop_assert_eq!((r1, c1), (r2, c2));
             // Values pass through decimal text; allow rounding slack.
             prop_assert!((v1 - v2).abs() <= 1e-4 * v2.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn spmv_is_spmm_with_one_column(coo in coo_strategy()) {
-        let csr = Csr::from_coo(&coo);
-        let x: Vec<f32> = (0..csr.ncols())
-            .map(|i| ((i * 7919) % 23) as f32 / 23.0 - 0.5)
-            .collect();
-        let y = sparse::ops::spmv(&csr, &x).unwrap();
-        let xm = DenseMatrix::from_vec(csr.ncols(), 1, x).unwrap();
-        let ym = SpmmStrategy::Sequential.run(&csr, &xm).unwrap();
-        for (u, &yu) in y.iter().enumerate() {
-            prop_assert!((yu - ym[(u, 0)]).abs() < 1e-4);
         }
     }
 
@@ -163,32 +138,6 @@ proptest! {
         // Savings are one write + one read of the V x K intermediate, which
         // can never exceed half the unfused traffic plus the CSR bytes.
         prop_assert!(a.traffic_saved() < 0.67, "saved {}", a.traffic_saved());
-    }
-
-    #[test]
-    fn sampled_subgraphs_are_valid_and_seeded(
-        seeds in proptest::collection::vec(0usize..64, 1..6),
-        hops in 0usize..3,
-        fanout in 1usize..5,
-    ) {
-        let g = Graph::rmat(&RmatConfig::power_law(6, 4), 17);
-        let sub = graph::sampling::sample_neighbors(&g, &seeds, hops, fanout, 3);
-        sub.adjacency.validate().unwrap();
-        // Every (deduplicated) seed is present, in order, at the front.
-        let mut seen = std::collections::HashSet::new();
-        let unique: Vec<usize> = seeds
-            .iter()
-            .copied()
-            .filter(|s| seen.insert(*s))
-            .collect();
-        prop_assert_eq!(&sub.vertices[..unique.len()], &unique[..]);
-        // Induced edges exist in the parent graph.
-        for (lu, lv, _) in sub.adjacency.iter() {
-            prop_assert!(g
-                .adjacency()
-                .get(sub.vertices[lu], sub.vertices[lv])
-                .is_some());
-        }
     }
 
     #[test]
