@@ -9,11 +9,11 @@
 //! it aggregates is the [`kernels::SpmmPlan`] in the caller's
 //! [`InferenceWorkspace`] — resolved by the plan's own rule or pinned to an
 //! explicit [`kernels::SpmmStrategy`], and carrying width, precision and
-//! SIMD backend. A run guard and a retry policy are operands of the same
-//! loop ([`GcnModel::infer_resilient_with`]); every other entry point is a
-//! thin caller of it. How a run falls back is data too — rungs on the
-//! plan, that loop's policy arm as the only retry-then-degrade walk, one
-//! flat [`InferenceRun`] report: see [`resilient`].
+//! SIMD backend. A run guard and recovery are operands of the same loop
+//! ([`GcnModel::infer_resilient_with`]); every other entry point is a thin
+//! caller of it. How a run falls back is data too — rungs on the plan,
+//! that loop's recovery arm as the only retry-then-degrade walk, one flat
+//! [`InferenceRun`] report: see [`resilient`].
 //!
 //! # Examples
 //!

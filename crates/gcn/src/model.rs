@@ -10,7 +10,7 @@ use matrix::{Activation, DenseMatrix, MatrixError, Precision, QuantMatrix, Weigh
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use resilience::guard::RunGuard;
-use resilience::retry::{self, Failure, RetryPolicy};
+use resilience::retry::{self, Failure};
 use sparse::Csr;
 
 /// The buffers the layer loop ([`GcnModel::run_layers`]) ping-pongs
@@ -223,7 +223,7 @@ impl GcnModel {
         workspace: &'w mut InferenceWorkspace,
     ) -> Result<&'w DenseMatrix, GcnError> {
         self.check_shapes(a_hat, features)?;
-        self.run_whole_graph(a_hat, features, &RunGuard::unbounded(), None, workspace)?;
+        self.run_whole_graph(a_hat, features, &RunGuard::unbounded(), false, workspace)?;
         Ok(&workspace.bufs.h)
     }
 
@@ -237,7 +237,7 @@ impl GcnModel {
         a_hat: &Csr,
         features: &DenseMatrix,
         guard: &RunGuard,
-        policy: Option<&RetryPolicy>,
+        recover: bool,
         workspace: &mut InferenceWorkspace,
     ) -> Result<InferenceRun, GcnError> {
         let precision = workspace
@@ -248,7 +248,7 @@ impl GcnModel {
         let InferenceWorkspace { bufs, plan } = workspace;
         let plan = plan.as_ref().expect("plan populated above");
         bufs.h.copy_from(features);
-        let mut run = self.run_layers(&[(a_hat, plan)], guard, policy, bufs)?;
+        let mut run = self.run_layers(&[(a_hat, plan)], guard, recover, bufs)?;
         run.used = plan.precision();
         run.precision_fallback = plan.precision_fallback();
         Ok(run)
@@ -260,18 +260,18 @@ impl GcnModel {
     /// one-entry `ops` is broadcast to every layer (whole-graph inference),
     /// one entry per layer is the rows path's frontier stack. A fired
     /// `guard` (checked before each layer) ends the run with the buffers at
-    /// the last completed layer. Without a `policy` each layer is one direct
-    /// call. With one, this is the workspace's only retry-then-degrade walk:
+    /// the last completed layer. Without `recover` each layer is one direct
+    /// call. With it, this is the workspace's only retry-then-degrade walk:
     /// the layer runs under [`retry::run`] — the `gcn.layer` fault site
-    /// inside the retried attempt — and on exhausting its attempts steps to
-    /// a copy of that layer's plan re-pinned one rung down
-    /// [`SpmmStrategy::fallback`], recording the rung in the report. Every
-    /// layer starts back at its own plan.
+    /// inside the retried attempt — and on exhausting its
+    /// [`retry::ATTEMPTS`] attempts steps to a copy of that layer's plan
+    /// re-pinned one rung down [`SpmmStrategy::fallback`], recording the
+    /// rung in the report. Every layer starts back at its own plan.
     pub(crate) fn run_layers(
         &self,
         ops: &[(&Csr, &SpmmPlan)],
         guard: &RunGuard,
-        policy: Option<&RetryPolicy>,
+        recover: bool,
         bufs: &mut LayerBuffers,
     ) -> Result<InferenceRun, GcnError> {
         let LayerBuffers { h, next, mid, qbuf } = bufs;
@@ -300,11 +300,11 @@ impl GcnModel {
                 )
                 .map(|_| ())
             };
-            if let Some(policy) = policy {
+            if recover {
                 let mut rung: Option<SpmmPlan> = None;
                 loop {
                     let current = rung.as_ref().unwrap_or(base);
-                    let outcome = retry::run(policy, || -> Result<(), MatrixError> {
+                    let outcome = retry::run(|| -> Result<(), MatrixError> {
                         resilience::fault_point_err!(
                             "gcn.layer",
                             MatrixError::Fault { site: "gcn.layer" }

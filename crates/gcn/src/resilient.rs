@@ -8,12 +8,12 @@
 //!   re-pinned or re-targeted; the workspace's plan is never modified.
 //! * **One walk.** [`GcnModel::infer_resilient_with`] validates inputs
 //!   (shapes, then a NaN/Inf sweep over features and weights) and hands a
-//!   retry policy and a [`resilience::guard::RunGuard`] to the layer loop
-//!   behind [`GcnModel::infer_planned_with`], whose policy arm is the only
-//!   retry-then-degrade walk. The guard (wall-clock budget and/or
-//!   cancellation) is checked between layers and between rungs; a fired
-//!   guard is a typed partial result with the workspace at the last
-//!   *completed* layer. A guard alone is `RetryPolicy::immediate(1)`.
+//!   [`resilience::guard::RunGuard`] to the layer loop behind
+//!   [`GcnModel::infer_planned_with`] with its recovery arm on: the only
+//!   retry-then-degrade walk, [`resilience::retry::ATTEMPTS`] attempts per
+//!   rung. The guard (wall-clock budget and/or cancellation) is checked
+//!   between layers and between rungs; a fired guard is a typed partial
+//!   result with the workspace at the last *completed* layer.
 //! * **One report.** Both entry points return an [`InferenceRun`].
 //!
 //! Deliberately *not* folded into the walk: the precision guard
@@ -33,7 +33,6 @@ use crate::model::{GcnModel, InferenceWorkspace};
 use matrix::microkernel::Backend;
 use matrix::{DenseMatrix, MatrixError, Precision};
 use resilience::guard::{RunGuard, StopReason};
-use resilience::retry::RetryPolicy;
 use sparse::Csr;
 
 /// One rung taken down a degradation ladder.
@@ -63,7 +62,7 @@ pub struct InferenceRun {
     /// Why the run stopped early, if it did.
     pub stopped: Option<StopReason>,
     /// Layer attempts made across all layers and rungs, including the
-    /// successful ones (`0` when no retry policy ran).
+    /// successful ones (`0` when the recovery arm did not run).
     pub attempts: u32,
     /// Panics caught and retried.
     pub recovered_panics: u32,
@@ -150,7 +149,8 @@ impl GcnModel {
 
     /// Fully hardened inference along the workspace's plan (as in
     /// [`GcnModel::infer_planned_with`]): validated inputs, per-layer
-    /// bounded retry with panic capture, strategy degradation on persistent
+    /// retry with panic capture ([`resilience::retry::ATTEMPTS`] attempts
+    /// per rung), strategy degradation on persistent
     /// failure, and a [`RunGuard`] checked between layers (and between
     /// degradation rungs). Returns an [`InferenceRun`] describing exactly
     /// how the result was obtained; the output lands in the workspace. A
@@ -167,12 +167,11 @@ impl GcnModel {
         &self,
         a_hat: &Csr,
         features: &DenseMatrix,
-        policy: &RetryPolicy,
         guard: &RunGuard,
         workspace: &mut InferenceWorkspace,
     ) -> Result<InferenceRun, GcnError> {
         self.validate_inputs(a_hat, features)?;
-        self.run_whole_graph(a_hat, features, guard, Some(policy), workspace)
+        self.run_whole_graph(a_hat, features, guard, true, workspace)
     }
 
     /// Narrow-precision inference with an end-to-end accuracy guard:
@@ -229,7 +228,7 @@ impl GcnModel {
         let mut current = precision;
         loop {
             workspace.plan_for(a_hat, features.cols(), current);
-            let mut run = self.run_whole_graph(a_hat, features, &unguarded, None, workspace)?;
+            let mut run = self.run_whole_graph(a_hat, features, &unguarded, false, workspace)?;
             if let Some((from, to)) = run.precision_fallback {
                 trail.push(rung(from, to, "precision ISA probe failed".to_string()));
             }
@@ -265,6 +264,7 @@ mod tests {
     use kernels::{SpmmPlan, SpmmStrategy};
     use resilience::fault::{self, FaultConfig, FaultKind};
     use resilience::guard::CancelToken;
+    use resilience::retry::ATTEMPTS;
     use std::time::Duration;
 
     // Tests that arm nothing but reach `gcn.layer` or an ISA probe hold the
@@ -292,24 +292,15 @@ mod tests {
         model.infer_planned_with(a_hat, x, &mut ws).unwrap().clone()
     }
 
-    /// A guard alone: the resilient entry point with one attempt per rung.
-    fn guarded(
-        model: &GcnModel,
-        a_hat: &Csr,
-        x: &DenseMatrix,
-        guard: &RunGuard,
-        ws: &mut InferenceWorkspace,
-    ) -> Result<InferenceRun, GcnError> {
-        model.infer_resilient_with(a_hat, x, &RetryPolicy::immediate(1), guard, ws)
-    }
-
     #[test]
     fn unbounded_guard_completes_and_matches_plain_inference() {
         let _quiet = fault::arm(FaultConfig::new(0));
         let (a_hat, x, model) = setup();
         let expected = sequential_reference(&a_hat, &x, &model);
         let mut ws = pinned(&a_hat, &x, SpmmStrategy::Sequential);
-        let run = guarded(&model, &a_hat, &x, &RunGuard::unbounded(), &mut ws).unwrap();
+        let run = model
+            .infer_resilient_with(&a_hat, &x, &RunGuard::unbounded(), &mut ws)
+            .unwrap();
         assert!(run.is_complete());
         assert_eq!((run.layers_done, run.stopped), (3, None));
         // One attempt per layer, nothing recovered, nothing stepped down.
@@ -327,7 +318,9 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut ws = InferenceWorkspace::new();
-        let run = guarded(&model, &a_hat, &x, &RunGuard::with_token(token), &mut ws).unwrap();
+        let run = model
+            .infer_resilient_with(&a_hat, &x, &RunGuard::with_token(token), &mut ws)
+            .unwrap();
         assert!(!run.is_complete());
         assert_eq!(
             (run.layers_done, run.stopped),
@@ -342,7 +335,9 @@ mod tests {
         let (a_hat, x, model) = setup();
         let mut ws = InferenceWorkspace::new();
         let guard = RunGuard::with_budget(Duration::ZERO);
-        let run = guarded(&model, &a_hat, &x, &guard, &mut ws).unwrap();
+        let run = model
+            .infer_resilient_with(&a_hat, &x, &guard, &mut ws)
+            .unwrap();
         assert_eq!(
             (run.layers_done, run.stopped),
             (0, Some(StopReason::BudgetExceeded))
@@ -354,7 +349,9 @@ mod tests {
         let (a_hat, mut x, model) = setup();
         x.as_mut_slice()[7] = f32::NAN;
         let mut ws = InferenceWorkspace::new();
-        let err = guarded(&model, &a_hat, &x, &RunGuard::unbounded(), &mut ws).unwrap_err();
+        let err = model
+            .infer_resilient_with(&a_hat, &x, &RunGuard::unbounded(), &mut ws)
+            .unwrap_err();
         assert!(matches!(
             err,
             GcnError::Kernel(MatrixError::NonFinite {
@@ -386,9 +383,8 @@ mod tests {
         broken_chain.layers_mut()[2].weight = DenseMatrix::zeros(5, 4);
         for (model, want) in [(short_bias, "layer bias"), (broken_chain, "layer chain")] {
             let mut ws = InferenceWorkspace::new();
-            let policy = RetryPolicy::immediate(3);
             let err = model
-                .infer_resilient_with(&a_hat, &x, &policy, &RunGuard::unbounded(), &mut ws)
+                .infer_resilient_with(&a_hat, &x, &RunGuard::unbounded(), &mut ws)
                 .unwrap_err();
             assert!(
                 matches!(err, GcnError::Kernel(MatrixError::DimensionMismatch { op, .. }) if op == want),
@@ -407,13 +403,7 @@ mod tests {
         let _armed = fault::arm(FaultConfig::new(17).point("gcn.layer", FaultKind::Error, 0.4));
         let mut ws = pinned(&a_hat, &x, SpmmStrategy::Sequential);
         let run = model
-            .infer_resilient_with(
-                &a_hat,
-                &x,
-                &RetryPolicy::immediate(10),
-                &RunGuard::unbounded(),
-                &mut ws,
-            )
+            .infer_resilient_with(&a_hat, &x, &RunGuard::unbounded(), &mut ws)
             .unwrap();
         assert!(run.is_complete());
         assert_eq!(run.layers_done, 3);
@@ -432,44 +422,36 @@ mod tests {
         // Find a seed whose decision stream (probed on the real site name,
         // which keys the hash) lets every layer finish within its
         // degradation chain while forcing at least one fallback. Each
-        // layer walks edge-parallel → vertex-parallel → sequential with one
-        // attempt per rung, consuming one decision per attempt.
+        // layer walks edge-parallel → vertex-parallel → sequential; a rung
+        // takes up to `ATTEMPTS` attempts, one decision each, and fails
+        // when all of them fire. The stream never fires `ATTEMPTS` times
+        // in a row at rate 0.8 or below, hence 0.9.
         let seed = (0..256u64)
             .find(|&s| {
-                let _g = fault::arm(FaultConfig::new(s).point("gcn.layer", FaultKind::Error, 0.5));
-                let mut fires = [false; 16];
-                for f in fires.iter_mut() {
-                    *f = fault::should_fail("gcn.layer");
-                }
-                let mut i = 0;
-                let mut any_fire = false;
+                let _g = fault::arm(FaultConfig::new(s).point("gcn.layer", FaultKind::Error, 0.9));
+                let mut fires = (0..128).map(|_| fault::should_fail("gcn.layer"));
+                let mut degraded = false;
                 let all_layers_ok = (0..3).all(|_| {
                     for rung in 0..3 {
-                        let fired = fires[i];
-                        i += 1;
-                        if !fired {
+                        // Short-circuits on the first clean attempt, as
+                        // the retry loop does.
+                        if !(0..ATTEMPTS).all(|_| fires.next() == Some(true)) {
                             return true;
                         }
-                        any_fire = true;
                         if rung == 2 {
                             return false;
                         }
+                        degraded = true;
                     }
                     false
                 });
-                all_layers_ok && any_fire
+                all_layers_ok && degraded
             })
             .expect("some seed degrades at least one layer yet completes");
-        let _armed = fault::arm(FaultConfig::new(seed).point("gcn.layer", FaultKind::Error, 0.5));
+        let _armed = fault::arm(FaultConfig::new(seed).point("gcn.layer", FaultKind::Error, 0.9));
         let mut ws = pinned(&a_hat, &x, SpmmStrategy::EdgeParallel { threads: 2 });
         let run = model
-            .infer_resilient_with(
-                &a_hat,
-                &x,
-                &RetryPolicy::immediate(1),
-                &RunGuard::unbounded(),
-                &mut ws,
-            )
+            .infer_resilient_with(&a_hat, &x, &RunGuard::unbounded(), &mut ws)
             .unwrap();
         assert!(run.is_complete());
         assert!(!run.degradations.is_empty());
@@ -571,13 +553,7 @@ mod tests {
         let _armed = fault::arm(FaultConfig::new(5).point("gcn.layer", FaultKind::Error, 1.0));
         let mut ws = pinned(&a_hat, &x, SpmmStrategy::EdgeParallel { threads: 2 });
         let err = model
-            .infer_resilient_with(
-                &a_hat,
-                &x,
-                &RetryPolicy::immediate(2),
-                &RunGuard::unbounded(),
-                &mut ws,
-            )
+            .infer_resilient_with(&a_hat, &x, &RunGuard::unbounded(), &mut ws)
             .unwrap_err();
         assert!(matches!(
             err,

@@ -269,7 +269,7 @@ impl GcnModel {
         for (r, &v) in levels[0].iter().enumerate() {
             bufs.h.row_mut(r).copy_from_slice(features.row(v));
         }
-        self.run_layers(&ops, &RunGuard::unbounded(), None, bufs)?;
+        self.run_layers(&ops, &RunGuard::unbounded(), false, bufs)?;
         rank(&levels[hops], local);
         for (i, &t) in targets.iter().enumerate() {
             out.row_mut(i)

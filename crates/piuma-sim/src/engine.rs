@@ -1079,17 +1079,4 @@ mod tests {
             RunOutcome::Complete(_) => panic!("zero-budget run completed"),
         }
     }
-
-    #[test]
-    fn armed_sim_run_fault_surfaces_as_typed_error() {
-        use resilience::fault::{self, FaultConfig, FaultKind};
-        let _armed = fault::arm(FaultConfig::new(3).point("sim.run", FaultKind::Error, 1.0));
-        let err = Simulator::new(MachineConfig::single_core())
-            .run(vec![ThreadSpec::on_core(
-                0,
-                Box::new(VecProgram::new(load_program(4))),
-            )])
-            .unwrap_err();
-        assert_eq!(err, SimError::Fault { site: "sim.run" });
-    }
 }

@@ -64,7 +64,6 @@ impl std::fmt::Display for StopReason {
 pub struct RunGuard {
     token: Option<CancelToken>,
     deadline: Option<Instant>,
-    started: Instant,
 }
 
 impl RunGuard {
@@ -73,7 +72,6 @@ impl RunGuard {
         RunGuard {
             token: None,
             deadline: None,
-            started: Instant::now(),
         }
     }
 
@@ -85,15 +83,19 @@ impl RunGuard {
 
     /// Stop the run when `token` is cancelled.
     pub fn with_token(token: CancelToken) -> Self {
-        RunGuard::unbounded().and_token(token)
+        RunGuard {
+            token: Some(token),
+            deadline: None,
+        }
     }
 
     /// Add a wall-clock budget to this guard (measured from now).
     ///
     /// If the guard already carries a deadline — e.g. it was derived from
-    /// an enclosing guard via [`RunGuard::child`] — the **tighter** of the
-    /// two wins: a budget added inside an already-guarded region can only
-    /// shrink the remaining time, never extend past the outer deadline.
+    /// an enclosing guard via [`RunGuard::child_with_budget`] — the
+    /// **tighter** of the two wins: a budget added inside an
+    /// already-guarded region can only shrink the remaining time, never
+    /// extend past the outer deadline.
     pub fn and_budget(mut self, budget: Duration) -> Self {
         let candidate = Instant::now() + budget;
         self.deadline = Some(match self.deadline {
@@ -103,39 +105,12 @@ impl RunGuard {
         self
     }
 
-    /// Add a cancellation token to this guard.
-    pub fn and_token(mut self, token: CancelToken) -> Self {
-        self.token = Some(token);
-        self
-    }
-
-    /// Derive a guard for a nested region: the child shares this guard's
-    /// cancellation token and inherits its deadline, so budgets added to
-    /// the child (via [`RunGuard::and_budget`]) are clamped to the outer
-    /// deadline. Cancelling the parent's token cancels the child; the
-    /// child's elapsed clock restarts at this call.
-    pub fn child(&self) -> Self {
-        RunGuard {
-            token: self.token.clone(),
-            deadline: self.deadline,
-            started: Instant::now(),
-        }
-    }
-
-    /// [`RunGuard::child`] with an additional budget for the nested
-    /// region — the effective deadline is the tighter of the parent's
-    /// deadline and `now + budget`.
+    /// Derive a guard for a nested region with its own `budget`: the child
+    /// shares this guard's cancellation token, so cancelling the parent
+    /// cancels the child, and its deadline is the tighter of the parent's
+    /// and `now + budget`.
     pub fn child_with_budget(&self, budget: Duration) -> Self {
-        self.child().and_budget(budget)
-    }
-
-    /// Time remaining until the deadline, if one is set. Zero once the
-    /// deadline has passed. Admission controllers use this to shed
-    /// requests whose estimated service time exceeds the remaining
-    /// budget rather than letting them time out mid-run.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
+        self.clone().and_budget(budget)
     }
 
     /// Poll at loop safe points: `Some(reason)` once the run should stop.
@@ -148,11 +123,6 @@ impl RunGuard {
             return Some(StopReason::BudgetExceeded);
         }
         None
-    }
-
-    /// Wall-clock time since the guard was created.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
     }
 }
 
@@ -183,23 +153,8 @@ impl<T> RunOutcome<T> {
         matches!(self, RunOutcome::Complete(_))
     }
 
-    /// The stop reason, if the run was cut short.
-    pub fn stop_reason(&self) -> Option<StopReason> {
-        match self {
-            RunOutcome::Complete(_) => None,
-            RunOutcome::Partial { reason, .. } => Some(*reason),
-        }
-    }
-
     /// The carried value (complete or partial), by reference.
     pub fn get(&self) -> &T {
-        match self {
-            RunOutcome::Complete(v) | RunOutcome::Partial { value: v, .. } => v,
-        }
-    }
-
-    /// Consume the outcome, keeping the carried value.
-    pub fn into_value(self) -> T {
         match self {
             RunOutcome::Complete(v) | RunOutcome::Partial { value: v, .. } => v,
         }
@@ -247,7 +202,7 @@ mod tests {
     fn cancellation_outranks_budget() {
         let t = CancelToken::new();
         t.cancel();
-        let g = RunGuard::with_budget(Duration::ZERO).and_token(t);
+        let g = RunGuard::with_token(t).and_budget(Duration::ZERO);
         assert_eq!(g.should_stop(), Some(StopReason::Cancelled));
     }
 
@@ -275,22 +230,10 @@ mod tests {
     fn child_shares_cancellation() {
         let t = CancelToken::new();
         let outer = RunGuard::with_token(t.clone());
-        let inner = outer.child();
+        let inner = outer.child_with_budget(Duration::from_secs(3600));
         assert_eq!(inner.should_stop(), None);
         t.cancel();
         assert_eq!(inner.should_stop(), Some(StopReason::Cancelled));
-    }
-
-    #[test]
-    fn remaining_reports_time_left() {
-        assert_eq!(RunGuard::unbounded().remaining(), None);
-        let g = RunGuard::with_budget(Duration::from_secs(3600));
-        let r = g.remaining().expect("budgeted guard has a deadline");
-        assert!(r > Duration::from_secs(3500));
-        assert_eq!(
-            RunGuard::with_budget(Duration::ZERO).remaining(),
-            Some(Duration::ZERO)
-        );
     }
 
     #[test]
@@ -298,13 +241,19 @@ mod tests {
         let c: RunOutcome<u32> = RunOutcome::Complete(3);
         assert!(c.is_complete());
         assert_eq!(*c.get(), 3);
-        assert_eq!(c.map(|v| v + 1).into_value(), 4);
+        assert_eq!(*c.map(|v| v + 1).get(), 4);
         let p = RunOutcome::Partial {
             value: 7u32,
             reason: StopReason::BudgetExceeded,
         };
         assert!(!p.is_complete());
-        assert_eq!(p.stop_reason(), Some(StopReason::BudgetExceeded));
-        assert_eq!(p.into_value(), 7);
+        assert_eq!(*p.get(), 7);
+        assert!(matches!(
+            p.map(|v| v * 2),
+            RunOutcome::Partial {
+                value: 14,
+                reason: StopReason::BudgetExceeded
+            }
+        ));
     }
 }

@@ -14,9 +14,9 @@
 //!   and inject panics, artificial latency, or typed error returns when
 //!   armed via the environment (`FAULT_SEED`, `FAULT_RATE`, `FAULT_POINTS`)
 //!   or programmatically via [`fault::arm`].
-//! * [`retry`] — bounded retry with backoff that converts escaped panics
-//!   into values, so a caller can re-run an idempotent computation after
-//!   an injected (or real) crash.
+//! * [`retry`] — bounded retry that converts escaped panics into values,
+//!   so a caller can re-run an idempotent computation after an injected
+//!   (or real) crash, and [`retry::ATTEMPTS`], the one attempt budget.
 //! * [`guard`] — cooperative cancellation tokens and wall-clock budgets
 //!   ([`guard::RunGuard`]) plus the [`guard::RunOutcome`] type that long
 //!   runs return instead of hanging: complete, or typed partial progress.
@@ -31,4 +31,4 @@ pub mod retry;
 
 pub use fault::{ArmedGuard, FaultConfig, FaultKind, FaultStats};
 pub use guard::{CancelToken, RunGuard, RunOutcome, StopReason};
-pub use retry::{Failure, Recovery, RetryError, RetryPolicy};
+pub use retry::{Failure, Recovery, RetryError};

@@ -1,4 +1,4 @@
-//! Bounded retry with backoff, converting escaped panics into values.
+//! Bounded retry, converting escaped panics into values.
 //!
 //! The retry loop wraps each attempt in `catch_unwind`, so a panicking
 //! kernel (injected or real) becomes a recoverable [`Failure::Panic`]
@@ -6,47 +6,17 @@
 //! that are *idempotent re-runs from scratch*: every `*_into` kernel in
 //! this workspace fully overwrites its output buffer, so a half-written
 //! buffer from a crashed attempt is erased by the next one.
+//!
+//! [`ATTEMPTS`] is the workspace's one attempt budget: [`run`] makes that
+//! many attempts, back to back, and the sharded executor gives each task
+//! that many runs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// How many attempts to make and how long to pause between them.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Maximum attempts, including the first (`0` is treated as `1`).
-    pub attempts: u32,
-    /// Pause before the first re-attempt.
-    pub backoff: Duration,
-    /// Multiplier applied to the pause after each failed attempt.
-    pub multiplier: u32,
-    /// Upper bound on the pause between attempts.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// Four attempts with 1 ms → 2 ms → 4 ms backoff.
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            backoff: Duration::from_millis(1),
-            multiplier: 2,
-            max_backoff: Duration::from_millis(50),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy with `attempts` tries and no pause between them.
-    pub fn immediate(attempts: u32) -> Self {
-        RetryPolicy {
-            attempts,
-            backoff: Duration::ZERO,
-            multiplier: 1,
-            max_backoff: Duration::ZERO,
-        }
-    }
-}
+/// Attempts [`run`] makes, including the first; also the runs a sharded
+/// layer's executor gives each task.
+pub const ATTEMPTS: u32 = 8;
 
 /// One failed attempt: a typed error or a caught panic.
 #[derive(Debug)]
@@ -115,17 +85,16 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run `f` until it succeeds or the policy is exhausted, catching panics.
+/// Run `f` until it succeeds or [`ATTEMPTS`] attempts have failed,
+/// catching panics.
 ///
 /// `f` must be an idempotent re-run from scratch (see module docs) — that
 /// is why wrapping it in `AssertUnwindSafe` is sound: no attempt observes
 /// state a previous crashed attempt left behind.
-pub fn run<T, E, F>(policy: &RetryPolicy, mut f: F) -> Result<Recovery<T>, RetryError<E>>
+pub fn run<T, E, F>(mut f: F) -> Result<Recovery<T>, RetryError<E>>
 where
     F: FnMut() -> Result<T, E>,
 {
-    let attempts = policy.attempts.max(1);
-    let mut pause = policy.backoff;
     let mut recovered_panics = 0;
     let mut recovered_errors = 0;
     let mut made = 0;
@@ -144,7 +113,7 @@ where
             Ok(Err(e)) => Failure::Error(e),
             Err(payload) => Failure::Panic(panic_message(payload.as_ref())),
         };
-        if made >= attempts {
+        if made >= ATTEMPTS {
             return Err(RetryError {
                 attempts: made,
                 last: failure,
@@ -153,10 +122,6 @@ where
         match failure {
             Failure::Error(_) => recovered_errors += 1,
             Failure::Panic(_) => recovered_panics += 1,
-        }
-        if !pause.is_zero() {
-            std::thread::sleep(pause.min(policy.max_backoff));
-            pause = pause.saturating_mul(policy.multiplier.max(1));
         }
     }
 }
@@ -236,7 +201,7 @@ mod tests {
 
     #[test]
     fn first_try_success_is_one_attempt() {
-        let r: Recovery<u32> = run(&RetryPolicy::default(), || Ok::<_, String>(5)).unwrap();
+        let r: Recovery<u32> = run(|| Ok::<_, String>(5)).unwrap();
         assert_eq!(r.value, 5);
         assert_eq!(r.attempts, 1);
         assert_eq!(r.recovered_panics + r.recovered_errors, 0);
@@ -247,7 +212,7 @@ mod tests {
         let _turn = hook_turn();
         let _quiet = quiet_panics();
         let mut n = 0;
-        let r = run(&RetryPolicy::immediate(4), || {
+        let r = run(|| {
             n += 1;
             match n {
                 1 => panic!("injected fault at `test`"),
@@ -266,13 +231,15 @@ mod tests {
     fn exhaustion_reports_last_failure() {
         let _turn = hook_turn();
         let _quiet = quiet_panics();
-        let err = run::<u32, _, _>(&RetryPolicy::immediate(2), || {
-            Err::<u32, _>("always".to_string())
+        let mut n = 0;
+        let err = run::<u32, _, _>(|| {
+            n += 1;
+            Err::<u32, _>(format!("always {n}"))
         })
         .unwrap_err();
-        assert_eq!(err.attempts, 2);
-        assert!(matches!(err.last, Failure::Error(ref e) if e == "always"));
-        assert!(err.to_string().contains("2 attempts"));
+        assert_eq!(err.attempts, ATTEMPTS);
+        assert!(matches!(err.last, Failure::Error(ref e) if *e == format!("always {ATTEMPTS}")));
+        assert!(err.to_string().contains(&format!("{ATTEMPTS} attempts")));
     }
 
     #[test]

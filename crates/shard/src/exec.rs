@@ -26,8 +26,8 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use matrix::DenseMatrix;
 
 /// The first panic observed during a tracked run: which task it hit (if
-/// attributable) and the rendered panic payload, so supervision layers can
-/// turn it into a typed shard-down event.
+/// attributable) and the rendered panic payload, so the caller's replay
+/// knows whose attempt it spent and what to report when none are left.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskFailure {
     /// The failing task's ID, or `None` when the panic surfaced on the
@@ -240,8 +240,10 @@ fn wait<'m>(cv: &Condvar, guard: MutexGuard<'m, RunState>) -> MutexGuard<'m, Run
 /// into a local landing buffer; the explicit copy is what makes the
 /// communication volume measurable. Returns the bytes staged.
 ///
-/// Idempotent by construction (pure copy into an exclusively-held buffer),
-/// so callers retry it verbatim when the fault injector fires.
+/// Idempotent by construction (pure copy into an exclusively-held buffer).
+/// An injected `shard.exchange` fault panics before the first row lands;
+/// the executor then withholds the block's aggregate and the layer's
+/// replay re-runs the copy verbatim.
 pub fn gather_rows(stage: &mut DenseMatrix, src: &DenseMatrix, refs: &[u32]) -> u64 {
     // lint:allow(L008): disabled fault points compile to one static bool
     // load per exchange task (not per row), far below the copy cost.

@@ -14,8 +14,10 @@
 //! rows" are schedulable nodes executed by [`exec::TaskGraph`] over the
 //! shared [`pool`]. All cross-shard traffic flows through the explicit
 //! stage buffers, so the communication volume is measured, not inferred.
-//! Every exchange passes a `fault_point!` site and is retried
-//! idempotently, making the protocol chaos-testable.
+//! Every exchange passes a `fault_point!` site, making the protocol
+//! chaos-testable. Recovery is the executor's done flags plus a per-task
+//! attempt budget: a task that panics is not done, its dependents are
+//! withheld, and the layer re-runs what is not done.
 //!
 //! The numeric contract is strict: sharded inference is **bitwise
 //! identical** to single-node [`gcn::GcnModel::infer_planned_with`] running a
@@ -31,8 +33,6 @@
 
 /// Task-graph executor draining shard tasks through the process pool.
 pub mod exec;
-/// Shard health supervision: a bounded log of typed shard-down events.
-pub mod health;
 /// Partitioning: NNZ/row-balanced row blocks, halo maps, exchange ledger.
 pub mod partition;
 /// The sharded GCN runner: planned layers with a block-sharded SpMM.
@@ -41,7 +41,6 @@ pub mod runner;
 pub mod sim;
 
 pub use exec::{RunTrace, TaskFailure, TaskGraph};
-pub use health::{HealthRegistry, ShardDownCause, ShardEvent};
 pub use partition::{LayerExchange, PartitionKind, ShardBlock, ShardPlan};
 pub use runner::{ShardReport, ShardedGcn};
 pub use sim::{simulate_model, ShardSimResult};
@@ -77,10 +76,9 @@ pub enum ShardError {
         /// Rows in the feature matrix.
         features: usize,
     },
-    /// A halo exchange failed after exhausting its retry budget.
-    Exchange(String),
-    /// The task-graph executor stalled (dependency cycle or a task panic
-    /// that left dependents unreleased).
+    /// The task-graph executor gave up on a layer: a dependency cycle, or
+    /// a task (or the pool, outside any task) that panicked on every one
+    /// of its [`resilience::retry::ATTEMPTS`] runs. Carries the panic text.
     Executor(String),
 }
 
@@ -105,8 +103,7 @@ impl std::fmt::Display for ShardError {
                     "vertex count mismatch: graph has {graph}, features {features}"
                 )
             }
-            ShardError::Exchange(e) => write!(f, "halo exchange failed: {e}"),
-            ShardError::Executor(e) => write!(f, "shard executor stalled: {e}"),
+            ShardError::Executor(e) => write!(f, "shard executor gave up: {e}"),
         }
     }
 }

@@ -9,9 +9,12 @@
 //! block's referenced rows into its stage buffer", then "aggregate them
 //! straight into the block's own output rows" — drained by
 //! [`crate::exec::TaskGraph`] over the shared pool. The exchange is the
-//! only copy: it passes a fault point, is retried idempotently, and the
-//! runner counts its staged/halo bytes so communication volume is a
-//! measured quantity.
+//! only copy: it passes a fault point, and the runner counts its
+//! staged/halo bytes so communication volume is a measured quantity.
+//!
+//! Recovery is one rule: a task that panics is not done, the executor
+//! withholds its dependents, and the layer re-runs every task that is not
+//! done, each at most [`resilience::retry::ATTEMPTS`] times.
 //!
 //! The output is **bitwise identical** to single-node
 //! [`gcn::GcnModel::infer_planned_with`] running a width-1 plan: each block
@@ -26,18 +29,12 @@ use kernels::fused::FusedOrder;
 use kernels::spmm::FeatureOperand;
 use matrix::microkernel::{dense_update_with, resolve_precision, KernelDispatch};
 use matrix::{Activation, DenseMatrix, MatrixError, Precision, QuantMatrix};
-use resilience::retry::{self, RetryPolicy};
+use resilience::retry;
 use sparse::Csr;
 
 use crate::exec::{self, TaskGraph};
-use crate::health::{HealthRegistry, ShardDownCause, ShardEvent};
 use crate::partition::{LayerExchange, PartitionKind, ShardPlan};
 use crate::ShardError;
-
-/// Upper bound on task-graph attempts per layer (first run + masked
-/// replays). Hitting the bound surfaces the last typed error instead of
-/// looping forever under a 100% fault rate.
-pub const MAX_REPLAY_ATTEMPTS: usize = 8;
 
 /// Per-block state: the staged feature rows (the halo landing buffer) and
 /// their narrow-storage encoding (written only at a narrow precision).
@@ -65,14 +62,6 @@ struct Counters {
     recovered_exchanges: u64,
     replayed_tasks: u64,
     recovered_layers: u64,
-}
-
-/// A task-level failure recorded while a layer graph was draining: the
-/// typed error plus the row block it is attributed to.
-#[derive(Debug, Clone)]
-struct TaskFault {
-    block: usize,
-    error: ShardError,
 }
 
 /// Partition statistics plus the communication ledger and the measured
@@ -104,11 +93,11 @@ pub struct ShardReport {
     /// Measured halo subset of `staged_bytes` — rows fetched from other
     /// workers.
     pub halo_bytes: u64,
-    /// Exchange attempts beyond the first (fault-injection recoveries)
-    /// during the last inference.
+    /// Exchange runs that failed and that the replay answered (the layer
+    /// completed) during the last inference (0 on a fault-free run).
     pub recovered_exchanges: u64,
-    /// Tasks re-executed by the masked-replay recovery loop during the
-    /// last inference (0 on a fault-free run).
+    /// Tasks re-executed by the replay during the last inference (0 on a
+    /// fault-free run).
     pub replayed_tasks: u64,
     /// Layers whose task graph needed at least one recovery replay during
     /// the last inference.
@@ -121,13 +110,10 @@ pub struct ShardedGcn {
     plan: ShardPlan,
     graph: TaskGraph,
     precision: Precision,
-    policy: RetryPolicy,
     kd: KernelDispatch,
     blocks: Vec<Mutex<BlockBuf>>,
     bufs: LayerBufs,
     counters: Mutex<Counters>,
-    faults: Mutex<Vec<TaskFault>>,
-    health: HealthRegistry,
 }
 
 impl ShardedGcn {
@@ -168,13 +154,10 @@ impl ShardedGcn {
             plan,
             graph,
             precision: resolve_precision(kd, precision).0,
-            policy: RetryPolicy::default(),
             kd,
             blocks,
             bufs: LayerBufs::default(),
             counters: Mutex::new(Counters::default()),
-            faults: Mutex::new(Vec::new()),
-            health: HealthRegistry::default(),
         })
     }
 
@@ -189,19 +172,6 @@ impl ShardedGcn {
         self.precision
     }
 
-    /// Replaces the exchange retry policy (tests shorten the backoff).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
-    /// The shard health registry: typed shard-down events recorded by
-    /// supervision. Events accumulate across inference calls (the registry
-    /// ring is bounded); callers that want per-call attribution should
-    /// [`HealthRegistry::clear`] between calls.
-    pub fn health(&self) -> &HealthRegistry {
-        &self.health
-    }
-
     /// Runs sharded inference, returning the output activations.
     ///
     /// # Errors
@@ -209,7 +179,8 @@ impl ShardedGcn {
     /// Input validation mirrors the single-node entry points
     /// ([`ShardError::FeatureDimMismatch`] /
     /// [`ShardError::VertexCountMismatch`]); execution errors surface as
-    /// the first error any task recorded.
+    /// the first typed error any task returned, or as
+    /// [`ShardError::Executor`] once a layer's replay runs out of attempts.
     pub fn infer(
         &mut self,
         model: &GcnModel,
@@ -227,9 +198,6 @@ impl ShardedGcn {
                 features: features.rows(),
             });
         }
-        // faults before counters: every function acquiring both keeps
-        // this order, so the per-crate lock graph (L011) stays acyclic.
-        lock(&self.faults).clear();
         *lock(&self.counters) = Counters::default();
         // The buffers leave `self` for the run, so the layer graphs can
         // borrow the runner shared while they write the buffers.
@@ -282,7 +250,7 @@ impl ShardedGcn {
         let LayerBufs { h, mid, next } = bufs;
         for (layer_idx, layer) in model.layers().iter().enumerate() {
             let input = if layer_idx == 0 { features } else { &*h };
-            self.run_layer(layer, layer_idx, input, mid, next)?;
+            self.run_layer(layer, input, mid, next)?;
             std::mem::swap(h, next);
         }
         Ok(())
@@ -298,7 +266,6 @@ impl ShardedGcn {
     fn run_layer(
         &self,
         layer: &GcnLayer,
-        layer_idx: usize,
         h: &DenseMatrix,
         mid: &mut DenseMatrix,
         next: &mut DenseMatrix,
@@ -308,7 +275,7 @@ impl ShardedGcn {
         let ex = self.plan.layer_exchange(layer.in_dim(), layer.out_dim());
         match ex.order {
             FusedOrder::AggregateFirst => {
-                self.aggregate(layer_idx, h, mid, None)?;
+                self.aggregate(h, mid, None)?;
                 dense_update_with(self.kd, mid, w, bias, layer.activation, threads, next)?;
             }
             FusedOrder::UpdateFirst => {
@@ -321,7 +288,7 @@ impl ShardedGcn {
                     .into());
                 }
                 dense_update_with(self.kd, h, w, None, Activation::Identity, threads, mid)?;
-                self.aggregate(layer_idx, mid, next, Some(layer))?;
+                self.aggregate(mid, next, Some(layer))?;
             }
         }
         Ok(())
@@ -333,7 +300,6 @@ impl ShardedGcn {
     /// activation when given.
     fn aggregate(
         &self,
-        layer_idx: usize,
         src: &DenseMatrix,
         out: &mut DenseMatrix,
         tail: Option<&GcnLayer>,
@@ -354,137 +320,111 @@ impl ShardedGcn {
             })
             .collect();
         let r = self.plan.workers();
-        self.run_recovering(layer_idx, |t| {
+        self.run_recovering(|t| {
             if t < r {
                 self.exchange_task(t, src);
+                Ok(())
             } else {
-                self.aggregate_task(t - r, &rows[t - r], width, tail);
+                self.aggregate_task(t - r, &rows[t - r], width, tail)
             }
         })
     }
 
-    /// Drains the layer graph (task `t` belongs to block `t % workers`)
-    /// with bounded masked-replay recovery. The first attempt runs every
-    /// task; when a task panics (worker loss) or an exchange exhausts its
-    /// retries, the completed tasks' buffers are kept and only the rest is
-    /// re-executed on the surviving workers. The replay mask has one rule:
-    /// a fault on block `b` clears both tasks of `b` — its exchange and
-    /// the aggregate that read it. Every task overwrites its outputs, so a
-    /// recovered layer is bitwise identical to a fault-free run.
-    fn run_recovering<F: Fn(usize) + Sync>(
-        &self,
-        layer_idx: usize,
-        run_task: F,
-    ) -> Result<(), ShardError> {
-        let r = self.plan.workers();
-        let mut done = vec![false; self.graph.tasks()];
+    /// Drains the layer graph until every task is done. The first round
+    /// runs every task. A task that panics (an injected kill, a failed
+    /// exchange) is not done and the executor withholds its dependents, so
+    /// no aggregate reads a stage buffer its exchange did not finish; the
+    /// next round re-runs exactly the tasks that are not done. Every task
+    /// overwrites its outputs, so a recovered layer is bitwise identical to
+    /// a fault-free run.
+    ///
+    /// Each task gets at most [`retry::ATTEMPTS`] runs, and panics with no
+    /// task attached (a pool share re-raised on the caller) spend one
+    /// budget of the same size for the layer; running out ends the layer
+    /// in [`ShardError::Executor`] with the layer's last panic text. A
+    /// typed task error is deterministic and returns at once.
+    fn run_recovering<F>(&self, run_task: F) -> Result<(), ShardError>
+    where
+        F: Fn(usize) -> Result<(), ShardError> + Sync,
+    {
+        let tasks = self.graph.tasks();
+        // Runs per task, and the first typed error a task returned.
+        let tally = Mutex::new((vec![0u32; tasks], None));
+        let mut done = vec![false; tasks];
+        let mut unattributed = 0;
         let mut replayed = 0u64;
-        let mut recovered = false;
-        let mut last_error = ShardError::Executor("recovery attempts exhausted".into());
-        for attempt in 0..MAX_REPLAY_ATTEMPTS {
-            if attempt > 0 {
-                replayed += done.iter().filter(|d| !**d).count() as u64;
-            }
-            lock(&self.faults).clear();
+        loop {
             let done_ro = &done;
-            let trace = self.graph.run_tracked(r, |t| {
-                // Done in a prior attempt, or its block already faulted in
-                // this one (a stale stage buffer): leave it to the mask.
-                if done_ro[t] || lock(&self.faults).iter().any(|f| f.block == t % r) {
+            let trace = self.graph.run_tracked(self.plan.workers(), |t| {
+                if done_ro[t] {
                     return;
                 }
+                lock(&tally).0[t] += 1;
                 // The chaos harness' worker-kill site. It fires before the
                 // task body, so an injected kill never leaves a partial
                 // in-place mutation.
                 resilience::fault_point!("shard.task");
-                run_task(t);
+                if let Err(e) = run_task(t) {
+                    lock(&tally).1.get_or_insert(e);
+                }
             });
+            let mut book = lock(&tally);
+            let (runs, error) = &mut *book;
+            if let Some(e) = error.take() {
+                return Err(e);
+            }
             for (d, td) in done.iter_mut().zip(&trace.done) {
-                *d = *d || *td;
+                *d |= *td;
             }
-            let faults = std::mem::take(&mut *lock(&self.faults));
-            // Panic captured by the executor: typed health event, then
-            // decide whether the run still completed (a pool-share panic
-            // can re-raise after every task drained).
-            if let Some(f) = &trace.failure {
-                self.health.record(ShardEvent {
-                    block: f.task.map(|t| t % r),
-                    layer: layer_idx,
-                    cause: ShardDownCause::Panic,
-                    site: f.message.clone(),
-                    recovered: false,
-                });
-            }
-            // Deterministic kernel/shape errors reproduce on replay;
-            // surface them immediately.
-            if let Some(bad) = faults
-                .iter()
-                .find(|f| !matches!(f.error, ShardError::Exchange(_)))
-            {
-                return Err(bad.error.clone());
-            }
-            if faults.is_empty() {
-                if done.iter().all(|&d| d) {
-                    if recovered || trace.failure.is_some() {
-                        let mut ctr = lock(&self.counters);
-                        ctr.replayed_tasks += replayed;
-                        ctr.recovered_layers += 1;
-                        drop(ctr);
-                        self.health.mark_recovered(layer_idx);
-                    }
-                    return Ok(());
+            if done.iter().all(|&d| d) {
+                // A pool-share panic can re-raise after every task drained:
+                // the layer completed, but it still counts as recovered.
+                if replayed > 0 || trace.failure.is_some() {
+                    let r = self.plan.workers();
+                    let mut c = lock(&self.counters);
+                    c.recovered_exchanges +=
+                        runs[..r].iter().map(|&n| u64::from(n - 1)).sum::<u64>();
+                    c.replayed_tasks += replayed;
+                    c.recovered_layers += 1;
                 }
-                match &trace.failure {
-                    Some(f) => last_error = ShardError::Executor(f.message.clone()),
-                    // No failure and no fault but tasks unreleased: a
-                    // dependency cycle — deterministic, do not retry.
-                    None => {
-                        return Err(ShardError::Executor(format!(
-                            "task graph stalled with {} tasks unreleased",
-                            trace.remaining
-                        )))
-                    }
-                }
+                return Ok(());
             }
-            for f in faults {
-                self.health.record(ShardEvent {
-                    block: Some(f.block),
-                    layer: layer_idx,
-                    cause: ShardDownCause::ExchangeFault,
-                    site: f.error.to_string(),
-                    recovered: false,
-                });
-                // The faulted block's tasks returned normally, so their
-                // done flags lie: clear them for the next attempt.
-                for d in done.iter_mut().skip(f.block).step_by(r) {
-                    *d = false;
-                }
-                last_error = f.error;
+            let Some(failure) = trace.failure else {
+                // Nothing failed yet tasks are left: a dependency cycle,
+                // which no replay can fix.
+                return Err(ShardError::Executor(format!(
+                    "task graph stalled with {} tasks unreleased",
+                    trace.remaining
+                )));
+            };
+            unattributed += u32::from(failure.task.is_none());
+            if unattributed >= retry::ATTEMPTS {
+                return Err(ShardError::Executor(format!(
+                    "{unattributed} panics outside any task: {}",
+                    failure.message
+                )));
             }
-            recovered = true;
+            // A task that is not done failed every run it had.
+            if let Some(t) = (0..tasks).find(|&t| !done[t] && runs[t] >= retry::ATTEMPTS) {
+                return Err(ShardError::Executor(format!(
+                    "task {t} failed all {} runs: {}",
+                    runs[t], failure.message
+                )));
+            }
+            replayed += done.iter().filter(|d| !**d).count() as u64;
         }
-        Err(last_error)
     }
 
-    /// Stages block `b`'s referenced rows of `src` into its stage buffer,
-    /// retrying through the `shard.exchange` fault point, and books the
-    /// copy: its bytes and recoveries when it landed, an `Exchange` fault
-    /// when it exhausted its retries.
+    /// Stages block `b`'s referenced rows of `src` into its stage buffer
+    /// and books the copy's bytes. An injected `shard.exchange` fault
+    /// panics out of the copy before it books anything; the executor then
+    /// withholds the block's aggregate and the replay re-runs the copy.
     fn exchange_task(&self, b: usize, src: &DenseMatrix) {
         let blk = &self.plan.blocks()[b];
-        let mut buf = lock(&self.blocks[b]);
-        let outcome = retry::run(&self.policy, || -> Result<u64, ShardError> {
-            Ok(exec::gather_rows(&mut buf.feat, src, &blk.refs))
-        });
-        match outcome {
-            Ok(rec) => {
-                let mut c = lock(&self.counters);
-                c.staged_bytes += rec.value;
-                c.halo_bytes += (blk.halo.len() * src.cols() * 4) as u64;
-                c.recovered_exchanges += u64::from(rec.attempts - 1);
-            }
-            Err(e) => self.record(b, ShardError::Exchange(e.to_string())),
-        }
+        let staged = exec::gather_rows(&mut lock(&self.blocks[b]).feat, src, &blk.refs);
+        let mut c = lock(&self.counters);
+        c.staged_bytes += staged;
+        c.halo_bytes += (blk.halo.len() * src.cols() * 4) as u64;
     }
 
     /// Block `b`'s aggregate: its local-CSR row loop over the staged rows
@@ -498,25 +438,19 @@ impl ShardedGcn {
         rows: &Mutex<&mut [f32]>,
         width: usize,
         tail: Option<&GcnLayer>,
-    ) {
+    ) -> Result<(), ShardError> {
         let local = &self.plan.blocks()[b].local;
         let mut buf = lock(&self.blocks[b]);
         let buf = &mut *buf;
         let mut rows = lock(rows);
         match self.precision {
             Precision::F32 => fill_rows(self.kd, local, &buf.feat, &mut rows, width, tail),
-            narrow => match buf.quant.encode(&buf.feat, narrow) {
-                Ok(()) => fill_rows(self.kd, local, &buf.quant, &mut rows, width, tail),
-                Err(e) => self.record(b, ShardError::Matrix(e)),
-            },
+            narrow => {
+                buf.quant.encode(&buf.feat, narrow)?;
+                fill_rows(self.kd, local, &buf.quant, &mut rows, width, tail);
+            }
         }
-    }
-
-    /// Records a task-level error of the current graph run, attributed to
-    /// the block that hit it. Every fault is kept — recovery must
-    /// invalidate *all* stale buffers, not just the first.
-    fn record(&self, block: usize, error: ShardError) {
-        lock(&self.faults).push(TaskFault { block, error });
+        Ok(())
     }
 }
 
@@ -547,8 +481,37 @@ fn fill_rows<F: FeatureOperand>(
 }
 
 /// Locks ignoring poisoning: task panics are caught inside the executor,
-/// and a poisoned buffer is fully overwritten by the retried attempt.
+/// and a poisoned buffer is fully overwritten by the replayed task.
 /// Routed through the audit helpers so recoveries are counted.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     resilience::audit::recover("shard.runner", m)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_typed_task_error_returns_without_a_replay() {
+        let a = graph::Graph::from_undirected_edges(4, &[(0, 1), (1, 2), (2, 3)])
+            .normalized_adjacency()
+            .unwrap();
+        let sharded = ShardedGcn::new(&a, 2, PartitionKind::Rows1D).unwrap();
+        let runs = Mutex::new(vec![0; sharded.graph.tasks()]);
+        let typed = ShardError::Partition("typed".into());
+        let err = sharded
+            .run_recovering(|t| {
+                lock(&runs)[t] += 1;
+                if t == 0 {
+                    Err(typed.clone())
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err, typed);
+        // One round and no replay: every task ran at most once.
+        assert!(lock(&runs).iter().all(|&n| n <= 1));
+        assert_eq!(lock(&sharded.counters).replayed_tasks, 0);
+    }
 }

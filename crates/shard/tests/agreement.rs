@@ -19,7 +19,6 @@ use graph::{Graph, OgbDataset};
 use kernels::SpmmPlan;
 use matrix::DenseMatrix;
 use resilience::fault::{self, FaultConfig, FaultKind};
-use resilience::RetryPolicy;
 use shard::{PartitionKind, ShardedGcn};
 use sparse::Csr;
 
@@ -237,8 +236,8 @@ fn bitwise_narrow_precision() {
 }
 
 /// Chaos drill: panics injected at the `shard.exchange` fault point are
-/// absorbed by the per-exchange retry, the run still completes, the output
-/// is still bitwise identical, and the recovery counter records the hits.
+/// answered by the layer's replay, the run still completes, the output is
+/// still bitwise identical, and the recovery counter records the hits.
 #[test]
 fn chaos_exchange_recovers_bitwise() {
     let _quiet = resilience::retry::quiet_panics();
@@ -251,10 +250,9 @@ fn chaos_exchange_recovers_bitwise() {
     let _armed =
         fault::arm(FaultConfig::new(0xFA_u64).point("shard.exchange", FaultKind::Panic, 0.4));
     let mut sharded = ShardedGcn::new(&a_hat, 8, PartitionKind::Rows1D).expect("shard plan builds");
-    sharded.set_retry_policy(RetryPolicy::immediate(6));
     let got = sharded
         .infer(&model, &x)
-        .expect("retries absorb injected exchange panics");
+        .expect("the replay answers injected exchange panics");
     assert_bitwise(OgbDataset::Products, &got, &want);
     let report = sharded.report(&model);
     assert!(

@@ -21,7 +21,7 @@
 use piuma_gcn::prelude::*;
 use resilience::fault::{self, FaultConfig, FaultKind};
 use resilience::guard::{RunGuard, RunOutcome};
-use resilience::retry::{self, RetryPolicy};
+use resilience::retry;
 use std::time::{Duration, Instant};
 
 /// Seeds to sweep: the env seed alone when the CI matrix pins one,
@@ -96,7 +96,7 @@ fn quiet_reference(
     let guard = RunGuard::unbounded();
     let mut ws = pinned_workspace(a_hat, x, strategy);
     let run = model
-        .infer_resilient_with(a_hat, x, &RetryPolicy::default(), &guard, &mut ws)
+        .infer_resilient_with(a_hat, x, &guard, &mut ws)
         .unwrap();
     assert!(run.is_complete());
     ws.output().clone()
@@ -115,7 +115,7 @@ fn inference_under_error_injection_is_bitwise_correct_across_seeds() {
         let guard = RunGuard::with_budget(BUDGET);
         let mut ws = pinned_workspace(&a_hat, &x, SpmmStrategy::Sequential);
         let run = model
-            .infer_resilient_with(&a_hat, &x, &RetryPolicy::default(), &guard, &mut ws)
+            .infer_resilient_with(&a_hat, &x, &guard, &mut ws)
             .unwrap_or_else(|e| panic!("seed {seed}: inference failed: {e}"));
         assert!(run.is_complete(), "seed {seed}: {run:?}");
         assert_eq!(
@@ -144,11 +144,10 @@ fn inference_recovers_injected_panics_without_escaping() {
         let _armed = fault::arm(config.clone());
         let guard = RunGuard::with_budget(BUDGET);
         let mut ws = pinned_workspace(&a_hat, &x, SpmmStrategy::Sequential);
-        // Generous attempt budget: at p = 0.3 a rung of the chain must
-        // still find a fault-free attempt with overwhelming probability.
-        let policy = RetryPolicy::immediate(8);
+        // `retry::ATTEMPTS` (8) per rung: at p = 0.3 a rung of the chain
+        // still finds a fault-free attempt with overwhelming probability.
         let run = model
-            .infer_resilient_with(&a_hat, &x, &policy, &guard, &mut ws)
+            .infer_resilient_with(&a_hat, &x, &guard, &mut ws)
             .unwrap_or_else(|e| panic!("seed {seed}: panic escaped or chain exhausted: {e}"));
         assert!(run.is_complete(), "seed {seed}: {run:?}");
         assert_eq!(
@@ -189,13 +188,7 @@ fn parallel_spmm_survives_pool_worker_panics() {
         let started = Instant::now();
         let mut ws = pinned_workspace(&a_hat, &x, strategy);
         let run = model
-            .infer_resilient_with(
-                &a_hat,
-                &x,
-                &RetryPolicy::immediate(8),
-                &RunGuard::with_budget(BUDGET),
-                &mut ws,
-            )
+            .infer_resilient_with(&a_hat, &x, &RunGuard::with_budget(BUDGET), &mut ws)
             .unwrap_or_else(|e| panic!("seed {seed}: parallel inference failed: {e}"));
         assert!(run.is_complete(), "seed {seed}: {run:?}");
         assert_eq!(
@@ -230,9 +223,7 @@ fn graph_loading_retries_through_injected_io_faults() {
     for seed in seeds() {
         let config = FaultConfig::new(seed).point("graph.io.", FaultKind::Error, 0.3);
         let _armed = fault::arm(config.clone());
-        let outcome = retry::run(&RetryPolicy::immediate(8), || {
-            read_matrix_market(Cursor::new(text))
-        });
+        let outcome = retry::run(|| read_matrix_market(Cursor::new(text)));
         let rec = outcome.unwrap_or_else(|e| panic!("seed {seed}: loader never recovered: {e}"));
         assert_eq!(rec.value.row_ptr(), reference.row_ptr(), "seed {seed}");
         assert_eq!(rec.value.col_idx(), reference.col_idx(), "seed {seed}");

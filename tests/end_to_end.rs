@@ -8,7 +8,7 @@ use piuma_gcn::graph::generators::erdos_renyi;
 use piuma_gcn::matrix::MatrixError;
 use resilience::fault::{self, FaultConfig, FaultKind};
 use resilience::guard::{CancelToken, RunGuard, StopReason};
-use resilience::retry::{self, RetryPolicy};
+use resilience::retry::{self, ATTEMPTS};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -93,7 +93,7 @@ fn fired_guard_stops_with_a_typed_reason_at_the_last_completed_layer() {
     ] {
         let mut ws = InferenceWorkspace::new();
         let run = model
-            .infer_resilient_with(&a_hat, &x, &RetryPolicy::immediate(1), &guard, &mut ws)
+            .infer_resilient_with(&a_hat, &x, &guard, &mut ws)
             .unwrap();
         assert!(!run.is_complete());
         assert_eq!((run.layers_done, run.total_layers), (0, 2));
@@ -119,25 +119,40 @@ fn every_strategy_reaches_sequential_within_two_rungs() {
     }
 }
 
-/// Replays a `gcn.layer` decision stream (one decision per attempt, one
-/// attempt per rung) against `ladder`, the strategy names every layer
-/// restarts at the top of: the `(layer, from, to)` trail, or `None` if some
-/// layer runs out of rungs or the stream runs out.
+/// A degradation trail: `(layer, from, to)` per rung taken.
+type Trail<'a> = Vec<(Option<usize>, &'a str, &'a str)>;
+
+/// Replays a `gcn.layer` decision stream (one decision per attempt, up to
+/// `ATTEMPTS` attempts per rung, a rung left when all of them fire)
+/// against `ladder`, the strategy names every layer restarts at the top
+/// of: the `(layer, from, to)` trail and the attempts made, or `None` if
+/// some layer runs out of rungs or the stream runs out.
 fn expected_trail<'a>(
     fires: &[bool],
     ladder: &[&'a str],
     layers: usize,
-) -> Option<Vec<(Option<usize>, &'a str, &'a str)>> {
+) -> Option<(Trail<'a>, usize)> {
     let mut decisions = fires.iter();
     let mut trail = Vec::new();
+    let mut attempts = 0;
     for layer in 0..layers {
-        let mut rung = 0;
-        while *decisions.next()? {
+        for rung in 0.. {
+            // The retry loop stops at the first attempt that does not fire.
+            let mut clean = false;
+            for _ in 0..ATTEMPTS {
+                attempts += 1;
+                if !*decisions.next()? {
+                    clean = true;
+                    break;
+                }
+            }
+            if clean {
+                break;
+            }
             trail.push((Some(layer), ladder[rung], *ladder.get(rung + 1)?));
-            rung += 1;
         }
     }
-    Some(trail)
+    Some((trail, attempts))
 }
 
 #[test]
@@ -164,9 +179,7 @@ fn layer_fault_schedule_degrades_down_the_plans_chain_and_recovers_the_same_bits
             &[0, 1][..],
         ),
         // A resolved plan degrades down the ladder of whatever it resolved
-        // to. A two-rung ladder leaves one decision pattern that degrades
-        // both layers, and no seed's FNV stream produces it: degrade the
-        // second layer only, by panics.
+        // to: here the second layer only, by panics.
         (
             SpmmPlan::with_width(&a_hat, k, 4),
             &["vertex-parallel x4", "sequential"],
@@ -192,28 +205,24 @@ fn layer_fault_schedule_degrades_down_the_plans_chain_and_recovers_the_same_bits
             .clone();
         // The decision hash keys on (seed, site, visit), not on the kind:
         // probe the real site, as errors, for a stream that degrades
-        // exactly those layers yet lets all finish.
+        // exactly those layers yet lets all finish. A rung is left only
+        // after `ATTEMPTS` fires in a row, which the stream never gives at
+        // rate 0.8 or below: hence 0.9.
         let layer_faults = |seed, kind, rate| FaultConfig::new(seed).point("gcn.layer", kind, rate);
-        let (seed, trail) = (0..256u64)
+        let (seed, (trail, attempts)) = (0..4096u64)
             .find_map(|seed| {
-                let _probe = fault::arm(layer_faults(seed, FaultKind::Error, 0.5));
-                let fires: Vec<bool> = (0..16).map(|_| fault::should_fail("gcn.layer")).collect();
-                let trail = expected_trail(&fires, ladder, layers)?;
+                let _probe = fault::arm(layer_faults(seed, FaultKind::Error, 0.9));
+                let fires: Vec<bool> = (0..64).map(|_| fault::should_fail("gcn.layer")).collect();
+                let (trail, attempts) = expected_trail(&fires, ladder, layers)?;
                 let mut hit: Vec<usize> = trail.iter().filter_map(|rung| rung.0).collect();
                 hit.dedup();
-                (hit == degraded).then_some((seed, trail))
+                (hit == degraded).then_some((seed, (trail, attempts)))
             })
             .expect("some seed degrades exactly those layers yet completes");
         let mut ws = workspace(plan);
         let run = {
-            let _armed = fault::arm(layer_faults(seed, kind, 0.5));
-            model.infer_resilient_with(
-                &a_hat,
-                &x,
-                &RetryPolicy::immediate(1),
-                &RunGuard::unbounded(),
-                &mut ws,
-            )
+            let _armed = fault::arm(layer_faults(seed, kind, 0.9));
+            model.infer_resilient_with(&a_hat, &x, &RunGuard::unbounded(), &mut ws)
         }
         .unwrap();
         assert!(run.is_complete(), "{start}: {run:?}");
@@ -223,8 +232,8 @@ fn layer_fault_schedule_degrades_down_the_plans_chain_and_recovers_the_same_bits
             .map(|d| (d.layer, d.from.as_str(), d.to.as_str()))
             .collect();
         assert_eq!(got, trail, "{start}");
-        // One attempt per rung: each layer's success plus each rung left.
-        assert_eq!(run.attempts as usize, layers + trail.len(), "{start}");
+        // Every attempt the stream implies, each layer's success included.
+        assert_eq!(run.attempts as usize, attempts, "{start}");
         assert_eq!(*ws.output(), undisturbed, "{start}: recovered bits differ");
         assert_eq!(
             ws.plan().unwrap().exec(),
@@ -237,13 +246,7 @@ fn layer_fault_schedule_degrades_down_the_plans_chain_and_recovers_the_same_bits
         // surfaces typed with the workspace's plan still the caller's.
         let _armed = fault::arm(layer_faults(seed, kind, 1.0));
         let err = model
-            .infer_resilient_with(
-                &a_hat,
-                &x,
-                &RetryPolicy::immediate(2),
-                &RunGuard::unbounded(),
-                &mut ws,
-            )
+            .infer_resilient_with(&a_hat, &x, &RunGuard::unbounded(), &mut ws)
             .unwrap_err();
         let site = match kind {
             FaultKind::Panic => "gcn.layer: unrecovered panic",
