@@ -122,7 +122,7 @@ fn measure(a: &Csr, reordered: bool) -> Vec<Row> {
                 imbalance: report.imbalance,
                 halo_rows: report.halo_rows,
                 halo_frac: report.halo_fraction,
-                exchange_bytes: report.staged_bytes,
+                exchange_bytes: report.halo_bytes,
                 median_s,
                 measured_gflops: flops / median_s / 1e9,
                 sim_gflops: sim.gflops(),

@@ -1,6 +1,5 @@
 //! The shard execution hot loop: a dependency-counting task-graph
-//! executor over the shared worker pool, plus the one copy kernel every
-//! sharded layer schedules — the halo gather.
+//! executor over the shared worker pool.
 //!
 //! "Kernel on shard" and "halo exchange" are both just task IDs here. A
 //! [`TaskGraph`] is a static DAG (one `exchange(b) → aggregate(b)` edge per
@@ -15,15 +14,11 @@
 // BOUNDS: all `[]` indexing in this module is over vectors sized in
 // lock-step with the task count at graph construction (`dependents` and
 // `indegree` are `tasks` long and task IDs only ever come from those
-// structures), or over rows the partition layer validated when it built
-// the shard-local CSR (`refs` entries are in-range columns of the source
-// matrix).
+// structures).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
-
-use matrix::DenseMatrix;
 
 /// The first panic observed during a tracked run: which task it hit (if
 /// attributable) and the rendered panic payload, so the caller's replay
@@ -43,8 +38,8 @@ pub struct TaskFailure {
 ///
 /// Recovery layers use the `done` flags to re-execute exactly the tasks a
 /// poisoned run withheld: every completed task's outputs are still in its
-/// stage/row buffers, so replaying the incomplete suffix from those
-/// buffers reproduces the fault-free result bit for bit.
+/// row buffers, so replaying the incomplete suffix reproduces the
+/// fault-free result bit for bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunTrace {
     /// `done[t]` is true iff task `t` ran to completion (its body returned
@@ -233,29 +228,6 @@ fn wait<'m>(cv: &Condvar, guard: MutexGuard<'m, RunState>) -> MutexGuard<'m, Run
     resilience::audit::recover_wait("shard.exec.wait", cv, guard)
 }
 
-/// The halo-exchange copy kernel: stages the feature rows listed in `refs`
-/// (global row IDs of `src`) into the dense `stage` buffer, one staged row
-/// per reference, in ascending reference order. Models a PIUMA node
-/// DMA-gathering remote rows from the distributed global address space
-/// into a local landing buffer; the explicit copy is what makes the
-/// communication volume measurable. Returns the bytes staged.
-///
-/// Idempotent by construction (pure copy into an exclusively-held buffer).
-/// An injected `shard.exchange` fault panics before the first row lands;
-/// the executor then withholds the block's aggregate and the layer's
-/// replay re-runs the copy verbatim.
-pub fn gather_rows(stage: &mut DenseMatrix, src: &DenseMatrix, refs: &[u32]) -> u64 {
-    // lint:allow(L008): disabled fault points compile to one static bool
-    // load per exchange task (not per row), far below the copy cost.
-    resilience::fault_point!("shard.exchange");
-    let width = src.cols();
-    stage.resize_for_overwrite(refs.len(), width);
-    for (slot, &g) in refs.iter().enumerate() {
-        stage.row_mut(slot).copy_from_slice(src.row(g as usize));
-    }
-    (refs.len() * width * 4) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,17 +305,5 @@ mod tests {
         });
         assert_eq!(trace.failure.and_then(|f| f.task), Some(0));
         assert_eq!(ran.into_inner(), 0, "dependents of the failure never ran");
-    }
-
-    #[test]
-    fn gather_rows_copies_in_reference_order_and_counts_bytes() {
-        let src =
-            DenseMatrix::from_rows(&[&[0.0, 1.0], &[10.0, 11.0], &[20.0, 21.0], &[30.0, 31.0]])
-                .unwrap();
-        let mut stage = DenseMatrix::default();
-        let bytes = gather_rows(&mut stage, &src, &[3, 1]);
-        assert_eq!(bytes, 2 * 2 * 4);
-        assert_eq!(stage.row(0), &[30.0, 31.0]);
-        assert_eq!(stage.row(1), &[10.0, 11.0]);
     }
 }

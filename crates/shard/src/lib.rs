@@ -5,15 +5,15 @@
 //! over the HyperX network. This crate reproduces that execution model in
 //! process. A [`ShardPlan`] cuts the normalized adjacency into NNZ-balanced
 //! row blocks (reusing the single-node planner's merge-path split), one per
-//! worker, giving each a local CSR plus a **halo map** — the remote rows
-//! whose activations it must fetch each layer. [`ShardedGcn`] then runs
-//! each layer as the planned single-node layer with only its SpMM
+//! worker, each a row range of the adjacency plus a **halo map** — the
+//! remote rows whose activations it reads each layer. [`ShardedGcn`] then
+//! runs each layer as the planned single-node layer with only its SpMM
 //! sharded: the dense update is one pool-width GEMM over all rows, and
-//! the aggregation is a task graph — "gather this block's referenced rows
-//! into its stage buffer" and "aggregate them into the block's own output
-//! rows" are schedulable nodes executed by [`exec::TaskGraph`] over the
-//! shared [`pool`]. All cross-shard traffic flows through the explicit
-//! stage buffers, so the communication volume is measured, not inferred.
+//! the aggregation is a task graph of `exchange(b) → aggregate(b)` nodes
+//! executed by [`exec::TaskGraph`] over the shared [`pool`]. As on PIUMA's
+//! distributed global address space, a block reads remote rows where they
+//! live: the exchange copies nothing, it books the block's halo bytes, so
+//! the communication volume is counted from the reads the blocks make.
 //! Every exchange passes a `fault_point!` site, making the protocol
 //! chaos-testable. Recovery is the executor's done flags plus a per-task
 //! attempt budget: a task that panics is not done, its dependents are
@@ -58,9 +58,8 @@ pub enum ShardError {
     },
     /// A plan for zero workers was requested.
     ZeroWorkers,
-    /// Building a shard-local CSR failed (carries the sparse error text).
-    Partition(String),
-    /// A dense kernel inside a shard task failed.
+    /// A dense kernel of a sharded layer failed (the update GEMM, or the
+    /// narrow encode of the aggregated operand).
     Matrix(matrix::MatrixError),
     /// Feature matrix width does not match the model's input dimension.
     FeatureDimMismatch {
@@ -89,8 +88,7 @@ impl std::fmt::Display for ShardError {
                 write!(f, "adjacency must be square to shard, got {rows}x{cols}")
             }
             ShardError::ZeroWorkers => write!(f, "cannot shard across zero workers"),
-            ShardError::Partition(e) => write!(f, "building shard-local CSR failed: {e}"),
-            ShardError::Matrix(e) => write!(f, "kernel error inside shard task: {e}"),
+            ShardError::Matrix(e) => write!(f, "kernel error in a sharded layer: {e}"),
             ShardError::FeatureDimMismatch { expected, actual } => {
                 write!(
                     f,

@@ -3,9 +3,12 @@
 //! A [`ShardPlan`] cuts a square adjacency into `workers` contiguous row
 //! blocks, with boundaries found by the same merge-path binary search the
 //! single-node planner uses ([`kernels::plan::nnz_balanced_partition`]).
-//! Each block gets a **local CSR** over only the columns it references,
-//! plus a **halo map**: the referenced rows whose activations live on
-//! another worker and must be fetched before the block can aggregate.
+//! A block is a row range of the plan's one copy of the adjacency, read
+//! at its global column ids, plus a **halo map**: the referenced rows
+//! whose activations live on another worker. The ledger and the
+//! [`crate::sim`] projection charge the halo; the runner reads it in
+//! place, as a PIUMA node reads remote rows through the global address
+//! space.
 //!
 //! Ownership follows the PIUMA DGAS layout: global activation row `r`
 //! lives on the worker whose row range contains `r`, so every row has
@@ -65,7 +68,9 @@ pub fn row_work_bounds(row_ptr: &[usize], parts: usize) -> Vec<usize> {
     shard_bounds(&prefix, parts)
 }
 
-/// One worker's block of the partitioned adjacency.
+/// One worker's block of the partitioned adjacency: rows
+/// `[row_start, row_end)` of [`ShardPlan::adjacency`], at their global
+/// column ids.
 #[derive(Debug, Clone)]
 pub struct ShardBlock {
     /// Global row range `[row_start, row_end)` this block owns and
@@ -73,11 +78,10 @@ pub struct ShardBlock {
     pub row_start: usize,
     /// End of the global row range (exclusive).
     pub row_end: usize,
-    /// Local CSR: `(row_end - row_start)` rows over `refs.len()` columns;
-    /// local column `l` is global column `refs[l]`.
-    pub local: Csr,
+    /// Non-zeros in the block's rows.
+    nnz: usize,
     /// Referenced global columns, ascending — the rows whose features
-    /// this block needs staged before it can aggregate.
+    /// this block reads when it aggregates.
     pub refs: Vec<u32>,
     /// The halo: the subset of `refs` outside this block's own row range,
     /// owned by other workers, whose features must cross the network.
@@ -90,9 +94,9 @@ impl ShardBlock {
         self.row_end - self.row_start
     }
 
-    /// Non-zeros in the local CSR block.
+    /// Non-zeros in the block's rows.
     pub fn nnz(&self) -> usize {
-        self.local.nnz()
+        self.nnz
     }
 }
 
@@ -110,20 +114,19 @@ pub struct LayerExchange {
     pub agg_width: usize,
     /// Halo rows fetched across workers, summed over blocks.
     pub halo_rows: usize,
-    /// Referenced rows staged (local + halo), summed over blocks.
+    /// Referenced rows (local + halo), summed over blocks.
     pub referenced_rows: usize,
-    /// Bytes of remote feature rows gathered before aggregation — the
-    /// only bytes a row-block layer moves across workers.
+    /// Bytes of remote feature rows the blocks read — the only bytes a
+    /// row-block layer moves across workers.
     pub gather_bytes: u64,
 }
 
 /// An NNZ-balanced row-block partition of one square adjacency.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
+    adj: Csr,
     row_bounds: Vec<usize>,
     blocks: Vec<ShardBlock>,
-    nrows: usize,
-    nnz: usize,
 }
 
 impl ShardPlan {
@@ -149,13 +152,17 @@ impl ShardPlan {
         let blocks = row_bounds
             .windows(2)
             .map(|w| build_block(a, w[0], w[1]))
-            .collect::<Result<_, _>>()?;
+            .collect();
         Ok(ShardPlan {
+            adj: a.clone(),
             row_bounds,
             blocks,
-            nrows: a.nrows(),
-            nnz: a.nnz(),
         })
+    }
+
+    /// The partitioned adjacency, whose row ranges the blocks are.
+    pub fn adjacency(&self) -> &Csr {
+        &self.adj
     }
 
     /// Number of workers (= blocks).
@@ -176,13 +183,13 @@ impl ShardPlan {
 
     /// Vertex count of the partitioned adjacency.
     pub fn nrows(&self) -> usize {
-        self.nrows
+        self.adj.nrows()
     }
 
     /// Non-zeros of the partitioned adjacency (the blocks tile it, so
-    /// their local nnz sums to this).
+    /// their nnz sums to this).
     pub fn nnz(&self) -> usize {
-        self.nnz
+        self.adj.nnz()
     }
 
     /// Per-worker non-zero counts, block order.
@@ -192,7 +199,7 @@ impl ShardPlan {
 
     /// `max_shard_nnz / (nnz / workers)` — 1.0 is a perfect split.
     pub fn imbalance(&self) -> f64 {
-        let ideal = self.nnz as f64 / self.workers() as f64;
+        let ideal = self.nnz() as f64 / self.workers() as f64;
         if ideal <= 0.0 {
             return 1.0;
         }
@@ -205,13 +212,13 @@ impl ShardPlan {
         self.blocks.iter().map(|b| b.halo.len()).sum()
     }
 
-    /// Total referenced rows across blocks (staged local + halo).
+    /// Total referenced rows across blocks (local + halo).
     pub fn referenced_rows(&self) -> usize {
         self.blocks.iter().map(|b| b.refs.len()).sum()
     }
 
-    /// `halo_rows / referenced_rows` — the fraction of staged feature
-    /// rows that actually cross the network.
+    /// `halo_rows / referenced_rows` — the fraction of referenced
+    /// feature rows that cross the network.
     pub fn halo_fraction(&self) -> f64 {
         let refs = self.referenced_rows();
         if refs == 0 {
@@ -243,44 +250,28 @@ impl ShardPlan {
     }
 }
 
-/// Builds the block owning rows `row_start..row_end`: local CSR over the
-/// referenced columns plus the halo map.
-fn build_block(a: &Csr, row_start: usize, row_end: usize) -> Result<ShardBlock, ShardError> {
-    let mut refs: Vec<u32> = Vec::new();
-    for u in row_start..row_end {
-        refs.extend_from_slice(a.row_cols(u));
-    }
+/// Builds the block owning rows `row_start..row_end`: its referenced
+/// columns, ascending, and the halo among them.
+fn build_block(a: &Csr, row_start: usize, row_end: usize) -> ShardBlock {
+    let nz = a.row_ptr()[row_start]..a.row_ptr()[row_end];
+    let nnz = nz.len();
+    let mut refs = a.col_idx()[nz].to_vec();
     refs.sort_unstable();
     refs.dedup();
-
-    let mut row_ptr = Vec::with_capacity(row_end - row_start + 1);
-    row_ptr.push(0usize);
-    let mut col_idx = Vec::new();
-    let mut values = Vec::new();
-    for u in row_start..row_end {
-        for (&col, &v) in a.row_cols(u).iter().zip(a.row_values(u)) {
-            let l = refs
-                .binary_search(&col)
-                .expect("column collected into refs above");
-            col_idx.push(l as u32);
-            values.push(v);
-        }
-        row_ptr.push(col_idx.len());
-    }
-    let local = Csr::from_raw(row_end - row_start, refs.len(), row_ptr, col_idx, values)
-        .map_err(|e| ShardError::Partition(e.to_string()))?;
-    let halo = refs
-        .iter()
-        .copied()
-        .filter(|&g| (g as usize) < row_start || (g as usize) >= row_end)
-        .collect();
-    Ok(ShardBlock {
+    // The copy was nnz long; the plan keeps only the distinct columns.
+    refs.shrink_to_fit();
+    // Ascending refs split into below / inside / above the owned rows;
+    // the halo is the outer two parts.
+    let lo = refs.partition_point(|&g| (g as usize) < row_start);
+    let hi = refs.partition_point(|&g| (g as usize) < row_end);
+    let halo = [&refs[..lo], &refs[hi..]].concat();
+    ShardBlock {
         row_start,
         row_end,
-        local,
+        nnz,
         refs,
         halo,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -328,17 +319,25 @@ mod tests {
             // Row coverage: row bounds tile [0, nrows].
             assert_eq!(plan.row_bounds()[0], 0);
             assert_eq!(*plan.row_bounds().last().unwrap(), a.nrows());
-            // Every local entry decodes back to the original value.
+            // Reassembled block by block, at global column ids, the
+            // blocks' rows are the original's entries, each exactly once.
+            let adj = plan.adjacency();
+            let mut entries = Vec::new();
             for b in plan.blocks() {
-                for lu in 0..b.local.nrows() {
-                    let gu = b.row_start + lu;
-                    for (&lc, &v) in b.local.row_cols(lu).iter().zip(b.local.row_values(lu)) {
-                        let gc = b.refs[lc as usize];
-                        let pos = a.row_cols(gu).binary_search(&gc).unwrap();
-                        assert_eq!(a.row_values(gu)[pos], v);
+                for u in b.row_start..b.row_end {
+                    for (&c, &v) in adj.row_cols(u).iter().zip(adj.row_values(u)) {
+                        entries.push((u, c, v.to_bits()));
+                        assert!(b.refs.binary_search(&c).is_ok(), "column {c} in refs");
                     }
                 }
             }
+            let want: Vec<_> = (0..a.nrows())
+                .flat_map(|u| {
+                    let row = a.row_cols(u).iter().zip(a.row_values(u));
+                    row.map(move |(&c, &v)| (u, c, v.to_bits()))
+                })
+                .collect();
+            assert_eq!(entries, want, "n={n}");
         }
     }
 

@@ -5,12 +5,14 @@
 //! ([`kernels::fused::gcn_layer_planned_into`]) with only its SpMM
 //! sharded. The dense update is node-local, so it runs as one GEMM at pool
 //! width over the whole activation matrix; the aggregation is one task
-//! graph of `exchange(b) → aggregate(b)` per row block — "gather this
-//! block's referenced rows into its stage buffer", then "aggregate them
-//! straight into the block's own output rows" — drained by
-//! [`crate::exec::TaskGraph`] over the shared pool. The exchange is the
-//! only copy: it passes a fault point, and the runner counts its
-//! staged/halo bytes so communication volume is a measured quantity.
+//! graph of `exchange(b) → aggregate(b)` per row block, drained by
+//! [`crate::exec::TaskGraph`] over the shared pool. Every block shares one
+//! address space, so nothing is copied: `exchange(b)` passes the
+//! `shard.exchange` fault point and books the block's halo bytes, and
+//! `aggregate(b)` reads the layer operand in place, at the adjacency's
+//! global column ids, straight into the block's own output rows. At a
+//! narrow precision the operand is encoded once per layer, before the
+//! graph runs, and every block reads that one encoding.
 //!
 //! Recovery is one rule: a task that panics is not done, the executor
 //! withholds its dependents, and the layer re-runs every task that is not
@@ -32,32 +34,26 @@ use matrix::{Activation, DenseMatrix, MatrixError, Precision, QuantMatrix};
 use resilience::retry;
 use sparse::Csr;
 
-use crate::exec::{self, TaskGraph};
+use crate::exec::TaskGraph;
 use crate::partition::{LayerExchange, PartitionKind, ShardPlan};
 use crate::ShardError;
 
-/// Per-block state: the staged feature rows (the halo landing buffer) and
-/// their narrow-storage encoding (written only at a narrow precision).
-#[derive(Debug, Default)]
-struct BlockBuf {
-    feat: DenseMatrix,
-    quant: QuantMatrix,
-}
-
 /// The planned layer's three n-row activation buffers: the layer input
 /// `h` (unused by layer 0, which reads the features in place), the
-/// intermediate `mid` and the layer output `next`.
+/// intermediate `mid` and the layer output `next`; plus `quant`, the
+/// aggregated operand's narrow encoding (written only at a narrow
+/// precision).
 #[derive(Debug, Default)]
 struct LayerBufs {
     h: DenseMatrix,
     mid: DenseMatrix,
     next: DenseMatrix,
+    quant: QuantMatrix,
 }
 
 /// Communication observed during the most recent inference call.
 #[derive(Debug, Default, Clone, Copy)]
 struct Counters {
-    staged_bytes: u64,
     halo_bytes: u64,
     recovered_exchanges: u64,
     replayed_tasks: u64,
@@ -76,10 +72,10 @@ pub struct ShardReport {
     pub imbalance: f64,
     /// Remote rows referenced across all shards.
     pub halo_rows: usize,
-    /// Total referenced (staged) rows across all shards.
+    /// Total referenced rows across all shards.
     pub referenced_rows: usize,
-    /// `halo_rows / referenced_rows` — fraction of staged feature rows
-    /// that cross worker boundaries.
+    /// `halo_rows / referenced_rows` — fraction of referenced feature
+    /// rows that cross worker boundaries.
     pub halo_fraction: f64,
     /// Static per-layer exchange ledger for the model this report was
     /// built against.
@@ -87,11 +83,12 @@ pub struct ShardReport {
     /// Ledger total: bytes the partition says must cross workers for one
     /// inference pass.
     pub ledger_bytes: u64,
-    /// Measured bytes copied through the explicit stage buffers during
-    /// the last inference (local + halo rows of every exchange).
+    /// Bytes copied into stage buffers: always 0, because nothing is
+    /// staged — every block reads the layer operand in place, and its
+    /// remote reads are `halo_bytes`.
     pub staged_bytes: u64,
-    /// Measured halo subset of `staged_bytes` — rows fetched from other
-    /// workers.
+    /// Measured bytes of remote feature rows the blocks read during the
+    /// last inference (booked by every exchange).
     pub halo_bytes: u64,
     /// Exchange runs that failed and that the replay answered (the layer
     /// completed) during the last inference (0 on a fault-free run).
@@ -111,7 +108,6 @@ pub struct ShardedGcn {
     graph: TaskGraph,
     precision: Precision,
     kd: KernelDispatch,
-    blocks: Vec<Mutex<BlockBuf>>,
     bufs: LayerBufs,
     counters: Mutex<Counters>,
 }
@@ -148,14 +144,12 @@ impl ShardedGcn {
         for b in 0..r {
             graph.add_dep(r + b, b);
         }
-        let blocks = (0..r).map(|_| Mutex::new(BlockBuf::default())).collect();
         let kd = KernelDispatch::get();
         Ok(ShardedGcn {
             plan,
             graph,
             precision: resolve_precision(kd, precision).0,
             kd,
-            blocks,
             bufs: LayerBufs::default(),
             counters: Mutex::new(Counters::default()),
         })
@@ -178,9 +172,9 @@ impl ShardedGcn {
     ///
     /// Input validation mirrors the single-node entry points
     /// ([`ShardError::FeatureDimMismatch`] /
-    /// [`ShardError::VertexCountMismatch`]); execution errors surface as
-    /// the first typed error any task returned, or as
-    /// [`ShardError::Executor`] once a layer's replay runs out of attempts.
+    /// [`ShardError::VertexCountMismatch`]); a dense update or a narrow
+    /// encode surfaces its [`ShardError::Matrix`], and a layer whose replay
+    /// runs out of attempts ends in [`ShardError::Executor`].
     pub fn infer(
         &mut self,
         model: &GcnModel,
@@ -231,7 +225,7 @@ impl ShardedGcn {
             halo_fraction: self.plan.halo_fraction(),
             layers,
             ledger_bytes,
-            staged_bytes: c.staged_bytes,
+            staged_bytes: 0,
             halo_bytes: c.halo_bytes,
             recovered_exchanges: c.recovered_exchanges,
             replayed_tasks: c.replayed_tasks,
@@ -247,10 +241,15 @@ impl ShardedGcn {
         features: &DenseMatrix,
         bufs: &mut LayerBufs,
     ) -> Result<(), ShardError> {
-        let LayerBufs { h, mid, next } = bufs;
+        let LayerBufs {
+            h,
+            mid,
+            next,
+            quant,
+        } = bufs;
         for (layer_idx, layer) in model.layers().iter().enumerate() {
             let input = if layer_idx == 0 { features } else { &*h };
-            self.run_layer(layer, input, mid, next)?;
+            self.run_layer(layer, input, mid, next, quant)?;
             std::mem::swap(h, next);
         }
         Ok(())
@@ -269,13 +268,14 @@ impl ShardedGcn {
         h: &DenseMatrix,
         mid: &mut DenseMatrix,
         next: &mut DenseMatrix,
+        quant: &mut QuantMatrix,
     ) -> Result<(), ShardError> {
         let threads = pool::global().width();
         let (w, bias) = (&layer.weight, layer.bias.as_deref());
         let ex = self.plan.layer_exchange(layer.in_dim(), layer.out_dim());
         match ex.order {
             FusedOrder::AggregateFirst => {
-                self.aggregate(h, mid, None)?;
+                self.aggregate(h, quant, mid, None)?;
                 dense_update_with(self.kd, mid, w, bias, layer.activation, threads, next)?;
             }
             FusedOrder::UpdateFirst => {
@@ -288,23 +288,41 @@ impl ShardedGcn {
                     .into());
                 }
                 dense_update_with(self.kd, h, w, None, Activation::Identity, threads, mid)?;
-                self.aggregate(mid, next, Some(layer))?;
+                self.aggregate(mid, quant, next, Some(layer))?;
             }
         }
         Ok(())
     }
 
     /// The sharded SpMM `out = A · src` through the `exchange(b) →
-    /// aggregate(b)` graph: each block's aggregate writes its own rows
-    /// `[r0, r1)` of `out` in place, finished with `tail`'s bias +
-    /// activation when given.
+    /// aggregate(b)` graph: each block's aggregate reads `src` in place
+    /// (through its one narrow encoding in `quant` at a narrow precision)
+    /// and writes its own rows `[r0, r1)` of `out`, finished with `tail`'s
+    /// bias + activation when given.
     fn aggregate(
         &self,
         src: &DenseMatrix,
+        quant: &mut QuantMatrix,
         out: &mut DenseMatrix,
         tail: Option<&GcnLayer>,
     ) -> Result<(), ShardError> {
-        let width = src.cols();
+        match self.precision {
+            Precision::F32 => self.run_blocks(src, out, tail),
+            narrow => {
+                quant.encode(src, narrow)?;
+                self.run_blocks(&*quant, out, tail)
+            }
+        }
+    }
+
+    /// Drains the layer's block graph over operand `x` into `out`.
+    fn run_blocks<F: FeatureOperand>(
+        &self,
+        x: &F,
+        out: &mut DenseMatrix,
+        tail: Option<&GcnLayer>,
+    ) -> Result<(), ShardError> {
+        let width = x.shape().1;
         out.resize_for_overwrite(self.plan.nrows(), width);
         // Each block owns a disjoint row range of `out`; the mutexes never
         // contend, they only hand `&mut` slices through `Fn`.
@@ -322,10 +340,9 @@ impl ShardedGcn {
         let r = self.plan.workers();
         self.run_recovering(|t| {
             if t < r {
-                self.exchange_task(t, src);
-                Ok(())
+                self.exchange_task(t, width);
             } else {
-                self.aggregate_task(t - r, &rows[t - r], width, tail)
+                self.aggregate_task(t - r, x, &mut lock(&rows[t - r]), width, tail);
             }
         })
     }
@@ -333,23 +350,22 @@ impl ShardedGcn {
     /// Drains the layer graph until every task is done. The first round
     /// runs every task. A task that panics (an injected kill, a failed
     /// exchange) is not done and the executor withholds its dependents, so
-    /// no aggregate reads a stage buffer its exchange did not finish; the
-    /// next round re-runs exactly the tasks that are not done. Every task
-    /// overwrites its outputs, so a recovered layer is bitwise identical to
-    /// a fault-free run.
+    /// no aggregate runs before its exchange finished; the next round
+    /// re-runs exactly the tasks that are not done. Every task overwrites
+    /// its outputs, so a recovered layer is bitwise identical to a
+    /// fault-free run.
     ///
     /// Each task gets at most [`retry::ATTEMPTS`] runs, and panics with no
     /// task attached (a pool share re-raised on the caller) spend one
     /// budget of the same size for the layer; running out ends the layer
-    /// in [`ShardError::Executor`] with the layer's last panic text. A
-    /// typed task error is deterministic and returns at once.
+    /// in [`ShardError::Executor`] with the layer's last panic text.
     fn run_recovering<F>(&self, run_task: F) -> Result<(), ShardError>
     where
-        F: Fn(usize) -> Result<(), ShardError> + Sync,
+        F: Fn(usize) + Sync,
     {
         let tasks = self.graph.tasks();
-        // Runs per task, and the first typed error a task returned.
-        let tally = Mutex::new((vec![0u32; tasks], None));
+        // Runs per task.
+        let runs = Mutex::new(vec![0u32; tasks]);
         let mut done = vec![false; tasks];
         let mut unattributed = 0;
         let mut replayed = 0u64;
@@ -359,20 +375,14 @@ impl ShardedGcn {
                 if done_ro[t] {
                     return;
                 }
-                lock(&tally).0[t] += 1;
+                lock(&runs)[t] += 1;
                 // The chaos harness' worker-kill site. It fires before the
                 // task body, so an injected kill never leaves a partial
                 // in-place mutation.
                 resilience::fault_point!("shard.task");
-                if let Err(e) = run_task(t) {
-                    lock(&tally).1.get_or_insert(e);
-                }
+                run_task(t);
             });
-            let mut book = lock(&tally);
-            let (runs, error) = &mut *book;
-            if let Some(e) = error.take() {
-                return Err(e);
-            }
+            let book = lock(&runs);
             for (d, td) in done.iter_mut().zip(&trace.done) {
                 *d |= *td;
             }
@@ -383,7 +393,7 @@ impl ShardedGcn {
                     let r = self.plan.workers();
                     let mut c = lock(&self.counters);
                     c.recovered_exchanges +=
-                        runs[..r].iter().map(|&n| u64::from(n - 1)).sum::<u64>();
+                        book[..r].iter().map(|&n| u64::from(n - 1)).sum::<u64>();
                     c.replayed_tasks += replayed;
                     c.recovered_layers += 1;
                 }
@@ -405,77 +415,54 @@ impl ShardedGcn {
                 )));
             }
             // A task that is not done failed every run it had.
-            if let Some(t) = (0..tasks).find(|&t| !done[t] && runs[t] >= retry::ATTEMPTS) {
+            if let Some(t) = (0..tasks).find(|&t| !done[t] && book[t] >= retry::ATTEMPTS) {
                 return Err(ShardError::Executor(format!(
                     "task {t} failed all {} runs: {}",
-                    runs[t], failure.message
+                    book[t], failure.message
                 )));
             }
             replayed += done.iter().filter(|d| !**d).count() as u64;
         }
     }
 
-    /// Stages block `b`'s referenced rows of `src` into its stage buffer
-    /// and books the copy's bytes. An injected `shard.exchange` fault
-    /// panics out of the copy before it books anything; the executor then
-    /// withholds the block's aggregate and the replay re-runs the copy.
-    fn exchange_task(&self, b: usize, src: &DenseMatrix) {
-        let blk = &self.plan.blocks()[b];
-        let staged = exec::gather_rows(&mut lock(&self.blocks[b]).feat, src, &blk.refs);
-        let mut c = lock(&self.counters);
-        c.staged_bytes += staged;
-        c.halo_bytes += (blk.halo.len() * src.cols() * 4) as u64;
+    /// Block `b`'s exchange: it copies nothing — its aggregate reads the
+    /// remote rows in place — but passes the `shard.exchange` fault point
+    /// and books the block's halo bytes at the layer's aggregation
+    /// `width`. An injected fault panics before the booking; the executor
+    /// then withholds the block's aggregate and the replay re-runs the
+    /// exchange.
+    fn exchange_task(&self, b: usize, width: usize) {
+        resilience::fault_point!("shard.exchange");
+        let halo = self.plan.blocks()[b].halo.len();
+        lock(&self.counters).halo_bytes += (halo * width * 4) as u64;
     }
 
-    /// Block `b`'s aggregate: its local-CSR row loop over the staged rows
-    /// (encoded first at a narrow precision), written straight into its
+    /// Block `b`'s aggregate: the adjacency's row loop over the block's
+    /// rows, reading `x` at global column ids, written straight into its
     /// `rows` of the layer output and finished with `tail`'s bias +
     /// activation when given. Every row is overwritten, so a replayed
     /// aggregate is idempotent.
-    fn aggregate_task(
+    fn aggregate_task<F: FeatureOperand>(
         &self,
         b: usize,
-        rows: &Mutex<&mut [f32]>,
+        x: &F,
+        rows: &mut [f32],
         width: usize,
         tail: Option<&GcnLayer>,
-    ) -> Result<(), ShardError> {
-        let local = &self.plan.blocks()[b].local;
-        let mut buf = lock(&self.blocks[b]);
-        let buf = &mut *buf;
-        let mut rows = lock(rows);
-        match self.precision {
-            Precision::F32 => fill_rows(self.kd, local, &buf.feat, &mut rows, width, tail),
-            narrow => {
-                buf.quant.encode(&buf.feat, narrow)?;
-                fill_rows(self.kd, local, &buf.quant, &mut rows, width, tail);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// `out = local · x` row by row (`width` lanes per row), each row one
-/// [`FeatureOperand::fill_row`] over its non-zeros in ascending column
-/// order — the unsharded row loop's exact FP sequence — then `tail`'s bias
-/// and activation on the finished row.
-fn fill_rows<F: FeatureOperand>(
-    kd: KernelDispatch,
-    local: &Csr,
-    x: &F,
-    out: &mut [f32],
-    width: usize,
-    tail: Option<&GcnLayer>,
-) {
-    for u in 0..local.nrows() {
-        let y = &mut out[u * width..(u + 1) * width];
-        x.fill_row(kd, y, local.row_cols(u), local.row_values(u));
-        if let Some(layer) = tail {
-            if let Some(bias) = &layer.bias {
-                for (v, b) in y.iter_mut().zip(bias) {
-                    *v += b;
+    ) {
+        let blk = &self.plan.blocks()[b];
+        let a = self.plan.adjacency();
+        for (i, u) in (blk.row_start..blk.row_end).enumerate() {
+            let y = &mut rows[i * width..(i + 1) * width];
+            x.fill_row(self.kd, y, a.row_cols(u), a.row_values(u));
+            if let Some(layer) = tail {
+                if let Some(bias) = &layer.bias {
+                    for (v, b) in y.iter_mut().zip(bias) {
+                        *v += b;
+                    }
                 }
+                layer.activation.apply_in_place(y);
             }
-            layer.activation.apply_in_place(y);
         }
     }
 }
@@ -485,33 +472,4 @@ fn fill_rows<F: FeatureOperand>(
 /// Routed through the audit helpers so recoveries are counted.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     resilience::audit::recover("shard.runner", m)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_typed_task_error_returns_without_a_replay() {
-        let a = graph::Graph::from_undirected_edges(4, &[(0, 1), (1, 2), (2, 3)])
-            .normalized_adjacency()
-            .unwrap();
-        let sharded = ShardedGcn::new(&a, 2, PartitionKind::Rows1D).unwrap();
-        let runs = Mutex::new(vec![0; sharded.graph.tasks()]);
-        let typed = ShardError::Partition("typed".into());
-        let err = sharded
-            .run_recovering(|t| {
-                lock(&runs)[t] += 1;
-                if t == 0 {
-                    Err(typed.clone())
-                } else {
-                    Ok(())
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err, typed);
-        // One round and no replay: every task ran at most once.
-        assert!(lock(&runs).iter().all(|&n| n <= 1));
-        assert_eq!(lock(&sharded.counters).replayed_tasks, 0);
-    }
 }

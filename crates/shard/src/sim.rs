@@ -117,7 +117,7 @@ pub fn simulate_model(
             let refs = blk.refs.len() as f64;
             let halo = blk.halo.len() as f64;
             // Aggregation: compute-bound or memory-bound, whichever binds
-            // (8 B per stored non-zero, staged reads, acc RMW).
+            // (8 B per stored non-zero, one read per referenced row, acc RMW).
             let agg_bytes = nnz * 8.0 + (refs + 2.0 * rows) * k_agg * 4.0;
             let t_spmm = (2.0 * nnz * k_agg / spmm_rate).max(agg_bytes / node_bw);
             // Halo gather: the DMA engines stream the payload while the

@@ -2,8 +2,8 @@
 //! exactly, on arbitrary random graphs, at every worker count.
 //!
 //! "Tiles exactly" means: every non-zero `(r, c, v)` of the original CSR
-//! appears in exactly one shard-local block at its translated local
-//! coordinates, and nothing else appears anywhere — so NNZ is conserved,
+//! appears in exactly one block, read from the plan's adjacency at its
+//! global column id, and nothing else appears anywhere — so NNZ is conserved,
 //! row ranges cover `[0, n)` without overlap, and degenerate shapes
 //! (more workers than rows, one worker) fall out as empty blocks and the
 //! identity partition respectively.
@@ -20,17 +20,17 @@ fn build_csr(n: usize, edges: &[(usize, usize)]) -> Csr {
     Csr::from_coo(&coo)
 }
 
-/// Decodes every non-zero of every block back into global coordinates.
+/// Reassembles the adjacency block by block: every non-zero of every
+/// block's rows, at its global column id, which the block's `refs` must
+/// list.
 fn decode(plan: &ShardPlan) -> Vec<(usize, usize, f32)> {
+    let adj = plan.adjacency();
     let mut entries = Vec::new();
     for blk in plan.blocks() {
-        for lr in 0..blk.local.nrows() {
-            let gr = blk.row_start + lr;
-            let s = blk.local.row_ptr()[lr];
-            let e = blk.local.row_ptr()[lr + 1];
-            for p in s..e {
-                let gc = blk.refs[blk.local.col_idx()[p] as usize] as usize;
-                entries.push((gr, gc, blk.local.values()[p]));
+        for r in blk.row_start..blk.row_end {
+            for (&c, &v) in adj.row_cols(r).iter().zip(adj.row_values(r)) {
+                assert!(blk.refs.binary_search(&c).is_ok(), "column {c} in refs");
+                entries.push((r, c as usize, v));
             }
         }
     }

@@ -48,7 +48,11 @@ fn features(n: usize, dim: usize, seed: u64) -> DenseMatrix {
     DenseMatrix::from_vec(n, dim, data).expect("shape matches by construction")
 }
 
+/// The width-1 single-node reference. It runs while holding the arm lock
+/// with a config that fires nowhere: a neighbour test arms `pool.share` at
+/// rate 1.0, and the reference's pool broadcasts must not meet it.
 fn reference(model: &GcnModel, a_hat: &Csr, x: &DenseMatrix) -> DenseMatrix {
+    let _quiet = fault::arm(FaultConfig::new(0));
     let mut ws = InferenceWorkspace::new();
     ws.install_plan(SpmmPlan::with_width(a_hat, x.cols(), 1));
     model
