@@ -166,7 +166,7 @@ fn measure_spmm(a: &Csr) -> Vec<SpmmMeasurement> {
                     kernels::spmm::spmm_sequential_into(a, &h, &mut out).unwrap();
                 })
             } else {
-                q.encode(&h, precision).unwrap();
+                q.encode(&h, None, precision).unwrap();
                 median_secs(|| {
                     kernels::spmm::spmm_sequential_into(a, &q, &mut out).unwrap();
                 })
@@ -312,7 +312,7 @@ fn bench_spmm(c: &mut Criterion) {
             bch.iter(|| kernels::spmm::spmm_sequential_into(&a, &h, &mut out).unwrap())
         });
         for precision in [Precision::Bf16, Precision::F16, Precision::Int8] {
-            q.encode(&h, precision).unwrap();
+            q.encode(&h, None, precision).unwrap();
             let id = BenchmarkId::new(format!("sequential_{}", precision.name()), f);
             group.bench_with_input(id, &f, |bch, _| {
                 bch.iter(|| kernels::spmm::spmm_sequential_into(&a, &q, &mut out).unwrap())

@@ -19,9 +19,9 @@ use sparse::Csr;
 /// first call sizes them, later calls on same-shaped inputs perform no
 /// output-sized allocation.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct LayerBuffers {
+struct LayerBuffers {
     /// Current activations: the loop's input, then its output.
-    pub(crate) h: DenseMatrix,
+    h: DenseMatrix,
     /// Spare activation buffer written by the next layer.
     next: DenseMatrix,
     /// Intermediate product inside the layer.
@@ -248,28 +248,26 @@ impl GcnModel {
         let InferenceWorkspace { bufs, plan } = workspace;
         let plan = plan.as_ref().expect("plan populated above");
         bufs.h.copy_from(features);
-        let mut run = self.run_layers(&[(a_hat, plan)], guard, recover, bufs)?;
+        let mut run = self.run_layers(a_hat, plan, guard, recover, bufs)?;
         run.used = plan.precision();
         run.precision_fallback = plan.precision_fallback();
         Ok(run)
     }
 
-    /// The layer loop every inference entry point runs, over the input
-    /// already in `bufs.h`. Layer `t` aggregates on `ops[t]` — its
-    /// (possibly rectangular) adjacency operand and that operand's plan; a
-    /// one-entry `ops` is broadcast to every layer (whole-graph inference),
-    /// one entry per layer is the rows path's frontier stack. A fired
-    /// `guard` (checked before each layer) ends the run with the buffers at
-    /// the last completed layer. Without `recover` each layer is one direct
+    /// The whole-graph layer loop, over the input already in `bufs.h`:
+    /// every layer aggregates on `a_hat` along `base`. A fired `guard`
+    /// (checked before each layer) ends the run with the buffers at the
+    /// last completed layer. Without `recover` each layer is one direct
     /// call. With it, this is the workspace's only retry-then-degrade walk:
     /// the layer runs under [`retry::run`] — the `gcn.layer` fault site
     /// inside the retried attempt — and on exhausting its
-    /// [`retry::ATTEMPTS`] attempts steps to a copy of that layer's plan
-    /// re-pinned one rung down [`SpmmStrategy::fallback`], recording the
-    /// rung in the report. Every layer starts back at its own plan.
-    pub(crate) fn run_layers(
+    /// [`retry::ATTEMPTS`] attempts steps to a copy of the plan re-pinned
+    /// one rung down [`SpmmStrategy::fallback`], recording the rung in the
+    /// report. Every layer starts back at `base`.
+    fn run_layers(
         &self,
-        ops: &[(&Csr, &SpmmPlan)],
+        a_hat: &Csr,
+        base: &SpmmPlan,
         guard: &RunGuard,
         recover: bool,
         bufs: &mut LayerBuffers,
@@ -285,7 +283,6 @@ impl GcnModel {
                 run.stopped = Some(reason);
                 return Ok(run);
             }
-            let (a_hat, base) = ops[t.min(ops.len() - 1)];
             let mut attempt = |plan: &SpmmPlan| {
                 gcn_layer_planned_into(
                     a_hat,

@@ -11,40 +11,40 @@
 //!   `V_l` (with self-loops the levels nest, `V_l ⊆ V_{l-1}`; nothing below
 //!   relies on that).
 //!
-//! Layer `l` produces `|V_l|` rows from `|V_{l-1}|`: its operand is the
-//! rectangular `|V_l| x |V_{l-1}|` matrix whose row for `v` is `A_hat`'s
-//! row `v` **in full** — every non-zero, same order, same values, column
-//! ids renumbered by rank in `V_{l-1}`. Only `X[V_0]` is gathered, and the
-//! one layer loop (`GcnModel::run_layers`) runs the stack, one operand
-//! and one [`kernels::SpmmPlan`] per layer, pinned to the vertex-parallel
-//! kernel at the pool's width: a batch's SpMM and dense update both run on
-//! the whole pool.
+//! **Rows on global ids.** Layer `l` computes `A_hat`'s own rows `V_l` (a
+//! row list, not a renumbered copy) from its operand read at global column
+//! ids, all in `V_{l-1}`; layer 1 reads `X` in place. Each layer writes its
+//! rows at their ids into one of two `n x K` workspace buffers, so a batch
+//! gathers, renumbers and plans nothing: the SpMM's NNZ partition is an
+//! `O(|V_l|)` prefix walk over the list
+//! ([`kernels::plan::nnz_balanced_partition_of`]), the dense update takes
+//! the list for `A` and `C` ([`matrix::microkernel::dense_update_with`]),
+//! and a narrow precision encodes only the level's rows. The lists ascend,
+//! so each pool share owns a contiguous range of output rows. A buffer row
+//! outside the level may hold an earlier batch's value; no layer reads one,
+//! as every column of a row in `V_l` is in `V_{l-1}`, just written below.
 //!
 //! **Why the bits do not change.** Each kept row walks exactly `A_hat`'s
-//! non-zeros in ascending global column order (ranking is monotone) through
-//! the same row kernel; the packed `f32` GEMM and the narrow encodes of the
-//! SpMM operand (element-wise for bf16 / f16, per-row scales for int8) are
-//! row-local, and GEMM output does not depend on the thread count. So every target row is **bitwise identical** to
-//! full-graph [`GcnModel::infer_planned_with`] under an installed width-1
-//! plan at the same storage precision — the machine-independent contract
-//! the sharded runner also pins (see `crates/shard`) — whatever batch the
-//! row rode in, which is what lets the serving layer coalesce freely.
-//! Precision is an argument, not a second path
-//! ([`kernels::SpmmPlan::at_precision`]).
-//!
-//! A level that is the whole vertex set is the identity case of the same
-//! code: two adjacent whole levels aggregate on `A_hat` itself, in place.
+//! non-zeros in ascending column order through the same row kernel
+//! (`fill_row`), reading the same operand values; the packed `f32` GEMM and
+//! the narrow encodes (element-wise for bf16 / f16, per-row scales for
+//! int8) are row-local, whatever the thread count or a row's tile
+//! neighbours. So every target row is **bitwise identical** to full-graph
+//! [`GcnModel::infer_planned_with`] under an installed width-1 plan at the
+//! same storage precision — the contract the sharded runner also pins —
+//! whatever batch the row rode in and whatever earlier batches left in the
+//! buffers, which is what lets the serving layer coalesce freely.
 //!
 //! [`RowsBatchStats`] counts the work: `gathered = |V_0|` (feature rows
-//! read), `sub_nnz` = the non-zeros of all `L` operands (`Σ_l Σ_{v ∈ V_l}
+//! read), `sub_nnz` = the non-zeros of all `L` row lists (`Σ_l Σ_{v ∈ V_l}
 //! deg(v)`), and `full_graph` only when every level — the targets included
 //! — is the whole vertex set.
 
 use crate::error::GcnError;
-use crate::model::{GcnModel, LayerBuffers};
-use kernels::{SpmmPlan, SpmmStrategy};
-use matrix::{DenseMatrix, Precision};
-use resilience::guard::RunGuard;
+use crate::model::GcnModel;
+use kernels::plan::{nnz_balanced_partition_of, spmm_nnz_balanced_with, PLAN_SLOTS_PER_THREAD};
+use matrix::microkernel::{dense_update_with, resolve_precision, KernelDispatch};
+use matrix::{Activation, DenseMatrix, MatrixError, Precision, QuantMatrix};
 use sparse::Csr;
 
 /// Statistics of one batched rows call (fed into the serving metrics: the
@@ -55,7 +55,7 @@ pub struct RowsBatchStats {
     pub targets: usize,
     /// `|V_0|`: unique vertices whose feature rows the batch reads.
     pub gathered: usize,
-    /// Non-zeros aggregated over, summed over the per-layer operands.
+    /// Non-zeros aggregated over, summed over the layers' row lists.
     pub sub_nnz: usize,
     /// Hops expanded (= model layer count).
     pub hops: usize,
@@ -64,25 +64,25 @@ pub struct RowsBatchStats {
     pub full_graph: bool,
 }
 
-/// Reusable buffers for [`GcnModel::infer_rows_planned_into`]: epoch-stamped
-/// visited marks, the levels, the rank table, the per-layer operand arrays
-/// and the layer loop's activation buffers. Steady-state calls reuse every
-/// one at its high-water mark; only the per-layer plans are rebuilt.
+/// Reusable buffers for [`GcnModel::infer_rows_planned_into`]: visited
+/// marks, the levels, the SpMM's partition, two `n`-row global-id
+/// activation buffers and the narrow-encode buffer, each reused at its
+/// high-water mark.
 #[derive(Debug, Default)]
 pub struct RowsWorkspace {
     /// `mark[v] == epoch` ⇔ vertex `v` is in the level being collected.
     mark: Vec<u32>,
     epoch: u32,
-    /// `local[v]` = rank of `v` in the level ranked last.
-    local: Vec<u32>,
     /// `levels[l]` = `V_l`, ascending.
     levels: Vec<Vec<usize>>,
-    /// `subs[l]` = layer `l + 1`'s operand (rows `V_{l+1}`, columns `V_l`),
-    /// rebuilt per batch in its own recycled arrays; `None` when both
-    /// levels are whole and the layer aggregates on `a_hat` in place.
-    subs: Vec<Option<Csr>>,
-    plans: Vec<SpmmPlan>,
-    bufs: LayerBuffers,
+    /// The current layer's NNZ partition: positions in its row list.
+    slots: Vec<usize>,
+    /// Layer outputs, at global row ids.
+    h: DenseMatrix,
+    /// The layer's intermediate product, at global row ids.
+    mid: DenseMatrix,
+    /// The SpMM operand's level rows, under a narrow precision.
+    qbuf: QuantMatrix,
 }
 
 impl RowsWorkspace {
@@ -103,35 +103,16 @@ impl RowsWorkspace {
     }
 }
 
-/// Writes each member's rank in the ascending `level` into `local`.
-fn rank(level: &[usize], local: &mut [u32]) {
-    for (r, &v) in level.iter().enumerate() {
-        local[v] = r as u32;
+/// Puts a just-collected level (the vertices marked `epoch`) in ascending
+/// order: one pass over the marks when the level holds at least a
+/// sixteenth of the graph, which is cheaper than sorting it, else a sort.
+fn ascend(level: &mut Vec<usize>, mark: &[u32], epoch: u32) {
+    if level.len() >= mark.len() / 16 {
+        level.clear();
+        level.extend((0..mark.len()).filter(|&v| mark[v] == epoch));
+    } else {
+        level.sort_unstable();
     }
-}
-
-/// Rebuilds `sub` as `a`'s rows `rows` in full, column ids renumbered
-/// through `local` (monotone, so `Csr::from_raw`'s increasing-column
-/// invariant holds), recycling `sub`'s arrays.
-fn gather_rows(
-    a: &Csr,
-    rows: &[usize],
-    ncols: usize,
-    local: &[u32],
-    sub: &mut Option<Csr>,
-) -> Result<(), GcnError> {
-    let (mut row_ptr, mut col_idx, mut values) = sub.take().map(Csr::into_raw).unwrap_or_default();
-    row_ptr.clear();
-    col_idx.clear();
-    values.clear();
-    row_ptr.push(0);
-    for &v in rows {
-        col_idx.extend(a.row_cols(v).iter().map(|&c| local[c as usize]));
-        values.extend_from_slice(a.row_values(v));
-        row_ptr.push(col_idx.len());
-    }
-    *sub = Some(Csr::from_raw(rows.len(), ncols, row_ptr, col_idx, values)?);
-    Ok(())
 }
 
 impl GcnModel {
@@ -164,13 +145,14 @@ impl GcnModel {
     }
 
     /// [`GcnModel::infer_rows_planned_into`] at a chosen storage precision
-    /// — narrow ones are the serving brownout path. Levels and operands are
-    /// the same at every precision and each layer's plan is re-targeted
-    /// with [`SpmmPlan::at_precision`], so narrow batches keep the
-    /// coalescing-invariance of the `f32` path: a target row's bits do not
-    /// depend on which batch it rode in. Narrow outputs carry the
-    /// precision's quantization error and are **not** bitwise-comparable
-    /// to the `f32` path (callers must annotate responses accordingly).
+    /// — narrow ones are the serving brownout path. Levels are the same at
+    /// every precision, and the precision is resolved through the same
+    /// micro-kernel probe a plan's [`kernels::SpmmPlan::at_precision`]
+    /// runs, so narrow batches keep the coalescing-invariance of the `f32`
+    /// path: a target row's bits do not depend on which batch it rode in.
+    /// Narrow outputs carry the precision's quantization error and are
+    /// **not** bitwise-comparable to the `f32` path (callers must annotate
+    /// responses accordingly).
     ///
     /// # Errors
     ///
@@ -200,13 +182,10 @@ impl GcnModel {
         }
         if ws.mark.len() < n {
             ws.mark.resize(n, 0);
-            ws.local.resize(n, 0);
         }
         ws.levels.resize_with(hops + 1, Vec::new);
-        ws.subs.resize_with(hops, || None);
 
-        // --- Levels, top down; each operand is built as soon as its
-        // column level is ranked, so one `local` table serves them all.
+        // --- Levels, top down.
         let epoch = ws.next_epoch();
         ws.levels[hops].clear();
         for &t in targets {
@@ -215,7 +194,7 @@ impl GcnModel {
                 ws.levels[hops].push(t);
             }
         }
-        ws.levels[hops].sort_unstable();
+        ascend(&mut ws.levels[hops], &ws.mark[..n], epoch);
         let mut sub_nnz = 0;
         for l in (0..hops).rev() {
             let epoch = ws.next_epoch();
@@ -232,48 +211,63 @@ impl GcnModel {
                     }
                 }
             }
-            below.sort_unstable();
-            rank(below, &mut ws.local);
-            if above.len() < n || below.len() < n {
-                gather_rows(a_hat, above, below.len(), &ws.local, &mut ws.subs[l])?;
-            } else {
-                ws.subs[l] = None;
-            }
+            ascend(below, &ws.mark[..n], epoch);
         }
 
-        // --- One plan per operand, pinned to the pool-width
-        // vertex-parallel kernel: both halves of every layer run on the
-        // whole pool and a one-row operand runs inline, at any K.
+        // --- The layers, on global ids, in the fused layer's association
+        // order: layer 0 reads `X` in place, and each layer's output
+        // overwrites `h`, which it has finished reading.
         let RowsWorkspace {
             levels,
-            subs,
-            plans,
-            bufs,
-            local,
+            slots,
+            h,
+            mid,
+            qbuf,
             ..
         } = ws;
-        let operand = |l: usize| subs[l].as_ref().unwrap_or(a_hat);
-        let strategy = SpmmStrategy::VertexParallel {
-            threads: kernels::pool::global().width(),
-        };
-        plans.clear();
+        let kd = KernelDispatch::get();
+        let (precision, _) = resolve_precision(kd, precision);
+        let threads = kernels::pool::global().width();
         for (l, layer) in self.layers().iter().enumerate() {
-            let plan = SpmmPlan::pinned(operand(l), layer.in_dim(), strategy);
-            plans.push(plan.at_precision(precision));
+            let (below, above) = (&levels[l][..], &levels[l + 1][..]);
+            let (w, bias, act) = (&layer.weight, layer.bias.as_deref(), layer.activation);
+            if let Some(b) = bias.filter(|b| b.len() != w.cols()) {
+                return Err(MatrixError::DimensionMismatch {
+                    op: "add_row_bias",
+                    lhs: (n, w.cols()),
+                    rhs: (1, b.len()),
+                }
+                .into());
+            }
+            nnz_balanced_partition_of(a_hat, above, threads * PLAN_SLOTS_PER_THREAD, slots);
+            // `dst[above] = A_hat[above] · src`, `src` read at rows `below`.
+            let aggregate = |src: &DenseMatrix, qbuf: &mut QuantMatrix, dst: &mut DenseMatrix| {
+                let (rows, p) = (Some(above), &slots[..]);
+                if precision == Precision::F32 {
+                    return spmm_nnz_balanced_with(kd, a_hat, src, rows, p, threads, dst);
+                }
+                qbuf.encode(src, Some(below), precision)?;
+                spmm_nnz_balanced_with(kd, a_hat, &*qbuf, rows, p, threads, dst)
+            };
+            let input = if l == 0 { features } else { &*h };
+            if w.rows() <= w.cols() {
+                aggregate(input, qbuf, mid)?;
+                dense_update_with(kd, mid, w, bias, act, threads, Some(above), h)?;
+            } else {
+                let identity = Activation::Identity;
+                dense_update_with(kd, input, w, None, identity, threads, Some(below), mid)?;
+                aggregate(mid, qbuf, h)?;
+                for &v in above {
+                    let row = h.row_mut(v);
+                    for (x, b) in row.iter_mut().zip(bias.unwrap_or_default()) {
+                        *x += b;
+                    }
+                    act.apply_in_place(row);
+                }
+            }
         }
-        let ops: Vec<_> = (0..hops).map(|l| (operand(l), &plans[l])).collect();
-
-        // --- Gather `X[V_0]` straight into the loop's input, run, scatter.
-        bufs.h
-            .resize_for_overwrite(levels[0].len(), features.cols());
-        for (r, &v) in levels[0].iter().enumerate() {
-            bufs.h.row_mut(r).copy_from_slice(features.row(v));
-        }
-        self.run_layers(&ops, &RunGuard::unbounded(), false, bufs)?;
-        rank(&levels[hops], local);
         for (i, &t) in targets.iter().enumerate() {
-            out.row_mut(i)
-                .copy_from_slice(bufs.h.row(local[t] as usize));
+            out.row_mut(i).copy_from_slice(h.row(t));
         }
         Ok(RowsBatchStats {
             targets: targets.len(),
@@ -292,6 +286,7 @@ mod tests {
     use crate::model::InferenceWorkspace;
     use graph::rmat::RmatConfig;
     use graph::Graph;
+    use kernels::SpmmPlan;
 
     fn setup(scale: u32) -> (Csr, GcnModel, DenseMatrix) {
         let g = Graph::rmat(&RmatConfig::power_law(scale, 6), 77);
@@ -420,8 +415,9 @@ mod tests {
 
     #[test]
     fn a_hub_batch_runs_pool_width_vertex_parallel_bitwise() {
-        // A star with self-loops: the hub's row is never split, and every
-        // rows-path plan is the pool-width vertex-parallel pin.
+        // A star with self-loops: every layer's row list is split into at
+        // most the pool's slots, the hub's row is never split and forms a
+        // share of its own, and the last layer ran exactly that partition.
         let n = 1024;
         let edges: Vec<_> = (1..n).map(|v| (0, v)).collect();
         let g = Graph::from_undirected_edges(n, &edges);
@@ -434,13 +430,20 @@ mod tests {
         model
             .infer_rows_planned_into(&a_hat, &x, &targets, &mut ws, &mut out)
             .unwrap();
-        let pinned = SpmmStrategy::VertexParallel {
-            threads: kernels::pool::global().width(),
-        };
-        assert_eq!(ws.plans.len(), model.layers().len());
-        for (l, plan) in ws.plans.iter().enumerate() {
-            assert_eq!(plan.exec(), pinned, "layer {l}");
+        let slots = kernels::pool::global().width() * PLAN_SLOTS_PER_THREAD;
+        let hops = model.layers().len();
+        let mut p = Vec::new();
+        for l in 1..=hops {
+            let rows = &ws.levels[l];
+            nnz_balanced_partition_of(&a_hat, rows, slots, &mut p);
+            assert!(p.len() - 1 <= slots, "layer {l}: {} shares", p.len() - 1);
+            let hub = rows.binary_search(&0).unwrap();
+            assert!(
+                p.windows(2).any(|w| w == [hub, hub + 1]),
+                "layer {l}: {p:?}"
+            );
         }
+        assert_eq!(ws.slots, p, "the last layer ran the pool-width partition");
         for (i, &t) in targets.iter().enumerate() {
             assert_eq!(out.row(i), full.row(t), "row {t} diverged");
         }

@@ -6,12 +6,13 @@
 //! must allocate far less than a single activation matrix — only small
 //! per-call bookkeeping (chunk tables, the pool's job handle) is allowed.
 //! A repeated `infer_rows_planned_into` batch allocates nothing sized by
-//! the batch or its frontiers at all: a few bytes per layer and pool slot
-//! remain.
+//! the batch or its frontiers at all: one locked output slice per pool
+//! share and the pool's job handles remain, a bounded few bytes per layer.
 
 use gcn::{GcnConfig, GcnModel, InferenceWorkspace, RowsWorkspace};
 use graph::rmat::RmatConfig;
 use graph::Graph;
+use kernels::plan::PLAN_SLOTS_PER_THREAD;
 use kernels::{SpmmPlan, SpmmStrategy};
 use matrix::DenseMatrix;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -133,20 +134,25 @@ fn repeated_rows_batches_allocate_a_per_layer_constant() {
     let some = repeat_bytes(&spread(n / 16));
     let many = repeat_bytes(&spread(n / 4));
 
-    // Levels, rank table, per-layer operand arrays and activation buffers
-    // are all recycled. What a call still allocates is, per layer at pool
-    // width `w`: its pinned plan's partition vector (capacity `16w + 1`
-    // `usize`s) and its `(operand, plan)` entry in the layer loop's operand
-    // slice (two pointers); then, for each kernel that publishes to the
-    // pool rather than running inline, one locked output slice (three
-    // words) per share — a partition slot for the SpMM, an executor for the
-    // dense update — and the pool's job handle. Every operand of these two
-    // batches has at least `16w` rows, so each SpMM fills all `16w` slots and
-    // each dense update all `w` executors: the same bytes, whatever the
-    // batch, up to a pool width of `n / 256`. One target's top operand is a
-    // single row, whose SpMM runs inline (no slot table, no job handle),
-    // and its smaller levels fill fewer slots, so it allocates no more. At
-    // width 1 everything runs inline: 80 bytes a layer on a 64-bit host.
+    // Levels, marks, the SpMM partition and the global-id activation
+    // buffers are all recycled, and no batch builds an operand or a plan.
+    // What a call still allocates is, per layer at pool width `w` and for
+    // each kernel that publishes to the pool rather than running inline:
+    // one locked output slice (three words) per share — a partition slot
+    // for the SpMM (`16w` of them), an executor for the dense update (`w`)
+    // — and the pool's job handle. Every row list of these two batches has
+    // at least `16w` rows, so each SpMM fills all `16w` slots and each
+    // dense update all `w` executors: the same bytes, whatever the batch,
+    // up to a pool width of `n / 256`. One target's top list is a single
+    // row, whose SpMM runs inline (no slot table, no job handle), and its
+    // smaller levels fill fewer slots, so it allocates no more. At width 1
+    // everything runs inline, and only the dense update's one-entry chunk
+    // table is allocated.
+    let w = kernels::pool::global().width();
+    let slices = (PLAN_SLOTS_PER_THREAD + 1) * w * 3 * size_of::<usize>();
+    let job_handles = if w > 1 { 256 } else { 0 };
+    let bound = model.layers().len() * (slices + job_handles);
     assert_eq!(some, many, "256- vs 1024-target batch");
+    assert!(many <= bound, "1024-target batch: {many} > {bound} bytes");
     assert!(one <= many, "1-target batch: {one} > {many} bytes");
 }

@@ -96,7 +96,7 @@ pub fn gcn_layer_planned_into(
 
     if k_in <= k_out {
         plan.run_at_precision_into(a, h, qbuf, mid)?;
-        dense_update_with(kd, mid, w, bias, activation, threads, out)?;
+        dense_update_with(kd, mid, w, bias, activation, threads, None, out)?;
         return Ok(FusedOrder::AggregateFirst);
     }
     matmul_packed_with(kd, h, w, threads, mid)?;

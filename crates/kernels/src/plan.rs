@@ -40,9 +40,12 @@ use crate::engine::SpmmStrategy;
 use crate::spmm::{spmm_rows_with, FeatureOperand};
 
 // BOUNDS: indexing in this module walks partition boundary vectors whose
-// construction guarantees `0 <= p[i] < p[i+1] <= nrows` (see
-// `nnz_balanced_partition`), CSR arrays validated by `Csr::from_coo`, and
-// sampled positions clamped with `.min(len)` in `fingerprint`.
+// construction guarantees `0 <= p[i] < p[i+1] <= len` over a row list of
+// `len` entries (see `nnz_balanced_partition` and its `_of` form), row
+// lists that `spmm_nnz_balanced_with` checks ascend inside the adjacency
+// before carving the output at their ids, CSR arrays validated by
+// `Csr::from_coo`, and sampled positions clamped with `.min(len)` in
+// `fingerprint`.
 
 /// Below this many scalar multiply-adds (`nnz * K`) a plan resolves
 /// sequential: a broadcast costs on the order of microseconds, which small
@@ -137,6 +140,35 @@ pub fn nnz_balanced_partition(row_ptr: &[usize], slots: usize) -> Vec<usize> {
         partition.push(n);
     }
     partition
+}
+
+/// [`nnz_balanced_partition`] over the ascending row list `rows` of `a`,
+/// into `out` (reused, so a steady caller does not allocate): boundaries
+/// are positions in `rows`, by the same rule — boundary `i` is the first
+/// position whose non-zero prefix reaches `i * nnz / slots` — found in
+/// one `O(|rows|)` prefix walk instead of a binary search over a stored
+/// prefix.
+pub fn nnz_balanced_partition_of(a: &Csr, rows: &[usize], slots: usize, out: &mut Vec<usize>) {
+    let nnz: usize = rows.iter().map(|&v| a.row_nnz(v)).sum();
+    let slots = slots.max(1);
+    out.clear();
+    out.push(0);
+    // `prefix` = the non-zeros of `rows[..j]`.
+    let (mut j, mut prefix, mut last) = (0, 0, 0);
+    for i in 1..slots {
+        let target = i * nnz / slots;
+        while j < rows.len() && prefix < target {
+            prefix += a.row_nnz(rows[j]);
+            j += 1;
+        }
+        if j > last {
+            out.push(j);
+            last = j;
+        }
+    }
+    if last < rows.len() {
+        out.push(rows.len());
+    }
 }
 
 /// A precomputed execution plan for repeated SpMM against one adjacency.
@@ -378,7 +410,7 @@ impl SpmmPlan {
         match exec {
             // The one arm with planned state: the cached partition.
             SpmmStrategy::VertexParallel { threads } => {
-                spmm_nnz_balanced_with(self.kernel, a, h, &self.partition, threads, out)
+                spmm_nnz_balanced_with(self.kernel, a, h, None, &self.partition, threads, out)
             }
             other => other.run_into(a, h, out),
         }
@@ -406,7 +438,7 @@ impl SpmmPlan {
         match self.precision {
             Precision::F32 => self.run_into(a, h, out),
             narrow => {
-                qbuf.encode(h, narrow)?;
+                qbuf.encode(h, None, narrow)?;
                 self.run_into(a, &*qbuf, out)
             }
         }
@@ -458,20 +490,30 @@ pub fn fingerprint(a: &Csr) -> u64 {
 
 /// SpMM over precomputed NNZ-balanced row ranges on an explicit
 /// [`KernelDispatch`] (the plan's cached backend drives the row loops
-/// instead of re-resolving per call): each pool share owns one contiguous
-/// range of output rows exclusively (no atomics, no locks held across
-/// rows), and because ranges hold ~equal non-zeros, no share serializes on
-/// a heavy chunk the way count-based chunking does. This is the kernel
-/// behind [`SpmmStrategy::VertexParallel`].
+/// instead of re-resolving per call), over the rows `rows` of `A`: an
+/// ascending list of row ids, or every row for `None`. `partition` holds
+/// positions in that list ([`nnz_balanced_partition`] for every row,
+/// [`nnz_balanced_partition_of`] for a list). Output row `v` is `A`'s own
+/// row `v` times `h` read at global column ids, written at row `v` of the
+/// `a.nrows() x k` output; rows outside the list keep what they held, so a
+/// list reads its operand and writes its output in place.
+///
+/// Each pool share owns the output rows from its first id through its last
+/// exclusively (the list ascends; no atomics, no locks held across rows),
+/// and because ranges hold ~equal non-zeros, no share serializes on a heavy
+/// chunk the way count-based chunking does. This is the kernel behind
+/// [`SpmmStrategy::VertexParallel`].
 ///
 /// # Errors
 ///
-/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch and
+/// Returns [`MatrixError::DimensionMismatch`] on shape mismatch or a list
+/// that does not ascend strictly inside `a`, and
 /// [`MatrixError::ZeroThreads`] if `threads == 0`.
 pub fn spmm_nnz_balanced_with<F: FeatureOperand>(
     kd: KernelDispatch,
     a: &Csr,
     h: &F,
+    rows: Option<&[usize]>,
     partition: &[usize],
     threads: usize,
     out: &mut DenseMatrix,
@@ -481,34 +523,56 @@ pub fn spmm_nnz_balanced_with<F: FeatureOperand>(
         return Err(MatrixError::ZeroThreads);
     }
     let (n, k) = (a.nrows(), h.shape().1);
-    debug_assert_eq!(partition.last().copied().unwrap_or(0), n);
-    // Every row in [0, n) lands in exactly one partition share and the
-    // row kernel overwrites, so no memset here.
+    let ascending =
+        |ids: &[usize]| ids.windows(2).all(|w| w[0] < w[1]) && ids.last().is_none_or(|&v| v < n);
+    if let Some(ids) = rows.filter(|ids| !ascending(ids)) {
+        return Err(MatrixError::DimensionMismatch {
+            op: "spmm_nnz_balanced rows",
+            lhs: a.shape(),
+            rhs: (ids.len(), 1),
+        });
+    }
+    let len = rows.map_or(n, <[usize]>::len);
+    debug_assert_eq!(partition.last().copied().unwrap_or(0), len);
+    // Every listed row lands in exactly one partition share and the row
+    // kernel overwrites, so no memset here.
     out.resize_for_overwrite(n, k);
-    if n == 0 || k == 0 {
+    if len == 0 || k == 0 {
         return Ok(());
     }
+    let id = |i: usize| rows.map_or(i, |ids| ids[i]);
+    let run = |out: &mut [f32], first: usize, (lo, hi): (usize, usize)| match rows {
+        None => spmm_rows_with(kd, a, h, lo..hi, out, first),
+        Some(ids) => spmm_rows_with(kd, a, h, ids[lo..hi].iter().copied(), out, first),
+    };
     if threads == 1 || partition.len() < 3 {
-        spmm_rows_with(kd, a, h, out.as_mut_slice(), 0, n, k);
+        run(out.as_mut_slice(), 0, (0, len));
         return Ok(());
     }
 
-    // Pre-split the output at the partition boundaries. Share index ==
-    // slot index and each share locks only its own slice, so the mutexes
-    // never contend — they only hand `&mut` slices through a `Fn` closure.
+    // Pre-split the output at the shares' first and last ids. Share index
+    // == slot index and each share locks only its own slice, so the
+    // mutexes never contend — they only hand `&mut` slices through a `Fn`
+    // closure.
     // lint:allow(L005): per-call slot table of ~16x-threads pointers —
     // orders of magnitude below the counting-allocator activation budget.
     let mut slices: Vec<Mutex<&mut [f32]>> = Vec::with_capacity(partition.len() - 1);
-    let mut rest = out.as_mut_slice();
+    let (mut rest, mut at) = (out.as_mut_slice(), 0);
     for w in partition.windows(2) {
-        let (slice, remaining) = rest.split_at_mut((w[1] - w[0]) * k);
-        rest = remaining;
+        let (first, end) = (id(w[0]), id(w[1] - 1) + 1);
+        let (_, tail) = std::mem::take(&mut rest).split_at_mut((first - at) * k);
+        let (slice, tail) = tail.split_at_mut((end - first) * k);
+        (rest, at) = (tail, end);
         slices.push(Mutex::new(slice));
     }
     let slots = slices.len();
     pool::global().broadcast(threads.min(slots), slots, |s| {
         let mut slice = slices[s].lock();
-        spmm_rows_with(kd, a, h, &mut slice, partition[s], partition[s + 1], k);
+        run(
+            &mut slice,
+            id(partition[s]),
+            (partition[s], partition[s + 1]),
+        );
     });
     Ok(())
 }
@@ -589,13 +653,69 @@ mod tests {
             let p = nnz_balanced_partition(a.row_ptr(), slots);
             for threads in [1, 2, 4, 9] {
                 let mut out = DenseMatrix::filled(10, 10, f32::NAN);
-                spmm_nnz_balanced_with(KernelDispatch::get(), &a, &h, &p, threads, &mut out)
+                spmm_nnz_balanced_with(KernelDispatch::get(), &a, &h, None, &p, threads, &mut out)
                     .unwrap();
                 assert!(
                     reference.max_abs_diff(&out) < 1e-4,
                     "slots={slots} threads={threads}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn list_partition_is_the_prefix_rule_over_the_list() {
+        // The one-walk partition of a row list equals the binary-search
+        // partition of that list's stored non-zero prefix.
+        let mut rng = StdRng::seed_from_u64(21);
+        let a = random_csr(&mut rng, 300, 2400);
+        let mut got = Vec::new();
+        for ids in [
+            vec![],
+            vec![7],
+            (0..300).step_by(3).collect(),
+            (0..300).collect(),
+        ] {
+            let mut prefix = vec![0];
+            for &v in &ids {
+                prefix.push(prefix.last().unwrap() + a.row_nnz(v));
+            }
+            for slots in [1, 2, 7, 32, 500] {
+                nnz_balanced_partition_of(&a, &ids, slots, &mut got);
+                assert_eq!(got, nnz_balanced_partition(&prefix, slots), "slots={slots}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_list_spmm_writes_exactly_its_rows_bitwise() {
+        // Listed rows carry the whole-matrix kernel's bits at every width;
+        // every other output row keeps what it held. A list that does not
+        // ascend inside `a` is rejected.
+        let mut rng = StdRng::seed_from_u64(22);
+        let a = random_csr(&mut rng, 200, 1600);
+        let h = random_dense(&mut rng, 200, 9);
+        let whole = spmm_sequential(&a, &h).unwrap();
+        let ids: Vec<usize> = (0..200).filter(|v| v % 7 < 3).collect();
+        let mut p = Vec::new();
+        for (slots, threads) in [(1, 1), (4, 2), (16, 4), (64, 9)] {
+            nnz_balanced_partition_of(&a, &ids, slots, &mut p);
+            let mut out = DenseMatrix::filled(200, 9, f32::NAN);
+            let kd = KernelDispatch::get();
+            spmm_nnz_balanced_with(kd, &a, &h, Some(&ids), &p, threads, &mut out).unwrap();
+            for v in 0..200 {
+                if v % 7 < 3 {
+                    assert_eq!(out.row(v), whole.row(v), "row {v} threads={threads}");
+                } else {
+                    assert!(out.row(v).iter().all(|x| x.is_nan()), "row {v} touched");
+                }
+            }
+        }
+        for bad in [&[4usize, 4][..], &[9, 2], &[199, 200]] {
+            let mut out = DenseMatrix::default();
+            let kd = KernelDispatch::get();
+            let ran = spmm_nnz_balanced_with(kd, &a, &h, Some(bad), &[0, 2], 2, &mut out);
+            assert!(matches!(ran, Err(MatrixError::DimensionMismatch { .. })));
         }
     }
 
@@ -720,7 +840,7 @@ mod tests {
         let p = nnz_balanced_partition(a.row_ptr(), 2);
         let mut out = DenseMatrix::default();
         assert!(matches!(
-            spmm_nnz_balanced_with(KernelDispatch::get(), &a, &h, &p, 0, &mut out),
+            spmm_nnz_balanced_with(KernelDispatch::get(), &a, &h, None, &p, 0, &mut out),
             Err(MatrixError::ZeroThreads)
         ));
     }
@@ -771,7 +891,7 @@ mod tests {
                         plan.run_into(a, &h, &mut out).unwrap();
                         (spmm_sequential(a, &h).unwrap(), f32_tol)
                     } else {
-                        q.encode(&h, p).unwrap();
+                        q.encode(&h, None, p).unwrap();
                         let ran = plan.run_into(a, &q, &mut out);
                         if f32_only {
                             assert!(
@@ -952,7 +1072,7 @@ mod tests {
         let a = random_csr(&mut rng, 40, 160);
         let h_bad = random_dense(&mut rng, 41, 5);
         let mut q = QuantMatrix::new();
-        q.encode(&h_bad, Precision::Bf16).unwrap();
+        q.encode(&h_bad, None, Precision::Bf16).unwrap();
         let plan = SpmmPlan::new(&a, 5).at_precision(Precision::Bf16);
         let mut out = DenseMatrix::default();
         assert!(matches!(

@@ -110,23 +110,22 @@ pub(crate) fn check<F: FeatureOperand>(
     Ok(())
 }
 
-/// Computes rows `[row_start, row_end)` of `A * H` into `out_rows`
-/// (row-major, `(row_end - row_start) * k` elements, overwritten) on an explicit
-/// [`KernelDispatch`]. The shared inner loop of the sequential and
-/// vertex-parallel kernels: one [`FeatureOperand::fill_row`] per output
-/// row.
+/// Computes the rows `rows` (ascending global ids) of `A * H` into
+/// `out_rows`, row `v` at offset `(v - first) * k` (row-major, overwritten)
+/// on an explicit [`KernelDispatch`]. The shared inner loop of the
+/// sequential and vertex-parallel kernels: one [`FeatureOperand::fill_row`]
+/// per output row, over `A`'s own row `v` and `H`'s rows at global ids.
 pub(crate) fn spmm_rows_with<F: FeatureOperand>(
     kd: KernelDispatch,
     a: &Csr,
     h: &F,
+    rows: impl Iterator<Item = usize>,
     out_rows: &mut [f32],
-    row_start: usize,
-    row_end: usize,
-    k: usize,
+    first: usize,
 ) {
-    debug_assert_eq!(out_rows.len(), (row_end - row_start) * k);
-    for u in row_start..row_end {
-        let row_out = &mut out_rows[(u - row_start) * k..(u - row_start + 1) * k];
+    let k = h.shape().1;
+    for u in rows {
+        let row_out = &mut out_rows[(u - first) * k..(u - first + 1) * k];
         h.fill_row(kd, row_out, a.row_cols(u), a.row_values(u));
     }
 }
@@ -156,7 +155,7 @@ pub fn spmm_sequential_into<F: FeatureOperand>(
     check("spmm_sequential", a, h)?;
     let (n, k) = (a.nrows(), h.shape().1);
     out.resize_for_overwrite(n, k);
-    spmm_rows_with(KernelDispatch::get(), a, h, out.as_mut_slice(), 0, n, k);
+    spmm_rows_with(KernelDispatch::get(), a, h, 0..n, out.as_mut_slice(), 0);
     Ok(())
 }
 
@@ -202,7 +201,7 @@ pub fn spmm_edge_parallel_into(
     // Resolve the micro-kernel backend once, outside the broadcast.
     let kd = KernelDispatch::get();
     if threads == 1 {
-        spmm_rows_with(kd, a, h, out.as_mut_slice(), 0, n, k);
+        spmm_rows_with(kd, a, h, 0..n, out.as_mut_slice(), 0);
         return Ok(());
     }
 

@@ -154,11 +154,6 @@ impl DenseMatrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the backing vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Iterates over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols.max(1))

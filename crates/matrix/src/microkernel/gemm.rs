@@ -8,10 +8,15 @@
 // kc * NR` at the single `with_f32` call, (b) operand rows via
 // `DenseMatrix::row` (length-checked by construction) sliced to the depth
 // block `[pc, pe)` with `pe <= a.cols()`, (c) the fixed `[[f32; NR]; MR]`
-// accumulator tile, (d) output chunks carved by `chunks_mut(rows_per * n)`
-// from a buffer sized `m * n`, written at tile coordinates clamped to the
-// chunk's rows and to `n`, and (e) the bias, whose length `n` is checked
-// at the entry point; `check_shapes` ties the operand dimensions together.
+// accumulator tile, (d) the row list, read at positions below its length,
+// and output chunks carved at the global rows of their shares' first and
+// last list entries from a buffer sized `a.rows() * n` (the entry point
+// checks the list is ascending and inside `a`), written at tile row
+// offsets inside the chunk and columns clamped to `n`, (e) the bias,
+// whose length `n` is checked at the entry point, and (f) a row block's
+// tile table, of which `MC` rows fill at most `MC / MR` entries (`MC` is
+// a multiple of `MR`, asserted at compile time); `check_shapes` ties the
+// operand dimensions together.
 
 use super::{Backend, KernelDispatch};
 use crate::activation::Activation;
@@ -41,16 +46,22 @@ const KC: usize = 256;
 /// 72 KB of `A` (twelve tiles), sized for L2.
 const MC: usize = 72;
 
+// A row block is a whole number of tiles: `gemm_block`'s tile table holds
+// `MC / MR` entries.
+const _: () = assert!(MC.is_multiple_of(MR));
+
 /// Column block: columns of `B` packed per depth block (bounds the shared
 /// B panel at `KC * NC` floats = 512 KB).
 const NC: usize = 512;
 
-/// Where a register tile lands in the output: chunk-local row `row0`,
-/// global column `j0`, and the `rows x cols` corner of the tile that falls
-/// inside `C`.
+/// Where a register tile lands in the output: the chunk offset of each
+/// tile row's first element (`C`'s rows need not be adjacent; borrowed from
+/// the row block's tile table, which measured faster than copying the six
+/// offsets into every call), global column `j0`, and the `rows x cols`
+/// corner of the tile that falls inside `C`.
 #[derive(Clone, Copy)]
-struct TileAt {
-    row0: usize,
+struct TileAt<'r> {
+    c_rows: &'r [usize; MR],
     j0: usize,
     rows: usize,
     cols: usize,
@@ -80,14 +91,15 @@ impl KernelDispatch {
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2Fma => {
                 let kc = a[0].len();
-                let c_end = (at.row0 + at.rows.max(1) - 1) * wb.n + at.j0 + at.cols;
                 assert!(
                     a.iter().all(|r| r.len() == kc)
                         && bp.len() >= kc * NR
                         && (1..=MR).contains(&at.rows)
                         && at.cols <= NR
                         && at.j0 + at.cols <= wb.n
-                        && c_end <= c.len()
+                        && at.c_rows[..at.rows]
+                            .iter()
+                            .all(|&o| o + at.j0 + at.cols <= c.len())
                         && wb.bias.is_none_or(|b| b.len() >= wb.n),
                     "gemm tile outside its operands"
                 );
@@ -143,8 +155,8 @@ fn tile_scalar(a: &[&[f32]; MR], bp: &[f32]) -> [[f32; NR]; MR] {
 /// element in the order the unfused `matmul_packed_with` → `add_row_bias`
 /// → `apply_activation` runs (the portable and scalar epilogue).
 fn write_back(acc: &[[f32; NR]; MR], c: &mut [f32], at: TileAt, wb: &WriteBack) {
-    for (r, row) in acc.iter().enumerate().take(at.rows) {
-        let base = (at.row0 + r) * wb.n + at.j0;
+    for (row, &c_row) in acc.iter().zip(at.c_rows).take(at.rows) {
+        let base = c_row + at.j0;
         for (j, (d, &v)) in c[base..base + at.cols].iter_mut().zip(row).enumerate() {
             let v = if wb.first { 0.0 + v } else { *d + v };
             *d = if wb.last {
@@ -170,9 +182,9 @@ fn write_back(acc: &[[f32; NR]; MR], c: &mut [f32], at: TileAt, wb: &WriteBack) 
 /// The caller must guarantee the CPU supports AVX2 and FMA (the
 /// [`KernelDispatch`] invariant); that every `a[r]` has the length `kc` of
 /// `a[0]` and `bp.len() >= kc * NR`; that `1 <= at.rows <= MR`,
-/// `at.cols <= NR` and `at.j0 + at.cols <= wb.n`; that `c` holds row
-/// `at.row0 + at.rows - 1` of stride `wb.n` through column
-/// `at.j0 + at.cols`; and that a bias, if any, holds `wb.n` floats.
+/// `at.cols <= NR` and `at.j0 + at.cols <= wb.n`; that `c` holds
+/// `at.c_rows[r] + at.j0 + at.cols` floats for every tile row
+/// `r < at.rows`; and that a bias, if any, holds `wb.n` floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 // SAFETY: `unsafe fn` for `#[target_feature]` and the bounds contract
@@ -209,8 +221,8 @@ unsafe fn tile_avx2(a: &[&[f32]; MR], bp: &[f32], c: &mut [f32], at: TileAt, wb:
         return write_back(&tile, c, at, wb);
     }
     let zero = _mm256_setzero_ps();
-    for (r, row) in acc.iter().enumerate().take(at.rows) {
-        let base = (at.row0 + r) * wb.n + at.j0;
+    for (row, &c_row) in acc.iter().zip(at.c_rows).take(at.rows) {
+        let base = c_row + at.j0;
         for (half, &v) in row.iter().enumerate() {
             // SAFETY: the tile is full width, so the eight lanes at
             // `j0 + 8 * half` lie inside both `c`'s row and the bias
@@ -257,12 +269,15 @@ fn pack_b_block(b: &DenseMatrix, pc: usize, pe: usize, jc: usize, je: usize, dst
 type Span = (usize, usize);
 
 /// One executor's work for one `(cols, depth)` block: every register tile
-/// of its row range, `MC` rows at a time, against the shared packed B
-/// panel, reading its `A` rows in place.
+/// of its positions `[row_start, row_end)` in the row list `ids`, `MC` rows
+/// at a time, against the shared packed B panel, reading each `A` row in
+/// place at its global id and writing `C`'s row at the same id into the
+/// executor's chunk, which starts at the global row of its first id.
 #[allow(clippy::too_many_arguments)]
 fn gemm_block(
     kd: KernelDispatch,
     a: &DenseMatrix,
+    ids: Option<&[usize]>,
     c_chunk: &mut [f32],
     (row_start, row_end): Span,
     (jc, je): Span,
@@ -270,31 +285,43 @@ fn gemm_block(
     bpanel: &[f32],
     wb: &WriteBack,
 ) {
+    let id = |i: usize| ids.map_or(i, |ids| ids[i]);
+    let row0 = id(row_start);
     let pslot = (pe - pc) * NR;
     let jpanels = (je - jc).div_ceil(NR);
     let mut ic = row_start;
     while ic < row_end {
         let ie = (ic + MC).min(row_end);
+        // The block's tiles — their `A` rows, `C` offsets and heights — are
+        // the same against every B micro-panel, so they are resolved once.
+        // A short edge tile repeats its last row; the write-back masks the
+        // copies.
+        let mut tiles = [([&[] as &[f32]; MR], [0usize; MR], 0usize); MC / MR];
+        let (mut count, mut i0) = (0, ic);
+        while i0 < ie {
+            let rows = (ie - i0).min(MR);
+            let tile: [usize; MR] = std::array::from_fn(|r| id(i0 + r.min(rows - 1)));
+            tiles[count] = (
+                tile.map(|v| &a.row(v)[pc..pe]),
+                tile.map(|v| (v - row0) * wb.n),
+                rows,
+            );
+            (count, i0) = (count + 1, i0 + rows);
+        }
         // B micro-panel outermost: it stays hot in L1 across every tile of
         // this MC block.
         for jr in 0..jpanels {
             let bp = &bpanel[jr * pslot..(jr + 1) * pslot];
             let j0 = jc + jr * NR;
             let cols = (je - j0).min(NR);
-            let mut i0 = ic;
-            while i0 < ie {
-                let rows = (ie - i0).min(MR);
-                // A short edge tile repeats its last row; the write-back
-                // masks the copies.
-                let arows = std::array::from_fn(|r| &a.row(i0 + r.min(rows - 1))[pc..pe]);
+            for (arows, c_rows, rows) in &tiles[..count] {
                 let at = TileAt {
-                    row0: i0 - row_start,
+                    c_rows,
                     j0,
-                    rows,
+                    rows: *rows,
                     cols,
                 };
-                kd.tile(&arows, bp, c_chunk, at, wb);
-                i0 += rows;
+                kd.tile(arows, bp, c_chunk, at, wb);
             }
         }
         ic = ie;
@@ -303,24 +330,31 @@ fn gemm_block(
 
 /// The dense update of a GCN layer in one pass, `C = act(A * W + bias)`,
 /// on the cache-blocked, `B`-packed, register-tiled GEMM running its tiles
-/// on an explicit [`KernelDispatch`].
+/// on an explicit [`KernelDispatch`], over the rows `rows` of `A` and `C`:
+/// an ascending list of row ids, or every row for `None`. Row `v` of `C`
+/// is computed from row `v` of `A`, so a list reads `A` and writes `C` in
+/// place at global ids; `C`'s rows outside it are left as they were.
 ///
-/// Rows of `A` are split contiguously across `threads` pool executors,
-/// each reading its rows of `A` in place; the `W` panel for the current
-/// `(jc, pc)` block is packed once into pool-owned, 64-byte-aligned
+/// The list is split into contiguous position ranges across `threads`
+/// pool executors, each reading its rows of `A` in place and owning the
+/// rows of `C` between its first and last id; the `W` panel for the
+/// current `(jc, pc)` block is packed once into pool-owned, 64-byte-aligned
 /// scratch and shared read-only. Each tile writes `C` directly: the first
 /// depth block stores, later ones add, and the last one adds `bias[j]` and
-/// applies `act`. `c` is reshaped with
+/// applies `act`. `c` is reshaped to `a.rows() x w.cols()` with
 /// [`DenseMatrix::resize_for_overwrite`], so steady-state calls at fixed
 /// shapes neither allocate nor clear the output. Per element the result is
 /// bitwise equal to [`matmul_packed_with`] followed by
-/// [`DenseMatrix::add_row_bias`] and [`DenseMatrix::apply_activation`].
+/// [`DenseMatrix::add_row_bias`] and [`DenseMatrix::apply_activation`],
+/// whatever the list, the thread count or the row's neighbours.
 ///
 /// # Errors
 ///
-/// Returns [`MatrixError::DimensionMismatch`] if `a.cols() != w.rows()` or
-/// a bias is not `w.cols()` long, and [`MatrixError::ZeroThreads`] if
-/// `threads == 0` — all before any work.
+/// Returns [`MatrixError::DimensionMismatch`] if `a.cols() != w.rows()`, a
+/// bias is not `w.cols()` long, or `rows` does not ascend strictly inside
+/// `a`, and [`MatrixError::ZeroThreads`] if `threads == 0` — all before any
+/// work.
+#[allow(clippy::too_many_arguments)]
 pub fn dense_update_with(
     kd: KernelDispatch,
     a: &DenseMatrix,
@@ -328,6 +362,7 @@ pub fn dense_update_with(
     bias: Option<&[f32]>,
     act: Activation,
     threads: usize,
+    rows: Option<&[usize]>,
     c: &mut DenseMatrix,
 ) -> Result<()> {
     check_shapes("dense_update", a, w)?;
@@ -343,24 +378,40 @@ pub fn dense_update_with(
             rhs: (1, b.len()),
         });
     }
+    if let Some(ids) = rows.filter(|ids| !ascending_below(ids, m)) {
+        return Err(MatrixError::DimensionMismatch {
+            op: "dense_update rows",
+            lhs: (m, k),
+            rhs: (ids.len(), 1),
+        });
+    }
     c.resize_for_overwrite(m, n);
-    if m == 0 || n == 0 {
+    let len = rows.map_or(m, <[usize]>::len);
+    if len == 0 || n == 0 {
         return Ok(());
     }
 
     let pool = pool::global();
-    let executors = threads.clamp(1, pool.width()).min(m);
-    let rows_per = m.div_ceil(executors);
-    // Each executor owns a contiguous row range of C exclusively; the
-    // mutexes never contend, they only hand `&mut` slices through `Fn`.
-    let chunks: Vec<Mutex<&mut [f32]>> = c
-        .as_mut_slice()
-        .chunks_mut(rows_per * n)
-        .map(Mutex::new)
+    let per = len.div_ceil(threads.clamp(1, pool.width()).min(len));
+    let executors = len.div_ceil(per);
+    let id = |i: usize| rows.map_or(i, |ids| ids[i]);
+    // Each executor owns the rows of C from its first id through its last
+    // exclusively (the list ascends); the mutexes never contend, they only
+    // hand `&mut` slices through `Fn`.
+    let span = |t: usize| (t * per, ((t + 1) * per).min(len));
+    let (mut rest, mut at) = (c.as_mut_slice(), 0);
+    let chunks: Vec<Mutex<&mut [f32]>> = (0..executors)
+        .map(|t| {
+            let (start, end) = span(t);
+            let (row0, row_end) = (id(start), id(end - 1) + 1);
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut((row0 - at) * n);
+            let (chunk, tail) = tail.split_at_mut((row_end - row0) * n);
+            (rest, at) = (tail, row_end);
+            Mutex::new(chunk)
+        })
         // lint:allow(L005): per-call chunk table of <= threads pointers —
         // orders of magnitude below the counting-allocator budget.
         .collect();
-    let executors = chunks.len();
 
     let bp_len = KC.min(k) * (NC.min(n)).div_ceil(NR) * NR;
     pool.scratch().with_f32(bp_len, |bpanel| {
@@ -382,15 +433,22 @@ pub fn dense_update_with(
                     act,
                 };
                 pool.broadcast(executors, executors, |t| {
-                    let row_start = t * rows_per;
-                    let row_end = (row_start + rows_per).min(m);
                     // Share index t locks only its own chunk, so the lock
                     // never contends; a poisoned lock only means another
                     // worker panicked and the guarded slice is still
                     // structurally valid to hand back.
                     let mut chunk = audit::recover("gemm.chunk", &chunks[t]);
-                    let rows = (row_start, row_end);
-                    gemm_block(kd, a, &mut chunk, rows, (jc, je), (pc, pe), bp, &wb);
+                    gemm_block(
+                        kd,
+                        a,
+                        rows,
+                        &mut chunk,
+                        span(t),
+                        (jc, je),
+                        (pc, pe),
+                        bp,
+                        &wb,
+                    );
                 });
                 pc = pe;
                 if pc == k {
@@ -401,6 +459,11 @@ pub fn dense_update_with(
         }
     });
     Ok(())
+}
+
+/// `ids` ascends strictly and every id is below `n`.
+fn ascending_below(ids: &[usize], n: usize) -> bool {
+    ids.windows(2).all(|w| w[0] < w[1]) && ids.last().is_none_or(|&v| v < n)
 }
 
 /// Cache-blocked, panel-packed GEMM `C = A * B` running its inner tiles on
@@ -419,7 +482,7 @@ pub fn matmul_packed_with(
     threads: usize,
     c: &mut DenseMatrix,
 ) -> Result<()> {
-    dense_update_with(kd, a, b, None, Activation::Identity, threads, c)
+    dense_update_with(kd, a, b, None, Activation::Identity, threads, None, c)
 }
 
 #[cfg(test)]
@@ -477,9 +540,49 @@ mod tests {
             Some(&[0.0; 4]),
             Activation::Relu,
             1,
+            None,
             &mut c,
         );
         assert!(matches!(err, Err(MatrixError::DimensionMismatch { .. })));
         assert_eq!(c, DenseMatrix::filled(2, 2, 7.0));
+    }
+
+    #[test]
+    fn a_row_list_writes_exactly_its_rows_bitwise() {
+        // Listed rows carry the whole-matrix call's bits on every backend
+        // and executor count (edge tiles, gaps between the shares' rows);
+        // every other row of `C` keeps what it held. A list that does not
+        // ascend inside `A` is rejected before `C` is touched.
+        let mut rng = StdRng::seed_from_u64(13);
+        let (a, w) = (
+            random_matrix(&mut rng, 40, 20),
+            random_matrix(&mut rng, 20, 19),
+        );
+        let bias: Vec<f32> = (0..19).map(|j| j as f32 * 0.1 - 1.0).collect();
+        let ids = [0usize, 3, 4, 5, 9, 17, 18, 30, 31, 32, 33, 39];
+        for kd in all_backends() {
+            let mut whole = DenseMatrix::default();
+            let b = Some(&bias[..]);
+            dense_update_with(kd, &a, &w, b, Activation::Relu, 1, None, &mut whole).unwrap();
+            for threads in [1, 2, 4, 9] {
+                let mut c = DenseMatrix::filled(40, 19, f32::NAN);
+                let act = Activation::Relu;
+                dense_update_with(kd, &a, &w, b, act, threads, Some(&ids), &mut c).unwrap();
+                for v in 0..40 {
+                    if ids.contains(&v) {
+                        assert_eq!(c.row(v), whole.row(v), "row {v} threads={threads}");
+                    } else {
+                        assert!(c.row(v).iter().all(|x| x.is_nan()), "row {v} touched");
+                    }
+                }
+            }
+            for bad in [&[3usize, 3][..], &[5, 4], &[39, 40]] {
+                let mut c = DenseMatrix::filled(2, 2, 7.0);
+                let act = Activation::Identity;
+                let err = dense_update_with(kd, &a, &w, None, act, 2, Some(bad), &mut c);
+                assert!(matches!(err, Err(MatrixError::DimensionMismatch { .. })));
+                assert_eq!(c, DenseMatrix::filled(2, 2, 7.0));
+            }
+        }
     }
 }

@@ -27,7 +27,8 @@
 // BOUNDS: all `[]` indexing in this module is over row slices carved as
 // `[r * cols .. (r + 1) * cols]` from payload buffers that `encode`
 // resizes to exactly `rows * cols` elements (and `scales` to `rows`), with
-// `r < rows` checked by the callers' loop bounds; `decode` writes through
+// `r < rows` checked by the callers' loop bounds or, for a row list, by
+// `encode`'s range check; `decode` writes through
 // the same row carving after `resize_zeroed(rows, cols)`.
 
 use crate::dense::DenseMatrix;
@@ -312,17 +313,35 @@ impl QuantMatrix {
         (&self.narrow, &self.scales)
     }
 
-    /// Re-encodes `src` at `precision`, reusing the payload buffers.
-    /// Int8 rows are calibrated independently ([`calibrate_scale`]).
+    /// Re-encodes `src`'s rows `rows` at `precision`, reusing the payload
+    /// buffers: an ascending list of row ids, each encoded at its own row of
+    /// a `src.rows() x src.cols()` payload (rows outside the list keep
+    /// stale values), or every row for `None`. Each row is encoded on its
+    /// own — element-wise for bf16 / f16, calibrated independently for
+    /// int8 ([`calibrate_scale`]) — so a row's bits do not depend on the
+    /// list it rides in.
     ///
     /// # Errors
     ///
     /// [`MatrixError::UnsupportedPrecision`] when `precision` is
     /// [`Precision::F32`] — full-precision operands stay in their
-    /// [`DenseMatrix`]; this container only holds narrowed payloads.
-    pub fn encode(&mut self, src: &DenseMatrix, precision: Precision) -> crate::Result<()> {
-        let (rows, cols) = src.shape();
-        self.rows = rows;
+    /// [`DenseMatrix`]; this container only holds narrowed payloads — and
+    /// [`MatrixError::DimensionMismatch`] for a listed row outside `src`.
+    pub fn encode(
+        &mut self,
+        src: &DenseMatrix,
+        rows: Option<&[usize]>,
+        precision: Precision,
+    ) -> crate::Result<()> {
+        let (n, cols) = src.shape();
+        if let Some(ids) = rows.filter(|ids| ids.iter().any(|&v| v >= n)) {
+            return Err(MatrixError::DimensionMismatch {
+                op: "quant.encode rows",
+                lhs: (n, cols),
+                rhs: (ids.len(), 1),
+            });
+        }
+        self.rows = n;
         self.cols = cols;
         self.precision = precision;
         match precision {
@@ -333,32 +352,38 @@ impl QuantMatrix {
             Precision::Bf16 => {
                 self.narrow.clear();
                 self.scales.clear();
-                self.wide.resize(rows * cols, 0);
-                for (d, &s) in self.wide.iter_mut().zip(src.as_slice()) {
-                    *d = f32_to_bf16(s);
-                }
+                self.wide.resize(n * cols, 0);
+                for_each_row(n, rows, |r| {
+                    let dst = &mut self.wide[r * cols..(r + 1) * cols];
+                    for (d, &s) in dst.iter_mut().zip(src.row(r)) {
+                        *d = f32_to_bf16(s);
+                    }
+                });
                 Ok(())
             }
             Precision::F16 => {
                 self.narrow.clear();
                 self.scales.clear();
-                self.wide.resize(rows * cols, 0);
-                for (d, &s) in self.wide.iter_mut().zip(src.as_slice()) {
-                    *d = f32_to_f16(s);
-                }
+                self.wide.resize(n * cols, 0);
+                for_each_row(n, rows, |r| {
+                    let dst = &mut self.wide[r * cols..(r + 1) * cols];
+                    for (d, &s) in dst.iter_mut().zip(src.row(r)) {
+                        *d = f32_to_f16(s);
+                    }
+                });
                 Ok(())
             }
             Precision::Int8 => {
                 self.wide.clear();
-                self.narrow.resize(rows * cols, 0);
-                self.scales.resize(rows, 1.0);
-                for r in 0..rows {
+                self.narrow.resize(n * cols, 0);
+                self.scales.resize(n, 1.0);
+                for_each_row(n, rows, |r| {
                     let src_row = src.row(r);
                     let scale = calibrate_scale(src_row);
                     self.scales[r] = scale;
                     let dst_row = &mut self.narrow[r * cols..(r + 1) * cols];
                     quantize_i8_slice(src_row, 1.0 / scale, dst_row);
-                }
+                });
                 Ok(())
             }
         }
@@ -389,6 +414,15 @@ impl QuantMatrix {
                 }
             }
         }
+    }
+}
+
+/// Calls `f` on each row id of `rows`: the listed ones, or `0..n` for
+/// `None`.
+fn for_each_row(n: usize, rows: Option<&[usize]>, f: impl FnMut(usize)) {
+    match rows {
+        None => (0..n).for_each(f),
+        Some(ids) => ids.iter().copied().for_each(f),
     }
 }
 
@@ -493,7 +527,7 @@ mod tests {
         let mut q = QuantMatrix::new();
         let mut back = DenseMatrix::default();
         for p in [Precision::Bf16, Precision::F16, Precision::Int8] {
-            q.encode(&src, p).unwrap();
+            q.encode(&src, None, p).unwrap();
             assert_eq!(q.shape(), src.shape());
             q.decode(&mut back);
             for r in 0..src.rows() {
@@ -513,11 +547,38 @@ mod tests {
     }
 
     #[test]
+    fn a_row_list_encodes_exactly_its_rows() {
+        // Listed rows decode to the whole-matrix encode's bits; a row
+        // outside `src` is rejected.
+        let data = (0..5 * 3).map(|i| (i as f32 - 7.0) * 0.37).collect();
+        let src = DenseMatrix::from_vec(5, 3, data).unwrap();
+        let (mut q, mut whole, mut back) = (
+            QuantMatrix::new(),
+            DenseMatrix::default(),
+            DenseMatrix::default(),
+        );
+        for p in [Precision::Bf16, Precision::F16, Precision::Int8] {
+            q.encode(&src, None, p).unwrap();
+            q.decode(&mut whole);
+            q.encode(&src, Some(&[1, 4]), p).unwrap();
+            q.decode(&mut back);
+            assert_eq!(q.shape(), src.shape());
+            for r in [1, 4] {
+                assert_eq!(back.row(r), whole.row(r), "{p} row {r}");
+            }
+            assert!(matches!(
+                q.encode(&src, Some(&[2, 5]), p),
+                Err(MatrixError::DimensionMismatch { .. })
+            ));
+        }
+    }
+
+    #[test]
     fn encode_rejects_f32() {
         let src = DenseMatrix::zeros(2, 2);
         let mut q = QuantMatrix::new();
         assert!(matches!(
-            q.encode(&src, Precision::F32),
+            q.encode(&src, None, Precision::F32),
             Err(MatrixError::UnsupportedPrecision { .. })
         ));
     }

@@ -291,8 +291,8 @@ fn smoke_low_rate_zero_sheds() {
 }
 
 /// Closed-loop burst: coalescing must beat per-request dispatch on wall
-/// clock (the batched service runs a handful of gathered calls where the
-/// per-request one builds a sub-plan per request).
+/// clock (the batched service expands and runs a handful of layer stacks
+/// where the per-request one runs one per request).
 #[test]
 fn smoke_batching_beats_per_request() {
     let _quiet = fault::arm(FaultConfig::new(0));

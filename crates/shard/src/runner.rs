@@ -276,7 +276,7 @@ impl ShardedGcn {
         match ex.order {
             FusedOrder::AggregateFirst => {
                 self.aggregate(h, quant, mid, None)?;
-                dense_update_with(self.kd, mid, w, bias, layer.activation, threads, next)?;
+                dense_update_with(self.kd, mid, w, bias, layer.activation, threads, None, next)?;
             }
             FusedOrder::UpdateFirst => {
                 if let Some(b) = bias.filter(|b| b.len() != w.cols()) {
@@ -287,7 +287,16 @@ impl ShardedGcn {
                     }
                     .into());
                 }
-                dense_update_with(self.kd, h, w, None, Activation::Identity, threads, mid)?;
+                dense_update_with(
+                    self.kd,
+                    h,
+                    w,
+                    None,
+                    Activation::Identity,
+                    threads,
+                    None,
+                    mid,
+                )?;
                 self.aggregate(mid, quant, next, Some(layer))?;
             }
         }
@@ -309,7 +318,7 @@ impl ShardedGcn {
         match self.precision {
             Precision::F32 => self.run_blocks(src, out, tail),
             narrow => {
-                quant.encode(src, narrow)?;
+                quant.encode(src, None, narrow)?;
                 self.run_blocks(&*quant, out, tail)
             }
         }

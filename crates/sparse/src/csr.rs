@@ -204,14 +204,6 @@ impl Csr {
         })
     }
 
-    /// Decomposes the matrix into its raw `(row_ptr, col_idx, values)`
-    /// arrays — the inverse of [`Csr::from_raw`]. Callers that rebuild a
-    /// fresh matrix every batch (the gathered-neighbourhood inference path)
-    /// use this to recycle the backing buffers instead of reallocating.
-    pub fn into_raw(self) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
-        (self.row_ptr, self.col_idx, self.values)
-    }
-
     /// Re-checks every structural invariant of this matrix, plus a sweep
     /// for non-finite stored values. Construction through the safe entry
     /// points keeps the structure valid, so this is a boundary check for

@@ -1,8 +1,9 @@
 //! Bit-parity probe: one FNV-1a hash per inference path's output bits.
 //!
-//! Uses only calls that exist at every commit since PR 2, so the same file
-//! compiles in a `git clone` of a parent commit and in the tree; `diff` the
-//! two outputs to show a refactor kept every bit:
+//! Uses only long-standing public calls (the narrow rows entry point
+//! included), so the same file compiles in a `git clone` of a parent commit
+//! and in the tree; `diff` the two outputs to show a refactor kept every
+//! bit:
 //!
 //! ```text
 //! cargo run --release --example output_hashes
@@ -66,13 +67,27 @@ fn main() {
                 );
             }
         }
-        let mut ws = RowsWorkspace::new();
-        let mut out = DenseMatrix::default();
-        for targets in [vec![5], (0..64).map(|i| i * 7 % 1024).collect()] {
-            model
-                .infer_rows_planned_into(&a_hat, &x, &targets, &mut ws, &mut out)
-                .unwrap();
-            println!("{name} rows x{}: {:016x}", targets.len(), fnv(&out));
+        // Served rows at f32 and at two narrow precisions, each sequence
+        // through one workspace: a single vertex, a spread batch, the whole
+        // graph, then a batch after it (which must not read a row the
+        // whole-graph batch left behind).
+        let n = a_hat.nrows();
+        let batches: [Vec<usize>; 4] = [
+            vec![5],
+            (0..64).map(|i| i * 7 % 1024).collect(),
+            (0..n).rev().collect(),
+            vec![900, 3, 77, 3],
+        ];
+        for precision in [Precision::F32, Precision::Bf16, Precision::Int8] {
+            let mut ws = RowsWorkspace::new();
+            let mut out = DenseMatrix::default();
+            for targets in &batches {
+                model
+                    .infer_rows_planned_prec_into(&a_hat, &x, targets, precision, &mut ws, &mut out)
+                    .unwrap();
+                let size = targets.len();
+                println!("{name} rows {precision} x{size}: {:016x}", fnv(&out));
+            }
         }
     }
 }

@@ -117,7 +117,7 @@ fn main() {
     let f32_s = median_secs(|| spmm_sequential_into(&a, &h, &mut out).unwrap());
     println!("f32   {:8.3} ms", f32_s * 1e3);
     for p in [Precision::Bf16, Precision::F16, Precision::Int8] {
-        q.encode(&h, p).unwrap();
+        q.encode(&h, None, p).unwrap();
         let s = median_secs(|| spmm_sequential_into(&a, &q, &mut out).unwrap());
         println!(
             "{:5} {:8.3} ms  speedup {:.3}x",

@@ -120,7 +120,7 @@ fn row_kernel_skips_out_of_range_columns_at_every_width() {
     check(&h, "f32", (&cols, &weights), (&kept_cols, &kept_weights));
     let mut q = QuantMatrix::new();
     for p in [Precision::Bf16, Precision::F16, Precision::Int8] {
-        q.encode(&h, p).unwrap();
+        q.encode(&h, None, p).unwrap();
         check(&q, p.name(), (&cols, &weights), (&kept_cols, &kept_weights));
     }
 }
@@ -148,7 +148,7 @@ fn spmm_into_a_stale_same_shape_buffer_leaves_no_nan() {
         for kd in backends() {
             for threads in [1usize, 4] {
                 let mut out = DenseMatrix::filled(n, k, f32::NAN);
-                spmm_nnz_balanced_with(kd, &a, &h, &partition, threads, &mut out).unwrap();
+                spmm_nnz_balanced_with(kd, &a, &h, None, &partition, threads, &mut out).unwrap();
                 assert!(out.all_finite(), "{} x{threads}", kd.backend().name());
                 assert!(reference.max_abs_diff(&out) < 1e-4);
             }
@@ -284,7 +284,7 @@ fn epilogue_matches_unfused_bitwise() {
                         }
                         want.apply_activation(act);
                         let mut got = DenseMatrix::filled(m, n, f32::NAN);
-                        dense_update_with(kd, &a, &w, b, act, threads, &mut got).unwrap();
+                        dense_update_with(kd, &a, &w, b, act, threads, None, &mut got).unwrap();
                         assert_eq!(
                             bits(got.as_slice()),
                             bits(want.as_slice()),

@@ -70,7 +70,7 @@ proptest! {
             seed_vals[..rows * cols].to_vec(),
         ).unwrap();
         let mut q = QuantMatrix::new();
-        q.encode(&src, Precision::Int8).unwrap();
+        q.encode(&src, None, Precision::Int8).unwrap();
         let mut back = DenseMatrix::default();
         q.decode(&mut back);
         for r in 0..rows {
@@ -109,7 +109,7 @@ proptest! {
         let mut q = QuantMatrix::new();
         let mut decoded = DenseMatrix::default();
         for precision in NARROW {
-            q.encode(&row, precision).unwrap();
+            q.encode(&row, None, precision).unwrap();
             q.decode(&mut decoded);
             let mut expect = vec![y_seed; x.len()];
             for (yj, xj) in expect.iter_mut().zip(decoded.as_slice()) {
