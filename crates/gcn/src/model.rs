@@ -83,12 +83,24 @@ impl InferenceWorkspace {
     /// downgrade along [`Precision::fallback`] — inspect the returned plan
     /// for the recorded downgrade.
     pub fn plan_for(&mut self, a_hat: &Csr, k: usize, precision: Precision) -> &SpmmPlan {
-        let plan = match self.plan.take() {
-            Some(p) if p.matches(a_hat) => p,
-            _ => SpmmPlan::new(a_hat, k),
-        };
-        self.plan.insert(plan.at_precision(precision))
+        cached_plan(&mut self.plan, a_hat, k, precision)
     }
+}
+
+/// The plan-cache rule every workspace keeps one plan by
+/// ([`InferenceWorkspace::plan_for`]): `slot`'s plan when it was built for
+/// `a_hat`, else a fresh pool-width one, re-targeted to `precision`.
+pub(crate) fn cached_plan<'s>(
+    slot: &'s mut Option<SpmmPlan>,
+    a_hat: &Csr,
+    k: usize,
+    precision: Precision,
+) -> &'s SpmmPlan {
+    let plan = match slot.take() {
+        Some(p) if p.matches(a_hat) => p,
+        _ => SpmmPlan::new(a_hat, k),
+    };
+    slot.insert(plan.at_precision(precision))
 }
 
 /// One GCN layer: a weight matrix, an optional bias, and an activation.
@@ -286,11 +298,12 @@ impl GcnModel {
             let mut attempt = |plan: &SpmmPlan| {
                 gcn_layer_planned_into(
                     a_hat,
-                    h,
+                    Some(h),
                     &layer.weight,
                     layer.bias.as_deref(),
                     layer.activation,
                     plan,
+                    None,
                     qbuf,
                     mid,
                     next,

@@ -11,18 +11,24 @@
 //!   `V_l` (with self-loops the levels nest, `V_l ⊆ V_{l-1}`; nothing below
 //!   relies on that).
 //!
-//! **Rows on global ids.** Layer `l` computes `A_hat`'s own rows `V_l` (a
-//! row list, not a renumbered copy) from its operand read at global column
-//! ids, all in `V_{l-1}`; layer 1 reads `X` in place. Each layer writes its
-//! rows at their ids into one of two `n x K` workspace buffers, so a batch
-//! gathers, renumbers and plans nothing: the SpMM's NNZ partition is an
-//! `O(|V_l|)` prefix walk over the list
-//! ([`kernels::plan::nnz_balanced_partition_of`]), the dense update takes
-//! the list for `A` and `C` ([`matrix::microkernel::dense_update_with`]),
-//! and a narrow precision encodes only the level's rows. The lists ascend,
-//! so each pool share owns a contiguous range of output rows. A buffer row
-//! outside the level may hold an earlier batch's value; no layer reads one,
-//! as every column of a row in `V_l` is in `V_{l-1}`, just written below.
+//! **Rows on global ids.** Layer `l` is the one GCN layer function
+//! ([`kernels::fused::gcn_layer_planned_into`]) restricted to row lists
+//! ([`kernels::plan::RowLists`]): it computes `A_hat`'s own rows `V_l` from
+//! its input's rows `V_{l-1}`, read at global column ids. Layer 1 reads `X`
+//! in place; every layer writes its rows at their ids into one `n`-row
+//! buffer, which the next layer reads and overwrites in place (the
+//! intermediate product takes a second). So a batch gathers, renumbers and
+//! plans nothing: the layers run on one plan cached per adjacency, the
+//! SpMM's NNZ partition is an `O(|V_l|)` prefix walk over the list
+//! ([`kernels::plan::nnz_balanced_partition_of`]), and a narrow precision
+//! encodes only the level's rows. The lists ascend, so each pool share owns
+//! a contiguous range of output rows. A buffer row outside the level may
+//! hold an earlier batch's value; no layer reads one, as every column of a
+//! row in `V_l` is in `V_{l-1}`, just written below. The buffers take each
+//! layer's width in turn without re-zeroing
+//! ([`matrix::DenseMatrix::resize_for_overwrite`] keeps their most
+//! elements), so a steady batch writes only its own rows — its cost follows
+//! its levels, not `n`.
 //!
 //! **Why the bits do not change.** Each kept row walks exactly `A_hat`'s
 //! non-zeros in ascending column order through the same row kernel
@@ -41,10 +47,11 @@
 //! — is the whole vertex set.
 
 use crate::error::GcnError;
-use crate::model::GcnModel;
-use kernels::plan::{nnz_balanced_partition_of, spmm_nnz_balanced_with, PLAN_SLOTS_PER_THREAD};
-use matrix::microkernel::{dense_update_with, resolve_precision, KernelDispatch};
-use matrix::{Activation, DenseMatrix, MatrixError, Precision, QuantMatrix};
+use crate::model::{cached_plan, GcnModel};
+use kernels::fused::gcn_layer_planned_into;
+use kernels::plan::{nnz_balanced_partition_of, RowLists, PLAN_SLOTS_PER_THREAD};
+use kernels::SpmmPlan;
+use matrix::{DenseMatrix, Precision, QuantMatrix};
 use sparse::Csr;
 
 /// Statistics of one batched rows call (fed into the serving metrics: the
@@ -65,7 +72,8 @@ pub struct RowsBatchStats {
 }
 
 /// Reusable buffers for [`GcnModel::infer_rows_planned_into`]: visited
-/// marks, the levels, the SpMM's partition, two `n`-row global-id
+/// marks, the levels, the SpMM's partition, the plan the layers run on
+/// (kept while the adjacency is the same), two `n`-row global-id
 /// activation buffers and the narrow-encode buffer, each reused at its
 /// high-water mark.
 #[derive(Debug, Default)]
@@ -77,7 +85,10 @@ pub struct RowsWorkspace {
     levels: Vec<Vec<usize>>,
     /// The current layer's NNZ partition: positions in its row list.
     slots: Vec<usize>,
-    /// Layer outputs, at global row ids.
+    /// The plan every layer runs on, keyed by the adjacency's fingerprint.
+    plan: Option<SpmmPlan>,
+    /// Layer outputs, at global row ids: each layer after the first reads
+    /// its input here and overwrites it.
     h: DenseMatrix,
     /// The layer's intermediate product, at global row ids.
     mid: DenseMatrix,
@@ -100,18 +111,6 @@ impl RowsWorkspace {
         }
         self.epoch += 1;
         self.epoch
-    }
-}
-
-/// Puts a just-collected level (the vertices marked `epoch`) in ascending
-/// order: one pass over the marks when the level holds at least a
-/// sixteenth of the graph, which is cheaper than sorting it, else a sort.
-fn ascend(level: &mut Vec<usize>, mark: &[u32], epoch: u32) {
-    if level.len() >= mark.len() / 16 {
-        level.clear();
-        level.extend((0..mark.len()).filter(|&v| mark[v] == epoch));
-    } else {
-        level.sort_unstable();
     }
 }
 
@@ -194,7 +193,7 @@ impl GcnModel {
                 ws.levels[hops].push(t);
             }
         }
-        ascend(&mut ws.levels[hops], &ws.mark[..n], epoch);
+        ws.levels[hops].sort_unstable();
         let mut sub_nnz = 0;
         for l in (0..hops).rev() {
             let epoch = ws.next_epoch();
@@ -211,63 +210,46 @@ impl GcnModel {
                     }
                 }
             }
-            ascend(below, &ws.mark[..n], epoch);
+            below.sort_unstable();
         }
 
-        // --- The layers, on global ids, in the fused layer's association
-        // order: layer 0 reads `X` in place, and each layer's output
-        // overwrites `h`, which it has finished reading.
+        // --- The layers, on global ids: layer 0 reads `X` in place, and
+        // every later layer runs in place on `h`, which holds its input.
         let RowsWorkspace {
             levels,
             slots,
+            plan,
             h,
             mid,
             qbuf,
             ..
         } = ws;
-        let kd = KernelDispatch::get();
-        let (precision, _) = resolve_precision(kd, precision);
-        let threads = kernels::pool::global().width();
+        let plan = cached_plan(plan, a_hat, features.cols(), precision);
+        let shares = kernels::pool::global().width() * PLAN_SLOTS_PER_THREAD;
         for (l, layer) in self.layers().iter().enumerate() {
-            let (below, above) = (&levels[l][..], &levels[l + 1][..]);
-            let (w, bias, act) = (&layer.weight, layer.bias.as_deref(), layer.activation);
-            if let Some(b) = bias.filter(|b| b.len() != w.cols()) {
-                return Err(MatrixError::DimensionMismatch {
-                    op: "add_row_bias",
-                    lhs: (n, w.cols()),
-                    rhs: (1, b.len()),
-                }
-                .into());
-            }
-            nnz_balanced_partition_of(a_hat, above, threads * PLAN_SLOTS_PER_THREAD, slots);
-            // `dst[above] = A_hat[above] · src`, `src` read at rows `below`.
-            let aggregate = |src: &DenseMatrix, qbuf: &mut QuantMatrix, dst: &mut DenseMatrix| {
-                let (rows, p) = (Some(above), &slots[..]);
-                if precision == Precision::F32 {
-                    return spmm_nnz_balanced_with(kd, a_hat, src, rows, p, threads, dst);
-                }
-                qbuf.encode(src, Some(below), precision)?;
-                spmm_nnz_balanced_with(kd, a_hat, &*qbuf, rows, p, threads, dst)
+            let (rows, reads) = (&levels[l + 1][..], &levels[l][..]);
+            nnz_balanced_partition_of(a_hat, rows, shares, slots);
+            let lists = RowLists {
+                rows,
+                reads,
+                partition: slots,
             };
-            let input = if l == 0 { features } else { &*h };
-            if w.rows() <= w.cols() {
-                aggregate(input, qbuf, mid)?;
-                dense_update_with(kd, mid, w, bias, act, threads, Some(above), h)?;
-            } else {
-                let identity = Activation::Identity;
-                dense_update_with(kd, input, w, None, identity, threads, Some(below), mid)?;
-                aggregate(mid, qbuf, h)?;
-                for &v in above {
-                    let row = h.row_mut(v);
-                    for (x, b) in row.iter_mut().zip(bias.unwrap_or_default()) {
-                        *x += b;
-                    }
-                    act.apply_in_place(row);
-                }
-            }
+            gcn_layer_planned_into(
+                a_hat,
+                (l == 0).then_some(features),
+                &layer.weight,
+                layer.bias.as_deref(),
+                layer.activation,
+                plan,
+                Some(lists),
+                qbuf,
+                mid,
+                h,
+            )?;
         }
+        let top = if hops == 0 { features } else { &*h };
         for (i, &t) in targets.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(h.row(t));
+            out.row_mut(i).copy_from_slice(top.row(t));
         }
         Ok(RowsBatchStats {
             targets: targets.len(),
@@ -332,7 +314,7 @@ mod tests {
 
     #[test]
     fn narrow_batched_rows_match_serial_and_full_graph_bitwise() {
-        // The narrow rows path is the f32 path with re-targeted plans, so
+        // The narrow rows path is the f32 path on a re-targeted plan, so
         // the same bitwise contract holds at every precision: per-row
         // encode scales and the ascending-order levels keep each target
         // row's sequence independent of the batch it rides in.
@@ -446,6 +428,48 @@ mod tests {
         assert_eq!(ws.slots, p, "the last layer ran the pool-width partition");
         for (i, &t) in targets.iter().enumerate() {
             assert_eq!(out.row(i), full.row(t), "row {t} diverged");
+        }
+    }
+
+    #[test]
+    fn a_steady_batch_writes_only_its_level_rows() {
+        // After a warm-up batch both global-id buffers are poisoned with
+        // NaN over their whole storage. A one-vertex batch on a ring
+        // (levels of 1, 3, 5 and 7 vertices) still matches the full graph,
+        // so it read no row it did not write, and it leaves poisoned all
+        // but a few elements per level row: the buffers took each layer's
+        // width (8 to 12 to 3 wide) without being re-zeroed, so the batch's
+        // work follows its levels, not `n`.
+        let n = 1024;
+        let edges: Vec<_> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+        let g = Graph::from_undirected_edges(n, &edges);
+        let (a_hat, x) = (g.normalized_adjacency().unwrap(), g.random_features(8, 6));
+        let model = GcnModel::new(&GcnConfig::paper_model(8, 12, 3), 4);
+        let full = reference(&a_hat, &model, &x);
+        let mut ws = RowsWorkspace::new();
+        let mut out = DenseMatrix::default();
+        model
+            .infer_rows_planned_into(&a_hat, &x, &[3, 99, 400, 17], &mut ws, &mut out)
+            .unwrap();
+        let widest = 12;
+        for buffer in [&mut ws.h, &mut ws.mid] {
+            buffer.resize_for_overwrite(n, widest);
+            buffer.as_mut_slice().fill(f32::NAN);
+        }
+        let stats = model
+            .infer_rows_planned_into(&a_hat, &x, &[500], &mut ws, &mut out)
+            .unwrap();
+        assert_eq!(stats.gathered, 7);
+        assert_eq!(out.row(0), full.row(500));
+        // Each layer writes at most its two levels' rows into a buffer.
+        let level_rows: usize = ws.levels.windows(2).map(|w| w[0].len() + w[1].len()).sum();
+        for (name, buffer) in [("h", &mut ws.h), ("mid", &mut ws.mid)] {
+            buffer.resize_for_overwrite(n, widest);
+            let written = buffer.as_slice().iter().filter(|x| !x.is_nan()).count();
+            assert!(
+                written <= level_rows * widest,
+                "{name}: {written} elements written, levels hold {level_rows} rows"
+            );
         }
     }
 

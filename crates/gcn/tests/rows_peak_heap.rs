@@ -7,9 +7,9 @@
 //! may be at most: its two `n`-row activation buffers at the widest width
 //! a layer writes, its levels (one `usize` list per level, each at most
 //! the next power of two above `n`), its `n` visited marks, and 4 KiB per
-//! pool thread (the SpMM partition and slack). A per-batch gather of
-//! `X[V_0]` (`|V_0| x 100` floats) and per-layer renumbered sub-CSRs do
-//! not fit in that bound.
+//! pool thread (the SpMM partition, the cached plan's and slack). A
+//! per-batch gather of `X[V_0]` (`|V_0| x 100` floats) and per-layer
+//! renumbered sub-CSRs do not fit in that bound.
 
 use gcn::{GcnConfig, GcnModel, RowsWorkspace};
 use graph::OgbDataset;
@@ -51,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allowed heap per pool thread beyond the named buffers: the SpMM's
-/// partition (16 slots a thread) and slack.
+/// partition (16 slots a thread), the cached plan's and slack.
 const PER_THREAD_BYTES: usize = 4 << 10;
 
 #[test]

@@ -112,10 +112,10 @@ fn repeated_rows_batches_allocate_a_per_layer_constant() {
     let mut ws = RowsWorkspace::new();
     let mut out = DenseMatrix::default();
 
-    // Bytes allocated by the third of three identical calls: the first
-    // sizes the workspace, and because the ping-pong activation pair swaps
-    // roles on an odd layer count the second may still grow the smaller of
-    // the two; from then on every call is the same.
+    // Bytes allocated by the second of two identical calls: the first
+    // sizes the workspace (its buffers keep the most elements they held,
+    // so later reshapes between layer widths reuse them), and from then
+    // on every call is the same.
     let mut repeat_bytes = |targets: &[usize]| {
         let mut call = || {
             let stats = model
@@ -123,7 +123,6 @@ fn repeated_rows_batches_allocate_a_per_layer_constant() {
                 .unwrap();
             assert!(stats.gathered > targets.len() && !stats.full_graph);
         };
-        call();
         call();
         ALLOCATED_BYTES.store(0, Ordering::Relaxed);
         call();
@@ -135,7 +134,8 @@ fn repeated_rows_batches_allocate_a_per_layer_constant() {
     let many = repeat_bytes(&spread(n / 4));
 
     // Levels, marks, the SpMM partition and the global-id activation
-    // buffers are all recycled, and no batch builds an operand or a plan.
+    // buffers are all recycled, and no batch builds an operand or a plan
+    // (the one plan is kept while the adjacency is the same).
     // What a call still allocates is, per layer at pool width `w` and for
     // each kernel that publishes to the pool rather than running inline:
     // one locked output slice (three words) per share — a partition slot

@@ -7,12 +7,13 @@
 //! orders are mathematically identical (`(A H) W = A (H W)`), and a test
 //! pins that down.
 //!
-//! There is one layer function; *how* its SpMM is parallelised — the only
-//! thing the paper varies (Sections II-C, V-A) — is the [`SpmmPlan`] it is
-//! handed, resolved or pinned.
+//! There is one layer function, for the whole graph and for the row lists
+//! of a served batch ([`crate::plan::RowLists`]) alike; *how* its SpMM is
+//! parallelised — the only thing the paper varies (Sections II-C, V-A) —
+//! is the [`SpmmPlan`] it is handed, resolved or pinned.
 
-use crate::plan::SpmmPlan;
-use matrix::microkernel::{dense_update_with, matmul_packed_with};
+use crate::plan::{RowLists, SpmmPlan};
+use matrix::microkernel::dense_update_with;
 use matrix::{Activation, DenseMatrix, MatrixError, QuantMatrix};
 use sparse::Csr;
 
@@ -48,6 +49,17 @@ pub enum FusedOrder {
 /// the one `f32` GEMM at every precision. An `f32` plan leaves `qbuf`
 /// untouched.
 ///
+/// With `lists` the layer computes only the output rows `lists.rows` from
+/// its input's rows `lists.reads`, every matrix read and written in place
+/// at global ids ([`SpmmPlan::run_at_precision_into`] and
+/// [`dense_update_with`] take the lists); `mid` and `out` keep their other
+/// rows. Every kernel is row-local, so a listed row carries the bits the
+/// whole-graph call (`None`) gives it.
+///
+/// The input is `h`, or `out` itself for `None`: both association orders
+/// read the input once, into `mid`, before writing `out`, so a caller with
+/// nothing to retry can run a layer stack on two buffers.
+///
 /// # Errors
 ///
 /// Propagates shape mismatches from the SpMM / GEMM kernels (including a
@@ -71,7 +83,7 @@ pub enum FusedOrder {
 /// let mut qbuf = QuantMatrix::new();
 /// let (mut mid, mut out) = (DenseMatrix::default(), DenseMatrix::default());
 /// gcn_layer_planned_into(
-///     &a, &h, &w, None, Activation::Relu, &plan, &mut qbuf, &mut mid, &mut out,
+///     &a, Some(&h), &w, None, Activation::Relu, &plan, None, &mut qbuf, &mut mid, &mut out,
 /// ).unwrap();
 /// assert_eq!(out.row(0), &[1.0, 0.0]); // ReLU clamped the -1
 /// ```
@@ -80,11 +92,12 @@ pub enum FusedOrder {
 // check_plan plus each sub-kernel's own check validate all shapes.
 pub fn gcn_layer_planned_into(
     a: &Csr,
-    h: &DenseMatrix,
+    h: Option<&DenseMatrix>,
     w: &DenseMatrix,
     bias: Option<&[f32]>,
     activation: Activation,
     plan: &SpmmPlan,
+    lists: Option<RowLists>,
     qbuf: &mut QuantMatrix,
     mid: &mut DenseMatrix,
     out: &mut DenseMatrix,
@@ -93,25 +106,58 @@ pub fn gcn_layer_planned_into(
     let k_out = w.cols();
     let threads = plan.dense_threads();
     let kd = plan.dense_kernel();
+    let (rows, reads) = (lists.map(|l| l.rows), lists.map(|l| l.reads));
 
     if k_in <= k_out {
-        plan.run_at_precision_into(a, h, qbuf, mid)?;
-        dense_update_with(kd, mid, w, bias, activation, threads, None, out)?;
+        plan.run_at_precision_into(a, h.unwrap_or(out), lists, qbuf, mid)?;
+        dense_update_with(kd, mid, w, bias, activation, threads, rows, out)?;
         return Ok(FusedOrder::AggregateFirst);
     }
-    matmul_packed_with(kd, h, w, threads, mid)?;
-    plan.run_at_precision_into(a, mid, qbuf, out)?;
-    if let Some(b) = bias {
-        out.add_row_bias(b)?;
-    }
-    out.apply_activation(activation);
+    let identity = Activation::Identity;
+    dense_update_with(kd, h.unwrap_or(out), w, None, identity, threads, reads, mid)?;
+    plan.run_at_precision_into(a, mid, lists, qbuf, out)?;
+    bias_activation(out, rows, bias, activation)?;
     Ok(FusedOrder::UpdateFirst)
+}
+
+/// `out`'s rows `rows` (every row for `None`) plus `bias`, through `act`:
+/// per element what [`DenseMatrix::add_row_bias`] then
+/// [`DenseMatrix::apply_activation`] compute.
+fn bias_activation(
+    out: &mut DenseMatrix,
+    rows: Option<&[usize]>,
+    bias: Option<&[f32]>,
+    act: Activation,
+) -> Result<(), MatrixError> {
+    if let Some(b) = bias.filter(|b| b.len() != out.cols()) {
+        return Err(MatrixError::DimensionMismatch {
+            op: "add_row_bias",
+            lhs: out.shape(),
+            rhs: (1, b.len()),
+        });
+    }
+    let bias = bias.unwrap_or_default();
+    let finish = |row: &mut [f32]| {
+        for (x, b) in row.iter_mut().zip(bias) {
+            *x += b;
+        }
+        act.apply_in_place(row);
+    };
+    let n = out.rows();
+    let mut each = |v: usize| finish(out.row_mut(v));
+    match rows {
+        None => (0..n).for_each(each),
+        Some(ids) => ids.iter().for_each(|&v| each(v)),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::nnz_balanced_partition_of;
     use crate::SpmmStrategy;
+    use matrix::microkernel::matmul_packed_with;
     use matrix::Precision;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -151,7 +197,18 @@ mod tests {
         out: &mut DenseMatrix,
     ) -> Result<FusedOrder, MatrixError> {
         let mut qbuf = QuantMatrix::new();
-        gcn_layer_planned_into(a, h, w, bias, Activation::Relu, plan, &mut qbuf, mid, out)
+        gcn_layer_planned_into(
+            a,
+            Some(h),
+            w,
+            bias,
+            Activation::Relu,
+            plan,
+            None,
+            &mut qbuf,
+            mid,
+            out,
+        )
     }
 
     /// One layer under a plan pinned to `strategy`, into fresh buffers.
@@ -274,11 +331,12 @@ mod tests {
                 let (mut qbuf, mut mid) = (QuantMatrix::new(), DenseMatrix::default());
                 gcn_layer_planned_into(
                     &a,
-                    &h,
+                    Some(&h),
                     &w,
                     Some(&bias),
                     Activation::Relu,
                     plan,
+                    None,
                     &mut qbuf,
                     &mut mid,
                     out,
@@ -326,12 +384,12 @@ mod tests {
                 let mut mid = DenseMatrix::default();
                 let mut reference = DenseMatrix::default();
                 if want_order == FusedOrder::AggregateFirst {
-                    plan.run_at_precision_into(&a, &h, &mut qbuf, &mut mid)
+                    plan.run_at_precision_into(&a, &h, None, &mut qbuf, &mut mid)
                         .unwrap();
                     matmul_packed_with(kd, &mid, &w, threads, &mut reference).unwrap();
                 } else {
                     matmul_packed_with(kd, &h, &w, threads, &mut mid).unwrap();
-                    plan.run_at_precision_into(&a, &mid, &mut qbuf, &mut reference)
+                    plan.run_at_precision_into(&a, &mid, None, &mut qbuf, &mut reference)
                         .unwrap();
                 }
                 reference.add_row_bias(&bias).unwrap();
@@ -341,11 +399,12 @@ mod tests {
                 let mut out = DenseMatrix::default();
                 let order = gcn_layer_planned_into(
                     &a,
-                    &h,
+                    Some(&h),
                     &w,
                     Some(&bias),
                     Activation::Relu,
                     &plan,
+                    None,
                     &mut qbuf,
                     &mut mid,
                     &mut out,
@@ -359,6 +418,82 @@ mod tests {
                     (0, 0)
                 };
                 assert_eq!(qbuf.shape(), staged, "{precision} {want_order:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_listed_layer_carries_the_whole_layers_bits_on_its_rows() {
+        // Both orders, every precision: the listed rows of `out` equal the
+        // whole-graph layer's bit for bit, no other row of `mid` or `out`
+        // is written, and no row of `h` outside `reads` is read (they hold
+        // NaN, which would reach a listed row that read one).
+        let n = 50;
+        for (seed, k_in, k_out) in [(11u64, 6usize, 20usize), (12, 20, 6)] {
+            let (a, h, w) = random_setup(n, k_in, k_out, seed);
+            let bias = vec![-0.1; k_out];
+            let rows: Vec<usize> = (0..n).filter(|v| v % 4 == 1).collect();
+            let mut reads: Vec<usize> = rows
+                .iter()
+                .flat_map(|&v| a.row_cols(v).iter().map(|&c| c as usize))
+                .collect();
+            reads.sort_unstable();
+            reads.dedup();
+            let mut holey = DenseMatrix::filled(n, k_in, f32::NAN);
+            for &v in &reads {
+                holey.row_mut(v).copy_from_slice(h.row(v));
+            }
+            let mut partition = Vec::new();
+            nnz_balanced_partition_of(&a, &rows, 4 * pool::global().width(), &mut partition);
+            let lists = RowLists {
+                rows: &rows,
+                reads: &reads,
+                partition: &partition,
+            };
+            for precision in Precision::all() {
+                let plan = SpmmPlan::new(&a, k_in).at_precision(precision);
+                let (mut qbuf, mut mid, mut whole) = Default::default();
+                let act = Activation::Relu;
+                let b = Some(&bias[..]);
+                gcn_layer_planned_into(
+                    &a,
+                    Some(&h),
+                    &w,
+                    b,
+                    act,
+                    &plan,
+                    None,
+                    &mut qbuf,
+                    &mut mid,
+                    &mut whole,
+                )
+                .unwrap();
+                let mut mid = DenseMatrix::filled(n, k_in.min(k_out), f32::NAN);
+                let mut out = DenseMatrix::filled(n, k_out, f32::NAN);
+                let (l, q) = (Some(lists), &mut qbuf);
+                gcn_layer_planned_into(
+                    &a,
+                    Some(&holey),
+                    &w,
+                    b,
+                    act,
+                    &plan,
+                    l,
+                    q,
+                    &mut mid,
+                    &mut out,
+                )
+                .unwrap();
+                for v in 0..n {
+                    if rows.contains(&v) {
+                        assert_eq!(out.row(v), whole.row(v), "{precision} row {v}");
+                    } else {
+                        assert!(out.row(v).iter().all(|x| x.is_nan()), "{precision} row {v}");
+                    }
+                    let mid_rows = if k_in <= k_out { &rows } else { &reads };
+                    let untouched = mid.row(v).iter().all(|x| x.is_nan());
+                    assert_eq!(untouched, !mid_rows.contains(&v), "{precision} mid row {v}");
+                }
             }
         }
     }

@@ -31,7 +31,7 @@
 //!
 //! [`AUTO_SEQUENTIAL_WORK`]: crate::plan::AUTO_SEQUENTIAL_WORK
 
-use matrix::microkernel::{resolve_precision, KernelDispatch};
+use matrix::microkernel::{ascending_below, resolve_precision, KernelDispatch};
 use matrix::{DenseMatrix, MatrixError, Precision, QuantMatrix};
 use parking_lot::Mutex;
 use sparse::Csr;
@@ -169,6 +169,21 @@ pub fn nnz_balanced_partition_of(a: &Csr, rows: &[usize], slots: usize, out: &mu
     if last < rows.len() {
         out.push(rows.len());
     }
+}
+
+/// The row lists that restrict a layer to part of the graph — the batched
+/// rows path. Both lists ascend strictly and hold global ids; matrices are
+/// read and written in place at those ids, and rows outside the lists are
+/// neither read nor written.
+#[derive(Debug, Clone, Copy)]
+pub struct RowLists<'a> {
+    /// The rows of `A` the layer computes, and of every matrix it writes.
+    pub rows: &'a [usize],
+    /// The rows of the layer's input it reads: every column id of `A`'s
+    /// rows `rows` is among them.
+    pub reads: &'a [usize],
+    /// `rows`' NNZ partition ([`nnz_balanced_partition_of`]).
+    pub partition: &'a [usize],
 }
 
 /// A precomputed execution plan for repeated SpMM against one adjacency.
@@ -423,23 +438,47 @@ impl SpmmPlan {
     /// the operand type — every caller above passes both buffers and never
     /// branches on precision itself.
     ///
+    /// With `lists`, only `a`'s rows `lists.rows` are computed, written at
+    /// their ids, on the vertex-parallel row loop along `lists.partition`
+    /// at the plan's dense width (the execution path is for whole
+    /// products), and a narrow plan encodes only `h`'s rows `lists.reads`.
+    ///
     /// # Errors
     ///
-    /// Same conditions as [`SpmmPlan::run_into`].
+    /// Same conditions as [`SpmmPlan::run_into`] and, for `lists`,
+    /// [`spmm_nnz_balanced_with`].
     pub fn run_at_precision_into(
         &self,
         a: &Csr,
         h: &DenseMatrix,
+        lists: Option<RowLists>,
         qbuf: &mut QuantMatrix,
         out: &mut DenseMatrix,
     ) -> Result<(), MatrixError> {
         // Reject a foreign adjacency before paying for the encode.
         self.check_plan(a)?;
         match self.precision {
-            Precision::F32 => self.run_into(a, h, out),
+            Precision::F32 => self.run_lists_into(a, h, lists, out),
             narrow => {
-                qbuf.encode(h, None, narrow)?;
-                self.run_into(a, &*qbuf, out)
+                qbuf.encode(h, lists.map(|l| l.reads), narrow)?;
+                self.run_lists_into(a, &*qbuf, lists, out)
+            }
+        }
+    }
+
+    /// [`SpmmPlan::run_into`], or with `lists` their rows only.
+    fn run_lists_into<F: FeatureOperand>(
+        &self,
+        a: &Csr,
+        h: &F,
+        lists: Option<RowLists>,
+        out: &mut DenseMatrix,
+    ) -> Result<(), MatrixError> {
+        match lists {
+            None => self.run_into(a, h, out),
+            Some(l) => {
+                let threads = self.dense_threads();
+                spmm_nnz_balanced_with(self.kernel, a, h, Some(l.rows), l.partition, threads, out)
             }
         }
     }
@@ -523,9 +562,7 @@ pub fn spmm_nnz_balanced_with<F: FeatureOperand>(
         return Err(MatrixError::ZeroThreads);
     }
     let (n, k) = (a.nrows(), h.shape().1);
-    let ascending =
-        |ids: &[usize]| ids.windows(2).all(|w| w[0] < w[1]) && ids.last().is_none_or(|&v| v < n);
-    if let Some(ids) = rows.filter(|ids| !ascending(ids)) {
+    if let Some(ids) = rows.filter(|ids| !ascending_below(ids, n)) {
         return Err(MatrixError::DimensionMismatch {
             op: "spmm_nnz_balanced rows",
             lhs: a.shape(),
@@ -974,7 +1011,7 @@ mod tests {
         let base = SpmmPlan::new(&a, 9);
         let mut q = QuantMatrix::new();
         let mut out = DenseMatrix::default();
-        base.run_at_precision_into(&a, &h, &mut q, &mut out)
+        base.run_at_precision_into(&a, &h, None, &mut q, &mut out)
             .unwrap();
         assert_eq!(
             q.shape(),
@@ -986,7 +1023,7 @@ mod tests {
             let plan = base.clone().at_precision(p);
             assert_eq!(plan.precision(), p);
             assert!(plan.precision_fallback().is_none());
-            plan.run_at_precision_into(&a, &h, &mut q, &mut out)
+            plan.run_at_precision_into(&a, &h, None, &mut q, &mut out)
                 .unwrap();
             assert_eq!((q.shape(), q.precision()), ((60, 9), p));
             let mut direct = DenseMatrix::default();

@@ -23,10 +23,13 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m.row(0), &[0.0, 5.0, 0.0]);
 /// assert_eq!(m.shape(), (2, 3));
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Serialize, Deserialize)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
+    /// The matrix is the first `rows * cols` elements. A buffer reshaped
+    /// by [`DenseMatrix::resize_for_overwrite`] keeps any elements past
+    /// them, initialized and unused, so a later reshape reuses them.
     data: Vec<f32>,
 }
 
@@ -118,12 +121,12 @@ impl DenseMatrix {
 
     /// Total element count.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.rows * self.cols
     }
 
     /// True if the matrix holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Borrows row `i` as a slice.
@@ -132,7 +135,7 @@ impl DenseMatrix {
     ///
     /// Panics if `i >= self.rows()`.
     pub fn row(&self, i: usize) -> &[f32] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
+        &self.as_slice()[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Mutably borrows row `i` as a slice.
@@ -141,22 +144,24 @@ impl DenseMatrix {
     ///
     /// Panics if `i >= self.rows()`.
     pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
+        let cols = self.cols;
+        &mut self.as_mut_slice()[i * cols..(i + 1) * cols]
     }
 
     /// Borrows the row-major backing slice.
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        &self.data[..self.rows * self.cols]
     }
 
     /// Mutably borrows the row-major backing slice.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        let len = self.rows * self.cols;
+        &mut self.data[..len]
     }
 
     /// Iterates over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
+        self.as_slice().chunks_exact(self.cols.max(1))
     }
 
     /// Returns the transpose as a new matrix.
@@ -187,7 +192,7 @@ impl DenseMatrix {
 
     /// Applies an activation function element-wise, in place.
     pub fn apply_activation(&mut self, act: Activation) {
-        act.apply_in_place(&mut self.data);
+        act.apply_in_place(self.as_mut_slice());
     }
 
     /// Adds `bias[j]` to every element of column `j`, in place.
@@ -204,7 +209,8 @@ impl DenseMatrix {
                 rhs: (1, bias.len()),
             });
         }
-        for row in self.data.chunks_exact_mut(self.cols) {
+        let cols = self.cols;
+        for row in self.as_mut_slice().chunks_exact_mut(cols) {
             for (x, b) in row.iter_mut().zip(bias) {
                 *x += b;
             }
@@ -214,7 +220,7 @@ impl DenseMatrix {
 
     /// Scales every element by `factor`, in place.
     pub fn scale(&mut self, factor: f32) {
-        for x in &mut self.data {
+        for x in self.as_mut_slice() {
             *x *= factor;
         }
     }
@@ -236,14 +242,20 @@ impl DenseMatrix {
     /// Reshapes to `(rows, cols)` like [`DenseMatrix::resize_zeroed`] but
     /// leaves any existing element values in place (stale).
     ///
-    /// For callers that overwrite every element before reading the result:
-    /// a same-shape call in steady state writes nothing at all, skipping the
-    /// full-buffer memset `resize_zeroed` would redo on every invocation.
+    /// For callers that write every element they later read: every element
+    /// for a whole-matrix kernel, only the listed rows for a row-list one.
+    /// The buffer keeps the most elements it ever held, so a reshape writes
+    /// nothing unless it needs more than that (then it zero-fills only the
+    /// new ones): a steady caller, even one alternating between shapes,
+    /// skips the full-buffer memset `resize_zeroed` would redo on every
+    /// invocation.
     pub fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
         let len = rows * cols;
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(len, 0.0);
+        if self.data.len() < len {
+            self.data.resize(len, 0.0);
+        }
     }
 
     /// Makes `self` an element-wise copy of `other`, reusing the existing
@@ -252,7 +264,7 @@ impl DenseMatrix {
         self.rows = other.rows;
         self.cols = other.cols;
         self.data.clear();
-        self.data.extend_from_slice(&other.data);
+        self.data.extend_from_slice(other.as_slice());
     }
 
     /// Largest absolute element-wise difference against `other`.
@@ -263,21 +275,21 @@ impl DenseMatrix {
         if self.shape() != other.shape() {
             return f32::INFINITY;
         }
-        self.data
+        self.as_slice()
             .iter()
-            .zip(&other.data)
+            .zip(other.as_slice())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
     }
 
     /// Frobenius norm (`sqrt(sum of squares)`).
     pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
+        self.as_slice().iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     /// True when every element is finite (no NaN / infinity).
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        self.as_slice().iter().all(|x| x.is_finite())
     }
 
     /// Typed-error variant of [`all_finite`](Self::all_finite): `Ok(())`
@@ -285,7 +297,7 @@ impl DenseMatrix {
     /// [`MatrixError::NonFinite`] locating the first offending element.
     /// `what` names the operand in the error (e.g. `"features"`).
     pub fn validate_finite(&self, what: &'static str) -> Result<()> {
-        match self.data.iter().position(|x| !x.is_finite()) {
+        match self.as_slice().iter().position(|x| !x.is_finite()) {
             None => Ok(()),
             Some(flat) => Err(MatrixError::NonFinite {
                 what,
@@ -296,19 +308,37 @@ impl DenseMatrix {
     }
 }
 
+/// Copies the matrix; a reshaped buffer's unused tail is not part of it.
+impl Clone for DenseMatrix {
+    fn clone(&self) -> Self {
+        let mut copy = DenseMatrix::default();
+        copy.copy_from(self);
+        copy
+    }
+}
+
+/// Equal shapes and elements; a reshaped buffer's unused tail is not part
+/// of the matrix.
+impl PartialEq for DenseMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape() == other.shape() && self.as_slice() == other.as_slice()
+    }
+}
+
 impl Index<(usize, usize)> for DenseMatrix {
     type Output = f32;
 
     fn index(&self, (i, j): (usize, usize)) -> &f32 {
         debug_assert!(i < self.rows && j < self.cols);
-        &self.data[i * self.cols + j]
+        &self.as_slice()[i * self.cols + j]
     }
 }
 
 impl IndexMut<(usize, usize)> for DenseMatrix {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f32 {
         debug_assert!(i < self.rows && j < self.cols);
-        &mut self.data[i * self.cols + j]
+        let cols = self.cols;
+        &mut self.as_mut_slice()[i * cols + j]
     }
 }
 
@@ -377,6 +407,26 @@ mod tests {
     fn from_rows_rejects_ragged_input() {
         let err = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0]]).unwrap_err();
         assert!(matches!(err, MatrixError::RaggedRows { row: 1, .. }));
+    }
+
+    #[test]
+    fn resize_for_overwrite_reuses_what_it_has_initialized() {
+        let mut m = DenseMatrix::filled(4, 3, 7.0);
+        m.resize_for_overwrite(2, 5);
+        assert_eq!((m.shape(), m.len()), ((2, 5), 10));
+        assert!(m.as_slice().iter().all(|&x| x == 7.0));
+        // Back to 12 elements: none is re-zeroed.
+        m.resize_for_overwrite(3, 4);
+        assert!(m.as_slice().iter().all(|&x| x == 7.0));
+        // 14: only the two elements past the most it held are new zeros.
+        m.resize_for_overwrite(2, 7);
+        assert_eq!(&m.as_slice()[12..], &[0.0, 0.0]);
+        assert_eq!(m.row(1).len(), 7);
+        // The unused tail is not part of the matrix.
+        m.resize_for_overwrite(1, 2);
+        assert_eq!(m, DenseMatrix::filled(1, 2, 7.0));
+        assert_eq!(m.clone().data.len(), 2);
+        assert!(std::panic::catch_unwind(|| m.row(1).len()).is_err());
     }
 
     #[test]

@@ -461,8 +461,11 @@ pub fn dense_update_with(
     Ok(())
 }
 
-/// `ids` ascends strictly and every id is below `n`.
-fn ascending_below(ids: &[usize], n: usize) -> bool {
+/// Whether `ids` is a row list the list-taking kernels accept for a
+/// matrix of `n` rows: strictly ascending, every id below `n`. The one
+/// check behind the row lists of [`dense_update_with`],
+/// [`QuantMatrix::encode`](crate::QuantMatrix::encode) and the SpMM.
+pub fn ascending_below(ids: &[usize], n: usize) -> bool {
     ids.windows(2).all(|w| w[0] < w[1]) && ids.last().is_none_or(|&v| v < n)
 }
 

@@ -67,7 +67,7 @@ mod gemm;
 mod probe;
 mod row;
 
-pub use gemm::{dense_update_with, matmul_packed_with, MR, NR};
+pub use gemm::{ascending_below, dense_update_with, matmul_packed_with, MR, NR};
 pub use probe::{resolve_precision, resolve_probed};
 pub use row::ACC_LANES;
 

@@ -26,13 +26,14 @@
 
 // BOUNDS: all `[]` indexing in this module is over row slices carved as
 // `[r * cols .. (r + 1) * cols]` from payload buffers that `encode`
-// resizes to exactly `rows * cols` elements (and `scales` to `rows`), with
+// grows to at least `rows * cols` elements (and `scales` to `rows`), with
 // `r < rows` checked by the callers' loop bounds or, for a row list, by
 // `encode`'s range check; `decode` writes through
 // the same row carving after `resize_zeroed(rows, cols)`.
 
 use crate::dense::DenseMatrix;
 use crate::error::MatrixError;
+use crate::microkernel::ascending_below;
 
 /// Storage precision of the SpMM feature operand on the inference hot
 /// path.
@@ -248,7 +249,7 @@ pub fn calibrate_scale(values: &[f32]) -> f32 {
 /// Quantizes a slice onto the symmetric int8 grid with a precomputed
 /// reciprocal scale (`dst[i] = saturating_cast_i8(src[i] * inv_scale)`).
 /// Lengths beyond the shorter slice are left untouched.
-pub fn quantize_i8_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
+fn quantize_i8_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = saturating_cast_i8(s * inv_scale);
     }
@@ -305,12 +306,21 @@ impl QuantMatrix {
     /// int8) — the register-tiled SpMM row accumulator indexes rows
     /// directly.
     pub(crate) fn wide_payload(&self) -> &[u16] {
-        &self.wide
+        &self.wide[..self.len().min(self.wide.len())]
     }
 
     /// Raw int8 payload plus per-row scales (empty for bf16/f16).
     pub(crate) fn int8_payload(&self) -> (&[i8], &[f32]) {
-        (&self.narrow, &self.scales)
+        let narrow = &self.narrow[..self.len().min(self.narrow.len())];
+        (narrow, &self.scales[..self.rows.min(self.scales.len())])
+    }
+
+    /// Elements of the encoded matrix. The payload vectors keep the most
+    /// they ever held at their precision, like
+    /// [`DenseMatrix::resize_for_overwrite`], so re-encoding at another
+    /// shape does not re-zero them.
+    fn len(&self) -> usize {
+        self.rows * self.cols
     }
 
     /// Re-encodes `src`'s rows `rows` at `precision`, reusing the payload
@@ -326,7 +336,8 @@ impl QuantMatrix {
     /// [`MatrixError::UnsupportedPrecision`] when `precision` is
     /// [`Precision::F32`] — full-precision operands stay in their
     /// [`DenseMatrix`]; this container only holds narrowed payloads — and
-    /// [`MatrixError::DimensionMismatch`] for a listed row outside `src`.
+    /// [`MatrixError::DimensionMismatch`] for a list that does not ascend
+    /// strictly inside `src`.
     pub fn encode(
         &mut self,
         src: &DenseMatrix,
@@ -334,7 +345,7 @@ impl QuantMatrix {
         precision: Precision,
     ) -> crate::Result<()> {
         let (n, cols) = src.shape();
-        if let Some(ids) = rows.filter(|ids| ids.iter().any(|&v| v >= n)) {
+        if let Some(ids) = rows.filter(|ids| !ascending_below(ids, n)) {
             return Err(MatrixError::DimensionMismatch {
                 op: "quant.encode rows",
                 lhs: (n, cols),
@@ -352,7 +363,7 @@ impl QuantMatrix {
             Precision::Bf16 => {
                 self.narrow.clear();
                 self.scales.clear();
-                self.wide.resize(n * cols, 0);
+                grow(&mut self.wide, n * cols, 0);
                 for_each_row(n, rows, |r| {
                     let dst = &mut self.wide[r * cols..(r + 1) * cols];
                     for (d, &s) in dst.iter_mut().zip(src.row(r)) {
@@ -364,7 +375,7 @@ impl QuantMatrix {
             Precision::F16 => {
                 self.narrow.clear();
                 self.scales.clear();
-                self.wide.resize(n * cols, 0);
+                grow(&mut self.wide, n * cols, 0);
                 for_each_row(n, rows, |r| {
                     let dst = &mut self.wide[r * cols..(r + 1) * cols];
                     for (d, &s) in dst.iter_mut().zip(src.row(r)) {
@@ -375,8 +386,8 @@ impl QuantMatrix {
             }
             Precision::Int8 => {
                 self.wide.clear();
-                self.narrow.resize(n * cols, 0);
-                self.scales.resize(n, 1.0);
+                grow(&mut self.narrow, n * cols, 0);
+                grow(&mut self.scales, n, 1.0);
                 for_each_row(n, rows, |r| {
                     let src_row = src.row(r);
                     let scale = calibrate_scale(src_row);
@@ -414,6 +425,13 @@ impl QuantMatrix {
                 }
             }
         }
+    }
+}
+
+/// Lengthens `v` to `len` with `fill`; never shortens it.
+fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    if v.len() < len {
+        v.resize(len, fill);
     }
 }
 
@@ -548,8 +566,8 @@ mod tests {
 
     #[test]
     fn a_row_list_encodes_exactly_its_rows() {
-        // Listed rows decode to the whole-matrix encode's bits; a row
-        // outside `src` is rejected.
+        // Listed rows decode to the whole-matrix encode's bits; a list
+        // that does not ascend inside `src` is rejected.
         let data = (0..5 * 3).map(|i| (i as f32 - 7.0) * 0.37).collect();
         let src = DenseMatrix::from_vec(5, 3, data).unwrap();
         let (mut q, mut whole, mut back) = (
@@ -566,10 +584,12 @@ mod tests {
             for r in [1, 4] {
                 assert_eq!(back.row(r), whole.row(r), "{p} row {r}");
             }
-            assert!(matches!(
-                q.encode(&src, Some(&[2, 5]), p),
-                Err(MatrixError::DimensionMismatch { .. })
-            ));
+            for bad in [&[2usize, 5][..], &[4, 1], &[3, 3]] {
+                assert!(matches!(
+                    q.encode(&src, Some(bad), p),
+                    Err(MatrixError::DimensionMismatch { .. })
+                ));
+            }
         }
     }
 

@@ -8,10 +8,12 @@
 //! then runs the whole batch as **one**
 //! [`GcnModel::infer_rows_planned_prec_into`] call: the batch's targets
 //! are expanded into layer-wise shrinking frontiers once, and each layer
-//! computes only the rows the batch's answers depend on, reading the
-//! service's `A_hat` and `X` in place at global row ids (nothing is
-//! gathered, renumbered or planned per batch), and both halves of every
-//! layer run on the whole pool. Every output row is
+//! — the one GCN layer function, on the frontiers' row lists — computes
+//! only the rows the batch's answers depend on, reading the service's
+//! `A_hat` and `X` in place at global row ids (nothing is gathered,
+//! renumbered or planned per batch; each layer's buffers keep their shape
+//! from batch to batch), and both halves of every layer run on the whole
+//! pool. Every output row is
 //! bitwise equal to the width-1 full-graph run, which is what makes
 //! coalescing requests into batches — in any interleaving — leave every
 //! bit of every response unchanged.

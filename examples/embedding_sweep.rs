@@ -51,11 +51,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let t2 = Instant::now();
         gcn_layer_planned_into(
             &a_hat,
-            &x,
+            Some(&x),
             &w,
             None,
             Activation::Relu,
             &plan,
+            None,
             &mut qbuf,
             &mut mid,
             &mut fused,
