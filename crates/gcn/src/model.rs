@@ -14,8 +14,9 @@ use resilience::retry::{self, Failure};
 use sparse::Csr;
 
 /// The buffers the layer loop ([`GcnModel::run_layers`]) ping-pongs
-/// through: its input is read from `h`, each layer writes into `next` and
-/// the pair is swapped, so after the loop `h` holds the output. After the
+/// through: layer 0 reads the features in place, each layer writes into
+/// `next` and the pair is swapped, so after the loop `h` holds the output
+/// (the features themselves when no layer completed). After the
 /// first call sizes them, later calls on same-shaped inputs perform no
 /// output-sized allocation.
 #[derive(Debug, Clone, Default)]
@@ -240,8 +241,10 @@ impl GcnModel {
     }
 
     /// Whole-graph inference along the workspace's plan: resolves the plan
-    /// for `a_hat` at the precision the workspace was asked for, copies
-    /// `features` in, and runs every layer on that one `(a_hat, plan)` pair.
+    /// for `a_hat` at the precision the workspace was asked for and runs
+    /// every layer on that one `(a_hat, plan)` pair, layer 0 reading
+    /// `features` in place. They are copied into the output only when no
+    /// layer completed (a zero-layer model, or a guard that fired first).
     /// The workspace's own plan is never modified; the report carries the
     /// precision it ran at and its ISA-probe downgrade, if any.
     pub(crate) fn run_whole_graph(
@@ -259,17 +262,20 @@ impl GcnModel {
         workspace.plan_for(a_hat, features.cols(), precision);
         let InferenceWorkspace { bufs, plan } = workspace;
         let plan = plan.as_ref().expect("plan populated above");
-        bufs.h.copy_from(features);
-        let mut run = self.run_layers(a_hat, plan, guard, recover, bufs)?;
+        let mut run = self.run_layers(a_hat, features, plan, guard, recover, bufs)?;
+        if run.layers_done == 0 {
+            bufs.h.copy_from(features);
+        }
         run.used = plan.precision();
         run.precision_fallback = plan.precision_fallback();
         Ok(run)
     }
 
-    /// The whole-graph layer loop, over the input already in `bufs.h`:
-    /// every layer aggregates on `a_hat` along `base`. A fired `guard`
-    /// (checked before each layer) ends the run with the buffers at the
-    /// last completed layer. Without `recover` each layer is one direct
+    /// The whole-graph layer loop: layer 0 reads `features`, every later
+    /// layer the previous one's output in `bufs.h`, and every layer
+    /// aggregates on `a_hat` along `base`. A fired `guard` (checked before
+    /// each layer) ends the run with `bufs.h` at the last completed layer
+    /// (untouched if none did). Without `recover` each layer is one direct
     /// call. With it, this is the workspace's only retry-then-degrade walk:
     /// the layer runs under [`retry::run`] — the `gcn.layer` fault site
     /// inside the retried attempt — and on exhausting its
@@ -279,12 +285,20 @@ impl GcnModel {
     fn run_layers(
         &self,
         a_hat: &Csr,
+        features: &DenseMatrix,
         base: &SpmmPlan,
         guard: &RunGuard,
         recover: bool,
         bufs: &mut LayerBuffers,
     ) -> Result<InferenceRun, GcnError> {
         let LayerBuffers { h, next, mid, qbuf } = bufs;
+        // The two buffers layers write are sized once for the widest layer
+        // (`h` only ever receives `next`), so none grows and moves mid-run:
+        // a moved buffer leaves a freed hole the heap keeps.
+        let n = a_hat.nrows();
+        let widest = |f: fn(&GcnLayer) -> usize| self.layers.iter().map(f).max().unwrap_or(0);
+        next.resize_for_overwrite(n, widest(GcnLayer::out_dim));
+        mid.resize_for_overwrite(n, widest(|l| l.in_dim().min(l.out_dim())));
         let mut run = InferenceRun {
             total_layers: self.layers.len(),
             backend_fallback: matrix::microkernel::probe_fallback(),
@@ -295,10 +309,11 @@ impl GcnModel {
                 run.stopped = Some(reason);
                 return Ok(run);
             }
+            let input = if t == 0 { features } else { &*h };
             let mut attempt = |plan: &SpmmPlan| {
                 gcn_layer_planned_into(
                     a_hat,
-                    Some(h),
+                    Some(input),
                     &layer.weight,
                     layer.bias.as_deref(),
                     layer.activation,
@@ -311,6 +326,7 @@ impl GcnModel {
                 .map(|_| ())
             };
             if recover {
+                let attempts_before = run.attempts;
                 let mut rung: Option<SpmmPlan> = None;
                 loop {
                     let current = rung.as_ref().unwrap_or(base);
@@ -326,6 +342,9 @@ impl GcnModel {
                             run.attempts += rec.attempts;
                             run.recovered_panics += rec.recovered_panics;
                             run.recovered_errors += rec.recovered_errors;
+                            if run.attempts - attempts_before > 1 {
+                                run.recovered_layers += 1;
+                            }
                             break;
                         }
                         Err(err) => err,

@@ -68,6 +68,8 @@ pub struct InferenceRun {
     pub recovered_panics: u32,
     /// Typed errors retried.
     pub recovered_errors: u32,
+    /// Layers that completed only after a retry or a rung down.
+    pub recovered_layers: usize,
     /// Rungs taken, in order: strategy rungs tagged with their layer,
     /// precision rungs (ISA probe, accuracy guard) with `layer == None`.
     pub degradations: Vec<Degradation>,
@@ -171,6 +173,29 @@ impl GcnModel {
         workspace: &mut InferenceWorkspace,
     ) -> Result<InferenceRun, GcnError> {
         self.validate_inputs(a_hat, features)?;
+        self.infer_recovering_with(a_hat, features, guard, workspace)
+    }
+
+    /// [`GcnModel::infer_resilient_with`] without the input sweep: checks
+    /// shapes only, then runs the layer loop with its recovery arm on
+    /// (retry, then a strategy rung down) under `guard`. For callers that
+    /// run one validated model on one graph over and over — the sharded
+    /// runner — where the NaN/Inf sweep over features and weights would
+    /// cost a sizeable share of every call.
+    ///
+    /// # Errors
+    ///
+    /// [`GcnError::FeatureDimMismatch`] / [`GcnError::VertexCountMismatch`],
+    /// or the final rung's typed error once a layer has exhausted retry and
+    /// the degradation chain.
+    pub fn infer_recovering_with(
+        &self,
+        a_hat: &Csr,
+        features: &DenseMatrix,
+        guard: &RunGuard,
+        workspace: &mut InferenceWorkspace,
+    ) -> Result<InferenceRun, GcnError> {
+        self.check_shapes(a_hat, features)?;
         self.run_whole_graph(a_hat, features, guard, true, workspace)
     }
 

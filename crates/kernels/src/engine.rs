@@ -92,7 +92,16 @@ impl SpmmStrategy {
             SpmmStrategy::VertexParallel { threads } => {
                 let slots = threads.max(1) * PLAN_SLOTS_PER_THREAD;
                 let partition = nnz_balanced_partition(a.row_ptr(), slots);
-                spmm_nnz_balanced_with(KernelDispatch::get(), a, h, None, &partition, threads, out)
+                spmm_nnz_balanced_with(
+                    KernelDispatch::get(),
+                    a,
+                    h,
+                    None,
+                    &partition,
+                    threads,
+                    None,
+                    out,
+                )
             }
             SpmmStrategy::EdgeParallel { threads } => {
                 let h = h.f32_rows("spmm_edge_parallel")?;

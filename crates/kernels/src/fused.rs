@@ -40,7 +40,9 @@ pub enum FusedOrder {
 /// pinned plan, the pinned strategy's own thread count ([`SpmmPlan::pin`]).
 /// Aggregating first, the update is one pass that writes the finished
 /// activation from its register tiles ([`dense_update_with`]); updating
-/// first, bias and activation follow the SpMM as their own sweep.
+/// first, the SpMM's row loop adds the bias and applies the activation to
+/// each row right after filling it, inside the same pool share (the whole
+/// graph's partition, or the list's).
 ///
 /// Precision is carried by the plan ([`SpmmPlan::precision`]) and narrows
 /// the bandwidth-bound operand only: a narrow plan encodes the layer's SpMM
@@ -109,47 +111,30 @@ pub fn gcn_layer_planned_into(
     let (rows, reads) = (lists.map(|l| l.rows), lists.map(|l| l.reads));
 
     if k_in <= k_out {
-        plan.run_at_precision_into(a, h.unwrap_or(out), lists, qbuf, mid)?;
+        plan.run_at_precision_into(a, h.unwrap_or(out), lists, qbuf, None, mid)?;
         dense_update_with(kd, mid, w, bias, activation, threads, rows, out)?;
         return Ok(FusedOrder::AggregateFirst);
     }
-    let identity = Activation::Identity;
-    dense_update_with(kd, h.unwrap_or(out), w, None, identity, threads, reads, mid)?;
-    plan.run_at_precision_into(a, mid, lists, qbuf, out)?;
-    bias_activation(out, rows, bias, activation)?;
-    Ok(FusedOrder::UpdateFirst)
-}
-
-/// `out`'s rows `rows` (every row for `None`) plus `bias`, through `act`:
-/// per element what [`DenseMatrix::add_row_bias`] then
-/// [`DenseMatrix::apply_activation`] compute.
-fn bias_activation(
-    out: &mut DenseMatrix,
-    rows: Option<&[usize]>,
-    bias: Option<&[f32]>,
-    act: Activation,
-) -> Result<(), MatrixError> {
-    if let Some(b) = bias.filter(|b| b.len() != out.cols()) {
+    if let Some(b) = bias.filter(|b| b.len() != k_out) {
         return Err(MatrixError::DimensionMismatch {
             op: "add_row_bias",
-            lhs: out.shape(),
+            lhs: (a.nrows(), k_out),
             rhs: (1, b.len()),
         });
     }
+    let identity = Activation::Identity;
+    dense_update_with(kd, h.unwrap_or(out), w, None, identity, threads, reads, mid)?;
+    // Per element what `DenseMatrix::add_row_bias` then `apply_activation`
+    // compute.
     let bias = bias.unwrap_or_default();
     let finish = |row: &mut [f32]| {
         for (x, b) in row.iter_mut().zip(bias) {
             *x += b;
         }
-        act.apply_in_place(row);
+        activation.apply_in_place(row);
     };
-    let n = out.rows();
-    let mut each = |v: usize| finish(out.row_mut(v));
-    match rows {
-        None => (0..n).for_each(each),
-        Some(ids) => ids.iter().for_each(|&v| each(v)),
-    }
-    Ok(())
+    plan.run_at_precision_into(a, mid, lists, qbuf, Some(&finish), out)?;
+    Ok(FusedOrder::UpdateFirst)
 }
 
 #[cfg(test)]
@@ -384,12 +369,12 @@ mod tests {
                 let mut mid = DenseMatrix::default();
                 let mut reference = DenseMatrix::default();
                 if want_order == FusedOrder::AggregateFirst {
-                    plan.run_at_precision_into(&a, &h, None, &mut qbuf, &mut mid)
+                    plan.run_at_precision_into(&a, &h, None, &mut qbuf, None, &mut mid)
                         .unwrap();
                     matmul_packed_with(kd, &mid, &w, threads, &mut reference).unwrap();
                 } else {
                     matmul_packed_with(kd, &h, &w, threads, &mut mid).unwrap();
-                    plan.run_at_precision_into(&a, &mid, None, &mut qbuf, &mut reference)
+                    plan.run_at_precision_into(&a, &mid, None, &mut qbuf, None, &mut reference)
                         .unwrap();
                 }
                 reference.add_row_bias(&bias).unwrap();
@@ -418,6 +403,86 @@ mod tests {
                     (0, 0)
                 };
                 assert_eq!(qbuf.shape(), staged, "{precision} {want_order:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn update_first_epilogue_is_bitwise_serial_at_every_pinned_width() {
+        // A star: hub 0 links every leaf, so its row holds half the
+        // non-zeros and sits in a share of its own. Update-first (12 -> 5)
+        // with a mixed-sign bias and ReLU: the epilogue each share runs on
+        // its freshly filled rows must give the bits of the serial replay
+        // (sequential SpMM, then `add_row_bias`, then `apply_activation`)
+        // at pinned widths 1, 2 and 4, whole-graph and under row lists, at
+        // f32 and int8.
+        let n = 200;
+        let mut coo = Coo::new(n, n);
+        coo.push(0, 0, 0.5);
+        for v in 1..n {
+            let x = 1.0 / (v as f32 + 1.0);
+            coo.push(0, v, x);
+            coo.push(v, 0, -x);
+            coo.push(v, v, 0.5 + x);
+        }
+        let a = Csr::from_coo(&coo);
+        let (_, h, w) = random_setup(n, 12, 5, 13);
+        let bias = [0.3, -0.2, 0.0, 0.1, -0.4];
+        let act = Activation::Relu;
+        let rows: Vec<usize> = (0..n).filter(|v| v % 3 == 0).collect();
+        let reads: Vec<usize> = (0..n).collect();
+        for precision in [Precision::F32, Precision::Int8] {
+            let serial = SpmmPlan::pinned(&a, 5, SpmmStrategy::Sequential).at_precision(precision);
+            let kd = serial.dense_kernel();
+            let (mut qbuf, mut mid, mut want) = Default::default();
+            matmul_packed_with(kd, &h, &w, 1, &mut mid).unwrap();
+            serial
+                .run_at_precision_into(&a, &mid, None, &mut qbuf, None, &mut want)
+                .unwrap();
+            want.add_row_bias(&bias).unwrap();
+            want.apply_activation(act);
+            assert!(want.as_slice().contains(&0.0), "ReLU clamps something");
+            for threads in [1, 2, 4] {
+                let strategy = SpmmStrategy::VertexParallel { threads };
+                let plan = SpmmPlan::pinned(&a, 12, strategy).at_precision(precision);
+                assert_eq!(plan.partition()[..2], [0, 1], "hub in its own share");
+                let mut out = DenseMatrix::default();
+                let b = Some(&bias[..]);
+                let order = gcn_layer_planned_into(
+                    &a,
+                    Some(&h),
+                    &w,
+                    b,
+                    act,
+                    &plan,
+                    None,
+                    &mut qbuf,
+                    &mut mid,
+                    &mut out,
+                )
+                .unwrap();
+                assert_eq!(order, FusedOrder::UpdateFirst);
+                assert_eq!(out, want, "{precision} x{threads} whole graph");
+
+                let mut partition = Vec::new();
+                nnz_balanced_partition_of(&a, &rows, 16 * threads, &mut partition);
+                assert_eq!(partition[..2], [0, 1], "hub in its own list share");
+                let lists = RowLists {
+                    rows: &rows,
+                    reads: &reads,
+                    partition: &partition,
+                };
+                let mut out = DenseMatrix::filled(n, 5, f32::NAN);
+                let (l, q) = (Some(lists), &mut qbuf);
+                gcn_layer_planned_into(&a, Some(&h), &w, b, act, &plan, l, q, &mut mid, &mut out)
+                    .unwrap();
+                for v in 0..n {
+                    if v % 3 == 0 {
+                        assert_eq!(out.row(v), want.row(v), "{precision} x{threads} row {v}");
+                    } else {
+                        assert!(out.row(v).iter().all(|x| x.is_nan()), "row {v} written");
+                    }
+                }
             }
         }
     }

@@ -186,6 +186,11 @@ pub struct RowLists<'a> {
     pub partition: &'a [usize],
 }
 
+/// A per-row epilogue a row loop runs on each output row right after
+/// filling it: the update-first layer's bias + activation
+/// ([`crate::fused::gcn_layer_planned_into`]).
+pub type RowFinish<'a> = dyn Fn(&mut [f32]) + Sync + 'a;
+
 /// A precomputed execution plan for repeated SpMM against one adjacency.
 ///
 /// Build once with [`SpmmPlan::new`], then call [`SpmmPlan::run_into`] per
@@ -416,19 +421,7 @@ impl SpmmPlan {
         out: &mut DenseMatrix,
     ) -> Result<(), MatrixError> {
         self.check_plan(a)?;
-        let k = h.shape().1;
-        let exec = if self.pinned || k == self.k {
-            self.exec
-        } else {
-            self.resolve(k, pool::global().width())
-        };
-        match exec {
-            // The one arm with planned state: the cached partition.
-            SpmmStrategy::VertexParallel { threads } => {
-                spmm_nnz_balanced_with(self.kernel, a, h, None, &self.partition, threads, out)
-            }
-            other => other.run_into(a, h, out),
-        }
+        self.run_lists_into(a, h, None, None, out)
     }
 
     /// [`SpmmPlan::run_into`] at the plan's storage precision
@@ -443,6 +436,10 @@ impl SpmmPlan {
     /// at the plan's dense width (the execution path is for whole
     /// products), and a narrow plan encodes only `h`'s rows `lists.reads`.
     ///
+    /// `finish`, when given, runs on every computed row right after the
+    /// row loop fills it, inside the same pool share (the edge-parallel
+    /// kernel, which has no row loop, finishes its rows after the product).
+    ///
     /// # Errors
     ///
     /// Same conditions as [`SpmmPlan::run_into`] and, for `lists`,
@@ -453,33 +450,58 @@ impl SpmmPlan {
         h: &DenseMatrix,
         lists: Option<RowLists>,
         qbuf: &mut QuantMatrix,
+        finish: Option<&RowFinish<'_>>,
         out: &mut DenseMatrix,
     ) -> Result<(), MatrixError> {
         // Reject a foreign adjacency before paying for the encode.
         self.check_plan(a)?;
         match self.precision {
-            Precision::F32 => self.run_lists_into(a, h, lists, out),
+            Precision::F32 => self.run_lists_into(a, h, lists, finish, out),
             narrow => {
                 qbuf.encode(h, lists.map(|l| l.reads), narrow)?;
-                self.run_lists_into(a, &*qbuf, lists, out)
+                self.run_lists_into(a, &*qbuf, lists, finish, out)
             }
         }
     }
 
-    /// [`SpmmPlan::run_into`], or with `lists` their rows only.
+    /// The plan's row loop over `lists` (every row for `None`, along the
+    /// execution path: the cached partition, or one slot sequentially),
+    /// each row finished by `finish`.
     fn run_lists_into<F: FeatureOperand>(
         &self,
         a: &Csr,
         h: &F,
         lists: Option<RowLists>,
+        finish: Option<&RowFinish<'_>>,
         out: &mut DenseMatrix,
     ) -> Result<(), MatrixError> {
-        match lists {
-            None => self.run_into(a, h, out),
-            Some(l) => {
-                let threads = self.dense_threads();
-                spmm_nnz_balanced_with(self.kernel, a, h, Some(l.rows), l.partition, threads, out)
-            }
+        let k = h.shape().1;
+        let one_slot = [0, a.nrows()];
+        let (rows, partition, threads) = match lists {
+            Some(l) => (Some(l.rows), l.partition, self.dense_threads()),
+            None => match self.exec_at(k) {
+                // The one arm with planned state: the cached partition.
+                SpmmStrategy::VertexParallel { threads } => (None, &self.partition[..], threads),
+                SpmmStrategy::Sequential => (None, &one_slot[..], 1),
+                other => {
+                    other.run_into(a, h, out)?;
+                    if let Some(finish) = finish.filter(|_| k > 0) {
+                        out.as_mut_slice().chunks_exact_mut(k).for_each(finish);
+                    }
+                    return Ok(());
+                }
+            },
+        };
+        spmm_nnz_balanced_with(self.kernel, a, h, rows, partition, threads, finish, out)
+    }
+
+    /// The execution path for feature width `k`: the pinned strategy, the
+    /// resolved one at the plan's `k` hint, else the rule re-run for `k`.
+    fn exec_at(&self, k: usize) -> SpmmStrategy {
+        if self.pinned || k == self.k {
+            self.exec
+        } else {
+            self.resolve(k, pool::global().width())
         }
     }
 
@@ -541,13 +563,15 @@ pub fn fingerprint(a: &Csr) -> u64 {
 /// exclusively (the list ascends; no atomics, no locks held across rows),
 /// and because ranges hold ~equal non-zeros, no share serializes on a heavy
 /// chunk the way count-based chunking does. This is the kernel behind
-/// [`SpmmStrategy::VertexParallel`].
+/// [`SpmmStrategy::VertexParallel`]. `finish`, when given, runs on each
+/// output row right after the row loop fills it.
 ///
 /// # Errors
 ///
 /// Returns [`MatrixError::DimensionMismatch`] on shape mismatch or a list
 /// that does not ascend strictly inside `a`, and
 /// [`MatrixError::ZeroThreads`] if `threads == 0`.
+#[allow(clippy::too_many_arguments)]
 pub fn spmm_nnz_balanced_with<F: FeatureOperand>(
     kd: KernelDispatch,
     a: &Csr,
@@ -555,6 +579,7 @@ pub fn spmm_nnz_balanced_with<F: FeatureOperand>(
     rows: Option<&[usize]>,
     partition: &[usize],
     threads: usize,
+    finish: Option<&RowFinish<'_>>,
     out: &mut DenseMatrix,
 ) -> Result<(), MatrixError> {
     crate::spmm::check("spmm_nnz_balanced", a, h)?;
@@ -579,8 +604,8 @@ pub fn spmm_nnz_balanced_with<F: FeatureOperand>(
     }
     let id = |i: usize| rows.map_or(i, |ids| ids[i]);
     let run = |out: &mut [f32], first: usize, (lo, hi): (usize, usize)| match rows {
-        None => spmm_rows_with(kd, a, h, lo..hi, out, first),
-        Some(ids) => spmm_rows_with(kd, a, h, ids[lo..hi].iter().copied(), out, first),
+        None => spmm_rows_with(kd, a, h, lo..hi, finish, out, first),
+        Some(ids) => spmm_rows_with(kd, a, h, ids[lo..hi].iter().copied(), finish, out, first),
     };
     if threads == 1 || partition.len() < 3 {
         run(out.as_mut_slice(), 0, (0, len));
@@ -690,8 +715,17 @@ mod tests {
             let p = nnz_balanced_partition(a.row_ptr(), slots);
             for threads in [1, 2, 4, 9] {
                 let mut out = DenseMatrix::filled(10, 10, f32::NAN);
-                spmm_nnz_balanced_with(KernelDispatch::get(), &a, &h, None, &p, threads, &mut out)
-                    .unwrap();
+                spmm_nnz_balanced_with(
+                    KernelDispatch::get(),
+                    &a,
+                    &h,
+                    None,
+                    &p,
+                    threads,
+                    None,
+                    &mut out,
+                )
+                .unwrap();
                 assert!(
                     reference.max_abs_diff(&out) < 1e-4,
                     "slots={slots} threads={threads}"
@@ -739,7 +773,7 @@ mod tests {
             nnz_balanced_partition_of(&a, &ids, slots, &mut p);
             let mut out = DenseMatrix::filled(200, 9, f32::NAN);
             let kd = KernelDispatch::get();
-            spmm_nnz_balanced_with(kd, &a, &h, Some(&ids), &p, threads, &mut out).unwrap();
+            spmm_nnz_balanced_with(kd, &a, &h, Some(&ids), &p, threads, None, &mut out).unwrap();
             for v in 0..200 {
                 if v % 7 < 3 {
                     assert_eq!(out.row(v), whole.row(v), "row {v} threads={threads}");
@@ -751,7 +785,7 @@ mod tests {
         for bad in [&[4usize, 4][..], &[9, 2], &[199, 200]] {
             let mut out = DenseMatrix::default();
             let kd = KernelDispatch::get();
-            let ran = spmm_nnz_balanced_with(kd, &a, &h, Some(bad), &[0, 2], 2, &mut out);
+            let ran = spmm_nnz_balanced_with(kd, &a, &h, Some(bad), &[0, 2], 2, None, &mut out);
             assert!(matches!(ran, Err(MatrixError::DimensionMismatch { .. })));
         }
     }
@@ -877,7 +911,7 @@ mod tests {
         let p = nnz_balanced_partition(a.row_ptr(), 2);
         let mut out = DenseMatrix::default();
         assert!(matches!(
-            spmm_nnz_balanced_with(KernelDispatch::get(), &a, &h, None, &p, 0, &mut out),
+            spmm_nnz_balanced_with(KernelDispatch::get(), &a, &h, None, &p, 0, None, &mut out),
             Err(MatrixError::ZeroThreads)
         ));
     }
@@ -1011,7 +1045,7 @@ mod tests {
         let base = SpmmPlan::new(&a, 9);
         let mut q = QuantMatrix::new();
         let mut out = DenseMatrix::default();
-        base.run_at_precision_into(&a, &h, None, &mut q, &mut out)
+        base.run_at_precision_into(&a, &h, None, &mut q, None, &mut out)
             .unwrap();
         assert_eq!(
             q.shape(),
@@ -1023,7 +1057,7 @@ mod tests {
             let plan = base.clone().at_precision(p);
             assert_eq!(plan.precision(), p);
             assert!(plan.precision_fallback().is_none());
-            plan.run_at_precision_into(&a, &h, None, &mut q, &mut out)
+            plan.run_at_precision_into(&a, &h, None, &mut q, None, &mut out)
                 .unwrap();
             assert_eq!((q.shape(), q.precision()), ((60, 9), p));
             let mut direct = DenseMatrix::default();

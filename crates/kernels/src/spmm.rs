@@ -14,6 +14,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use sparse::Csr;
 
+use crate::plan::RowFinish;
+
 // BOUNDS: all `[]` indexing in this module is over CSR arrays validated at
 // construction (`Csr::from_coo` checks row_ptr monotonicity and col_idx <
 // ncols) plus output slices sized to `n * k` by the `resize_*` call before
@@ -114,12 +116,14 @@ pub(crate) fn check<F: FeatureOperand>(
 /// `out_rows`, row `v` at offset `(v - first) * k` (row-major, overwritten)
 /// on an explicit [`KernelDispatch`]. The shared inner loop of the
 /// sequential and vertex-parallel kernels: one [`FeatureOperand::fill_row`]
-/// per output row, over `A`'s own row `v` and `H`'s rows at global ids.
+/// per output row, over `A`'s own row `v` and `H`'s rows at global ids,
+/// then `finish` on the row while it is still in cache.
 pub(crate) fn spmm_rows_with<F: FeatureOperand>(
     kd: KernelDispatch,
     a: &Csr,
     h: &F,
     rows: impl Iterator<Item = usize>,
+    finish: Option<&RowFinish<'_>>,
     out_rows: &mut [f32],
     first: usize,
 ) {
@@ -127,6 +131,9 @@ pub(crate) fn spmm_rows_with<F: FeatureOperand>(
     for u in rows {
         let row_out = &mut out_rows[(u - first) * k..(u - first + 1) * k];
         h.fill_row(kd, row_out, a.row_cols(u), a.row_values(u));
+        if let Some(finish) = finish {
+            finish(row_out);
+        }
     }
 }
 
@@ -155,7 +162,15 @@ pub fn spmm_sequential_into<F: FeatureOperand>(
     check("spmm_sequential", a, h)?;
     let (n, k) = (a.nrows(), h.shape().1);
     out.resize_for_overwrite(n, k);
-    spmm_rows_with(KernelDispatch::get(), a, h, 0..n, out.as_mut_slice(), 0);
+    spmm_rows_with(
+        KernelDispatch::get(),
+        a,
+        h,
+        0..n,
+        None,
+        out.as_mut_slice(),
+        0,
+    );
     Ok(())
 }
 
@@ -201,7 +216,7 @@ pub fn spmm_edge_parallel_into(
     // Resolve the micro-kernel backend once, outside the broadcast.
     let kd = KernelDispatch::get();
     if threads == 1 {
-        spmm_rows_with(kd, a, h, 0..n, out.as_mut_slice(), 0);
+        spmm_rows_with(kd, a, h, 0..n, None, out.as_mut_slice(), 0);
         return Ok(());
     }
 

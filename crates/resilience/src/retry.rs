@@ -74,13 +74,10 @@ pub struct Recovery<T> {
 /// pass through; anything else becomes a placeholder).
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
-        // lint:allow(L009): failure path only — runs after a panic was
-        // already caught, so the steady-state hot loop never gets here.
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        // lint:allow(L009): failure path only (see above).
         "non-string panic payload".to_string()
     }
 }

@@ -1,9 +1,8 @@
 //! `schedck` — a deterministic schedule explorer (mini-loom) for the
 //! workspace's concurrency handshakes.
 //!
-//! The pool's finished-counter handshake, the shard executor's
-//! ready-ring, the exchange-retry path and the serving admission queue
-//! are all small protocols whose
+//! The pool's finished-counter handshake and the serving admission queue
+//! are small protocols whose
 //! correctness depends on *which* interleavings are possible and *what*
 //! each synchronization op publishes. Ordinary tests sample a handful of
 //! OS schedules; this crate enumerates them. A model is a closure over

@@ -1,46 +1,28 @@
 //! Sharded multi-node GCN execution.
 //!
 //! PIUMA's headline claim is *scalability*: a GCN sharded across nodes of
-//! a distributed global address space, with remote feature rows fetched
-//! over the HyperX network. This crate reproduces that execution model in
-//! process. A [`ShardPlan`] cuts the normalized adjacency into NNZ-balanced
-//! row blocks (reusing the single-node planner's merge-path split), one per
-//! worker, each a row range of the adjacency plus a **halo map** — the
-//! remote rows whose activations it reads each layer. [`ShardedGcn`] then
-//! runs each layer as the planned single-node layer with only its SpMM
-//! sharded: the dense update is one pool-width GEMM over all rows, and
-//! the aggregation is a task graph of `exchange(b) → aggregate(b)` nodes
-//! executed by [`exec::TaskGraph`] over the shared [`pool`]. As on PIUMA's
-//! distributed global address space, a block reads remote rows where they
-//! live: the exchange copies nothing, it books the block's halo bytes, so
-//! the communication volume is counted from the reads the blocks make.
-//! Every exchange passes a `fault_point!` site, making the protocol
-//! chaos-testable. Recovery is the executor's done flags plus a per-task
-//! attempt budget: a task that panics is not done, its dependents are
-//! withheld, and the layer re-runs what is not done.
-//!
-//! The numeric contract is strict: sharded inference is **bitwise
-//! identical** to single-node [`gcn::GcnModel::infer_planned_with`] running a
-//! width-1 (sequential) plan. Each block walks its rows' non-zeros in the
-//! same ascending column order as the single-node row loop, and the
-//! packed GEMM's per-row FP sequence is row-partition-invariant — so
-//! splitting work across shards never reassociates a single addition.
+//! a distributed global address space, where a node reads a remote feature
+//! row where it lives. A [`ShardPlan`] cuts the normalized adjacency into
+//! NNZ-balanced row blocks (the single-node planner's merge-path split),
+//! one per worker, each a row range of the adjacency plus a **halo map** —
+//! the remote rows whose activations it reads each layer. In one process a
+//! shard therefore has nothing to copy or schedule: [`ShardedGcn`] is the
+//! whole-graph layer loop plus the plan's ledger, and its output is
+//! **bitwise identical** to single-node
+//! [`gcn::GcnModel::infer_planned_with`] on a width-1 plan.
 //!
 //! [`sim`] mirrors the same partition inside the `piuma-sim` machine model
 //! (HyperX hop latencies, DMA engines, per-node bandwidth) to project what
 //! the partition would cost on real PIUMA nodes — that projection
 //! regenerates `results/ext_multinode_scaling.csv` from first principles.
 
-/// Task-graph executor draining shard tasks through the process pool.
-pub mod exec;
 /// Partitioning: NNZ/row-balanced row blocks, halo maps, exchange ledger.
 pub mod partition;
-/// The sharded GCN runner: planned layers with a block-sharded SpMM.
+/// The sharded GCN runner: the layer loop plus the partition's ledger.
 pub mod runner;
 /// PIUMA projection of a shard plan (regenerates the scaling CSV).
 pub mod sim;
 
-pub use exec::{RunTrace, TaskFailure, TaskGraph};
 pub use partition::{LayerExchange, PartitionKind, ShardBlock, ShardPlan};
 pub use runner::{ShardReport, ShardedGcn};
 pub use sim::{simulate_model, ShardSimResult};
@@ -58,8 +40,9 @@ pub enum ShardError {
     },
     /// A plan for zero workers was requested.
     ZeroWorkers,
-    /// A dense kernel of a sharded layer failed (the update GEMM, or the
-    /// narrow encode of the aggregated operand).
+    /// A sharded layer failed on every attempt of every rung: a kernel's
+    /// typed error, or [`matrix::MatrixError::Fault`] naming the
+    /// `gcn.layer` site for an injected fault or an unrecovered panic.
     Matrix(matrix::MatrixError),
     /// Feature matrix width does not match the model's input dimension.
     FeatureDimMismatch {
@@ -75,10 +58,6 @@ pub enum ShardError {
         /// Rows in the feature matrix.
         features: usize,
     },
-    /// The task-graph executor gave up on a layer: a dependency cycle, or
-    /// a task (or the pool, outside any task) that panicked on every one
-    /// of its [`resilience::retry::ATTEMPTS`] runs. Carries the panic text.
-    Executor(String),
 }
 
 impl std::fmt::Display for ShardError {
@@ -101,12 +80,32 @@ impl std::fmt::Display for ShardError {
                     "vertex count mismatch: graph has {graph}, features {features}"
                 )
             }
-            ShardError::Executor(e) => write!(f, "shard executor gave up: {e}"),
         }
     }
 }
 
 impl std::error::Error for ShardError {}
+
+impl From<gcn::GcnError> for ShardError {
+    fn from(e: gcn::GcnError) -> Self {
+        use gcn::GcnError as G;
+        match e {
+            G::FeatureDimMismatch { expected, actual } => {
+                Self::FeatureDimMismatch { expected, actual }
+            }
+            G::VertexCountMismatch { graph, features } => {
+                Self::VertexCountMismatch { graph, features }
+            }
+            G::Kernel(e) => Self::Matrix(e),
+            // The whole-graph loop targets no vertex and normalizes nothing.
+            G::VertexOutOfRange { .. } | G::Normalize(_) => {
+                Self::Matrix(matrix::MatrixError::Fault {
+                    site: "sharded inference",
+                })
+            }
+        }
+    }
+}
 
 impl From<matrix::MatrixError> for ShardError {
     fn from(e: matrix::MatrixError) -> Self {

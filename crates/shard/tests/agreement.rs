@@ -238,11 +238,14 @@ fn bitwise_narrow_precision() {
     }
 }
 
-/// Chaos drill: panics injected at the `shard.exchange` fault point are
-/// answered by the layer's replay, the run still completes, the output is
-/// still bitwise identical, and the recovery counter records the hits.
+/// Chaos drill: panics injected at the `gcn.layer` fault point (the top of
+/// every layer attempt) are answered by the layer loop's retry, the run
+/// still completes, the output is still bitwise identical, and the
+/// recovery counter records the hits. A layer is one visit per attempt
+/// (not one per block task), so the rate is set where this seed's
+/// decision stream fails at least one attempt.
 #[test]
-fn chaos_exchange_recovers_bitwise() {
+fn chaos_layer_recovers_bitwise() {
     let _quiet = resilience::retry::quiet_panics();
     let a_hat = twin(OgbDataset::Products);
     let config = GcnConfig::from_dims(vec![16, 32, 8]);
@@ -250,16 +253,15 @@ fn chaos_exchange_recovers_bitwise() {
     let x = features(a_hat.nrows(), 16, 11);
     let want = reference(&model, &a_hat, &x);
 
-    let _armed =
-        fault::arm(FaultConfig::new(0xFA_u64).point("shard.exchange", FaultKind::Panic, 0.4));
+    let _armed = fault::arm(FaultConfig::new(0xFA_u64).point("gcn.layer", FaultKind::Panic, 0.5));
     let mut sharded = ShardedGcn::new(&a_hat, 8, PartitionKind::Rows1D).expect("shard plan builds");
     let got = sharded
         .infer(&model, &x)
-        .expect("the replay answers injected exchange panics");
+        .expect("the retry answers injected layer panics");
     assert_bitwise(OgbDataset::Products, &got, &want);
     let report = sharded.report(&model);
     assert!(
         report.recovered_exchanges > 0,
-        "fault rate 0.4 over many exchange tasks must trigger at least one recovery"
+        "seed 0xFA at rate 0.5 fails at least one of the layer attempts"
     );
 }

@@ -4,14 +4,15 @@
 //! its peak. Building a [`shard::ShardedGcn`] over a Products twin and
 //! running its first `infer` may raise the peak above what was live before
 //! by at most: the plan's one copy of the adjacency and its `refs` / `halo`
-//! lists, the runner's three n-row activation buffers, the returned
-//! output, and a small per-worker overhead (task graph, row slices,
-//! executor state). Per-block stage buffers — a copy of every block's
-//! referenced rows at the aggregation width, `Σ refs × K × 4` bytes — do
-//! not fit in that bound.
+//! lists (the ledger), the workspace's buffers — three n-row activation
+//! buffers and its plan's NNZ partition — and the returned output.
+//! Per-block stage buffers — a copy of every block's referenced rows at
+//! the aggregation width, `Σ refs × K × 4` bytes — do not fit in that
+//! bound.
 
 use gcn::{GcnConfig, GcnModel};
 use graph::OgbDataset;
+use kernels::SpmmPlan;
 use shard::{PartitionKind, ShardedGcn};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,10 +58,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allowed heap per worker beyond the named buffers: the task graph, the
-/// per-block row slices and the executor's per-run state.
-const PER_WORKER_BYTES: usize = 4 << 10;
-
 #[test]
 fn sharded_inference_peak_heap_is_the_adjacency_and_activations() {
     let a_hat = OgbDataset::Products
@@ -99,21 +96,27 @@ fn sharded_inference_peak_heap_is_the_adjacency_and_activations() {
 
     let f32s = size_of::<f32>();
     let adjacency = (n + 1) * size_of::<usize>() + a_hat.nnz() * (size_of::<u32>() + f32s);
-    let lists: usize = sharded
-        .plan()
-        .blocks()
-        .iter()
-        .map(|b| (b.refs.len() + b.halo.len()) * size_of::<u32>())
-        .sum();
+    // The ledger: the block table, its row bounds and every block's lists.
+    let plan = sharded.plan();
+    let lists = size_of_val(plan.blocks())
+        + size_of_val(plan.row_bounds())
+        + plan
+            .blocks()
+            .iter()
+            .map(|b| (b.refs.len() + b.halo.len()) * size_of::<u32>())
+            .sum::<usize>();
     let widest = dims[1..].iter().copied().max().unwrap_or(0);
     let activations = 3 * n * widest * f32s;
+    // The workspace plans at pool width, as the runner's first call did.
+    let partition = size_of_val(SpmmPlan::new(&a_hat, dims[0]).partition());
     let output = size_of_val(out.as_slice());
-    let bound = adjacency + lists + activations + output + workers * PER_WORKER_BYTES;
+    let bound = adjacency + lists + activations + partition + output;
     let staged: usize = sharded.plan().blocks().iter().map(|b| b.refs.len()).sum();
     assert!(
         peak <= bound,
-        "peak live heap {peak} B > bound {bound} B (adjacency {adjacency}, refs/halo \
-         {lists}, activations {activations}, output {output}); one stage copy of every \
+        "peak live heap {peak} B > bound {bound} B (adjacency {adjacency}, ledger \
+         {lists}, activations {activations}, partition {partition}, output {output}); one \
+         stage copy of every \
          block's referenced rows at width {widest} would be {} B",
         staged * widest * f32s
     );

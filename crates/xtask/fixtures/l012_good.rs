@@ -3,7 +3,6 @@
 
 /// Copies a row into the stage buffer behind a chaos-injection site.
 pub fn gather(stage: &mut Block, src: &Block) {
-    // lint:allow(L008): one relaxed load per exchange, off the inner loop
     resilience::fault_point!("fixture.exchange");
     stage.resize_for_overwrite(1, 4);
     stage.row_mut(0).copy_from_slice(src.row(0));

@@ -25,7 +25,7 @@ const HOT: &str = "crates/kernels/src/spmm.rs";
 /// L007 (`[docs]`), and outside the spawn/relaxed allow-lists.
 const KERNEL_SRC: &str = "crates/kernels/src/fixture.rs";
 /// Pseudo-path inside the exchange list (`[exchange] paths`).
-const EXCHANGE: &str = "crates/shard/src/exec.rs";
+const EXCHANGE: &str = "crates/shard/src/runner.rs";
 
 /// (lint ID, failing fixture, passing fixture, pseudo-path,
 /// companion (fixture, pseudo-path) linted alongside both).

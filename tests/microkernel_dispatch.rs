@@ -148,7 +148,8 @@ fn spmm_into_a_stale_same_shape_buffer_leaves_no_nan() {
         for kd in backends() {
             for threads in [1usize, 4] {
                 let mut out = DenseMatrix::filled(n, k, f32::NAN);
-                spmm_nnz_balanced_with(kd, &a, &h, None, &partition, threads, &mut out).unwrap();
+                spmm_nnz_balanced_with(kd, &a, &h, None, &partition, threads, None, &mut out)
+                    .unwrap();
                 assert!(out.all_finite(), "{} x{threads}", kd.backend().name());
                 assert!(reference.max_abs_diff(&out) < 1e-4);
             }
