@@ -5,11 +5,13 @@
 //! dimension `K` is swept from 8 to 256; [`GcnConfig`] captures exactly
 //! those architecture knobs and [`GcnModel`] executes inference.
 //!
-//! There is one layer loop, behind [`GcnModel::infer_planned_with`]. *How*
-//! it aggregates is the [`kernels::SpmmPlan`] in the caller's
-//! [`InferenceWorkspace`] — resolved by the plan's own rule or pinned to an
-//! explicit [`kernels::SpmmStrategy`], and carrying width, precision and
-//! SIMD backend. A run guard and recovery are operands of the same loop
+//! There is one layer loop, behind [`GcnModel::infer_planned_with`] and,
+//! on row lists, [`GcnModel::infer_rows_planned_into`], and one
+//! [`InferenceWorkspace`] it runs in — in place unless it is recovering.
+//! *How* it aggregates is the workspace's [`kernels::SpmmPlan`] — resolved
+//! by the plan's own rule or pinned to an explicit
+//! [`kernels::SpmmStrategy`], and carrying width, precision and SIMD
+//! backend. A run guard and recovery are operands of the same loop
 //! ([`GcnModel::infer_resilient_with`]); every other entry point is a thin
 //! caller of it. How a run falls back is data too — rungs on the plan,
 //! that loop's recovery arm as the only retry-then-degrade walk, one flat
@@ -43,7 +45,7 @@ pub mod error;
 pub mod model;
 /// Guarded, fault-tolerant and precision-guarded entry points; their one report.
 pub mod resilient;
-/// Batched per-vertex inference over gathered k-hop neighbourhoods.
+/// Batched per-vertex inference: the layer loop on layer-wise frontiers.
 pub mod rows;
 
 pub use accuracy::{accuracy_bound, AccuracyReport};

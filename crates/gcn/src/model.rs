@@ -5,6 +5,7 @@ use crate::error::GcnError;
 use crate::resilient::{Degradation, InferenceRun};
 use graph::Graph;
 use kernels::fused::gcn_layer_planned_into;
+use kernels::plan::{nnz_balanced_partition_of, RowLists, PLAN_SLOTS_PER_THREAD};
 use kernels::{SpmmPlan, SpmmStrategy};
 use matrix::{Activation, DenseMatrix, MatrixError, Precision, QuantMatrix, WeightInit};
 use rand::rngs::StdRng;
@@ -13,40 +14,50 @@ use resilience::guard::RunGuard;
 use resilience::retry::{self, Failure};
 use sparse::Csr;
 
-/// The buffers the layer loop ([`GcnModel::run_layers`]) ping-pongs
-/// through: layer 0 reads the features in place, each layer writes into
-/// `next` and the pair is swapped, so after the loop `h` holds the output
-/// (the features themselves when no layer completed). After the
-/// first call sizes them, later calls on same-shaped inputs perform no
-/// output-sized allocation.
+/// The one workspace every inference entry point runs in: the layer
+/// loop's activation buffers, the [`SpmmPlan`] it aggregates on, and —
+/// allocated only by a rows call ([`GcnModel::infer_rows_planned_into`]) —
+/// the visited marks, the levels and the row-list partition.
+///
+/// The loop runs **in place unless it is recovering**: layer 0 reads the
+/// features and writes `h`, every later layer reads `h` and overwrites it
+/// (each layer reads its input once, into `mid`, before it writes its
+/// output), so a plain run holds two activation buffers. A recovering run
+/// ([`GcnModel::infer_recovering_with`]) writes each layer into a third,
+/// `next`, and swaps it in only once the layer succeeded, because a retried
+/// attempt needs its input intact. Every buffer is sized once, for the
+/// widest layer, before layer 0, and is reused at its high-water mark, so
+/// later calls on same-shaped inputs perform no output-sized allocation.
+///
+/// The plan is built by the first inference against an adjacency and
+/// reused by every later layer / epoch / call after an `O(1)` fingerprint
+/// check. It says *how* to run — strategy (resolved or pinned), width,
+/// precision, SIMD backend — so no inference entry point takes those as
+/// arguments.
 #[derive(Debug, Clone, Default)]
-struct LayerBuffers {
+pub struct InferenceWorkspace {
     /// Current activations: the loop's input, then its output.
-    h: DenseMatrix,
-    /// Spare activation buffer written by the next layer.
+    pub(crate) h: DenseMatrix,
+    /// The layer's output while recovering; never allocated otherwise.
     next: DenseMatrix,
     /// Intermediate product inside the layer.
-    mid: DenseMatrix,
+    pub(crate) mid: DenseMatrix,
     /// Narrow-storage staging buffer: under a narrow plan each layer
     /// encodes its SpMM feature operand here (bf16 / f16 / int8) and the
     /// buffer is reused across layers and calls; untouched at `f32`.
     qbuf: QuantMatrix,
-}
-
-/// Reusable state for [`GcnModel::infer_planned_with`]: the layer loop's
-/// activation buffers (two ping-pong matrices plus the layer's
-/// intermediate — no fresh activation matrix per layer in steady state)
-/// and the one [`SpmmPlan`] inference aggregates on, built by the first
-/// inference against an adjacency and reused by every later layer / epoch
-/// / call after an `O(1)` fingerprint check. The plan says *how* to run —
-/// strategy (resolved or pinned), width, precision, SIMD backend — so no
-/// inference entry point takes those as arguments.
-#[derive(Debug, Clone, Default)]
-pub struct InferenceWorkspace {
-    bufs: LayerBuffers,
     /// Cached execution plan, keyed by the adjacency's structural
     /// fingerprint.
     plan: Option<SpmmPlan>,
+    /// Rows calls: `mark[v] == epoch` ⇔ vertex `v` is in the level being
+    /// collected.
+    pub(crate) mark: Vec<u32>,
+    pub(crate) epoch: u32,
+    /// Rows calls: `levels[l]` = `V_l`, ascending.
+    pub(crate) levels: Vec<Vec<usize>>,
+    /// Rows calls: the current layer's NNZ partition, as positions in its
+    /// row list.
+    pub(crate) slots: Vec<usize>,
 }
 
 impl InferenceWorkspace {
@@ -55,9 +66,11 @@ impl InferenceWorkspace {
         Self::default()
     }
 
-    /// The activations produced by the most recent inference call.
+    /// The activations produced by the most recent whole-graph inference
+    /// call (after an `Err` they are unspecified; after a rows call they
+    /// hold its level rows at their global ids).
     pub fn output(&self) -> &DenseMatrix {
-        &self.bufs.h
+        &self.h
     }
 
     /// The cached execution plan, if an inference has run or one was
@@ -82,26 +95,15 @@ impl InferenceWorkspace {
     /// [`SpmmPlan::at_precision`]; a plan for a different graph is
     /// replaced by a fresh pool-width one. The precision probe may
     /// downgrade along [`Precision::fallback`] — inspect the returned plan
-    /// for the recorded downgrade.
+    /// for the recorded downgrade. Every later inference call, whole-graph
+    /// or rows, runs at the precision asked for here.
     pub fn plan_for(&mut self, a_hat: &Csr, k: usize, precision: Precision) -> &SpmmPlan {
-        cached_plan(&mut self.plan, a_hat, k, precision)
+        let plan = match self.plan.take() {
+            Some(p) if p.matches(a_hat) => p,
+            _ => SpmmPlan::new(a_hat, k),
+        };
+        self.plan.insert(plan.at_precision(precision))
     }
-}
-
-/// The plan-cache rule every workspace keeps one plan by
-/// ([`InferenceWorkspace::plan_for`]): `slot`'s plan when it was built for
-/// `a_hat`, else a fresh pool-width one, re-targeted to `precision`.
-pub(crate) fn cached_plan<'s>(
-    slot: &'s mut Option<SpmmPlan>,
-    a_hat: &Csr,
-    k: usize,
-    precision: Precision,
-) -> &'s SpmmPlan {
-    let plan = match slot.take() {
-        Some(p) if p.matches(a_hat) => p,
-        _ => SpmmPlan::new(a_hat, k),
-    };
-    slot.insert(plan.at_precision(precision))
 }
 
 /// One GCN layer: a weight matrix, an optional bias, and an activation.
@@ -207,7 +209,7 @@ impl GcnModel {
         let mut workspace = InferenceWorkspace::new();
         workspace.install_plan(SpmmPlan::pinned(&a_hat, features.cols(), strategy));
         self.infer_planned_with(&a_hat, features, &mut workspace)?;
-        Ok(workspace.bufs.h)
+        Ok(workspace.h)
     }
 
     /// Runs inference against a pre-normalized adjacency, entirely inside a
@@ -236,21 +238,42 @@ impl GcnModel {
         workspace: &'w mut InferenceWorkspace,
     ) -> Result<&'w DenseMatrix, GcnError> {
         self.check_shapes(a_hat, features)?;
-        self.run_whole_graph(a_hat, features, &RunGuard::unbounded(), false, workspace)?;
-        Ok(&workspace.bufs.h)
+        self.run_layers(
+            a_hat,
+            features,
+            None,
+            &RunGuard::unbounded(),
+            false,
+            workspace,
+        )?;
+        Ok(&workspace.h)
     }
 
-    /// Whole-graph inference along the workspace's plan: resolves the plan
-    /// for `a_hat` at the precision the workspace was asked for and runs
-    /// every layer on that one `(a_hat, plan)` pair, layer 0 reading
-    /// `features` in place. They are copied into the output only when no
-    /// layer completed (a zero-layer model, or a guard that fired first).
-    /// The workspace's own plan is never modified; the report carries the
-    /// precision it ran at and its ISA-probe downgrade, if any.
-    pub(crate) fn run_whole_graph(
+    /// The one layer loop. It resolves the workspace's plan for `a_hat` at
+    /// the precision the workspace was asked for, and runs every layer on
+    /// that one `(a_hat, plan)` pair: on every row (`levels` `None`), or on
+    /// row lists — layer `t` computes the rows `levels[t + 1]` from its
+    /// input's rows `levels[t]`, at global ids, on an NNZ partition of the
+    /// list at pool width. Layer 0 reads `features` in place; they are
+    /// copied into the output only when no layer completed (a zero-layer
+    /// model, or a guard that fired first).
+    ///
+    /// Without `recover` every later layer runs in place on `h`. With it,
+    /// this is the workspace's only retry-then-degrade walk: each layer
+    /// writes `next` under [`retry::run`] — the `gcn.layer` fault site
+    /// inside the retried attempt — and on exhausting its
+    /// [`retry::ATTEMPTS`] attempts steps to a copy of the plan re-pinned
+    /// one rung down [`SpmmStrategy::fallback`], recording the rung in the
+    /// report; every layer starts back at the workspace's plan. A fired
+    /// `guard` (checked before each layer and rung) ends the run with `h`
+    /// at the last completed layer; after an `Err` the output is
+    /// unspecified. The workspace's plan is never modified; the report
+    /// carries the precision it ran at and its ISA-probe downgrade, if any.
+    pub(crate) fn run_layers(
         &self,
         a_hat: &Csr,
         features: &DenseMatrix,
+        levels: Option<&[Vec<usize>]>,
         guard: &RunGuard,
         recover: bool,
         workspace: &mut InferenceWorkspace,
@@ -260,68 +283,65 @@ impl GcnModel {
             .as_ref()
             .map_or(Precision::F32, SpmmPlan::requested_precision);
         workspace.plan_for(a_hat, features.cols(), precision);
-        let InferenceWorkspace { bufs, plan } = workspace;
-        let plan = plan.as_ref().expect("plan populated above");
-        let mut run = self.run_layers(a_hat, features, plan, guard, recover, bufs)?;
-        if run.layers_done == 0 {
-            bufs.h.copy_from(features);
-        }
-        run.used = plan.precision();
-        run.precision_fallback = plan.precision_fallback();
-        Ok(run)
-    }
-
-    /// The whole-graph layer loop: layer 0 reads `features`, every later
-    /// layer the previous one's output in `bufs.h`, and every layer
-    /// aggregates on `a_hat` along `base`. A fired `guard` (checked before
-    /// each layer) ends the run with `bufs.h` at the last completed layer
-    /// (untouched if none did). Without `recover` each layer is one direct
-    /// call. With it, this is the workspace's only retry-then-degrade walk:
-    /// the layer runs under [`retry::run`] — the `gcn.layer` fault site
-    /// inside the retried attempt — and on exhausting its
-    /// [`retry::ATTEMPTS`] attempts steps to a copy of the plan re-pinned
-    /// one rung down [`SpmmStrategy::fallback`], recording the rung in the
-    /// report. Every layer starts back at `base`.
-    fn run_layers(
-        &self,
-        a_hat: &Csr,
-        features: &DenseMatrix,
-        base: &SpmmPlan,
-        guard: &RunGuard,
-        recover: bool,
-        bufs: &mut LayerBuffers,
-    ) -> Result<InferenceRun, GcnError> {
-        let LayerBuffers { h, next, mid, qbuf } = bufs;
-        // The two buffers layers write are sized once for the widest layer
-        // (`h` only ever receives `next`), so none grows and moves mid-run:
-        // a moved buffer leaves a freed hole the heap keeps.
+        let InferenceWorkspace {
+            h,
+            next,
+            mid,
+            qbuf,
+            plan,
+            slots,
+            ..
+        } = workspace;
+        let base = plan.as_ref().expect("plan populated above");
+        // Sized once for the widest layer, so no buffer grows and moves
+        // mid-run: a moved buffer leaves a freed hole the heap keeps.
         let n = a_hat.nrows();
         let widest = |f: fn(&GcnLayer) -> usize| self.layers.iter().map(f).max().unwrap_or(0);
-        next.resize_for_overwrite(n, widest(GcnLayer::out_dim));
+        h.resize_for_overwrite(n, widest(GcnLayer::out_dim));
+        if recover {
+            next.resize_for_overwrite(n, widest(GcnLayer::out_dim));
+        }
         mid.resize_for_overwrite(n, widest(|l| l.in_dim().min(l.out_dim())));
+        let shares = kernels::pool::global().width() * PLAN_SLOTS_PER_THREAD;
         let mut run = InferenceRun {
             total_layers: self.layers.len(),
             backend_fallback: matrix::microkernel::probe_fallback(),
             ..InferenceRun::default()
         };
-        for (t, layer) in self.layers.iter().enumerate() {
+        'layers: for (t, layer) in self.layers.iter().enumerate() {
             if let Some(reason) = guard.should_stop() {
                 run.stopped = Some(reason);
-                return Ok(run);
+                break;
             }
-            let input = if t == 0 { features } else { &*h };
+            let lists = match levels {
+                Some(levels) => {
+                    let (rows, reads) = (&levels[t + 1][..], &levels[t][..]);
+                    nnz_balanced_partition_of(a_hat, rows, shares, slots);
+                    Some(RowLists {
+                        rows,
+                        reads,
+                        partition: slots,
+                    })
+                }
+                None => None,
+            };
+            let (input, out) = if recover {
+                (Some(if t == 0 { features } else { &*h }), &mut *next)
+            } else {
+                ((t == 0).then_some(features), &mut *h)
+            };
             let mut attempt = |plan: &SpmmPlan| {
                 gcn_layer_planned_into(
                     a_hat,
-                    Some(input),
+                    input,
                     &layer.weight,
                     layer.bias.as_deref(),
                     layer.activation,
                     plan,
-                    None,
+                    lists,
                     qbuf,
                     mid,
-                    next,
+                    out,
                 )
                 .map(|_| ())
             };
@@ -368,15 +388,20 @@ impl GcnModel {
                     rung = Some(base.clone().pin(to));
                     if let Some(reason) = guard.should_stop() {
                         run.stopped = Some(reason);
-                        return Ok(run);
+                        break 'layers;
                     }
                 }
+                std::mem::swap(h, next);
             } else {
                 attempt(base)?;
             }
-            std::mem::swap(h, next);
             run.layers_done += 1;
         }
+        if run.layers_done == 0 {
+            h.copy_from(features);
+        }
+        run.used = base.precision();
+        run.precision_fallback = base.precision_fallback();
         Ok(run)
     }
 

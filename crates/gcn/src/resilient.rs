@@ -23,9 +23,11 @@
 //! error variant that smuggles a measurement — and it propagates kernel
 //! errors instead of degrading past them.
 //!
-//! Retrying a layer is sound because the layer kernel fully overwrites its
-//! two output buffers; a crashed attempt leaves no state a later attempt
-//! can observe.
+//! Retrying a layer is sound because a recovering run writes each layer
+//! into a spare buffer and swaps it in only once the layer succeeded (a
+//! plain run overwrites its input in place), and the layer kernel fully
+//! overwrites both buffers it writes: a crashed attempt leaves no state a
+//! later attempt can observe.
 
 use crate::accuracy::{accuracy_bound, rel_frobenius};
 use crate::error::GcnError;
@@ -178,7 +180,8 @@ impl GcnModel {
 
     /// [`GcnModel::infer_resilient_with`] without the input sweep: checks
     /// shapes only, then runs the layer loop with its recovery arm on
-    /// (retry, then a strategy rung down) under `guard`. For callers that
+    /// (retry, then a strategy rung down) under `guard`, on a third
+    /// activation buffer the workspace allocates for it. For callers that
     /// run one validated model on one graph over and over — the sharded
     /// runner — where the NaN/Inf sweep over features and weights would
     /// cost a sizeable share of every call.
@@ -196,7 +199,7 @@ impl GcnModel {
         workspace: &mut InferenceWorkspace,
     ) -> Result<InferenceRun, GcnError> {
         self.check_shapes(a_hat, features)?;
-        self.run_whole_graph(a_hat, features, guard, true, workspace)
+        self.run_layers(a_hat, features, None, guard, true, workspace)
     }
 
     /// Narrow-precision inference with an end-to-end accuracy guard:
@@ -253,7 +256,7 @@ impl GcnModel {
         let mut current = precision;
         loop {
             workspace.plan_for(a_hat, features.cols(), current);
-            let mut run = self.run_whole_graph(a_hat, features, &unguarded, false, workspace)?;
+            let mut run = self.run_layers(a_hat, features, None, &unguarded, false, workspace)?;
             if let Some((from, to)) = run.precision_fallback {
                 trail.push(rung(from, to, "precision ISA probe failed".to_string()));
             }

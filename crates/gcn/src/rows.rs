@@ -11,21 +11,21 @@
 //!   `V_l` (with self-loops the levels nest, `V_l ⊆ V_{l-1}`; nothing below
 //!   relies on that).
 //!
-//! **Rows on global ids.** Layer `l` is the one GCN layer function
-//! ([`kernels::fused::gcn_layer_planned_into`]) restricted to row lists
-//! ([`kernels::plan::RowLists`]): it computes `A_hat`'s own rows `V_l` from
-//! its input's rows `V_{l-1}`, read at global column ids. Layer 1 reads `X`
-//! in place; every layer writes its rows at their ids into one `n`-row
-//! buffer, which the next layer reads and overwrites in place (the
-//! intermediate product takes a second). So a batch gathers, renumbers and
-//! plans nothing: the layers run on one plan cached per adjacency, the
-//! SpMM's NNZ partition is an `O(|V_l|)` prefix walk over the list
-//! ([`kernels::plan::nnz_balanced_partition_of`]), and a narrow precision
-//! encodes only the level's rows. The lists ascend, so each pool share owns
-//! a contiguous range of output rows. A buffer row outside the level may
-//! hold an earlier batch's value; no layer reads one, as every column of a
-//! row in `V_l` is in `V_{l-1}`, just written below. The buffers take each
-//! layer's width in turn without re-zeroing
+//! **Rows on global ids.** A batch is the one layer loop
+//! (`GcnModel::run_layers`, behind [`GcnModel::infer_planned_with`]) on row
+//! lists ([`kernels::plan::RowLists`]): layer `l` computes `A_hat`'s own
+//! rows `V_l` from its input's rows `V_{l-1}`, read at global column ids.
+//! Layer 1 reads `X` in place; every layer writes its rows at their ids
+//! into the workspace's `n`-row buffer `h`, which the next layer reads and
+//! overwrites in place (the intermediate product takes `mid`). So a batch
+//! gathers, renumbers and plans nothing: the layers run on the workspace's
+//! one plan, the SpMM's NNZ partition is an `O(|V_l|)` prefix walk over
+//! the list ([`kernels::plan::nnz_balanced_partition_of`]), and a narrow
+//! precision encodes only the level's rows. The lists ascend, so each pool
+//! share owns a contiguous range of output rows. A buffer row outside the
+//! level may hold an earlier call's value; no layer reads one, as every
+//! column of a row in `V_l` is in `V_{l-1}`, just written below. The
+//! buffers take each layer's width in turn without re-zeroing
 //! ([`matrix::DenseMatrix::resize_for_overwrite`] keeps their most
 //! elements), so a steady batch writes only its own rows — its cost follows
 //! its levels, not `n`.
@@ -38,8 +38,8 @@
 //! neighbours. So every target row is **bitwise identical** to full-graph
 //! [`GcnModel::infer_planned_with`] under an installed width-1 plan at the
 //! same storage precision — the contract the sharded runner also pins —
-//! whatever batch the row rode in and whatever earlier batches left in the
-//! buffers, which is what lets the serving layer coalesce freely.
+//! whatever batch the row rode in and whatever earlier calls left in the
+//! workspace, which is what lets the serving layer coalesce freely.
 //!
 //! [`RowsBatchStats`] counts the work: `gathered = |V_0|` (feature rows
 //! read), `sub_nnz` = the non-zeros of all `L` row lists (`Σ_l Σ_{v ∈ V_l}
@@ -47,11 +47,9 @@
 //! — is the whole vertex set.
 
 use crate::error::GcnError;
-use crate::model::{cached_plan, GcnModel};
-use kernels::fused::gcn_layer_planned_into;
-use kernels::plan::{nnz_balanced_partition_of, RowLists, PLAN_SLOTS_PER_THREAD};
-use kernels::SpmmPlan;
-use matrix::{DenseMatrix, Precision, QuantMatrix};
+use crate::model::{GcnModel, InferenceWorkspace};
+use matrix::DenseMatrix;
+use resilience::guard::RunGuard;
 use sparse::Csr;
 
 /// Statistics of one batched rows call (fed into the serving metrics: the
@@ -71,37 +69,11 @@ pub struct RowsBatchStats {
     pub full_graph: bool,
 }
 
-/// Reusable buffers for [`GcnModel::infer_rows_planned_into`]: visited
-/// marks, the levels, the SpMM's partition, the plan the layers run on
-/// (kept while the adjacency is the same), two `n`-row global-id
-/// activation buffers and the narrow-encode buffer, each reused at its
-/// high-water mark.
-#[derive(Debug, Default)]
-pub struct RowsWorkspace {
-    /// `mark[v] == epoch` ⇔ vertex `v` is in the level being collected.
-    mark: Vec<u32>,
-    epoch: u32,
-    /// `levels[l]` = `V_l`, ascending.
-    levels: Vec<Vec<usize>>,
-    /// The current layer's NNZ partition: positions in its row list.
-    slots: Vec<usize>,
-    /// The plan every layer runs on, keyed by the adjacency's fingerprint.
-    plan: Option<SpmmPlan>,
-    /// Layer outputs, at global row ids: each layer after the first reads
-    /// its input here and overwrites it.
-    h: DenseMatrix,
-    /// The layer's intermediate product, at global row ids.
-    mid: DenseMatrix,
-    /// The SpMM operand's level rows, under a narrow precision.
-    qbuf: QuantMatrix,
-}
+/// The rows path's workspace is the one [`InferenceWorkspace`]; the name
+/// is kept for callers that spell it this way.
+pub type RowsWorkspace = InferenceWorkspace;
 
-impl RowsWorkspace {
-    /// An empty workspace; buffers grow on first use and are reused after.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl InferenceWorkspace {
     /// Starts collecting a level: bumps the visited-mark epoch, resetting
     /// the mark array on wrap.
     fn next_epoch(&mut self) -> u32 {
@@ -124,6 +96,11 @@ impl GcnModel {
     /// [`GcnModel::infer_planned_with`] under an installed width-1 plan
     /// and reading the target rows — regardless of how requests are
     /// coalesced into batches (see the module docs for the argument).
+    /// Precision rides on the workspace's plan, as for the whole graph: a
+    /// fresh workspace runs `f32`; after [`InferenceWorkspace::plan_for`]
+    /// at a narrow precision (the serving brownout path) every batch runs
+    /// at it. Narrow outputs carry the precision's quantization error and
+    /// are **not** bitwise-comparable to the `f32` path.
     ///
     /// Returns per-batch [`RowsBatchStats`]; `out` is resized to
     /// `targets.len() x out_dim`.
@@ -137,32 +114,7 @@ impl GcnModel {
         a_hat: &Csr,
         features: &DenseMatrix,
         targets: &[usize],
-        ws: &mut RowsWorkspace,
-        out: &mut DenseMatrix,
-    ) -> Result<RowsBatchStats, GcnError> {
-        self.infer_rows_planned_prec_into(a_hat, features, targets, Precision::F32, ws, out)
-    }
-
-    /// [`GcnModel::infer_rows_planned_into`] at a chosen storage precision
-    /// — narrow ones are the serving brownout path. Levels are the same at
-    /// every precision, and the precision is resolved through the same
-    /// micro-kernel probe a plan's [`kernels::SpmmPlan::at_precision`]
-    /// runs, so narrow batches keep the coalescing-invariance of the `f32`
-    /// path: a target row's bits do not depend on which batch it rode in.
-    /// Narrow outputs carry the precision's quantization error and are
-    /// **not** bitwise-comparable to the `f32` path (callers must annotate
-    /// responses accordingly).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GcnModel::infer_rows_planned_into`].
-    pub fn infer_rows_planned_prec_into(
-        &self,
-        a_hat: &Csr,
-        features: &DenseMatrix,
-        targets: &[usize],
-        precision: Precision,
-        ws: &mut RowsWorkspace,
+        ws: &mut InferenceWorkspace,
         out: &mut DenseMatrix,
     ) -> Result<RowsBatchStats, GcnError> {
         self.check_shapes(a_hat, features)?;
@@ -213,50 +165,27 @@ impl GcnModel {
             below.sort_unstable();
         }
 
-        // --- The layers, on global ids: layer 0 reads `X` in place, and
-        // every later layer runs in place on `h`, which holds its input.
-        let RowsWorkspace {
-            levels,
-            slots,
-            plan,
-            h,
-            mid,
-            qbuf,
-            ..
-        } = ws;
-        let plan = cached_plan(plan, a_hat, features.cols(), precision);
-        let shares = kernels::pool::global().width() * PLAN_SLOTS_PER_THREAD;
-        for (l, layer) in self.layers().iter().enumerate() {
-            let (rows, reads) = (&levels[l + 1][..], &levels[l][..]);
-            nnz_balanced_partition_of(a_hat, rows, shares, slots);
-            let lists = RowLists {
-                rows,
-                reads,
-                partition: slots,
-            };
-            gcn_layer_planned_into(
-                a_hat,
-                (l == 0).then_some(features),
-                &layer.weight,
-                layer.bias.as_deref(),
-                layer.activation,
-                plan,
-                Some(lists),
-                qbuf,
-                mid,
-                h,
-            )?;
-        }
-        let top = if hops == 0 { features } else { &*h };
+        // --- The layer loop on the levels, then the targets' rows.
+        let levels = std::mem::take(&mut ws.levels);
+        let run = self.run_layers(
+            a_hat,
+            features,
+            Some(&levels),
+            &RunGuard::unbounded(),
+            false,
+            ws,
+        );
+        ws.levels = levels;
+        run?;
         for (i, &t) in targets.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(top.row(t));
+            out.row_mut(i).copy_from_slice(ws.h.row(t));
         }
         Ok(RowsBatchStats {
             targets: targets.len(),
-            gathered: levels[0].len(),
+            gathered: ws.levels[0].len(),
             sub_nnz,
             hops,
-            full_graph: levels.iter().all(|level| level.len() == n),
+            full_graph: ws.levels.iter().all(|level| level.len() == n),
         })
     }
 }
@@ -265,10 +194,11 @@ impl GcnModel {
 mod tests {
     use super::*;
     use crate::config::GcnConfig;
-    use crate::model::InferenceWorkspace;
     use graph::rmat::RmatConfig;
     use graph::Graph;
+    use kernels::plan::{nnz_balanced_partition_of, PLAN_SLOTS_PER_THREAD};
     use kernels::SpmmPlan;
+    use matrix::Precision;
 
     fn setup(scale: u32) -> (Csr, GcnModel, DenseMatrix) {
         let g = Graph::rmat(&RmatConfig::power_law(scale, 6), 77);
@@ -299,7 +229,7 @@ mod tests {
     fn batched_rows_match_full_graph_bitwise() {
         let (a_hat, model, x) = setup(9);
         let full = reference(&a_hat, &model, &x);
-        let mut ws = RowsWorkspace::new();
+        let mut ws = InferenceWorkspace::new();
         let mut out = DenseMatrix::default();
         let targets = [3usize, 99, 400, 3, 17];
         let stats = model
@@ -326,16 +256,17 @@ mod tests {
             let full = model
                 .infer_planned_with(&a_hat, &x, &mut width1_ws)
                 .unwrap();
-            let mut ws = RowsWorkspace::new();
+            let mut ws = InferenceWorkspace::new();
+            ws.plan_for(&a_hat, x.cols(), p);
             let (mut all, mut one) = (DenseMatrix::default(), DenseMatrix::default());
             let stats = model
-                .infer_rows_planned_prec_into(&a_hat, &x, &targets, p, &mut ws, &mut all)
+                .infer_rows_planned_into(&a_hat, &x, &targets, &mut ws, &mut all)
                 .unwrap();
             assert!(!stats.full_graph, "{p}: expected shrinking frontiers");
             for (i, &t) in targets.iter().enumerate() {
                 assert_eq!(all.row(i), full.row(t), "{p}: row {t} vs full graph");
                 model
-                    .infer_rows_planned_prec_into(&a_hat, &x, &[t], p, &mut ws, &mut one)
+                    .infer_rows_planned_into(&a_hat, &x, &[t], &mut ws, &mut one)
                     .unwrap();
                 assert_eq!(
                     one.row(0),
@@ -352,7 +283,7 @@ mod tests {
         // `a_hat` in place), the top one is not. Alternating f32 / narrow batches through one
         // workspace each match the full-graph run at their own precision.
         let (a_hat, model, x) = tiny();
-        let mut ws = RowsWorkspace::new();
+        let mut ws = InferenceWorkspace::new();
         let mut out = DenseMatrix::default();
         for p in [
             Precision::F32,
@@ -360,8 +291,9 @@ mod tests {
             Precision::F32,
             Precision::Int8,
         ] {
+            ws.plan_for(&a_hat, x.cols(), p);
             let stats = model
-                .infer_rows_planned_prec_into(&a_hat, &x, &[2, 0], p, &mut ws, &mut out)
+                .infer_rows_planned_into(&a_hat, &x, &[2, 0], &mut ws, &mut out)
                 .unwrap();
             assert_eq!((stats.gathered, stats.full_graph), (4, false));
             let mut width1_ws = InferenceWorkspace::new();
@@ -378,7 +310,7 @@ mod tests {
     fn every_vertex_as_target_is_a_full_graph_batch() {
         let (a_hat, model, x) = tiny();
         let full = reference(&a_hat, &model, &x);
-        let mut ws = RowsWorkspace::new();
+        let mut ws = InferenceWorkspace::new();
         let mut out = DenseMatrix::default();
         let stats = model
             .infer_rows_planned_into(&a_hat, &x, &[2, 0, 3, 1], &mut ws, &mut out)
@@ -406,7 +338,7 @@ mod tests {
         let (a_hat, x) = (g.normalized_adjacency().unwrap(), g.random_features(8, 6));
         let model = GcnModel::new(&GcnConfig::paper_model(8, 12, 3), 4);
         let full = reference(&a_hat, &model, &x);
-        let mut ws = RowsWorkspace::new();
+        let mut ws = InferenceWorkspace::new();
         let mut out = DenseMatrix::default();
         let targets = [5usize, 0, 17, n - 1, 0];
         model
@@ -446,7 +378,7 @@ mod tests {
         let (a_hat, x) = (g.normalized_adjacency().unwrap(), g.random_features(8, 6));
         let model = GcnModel::new(&GcnConfig::paper_model(8, 12, 3), 4);
         let full = reference(&a_hat, &model, &x);
-        let mut ws = RowsWorkspace::new();
+        let mut ws = InferenceWorkspace::new();
         let mut out = DenseMatrix::default();
         model
             .infer_rows_planned_into(&a_hat, &x, &[3, 99, 400, 17], &mut ws, &mut out)
@@ -476,7 +408,7 @@ mod tests {
     #[test]
     fn coalescing_is_bitwise_invariant() {
         let (a_hat, model, x) = setup(8);
-        let mut ws = RowsWorkspace::new();
+        let mut ws = InferenceWorkspace::new();
         let mut one = DenseMatrix::default();
         let mut all = DenseMatrix::default();
         let targets: Vec<usize> = vec![5, 41, 7, 120, 200, 5];
@@ -499,7 +431,7 @@ mod tests {
     fn out_of_range_target_is_typed() {
         let (a_hat, model, x) = setup(6);
         let n = a_hat.nrows();
-        let mut ws = RowsWorkspace::new();
+        let mut ws = InferenceWorkspace::new();
         let mut out = DenseMatrix::default();
         assert!(matches!(
             model.infer_rows_planned_into(&a_hat, &x, &[n], &mut ws, &mut out),
@@ -510,7 +442,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let (a_hat, model, x) = setup(6);
-        let mut ws = RowsWorkspace::new();
+        let mut ws = InferenceWorkspace::new();
         let mut out = DenseMatrix::filled(3, 3, 7.0);
         let stats = model
             .infer_rows_planned_into(&a_hat, &x, &[], &mut ws, &mut out)

@@ -1,21 +1,29 @@
-//! A rows workspace retains global-id buffers, levels and marks — no copy
-//! of the batch's feature rows and no renumbered sub-graph.
+//! A workspace retains only the buffers its mode needs.
 //!
 //! A counting global allocator wraps `System` and tracks the live heap.
-//! After one 2 048-target batch on a Products twin (the `serve_*` model,
-//! `100 -> 64 -> 47`), the heap a fresh [`gcn::RowsWorkspace`] still holds
-//! may be at most: its two `n`-row activation buffers at the widest width
-//! a layer writes, its levels (one `usize` list per level, each at most
-//! the next power of two above `n`), its `n` visited marks, and 4 KiB per
-//! pool thread (the SpMM partition, the cached plan's and slack). A
-//! per-batch gather of `X[V_0]` (`|V_0| x 100` floats) and per-layer
-//! renumbered sub-CSRs do not fit in that bound.
+//!
+//! * **Rows.** After one 2 048-target batch on a Products twin (the
+//!   `serve_*` model, `100 -> 64 -> 47`), the heap a fresh workspace still
+//!   holds may be at most: its two `n`-row activation buffers at the widest
+//!   width a layer writes, its levels (one `usize` list per level, each at
+//!   most the next power of two above `n`), its `n` visited marks, and 4 KiB
+//!   per pool thread (the SpMM partition, the cached plan's and slack). A
+//!   per-batch gather of `X[V_0]` (`|V_0| x 100` floats) and per-layer
+//!   renumbered sub-CSRs do not fit in that bound.
+//! * **Whole graph.** After one plain inference with a `K = 256` model the
+//!   workspace holds `h` and `mid` at the widest width plus the same
+//!   per-thread allowance — a third `n x 256` buffer does not fit — and a
+//!   recovering run on it then adds exactly the spare buffer its retries
+//!   write into.
 
-use gcn::{GcnConfig, GcnModel, RowsWorkspace};
-use graph::OgbDataset;
+use gcn::{GcnConfig, GcnModel, InferenceWorkspace, RowsWorkspace};
+use graph::rmat::RmatConfig;
+use graph::{Graph, OgbDataset};
 use matrix::DenseMatrix;
+use resilience::guard::RunGuard;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAllocator;
 
@@ -54,8 +62,24 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// partition (16 slots a thread), the cached plan's and slack.
 const PER_THREAD_BYTES: usize = 4 << 10;
 
+/// The counter is process-wide: one measuring test at a time. A failed
+/// test poisons the lock; the other still measures on its own.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measuring() -> MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Live heap bytes `f` leaves allocated.
+fn retained_by(f: impl FnOnce()) -> usize {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    f();
+    LIVE_BYTES.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn a_rows_workspace_retains_global_buffers_levels_and_marks() {
+    let _one_at_a_time = measuring();
     let a_hat = OgbDataset::Products
         .materialize_scaled(1 << 12, 0xC0FFEE)
         .normalized_adjacency()
@@ -103,5 +127,59 @@ fn a_rows_workspace_retains_global_buffers_levels_and_marks() {
          {levels}, marks {marks}); one copy of the batch's {} feature rows would be {} B",
         stats.gathered,
         stats.gathered * dims[0] * size_of::<f32>()
+    );
+}
+
+#[test]
+fn a_whole_graph_workspace_holds_two_buffers_unless_recovering() {
+    let _one_at_a_time = measuring();
+    let graph = Graph::rmat(&RmatConfig::power_law(10, 8), 5);
+    let a_hat = graph
+        .normalized_adjacency()
+        .expect("rmat adjacency normalizes");
+    let n = a_hat.nrows();
+    // `32 -> 256 -> 256 -> 16`: the widest layer writes 256 columns, and
+    // the middle one's intermediate product is as wide.
+    let (input, hidden) = (32, 256);
+    let model = GcnModel::new(&GcnConfig::paper_model(input, hidden, 16), 7);
+    let x = graph.random_features(input, 3);
+
+    // Warm-up through throwaway workspaces: spawns the pool and sizes its
+    // scratch for both arms.
+    model
+        .infer_planned_with(&a_hat, &x, &mut InferenceWorkspace::new())
+        .expect("warm-up succeeds");
+    model
+        .infer_recovering_with(
+            &a_hat,
+            &x,
+            &RunGuard::unbounded(),
+            &mut InferenceWorkspace::new(),
+        )
+        .expect("warm-up succeeds");
+
+    let one_buffer = n * hidden * size_of::<f32>();
+    let slack = kernels::pool::global().width() * PER_THREAD_BYTES;
+    let mut ws = InferenceWorkspace::new();
+    let in_place = retained_by(|| {
+        model
+            .infer_planned_with(&a_hat, &x, &mut ws)
+            .expect("inference succeeds");
+    });
+    let bound = 2 * one_buffer + slack;
+    assert!(
+        in_place <= bound,
+        "an in-place run retains {in_place} B > bound {bound} B (`h` + `mid` at \
+         {one_buffer} B each, plus {slack} B)"
+    );
+    let recovering = retained_by(|| {
+        model
+            .infer_recovering_with(&a_hat, &x, &RunGuard::unbounded(), &mut ws)
+            .expect("inference succeeds");
+    });
+    assert!(
+        (one_buffer..=one_buffer + slack).contains(&recovering),
+        "a recovering run on the same workspace added {recovering} B, not the one \
+         {one_buffer} B spare buffer"
     );
 }

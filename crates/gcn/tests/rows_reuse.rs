@@ -11,7 +11,7 @@
 //! must equal, bit for bit, the same batch through a fresh workspace and
 //! the width-1 whole-graph reference at that precision.
 
-use gcn::{GcnConfig, GcnModel, InferenceWorkspace, RowsWorkspace};
+use gcn::{GcnConfig, GcnModel, InferenceWorkspace};
 use kernels::SpmmPlan;
 use matrix::{DenseMatrix, Precision};
 use sparse::{Coo, Csr};
@@ -61,22 +61,17 @@ fn a_reused_workspace_matches_a_fresh_one_and_the_full_graph_bitwise() {
         let mut width1 = InferenceWorkspace::new();
         width1.install_plan(SpmmPlan::with_width(&a, x.cols(), 1).at_precision(precision));
         let full = model.infer_planned_with(&a, &x, &mut width1).unwrap();
-        let mut reused = RowsWorkspace::new();
+        let mut reused = InferenceWorkspace::new();
+        reused.plan_for(&a, x.cols(), precision);
         let (mut out, mut fresh_out) = (DenseMatrix::default(), DenseMatrix::default());
         for (name, targets) in &batches {
             let stats = model
-                .infer_rows_planned_prec_into(&a, &x, targets, precision, &mut reused, &mut out)
+                .infer_rows_planned_into(&a, &x, targets, &mut reused, &mut out)
                 .unwrap();
-            let mut fresh = RowsWorkspace::new();
+            let mut fresh = InferenceWorkspace::new();
+            fresh.plan_for(&a, x.cols(), precision);
             let fresh_stats = model
-                .infer_rows_planned_prec_into(
-                    &a,
-                    &x,
-                    targets,
-                    precision,
-                    &mut fresh,
-                    &mut fresh_out,
-                )
+                .infer_rows_planned_into(&a, &x, targets, &mut fresh, &mut fresh_out)
                 .unwrap();
             assert_eq!(stats, fresh_stats, "{precision} {name}");
             assert_eq!(

@@ -6,7 +6,7 @@
 //! spirit of the organizer engine's `CONCURRENT_OPERATIONS` cap). Each
 //! lane blocks on the queue, lets the batching window coalesce arrivals,
 //! then runs the whole batch as **one**
-//! [`GcnModel::infer_rows_planned_prec_into`] call: the batch's targets
+//! [`GcnModel::infer_rows_planned_into`] call: the batch's targets
 //! are expanded into layer-wise shrinking frontiers once, and each layer
 //! — the one GCN layer function, on the frontiers' row lists — computes
 //! only the rows the batch's answers depend on, reading the service's
@@ -26,7 +26,7 @@
 //! iteration and turn into typed [`Rejection::Faulted`] deliveries, never
 //! hangs.
 //!
-//! [`GcnModel::infer_rows_planned_prec_into`]: gcn::GcnModel::infer_rows_planned_prec_into
+//! [`GcnModel::infer_rows_planned_into`]: gcn::GcnModel::infer_rows_planned_into
 //! [`RunGuard`]: resilience::guard::RunGuard
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,8 +34,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use gcn::rows::RowsWorkspace;
-use gcn::{GcnError, GcnModel};
+use gcn::{GcnError, GcnModel, InferenceWorkspace};
 use matrix::{DenseMatrix, Precision};
 use resilience::guard::{CancelToken, RunGuard};
 use sparse::Csr;
@@ -157,7 +156,7 @@ struct Inner {
 
 /// Per-lane reusable buffers.
 struct LaneCtx {
-    ws: RowsWorkspace,
+    ws: InferenceWorkspace,
     out: DenseMatrix,
     batch: Vec<Pending>,
     shed: Vec<Pending>,
@@ -326,7 +325,7 @@ impl Drop for GcnService {
 fn lane_main(inner: &Inner) {
     let guard = RunGuard::with_token(inner.token.clone());
     let mut ctx = LaneCtx {
-        ws: RowsWorkspace::new(),
+        ws: InferenceWorkspace::new(),
         out: DenseMatrix::default(),
         batch: Vec::new(),
         shed: Vec::new(),
@@ -448,12 +447,13 @@ fn serve_once(inner: &Inner, guard: &RunGuard, ctx: &mut LaneCtx) -> bool {
 }
 
 /// Run one batch, leaving one output row per target in `out`: brown the
-/// batch out if the queue is at its high-water mark, and make one rows-path
-/// call. Returns the brownout, if any.
+/// batch out if the queue is at its high-water mark (an `O(1)` re-target of
+/// the lane workspace's plan, which every batch runs at), and make one
+/// rows-path call. Returns the brownout, if any.
 fn run_backend(
     inner: &Inner,
     targets: &[usize],
-    ws: &mut RowsWorkspace,
+    ws: &mut InferenceWorkspace,
     out: &mut DenseMatrix,
 ) -> Result<Option<Brownout>, Rejection> {
     let engine = &inner.engine;
@@ -461,9 +461,10 @@ fn run_backend(
         precision: engine.brownout.precision,
     });
     let precision = degraded.map_or(Precision::F32, |b| b.precision);
+    ws.plan_for(&engine.a_hat, engine.features.cols(), precision);
     engine
         .model
-        .infer_rows_planned_prec_into(&engine.a_hat, &engine.features, targets, precision, ws, out)
+        .infer_rows_planned_into(&engine.a_hat, &engine.features, targets, ws, out)
         .map_err(|e| Rejection::Inference(e.to_string()))?;
     Ok(degraded)
 }
@@ -484,7 +485,7 @@ mod tests {
     }
 
     fn reference(model: &GcnModel, a: &Csr, x: &DenseMatrix) -> DenseMatrix {
-        let mut ws = gcn::InferenceWorkspace::new();
+        let mut ws = InferenceWorkspace::new();
         ws.install_plan(SpmmPlan::with_width(a, x.cols(), 1));
         model.infer_planned_with(a, x, &mut ws).unwrap().clone()
     }

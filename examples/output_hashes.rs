@@ -1,18 +1,17 @@
 //! Bit-parity probe: one FNV-1a hash per inference path's output bits.
 //!
-//! Uses only long-standing public calls (the narrow rows entry point
-//! included), so the same file compiles in a `git clone` of a parent commit
-//! and in the tree; `diff` the two outputs to show a refactor kept every
-//! bit:
+//! Uses only long-standing public calls, so the same file compiles in a
+//! `git clone` of a parent commit and in the tree; `diff` the two outputs
+//! to show a refactor kept every bit:
 //!
 //! ```text
 //! cargo run --release --example output_hashes
 //! ```
 
 use piuma_gcn::gcn::accuracy::rel_frobenius;
-use piuma_gcn::gcn::RowsWorkspace;
 use piuma_gcn::graph::generators::erdos_renyi;
 use piuma_gcn::prelude::*;
+use resilience::guard::RunGuard;
 
 fn fnv(m: &DenseMatrix) -> u64 {
     m.as_slice().iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
@@ -67,10 +66,20 @@ fn main() {
                 );
             }
         }
-        // Served rows at f32 and at two narrow precisions, each sequence
-        // through one workspace: a single vertex, a spread batch, the whole
-        // graph, then a batch after it (which must not read a row the
-        // whole-graph batch left behind).
+        // The recovering loop (a spare buffer per layer, so a retry finds
+        // its input intact) must give the in-place loop's bits.
+        for precision in [Precision::F32, Precision::Int8] {
+            let mut ws = InferenceWorkspace::new();
+            ws.install_plan(SpmmPlan::with_width(&a_hat, 16, 1).at_precision(precision));
+            model
+                .infer_recovering_with(&a_hat, &x, &RunGuard::unbounded(), &mut ws)
+                .unwrap();
+            println!("{name} recovering {precision}: {:016x}", fnv(ws.output()));
+        }
+        // Served rows at f32 and at two narrow precisions (carried by the
+        // workspace's plan), each sequence through one workspace: a single
+        // vertex, a spread batch, the whole graph, then a batch after it
+        // (which must not read a row the whole-graph batch left behind).
         let n = a_hat.nrows();
         let batches: [Vec<usize>; 4] = [
             vec![5],
@@ -79,11 +88,12 @@ fn main() {
             vec![900, 3, 77, 3],
         ];
         for precision in [Precision::F32, Precision::Bf16, Precision::Int8] {
-            let mut ws = RowsWorkspace::new();
+            let mut ws = InferenceWorkspace::new();
+            ws.plan_for(&a_hat, 16, precision);
             let mut out = DenseMatrix::default();
             for targets in &batches {
                 model
-                    .infer_rows_planned_prec_into(&a_hat, &x, targets, precision, &mut ws, &mut out)
+                    .infer_rows_planned_into(&a_hat, &x, targets, &mut ws, &mut out)
                     .unwrap();
                 let size = targets.len();
                 println!("{name} rows {precision} x{size}: {:016x}", fnv(&out));

@@ -14,7 +14,7 @@
 //! ```
 
 use piuma_gcn::gcn::accuracy::rel_frobenius;
-use piuma_gcn::gcn::{GcnConfig, GcnModel, InferenceWorkspace, RowsWorkspace};
+use piuma_gcn::gcn::{GcnConfig, GcnModel, InferenceWorkspace};
 use piuma_gcn::graph::rmat::RmatConfig;
 use piuma_gcn::graph::{Graph, OgbDataset};
 use piuma_gcn::kernels::spmm::spmm_sequential_into;
@@ -81,10 +81,11 @@ fn inference_table() {
                 out.clone_from(ws.output());
                 s
             } else {
-                let mut ws = RowsWorkspace::new();
+                let mut ws = InferenceWorkspace::new();
+                ws.plan_for(&a_hat, dims[0], p);
                 median_secs(|| {
                     model
-                        .infer_rows_planned_prec_into(&a_hat, &x, &targets, p, &mut ws, &mut out)
+                        .infer_rows_planned_into(&a_hat, &x, &targets, &mut ws, &mut out)
                         .unwrap();
                 })
             };

@@ -3,7 +3,7 @@
 
 use piuma_gcn::prelude::*;
 
-use piuma_gcn::gcn::{GcnError, RowsWorkspace};
+use piuma_gcn::gcn::GcnError;
 use piuma_gcn::graph::generators::erdos_renyi;
 use piuma_gcn::matrix::MatrixError;
 use resilience::fault::{self, FaultConfig, FaultKind};
@@ -337,19 +337,13 @@ fn rows_match_the_width_one_full_graph_run_bitwise_whatever_the_batch() {
             for p in Precision::all() {
                 let mut ws = workspace(SpmmPlan::with_width(&a_hat, dims[0], 1).at_precision(p));
                 let full = model.infer_planned_with(&a_hat, &x, &mut ws).unwrap();
-                let mut rows_ws = RowsWorkspace::new();
+                let mut rows_ws = InferenceWorkspace::new();
+                rows_ws.plan_for(&a_hat, dims[0], p);
                 let (mut out, mut alone) = (DenseMatrix::default(), DenseMatrix::default());
                 for (set_name, targets) in &target_sets {
                     let case = format!("{graph_name}, {model_name}, {p}, {set_name}");
                     let stats = model
-                        .infer_rows_planned_prec_into(
-                            &a_hat,
-                            &x,
-                            targets,
-                            p,
-                            &mut rows_ws,
-                            &mut out,
-                        )
+                        .infer_rows_planned_into(&a_hat, &x, targets, &mut rows_ws, &mut out)
                         .unwrap();
                     let (gathered, sub_nnz, whole) = frontier_stats(&a_hat, targets, hops);
                     assert_eq!(
@@ -369,14 +363,7 @@ fn rows_match_the_width_one_full_graph_run_bitwise_whatever_the_batch() {
                         .step_by(targets.len().div_ceil(16))
                     {
                         model
-                            .infer_rows_planned_prec_into(
-                                &a_hat,
-                                &x,
-                                &[t],
-                                p,
-                                &mut rows_ws,
-                                &mut alone,
-                            )
+                            .infer_rows_planned_into(&a_hat, &x, &[t], &mut rows_ws, &mut alone)
                             .unwrap();
                         assert_eq!(alone.row(0), out.row(i), "{case}: row {t} served alone");
                     }
