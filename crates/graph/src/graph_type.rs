@@ -5,7 +5,7 @@ use matrix::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparse::norm::{normalize, NormKind};
-use sparse::{Coo, Csr, DegreeStats};
+use sparse::{Csr, DegreeStats};
 
 /// A directed graph stored as an adjacency matrix in CSR form.
 ///
@@ -44,29 +44,54 @@ impl Graph {
     }
 
     /// Builds a graph from a directed edge list with unit weights.
-    /// Duplicate edges are merged (weights summed, then clamped to 1).
+    /// Duplicate edges merge into one edge of weight 1.
     pub fn from_directed_edges(vertices: usize, edges: &[(usize, usize)]) -> Self {
-        let mut coo = Coo::with_capacity(vertices, vertices, edges.len());
-        for &(u, v) in edges {
-            coo.push(u, v, 1.0);
-        }
-        let mut csr = Csr::from_coo(&coo);
-        csr = clamp_weights(csr);
-        Graph { adjacency: csr }
+        let pairs = edges.iter().map(|&(u, v)| (id(u), id(v)));
+        Self::from_unit_pairs(vertices, pairs.collect())
     }
 
     /// Builds a graph from an undirected edge list: every `(u, v)` is stored
-    /// in both directions with unit weight.
+    /// in both directions with unit weight (a self loop once).
     pub fn from_undirected_edges(vertices: usize, edges: &[(usize, usize)]) -> Self {
-        let mut coo = Coo::with_capacity(vertices, vertices, edges.len() * 2);
-        for &(u, v) in edges {
-            coo.push(u, v, 1.0);
-            if u != v {
-                coo.push(v, u, 1.0);
-            }
+        let pairs = edges
+            .iter()
+            .flat_map(|&(u, v)| [(id(u), id(v)), (id(v), id(u))]);
+        Self::from_unit_pairs(vertices, pairs.collect())
+    }
+
+    /// The one unit-weight builder (R-MAT and the edge lists): counting-sorts
+    /// `(row, col)` pairs by row straight into the column array, sorts and
+    /// dedups each row in place, and sets every value to 1. Panics if an
+    /// endpoint is not below `n`.
+    pub(crate) fn from_unit_pairs(n: usize, pairs: Vec<(u32, u32)>) -> Self {
+        let mut row_ptr = vec![0usize; n + 1];
+        for &(u, _) in &pairs {
+            row_ptr[u as usize + 1] += 1;
         }
-        let csr = clamp_weights(Csr::from_coo(&coo));
-        Graph { adjacency: csr }
+        (1..=n).for_each(|r| row_ptr[r] += row_ptr[r - 1]);
+        // `row_ptr[u]` is row `u`'s write cursor, and ends as the row's end.
+        let mut cols = vec![0u32; pairs.len()];
+        for (u, v) in pairs {
+            cols[row_ptr[u as usize]] = v;
+            row_ptr[u as usize] += 1;
+        }
+        let (mut start, mut kept) = (0, 0);
+        for p in &mut row_ptr[..n] {
+            let (first, end) = (kept, std::mem::replace(p, kept));
+            cols[start..end].sort_unstable();
+            for i in start..end {
+                if kept == first || cols[kept - 1] != cols[i] {
+                    cols[kept] = cols[i];
+                    kept += 1;
+                }
+            }
+            start = end;
+        }
+        row_ptr[n] = kept;
+        cols.truncate(kept);
+        cols.shrink_to_fit();
+        let csr = Csr::from_raw(n, n, row_ptr, cols, vec![1.0; kept]);
+        Graph::from_adjacency(csr.expect("edge endpoints index the vertex range"))
     }
 
     /// Generates a graph with the R-MAT recursive generator.
@@ -126,19 +151,45 @@ impl Graph {
     }
 }
 
-/// Clamps all edge weights to 1.0 (merged duplicates become simple edges).
-fn clamp_weights(csr: Csr) -> Csr {
-    let (nrows, ncols) = csr.shape();
-    let row_ptr = csr.row_ptr().to_vec();
-    let col_idx = csr.col_idx().to_vec();
-    let values = vec![1.0f32; csr.nnz()];
-    Csr::from_raw(nrows, ncols, row_ptr, col_idx, values)
-        .expect("rebuilding validated CSR with same structure")
+/// A vertex id as a CSR index.
+fn id(v: usize) -> u32 {
+    u32::try_from(v).expect("vertex id exceeds the u32 index range")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparse::Coo;
+
+    /// The COO path the unit-weight builder replaced: duplicates summed,
+    /// then every weight clamped to 1.
+    fn coo_reference(n: usize, edges: &[(usize, usize)], undirected: bool) -> Csr {
+        let mut coo = Coo::new(n, n);
+        for &(u, v) in edges {
+            coo.push(u, v, 1.0);
+            if undirected && u != v {
+                coo.push(v, u, 1.0);
+            }
+        }
+        let csr = Csr::from_coo(&coo);
+        let (row_ptr, col_idx) = (csr.row_ptr().to_vec(), csr.col_idx().to_vec());
+        Csr::from_raw(n, n, row_ptr, col_idx, vec![1.0; csr.nnz()]).unwrap()
+    }
+
+    #[test]
+    fn edge_builders_match_the_coo_reference() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in [0usize, 1, 2, 5, 17] {
+            // Four draws per vertex: duplicates and self loops are certain.
+            let edges: Vec<(usize, usize)> = (0..4 * n)
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            let directed = Graph::from_directed_edges(n, &edges);
+            assert_eq!(directed.adjacency(), &coo_reference(n, &edges, false));
+            let undirected = Graph::from_undirected_edges(n, &edges);
+            assert_eq!(undirected.adjacency(), &coo_reference(n, &edges, true));
+        }
+    }
 
     #[test]
     fn undirected_edges_appear_both_ways() {

@@ -6,13 +6,14 @@
 //! Figure 9. R-MAT places each edge by recursively descending into one of
 //! the four quadrants of the adjacency matrix with probabilities
 //! `(a, b, c, d)`; equal probabilities yield an Erdős–Rényi-like uniform
-//! graph, skewed probabilities yield a power-law degree distribution.
+//! graph, skewed probabilities yield a power-law degree distribution. The
+//! placed edges are `u32` pairs, counting-sorted straight into the CSR: set-up
+//! holds the pairs, the CSR and `O(n)`, never COO triplets or value copies.
 
 use crate::graph_type::Graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use sparse::{Coo, Csr};
 
 /// Configuration of an R-MAT generation run.
 ///
@@ -73,11 +74,6 @@ impl RmatConfig {
         }
     }
 
-    /// Probability of the bottom-right quadrant (`1 - a - b - c`).
-    pub fn d(&self) -> f64 {
-        1.0 - self.a - self.b - self.c
-    }
-
     /// Number of vertices (`2^scale`).
     pub fn vertices(&self) -> usize {
         1usize << self.scale
@@ -93,7 +89,8 @@ impl RmatConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any probability is negative or if they sum above 1.
+    /// Panics if any probability is negative, if they sum above 1, or if
+    /// `scale >= 32` (vertex ids are `u32`).
     pub fn assert_valid(&self) {
         assert!(
             self.a >= 0.0 && self.b >= 0.0 && self.c >= 0.0,
@@ -103,66 +100,50 @@ impl RmatConfig {
             self.a + self.b + self.c <= 1.0 + 1e-9,
             "quadrant probabilities sum above 1"
         );
-        assert!(self.scale <= 40, "scale too large to materialize");
+        assert!(self.scale < u32::BITS, "scale too large to materialize");
     }
 }
 
 /// Generates an R-MAT graph. Self loops are dropped and duplicate edges are
 /// merged, matching SNAP's simple-graph output mode.
+/// Each placed edge (and its mirror) is kept as a `(u32, u32)` pair.
 pub fn generate(config: &RmatConfig, seed: u64) -> Graph {
     config.assert_valid();
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = config.vertices();
     let m = config.target_edges();
-    let mut coo = Coo::with_capacity(n, n, if config.symmetric { m * 2 } else { m });
+    let mut pairs = Vec::with_capacity(if config.symmetric { m * 2 } else { m });
     for _ in 0..m {
         let (u, v) = place_edge(config, &mut rng);
-        if u == v {
-            continue;
-        }
-        coo.push(u, v, 1.0);
-        if config.symmetric {
-            coo.push(v, u, 1.0);
+        if u != v {
+            pairs.push((u, v));
+            if config.symmetric {
+                pairs.push((v, u));
+            }
         }
     }
-    let csr = Csr::from_coo(&coo);
-    // Merge duplicates down to unit weight by rebuilding the value array.
-    let values = vec![1.0f32; csr.nnz()];
-    let csr = Csr::from_raw(n, n, csr.row_ptr().to_vec(), csr.col_idx().to_vec(), values)
-        .expect("structure already validated");
-    Graph::from_adjacency(csr)
+    Graph::from_unit_pairs(config.vertices(), pairs)
 }
 
-/// Recursively descends the quadtree to place one edge.
-fn place_edge(config: &RmatConfig, rng: &mut StdRng) -> (usize, usize) {
+/// Recursively descends the quadtree to place one edge: one draw per level
+/// (plus four for the noise, when on), compared against the running
+/// `a`, `a + b` and `a + b + c` without a branch.
+fn place_edge(config: &RmatConfig, rng: &mut StdRng) -> (u32, u32) {
     let (mut a, mut b, mut c) = (config.a, config.b, config.c);
-    let mut u = 0usize;
-    let mut v = 0usize;
+    let (mut u, mut v) = (0u32, 0u32);
     for level in (0..config.scale).rev() {
-        let d = (1.0 - a - b - c).max(0.0);
         let r: f64 = rng.gen();
-        if r < a {
-            // top-left: no bits set
-        } else if r < a + b {
-            v |= 1 << level;
-        } else if r < a + b + c {
-            u |= 1 << level;
-        } else {
-            let _ = d;
-            u |= 1 << level;
-            v |= 1 << level;
-        }
+        let (lt_a, lt_ab, lt_abc) = (r < a, r < a + b, r < a + b + c);
+        v |= u32::from(!lt_a & (lt_ab | !lt_abc)) << level; // top- or bottom-right
+        u |= u32::from(!lt_a & !lt_ab) << level; // bottom-left or -right
         if config.noise > 0.0 {
             // SNAP-style multiplicative noise keeps expected values fixed.
-            let na = a * (1.0 - config.noise + 2.0 * config.noise * rng.gen::<f64>());
-            let nb = b * (1.0 - config.noise + 2.0 * config.noise * rng.gen::<f64>());
-            let nc = c * (1.0 - config.noise + 2.0 * config.noise * rng.gen::<f64>());
-            let nd = d * (1.0 - config.noise + 2.0 * config.noise * rng.gen::<f64>());
+            let d = (1.0 - a - b - c).max(0.0);
+            let mut jitter =
+                |p: f64| p * (1.0 - config.noise + 2.0 * config.noise * rng.gen::<f64>());
+            let (na, nb, nc, nd) = (jitter(a), jitter(b), jitter(c), jitter(d));
             let s = na + nb + nc + nd;
             if s > 0.0 {
-                a = na / s;
-                b = nb / s;
-                c = nc / s;
+                (a, b, c) = (na / s, nb / s, nc / s);
             }
         }
     }

@@ -3,9 +3,9 @@
 //! A GCN layer computes `H' = sigma(A_hat * H * W)` where
 //! `A_hat = D^-1/2 (A + I) D^-1/2`, `A` is the (unweighted) adjacency matrix
 //! with self loops added, and `D` its degree matrix. This module builds
-//! `A_hat` in CSR form.
+//! `A_hat` in CSR form in one pass over the rows (diagonal merged in, degree
+//! summed), then scales it in place: no COO triplets and no second CSR.
 
-use crate::coo::Coo;
 use crate::csr::Csr;
 use crate::error::SparseError;
 use crate::Result;
@@ -27,7 +27,8 @@ pub enum NormKind {
 /// any pre-existing ones before scaling).
 ///
 /// Edge values in the input are treated as weights; a plain 0/1 adjacency
-/// yields the textbook formula.
+/// yields the textbook formula. Degrees are summed in `f64` in column order;
+/// each weight is scaled in `f64` (by 0 at degree `<= 0`) and rounded once.
 ///
 /// # Errors
 ///
@@ -52,51 +53,121 @@ pub fn normalize(adj: &Csr, kind: NormKind) -> Result<Csr> {
         return Err(SparseError::NotSquare { shape: adj.shape() });
     }
     let n = adj.nrows();
+    let has_loop = |r: usize| adj.row_cols(r).binary_search(&(r as u32)).is_ok();
+    let nnz = adj.nnz() + (0..n).filter(|&r| !has_loop(r)).count();
 
-    // A + I
-    let mut coo = Coo::with_capacity(n, n, adj.nnz() + n);
-    for (r, c, v) in adj.iter() {
-        coo.push(r, c, v);
+    // A + I, and each row's scale from its weighted degree `d`.
+    let sym = kind == NormKind::Symmetric;
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx = Vec::with_capacity(nnz);
+    let mut values: Vec<f32> = Vec::with_capacity(nnz);
+    let mut scale = Vec::with_capacity(n);
+    row_ptr.push(0);
+    for r in 0..n {
+        let (cols, vals) = (adj.row_cols(r), adj.row_values(r));
+        let below = cols.partition_point(|&c| (c as usize) < r);
+        let above = below + usize::from(has_loop(r));
+        col_idx.extend_from_slice(&cols[..below]);
+        col_idx.push(r as u32);
+        col_idx.extend_from_slice(&cols[above..]);
+        values.extend_from_slice(&vals[..below]);
+        values.push(vals[below..above].first().map_or(1.0, |&v| v + 1.0));
+        values.extend_from_slice(&vals[above..]);
+        let row = &values[row_ptr[r]..];
+        let d = row.iter().fold(0.0, |d, &v| d + f64::from(v));
+        let s = if sym { 1.0 / d.sqrt() } else { 1.0 / d };
+        scale.push(if d > 0.0 { s } else { 0.0 });
+        row_ptr.push(values.len());
     }
-    for i in 0..n {
-        coo.push(i, i, 1.0);
+    if kind != NormKind::None {
+        // `* 1.0` is exact, so the random-walk weight is `v * s[r]`.
+        for (r, span) in row_ptr.windows(2).enumerate() {
+            for i in span[0]..span[1] {
+                let by_col = if sym { scale[col_idx[i] as usize] } else { 1.0 };
+                values[i] = (f64::from(values[i]) * scale[r] * by_col) as f32;
+            }
+        }
     }
-    let with_loops = Csr::from_coo(&coo);
-
-    if kind == NormKind::None {
-        return Ok(with_loops);
-    }
-
-    // Weighted degree of A + I.
-    let mut degree = vec![0.0f64; n];
-    for (r, _, v) in with_loops.iter() {
-        degree[r] += v as f64;
-    }
-
-    let inv_sqrt: Vec<f64> = degree
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
-    let inv: Vec<f64> = degree
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
-        .collect();
-
-    let mut scaled = Coo::with_capacity(n, n, with_loops.nnz());
-    for (r, c, v) in with_loops.iter() {
-        let w = match kind {
-            NormKind::Symmetric => v as f64 * inv_sqrt[r] * inv_sqrt[c],
-            NormKind::RandomWalk => v as f64 * inv[r],
-            NormKind::None => unreachable!("handled above"),
-        };
-        scaled.push(r, c, w as f32);
-    }
-    Ok(Csr::from_coo(&scaled))
+    Ok(Csr::from_raw(n, n, row_ptr, col_idx, values).expect("A + I keeps the rows sorted"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::Coo;
+    use proptest::prelude::*;
+
+    /// The reference `normalize`: `A + I` and the scaled copy each built
+    /// as COO triplets and converted to CSR.
+    fn coo_oracle(adj: &Csr, kind: NormKind) -> Csr {
+        let n = adj.nrows();
+        let mut coo = Coo::with_capacity(n, n, adj.nnz() + n);
+        for (r, c, v) in adj.iter() {
+            coo.push(r, c, v);
+        }
+        for i in 0..n {
+            coo.push(i, i, 1.0);
+        }
+        let with_loops = Csr::from_coo(&coo);
+        if kind == NormKind::None {
+            return with_loops;
+        }
+        let mut degree = vec![0.0f64; n];
+        for (r, _, v) in with_loops.iter() {
+            degree[r] += v as f64;
+        }
+        let inv_sqrt: Vec<f64> = degree
+            .iter()
+            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
+            .collect();
+        let inv: Vec<f64> = degree
+            .iter()
+            .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
+            .collect();
+        let mut scaled = Coo::with_capacity(n, n, with_loops.nnz());
+        for (r, c, v) in with_loops.iter() {
+            let w = match kind {
+                NormKind::Symmetric => v as f64 * inv_sqrt[r] * inv_sqrt[c],
+                _ => v as f64 * inv[r],
+            };
+            scaled.push(r, c, w as f32);
+        }
+        Csr::from_coo(&scaled)
+    }
+
+    fn bits(csr: &Csr) -> (Vec<usize>, Vec<u32>, Vec<u32>) {
+        let values = csr.values().iter().map(|v| v.to_bits()).collect();
+        (csr.row_ptr().to_vec(), csr.col_idx().to_vec(), values)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Weighted matrices with stored diagonals (some of them `-1`, so
+        /// `A + I` stores an explicit zero), empty rows and rows whose
+        /// weights sum to `<= 0`: every kind matches the COO reference bit
+        /// for bit.
+        #[test]
+        fn one_pass_matches_the_coo_reference(
+            n in 0usize..9,
+            triplets in proptest::collection::vec(
+                (0usize..9, 0usize..9, -3i32..9, -2.0f32..2.0),
+                0..48,
+            ),
+        ) {
+            // Half-integer steps hit `-1` on the diagonal; the rest are
+            // arbitrary weights whose scaled values round.
+            let mut coo = Coo::new(n, n);
+            for &(r, c, k, x) in triplets.iter().filter(|&&(r, c, ..)| r < n && c < n) {
+                coo.push(r, c, if k < 3 { k as f32 * 0.5 } else { x });
+            }
+            let adj = Csr::from_coo(&coo);
+            for kind in [NormKind::Symmetric, NormKind::RandomWalk, NormKind::None] {
+                let got = normalize(&adj, kind).unwrap();
+                prop_assert_eq!(bits(&got), bits(&coo_oracle(&adj, kind)));
+            }
+        }
+    }
 
     fn path3() -> Csr {
         // 0 - 1 - 2 undirected path
