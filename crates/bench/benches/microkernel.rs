@@ -28,7 +28,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph::rmat::RmatConfig;
 use graph::Graph;
 use matrix::gemm::{gemm_flops, matmul_naive};
-use matrix::microkernel::{avx2_available, matmul_packed_with, Backend, KernelDispatch};
+use matrix::microkernel::{
+    avx2_available, avx512_available, matmul_packed_with, Backend, KernelDispatch,
+};
 use matrix::{DenseMatrix, Precision, QuantMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,6 +79,9 @@ fn backends() -> Vec<KernelDispatch> {
     ];
     if avx2_available() {
         v.push(KernelDispatch::with_backend(Backend::Avx2Fma));
+    }
+    if avx512_available() {
+        v.push(KernelDispatch::with_backend(Backend::Avx512));
     }
     v
 }

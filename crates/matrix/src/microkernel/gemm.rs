@@ -1,22 +1,24 @@
-//! The packed GEMM and its epilogue: 6x16 register tiles that broadcast
-//! `A` in place against a packed `B` micro-panel and write `C` straight
-//! from the tile — `0.0 + acc` on the first depth block, `c + acc` after,
-//! then `+ bias[j]` and the activation on the last.
+//! The packed GEMM and its epilogue: 6x16 register tiles (6x32 over two
+//! adjacent panels under AVX-512) that broadcast `A` in place against the
+//! packed `B` micro-panels and write `C` straight from the tile — `0.0 +
+//! acc` on the first depth block, `c + acc` after, then `+ bias[j]` and
+//! the activation on the last.
 
 // BOUNDS: all `[]` indexing here is over (a) the packed B buffer sliced as
-// `[jr * kc * NR .. (jr + 1) * kc * NR]` from a buffer sized `>= panels *
-// kc * NR` at the single `with_f32` call, (b) operand rows via
-// `DenseMatrix::row` (length-checked by construction) sliced to the depth
-// block `[pc, pe)` with `pe <= a.cols()`, (c) the fixed `[[f32; NR]; MR]`
-// accumulator tile, (d) the row list, read at positions below its length,
-// and output chunks carved at the global rows of their shares' first and
-// last list entries from a buffer sized `a.rows() * n` (the entry point
-// checks the list is ascending and inside `a`), written at tile row
-// offsets inside the chunk and columns clamped to `n`, (e) the bias,
-// whose length `n` is checked at the entry point, and (f) a row block's
-// tile table, of which `MC` rows fill at most `MC / MR` entries (`MC` is
-// a multiple of `MR`, asserted at compile time); `check_shapes` ties the
-// operand dimensions together.
+// `[jr * kc * NR .. (jr + panels) * kc * NR]` with `jr + panels` at most
+// the block's panel count, from a buffer sized `>= panels * kc * NR` at
+// the single `with_f32` call, (b) operand rows via `DenseMatrix::row`
+// (length-checked by construction) sliced to the depth block `[pc, pe)`
+// with `pe <= a.cols()`, (c) the fixed `[[f32; NR]; MR]` accumulator tile
+// and a SIMD tile's `[_; 2]` accumulator rows, read at `half < 2`, (d) the
+// row list, read at positions below its length, and output chunks carved
+// at the global rows of their shares' first and last list entries from a
+// buffer sized `a.rows() * n` (the entry point checks the list is
+// ascending and inside `a`), written at tile row offsets inside the chunk
+// and columns clamped to `n`, (e) the bias, whose length `n` is checked at
+// the entry point, and (f) a row block's tile table, of which `MC` rows
+// fill at most `MC / MR` entries (`MC` is a multiple of `MR`, asserted at
+// compile time); `check_shapes` ties the operand dimensions together.
 
 use super::{Backend, KernelDispatch};
 use crate::activation::Activation;
@@ -32,14 +34,16 @@ use std::sync::Mutex;
 /// two for the `B` vectors and one for the broadcast.
 pub const MR: usize = 6;
 
-/// Register-tile width: columns of `B` (and `C`) per micro-kernel call.
+/// Register-tile width: columns of `B` (and `C`) per packed micro-panel.
 /// Sixteen `f32` = two 256-bit vectors, so each broadcast of `A` feeds two
-/// FMAs and a depth step issues 8 loads for 12 FMAs.
+/// FMAs and a depth step issues 8 loads for 12 FMAs. The AVX-512 tile reads
+/// two adjacent panels as one 16-lane vector each: 6x32, the same 8 loads
+/// for 12 FMAs of twice the width.
 pub const NR: usize = 16;
 
 /// Depth (`k`) block: how many B lanes are packed per panel. 256 keeps a
 /// 16-lane B micro-panel at 16 KB — resident in L1 across all tiles of an
-/// `MC` block.
+/// `MC` block, as are the 32 KB of the two panels a 6x32 tile reads.
 const KC: usize = 256;
 
 /// Row block: rows of `A` swept per `B` micro-panel. `MC * KC` floats =
@@ -60,42 +64,61 @@ const NC: usize = 512;
 /// offsets into every call), global column `j0`, and the `rows x cols`
 /// corner of the tile that falls inside `C`.
 #[derive(Clone, Copy)]
-struct TileAt<'r> {
-    c_rows: &'r [usize; MR],
-    j0: usize,
-    rows: usize,
-    cols: usize,
+pub(super) struct TileAt<'r> {
+    pub(super) c_rows: &'r [usize; MR],
+    pub(super) j0: usize,
+    pub(super) rows: usize,
+    pub(super) cols: usize,
 }
 
 /// How a tile's accumulators reach `C` for one depth block.
 #[derive(Clone, Copy)]
-struct WriteBack<'a> {
+pub(super) struct WriteBack<'a> {
     /// Output row stride.
-    n: usize,
+    pub(super) n: usize,
     /// First depth block: store `0.0 + acc` over the stale output — the
     /// bits an add into a zeroed output gives, `-0.0` mapped to `+0.0`.
-    first: bool,
+    pub(super) first: bool,
     /// Last depth block: add `bias[j]`, then apply `act`.
-    last: bool,
-    bias: Option<&'a [f32]>,
-    act: Activation,
+    pub(super) last: bool,
+    pub(super) bias: Option<&'a [f32]>,
+    pub(super) act: Activation,
 }
 
 impl KernelDispatch {
-    /// Runs one 6x16 register tile over depth `a[0].len()` — `a` holds the
-    /// tile's six `A` row slices, `bp` its packed `B` micro-panel — and
-    /// writes the `at` corner of it into `c` as `wb` says.
+    /// Packed `B` micro-panels one register tile reads side by side: two
+    /// for [`Backend::Avx512`]'s 6x32 tile, one for every 6x16 tile.
+    pub(super) fn tile_panels(self) -> usize {
+        if self.backend == Backend::Avx512 {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// Runs one register tile over depth `a[0].len()` — `a` holds the
+    /// tile's six `A` row slices, `bp` its packed `B` micro-panels, one
+    /// for `at.cols <= NR` and two (at most [`KernelDispatch::tile_panels`])
+    /// past it — and writes the `at` corner of it into `c` as `wb` says.
     #[inline]
-    fn tile(self, a: &[&[f32]; MR], bp: &[f32], c: &mut [f32], at: TileAt, wb: &WriteBack) {
+    pub(super) fn tile(
+        self,
+        a: &[&[f32]; MR],
+        bp: &[f32],
+        c: &mut [f32],
+        at: TileAt,
+        wb: &WriteBack,
+    ) {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2Fma => {
+            Backend::Avx2Fma | Backend::Avx512 => {
                 let kc = a[0].len();
+                let panels = at.cols.div_ceil(NR);
                 assert!(
                     a.iter().all(|r| r.len() == kc)
-                        && bp.len() >= kc * NR
+                        && panels <= self.tile_panels()
+                        && bp.len() >= kc * NR * panels
                         && (1..=MR).contains(&at.rows)
-                        && at.cols <= NR
                         && at.j0 + at.cols <= wb.n
                         && at.c_rows[..at.rows]
                             .iter()
@@ -103,13 +126,23 @@ impl KernelDispatch {
                         && wb.bias.is_none_or(|b| b.len() >= wb.n),
                     "gemm tile outside its operands"
                 );
-                // SAFETY: the struct invariant guarantees `Avx2Fma` is only
-                // present when `avx2_available()` held at construction, and
-                // the assertion above is `tile_avx2`'s bounds contract.
-                unsafe { tile_avx2(a, bp, c, at, wb) }
+                if panels == 2 {
+                    // SAFETY: two panels pass the assertion only under
+                    // `Avx512`, which the struct invariant allows only when
+                    // `avx512_available()` held at construction; the
+                    // assertion is `tile_avx512`'s bounds contract.
+                    unsafe { tile_avx512(a, bp, c, at, wb) }
+                } else {
+                    // SAFETY: the struct invariant guarantees `Avx2Fma` and
+                    // `Avx512` are only present when AVX2 + FMA were
+                    // detected at construction, and the assertion (one
+                    // panel, so `at.cols <= NR`) is `tile_avx2`'s bounds
+                    // contract.
+                    unsafe { tile_avx2(a, bp, c, at, wb) }
+                }
             }
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2Fma => write_back(&tile_portable(a, bp), c, at, wb),
+            Backend::Avx2Fma | Backend::Avx512 => write_back(&tile_portable(a, bp), c, at, wb),
             Backend::Portable => write_back(&tile_portable(a, bp), c, at, wb),
             Backend::Scalar => write_back(&tile_scalar(a, bp), c, at, wb),
         }
@@ -170,12 +203,7 @@ fn write_back(acc: &[[f32; NR]; MR], c: &mut [f32], at: TileAt, wb: &WriteBack) 
 
 /// AVX2 + FMA register tile: 12 YMM accumulators (two per `A` row); each
 /// depth step loads two `B` vectors and broadcasts six `A` elements
-/// straight from their rows for 12 FMAs. A full-width tile writes back on
-/// the registers: `0.0 + acc` or `c + acc`, then on the last depth block
-/// `+ bias` and a vector ReLU (`max(v, 0)`, NaN → 0 like `f32::max`; the
-/// sum is never `-0.0`, so the sign of a zero cannot differ). A column-edge
-/// tile, or a last block under another activation, spills the accumulators
-/// to the portable [`write_back`].
+/// straight from their rows for 12 FMAs, then [`write_back_avx2`].
 ///
 /// # Safety
 ///
@@ -208,10 +236,40 @@ unsafe fn tile_avx2(a: &[&[f32]; MR], bp: &[f32], c: &mut [f32], at: TileAt, wb:
             }
         }
     }
+    // SAFETY: the caller's contract is `write_back_avx2`'s.
+    unsafe { write_back_avx2(&acc, c, at, wb) }
+}
+
+/// Writes a 6x16 tile's accumulators (two YMM per row) into `c` for one
+/// depth block. A full-width tile writes back on the registers: `0.0 +
+/// acc` or `c + acc`, then on the last depth block `+ bias` and a vector
+/// ReLU (`max(v, 0)`, NaN → 0 like `f32::max`; the sum is never `-0.0`, so
+/// the sign of a zero cannot differ). A column-edge tile, or a last block
+/// under another activation, spills the accumulators to the portable
+/// [`write_back`].
+///
+/// # Safety
+///
+/// The caller must run under AVX2 (both tile kernels enable it, and this
+/// inlines into them); that `1 <= at.rows <= MR`, `at.cols <= NR` and
+/// `at.j0 + at.cols <= wb.n`; that `c` holds `at.c_rows[r] + at.j0 +
+/// at.cols` floats for every tile row `r < at.rows`; and that a bias, if
+/// any, holds `wb.n` floats.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// SAFETY: `unsafe fn` for the ISA and bounds contract above, which both
+// tile kernels pass on from theirs.
+unsafe fn write_back_avx2(
+    acc: &[[std::arch::x86_64::__m256; 2]; MR],
+    c: &mut [f32],
+    at: TileAt,
+    wb: &WriteBack,
+) {
+    use std::arch::x86_64::*;
     let vector_act = matches!(wb.act, Activation::Relu | Activation::Identity);
     if at.cols < NR || (wb.last && !vector_act) {
         let mut tile = [[0.0f32; NR]; MR];
-        for (dst, row) in tile.iter_mut().zip(&acc) {
+        for (dst, row) in tile.iter_mut().zip(acc) {
             // SAFETY: each row of `tile` holds exactly two vectors.
             unsafe {
                 _mm256_storeu_ps(dst.as_mut_ptr(), row[0]);
@@ -220,7 +278,8 @@ unsafe fn tile_avx2(a: &[&[f32]; MR], bp: &[f32], c: &mut [f32], at: TileAt, wb:
         }
         return write_back(&tile, c, at, wb);
     }
-    let zero = _mm256_setzero_ps();
+    // SAFETY: AVX2 (hence AVX) is enabled by the caller's contract.
+    let zero = unsafe { _mm256_setzero_ps() };
     for (row, &c_row) in acc.iter().zip(at.c_rows).take(at.rows) {
         let base = c_row + at.j0;
         for (half, &v) in row.iter().enumerate() {
@@ -242,6 +301,66 @@ unsafe fn tile_avx2(a: &[&[f32]; MR], bp: &[f32], c: &mut [f32], at: TileAt, wb:
                 _mm256_storeu_ps(cp, v);
             }
         }
+    }
+}
+
+/// AVX-512F register tile over two adjacent packed `B` micro-panels, 6x32:
+/// 12 ZMM accumulators (one per `A` row and panel); each depth step loads
+/// one 16-lane vector from each panel and broadcasts six `A` elements
+/// straight from their rows for 12 FMAs. Every lane fuses the multiply-add
+/// of the matching [`tile_avx2`] lane in the same depth order, and each
+/// panel's half goes through the 6x16 tile's [`write_back_avx2`], so every
+/// output element carries the bits of the two 6x16 tiles it replaces.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512F, AVX2 and FMA (the
+/// [`KernelDispatch`] invariant); that every `a[r]` has the length `kc` of
+/// `a[0]` and `bp.len() >= 2 * kc * NR`; that `1 <= at.rows <= MR`,
+/// `NR < at.cols <= 2 * NR` and `at.j0 + at.cols <= wb.n`; that `c` holds
+/// `at.c_rows[r] + at.j0 + at.cols` floats for every tile row
+/// `r < at.rows`; and that a bias, if any, holds `wb.n` floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+// SAFETY: `unsafe fn` for `#[target_feature]` and the bounds contract
+// above; `KernelDispatch::tile` asserts the bounds before calling.
+unsafe fn tile_avx512(a: &[&[f32]; MR], bp: &[f32], c: &mut [f32], at: TileAt, wb: &WriteBack) {
+    use std::arch::x86_64::*;
+    let kc = a[0].len();
+    let ap = a.map(<[f32]>::as_ptr);
+    let b_ptr = bp.as_ptr();
+    let mut acc = [[_mm512_setzero_ps(); 2]; MR];
+    for p in 0..kc {
+        // SAFETY: `p < kc`, every `A` row holds `kc` floats and the two
+        // panels `2 * kc * NR` (caller contract), the second starting at
+        // `kc * NR`, so every read is in bounds.
+        unsafe {
+            let b0 = _mm512_loadu_ps(b_ptr.add(p * NR));
+            let b1 = _mm512_loadu_ps(b_ptr.add((kc + p) * NR));
+            for (row, &ar) in acc.iter_mut().zip(&ap) {
+                let av = _mm512_set1_ps(*ar.add(p));
+                row[0] = _mm512_fmadd_ps(av, b0, row[0]);
+                row[1] = _mm512_fmadd_ps(av, b1, row[1]);
+            }
+        }
+    }
+    for half in 0..2 {
+        // This panel's half of the tile as the 6x16 tile holds it: two
+        // 8-lane quarters per row (bit moves only).
+        let mut quarters = [[_mm256_setzero_ps(); 2]; MR];
+        for (q, row) in quarters.iter_mut().zip(&acc) {
+            let v = row[half];
+            let hi = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v));
+            *q = [_mm512_castps512_ps256(v), _mm256_castpd_ps(hi)];
+        }
+        let at = TileAt {
+            j0: at.j0 + half * NR,
+            cols: (at.cols - half * NR).min(NR),
+            ..at
+        };
+        // SAFETY: the half's `at` lies inside the tile's, so the caller's
+        // contract covers `write_back_avx2`'s, and AVX2 is enabled here.
+        unsafe { write_back_avx2(&quarters, c, at, wb) }
     }
 }
 
@@ -308,12 +427,15 @@ fn gemm_block(
             );
             (count, i0) = (count + 1, i0 + rows);
         }
-        // B micro-panel outermost: it stays hot in L1 across every tile of
+        // B micro-panels outermost, as many side by side as the tile reads
+        // (a leftover one alone): they stay hot in L1 across every tile of
         // this MC block.
-        for jr in 0..jpanels {
-            let bp = &bpanel[jr * pslot..(jr + 1) * pslot];
+        let mut jr = 0;
+        while jr < jpanels {
+            let panels = kd.tile_panels().min(jpanels - jr);
+            let bp = &bpanel[jr * pslot..(jr + panels) * pslot];
             let j0 = jc + jr * NR;
-            let cols = (je - j0).min(NR);
+            let cols = (je - j0).min(panels * NR);
             for (arows, c_rows, rows) in &tiles[..count] {
                 let at = TileAt {
                     c_rows,
@@ -323,6 +445,7 @@ fn gemm_block(
                 };
                 kd.tile(arows, bp, c_chunk, at, wb);
             }
+            jr += panels;
         }
         ic = ie;
     }
@@ -490,6 +613,7 @@ pub fn matmul_packed_with(
 
 #[cfg(test)]
 mod tests {
+    use super::super::avx512_available;
     use super::super::test_backends as all_backends;
     use super::*;
     use crate::gemm::matmul_naive;
@@ -525,6 +649,58 @@ mod tests {
                         reference.max_abs_diff(&c) < 1e-4,
                         "({m},{k},{n}) backend={} threads={threads}",
                         kd.backend().name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_6x32_tile_carries_the_6x16_tiles_bits() {
+        // Odd panel counts, pair edges and `NC` blocks (n); empty, short
+        // and `KC`-straddling depths (k); edge tiles and `MC` blocks (m).
+        // Each shape runs one combination of activation, bias, row list
+        // and executor count, stepping through all 60 along the grid.
+        if !avx512_available() {
+            return;
+        }
+        let (wide, narrow) = (
+            KernelDispatch::with_backend(Backend::Avx512),
+            KernelDispatch::with_backend(Backend::Avx2Fma),
+        );
+        let acts = [
+            Activation::Relu,
+            Activation::LeakyRelu,
+            Activation::Sigmoid,
+            Activation::Tanh,
+            Activation::Identity,
+        ];
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut combo = 0usize;
+        for n in [
+            1, 15, 16, 17, 31, 32, 33, 40, 47, 48, 64, 100, 256, 513, 1040,
+        ] {
+            for k in [0, 1, 255, 256, 257, 600] {
+                let w = random_matrix(&mut rng, k, n);
+                let bias: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                for m in [1, 5, 6, 7, 72, 73, 150] {
+                    let a = random_matrix(&mut rng, m, k);
+                    let gapped: Vec<usize> = (0..m).filter(|v| v % 3 != 1).collect();
+                    let act = acts[combo % 5];
+                    let b = (combo / 5).is_multiple_of(2).then_some(&bias[..]);
+                    let rows = (combo / 10).is_multiple_of(2).then_some(&gapped[..]);
+                    let threads = [1, 2, 4][combo / 20 % 3];
+                    combo += 1;
+                    let run = |kd| {
+                        let mut c = DenseMatrix::filled(m, n, f32::NAN);
+                        dense_update_with(kd, &a, &w, b, act, threads, rows, &mut c).unwrap();
+                        c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert!(
+                        run(wide) == run(narrow),
+                        "m={m} k={k} n={n} {act:?} bias={} rows={} threads={threads}",
+                        b.is_some(),
+                        rows.is_some()
                     );
                 }
             }

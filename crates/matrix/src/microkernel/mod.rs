@@ -16,22 +16,32 @@
 //!
 //! # Kernel backends
 //!
-//! Three implementations of the same 6x16-register-tile contract, selected
+//! Four implementations of the same register-tile contract, selected
 //! **once per process** by [`KernelDispatch::get`] and cached:
 //!
+//! * [`Backend::Avx512`] — the GEMM on a 6x32 ZMM tile behind a runtime
+//!   AVX-512F (plus AVX2 + FMA) check: two adjacent packed `B` panels side
+//!   by side, 12 ZMM accumulators, two 16-lane `B` loads and six
+//!   broadcasts for twelve FMAs per depth step. A leftover single panel
+//!   and the SpMM row kernels run the AVX2 code, unchanged.
 //! * [`Backend::Avx2Fma`] — `std::arch` intrinsics behind a runtime AVX2 +
-//!   FMA check; 12 YMM accumulators, two `B` vector loads and six
-//!   broadcasts for twelve FMAs per depth step.
+//!   FMA check; a 6x16 tile of 12 YMM accumulators, two `B` vector loads
+//!   and six broadcasts for twelve FMAs per depth step.
 //! * [`Backend::Portable`] — safe Rust written so LLVM autovectorizes it;
 //!   the default wherever AVX2 is absent.
 //! * [`Backend::Scalar`] — the deliberately plain reference used by the
 //!   dispatch-agreement tests.
 //!
+//! Both SIMD tiles fuse each multiply-add per lane in depth order, so
+//! under [`Backend::Avx512`] every output element carries the bits it
+//! carries under [`Backend::Avx2Fma`].
+//!
 //! `MICROKERNEL_FORCE` (`portable` / `scalar` / `avx2`) overrides
-//! detection; forcing `avx2` on hardware without it falls back to
-//! `portable`, so a [`KernelDispatch`] can never name an unavailable
-//! instruction set — the invariant that makes the `#[target_feature]`
-//! calls sound.
+//! detection: `avx2` selects [`Backend::Avx2Fma`] even where AVX-512F is
+//! present. A forced or requested backend the CPU cannot run degrades
+//! along `Avx512 → Avx2Fma → Portable`, so a [`KernelDispatch`] can never
+//! name an unavailable instruction set — the invariant that makes the
+//! `#[target_feature]` calls sound.
 //!
 //! # Packing layout
 //!
@@ -42,7 +52,9 @@
 //! every executor. `A` is read in place: a tile broadcasts from `MR = 6`
 //! row pointers into `A`, a short edge tile repeating its last row, and
 //! `MC = 72` rows (twelve tiles) form the L2 block each `B` micro-panel is
-//! swept across while it sits in L1.
+//! swept across while it sits in L1. At `KC = 256` a micro-panel is 16 KB;
+//! the 6x32 tile sweeps two adjacent ones together, so its L1 budget is
+//! 32 KB of `B`.
 //!
 //! The write-back is the layer's epilogue: the first depth block stores
 //! `0.0 + acc` (the bits of an add into a zeroed output, so the output is
@@ -55,6 +67,7 @@
 //! [`matmul_packed_with`]: crate::microkernel::matmul_packed_with
 //! [`KernelDispatch`]: crate::microkernel::KernelDispatch
 //! [`KernelDispatch::get`]: crate::microkernel::KernelDispatch::get
+//! [`Backend::Avx512`]: crate::microkernel::Backend::Avx512
 //! [`Backend::Avx2Fma`]: crate::microkernel::Backend::Avx2Fma
 //! [`Backend::Portable`]: crate::microkernel::Backend::Portable
 //! [`Backend::Scalar`]: crate::microkernel::Backend::Scalar
@@ -78,6 +91,9 @@ use std::sync::OnceLock;
 /// Which micro-kernel implementation a [`KernelDispatch`] routes to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
+    /// The 6x32 AVX-512F GEMM tile, with the AVX2 + FMA code everywhere
+    /// else (runtime-detected, x86-64 only).
+    Avx512,
     /// `std::arch` AVX2 + FMA intrinsics (runtime-detected, x86-64 only).
     Avx2Fma,
     /// Safe autovectorizable Rust — default wherever AVX2 is unavailable.
@@ -89,28 +105,46 @@ pub enum Backend {
 impl Backend {
     /// Detects the best available backend, honouring the
     /// `MICROKERNEL_FORCE` environment variable (`portable` / `scalar` /
-    /// `avx2`; unknown values are ignored).
+    /// `avx2`; unknown values are ignored). A forced backend the CPU
+    /// cannot run degrades as [`KernelDispatch::with_backend`] does.
     pub fn detect() -> Backend {
-        match std::env::var("MICROKERNEL_FORCE").ok().as_deref() {
-            Some("portable") => return Backend::Portable,
-            Some("scalar") => return Backend::Scalar,
-            // "avx2" falls through to detection: forcing it cannot bypass
-            // the hardware check, only request it explicitly.
-            _ => {}
-        }
-        if avx2_available() {
-            Backend::Avx2Fma
-        } else {
-            Backend::Portable
-        }
+        let wanted = match std::env::var("MICROKERNEL_FORCE").ok().as_deref() {
+            Some("portable") => Backend::Portable,
+            Some("scalar") => Backend::Scalar,
+            Some("avx2") => Backend::Avx2Fma,
+            _ => Backend::Avx512,
+        };
+        KernelDispatch::with_backend(wanted).backend()
     }
 
     /// Human-readable backend name (used by benches and reports).
     pub fn name(self) -> &'static str {
         match self {
+            Backend::Avx512 => "avx512",
             Backend::Avx2Fma => "avx2+fma",
             Backend::Portable => "portable",
             Backend::Scalar => "scalar",
+        }
+    }
+
+    /// Next backend in the degradation chain `Avx512 → Avx2Fma → Portable
+    /// → Scalar`, `None` after the last resort ([`Backend::Scalar`], which
+    /// has no SIMD or autovectorization assumptions left to violate).
+    fn downgrade(self) -> Option<Backend> {
+        match self {
+            Backend::Avx512 => Some(Backend::Avx2Fma),
+            Backend::Avx2Fma => Some(Backend::Portable),
+            Backend::Portable => Some(Backend::Scalar),
+            Backend::Scalar => None,
+        }
+    }
+
+    /// Whether this CPU can run the backend's instructions.
+    fn supported(self) -> bool {
+        match self {
+            Backend::Avx512 => avx512_available(),
+            Backend::Avx2Fma => avx2_available(),
+            Backend::Portable | Backend::Scalar => true,
         }
     }
 }
@@ -120,6 +154,19 @@ pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// True when the CPU supports AVX-512F on top of AVX2 and FMA — what
+/// [`Backend::Avx512`] runs (always false off x86-64).
+pub fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx2_available() && std::arch::is_x86_feature_detected!("avx512f")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -154,9 +201,11 @@ pub fn probe_fallback() -> Option<(Backend, Backend)> {
 /// A resolved micro-kernel selection, cheap to copy and pass down call
 /// chains (e.g. cached inside `kernels::plan::SpmmPlan`).
 ///
-/// Invariant: `backend == Backend::Avx2Fma` only when [`avx2_available`]
-/// returned true at construction — both constructors enforce it, which is
-/// what makes the `unsafe` AVX2 calls in `gemm` and `row` sound.
+/// Invariant: `backend == Backend::Avx512` only when [`avx512_available`]
+/// returned true at construction, and `backend == Backend::Avx2Fma` only
+/// when [`avx2_available`] did — both constructors enforce it, which is
+/// what makes the `unsafe` AVX-512 and AVX2 calls in `gemm` and `row`
+/// sound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelDispatch {
     backend: Backend,
@@ -169,7 +218,8 @@ impl KernelDispatch {
     /// The preferred backend is *probed* before being cached: a tiny AXPY
     /// and SpMM row fill run under `catch_unwind` and their results are
     /// checked against the analytic answer. A backend that panics or produces wrong/non-finite
-    /// values is degraded along the Avx2Fma → Portable → Scalar chain
+    /// values is degraded along the Avx512 → Avx2Fma → Portable → Scalar
+    /// chain
     /// ([`probe_fallback`] reports a taken downgrade). In practice only
     /// injected faults (`resilience`) trigger this; it exists so a
     /// miscompiled or misdetected SIMD path degrades instead of corrupting
@@ -185,13 +235,16 @@ impl KernelDispatch {
 
     /// A dispatch handle for an explicit backend — the hook the
     /// dispatch-agreement tests and the `microkernel` bench use to compare
-    /// implementations side by side. Requesting [`Backend::Avx2Fma`] on
-    /// hardware without it downgrades to [`Backend::Portable`].
-    pub fn with_backend(backend: Backend) -> KernelDispatch {
-        let backend = match backend {
-            Backend::Avx2Fma if !avx2_available() => Backend::Portable,
-            b => b,
-        };
+    /// implementations side by side. A backend the CPU cannot run
+    /// degrades along the chain until one it can: [`Backend::Avx512`]
+    /// without AVX-512F to [`Backend::Avx2Fma`], that without AVX2 + FMA to
+    /// [`Backend::Portable`].
+    pub fn with_backend(mut backend: Backend) -> KernelDispatch {
+        while !backend.supported() {
+            // `Portable` is always supported, so the chain ends before
+            // `downgrade` can run out.
+            backend = backend.downgrade().unwrap_or(Backend::Scalar);
+        }
         KernelDispatch { backend }
     }
 
@@ -226,6 +279,9 @@ fn test_backends() -> Vec<KernelDispatch> {
     if avx2_available() {
         v.push(KernelDispatch::with_backend(Backend::Avx2Fma));
     }
+    if avx512_available() {
+        v.push(KernelDispatch::with_backend(Backend::Avx512));
+    }
     v
 }
 
@@ -241,6 +297,19 @@ mod tests {
         } else {
             assert_eq!(kd.backend(), Backend::Avx2Fma);
         }
+    }
+
+    #[test]
+    fn requested_avx512_degrades_one_rung_at_a_time() {
+        let kd = KernelDispatch::with_backend(Backend::Avx512);
+        let want = if avx512_available() {
+            Backend::Avx512
+        } else if avx2_available() {
+            Backend::Avx2Fma
+        } else {
+            Backend::Portable
+        };
+        assert_eq!(kd.backend(), want);
     }
 
     #[test]

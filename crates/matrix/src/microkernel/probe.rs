@@ -1,31 +1,31 @@
 //! The dispatch and precision probes: tiny known-answer runs of the row
-//! kernel under `catch_unwind`, each rung fault-pointed, that decide which
-//! backend and which storage width a process may trust.
+//! kernel and the GEMM tile under `catch_unwind`, each rung fault-pointed,
+//! that decide which backend and which storage width a process may trust.
 
+use super::gemm::{TileAt, WriteBack};
 use super::row::Rows;
-use super::{Backend, KernelDispatch};
+use super::{Backend, KernelDispatch, MR, NR};
+use crate::activation::Activation;
 use crate::error::MatrixError;
 use crate::quant::{calibrate_scale, f32_to_bf16, f32_to_f16, saturating_cast_i8, Precision};
 use crate::Result;
-
-/// Next backend in the graceful-degradation chain, `None` after the last
-/// resort ([`Backend::Scalar`], which has no SIMD or autovectorization
-/// assumptions left to violate).
-fn downgrade(b: Backend) -> Option<Backend> {
-    match b {
-        Backend::Avx2Fma => Some(Backend::Portable),
-        Backend::Portable => Some(Backend::Scalar),
-        Backend::Scalar => None,
-    }
-}
 
 /// Fault-injection hook for the probe, one named site per backend so chaos
 /// tests can fail a specific rung of the chain.
 fn probe_site(b: Backend) -> Result<()> {
     match b {
-        Backend::Avx2Fma => {
+        Backend::Avx512 => {
             // lint:allow(L008): probe path, runs once per process at
             // dispatch selection — never on the per-call kernel path.
+            resilience::fault_point_err!(
+                "microkernel.probe.avx512",
+                MatrixError::Fault {
+                    site: "microkernel.probe.avx512",
+                }
+            );
+        }
+        Backend::Avx2Fma => {
+            // lint:allow(L008): probe path, see above.
             resilience::fault_point_err!(
                 "microkernel.probe.avx2",
                 MatrixError::Fault {
@@ -48,8 +48,9 @@ fn probe_site(b: Backend) -> Result<()> {
 }
 
 /// `true` when `kd`'s backend survives a tiny correctness probe: a 16-wide
-/// AXPY and a 3-non-zero, 20-lane SpMM row fill (two full register groups
-/// plus a masked tail — the kernel every f32 aggregation runs), both under
+/// AXPY, a 3-non-zero, 20-lane SpMM row fill (two full register groups
+/// plus a masked tail — the kernel every f32 aggregation runs) and one
+/// GEMM register tile as wide as the backend's ([`tile_ok`]), all under
 /// `catch_unwind` and checked elementwise against the analytic answer.
 /// Panics, wrong values, and non-finite output all fail the probe. Stack
 /// arrays only — the probe allocates nothing.
@@ -83,16 +84,64 @@ fn probe(kd: KernelDispatch) -> bool {
             let j = j as f32;
             v == 0.5 * (64.0 + j) - 2.0 * j + 1.5 * (32.0 + j)
         });
-        axpy_ok && fill_ok
+        axpy_ok && fill_ok && tile_ok(kd)
     })
     .unwrap_or(false)
 }
 
+/// One known-answer GEMM register tile on stack arrays: six rows of depth
+/// 3 against `kd.tile_panels()` packed panels (the 6x32 tile under
+/// [`Backend::Avx512`]), through the last-block write-back with a bias and
+/// ReLU over stale NaNs. Every product and sum is a small multiple of 0.5,
+/// so any order of the exact arithmetic gives the answer; columns past the
+/// tile must stay untouched.
+fn tile_ok(kd: KernelDispatch) -> bool {
+    const DEPTH: usize = 3;
+    const W: usize = 2 * NR;
+    let a_at = |r: usize, p: usize| r as f32 - 2.0 * p as f32;
+    let b_at = |p: usize, j: usize| (j % 7) as f32 - p as f32;
+    let rows: [[f32; DEPTH]; MR] = std::array::from_fn(|r| std::array::from_fn(|p| a_at(r, p)));
+    let a: [&[f32]; MR] = rows.each_ref().map(|r| r.as_slice());
+    // Packed like `pack_b_block`: panel-major, then depth, then lane.
+    let bp: [f32; 2 * DEPTH * NR] = std::array::from_fn(|i| {
+        let (panel, p, j) = (i / (DEPTH * NR), i / NR % DEPTH, i % NR);
+        b_at(p, panel * NR + j)
+    });
+    let bias: [f32; W] = std::array::from_fn(|j| 0.5 * j as f32 - 4.0);
+    let c_rows: [usize; MR] = std::array::from_fn(|r| r * W);
+    let mut c = [f32::NAN; MR * W];
+    let cols = NR * kd.tile_panels();
+    let at = TileAt {
+        c_rows: &c_rows,
+        j0: 0,
+        rows: MR,
+        cols,
+    };
+    let wb = WriteBack {
+        n: W,
+        first: true,
+        last: true,
+        bias: Some(&bias),
+        act: Activation::Relu,
+    };
+    kd.tile(&a, &bp, &mut c, at, &wb);
+    c.chunks_exact(W).enumerate().all(|(r, row)| {
+        row.iter().zip(&bias).enumerate().all(|(j, (&v, &b))| {
+            if j >= cols {
+                return v.is_nan();
+            }
+            let dot: f32 = (0..DEPTH).map(|p| a_at(r, p) * b_at(p, j)).sum();
+            v == (dot + b).max(0.0)
+        })
+    })
+}
+
 /// Run the detection + probe chain from scratch (uncached): the backend
-/// [`Backend::detect`] prefers, degraded along [`downgrade`] until a rung
-/// passes [`probe`]. Returns the chosen dispatch and the `(preferred,
-/// chosen)` pair when a downgrade happened. [`KernelDispatch::get`] calls
-/// this once and caches; tests call it directly under armed injection.
+/// [`Backend::detect`] prefers, degraded along `Avx512 → Avx2Fma →
+/// Portable → Scalar` until a rung passes [`probe`]. Returns the chosen
+/// dispatch and the `(preferred, chosen)` pair when a downgrade happened.
+/// [`KernelDispatch::get`] calls this once and caches; tests call it
+/// directly under armed injection.
 pub fn resolve_probed() -> (KernelDispatch, Option<(Backend, Backend)>) {
     let preferred = Backend::detect();
     let mut candidate = preferred;
@@ -102,7 +151,7 @@ pub fn resolve_probed() -> (KernelDispatch, Option<(Backend, Backend)>) {
             let fallback = (candidate != preferred).then_some((preferred, candidate));
             return (kd, fallback);
         }
-        match downgrade(candidate) {
+        match candidate.downgrade() {
             Some(next) => candidate = next,
             // Even a failing scalar probe (only reachable via injection on
             // every rung) must yield a usable dispatch: scalar is the

@@ -34,12 +34,13 @@ impl KernelDispatch {
     pub fn axpy(self, y: &mut [f32], alpha: f32, x: &[f32]) {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: the struct invariant guarantees `Avx2Fma` is only
-            // present when `avx2_available()` held at construction, so the
-            // target features of `axpy_avx2` are supported here.
-            Backend::Avx2Fma => unsafe { axpy_avx2(y, alpha, x) },
+            // SAFETY: the struct invariant guarantees `Avx2Fma` and `Avx512`
+            // are only present when AVX2 + FMA were detected at
+            // construction, so the target features of `axpy_avx2` are
+            // supported here.
+            Backend::Avx2Fma | Backend::Avx512 => unsafe { axpy_avx2(y, alpha, x) },
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2Fma => axpy_portable(y, alpha, x),
+            Backend::Avx2Fma | Backend::Avx512 => axpy_portable(y, alpha, x),
             Backend::Portable => axpy_portable(y, alpha, x),
             Backend::Scalar => axpy_scalar(y, alpha, x),
         }
@@ -116,10 +117,13 @@ impl KernelDispatch {
     ) {
         let rows = src.rows(stride);
         #[cfg(target_arch = "x86_64")]
-        if self.backend == Backend::Avx2Fma && (!matches!(src, Rows::F16(_)) || f16c_available()) {
-            // SAFETY: the struct invariant guarantees `Avx2Fma` is only
-            // present when `avx2_available()` held at construction, and the
-            // guard verifies F16C before the one arm whose shell needs it.
+        // `Avx512` runs the AVX2 row kernels unchanged.
+        let avx2 = matches!(self.backend, Backend::Avx2Fma | Backend::Avx512);
+        if avx2 && (!matches!(src, Rows::F16(_)) || f16c_available()) {
+            // SAFETY: the struct invariant guarantees `Avx2Fma` and `Avx512`
+            // are only present when AVX2 + FMA were detected at
+            // construction, and the guard verifies F16C before the one arm
+            // whose shell needs it.
             unsafe {
                 match src {
                     Rows::F32(x) => {

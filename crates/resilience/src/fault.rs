@@ -286,8 +286,12 @@ pub fn stats() -> FaultStats {
     }
 }
 
-/// FNV-1a over the seed, site name, and per-site visit counter: the firing
-/// decision stream is reproducible regardless of thread interleaving.
+/// FNV-1a over the seed, site name, and per-site visit counter, finished
+/// with the `fmix64` avalanche of MurmurHash3: the firing decision stream
+/// is reproducible regardless of thread interleaving, and consecutive
+/// visits of one site decide independently (FNV-1a alone leaves the last
+/// bytes mixed — the visit counter's — barely reaching the top bits that
+/// [`unit_interval`] reads).
 fn decision_hash(seed: u64, site: &str, visit: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |byte: u8| {
@@ -303,7 +307,9 @@ fn decision_hash(seed: u64, site: &str, visit: u64) -> u64 {
     for b in visit.to_le_bytes() {
         mix(b);
     }
-    h
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
 fn unit_interval(h: u64) -> f64 {
@@ -454,6 +460,38 @@ mod tests {
         assert_ne!(a, c, "different seeds should differ at rate 0.5");
         assert!(a.iter().any(|&x| x), "rate 0.5 must fire within 64 visits");
         assert!(!a.iter().all(|&x| x), "rate 0.5 must also pass sometimes");
+    }
+
+    #[test]
+    fn one_sites_decisions_are_independent_across_visits() {
+        // At rate 0.7, over 4096 seeds of 8 visits each: the firing fraction
+        // and the share of seeds whose 8 visits all fire (0.7^8 = 5.76 %)
+        // must both sit inside 5-sigma binomial bands. A hash whose visit
+        // counter is not mixed into every output bit fires correlated runs.
+        const SEEDS: u64 = 4096;
+        const VISITS: usize = 8;
+        let rate = 0.7f64;
+        let (mut fired, mut full_runs) = (0usize, 0usize);
+        for seed in 0..SEEDS {
+            let _g = arm(FaultConfig::new(seed).point("gcn.layer", FaultKind::Error, rate));
+            let run = (0..VISITS).filter(|_| should_fail("gcn.layer")).count();
+            fired += run;
+            full_runs += usize::from(run == VISITS);
+        }
+        let band = |trials: f64, p: f64| {
+            let (mean, sd) = (trials * p, (trials * p * (1.0 - p)).sqrt());
+            (mean - 5.0 * sd, mean + 5.0 * sd)
+        };
+        let (lo, hi) = band(SEEDS as f64 * VISITS as f64, rate);
+        assert!(
+            (lo..=hi).contains(&(fired as f64)),
+            "{fired} firings outside [{lo:.0}, {hi:.0}]"
+        );
+        let (lo, hi) = band(SEEDS as f64, rate.powi(VISITS as i32));
+        assert!(
+            (lo..=hi).contains(&(full_runs as f64)),
+            "{full_runs} seeds fired all {VISITS} visits, outside [{lo:.0}, {hi:.0}]"
+        );
     }
 
     #[test]

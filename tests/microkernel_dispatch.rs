@@ -1,9 +1,10 @@
 //! Property tests for the dense micro-kernel engine: every dispatch
-//! backend (scalar, portable, and AVX2+FMA when the host supports it)
+//! backend (scalar, portable, and AVX2+FMA and AVX-512 when the host
+//! supports them)
 //! must compute the same product as the naive reference GEMM on random
 //! shapes — including degenerate ones the register tiling has to pad
 //! (k == 0, single-column outputs, heights and widths that are not
-//! multiples of the 6x16 tile, depths on both sides of the 256-deep panel)
+//! multiples of the 6x16 or 6x32 tile, depths on both sides of the 256-deep panel)
 //! — and the fused dense update must equal the unfused GEMM → bias →
 //! activation sequence bit for bit.
 
@@ -11,7 +12,8 @@ use piuma_gcn::kernels::plan::{nnz_balanced_partition, spmm_nnz_balanced_with};
 use piuma_gcn::kernels::spmm::{spmm_sequential_into, FeatureOperand};
 use piuma_gcn::matrix::gemm::matmul_naive;
 use piuma_gcn::matrix::microkernel::{
-    avx2_available, dense_update_with, matmul_packed_with, Backend, KernelDispatch,
+    avx2_available, avx512_available, dense_update_with, matmul_packed_with, Backend,
+    KernelDispatch,
 };
 use piuma_gcn::matrix::{Activation, DenseMatrix, Precision, QuantMatrix};
 use piuma_gcn::sparse::{Coo, Csr};
@@ -19,9 +21,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Every backend the host can run. AVX2+FMA is included only when the
-/// CPU reports it; `KernelDispatch::with_backend` would silently
-/// downgrade it otherwise and the test would compare portable twice.
+/// Every backend the host can run. AVX2+FMA and AVX-512 are included only
+/// when the CPU reports them; `KernelDispatch::with_backend` would silently
+/// downgrade them otherwise and the test would compare a backend twice.
 fn backends() -> Vec<KernelDispatch> {
     let mut v = vec![
         KernelDispatch::with_backend(Backend::Scalar),
@@ -29,6 +31,9 @@ fn backends() -> Vec<KernelDispatch> {
     ];
     if avx2_available() {
         v.push(KernelDispatch::with_backend(Backend::Avx2Fma));
+    }
+    if avx512_available() {
+        v.push(KernelDispatch::with_backend(Backend::Avx512));
     }
     v
 }

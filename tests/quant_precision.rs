@@ -6,14 +6,15 @@
 //! rows (F == 1) and ragged widths that are not multiples of the 8-lane
 //! tile.
 
-use piuma_gcn::matrix::microkernel::{avx2_available, Backend, KernelDispatch};
+use piuma_gcn::matrix::microkernel::{avx2_available, avx512_available, Backend, KernelDispatch};
 use piuma_gcn::matrix::quant::{
     bf16_to_f32, f16_to_f32, f32_to_bf16, f32_to_f16, saturating_cast_i8, I8_MAX_Q,
 };
 use piuma_gcn::matrix::{DenseMatrix, Precision, QuantMatrix};
 use proptest::prelude::*;
 
-/// Every backend the host can run (AVX2+FMA only when the CPU has it).
+/// Every backend the host can run (AVX2+FMA and AVX-512 only when the CPU
+/// has them).
 fn backends() -> Vec<KernelDispatch> {
     let mut v = vec![
         KernelDispatch::with_backend(Backend::Scalar),
@@ -21,6 +22,9 @@ fn backends() -> Vec<KernelDispatch> {
     ];
     if avx2_available() {
         v.push(KernelDispatch::with_backend(Backend::Avx2Fma));
+    }
+    if avx512_available() {
+        v.push(KernelDispatch::with_backend(Backend::Avx512));
     }
     v
 }
