@@ -7,7 +7,7 @@
 //!
 //! There is one layer loop, behind [`GcnModel::infer_planned_with`] and,
 //! on row lists, [`GcnModel::infer_rows_planned_into`], and one
-//! [`InferenceWorkspace`] it runs in — in place unless it is recovering.
+//! [`InferenceWorkspace`] it runs in — in place, recovering or not.
 //! *How* it aggregates is the workspace's [`kernels::SpmmPlan`] — resolved
 //! by the plan's own rule or pinned to an explicit
 //! [`kernels::SpmmStrategy`], and carrying width, precision and SIMD

@@ -19,15 +19,17 @@ use sparse::Csr;
 /// allocated only by a rows call ([`GcnModel::infer_rows_planned_into`]) —
 /// the visited marks, the levels and the row-list partition.
 ///
-/// The loop runs **in place unless it is recovering**: layer 0 reads the
-/// features and writes `h`, every later layer reads `h` and overwrites it
-/// (each layer reads its input once, into `mid`, before it writes its
-/// output), so a plain run holds two activation buffers. A recovering run
-/// ([`GcnModel::infer_recovering_with`]) writes each layer into a third,
-/// `next`, and swaps it in only once the layer succeeded, because a retried
-/// attempt needs its input intact. Every buffer is sized once, for the
-/// widest layer, before layer 0, and is reused at its high-water mark, so
-/// later calls on same-shaped inputs perform no output-sized allocation.
+/// The loop runs **in place**: layer 0 reads the features and writes `h`,
+/// every later layer reads `h` and overwrites it (each layer reads its
+/// input once, into `mid`, before it writes its output), so every run —
+/// plain or recovering — holds two activation buffers. A recovering run
+/// ([`GcnModel::infer_recovering_with`]) keeps no spare copy of a layer's
+/// input: a retry after an attempt that overwrote it rebuilds it by
+/// re-running the earlier layers (see [`crate::resilient`]), on the rungs
+/// the workspace records for the layers that stepped down. Every buffer
+/// is sized once, for the widest layer, before layer 0, and is reused at
+/// its high-water mark, so later calls on same-shaped inputs perform no
+/// output-sized allocation.
 ///
 /// The plan is built by the first inference against an adjacency and
 /// reused by every later layer / epoch / call after an `O(1)` fingerprint
@@ -38,8 +40,6 @@ use sparse::Csr;
 pub struct InferenceWorkspace {
     /// Current activations: the loop's input, then its output.
     pub(crate) h: DenseMatrix,
-    /// The layer's output while recovering; never allocated otherwise.
-    next: DenseMatrix,
     /// Intermediate product inside the layer.
     pub(crate) mid: DenseMatrix,
     /// Narrow-storage staging buffer: under a narrow plan each layer
@@ -49,6 +49,11 @@ pub struct InferenceWorkspace {
     /// Cached execution plan, keyed by the adjacency's structural
     /// fingerprint.
     plan: Option<SpmmPlan>,
+    /// Recovering runs: each layer so far that completed on a rung below
+    /// the plan, with that rung and its depth down the ladder, so a lost
+    /// input is rebuilt on the same rungs. Empty, and never allocated,
+    /// while no layer steps down.
+    degraded: Vec<(usize, usize, SpmmStrategy)>,
     /// Rows calls: `mark[v] == epoch` ⇔ vertex `v` is in the level being
     /// collected.
     pub(crate) mark: Vec<u32>,
@@ -258,17 +263,23 @@ impl GcnModel {
     /// copied into the output only when no layer completed (a zero-layer
     /// model, or a guard that fired first).
     ///
-    /// Without `recover` every later layer runs in place on `h`. With it,
-    /// this is the workspace's only retry-then-degrade walk: each layer
-    /// writes `next` under [`retry::run`] — the `gcn.layer` fault site
-    /// inside the retried attempt — and on exhausting its
-    /// [`retry::ATTEMPTS`] attempts steps to a copy of the plan re-pinned
-    /// one rung down [`SpmmStrategy::fallback`], recording the rung in the
-    /// report; every layer starts back at the workspace's plan. A fired
-    /// `guard` (checked before each layer and rung) ends the run with `h`
-    /// at the last completed layer; after an `Err` the output is
-    /// unspecified. The workspace's plan is never modified; the report
-    /// carries the precision it ran at and its ISA-probe downgrade, if any.
+    /// Every layer after the first runs in place on `h`. With `recover`
+    /// (whole-graph runs only) this is the workspace's only
+    /// retry-then-degrade walk: each layer runs under [`retry::run`] — the
+    /// `gcn.layer` fault site at the top of the retried attempt — and on
+    /// exhausting its [`retry::ATTEMPTS`] attempts steps to a copy of the
+    /// plan re-pinned one rung down [`SpmmStrategy::fallback`], recording
+    /// the rung in the report; every layer starts back at the workspace's
+    /// plan. Once an attempt at layer `t` has reached its kernel, `h` may no
+    /// longer hold `t`'s input, so each later attempt first rebuilds it:
+    /// layers `0..t` again from `features`, in place, each on the rung that
+    /// completed it (or on the lower rung layer `t` has stepped down to),
+    /// without visiting the `gcn.layer` site. A fired `guard`
+    /// (checked before each layer and rung) ends the run with `h` at the
+    /// last completed layer, rebuilt first if an attempt overwrote it;
+    /// after an `Err` the output is unspecified. The workspace's plan is
+    /// never modified; the report carries the precision it ran at and its
+    /// ISA-probe downgrade, if any.
     pub(crate) fn run_layers(
         &self,
         a_hat: &Csr,
@@ -285,11 +296,11 @@ impl GcnModel {
         workspace.plan_for(a_hat, features.cols(), precision);
         let InferenceWorkspace {
             h,
-            next,
             mid,
             qbuf,
             plan,
             slots,
+            degraded,
             ..
         } = workspace;
         let base = plan.as_ref().expect("plan populated above");
@@ -298,17 +309,66 @@ impl GcnModel {
         let n = a_hat.nrows();
         let widest = |f: fn(&GcnLayer) -> usize| self.layers.iter().map(f).max().unwrap_or(0);
         h.resize_for_overwrite(n, widest(GcnLayer::out_dim));
-        if recover {
-            next.resize_for_overwrite(n, widest(GcnLayer::out_dim));
-        }
         mid.resize_for_overwrite(n, widest(|l| l.in_dim().min(l.out_dim())));
+        degraded.clear();
         let shares = kernels::pool::global().width() * PLAN_SLOTS_PER_THREAD;
         let mut run = InferenceRun {
             total_layers: self.layers.len(),
             backend_fallback: matrix::microkernel::probe_fallback(),
             ..InferenceRun::default()
         };
-        'layers: for (t, layer) in self.layers.iter().enumerate() {
+        // Layer `s` on `plan`: it reads the features at layer 0 and runs in
+        // place on `h` after.
+        let layer_into = |s: usize,
+                          plan: &SpmmPlan,
+                          lists: Option<RowLists>,
+                          qbuf: &mut QuantMatrix,
+                          mid: &mut DenseMatrix,
+                          h: &mut DenseMatrix| {
+            let layer = &self.layers[s];
+            gcn_layer_planned_into(
+                a_hat,
+                (s == 0).then_some(features),
+                &layer.weight,
+                layer.bias.as_deref(),
+                layer.activation,
+                plan,
+                lists,
+                qbuf,
+                mid,
+                h,
+            )
+            .map(|_| ())
+        };
+        // Rebuilds layer `t`'s lost input: layers `0..t` again from the
+        // features, in place, each on the rung that completed it or on
+        // `current`, the rung `depth` steps down that layer `t` has
+        // reached, whichever is lower — every row-local rung gives the same
+        // bits, and a rung down exists to get away from a failing kernel.
+        // Counts every layer it re-runs.
+        let rebuild = |t: usize,
+                       degraded: &[(usize, usize, SpmmStrategy)],
+                       current: &SpmmPlan,
+                       depth: usize,
+                       qbuf: &mut QuantMatrix,
+                       mid: &mut DenseMatrix,
+                       h: &mut DenseMatrix,
+                       rebuilt: &mut usize| {
+            for s in 0..t {
+                let pinned;
+                let plan = match degraded.iter().find(|d| d.0 == s) {
+                    Some(&(_, below, to)) if below > depth => {
+                        pinned = base.clone().pin(to);
+                        &pinned
+                    }
+                    _ => current,
+                };
+                layer_into(s, plan, None, qbuf, mid, h)?;
+                *rebuilt += 1;
+            }
+            Ok::<(), MatrixError>(())
+        };
+        'layers: for t in 0..self.layers.len() {
             if let Some(reason) = guard.should_stop() {
                 run.stopped = Some(reason);
                 break;
@@ -325,75 +385,78 @@ impl GcnModel {
                 }
                 None => None,
             };
-            let (input, out) = if recover {
-                (Some(if t == 0 { features } else { &*h }), &mut *next)
-            } else {
-                ((t == 0).then_some(features), &mut *h)
-            };
-            let mut attempt = |plan: &SpmmPlan| {
-                gcn_layer_planned_into(
-                    a_hat,
-                    input,
-                    &layer.weight,
-                    layer.bias.as_deref(),
-                    layer.activation,
-                    plan,
-                    lists,
-                    qbuf,
-                    mid,
-                    out,
-                )
-                .map(|_| ())
-            };
-            if recover {
-                let attempts_before = run.attempts;
-                let mut rung: Option<SpmmPlan> = None;
-                loop {
-                    let current = rung.as_ref().unwrap_or(base);
-                    let outcome = retry::run(|| -> Result<(), MatrixError> {
-                        resilience::fault_point_err!(
-                            "gcn.layer",
-                            MatrixError::Fault { site: "gcn.layer" }
-                        );
-                        attempt(current)
-                    });
-                    let err = match outcome {
-                        Ok(rec) => {
-                            run.attempts += rec.attempts;
-                            run.recovered_panics += rec.recovered_panics;
-                            run.recovered_errors += rec.recovered_errors;
-                            if run.attempts - attempts_before > 1 {
-                                run.recovered_layers += 1;
-                            }
-                            break;
-                        }
-                        Err(err) => err,
-                    };
-                    run.attempts += err.attempts;
-                    let from = current.exec();
-                    let Some(to) = from.fallback() else {
-                        return Err(GcnError::Kernel(match err.last {
-                            Failure::Error(e) => e,
-                            Failure::Panic(_) => MatrixError::Fault {
-                                site: "gcn.layer: unrecovered panic",
-                            },
-                        }));
-                    };
-                    run.degradations.push(Degradation {
-                        layer: Some(t),
-                        from: from.to_string(),
-                        to: to.to_string(),
-                        cause: err.last.to_string(),
-                    });
-                    rung = Some(base.clone().pin(to));
-                    if let Some(reason) = guard.should_stop() {
-                        run.stopped = Some(reason);
-                        break 'layers;
+            if !recover {
+                layer_into(t, base, lists, qbuf, mid, h)?;
+                run.layers_done += 1;
+                continue;
+            }
+            debug_assert!(levels.is_none(), "a recovering run is whole-graph");
+            let attempts_before = run.attempts;
+            let mut rung: Option<SpmmPlan> = None;
+            let mut depth = 0;
+            // Set once an attempt reached the layer kernel, which overwrites
+            // `h` — this layer's input — in place; from then on every
+            // attempt first rebuilds it. An attempt stopped at the
+            // `gcn.layer` site never touched `h`.
+            let mut lost = false;
+            loop {
+                let current = rung.as_ref().unwrap_or(base);
+                let outcome = retry::run(|| -> Result<(), MatrixError> {
+                    resilience::fault_point_err!(
+                        "gcn.layer",
+                        MatrixError::Fault { site: "gcn.layer" }
+                    );
+                    if lost {
+                        let rebuilt = &mut run.rebuilt_layers;
+                        rebuild(t, degraded, current, depth, qbuf, mid, h, rebuilt)?;
                     }
+                    lost = t > 0;
+                    layer_into(t, current, lists, qbuf, mid, h)
+                });
+                let err = match outcome {
+                    Ok(rec) => {
+                        run.attempts += rec.attempts;
+                        run.recovered_panics += rec.recovered_panics;
+                        run.recovered_errors += rec.recovered_errors;
+                        if run.attempts - attempts_before > 1 {
+                            run.recovered_layers += 1;
+                        }
+                        break;
+                    }
+                    Err(err) => err,
+                };
+                run.attempts += err.attempts;
+                let from = current.exec();
+                let Some(to) = from.fallback() else {
+                    return Err(unrecovered(err.last));
+                };
+                run.degradations.push(Degradation {
+                    layer: Some(t),
+                    from: from.to_string(),
+                    to: to.to_string(),
+                    cause: err.last.to_string(),
+                });
+                rung = Some(base.clone().pin(to));
+                depth += 1;
+                if let Some(reason) = guard.should_stop() {
+                    // The run ends at the last completed layer: rebuild
+                    // its output first if an attempt overwrote it.
+                    if lost {
+                        let current = rung.as_ref().unwrap_or(base);
+                        let rebuilt = &mut run.rebuilt_layers;
+                        let rec = retry::run(|| {
+                            rebuild(t, degraded, current, depth, qbuf, mid, h, rebuilt)
+                        })
+                        .map_err(|err| unrecovered(err.last))?;
+                        run.recovered_panics += rec.recovered_panics;
+                        run.recovered_errors += rec.recovered_errors;
+                    }
+                    run.stopped = Some(reason);
+                    break 'layers;
                 }
-                std::mem::swap(h, next);
-            } else {
-                attempt(base)?;
+            }
+            if let Some(rung) = &rung {
+                degraded.push((t, depth, rung.exec()));
             }
             run.layers_done += 1;
         }
@@ -447,6 +510,16 @@ impl GcnModel {
         }
         Ok(h)
     }
+}
+
+/// The typed error of a step whose retries all failed.
+fn unrecovered(last: Failure<MatrixError>) -> GcnError {
+    GcnError::Kernel(match last {
+        Failure::Error(e) => e,
+        Failure::Panic(_) => MatrixError::Fault {
+            site: "gcn.layer: unrecovered panic",
+        },
+    })
 }
 
 #[cfg(test)]

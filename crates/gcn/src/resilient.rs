@@ -23,11 +23,24 @@
 //! error variant that smuggles a measurement — and it propagates kernel
 //! errors instead of degrading past them.
 //!
-//! Retrying a layer is sound because a recovering run writes each layer
-//! into a spare buffer and swaps it in only once the layer succeeded (a
-//! plain run overwrites its input in place), and the layer kernel fully
-//! overwrites both buffers it writes: a crashed attempt leaves no state a
-//! later attempt can observe.
+//! Retrying a layer in place is sound without a spare copy of its input.
+//! The loop overwrites `h`, the layer's input, with its output, so an
+//! attempt that fails after it reached the layer kernel may leave `h` half
+//! written. The next attempt therefore first *recomputes* that input:
+//! layers `0..t` again from the features, each on the plan rung that
+//! completed it, or on the rung layer `t` has stepped down to if that is
+//! lower (a rung down exists to get away from a failing kernel, and every
+//! row-local rung gives the same bits). The features, `Â` and the weights
+//! are never written, and every row-local rung is bitwise deterministic
+//! given its plan, so the rebuilt input is bitwise the one lost and a
+//! recovered output is bitwise [`GcnModel::infer_planned_with`]'s. (The
+//! one rung that is not reproducible is multi-thread edge-parallel: its
+//! atomic flush orders additions by thread timing, recovered or not.) An
+//! attempt stopped at the `gcn.layer` site, at the top of the attempt,
+//! never touched `h` and needs no rebuild. The layer kernel fully
+//! overwrites what it writes, so a crashed attempt leaves no other state a
+//! later attempt can observe. A fault costs `t` layers of recomputation
+//! ([`InferenceRun::rebuilt_layers`]); a fault-free run pays nothing.
 
 use crate::accuracy::{accuracy_bound, rel_frobenius};
 use crate::error::GcnError;
@@ -72,6 +85,16 @@ pub struct InferenceRun {
     pub recovered_errors: u32,
     /// Layers that completed only after a retry or a rung down.
     pub recovered_layers: usize,
+    /// Layers re-run to rebuild a lost input. The loop runs in place, so an
+    /// attempt at layer `t` that failed after it reached its kernel may
+    /// have overwritten `t`'s input; the next attempt (or a fired guard)
+    /// first re-runs layers `0..t` from the features, and each of those
+    /// that completes counts here. These re-runs are not in
+    /// [`InferenceRun::attempts`], which counts attempts at the layer being
+    /// run (failed ones included): `rebuilt_layers` is the work recovery
+    /// cost on top of them. `0` on a fault-free run, and whenever every
+    /// failure struck at the `gcn.layer` site, before its kernel.
+    pub rebuilt_layers: usize,
     /// Rungs taken, in order: strategy rungs tagged with their layer,
     /// precision rungs (ISA probe, accuracy guard) with `layer == None`.
     pub degradations: Vec<Degradation>,
@@ -180,8 +203,9 @@ impl GcnModel {
 
     /// [`GcnModel::infer_resilient_with`] without the input sweep: checks
     /// shapes only, then runs the layer loop with its recovery arm on
-    /// (retry, then a strategy rung down) under `guard`, on a third
-    /// activation buffer the workspace allocates for it. For callers that
+    /// (retry, then a strategy rung down) under `guard`, in place on the
+    /// same two activation buffers as a plain run: a retry recomputes a
+    /// lost input instead of keeping a copy. For callers that
     /// run one validated model on one graph over and over — the sharded
     /// runner — where the NaN/Inf sweep over features and weights would
     /// cost a sizeable share of every call.

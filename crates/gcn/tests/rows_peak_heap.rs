@@ -13,8 +13,8 @@
 //! * **Whole graph.** After one plain inference with a `K = 256` model the
 //!   workspace holds `h` and `mid` at the widest width plus the same
 //!   per-thread allowance — a third `n x 256` buffer does not fit — and a
-//!   recovering run on it then adds exactly the spare buffer its retries
-//!   write into.
+//!   recovering run on it adds no buffer: a retry recomputes a lost input
+//!   in place instead of keeping a spare copy.
 
 use gcn::{GcnConfig, GcnModel, InferenceWorkspace, RowsWorkspace};
 use graph::rmat::RmatConfig;
@@ -131,7 +131,7 @@ fn a_rows_workspace_retains_global_buffers_levels_and_marks() {
 }
 
 #[test]
-fn a_whole_graph_workspace_holds_two_buffers_unless_recovering() {
+fn a_whole_graph_workspace_holds_two_buffers_recovering_or_not() {
     let _one_at_a_time = measuring();
     let graph = Graph::rmat(&RmatConfig::power_law(10, 8), 5);
     let a_hat = graph
@@ -178,8 +178,8 @@ fn a_whole_graph_workspace_holds_two_buffers_unless_recovering() {
             .expect("inference succeeds");
     });
     assert!(
-        (one_buffer..=one_buffer + slack).contains(&recovering),
-        "a recovering run on the same workspace added {recovering} B, not the one \
-         {one_buffer} B spare buffer"
+        recovering <= slack,
+        "a recovering run on the same workspace added {recovering} B > {slack} B; one \
+         spare activation buffer would be {one_buffer} B"
     );
 }

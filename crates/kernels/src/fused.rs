@@ -59,8 +59,9 @@ pub enum FusedOrder {
 /// whole-graph call (`None`) gives it.
 ///
 /// The input is `h`, or `out` itself for `None`: both association orders
-/// read the input once, into `mid`, before writing `out`, so a caller with
-/// nothing to retry can run a layer stack on two buffers.
+/// read the input once, into `mid`, before writing `out`, so a caller can
+/// run a layer stack on two buffers (one that retries a failed layer
+/// recomputes its input, which the failed attempt may have overwritten).
 ///
 /// # Errors
 ///

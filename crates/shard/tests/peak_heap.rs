@@ -4,8 +4,10 @@
 //! its peak. Building a [`shard::ShardedGcn`] over a Products twin and
 //! running its first `infer` may raise the peak above what was live before
 //! by at most: the plan's one copy of the adjacency and its `refs` / `halo`
-//! lists (the ledger), the workspace's buffers — three n-row activation
-//! buffers and its plan's NNZ partition — and the returned output.
+//! lists (the ledger), the workspace's buffers — two n-row activation
+//! buffers (the layer loop runs in place, and recovers by recomputation,
+//! not from a spare copy) and its plan's NNZ partition — and the returned
+//! output.
 //! Per-block stage buffers — a copy of every block's referenced rows at
 //! the aggregation width, `Σ refs × K × 4` bytes — do not fit in that
 //! bound.
@@ -106,7 +108,7 @@ fn sharded_inference_peak_heap_is_the_adjacency_and_activations() {
             .map(|b| (b.refs.len() + b.halo.len()) * size_of::<u32>())
             .sum::<usize>();
     let widest = dims[1..].iter().copied().max().unwrap_or(0);
-    let activations = 3 * n * widest * f32s;
+    let activations = 2 * n * widest * f32s;
     // The workspace plans at pool width, as the runner's first call did.
     let partition = size_of_val(SpmmPlan::new(&a_hat, dims[0]).partition());
     let output = size_of_val(out.as_slice());

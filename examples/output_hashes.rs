@@ -66,8 +66,8 @@ fn main() {
                 );
             }
         }
-        // The recovering loop (a spare buffer per layer, so a retry finds
-        // its input intact) must give the in-place loop's bits.
+        // The recovering loop (in place like the plain one; a retry
+        // recomputes an overwritten input) must give the plain loop's bits.
         for precision in [Precision::F32, Precision::Int8] {
             let mut ws = InferenceWorkspace::new();
             ws.install_plan(SpmmPlan::with_width(&a_hat, 16, 1).at_precision(precision));

@@ -208,6 +208,169 @@ fn parallel_spmm_survives_pool_worker_panics() {
     }
 }
 
+/// A recovering run works in place, so a `pool.share` panic that fires
+/// inside a layer's broadcast, after the other shares wrote their rows of
+/// `h`, destroys that layer's input. Under a plan pinned to the four-thread
+/// vertex-parallel kernel each layer broadcasts its SpMM over its NNZ
+/// partition and its dense update over the executors; `16 -> 32 -> 32 -> 4`
+/// runs two aggregate-first layers and an update-first one, whose SpMM
+/// writes `h` second.
+fn share_panic_case() -> (Csr, GcnModel, DenseMatrix, SpmmPlan) {
+    let g = Graph::rmat(&RmatConfig::power_law(8, 8), 2024);
+    let a_hat = g.normalized_adjacency().unwrap();
+    let model = GcnModel::new(&GcnConfig::from_dims(vec![16, 32, 32, 4]), 7);
+    let x = g.random_features(16, 5);
+    let plan = SpmmPlan::pinned(&a_hat, 16, SpmmStrategy::VertexParallel { threads: 4 });
+    (a_hat, model, x, plan)
+}
+
+/// `model` on `plan` by the plain loop, under an armed-but-silent config.
+fn planned_reference(
+    a_hat: &Csr,
+    model: &GcnModel,
+    x: &DenseMatrix,
+    plan: &SpmmPlan,
+) -> DenseMatrix {
+    let _quiet = fault::arm(FaultConfig::new(0));
+    let mut ws = InferenceWorkspace::new();
+    ws.install_plan(plan.clone());
+    model.infer_planned_with(a_hat, x, &mut ws).unwrap().clone()
+}
+
+/// One recovering run of `model` on `plan` under `config`. The guard is
+/// made once the config is armed, so a budget counts from the run's start.
+fn recovering_run(
+    a_hat: &Csr,
+    model: &GcnModel,
+    x: &DenseMatrix,
+    plan: &SpmmPlan,
+    config: FaultConfig,
+    guard: impl FnOnce() -> RunGuard,
+) -> (Result<gcn::InferenceRun, gcn::GcnError>, DenseMatrix) {
+    let _armed = fault::arm(config);
+    let mut ws = InferenceWorkspace::new();
+    ws.install_plan(plan.clone());
+    let run = model.infer_recovering_with(a_hat, x, &guard(), &mut ws);
+    (run, ws.output().clone())
+}
+
+/// Layer attempts that failed in a run: every attempt beyond each
+/// completed layer's first.
+fn failed_attempts(run: &gcn::InferenceRun) -> usize {
+    run.attempts as usize - run.layers_done
+}
+
+/// Share panics mid-layer: every completed recovering run is bitwise the
+/// plain loop's output, and the rebuilds it made are counted: each failed
+/// attempt at layer `t` costs the next one at most `t` rebuilt layers.
+/// Some seed must rebuild.
+#[test]
+fn share_panics_mid_layer_rebuild_the_input_bitwise() {
+    let (a_hat, model, x, plan) = share_panic_case();
+    let reference = planned_reference(&a_hat, &model, &x, &plan);
+    let deepest = model.layers().len() - 1;
+    let _quiet = retry::quiet_panics();
+    let mut rebuilt = 0;
+    for seed in 0..64 {
+        let config = FaultConfig::new(seed).point("pool.share", FaultKind::Panic, 0.01);
+        let (run, out) = recovering_run(&a_hat, &model, &x, &plan, config, RunGuard::unbounded);
+        let Ok(run) = run else { continue };
+        assert!(run.is_complete(), "seed {seed}: {run:?}");
+        assert_eq!(
+            out.as_slice(),
+            reference.as_slice(),
+            "seed {seed}: rebuilt run diverged ({run:?})"
+        );
+        assert!(
+            run.rebuilt_layers <= deepest * failed_attempts(&run),
+            "seed {seed}: {run:?}"
+        );
+        rebuilt += run.rebuilt_layers;
+    }
+    assert!(rebuilt > 0, "no seed in 0..64 rebuilt a layer's input");
+}
+
+/// A fault at the last layer of a three-layer model: a run with exactly
+/// one failed attempt and two rebuilt layers failed once at layer 2 (an
+/// attempt at layer `t` rebuilds `t` layers), mostly in its SpMM, after
+/// the update wrote `mid` and some shares wrote `h`. The retry re-runs
+/// layers 0 and 1 from the features and lands on the plain loop's bits.
+#[test]
+fn a_fault_at_the_last_layer_rebuilds_every_earlier_layer() {
+    let (a_hat, model, x, plan) = share_panic_case();
+    assert_eq!(model.layers().len(), 3);
+    let reference = planned_reference(&a_hat, &model, &x, &plan);
+    let _quiet = retry::quiet_panics();
+    let mut hits = 0;
+    for seed in 0..128 {
+        let config = FaultConfig::new(seed).point("pool.share", FaultKind::Panic, 0.004);
+        let (run, out) = recovering_run(&a_hat, &model, &x, &plan, config, RunGuard::unbounded);
+        let Ok(run) = run else { continue };
+        assert_eq!(out.as_slice(), reference.as_slice(), "seed {seed}: {run:?}");
+        if failed_attempts(&run) == 1 && run.rebuilt_layers == 2 {
+            assert_eq!((run.recovered_panics, run.recovered_layers), (1, 1));
+            hits += 1;
+        }
+    }
+    assert!(
+        hits > 0,
+        "no seed in 0..128 failed the last layer once and recovered"
+    );
+}
+
+/// A guard that fires right after a mid-write failure ends the run at the
+/// last completed layer, with that layer's output rebuilt first. Every
+/// attempt sleeps at `gcn.layer` (latency, never a failure), so a two-layer
+/// run reaches the check before layer 1 after a few sleeps and the check
+/// after layer 1's first rung — eight failed attempts — after at least
+/// nine: a budget of five sleeps fires there. Layer 1 updates first and
+/// aggregates into `h` second, so a share panic there leaves `h` half
+/// written. Whatever a seed does, a stopped run must hold exactly the
+/// layers it reports done; some seed must stop on layer 1's rung.
+#[test]
+fn a_guard_after_a_mid_write_failure_returns_the_last_completed_layer() {
+    const SLEEP: Duration = Duration::from_millis(20);
+    let g = Graph::rmat(&RmatConfig::power_law(8, 8), 2024);
+    let a_hat = g.normalized_adjacency().unwrap();
+    let model = GcnModel::new(&GcnConfig::from_dims(vec![16, 32, 8]), 7);
+    let x = g.random_features(16, 5);
+    let plan = SpmmPlan::pinned(&a_hat, 16, SpmmStrategy::VertexParallel { threads: 4 });
+    let mut first = GcnModel::new(&GcnConfig::from_dims(vec![16, 32]), 0);
+    first.layers_mut()[0] = model.layers()[0].clone();
+    let after = [
+        x.clone(),
+        planned_reference(&a_hat, &first, &x, &plan),
+        planned_reference(&a_hat, &model, &x, &plan),
+    ];
+    let _quiet = retry::quiet_panics();
+    let mut covered = false;
+    for seed in 0..64 {
+        let config = FaultConfig::new(seed)
+            .latency(SLEEP)
+            .point("gcn.layer", FaultKind::Latency, 1.0)
+            .point("pool.share", FaultKind::Panic, 0.02);
+        let guard = || RunGuard::with_budget(5 * SLEEP);
+        let (run, out) = recovering_run(&a_hat, &model, &x, &plan, config, guard);
+        let Ok(run) = run else { continue };
+        assert_eq!(
+            out.as_slice(),
+            after[run.layers_done].as_slice(),
+            "seed {seed}: the output is not layer {}'s ({run:?})",
+            run.layers_done
+        );
+        let on_the_rung = run.degradations.last().and_then(|d| d.layer) == Some(1);
+        if run.stopped.is_some() && run.layers_done == 1 && on_the_rung {
+            assert!(run.rebuilt_layers > 0, "seed {seed}: {run:?}");
+            covered = true;
+            break;
+        }
+    }
+    assert!(
+        covered,
+        "no seed in 0..64 stopped after a failed rung of layer 1"
+    );
+}
+
 #[test]
 fn graph_loading_retries_through_injected_io_faults() {
     use graph::io::read_matrix_market;
